@@ -7,7 +7,7 @@
 //
 //	arescamp [-missions L] [-vars L] [-goals L] [-attacks L] [-defenses L]
 //	         [-trials N] [-seed S] [-episodes N] [-steps N] [-workers N]
-//	         [-batch=BOOL] [-cpv ID[,ID...]] [-list-cpvs]
+//	         [-cpv ID[,ID...]] [-list-cpvs]
 //	         [-out FILE] [-csv DIR] [-q] [-metrics]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	episodes := fs.Int("episodes", 12, "RL training episodes per job")
 	steps := fs.Int("steps", 60, "max steps per episode")
 	workers := fs.Int("workers", 0, "worker pool size (0 = all CPUs)")
-	batch := fs.Bool("batch", true, "run each cell's trials as one lockstep batched rollout where the axes permit (records are bit-identical either way)")
 	out := fs.String("out", "campaign.jsonl", "artifact file (JSON lines); reused for resume")
 	csvDir := fs.String("csv", "", "also export the summary as CSV into this directory")
 	summaryOnly := fs.Bool("summary", false, "only aggregate the existing -out file; run nothing")
@@ -164,9 +163,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 			logw = io.Discard
 		}
 		r := &campaign.Runner{Workers: *workers, Log: logw}
-		if *batch {
-			r.Execute, r.ExecuteGroup = campaign.NewBatchExecutor()
-		}
 		stats, err := r.Run(ctx, spec, store)
 		if err != nil && err != context.Canceled {
 			return err

@@ -16,7 +16,7 @@
 // daemon coordinates; any number of workers join it:
 //
 //	aresd -coordinator [-addr :8080] [-store DIR] [-lease-ttl D] [-lease-batch N]
-//	aresd -worker -join http://coordinator:8080 [-id NAME] [-workers N] [-batch]
+//	aresd -worker -join http://coordinator:8080 [-id NAME] [-workers N]
 //
 // The coordinator serves the same submission API as a single-node
 // daemon — -submit/-wait point at it unchanged — and drains the same
@@ -47,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/dist"
 	"github.com/ares-cps/ares/internal/serve"
 )
@@ -78,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workerID := fs.String("id", "", "worker mode: stable worker identity (default host-pid)")
 	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "coordinator mode: lease lifetime without a heartbeat")
 	leaseBatch := fs.Int("lease-batch", 8, "coordinator mode: max jobs per lease")
-	batch := fs.Bool("batch", true, "worker mode: run batchable trial groups on the lockstep batched executor")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -90,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return clientSubmit(*addr, *submit, *wait, *timeout, stdout, stderr)
 	}
 	if *worker {
-		return workerDaemon(*join, *workerID, *workers, *batch, stderr)
+		return workerDaemon(*join, *workerID, *workers, stderr)
 	}
 	if *coordinator {
 		return coordinatorDaemon(*addr, dist.CoordConfig{
@@ -188,7 +186,7 @@ func coordinatorDaemon(addr string, cfg dist.CoordConfig, drain time.Duration, s
 }
 
 // workerDaemon joins a coordinator and executes leases until signalled.
-func workerDaemon(join, id string, jobs int, batch bool, stderr io.Writer) error {
+func workerDaemon(join, id string, jobs int, stderr io.Writer) error {
 	if join == "" {
 		return errors.New("-worker requires -join")
 	}
@@ -198,11 +196,6 @@ func workerDaemon(join, id string, jobs int, batch bool, stderr io.Writer) error
 		Jobs:        jobs,
 		Log:         stderr,
 	}
-	if batch {
-		cfg.Execute, cfg.ExecuteGroup = campaign.NewBatchExecutor()
-	} else {
-		cfg.Execute = campaign.NewExecutor()
-	}
 	w, err := dist.NewWorker(cfg)
 	if err != nil {
 		return err
@@ -210,8 +203,8 @@ func workerDaemon(join, id string, jobs int, batch bool, stderr io.Writer) error
 	ctx, cancel := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	fmt.Fprintf(stderr, "aresd: worker %s joining %s (%d jobs, batch=%v)\n",
-		w.ID(), cfg.Coordinator, jobs, batch)
+	fmt.Fprintf(stderr, "aresd: worker %s joining %s (%d jobs)\n",
+		w.ID(), cfg.Coordinator, jobs)
 	if err := w.Run(ctx); err != nil {
 		return err
 	}

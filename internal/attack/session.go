@@ -101,16 +101,6 @@ func NewFirmware(seed int64) (*firmware.Firmware, error) {
 	return firmware.New(firmware.Config{Sensors: sensorCfg})
 }
 
-// NewFirmwareWithPlant builds the same evaluation stack as NewFirmware but
-// flying an injected plant — typically a sim.BatchQuad lane, so batched
-// rollouts share one physics kernel. The caller must hand over a pristine
-// (freshly reset) plant for the flight to match NewFirmware bit-for-bit.
-func NewFirmwareWithPlant(seed int64, plant sim.Vehicle) (*firmware.Firmware, error) {
-	sensorCfg := sensors.DefaultConfig()
-	sensorCfg.Seed = seed
-	return firmware.New(firmware.Config{Sensors: sensorCfg, Plant: plant})
-}
-
 // CalibrateMonitors flies three benign missions (seed, seed+1, seed+2) and
 // trains/identifies the CI and ML monitors on the combined trace, returning
 // fresh fitted monitors. Multiple flights make the benign-error calibration

@@ -436,6 +436,74 @@ func TestExecutorRejectsUnknowns(t *testing.T) {
 	}
 }
 
+// runSorted runs spec through r into a fresh store and returns the
+// store's sorted record lines, failing unless every job finished ok.
+func runSorted(t *testing.T, r *Runner, spec Spec) []string {
+	t.Helper()
+	st, path := openTempStore(t)
+	stats, err := r.Run(context.Background(), spec, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.OK != stats.Total {
+		t.Fatalf("seed %d: %+v (want all ok)", spec.Seed, stats)
+	}
+	st.Close()
+	return sortedLines(t, path)
+}
+
+// TestExecutorCalibrationIndependentOfOrder guards the monitor cache: one
+// executor (as a daemon or fleet worker holds) serving a campaign with seed
+// A and then one with seed B on the same mission must give B exactly the
+// records a fresh executor gives it. A cache keyed by mission name alone
+// handed B the monitor calibrated from A's seed.
+func TestExecutorCalibrationIndependentOfOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real executor skipped in -short")
+	}
+	spec := func(seed int64) Spec {
+		return Spec{
+			Seed:      seed,
+			Missions:  []MissionSpec{{Kind: "line", Size: 40, Alt: 10}},
+			Variables: []string{"PIDR.INTEG"},
+			Attacks:   []string{AttackStealthy},
+			Defenses:  []string{DefenseCI},
+			Trials:    2,
+			MaxSteps:  40,
+		}
+	}
+	shared := &Runner{Workers: 1, Execute: NewExecutor()}
+	runSorted(t, shared, spec(1))
+	got := runSorted(t, shared, spec(2))
+	want := runSorted(t, &Runner{Workers: 1, Execute: NewExecutor()}, spec(2))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records depend on what the executor ran before:\nafter seed 1: %q\nfresh:        %q", got, want)
+	}
+}
+
+// TestBatchExecutorRecordEquivalence pins the deprecated NewBatchExecutor
+// pair: a Runner handed it, as older embedders still do, writes the same
+// records as one handed NewExecutor.
+func TestBatchExecutorRecordEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real executor skipped in -short")
+	}
+	spec := Spec{
+		Seed:      21,
+		Missions:  []MissionSpec{{Kind: "line", Size: 40, Alt: 10}},
+		Variables: []string{"CMD.Roll"},
+		Trials:    2,
+		Episodes:  2,
+		MaxSteps:  6,
+	}
+	want := runSorted(t, &Runner{Workers: 2, Execute: NewExecutor()}, spec)
+	exec, group := NewBatchExecutor()
+	got := runSorted(t, &Runner{Workers: 2, Execute: exec, ExecuteGroup: group}, spec)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewBatchExecutor records differ from NewExecutor:\ngot:  %q\nwant: %q", got, want)
+	}
+}
+
 func TestNormalizedAppliesDefaults(t *testing.T) {
 	n := Spec{Seed: 5}.Normalized()
 	if len(n.Missions) == 0 || len(n.Variables) == 0 || len(n.Goals) == 0 ||

@@ -21,7 +21,7 @@ const (
 	streamJobPolicy
 )
 
-// monitorEntry lazily calibrates one mission's CI monitor exactly once.
+// monitorEntry lazily calibrates one CI monitor exactly once.
 type monitorEntry struct {
 	once sync.Once
 	ci   *defense.ControlInvariants
@@ -30,54 +30,56 @@ type monitorEntry struct {
 
 // aresExecutor is the production Executor: it trains and evaluates one RL
 // exploit per job on the built-in firmware simulator. Monitors are
-// calibrated once per mission (seeded from the campaign seed, so the
-// calibration is identical at any worker count) and cloned per job,
-// because a fitted monitor's Observe mutates its runtime state.
+// calibrated once per mission and campaign seed (so the calibration is
+// identical at any worker count and in any submission order) and cloned
+// per job, because a fitted monitor's Observe mutates its runtime state.
 type aresExecutor struct {
 	mu       sync.Mutex
-	monitors map[string]*monitorEntry
+	monitors map[monitorKey]*monitorEntry
 }
 
 // NewExecutor returns the built-in ARES job executor.
 func NewExecutor() Executor {
-	e := &aresExecutor{monitors: make(map[string]*monitorEntry)}
+	e := &aresExecutor{monitors: make(map[monitorKey]*monitorEntry)}
 	return e.run
 }
 
-// GroupExecutor runs several jobs from one campaign cell (same axes,
-// different trial seeds) as a single batched lockstep rollout.
-// Implementations must return one Metrics per job, in order, and each
-// job's metrics must be deterministic in that job's Seed alone — identical
-// to what the scalar Executor would produce for the same job.
+// GroupExecutor runs several jobs from one campaign cell and returns one
+// Metrics per job, in order, identical to what the scalar Executor would
+// produce for each job.
+//
+// Deprecated: the batched lockstep execution path was removed because it
+// never beat the scalar executor end to end. No Runner calls a
+// GroupExecutor any more; the type remains for source compatibility.
 type GroupExecutor func(ctx context.Context, jobs []Job) ([]Metrics, error)
 
-// NewBatchExecutor returns the scalar executor plus its batched group
-// companion. Both share one per-mission monitor cache, so mixing them in a
-// run calibrates each mission once. Give both to a Runner (Execute +
-// ExecuteGroup) to batch a cell's trials through the structure-of-arrays
-// simulation kernel while non-batchable cells keep the scalar path.
+// NewBatchExecutor returns the built-in executor and a nil group executor.
+//
+// Deprecated: use NewExecutor. A group executor's contract is to return
+// exactly the scalar executor's records, so running every job through the
+// scalar executor is equivalent.
 func NewBatchExecutor() (Executor, GroupExecutor) {
-	e := &aresExecutor{monitors: make(map[string]*monitorEntry)}
-	return e.run, e.runGroup
+	return NewExecutor(), nil
 }
 
-// Batchable reports whether a job may join a batched trial group: the
-// RL deviation goal with the (default) reinforce learner. Crash cells need
-// an obstacle world per environment, stealthy cells are single session
-// flights, and the tabular ablation learner has no lockstep trainer — all
-// keep the scalar path.
-func Batchable(job Job) bool {
-	return job.Goal == GoalDeviation && job.Attack == AttackRL &&
-		(job.Learner == "" || job.Learner == "reinforce")
+// monitorKey identifies one calibration: the mission and the seed derived
+// from the campaign seed. Keying by mission alone would hand a second
+// campaign with a different seed the first campaign's monitor whenever one
+// executor serves both (a daemon or fleet worker), making records depend
+// on submission order.
+type monitorKey struct {
+	mission string
+	seed    int64
 }
 
 func (e *aresExecutor) monitor(job Job) (*defense.ControlInvariants, error) {
 	name := job.Mission.Name()
+	key := monitorKey{name, mathx.DeriveSeed(job.BaseSeed, StreamOf("calibrate/"+name))}
 	e.mu.Lock()
-	ent, ok := e.monitors[name]
+	ent, ok := e.monitors[key]
 	if !ok {
 		ent = &monitorEntry{}
-		e.monitors[name] = ent
+		e.monitors[key] = ent
 	}
 	e.mu.Unlock()
 	ent.once.Do(func() {
@@ -86,8 +88,7 @@ func (e *aresExecutor) monitor(job Job) (*defense.ControlInvariants, error) {
 			ent.err = err
 			return
 		}
-		seed := mathx.DeriveSeed(job.BaseSeed, StreamOf("calibrate/"+name))
-		ent.ci, _, ent.err = attack.CalibrateMonitors(mission, seed)
+		ent.ci, _, ent.err = attack.CalibrateMonitors(mission, key.seed)
 	})
 	if ent.err != nil {
 		return nil, fmt.Errorf("campaign: calibrate %s: %w", name, ent.err)
@@ -102,9 +103,41 @@ func (e *aresExecutor) run(ctx context.Context, job Job) (Metrics, error) {
 	if job.Attack == AttackStealthy {
 		return e.runStealthy(job)
 	}
-	cfg, err := e.exploitConfig(job)
+	mission, err := job.Mission.Build()
 	if err != nil {
 		return Metrics{}, err
+	}
+
+	envCfg := core.EnvConfig{
+		Variable:  job.Variable,
+		Mission:   mission,
+		MaxAction: job.MaxAction,
+		Seed:      mathx.DeriveSeed(job.Seed, streamJobEnv),
+		// CMD.* cells are rewritten by the navigator every cycle, so the
+		// injection must act as a standing per-tick offset; stateful cells
+		// (integrators) hold a one-shot injection.
+		PerTick: strings.HasPrefix(job.Variable, "CMD."),
+	}
+	switch job.Defense {
+	case DefenseCI:
+		det, err := e.monitor(job)
+		if err != nil {
+			return Metrics{}, err
+		}
+		envCfg.Detector = det
+	case DefenseRecovery:
+		det, err := e.monitor(job)
+		if err != nil {
+			return Metrics{}, err
+		}
+		envCfg.Recovery = defense.NewRecoveryGuard(det)
+	}
+	cfg := core.ExploitConfig{
+		Env:      envCfg,
+		Episodes: job.Episodes,
+		MaxSteps: job.MaxSteps,
+		Seed:     mathx.DeriveSeed(job.Seed, streamJobPolicy),
+		Learner:  job.Learner,
 	}
 
 	switch job.Goal {
@@ -130,76 +163,6 @@ func (e *aresExecutor) run(ctx context.Context, job Job) (Metrics, error) {
 	default:
 		return Metrics{}, fmt.Errorf("campaign: unknown goal %q", job.Goal)
 	}
-}
-
-// exploitConfig builds one job's exploit training configuration. The scalar
-// and batched paths both go through here, so a batched lane trains from a
-// config byte-identical to its scalar counterpart.
-func (e *aresExecutor) exploitConfig(job Job) (core.ExploitConfig, error) {
-	mission, err := job.Mission.Build()
-	if err != nil {
-		return core.ExploitConfig{}, err
-	}
-	envCfg := core.EnvConfig{
-		Variable:  job.Variable,
-		Mission:   mission,
-		MaxAction: job.MaxAction,
-		Seed:      mathx.DeriveSeed(job.Seed, streamJobEnv),
-		// CMD.* cells are rewritten by the navigator every cycle, so the
-		// injection must act as a standing per-tick offset; stateful cells
-		// (integrators) hold a one-shot injection.
-		PerTick: strings.HasPrefix(job.Variable, "CMD."),
-	}
-	switch job.Defense {
-	case DefenseCI:
-		det, err := e.monitor(job)
-		if err != nil {
-			return core.ExploitConfig{}, err
-		}
-		envCfg.Detector = det
-	case DefenseRecovery:
-		det, err := e.monitor(job)
-		if err != nil {
-			return core.ExploitConfig{}, err
-		}
-		envCfg.Recovery = defense.NewRecoveryGuard(det)
-	}
-	return core.ExploitConfig{
-		Env:      envCfg,
-		Episodes: job.Episodes,
-		MaxSteps: job.MaxSteps,
-		Seed:     mathx.DeriveSeed(job.Seed, streamJobPolicy),
-		Learner:  job.Learner,
-	}, nil
-}
-
-// runGroup executes one batched trial group: every job becomes a lane of a
-// shared structure-of-arrays simulation batch, trained in lockstep. Job k's
-// metrics are bit-identical to running it through the scalar executor.
-func (e *aresExecutor) runGroup(ctx context.Context, jobs []Job) ([]Metrics, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfgs := make([]core.ExploitConfig, len(jobs))
-	for i, job := range jobs {
-		if !Batchable(job) {
-			return nil, fmt.Errorf("campaign: job %s is not batchable", job.Key)
-		}
-		cfg, err := e.exploitConfig(job)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[i] = cfg
-	}
-	results, err := core.TrainDeviationExploitBatch(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	ms := make([]Metrics, len(jobs))
-	for i, job := range jobs {
-		ms[i] = metricsOf(job, results[i])
-	}
-	return ms, nil
 }
 
 // runStealthy executes one stealthy-injection cell. The attack is a fixed

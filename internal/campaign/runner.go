@@ -60,11 +60,11 @@ type Runner struct {
 	Workers int
 	// Execute runs one job; nil uses the built-in ARES executor.
 	Execute Executor
-	// ExecuteGroup, when non-nil, runs each batchable campaign cell's
-	// trials (see Batchable) as one lockstep batched rollout instead of
-	// independent jobs; everything else falls back to Execute. Per-job
-	// records are identical either way — grouping only changes how the
-	// physics is scheduled (NewBatchExecutor returns a matched pair).
+	// ExecuteGroup is ignored: every job runs through Execute.
+	//
+	// Deprecated: the batched lockstep execution path was removed. A
+	// group executor's contract was to return exactly Execute's records,
+	// so ignoring it changes no record.
 	ExecuteGroup GroupExecutor
 	// Log receives one progress line per finished job; nil discards.
 	Log io.Writer
@@ -86,7 +86,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec, store *Store) (RunStats, er
 // body of Run with the expansion step factored out, so a distributed
 // worker can execute the subset of a campaign's jobs its lease names
 // (expanded locally from the same spec) while streaming records back
-// through its sink — same pool, same panic recovery, same batching.
+// through its sink — same pool, same panic recovery.
 func (r *Runner) RunJobs(ctx context.Context, jobs []Job, sink RecordSink) (RunStats, error) {
 	stats := RunStats{Total: len(jobs)}
 	pending := jobs[:0:0]
@@ -109,56 +109,41 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job, sink RecordSink) (RunS
 		logw = io.Discard
 	}
 
-	// Each unit is one pool item: a single job, or — with ExecuteGroup —
-	// one batchable cell's worth of trials run as a lockstep batch.
-	units := r.groupUnits(pending)
-
 	// Jobs and any analysis they run internally share one concurrency
 	// budget: W job workers each get ~GOMAXPROCS/W analysis workers.
 	inner := par.Inner(0, workers)
 	start := time.Now()
 	var mu sync.Mutex // guards stats and logw
-	err := ForEach(ctx, workers, len(units), func(i int) error {
-		unit := units[i]
-		for k := range unit {
-			unit[k].Parallelism = inner
-		}
+	err := ForEach(ctx, workers, len(pending), func(i int) error {
+		job := pending[i]
+		job.Parallelism = inner
 		mInflight.Inc()
 		jobStart := time.Now()
-		var recs []Record
-		if len(unit) == 1 && (r.ExecuteGroup == nil || !Batchable(unit[0])) {
-			recs = []Record{runJob(ctx, exec, unit[0])}
-		} else {
-			recs = runJobGroup(ctx, r.ExecuteGroup, unit)
-		}
+		rec := runJob(ctx, exec, job)
 		mJobSeconds.Observe(time.Since(jobStart).Seconds())
 		mInflight.Dec()
-		for _, rec := range recs {
-			if err := sink.Append(rec); err != nil {
-				return err
-			}
+		if err := sink.Append(rec); err != nil {
+			return err
 		}
 		mu.Lock()
-		for _, rec := range recs {
-			switch rec.Status {
-			case StatusOK:
-				stats.OK++
-				mJobsOK.Inc()
-			case StatusPanic:
-				stats.Panics++
-				mJobsPanic.Inc()
-			default:
-				stats.Errors++
-				mJobsError.Inc()
-			}
-			line := fmt.Sprintf("[%d/%d] %s: %s", stats.Executed()+stats.Skipped,
-				stats.Total, rec.Key, rec.Status)
-			if rec.Metrics != nil {
-				line += fmt.Sprintf(" dev=%.2fm success=%v detected=%v",
-					rec.Metrics.Deviation, rec.Metrics.Success, rec.Metrics.Detected)
-			}
-			fmt.Fprintln(logw, line)
+		switch rec.Status {
+		case StatusOK:
+			stats.OK++
+			mJobsOK.Inc()
+		case StatusPanic:
+			stats.Panics++
+			mJobsPanic.Inc()
+		default:
+			stats.Errors++
+			mJobsError.Inc()
 		}
+		line := fmt.Sprintf("[%d/%d] %s: %s", stats.Executed()+stats.Skipped,
+			stats.Total, rec.Key, rec.Status)
+		if rec.Metrics != nil {
+			line += fmt.Sprintf(" dev=%.2fm success=%v detected=%v",
+				rec.Metrics.Deviation, rec.Metrics.Success, rec.Metrics.Detected)
+		}
+		fmt.Fprintln(logw, line)
 		mu.Unlock()
 		return nil
 	})
@@ -166,47 +151,9 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job, sink RecordSink) (RunS
 	return stats, err
 }
 
-// groupUnits partitions the pending jobs into pool work items. Without a
-// group executor every job is its own unit. With one, batchable jobs from
-// the same cell (identical axes, different trial seeds) merge into one
-// unit in expansion order; everything else stays scalar.
-func (r *Runner) groupUnits(pending []Job) [][]Job {
-	units := make([][]Job, 0, len(pending))
-	if r.ExecuteGroup == nil {
-		for _, j := range pending {
-			units = append(units, []Job{j})
-		}
-		return units
-	}
-	cells := make(map[string]int)
-	for _, j := range pending {
-		if !Batchable(j) {
-			units = append(units, []Job{j})
-			continue
-		}
-		ck := cellOf(j)
-		if u, ok := cells[ck]; ok {
-			units[u] = append(units[u], j)
-			continue
-		}
-		cells[ck] = len(units)
-		units = append(units, []Job{j})
-	}
-	return units
-}
-
-// cellOf identifies a job's campaign cell: everything in the key except
-// the trial index, plus the training budget (resumed runs can leave a cell
-// with a mix of budgets only if the spec changed; keep them apart).
-func cellOf(j Job) string {
-	return fmt.Sprintf("%s/%s/%s/%s/%s/%s/%d/%d/%s",
-		j.CPV, j.Mission.Name(), j.Variable, j.Goal, j.Attack, j.Defense,
-		j.Episodes, j.MaxSteps, j.Learner)
-}
-
-// jobRecord builds the identity part of a job's record.
-func jobRecord(job Job) Record {
-	return Record{
+// runJob executes one job with panic recovery and builds its record.
+func runJob(ctx context.Context, exec Executor, job Job) (rec Record) {
+	rec = Record{
 		Key:      job.Key,
 		Mission:  job.Mission.Name(),
 		Variable: job.Variable,
@@ -217,11 +164,6 @@ func jobRecord(job Job) Record {
 		CPV:      job.CPV,
 		Seed:     job.Seed,
 	}
-}
-
-// runJob executes one job with panic recovery and builds its record.
-func runJob(ctx context.Context, exec Executor, job Job) (rec Record) {
-	rec = jobRecord(job)
 	defer func() {
 		if p := recover(); p != nil {
 			rec.Status = StatusPanic
@@ -238,39 +180,6 @@ func runJob(ctx context.Context, exec Executor, job Job) (rec Record) {
 	rec.Status = StatusOK
 	rec.Metrics = &m
 	return rec
-}
-
-// runJobGroup executes one batched trial group with panic recovery. A group
-// failure (error or panic) marks every job in the group, mirroring what N
-// scalar failures would record.
-func runJobGroup(ctx context.Context, exec GroupExecutor, jobs []Job) (recs []Record) {
-	recs = make([]Record, len(jobs))
-	for i, job := range jobs {
-		recs[i] = jobRecord(job)
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			for i := range recs {
-				recs[i].Status = StatusPanic
-				recs[i].Error = fmt.Sprint(p)
-				recs[i].Metrics = nil
-			}
-		}
-	}()
-	ms, err := exec(ctx, jobs)
-	if err != nil {
-		for i := range recs {
-			recs[i].Status = StatusError
-			recs[i].Error = err.Error()
-		}
-		return recs
-	}
-	for i := range recs {
-		m := ms[i]
-		recs[i].Status = StatusOK
-		recs[i].Metrics = &m
-	}
-	return recs
 }
 
 // ForEach runs fn(0) … fn(n-1) on up to `workers` goroutines and waits for

@@ -1,40 +1,27 @@
 package control
 
 import (
-	"fmt"
 	"testing"
+
+	"github.com/ares-cps/ares/internal/mathx"
 )
 
-// BenchmarkCascadeStep is the scalar full-cascade (position → attitude →
-// mixer) per-lane-cycle baseline.
+// BenchmarkCascadeStep measures one full controller cycle: position →
+// attitude → mixer, from a fixed mid-flight state.
 func BenchmarkCascadeStep(b *testing.B) {
 	const dt = 1.0 / 400
-	sc := newScalarCascade(dt, 0.39)
-	tp, p, v, roll, pitch, yaw, desYaw, gyro := laneState(0, 0)
+	pos := NewPositionController(DefaultPositionConfig(dt, 0.39))
+	att := NewAttitudeController(DefaultAttitudeConfig(dt))
+	var mix Mixer
+	target, p, v := mathx.V3(0, 0, -8), mathx.V3(0, 0, -7.5), mathx.V3(-1.5, -1, 0)
+	roll, pitch, yaw, desYaw := -0.2, -0.15, -1.5, -1.5
+	gyro := mathx.V3(-0.75, -0.6, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.update(tp, p, v, roll, pitch, yaw, desYaw, gyro)
+		desRoll, desPitch, throttle := pos.Update(target, p, v, yaw)
+		tr, tp, ty := att.Update(desRoll, desPitch, desYaw, roll, pitch, yaw, gyro)
+		mix.Mix(throttle, tr, tp, ty)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/trial-step")
-}
-
-// BenchmarkBatchCascadeStep measures the SoA cascade bank; one iteration
-// sweeps all N lanes, so ns/trial-step compares against the scalar baseline.
-func BenchmarkBatchCascadeStep(b *testing.B) {
-	const dt = 1.0 / 400
-	for _, n := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			batch := NewBatchCascade(DefaultAttitudeConfig(dt), DefaultPositionConfig(dt, 0.39), n)
-			tp, p, v, roll, pitch, yaw, desYaw, gyro := laneState(0, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < n; k++ {
-					batch.Update(k, tp, p, v, roll, pitch, yaw, desYaw, gyro)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/trial-step")
-		})
-	}
 }

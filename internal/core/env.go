@@ -83,11 +83,6 @@ type baseEnv struct {
 	ticks   int
 	alarmed bool
 	world   *sim.World
-	// plant, when set, supplies the vehicle each episode's firmware flies —
-	// the BatchEnv hook that points N episodes at lanes of one shared
-	// sim.BatchQuad. It must return a pristine (freshly reset) vehicle so
-	// the episode is bit-identical to the scalar fresh-Quad path.
-	plant func() sim.Vehicle
 
 	// Injection state consumed by the firmware's mid-pipeline hook.
 	pendDelta float64
@@ -99,24 +94,9 @@ type baseEnv struct {
 // disarming the vehicle, and resetting it back into its initial position"
 // realized as a clean re-launch).
 func (b *baseEnv) reset() error {
-	fw, err := attack.NewFirmware(b.cfg.Seed + int64(b.episode)) //areslint:ignore seedarith golden-pinned
+	fw, err := newFirmware(b.cfg.Seed+int64(b.episode), b.world) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return err
-	}
-	switch {
-	case b.plant != nil:
-		// Fly an injected plant (a shared-batch lane) instead of the
-		// firmware-built scalar Quad; same sensor seed, same trajectory.
-		fw, err = attack.NewFirmwareWithPlant(b.cfg.Seed+int64(b.episode), b.plant()) //areslint:ignore seedarith golden-pinned
-		if err != nil {
-			return err
-		}
-	case b.world != nil:
-		// Rebuild with the obstacle world.
-		fw, err = newFirmwareWithWorld(b.cfg.Seed+int64(b.episode), b.world) //areslint:ignore seedarith golden-pinned
-		if err != nil {
-			return err
-		}
 	}
 	b.fw = fw
 	b.episode++
@@ -214,7 +194,9 @@ func (b *baseEnv) recovered() bool {
 	return b.cfg.Recovery != nil && b.cfg.Recovery.Engaged()
 }
 
-func newFirmwareWithWorld(seed int64, world *sim.World) (*firmware.Firmware, error) {
+// newFirmware builds an episode's vehicle: attack.NewFirmware's stack,
+// flying in world when one is set (the crash environment's obstacles).
+func newFirmware(seed int64, world *sim.World) (*firmware.Firmware, error) {
 	sensorCfg := sensors.DefaultConfig()
 	sensorCfg.Seed = seed
 	return firmware.New(firmware.Config{World: world, Sensors: sensorCfg})

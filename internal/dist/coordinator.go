@@ -6,11 +6,11 @@
 // same content-addressed submission surface as internal/serve, expands
 // each spec into its job list, and hands jobs out to registered workers
 // in leased batches. Workers execute their leases through the ordinary
-// campaign.Runner (batched executor included) and stream finished
-// records back with resumable offsets; the coordinator merges them into
-// per-campaign slots — one slot per expanded job — and, when every slot
-// is filled, finalizes the same key-sorted JSONL store and aggregate
-// summary a local run would have written.
+// campaign.Runner and stream finished records back with resumable
+// offsets; the coordinator merges them into per-campaign slots — one
+// slot per expanded job — and, when every slot is filled, finalizes the
+// same key-sorted JSONL store and aggregate summary a local run would
+// have written.
 //
 // The fleet protocol is lease + heartbeat + work stealing: a lease that
 // misses its heartbeats expires, its unfinished jobs return to the
@@ -297,8 +297,8 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 }
 
 // pickJobsLocked chooses up to max pending jobs for a worker: campaigns
-// in sorted-ID order, the worker's own shard first (in expansion order,
-// so batchable cells stay contiguous), then anything pending.
+// in sorted-ID order, the worker's own shard first (in expansion order),
+// then anything pending.
 func (c *Coordinator) pickJobsLocked(workerID string, max int) (*campaignState, []string) {
 	widx, n := c.workerShardLocked(workerID)
 	for _, id := range c.campaignIDsLocked() {

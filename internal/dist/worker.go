@@ -31,10 +31,15 @@ type WorkerConfig struct {
 	// FlushEvery is how many finished records buffer before a stream
 	// flush. Default 8.
 	FlushEvery int
-	// Execute runs one job; nil uses the built-in ARES executor.
+	// Execute runs one job; nil uses one built-in ARES executor shared by
+	// every lease, so each mission's monitor is calibrated once per
+	// campaign seed rather than once per lease.
 	Execute campaign.Executor
-	// ExecuteGroup, when non-nil, batches trial groups (see
-	// campaign.Runner.ExecuteGroup).
+	// ExecuteGroup is ignored.
+	//
+	// Deprecated: the batched lockstep execution path was removed; every
+	// job runs through Execute, which returns the records a group
+	// executor was required to return.
 	ExecuteGroup campaign.GroupExecutor
 	// Client issues the HTTP calls; nil uses a 30s-timeout client.
 	Client *http.Client
@@ -59,6 +64,9 @@ func (c *WorkerConfig) applyDefaults() error {
 	}
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 8
+	}
+	if c.Execute == nil {
+		c.Execute = campaign.NewExecutor()
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
@@ -209,10 +217,9 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 
 	sink := &streamSink{w: w, ctx: leaseCtx, lease: grant.Lease}
 	runner := &campaign.Runner{
-		Workers:      w.cfg.Jobs,
-		Execute:      w.cfg.Execute,
-		ExecuteGroup: w.cfg.ExecuteGroup,
-		Log:          w.cfg.Log,
+		Workers: w.cfg.Jobs,
+		Execute: w.cfg.Execute,
+		Log:     w.cfg.Log,
 	}
 	_, runErr := runner.RunJobs(leaseCtx, jobs, sink)
 	flushErr := sink.flush()

@@ -52,12 +52,6 @@ func (m Mode) String() string {
 type Config struct {
 	// Vehicle selects the airframe; zero value means IRIS+.
 	Vehicle sim.VehicleParams
-	// Plant optionally injects the vehicle to fly — typically a
-	// sim.BatchQuad lane, so N firmware instances can share one
-	// structure-of-arrays physics kernel. Nil builds a scalar sim.Quad
-	// from Vehicle/Wind/World; when set, Wind and World must be nil
-	// (they configure the built-in plant only).
-	Plant sim.Vehicle
 	// Sensors sets sensor noise; zero value means DefaultConfig.
 	Sensors sensors.Config
 	// LoopHz is the main loop rate (default 400, ArduCopter's rate).
@@ -75,7 +69,7 @@ type Config struct {
 // Firmware is the complete flight stack bound to one simulated vehicle.
 type Firmware struct {
 	cfg   Config
-	quad  sim.Vehicle
+	quad  *sim.Quad
 	suite *sensors.Suite
 	est   *ekf.EKF
 	sins  *control.SINS
@@ -141,22 +135,16 @@ func New(cfg Config) (*Firmware, error) {
 		cfg.LogHz = 16
 	}
 
-	quad := cfg.Plant
-	if quad == nil {
-		var opts []sim.Option
-		if cfg.Wind != nil {
-			opts = append(opts, sim.WithWind(cfg.Wind))
-		}
-		if cfg.World != nil {
-			opts = append(opts, sim.WithWorld(cfg.World))
-		}
-		q, err := sim.NewQuad(cfg.Vehicle, opts...)
-		if err != nil {
-			return nil, err
-		}
-		quad = q
-	} else if cfg.Wind != nil || cfg.World != nil {
-		return nil, fmt.Errorf("firmware: Wind/World configure the built-in plant and cannot combine with an injected Plant")
+	var opts []sim.Option
+	if cfg.Wind != nil {
+		opts = append(opts, sim.WithWind(cfg.Wind))
+	}
+	if cfg.World != nil {
+		opts = append(opts, sim.WithWorld(cfg.World))
+	}
+	quad, err := sim.NewQuad(cfg.Vehicle, opts...)
+	if err != nil {
+		return nil, err
 	}
 
 	dt := 1 / cfg.LoopHz
@@ -332,9 +320,8 @@ func (f *Firmware) bindParams() error {
 
 // --- accessors ---
 
-// Quad returns the simulated plant (a scalar sim.Quad unless a Plant was
-// injected via Config).
-func (f *Firmware) Quad() sim.Vehicle { return f.quad }
+// Quad returns the simulated plant.
+func (f *Firmware) Quad() *sim.Quad { return f.quad }
 
 // Sensors returns the sensor suite (fault-injection hooks live there).
 func (f *Firmware) Sensors() *sensors.Suite { return f.suite }

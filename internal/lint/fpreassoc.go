@@ -7,14 +7,14 @@ import (
 )
 
 // FPReassoc guards the float reduction-order contract in the numeric
-// packages (internal/stats, internal/sim): scalar and batched/worker
+// packages (internal/stats, internal/sim): serial and parallel-worker
 // variants of a kernel must produce bit-identical sums, which holds only
 // when every parallel construct writes disjoint slots and a single
 // deterministic loop folds them. Float addition is not associative, so a
 // captured accumulator compound-assigned from inside a par worker body —
 // or a shared *float64 handed to an accumulating helper — makes the
-// result depend on the scheduler, breaking the equivalence tests between
-// the scalar and batch lanes. The analyzer flags three shapes:
+// result depend on the scheduler, breaking the equivalence tests across
+// worker counts. The analyzer flags three shapes:
 //
 //   - a float compound-assign inside a worker closure (par.Do / ForEach /
 //     Chunks / Argmin argument, or a go statement) whose target is

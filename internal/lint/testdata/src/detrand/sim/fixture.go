@@ -1,7 +1,7 @@
 // Package sim is an areslint fixture: nondeterminism sources inside
-// batched structure-of-arrays code (the import path ends in /sim, so
-// detrand applies). The batch kernel's contract is lane-for-lane
-// bit-identity with the scalar path, which wall clocks, global random
+// multi-lane structure-of-arrays code (the import path ends in /sim, so
+// detrand applies). Any such kernel must stay lane-for-lane
+// bit-identical to a serial run, which wall clocks, global random
 // state and map-ordered lane iteration all silently break.
 package sim
 

@@ -1,20 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
-
-// benchCmds returns balanced near-hover commands that keep the vehicle
-// airborne and uncrashed for the duration of a benchmark run.
-func benchCmds(p VehicleParams, n int) [][4]float64 {
-	h := p.HoverThrottle()
-	cmds := make([][4]float64, n)
-	for k := range cmds {
-		cmds[k] = [4]float64{h, h, h, h}
-	}
-	return cmds
-}
+import "testing"
 
 // BenchmarkQuadStep is the scalar per-trial-step baseline.
 func BenchmarkQuadStep(b *testing.B) {
@@ -23,7 +9,10 @@ func BenchmarkQuadStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cmd := benchCmds(p, 1)[0]
+	// Balanced hover commands keep the vehicle airborne and uncrashed for
+	// the whole run.
+	h := p.HoverThrottle()
+	cmd := [4]float64{h, h, h, h}
 	const dt = 1.0 / 400
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -38,34 +27,4 @@ func BenchmarkQuadStep(b *testing.B) {
 		q.Step(cmd, dt)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/trial-step")
-}
-
-// BenchmarkBatchStep measures the SoA kernel at the contract batch widths;
-// ns/trial-step is the figure comparable against BenchmarkQuadStep.
-func BenchmarkBatchStep(b *testing.B) {
-	p := IRISPlusParams()
-	const dt = 1.0 / 400
-	for _, n := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			bq, err := NewBatchQuad(p, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cmds := benchCmds(p, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%100000 == 0 {
-					b.StopTimer()
-					for k := 0; k < n; k++ {
-						lane := bq.Lane(k)
-						lane.Reset(lane.State().Pos)
-					}
-					b.StartTimer()
-				}
-				bq.Step(cmds, dt)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/trial-step")
-		})
-	}
 }

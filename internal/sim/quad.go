@@ -104,7 +104,11 @@ func (p VehicleParams) Validate() error {
 }
 
 // HoverThrottle returns the per-motor command fraction that balances gravity.
-func (p VehicleParams) HoverThrottle() float64 {
+func (p VehicleParams) HoverThrottle() float64 { return hoverThrottle(&p) }
+
+// hoverThrottle is HoverThrottle without the by-value copy of the params,
+// for the per-step battery model.
+func hoverThrottle(p *VehicleParams) float64 {
 	return p.Mass * Gravity / (4 * p.MaxThrustPerMotor)
 }
 
@@ -273,23 +277,24 @@ func (q *Quad) Step(cmd [4]float64, dt float64) {
 	}
 
 	prevVel := q.state.Vel
-	q.state = q.integrate(q.state, cmd, windVel, dt)
+	q.integrate(&cmd, windVel, dt)
 	q.lastAccel = q.state.Vel.Sub(prevVel).Scale(1 / dt)
 	q.timeS += dt
-	q.battery.drain(q.currentDraw(cmd), dt)
+	q.battery.drain(q.currentDraw(&cmd), dt)
 	q.checkCollisions()
 }
 
 // currentDraw estimates battery current from the commanded throttle.
-func (q *Quad) currentDraw(cmd [4]float64) float64 {
+func (q *Quad) currentDraw(cmd *[4]float64) float64 {
+	p := &q.Params
 	sum := cmd[0] + cmd[1] + cmd[2] + cmd[3]
-	hover := 4 * q.Params.HoverThrottle()
+	hover := 4 * hoverThrottle(p)
 	if hover == 0 {
 		return 0
 	}
 	// Current scales roughly with throttle^1.5 around hover.
 	ratio := sum / hover
-	return q.Params.HoverCurrent * math.Pow(math.Max(ratio, 0), 1.5)
+	return p.HoverCurrent * math.Pow(math.Max(ratio, 0), 1.5)
 }
 
 // deriv computes the state derivative for the RK4 integrator.
@@ -301,13 +306,15 @@ type deriv struct {
 	motor [4]float64 // d(motor)/dt
 }
 
-func (q *Quad) dynamics(s State, cmd [4]float64, windVel mathx.Vec3) deriv {
-	p := q.Params
+// dynamics writes the state derivative at s into d. States, derivatives
+// and parameters travel by pointer: the RK4 step evaluates this four times,
+// and copying State, deriv and VehicleParams by value dominated its cost.
+func (q *Quad) dynamics(d *deriv, s *State, cmd *[4]float64, windVel mathx.Vec3) {
+	p := &q.Params
 
 	// Motor first-order lag toward command.
-	var dm [4]float64
-	for i := range dm {
-		dm[i] = (cmd[i] - s.Motor[i]) / p.MotorTau
+	for i := range d.motor {
+		d.motor[i] = (cmd[i] - s.Motor[i]) / p.MotorTau
 	}
 
 	// Per-motor thrust (N), body -Z.
@@ -333,23 +340,23 @@ func (q *Quad) dynamics(s State, cmd [4]float64, windVel mathx.Vec3) deriv {
 	thrustWorld := s.Att.Rotate(mathx.V3(0, 0, -total))
 	airRel := s.Vel.Sub(windVel)
 	drag := p.LinearDrag.Hadamard(airRel).Neg()
-	acc := gravity.Add(thrustWorld).Add(drag).Scale(1 / p.Mass)
+	d.acc = gravity.Add(thrustWorld).Add(drag).Scale(1 / p.Mass)
 
 	// Euler's rotation equation: I·ω̇ = τ − ω × (I·ω).
 	iOmega := p.Inertia.Hadamard(s.Omega)
 	gyro := s.Omega.Cross(iOmega)
-	alpha := mathx.V3(
+	d.alpha = mathx.V3(
 		(torque.X-gyro.X)/p.Inertia.X,
 		(torque.Y-gyro.Y)/p.Inertia.Y,
 		(torque.Z-gyro.Z)/p.Inertia.Z,
 	)
-
-	return deriv{vel: s.Vel, acc: acc, omega: s.Omega, alpha: alpha, motor: dm}
+	d.vel = s.Vel
+	d.omega = s.Omega
 }
 
-// applyDeriv advances a state by d scaled by dt (Euler step helper for RK4).
-func applyDeriv(s State, d deriv, dt float64) State {
-	var out State
+// applyDeriv writes s advanced by d scaled by dt into out (Euler step
+// helper for RK4).
+func applyDeriv(out, s *State, d *deriv, dt float64) {
 	out.Pos = s.Pos.Add(d.vel.Scale(dt))
 	out.Vel = s.Vel.Add(d.acc.Scale(dt))
 	out.Att = s.Att.Integrate(d.omega, dt)
@@ -357,29 +364,35 @@ func applyDeriv(s State, d deriv, dt float64) State {
 	for i := range out.Motor {
 		out.Motor[i] = mathx.Clamp(s.Motor[i]+d.motor[i]*dt, 0, 1)
 	}
-	return out
 }
 
-// integrate performs one RK4 step of the full dynamics.
-func (q *Quad) integrate(s State, cmd [4]float64, windVel mathx.Vec3, dt float64) State {
-	k1 := q.dynamics(s, cmd, windVel)
-	k2 := q.dynamics(applyDeriv(s, k1, dt/2), cmd, windVel)
-	k3 := q.dynamics(applyDeriv(s, k2, dt/2), cmd, windVel)
-	k4 := q.dynamics(applyDeriv(s, k3, dt), cmd, windVel)
+// integrate advances q.state by one RK4 step of the full dynamics.
+func (q *Quad) integrate(cmd *[4]float64, windVel mathx.Vec3, dt float64) {
+	s := &q.state
+	var k1, k2, k3, k4 deriv
+	var tmp State
+	q.dynamics(&k1, s, cmd, windVel)
+	applyDeriv(&tmp, s, &k1, dt/2)
+	q.dynamics(&k2, &tmp, cmd, windVel)
+	applyDeriv(&tmp, s, &k2, dt/2)
+	q.dynamics(&k3, &tmp, cmd, windVel)
+	applyDeriv(&tmp, s, &k3, dt)
+	q.dynamics(&k4, &tmp, cmd, windVel)
 
 	combine := func(a, b, c, d mathx.Vec3) mathx.Vec3 {
 		return a.Add(b.Scale(2)).Add(c.Scale(2)).Add(d).Scale(1.0 / 6)
 	}
-	var out State
-	out.Pos = s.Pos.Add(combine(k1.vel, k2.vel, k3.vel, k4.vel).Scale(dt))
-	out.Vel = s.Vel.Add(combine(k1.acc, k2.acc, k3.acc, k4.acc).Scale(dt))
-	out.Omega = s.Omega.Add(combine(k1.alpha, k2.alpha, k3.alpha, k4.alpha).Scale(dt))
+	// s is updated in place: every field below reads only its own old
+	// value, so no field is read after it has been overwritten.
+	s.Pos = s.Pos.Add(combine(k1.vel, k2.vel, k3.vel, k4.vel).Scale(dt))
+	s.Vel = s.Vel.Add(combine(k1.acc, k2.acc, k3.acc, k4.acc).Scale(dt))
+	s.Omega = s.Omega.Add(combine(k1.alpha, k2.alpha, k3.alpha, k4.alpha).Scale(dt))
 	// Attitude: integrate with the RK4-averaged body rate.
 	avgOmega := combine(k1.omega, k2.omega, k3.omega, k4.omega)
-	out.Att = s.Att.Integrate(avgOmega, dt)
-	for i := range out.Motor {
+	s.Att = s.Att.Integrate(avgOmega, dt)
+	for i := range s.Motor {
 		dm := (k1.motor[i] + 2*k2.motor[i] + 2*k3.motor[i] + k4.motor[i]) / 6
-		out.Motor[i] = mathx.Clamp(s.Motor[i]+dm*dt, 0, 1)
+		s.Motor[i] = mathx.Clamp(s.Motor[i]+dm*dt, 0, 1)
 	}
 
 	// Ground support: a vehicle resting on the ground cannot sink below
@@ -387,17 +400,16 @@ func (q *Quad) integrate(s State, cmd [4]float64, windVel mathx.Vec3, dt float64
 	// The pre-clamp sink rate is kept so the crash check can judge the
 	// severity of the impact.
 	q.impactSpeed = 0
-	if out.Pos.Z > 0 {
-		if out.Vel.Z > 0 {
-			q.impactSpeed = out.Vel.Z
-			out.Vel.Z = 0
+	if s.Pos.Z > 0 {
+		if s.Vel.Z > 0 {
+			q.impactSpeed = s.Vel.Z
+			s.Vel.Z = 0
 		}
-		out.Pos.Z = 0
+		s.Pos.Z = 0
 		// Friction kills residual horizontal speed on the ground.
-		out.Vel.X *= 0.5
-		out.Vel.Y *= 0.5
+		s.Vel.X *= 0.5
+		s.Vel.Y *= 0.5
 	}
-	return out
 }
 
 // CrashSpeed is the vertical impact speed in m/s above which ground contact
@@ -405,18 +417,18 @@ func (q *Quad) integrate(s State, cmd [4]float64, windVel mathx.Vec3, dt float64
 const CrashSpeed = 2.5
 
 // tipOverRad is the roll/pitch magnitude beyond which ground contact counts
-// as a tip-over (60°); shared by the scalar and batched crash checks.
+// as a tip-over (60°).
 var tipOverRad = mathx.Rad(60)
 
 func (q *Quad) checkCollisions() {
-	s := q.state
+	s := &q.state
 	// Hard ground impact (impact speed recorded by the ground clamp).
 	if q.impactSpeed > CrashSpeed {
 		q.crash(fmt.Sprintf("ground impact at %.1f m/s", q.impactSpeed))
 		return
 	}
 	// Extreme attitude near the ground means a tip-over.
-	roll, pitch, _ := s.Euler()
+	roll, pitch, _ := s.Att.Euler()
 	if s.Altitude() < 0.3 && (math.Abs(roll) > tipOverRad || math.Abs(pitch) > tipOverRad) {
 		q.crash("tip-over near ground")
 		return

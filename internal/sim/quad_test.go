@@ -291,3 +291,35 @@ func TestPixhawk4ParamsValid(t *testing.T) {
 		t.Errorf("Pixhawk4Params invalid: %v", err)
 	}
 }
+
+// TestQuadStepNonFinite checks that NaN/±Inf motor commands or dt crash the
+// vehicle loudly instead of poisoning the state: a NaN dt used to slip past
+// the dt <= 0 guard and propagate through the integrator.
+func TestQuadStepNonFinite(t *testing.T) {
+	bad := []struct {
+		name string
+		cmd  [4]float64
+		dt   float64
+	}{
+		{"nan-cmd", [4]float64{math.NaN(), 0.5, 0.5, 0.5}, 1.0 / 400},
+		{"inf-cmd", [4]float64{0.5, math.Inf(1), 0.5, 0.5}, 1.0 / 400},
+		{"neg-inf-cmd", [4]float64{0.5, 0.5, math.Inf(-1), 0.5}, 1.0 / 400},
+		{"nan-dt", [4]float64{0.5, 0.5, 0.5, 0.5}, math.NaN()},
+		{"inf-dt", [4]float64{0.5, 0.5, 0.5, 0.5}, math.Inf(1)},
+	}
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			q := newTestQuad(t)
+			q.Step(tc.cmd, tc.dt)
+			if c, reason := q.Crashed(); !c || reason != nonFiniteStep {
+				t.Fatalf("crashed=%v reason=%q, want loud non-finite rejection", c, reason)
+			}
+			if s := q.State(); s != (State{Att: mathx.QuatIdentity()}) {
+				t.Fatalf("non-finite step mutated state: %+v", s)
+			}
+			if q.Time() != 0 {
+				t.Fatalf("non-finite step advanced the clock to %v", q.Time())
+			}
+		})
+	}
+}
