@@ -240,6 +240,7 @@ func BenchmarkEKFPredict(b *testing.B) {
 	e := ekf.New(ekf.DefaultConfig())
 	gyro := mathx.V3(0.1, -0.05, 0.02)
 	accel := mathx.V3(0.2, 0.1, -9.8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Predict(gyro, accel, 1.0/400)

@@ -105,7 +105,9 @@ func (e *EKF) Reset(pos mathx.Vec3, yaw float64) {
 // Predict propagates the state with one IMU sample: gyro body rates and
 // accelerometer specific force, both in the body frame.
 func (e *EKF) Predict(gyro, accel mathx.Vec3, dt float64) {
-	if dt <= 0 {
+	// A NaN or ±Inf dt would poison every state and covariance entry;
+	// like a non-positive one it is rejected and leaves the filter as is.
+	if !(dt > 0) || math.IsInf(dt, 1) {
 		return
 	}
 	roll, pitch, yaw := e.x[ixRoll], e.x[ixPitch], e.x[ixYaw]
@@ -137,23 +139,12 @@ func (e *EKF) Predict(gyro, accel mathx.Vec3, dt float64) {
 	e.x[ixPE] += e.x[ixVE] * dt
 	e.x[ixPD] += e.x[ixVD] * dt
 
-	// Covariance: F ≈ I with pos←vel coupling; add process noise Q.
-	var f [n][n]float64
+	// Covariance: P ← F·P·Fᵀ + Q.
+	predictCov(&e.p, dt)
+	q := [3]float64{sq(e.cfg.GyroNoise) * dt, sq(e.cfg.AccelNoise) * dt, sq(e.cfg.PosNoise) * dt}
 	for i := 0; i < n; i++ {
-		f[i][i] = 1
+		e.p[i][i] += q[i/3]
 	}
-	f[ixPN][ixVN] = dt
-	f[ixPE][ixVE] = dt
-	f[ixPD][ixVD] = dt
-	// Attitude errors tip the thrust vector, coupling into velocity.
-	f[ixVN][ixPitch] = -gravity * dt
-	f[ixVE][ixRoll] = gravity * dt
-
-	e.p = addDiag(matMulT(f, e.p), [n]float64{
-		sq(e.cfg.GyroNoise) * dt, sq(e.cfg.GyroNoise) * dt, sq(e.cfg.GyroNoise) * dt,
-		sq(e.cfg.AccelNoise) * dt, sq(e.cfg.AccelNoise) * dt, sq(e.cfg.AccelNoise) * dt,
-		sq(e.cfg.PosNoise) * dt, sq(e.cfg.PosNoise) * dt, sq(e.cfg.PosNoise) * dt,
-	})
 	e.syncOutputs()
 }
 
@@ -299,34 +290,41 @@ func (e *EKF) RegisterVars(set *vars.Set) error {
 
 func sq(v float64) float64 { return v * v }
 
-// matMulT computes F·P·Fᵀ for the covariance prediction.
-func matMulT(f, p [n][n]float64) [n][n]float64 {
-	var fp [n][n]float64
+// predictCov overwrites p with F·P·Fᵀ, where F is the identity plus the
+// five couplings PN←VN, PE←VE, PD←VD (dt), and VN←Pitch (−g·dt) and
+// VE←Roll (g·dt), through which attitude errors tip the thrust vector
+// into velocity. Every row and every column of F holds at most two nonzero
+// entries, so each entry of the dense product reduces to (0 + a) + b: its
+// two surviving products, summed in the dense loop's k order, from a +0
+// start. For finite P this is bit-identical to the dense product (see
+// DESIGN.md, "EKF covariance predict"), which ekf_test.go keeps as the
+// oracle.
+func predictCov(p *[n][n]float64, dt float64) {
+	gN, gE := -gravity*dt, gravity*dt
+	// F·P: only the coupled rows change. Each coupled row's source row
+	// precedes it in k order, and the position rows read the velocity rows
+	// before those are overwritten.
+	for j := 0; j < n; j++ {
+		p[ixPN][j] = (0 + dt*p[ixVN][j]) + p[ixPN][j]
+		p[ixPE][j] = (0 + dt*p[ixVE][j]) + p[ixPE][j]
+		p[ixPD][j] = (0 + dt*p[ixVD][j]) + p[ixPD][j]
+		p[ixVN][j] = (0 + gN*p[ixPitch][j]) + p[ixVN][j]
+		p[ixVE][j] = (0 + gE*p[ixRoll][j]) + p[ixVE][j]
+	}
+	// (F·P)·Fᵀ: the same five couplings, applied to columns.
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for k := 0; k < n; k++ {
-				s += f[i][k] * p[k][j]
-			}
-			fp[i][j] = s
+		r := &p[i]
+		r[ixPN] = (0 + r[ixVN]*dt) + r[ixPN]
+		r[ixPE] = (0 + r[ixVE]*dt) + r[ixPE]
+		r[ixPD] = (0 + r[ixVD]*dt) + r[ixPD]
+		r[ixVN] = (0 + r[ixPitch]*gN) + r[ixVN]
+		r[ixVE] = (0 + r[ixRoll]*gE) + r[ixVE]
+	}
+	// The block F leaves alone still passes through the dense sum's +0
+	// start once, which turns −0 into +0.
+	for _, i := range [...]int{ixRoll, ixPitch, ixYaw, ixVD} {
+		for _, j := range [...]int{ixRoll, ixPitch, ixYaw, ixVD} {
+			p[i][j] += 0
 		}
 	}
-	var out [n][n]float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for k := 0; k < n; k++ {
-				s += fp[i][k] * f[j][k]
-			}
-			out[i][j] = s
-		}
-	}
-	return out
-}
-
-func addDiag(m [n][n]float64, d [n]float64) [n][n]float64 {
-	for i := 0; i < n; i++ {
-		m[i][i] += d[i]
-	}
-	return m
 }

@@ -1,7 +1,9 @@
 package ekf
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/ares-cps/ares/internal/control"
@@ -224,5 +226,238 @@ func TestEKFTracksSimulatedFlight(t *testing.T) {
 	}
 	if maxPosErr > 3 {
 		t.Errorf("max position error %.2f m, want < 3", maxPosErr)
+	}
+}
+
+// denseFPFt is the covariance prediction's oracle: it builds the dense F
+// and computes F·P·Fᵀ with the textbook triple loops. predictCov must match
+// it bit-for-bit.
+func denseFPFt(p [n][n]float64, dt float64) [n][n]float64 {
+	var f [n][n]float64
+	for i := 0; i < n; i++ {
+		f[i][i] = 1
+	}
+	f[ixPN][ixVN] = dt
+	f[ixPE][ixVE] = dt
+	f[ixPD][ixVD] = dt
+	f[ixVN][ixPitch] = -gravity * dt
+	f[ixVE][ixRoll] = gravity * dt
+
+	var fp [n][n]float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for k := 0; k < n; k++ {
+				s += f[i][k] * p[k][j]
+			}
+			fp[i][j] = s
+		}
+	}
+	var out [n][n]float64
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for k := 0; k < n; k++ {
+				s += fp[i][k] * f[j][k]
+			}
+			out[i][j] = s
+		}
+	}
+	return out
+}
+
+// densePredict runs Predict with the oracle's covariance: the state update
+// does not read P, so only P is replaced.
+func densePredict(e *EKF, gyro, accel mathx.Vec3, dt float64) {
+	p := e.p
+	e.Predict(gyro, accel, dt)
+	e.p = denseFPFt(p, dt)
+	q := [3]float64{sq(e.cfg.GyroNoise) * dt, sq(e.cfg.AccelNoise) * dt, sq(e.cfg.PosNoise) * dt}
+	for i := 0; i < n; i++ {
+		e.p[i][i] += q[i/3]
+	}
+}
+
+func allFinite(m *[n][n]float64) bool {
+	for i := range m {
+		for _, v := range m[i] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkPredictCov compares predictCov with the oracle on one finite P. If
+// the dense product overflows, the oracle's 0·Inf terms turn it into NaN
+// where the kernel skips them; both must then hold a non-finite entry.
+// Otherwise every entry must match bit-for-bit.
+func checkPredictCov(t *testing.T, p [n][n]float64, dt float64) {
+	t.Helper()
+	want := denseFPFt(p, dt)
+	got := p
+	predictCov(&got, dt)
+	if !allFinite(&want) {
+		if allFinite(&got) {
+			t.Fatalf("dt=%v: dense product overflows, kernel stays finite\nP=%v", dt, p)
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("dt=%v: P'[%d][%d] = %v (%#x), dense %v (%#x)\nP=%v", dt, i, j,
+					got[i][j], math.Float64bits(got[i][j]), want[i][j], math.Float64bits(want[i][j]), p)
+			}
+		}
+	}
+}
+
+// TestPredictCovMatchesDense drives the structured kernel and the dense
+// oracle over random P matrices salted with signed zeros, subnormals and
+// extreme magnitudes, at several step sizes.
+func TestPredictCovMatchesDense(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1060, -0x1p-1030, 1e-300, -1e-300, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+	}
+	rng := rand.New(rand.NewSource(1))
+	iters := 20000
+	if testing.Short() {
+		iters = 2000
+	}
+	for _, step := range []float64{1.0 / 400, 0.01, 0.5, 7, 1e-200} {
+		for it := 0; it < iters; it++ {
+			var p [n][n]float64
+			for i := range p {
+				for j := range p[i] {
+					switch r := rng.Intn(8); {
+					case r < 3:
+						p[i][j] = special[rng.Intn(len(special))]
+					case r < 7:
+						p[i][j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(21)-10))
+					default:
+						// Exact cancellation against the coupling term.
+						p[i][j] = -p[(i+1)%n][j]
+					}
+				}
+			}
+			checkPredictCov(t, p, step)
+		}
+	}
+}
+
+// FuzzPredictCovVsDense decodes 81 covariance entries and dt from the fuzz
+// bytes (missing bytes read as zero) and holds the kernel to the oracle
+// whenever all inputs are finite and dt is one Predict would accept.
+func FuzzPredictCovVsDense(f *testing.F) {
+	seed := func(p [n][n]float64, dt float64) []byte {
+		b := make([]byte, 0, 8*(n*n+1))
+		for i := range p {
+			for _, v := range p[i] {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+		}
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(dt))
+	}
+	f.Add(seed(New(DefaultConfig()).p, dt))
+	var signed [n][n]float64
+	for i := range signed {
+		for j := range signed[i] {
+			signed[i][j] = math.Copysign(float64(i-j)*1e-310, float64(j-i))
+		}
+	}
+	f.Add(seed(signed, 0.25))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf [8 * (n*n + 1)]byte
+		copy(buf[:], data)
+		var p [n][n]float64
+		for i := range p {
+			for j := range p[i] {
+				p[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*(i*n+j):]))
+			}
+		}
+		step := math.Float64frombits(binary.LittleEndian.Uint64(buf[8*n*n:]))
+		if !allFinite(&p) || !(step > 0) || math.IsInf(step, 1) {
+			return
+		}
+		checkPredictCov(t, p, step)
+	})
+}
+
+// TestPredictLockstepWithDense runs the filter and an oracle-driven twin
+// through a mixed predict/fuse sequence and requires x and P to stay
+// bit-identical at every step.
+func TestPredictLockstepWithDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	e, o := New(DefaultConfig()), New(DefaultConfig())
+	e.Reset(mathx.V3(1, -2, -10), 0.3)
+	o.Reset(mathx.V3(1, -2, -10), 0.3)
+	vec := func(scale float64) mathx.Vec3 {
+		return mathx.V3(rng.NormFloat64()*scale, rng.NormFloat64()*scale, rng.NormFloat64()*scale)
+	}
+	for i := 0; i < 4000; i++ {
+		switch r := rng.Intn(10); {
+		case r < 5:
+			gyro, accel := vec(0.3), vec(0.5).Add(mathx.V3(0, 0, -gravity))
+			e.Predict(gyro, accel, dt)
+			densePredict(o, gyro, accel, dt)
+		case r < 6:
+			pos, vel := vec(3), vec(1)
+			e.FuseGPS(pos, vel)
+			o.FuseGPS(pos, vel)
+		case r < 7:
+			alt := 10 + rng.NormFloat64()
+			e.FuseBaro(alt)
+			o.FuseBaro(alt)
+		case r < 8:
+			yaw := rng.Float64()*2*math.Pi - math.Pi
+			e.FuseMag(yaw)
+			o.FuseMag(yaw)
+		default:
+			accel := vec(0.8).Add(mathx.V3(0, 0, -gravity))
+			e.FuseGravity(accel)
+			o.FuseGravity(accel)
+		}
+		for a := 0; a < n; a++ {
+			if math.Float64bits(e.x[a]) != math.Float64bits(o.x[a]) {
+				t.Fatalf("step %d: x[%d] = %v, oracle %v", i, a, e.x[a], o.x[a])
+			}
+			for b := 0; b < n; b++ {
+				if math.Float64bits(e.p[a][b]) != math.Float64bits(o.p[a][b]) {
+					t.Fatalf("step %d: P[%d][%d] = %v, oracle %v", i, a, b, e.p[a][b], o.p[a][b])
+				}
+			}
+		}
+	}
+}
+
+func TestPredictAllocatesNothing(t *testing.T) {
+	e := New(DefaultConfig())
+	gyro, accel := mathx.V3(0.1, -0.05, 0.02), mathx.V3(0.2, 0.1, -9.8)
+	if allocs := testing.AllocsPerRun(100, func() { e.Predict(gyro, accel, dt) }); allocs != 0 {
+		t.Errorf("Predict allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestPredictNonFiniteDT: a NaN or ±Inf dt must leave the whole filter,
+// state, covariance and log outputs, untouched.
+func TestPredictNonFiniteDT(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		dt   float64
+	}{{"nan", math.NaN()}, {"inf", math.Inf(1)}, {"neg-inf", math.Inf(-1)}} {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(DefaultConfig())
+			for i := 0; i < 50; i++ {
+				e.Predict(mathx.V3(0.2, 0.1, 0), mathx.V3(0.3, 0, -gravity), dt)
+			}
+			before := *e
+			e.Predict(mathx.V3(0.2, 0.1, 0), mathx.V3(0.3, 0, -gravity), c.dt)
+			if *e != before {
+				t.Errorf("Predict(dt=%v) changed the filter: x=%v", c.dt, e.x)
+			}
+		})
 	}
 }

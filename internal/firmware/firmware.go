@@ -54,7 +54,8 @@ type Config struct {
 	Vehicle sim.VehicleParams
 	// Sensors sets sensor noise; zero value means DefaultConfig.
 	Sensors sensors.Config
-	// LoopHz is the main loop rate (default 400, ArduCopter's rate).
+	// LoopHz is the main loop rate (default 400, ArduCopter's rate). It
+	// and LogHz must be finite; a value <= 0 selects the default.
 	LoopHz float64
 	// LogHz is the dataflash rate (default 16, the paper's logging rate).
 	LogHz float64
@@ -119,6 +120,8 @@ type Firmware struct {
 	outbox  []mavlink.Message
 }
 
+func finiteHz(hz float64) bool { return !math.IsNaN(hz) && !math.IsInf(hz, 0) }
+
 // New assembles a firmware instance. All controller variables are registered
 // and assigned to MPU regions; an unassigned variable is an assembly error.
 func New(cfg Config) (*Firmware, error) {
@@ -127,6 +130,11 @@ func New(cfg Config) (*Firmware, error) {
 	}
 	if cfg.Sensors == (sensors.Config{}) {
 		cfg.Sensors = sensors.DefaultConfig()
+	}
+	// A NaN rate would slip past the <= 0 defaults below and yield a NaN
+	// tick and a garbage log divider.
+	if !finiteHz(cfg.LoopHz) || !finiteHz(cfg.LogHz) {
+		return nil, fmt.Errorf("firmware: non-finite loop rate %v Hz or log rate %v Hz", cfg.LoopHz, cfg.LogHz)
 	}
 	if cfg.LoopHz <= 0 {
 		cfg.LoopHz = 400

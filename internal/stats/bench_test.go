@@ -6,20 +6,31 @@ import (
 	"testing"
 )
 
-// benchSeries builds V correlated random series of length T, the shape of
-// a profiled ESVL (Table II's PID group is V=64 over ~3000 samples).
+// benchSeries builds V random series of length T, the shape of a profiled
+// ESVL (Table II's PID group is V=64 over ~3000 samples). Like controller
+// states, each series integrates i.i.d. increments, so it survives the
+// increment-based pruning; the increments share one of four latent factors
+// plus the series' own noise, so the series fall into correlated clusters
+// that reach the stepwise search.
 func benchSeries(v, t int) [][]float64 {
+	const factors = 4
 	rng := rand.New(rand.NewSource(1))
-	base := make([]float64, t)
-	for i := range base {
-		base[i] = rng.NormFloat64()
+	latent := make([][]float64, factors)
+	for f := range latent {
+		latent[f] = make([]float64, t)
+		for j := range latent[f] {
+			latent[f][j] = rng.NormFloat64()
+		}
 	}
 	series := make([][]float64, v)
 	for i := range series {
 		s := make([]float64, t)
-		w := rng.Float64()
+		f := latent[i%factors]
+		w := 0.5 + rng.Float64()
+		level := 0.0
 		for j := range s {
-			s[j] = rng.NormFloat64() + w*base[j]
+			level += w*f[j] + rng.NormFloat64()
+			s[j] = level
 		}
 		series[i] = s
 	}
@@ -165,6 +176,9 @@ func BenchmarkGenerateTSVL(b *testing.B) {
 				})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if rep.ModelsFitted == 0 {
+					b.Fatal("no cluster reached the stepwise search")
 				}
 				if i == 0 {
 					b.ReportMetric(float64(rep.ModelsFitted), "models-fitted")
