@@ -1,9 +1,11 @@
 // Command aresd is the networked assessment daemon: it serves the
 // internal/serve HTTP API (job queueing with backpressure, singleflight
 // dedup of identical specs, LRU result caching, SSE progress, Prometheus
-// metrics) backed by the ARES campaign executor.
+// metrics) backed by the ARES campaign executor. Both daemon modes run
+// the same internal/dist job lifecycle; they differ only in where the
+// workers live.
 //
-// Daemon mode:
+// Daemon mode (a coordinator with -workers in-process workers):
 //
 //	aresd [-addr :8080] [-store DIR] [-queue N] [-workers N]
 //	      [-parallel N] [-cache N] [-drain D]
@@ -18,9 +20,10 @@
 //	aresd -coordinator [-addr :8080] [-store DIR] [-lease-ttl D] [-lease-batch N]
 //	aresd -worker -join http://coordinator:8080 [-id NAME] [-workers N]
 //
-// The coordinator serves the same submission API as a single-node
-// daemon — -submit/-wait point at it unchanged — and drains the same
-// way: SIGTERM expires outstanding leases back into the queue manifest.
+// The coordinator serves the same submission, status, SSE and result API
+// as a single-node daemon — -submit/-wait point at it unchanged — and
+// drains the same way: SIGTERM releases outstanding leases back into the
+// queue manifest.
 // A killed worker costs nothing but its lease TTL; the fleet's merged
 // artifacts are byte-identical to a local run of the same spec.
 //
@@ -91,39 +94,51 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return workerDaemon(*join, *workerID, *workers, stderr)
 	}
 	if *coordinator {
-		return coordinatorDaemon(*addr, dist.CoordConfig{
+		c, err := dist.NewCoordinator(dist.CoordConfig{
 			StoreDir: *storeDir,
 			LeaseTTL: *leaseTTL,
 			MaxLease: *leaseBatch,
 			Log:      stderr,
-		}, *drain, stderr)
+		})
+		if err != nil {
+			return err
+		}
+		c.Start()
+		fmt.Fprintf(stderr, "aresd: coordinating on %s (store %s, lease ttl %s, batch %d)\n",
+			*addr, *storeDir, *leaseTTL, *leaseBatch)
+		// Shutdown releases outstanding worker leases into the manifest.
+		return serveUntilSignal(*addr, c.Handler(), *drain,
+			func(context.Context) error { return c.Shutdown() }, stderr)
 	}
-	return daemon(*addr, serve.Config{
+	srv, err := serve.New(serve.Config{
 		StoreDir:    *storeDir,
 		QueueDepth:  *queueDepth,
 		Workers:     *workers,
 		Parallelism: *parallel,
 		CacheSize:   *cacheSize,
 		Log:         stderr,
-	}, *drain, stderr)
-}
-
-func daemon(addr string, cfg serve.Config, drain time.Duration, stderr io.Writer) error {
-	srv, err := serve.New(cfg)
+	})
 	if err != nil {
 		return err
 	}
 	srv.Start()
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	fmt.Fprintf(stderr, "aresd: listening on %s (store %s, %d workers, queue %d)\n",
+		*addr, *storeDir, *workers, *queueDepth)
+	return serveUntilSignal(*addr, srv.Handler(), *drain, srv.Shutdown, stderr)
+}
 
+// serveUntilSignal serves h on addr until SIGINT/SIGTERM, then stops
+// accepting connections and drains through shutdown, which gets up to
+// drain to finish in-flight work and persist the queue manifest.
+func serveUntilSignal(addr string, h http.Handler, drain time.Duration,
+	shutdown func(context.Context) error, stderr io.Writer) error {
+	httpSrv := &http.Server{Addr: addr, Handler: h}
 	ctx, cancel := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(stderr, "aresd: listening on %s (store %s, %d workers, queue %d)\n",
-			addr, cfg.StoreDir, cfg.Workers, cfg.QueueDepth)
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- err
 		}
@@ -138,50 +153,10 @@ func daemon(addr string, cfg serve.Config, drain time.Duration, stderr io.Writer
 	drainCtx, stop := context.WithTimeout(context.Background(), drain)
 	defer stop()
 	_ = httpSrv.Shutdown(drainCtx)
-	if err := srv.Shutdown(drainCtx); err != nil {
+	if err := shutdown(drainCtx); err != nil {
 		return err
 	}
 	fmt.Fprintln(stderr, "aresd: queue persisted; bye")
-	return nil
-}
-
-// coordinatorDaemon serves the fleet head: same lifecycle shape as the
-// single-node daemon, but shutdown also expires outstanding worker
-// leases so their jobs persist to the queue manifest as pending.
-func coordinatorDaemon(addr string, cfg dist.CoordConfig, drain time.Duration, stderr io.Writer) error {
-	c, err := dist.NewCoordinator(cfg)
-	if err != nil {
-		return err
-	}
-	c.Start()
-	httpSrv := &http.Server{Addr: addr, Handler: c.Handler()}
-
-	ctx, cancel := signal.NotifyContext(context.Background(),
-		os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(stderr, "aresd: coordinating on %s (store %s, lease ttl %s, batch %d)\n",
-			addr, cfg.StoreDir, cfg.LeaseTTL, cfg.MaxLease)
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errc <- err
-		}
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(stderr, "aresd: coordinator draining (up to %s)...\n", drain)
-	drainCtx, stop := context.WithTimeout(context.Background(), drain)
-	defer stop()
-	_ = httpSrv.Shutdown(drainCtx)
-	if err := c.Shutdown(); err != nil {
-		return err
-	}
-	fmt.Fprintln(stderr, "aresd: leases released, queue persisted; bye")
 	return nil
 }
 

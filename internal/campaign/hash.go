@@ -1,14 +1,11 @@
-package serve
+package campaign
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"github.com/ares-cps/ares/internal/campaign"
 )
 
 // SpecHash returns the canonical identity of a campaign spec: the SHA-256
@@ -16,8 +13,9 @@ import (
 // cleared. Two submissions that expand to the same job list (defaults
 // spelled out or omitted, any field order or whitespace in the request
 // body) hash equal, which is what singleflight dedup and the result cache
-// key on. The hex form doubles as the job and result ID.
-func SpecHash(spec campaign.Spec) string {
+// key on. The hex form doubles as the job and result ID of both daemon
+// modes.
+func SpecHash(spec Spec) string {
 	n := spec.Normalized()
 	n.Name = ""
 	// encoding/json renders struct fields in declaration order with no
@@ -25,16 +23,15 @@ func SpecHash(spec campaign.Spec) string {
 	// type. Marshal of Spec cannot fail (no funcs, channels or cycles).
 	b, err := json.Marshal(n)
 	if err != nil {
-		panic(fmt.Sprintf("serve: marshal normalized spec: %v", err))
+		panic(fmt.Sprintf("campaign: marshal normalized spec: %v", err))
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
 }
 
 // MaxSpecBytes bounds a POST /v1/jobs body; a spec enumerating thousands
-// of axis values fits comfortably in 1 MiB. internal/dist applies the
-// same cap when a worker fetches its campaign's spec back from the
-// coordinator.
+// of axis values fits comfortably in 1 MiB. Distributed workers apply the
+// same cap when they fetch a campaign's spec back from the coordinator.
 const MaxSpecBytes = 1 << 20
 
 // DecodeSpec strictly parses one JSON spec from r: unknown fields and
@@ -42,24 +39,19 @@ const MaxSpecBytes = 1 << 20
 // silently submit the default campaign. Distributed workers re-decode
 // the coordinator's spec through this same gate, so both ends of the
 // fleet agree on what a valid spec is.
-func DecodeSpec(r io.Reader) (campaign.Spec, error) {
-	var spec campaign.Spec
+func DecodeSpec(r io.Reader) (Spec, error) {
+	var spec Spec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		return campaign.Spec{}, err
+		return Spec{}, err
 	}
 	var trailing json.RawMessage
 	if err := dec.Decode(&trailing); err != io.EOF {
-		return campaign.Spec{}, fmt.Errorf("trailing data after spec")
+		return Spec{}, fmt.Errorf("trailing data after spec")
 	}
 	if err := spec.Validate(); err != nil {
-		return campaign.Spec{}, err
+		return Spec{}, err
 	}
 	return spec, nil
-}
-
-// decodeSpecBytes is DecodeSpec over a byte slice.
-func decodeSpecBytes(b []byte) (campaign.Spec, error) {
-	return DecodeSpec(bytes.NewReader(b))
 }

@@ -137,18 +137,24 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job, sink RecordSink) (RunS
 			stats.Errors++
 			mJobsError.Inc()
 		}
-		line := fmt.Sprintf("[%d/%d] %s: %s", stats.Executed()+stats.Skipped,
-			stats.Total, rec.Key, rec.Status)
-		if rec.Metrics != nil {
-			line += fmt.Sprintf(" dev=%.2fm success=%v detected=%v",
-				rec.Metrics.Deviation, rec.Metrics.Success, rec.Metrics.Detected)
-		}
-		fmt.Fprintln(logw, line)
+		fmt.Fprintln(logw, ProgressLine(stats.Executed()+stats.Skipped, stats.Total, rec))
 		mu.Unlock()
 		return nil
 	})
 	stats.Elapsed = time.Since(start)
 	return stats, err
+}
+
+// ProgressLine is the one-line progress report of a finished record, the
+// done-th of total: what a runner logs per job and what a coordinator's
+// per-campaign event log streams per merged record.
+func ProgressLine(done, total int, rec Record) string {
+	line := fmt.Sprintf("[%d/%d] %s: %s", done, total, rec.Key, rec.Status)
+	if rec.Metrics != nil {
+		line += fmt.Sprintf(" dev=%.2fm success=%v detected=%v",
+			rec.Metrics.Deviation, rec.Metrics.Success, rec.Metrics.Detected)
+	}
+	return line
 }
 
 // runJob executes one job with panic recovery and builds its record.

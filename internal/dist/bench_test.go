@@ -8,7 +8,6 @@ import (
 
 	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/metrics"
-	"github.com/ares-cps/ares/internal/serve"
 )
 
 // BenchmarkDistMerge measures the coordinator's merge path end to end —
@@ -23,7 +22,7 @@ func BenchmarkDistMerge(b *testing.B) {
 	for _, r := range recs {
 		recFor[r.Key] = r
 	}
-	id := serve.SpecHash(spec)
+	id := campaign.SpecHash(spec)
 
 	for _, nw := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers=%d", nw), func(b *testing.B) {
@@ -62,7 +61,7 @@ func BenchmarkDistMerge(b *testing.B) {
 					c.Complete(CompleteRequest{Worker: worker, Lease: g.Lease})
 				}
 				if st, ok := c.Status(id); !ok ||
-					(st.State != serve.StateDone && st.State != serve.StateFailed) {
+					(st.State != StateDone && st.State != StateFailed) {
 					b.Fatalf("campaign not terminal: %+v", st)
 				}
 				if err := c.Shutdown(); err != nil {

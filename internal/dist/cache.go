@@ -1,15 +1,12 @@
-package serve
+package dist
 
-import (
-	"container/list"
-	"sync"
-)
+import "container/list"
 
 // lru is a fixed-capacity least-recently-used result cache keyed by spec
-// hash. Values are immutable once inserted (a finished job's aggregated
-// summary), so Get hands out shared pointers.
+// hash, guarded by the coordinator's mutex. Values are immutable once
+// inserted (a finished campaign's aggregated summary), so Get hands out
+// shared pointers.
 type lru struct {
-	mu    sync.Mutex
 	cap   int
 	order *list.List               // front = most recent
 	byKey map[string]*list.Element // value: *lruEntry
@@ -29,8 +26,6 @@ func newLRU(capacity int) *lru {
 
 // Get returns the cached result and marks it most recently used.
 func (c *lru) Get(key string) (*Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		return nil, false
@@ -42,8 +37,6 @@ func (c *lru) Get(key string) (*Result, bool) {
 // Add inserts (or refreshes) a result, evicting the least recently used
 // entry when over capacity.
 func (c *lru) Add(key string, val *Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		el.Value.(*lruEntry).val = val
 		c.order.MoveToFront(el)
@@ -55,11 +48,4 @@ func (c *lru) Add(key string, val *Result) {
 		c.order.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*lruEntry).key)
 	}
-}
-
-// Len returns the number of cached results.
-func (c *lru) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }

@@ -1,44 +1,78 @@
-// Package dist shards campaign execution across a fleet of worker
-// daemons while preserving the byte-identical artifacts a single node
-// produces.
+// Package dist is ARES's one job lifecycle: a content-addressed campaign
+// coordinator whose workers run in the same process (single-node aresd,
+// via internal/serve) or on other machines (aresd -coordinator / -worker),
+// with byte-identical artifacts either way.
 //
-// One aresd runs as the coordinator: it accepts campaign specs on the
-// same content-addressed submission surface as internal/serve, expands
-// each spec into its job list, and hands jobs out to registered workers
-// in leased batches. Workers execute their leases through the ordinary
+// The coordinator accepts campaign specs keyed by their canonical hash
+// (campaign.SpecHash): identical in-flight submissions collapse onto one
+// campaign, finished ones answer from a result cache, failed ones retry.
+// Each campaign expands into its job list and is handed out to workers in
+// leased batches. Workers execute their leases through the ordinary
 // campaign.Runner and stream finished records back with resumable
 // offsets; the coordinator merges them into per-campaign slots — one
-// slot per expanded job — and, when every slot is filled, finalizes the
-// same key-sorted JSONL store and aggregate summary a local run would
-// have written.
+// slot per expanded job — appends each to the campaign's JSONL store,
+// logs it to the campaign's SSE event log and, when every slot is filled,
+// finalizes the same key-sorted JSONL artifact and aggregate summary a
+// local run would have written. The set of unfinished campaigns is
+// mirrored to an atomically-written queue manifest, so a restarted
+// coordinator resumes each one mid-merge.
 //
 // The fleet protocol is lease + heartbeat + work stealing: a lease that
 // misses its heartbeats expires, its unfinished jobs return to the
 // pending set, and the next worker to ask re-leases them (a steal). A
-// coordinator drain expires every outstanding lease first, so jobs held
-// by workers at SIGTERM are persisted to the queue manifest as pending
-// rather than dropped. Cross-node bit-identity is a testable contract,
-// not an aspiration, because nothing about a record depends on where it
-// ran: job seeds derive from the spec (mathx.DeriveSeed streams), slot
-// placement derives from the job key, and the final artifact is the
-// canonical campaign.SortedBytes encoding.
+// coordinator shutdown releases every outstanding lease first, so jobs
+// held by workers at SIGTERM are persisted to the queue manifest as
+// pending rather than dropped. Cross-node bit-identity is a testable
+// contract, not an aspiration, because nothing about a record depends on
+// where it ran: job seeds derive from the spec (mathx.DeriveSeed
+// streams), slot placement derives from the job key, and the final
+// artifact is the canonical campaign.SortedBytes encoding.
 package dist
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/metrics"
-	"github.com/ares-cps/ares/internal/serve"
 )
+
+// Campaign states reported by GET /v1/jobs/{id}.
+const (
+	StateQueued  = "queued"
+	StateRunning = "running"
+	StateDone    = "done"
+	StateFailed  = "failed"
+)
+
+// JobStatus is the wire form of one campaign.
+type JobStatus struct {
+	ID    string `json:"id"`
+	State string `json:"state"`
+	// ResultID is set once the campaign is done; it equals ID (results
+	// are content-addressed by the same spec hash).
+	ResultID string `json:"result_id,omitempty"`
+	Error    string `json:"error,omitempty"`
+	// Events is the number of lines in the campaign's event log so far:
+	// state changes plus one line per merged record.
+	Events int `json:"events"`
+}
+
+// Result is the aggregated report of one finished campaign.
+type Result struct {
+	ID      string            `json:"id"`
+	Summary *campaign.Summary `json:"summary"`
+}
 
 // CoordConfig parameterizes a Coordinator.
 type CoordConfig struct {
@@ -48,10 +82,11 @@ type CoordConfig struct {
 	// LeaseTTL is how long a lease lives without a heartbeat before its
 	// jobs are re-leased. Default 30s.
 	LeaseTTL time.Duration
-	// MaxLease bounds the jobs granted per lease. Default 8.
+	// MaxLease bounds the jobs granted per fleet lease. Default 8.
+	// In-process workers always lease a whole campaign.
 	MaxLease int
-	// Metrics receives the ares_dist_* instruments; nil uses
-	// metrics.Default().
+	// Metrics receives the ares_serve_* and ares_dist_* instruments; nil
+	// uses metrics.Default().
 	Metrics *metrics.Registry
 	// Log receives coordinator log lines; nil discards.
 	Log io.Writer
@@ -72,10 +107,20 @@ func (c *CoordConfig) applyDefaults() {
 	}
 }
 
-// campaignState is one submitted spec's merge progress.
+// campaignState is one submitted spec's lifecycle. The merge state (jobs
+// through store) exists only while the campaign is unfinished and has
+// been leased: loadLocked builds it from the campaign's store and
+// closeOutLocked drops it and closes the store, so a finished campaign
+// costs its ID, spec and event log, and its summary lives in the result
+// cache.
 type campaignState struct {
-	id   string
-	spec campaign.Spec
+	id      string
+	spec    campaign.Spec
+	state   string
+	errMsg  string
+	events  *eventLog
+	started time.Time // first lease grant
+
 	// jobs is the deterministic expansion; index maps key → slot; slots
 	// fill with merged records in whatever order workers deliver them.
 	jobs  []campaign.Job
@@ -88,10 +133,18 @@ type campaignState struct {
 	leasedBy  map[string]string
 	reclaimed map[string]bool
 	merged    int
-	state     string
-	errMsg    string
-	summary   *campaign.Summary
 	store     *campaign.Store
+}
+
+// unload drops cs's merge state and closes its store.
+func (cs *campaignState) unload() error {
+	if cs.store == nil {
+		return nil
+	}
+	err := cs.store.Close()
+	cs.jobs, cs.index, cs.slots, cs.merged, cs.store = nil, nil, nil, 0, nil
+	cs.pending, cs.leasedBy, cs.reclaimed = nil, nil, nil
+	return err
 }
 
 // lease is one granted job batch.
@@ -105,19 +158,26 @@ type lease struct {
 	expires time.Time
 }
 
-// Coordinator is the fleet head node. Construct with NewCoordinator,
-// mount Handler in an http.Server, call Start, and Shutdown on the way
-// out.
+// Coordinator owns every campaign's lifecycle. Construct with
+// NewCoordinator, mount Handler (fleet) or ClientMux (single node) in an
+// http.Server, call Start, and Shutdown on the way out.
 type Coordinator struct {
 	cfg CoordConfig
-	mx  distMetrics
+	mx  coordMetrics
 
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
-	workers   map[string]bool
-	leases    map[string]*lease
-	leaseSeq  int
-	draining  bool
+	// open holds the unfinished campaigns in admission order: leases
+	// serve them first come, first served, and the manifest mirrors them.
+	open     []*campaignState
+	cache    *lru
+	workers  map[string]bool
+	leases   map[string]*lease
+	leaseSeq int
+	draining bool
+	// wake is closed, and replaced, whenever jobs become pending or the
+	// coordinator drains, so idle in-process workers react at once.
+	wake chan struct{}
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -125,9 +185,9 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a Coordinator, creating StoreDir if needed and
-// restoring every unfinished campaign found in its queue manifest — the
-// same manifest format internal/serve writes, so a single-node store
-// directory can be adopted by a fleet and vice versa.
+// re-queueing every unfinished campaign found in its queue manifest (a
+// previous life's drain or crash leftovers). Its result cache holds 128
+// summaries until SetCacheSize says otherwise.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.StoreDir == "" {
 		return nil, errors.New("dist: CoordConfig.StoreDir is required")
@@ -136,29 +196,43 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
-		cfg:       cfg,
-		mx:        newDistMetrics(cfg.Metrics),
-		campaigns: make(map[string]*campaignState),
-		workers:   make(map[string]bool),
-		leases:    make(map[string]*lease),
-		stop:      make(chan struct{}),
-	}
-	pending, err := serve.LoadManifest(serve.ManifestPath(cfg.StoreDir))
+	pending, err := LoadManifest(ManifestPath(cfg.StoreDir))
 	if err != nil {
 		return nil, err
+	}
+	c := &Coordinator{
+		cfg:       cfg,
+		mx:        newCoordMetrics(cfg.Metrics),
+		campaigns: make(map[string]*campaignState),
+		cache:     newLRU(128),
+		workers:   make(map[string]bool),
+		leases:    make(map[string]*lease),
+		wake:      make(chan struct{}),
+		stop:      make(chan struct{}),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, mj := range pending {
-		if _, err := c.restoreLocked(mj.ID, mj.Spec); err != nil {
-			return nil, err
+		if err := mj.Spec.Validate(); err != nil {
+			return nil, fmt.Errorf("dist: manifest campaign %s: %w", mj.ID, err)
 		}
+		cs := &campaignState{id: mj.ID, spec: mj.Spec, events: newEventLog()}
+		cs.events.Append("state: queued (resumed from manifest)")
+		c.campaigns[cs.id] = cs
+		c.enqueueLocked(cs)
 	}
 	if len(pending) > 0 {
 		fmt.Fprintf(cfg.Log, "dist: resumed %d campaign(s) from manifest\n", len(pending))
 	}
 	return c, nil
+}
+
+// SetCacheSize bounds the result cache at n finished summaries (a
+// single-node daemon sizes it from its Config). Call it before serving.
+func (c *Coordinator) SetCacheSize(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cache = newLRU(n)
 }
 
 // Start launches the lease reaper, which reclaims expired leases even
@@ -186,41 +260,48 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Shutdown drains the coordinator: submissions and lease grants are
-// refused, every outstanding lease is expired so its unfinished jobs
-// land back in the pending set, the set of unfinished campaigns is
-// persisted to the queue manifest for the next coordinator life, and the
-// campaign stores are closed. Records already merged are on disk, so a
+// Drain stops admitting submissions and granting leases, and wakes idle
+// in-process workers so they exit. Leases already granted keep streaming
+// records, so a graceful drain lets them finish; Shutdown drains too.
+func (c *Coordinator) Drain() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.draining = true
+	c.kickLocked()
+}
+
+// Shutdown drains the coordinator, releases every outstanding lease so
+// its unfinished jobs land back in the pending set, persists the set of
+// unfinished campaigns to the queue manifest for the next life, and
+// closes the campaign stores. Records already merged are on disk, so a
 // restarted coordinator resumes each campaign mid-merge.
 func (c *Coordinator) Shutdown() error {
+	c.Drain()
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.draining = true
-	// The drain-with-active-lease contract: a lease still held (or
-	// expiring right now) at SIGTERM must not strand its jobs — they
-	// return to pending before the manifest snapshot, so the next life
-	// re-leases them instead of waiting for records that will never come.
+	// The drain-with-active-lease contract: a lease still held at SIGTERM
+	// must not strand its jobs — they return to pending before the
+	// manifest snapshot, so the next life re-leases them instead of
+	// waiting for records that will never come. Heartbeats for a
+	// released lease answer abandon.
 	for id, l := range c.leases {
 		c.releaseLeaseLocked(l, false)
 		delete(c.leases, id)
 	}
 	c.mx.leasesActive.Set(0)
 	err := c.persistManifestLocked()
-	for _, cs := range c.campaigns {
-		if cs.store != nil {
-			if cerr := cs.store.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-			cs.store = nil
+	for _, cs := range c.open {
+		if cerr := cs.unload(); cerr != nil && err == nil {
+			err = cerr
 		}
 	}
 	return err
 }
 
-// Register adds (or refreshes) a worker and returns the fleet's timing
+// Register adds (or refreshes) a fleet worker and returns the timing
 // contract. Idempotent, and also invoked implicitly by Lease so a worker
 // that outlives a coordinator restart re-registers on its next ask.
 func (c *Coordinator) Register(workerID string) (RegisterResponse, error) {
@@ -230,11 +311,16 @@ func (c *Coordinator) Register(workerID string) (RegisterResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.registerLocked(workerID)
+	return c.timing(workerID), nil
+}
+
+// timing is the lease contract every worker, fleet or in-process, gets.
+func (c *Coordinator) timing(workerID string) RegisterResponse {
 	return RegisterResponse{
 		Worker:          workerID,
 		LeaseTTLMillis:  c.cfg.LeaseTTL.Milliseconds(),
 		HeartbeatMillis: (c.cfg.LeaseTTL / 3).Milliseconds(),
-	}, nil
+	}
 }
 
 func (c *Coordinator) registerLocked(workerID string) {
@@ -245,35 +331,50 @@ func (c *Coordinator) registerLocked(workerID string) {
 	}
 }
 
-// Lease grants the worker a batch of pending jobs, preferring jobs whose
-// shard the worker owns and falling back to any pending job (cross-shard
-// pull) so stragglers cannot stall a campaign. An empty-Lease response
-// tells the worker to retry later.
+// Lease grants a fleet worker a batch of pending jobs, preferring jobs
+// whose shard the worker owns. An empty-Lease response tells the worker
+// to retry later.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if err := validWorkerID(req.Worker); err != nil {
 		return LeaseResponse{}, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idle := LeaseResponse{RetryMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}
 	if c.draining {
-		return idle, nil
+		return LeaseResponse{RetryMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}, nil
 	}
 	c.registerLocked(req.Worker)
-	c.reapLocked(time.Now())
-
 	max := req.Max
 	if max <= 0 || max > c.cfg.MaxLease {
 		max = c.cfg.MaxLease
 	}
-	cs, keys := c.pickJobsLocked(req.Worker, max)
+	return c.leaseLocked(req.Worker, max, true), nil
+}
+
+// leaseCampaign is Lease for an in-process worker: it grants every
+// pending job of the oldest campaign with pending work, ignoring shards.
+// With nothing to grant it also returns a channel that closes when jobs
+// next become pending — or nil once the coordinator drains.
+func (c *Coordinator) leaseCampaign(workerID string) (LeaseResponse, <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.draining {
+		return LeaseResponse{}, nil
+	}
+	return c.leaseLocked(workerID, math.MaxInt, false), c.wake
+}
+
+// leaseLocked grants up to max pending jobs of one campaign.
+func (c *Coordinator) leaseLocked(workerID string, max int, sharded bool) LeaseResponse {
+	c.reapLocked(time.Now())
+	cs, keys := c.pickJobsLocked(workerID, max, sharded)
 	if cs == nil {
-		return idle, nil
+		return LeaseResponse{RetryMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}
 	}
 	c.leaseSeq++
 	l := &lease{
 		id:        fmt.Sprintf("L%06d", c.leaseSeq),
-		worker:    req.Worker,
+		worker:    workerID,
 		campaign:  cs.id,
 		keys:      keys,
 		remaining: make(map[string]bool, len(keys)),
@@ -288,22 +389,32 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 			c.mx.steals.Inc()
 		}
 	}
-	cs.state = serve.StateRunning
+	if cs.state == StateQueued {
+		cs.state, cs.started = StateRunning, time.Now()
+		cs.events.Append("state: running")
+		c.mx.inflight.Inc()
+		c.mx.queueDepth.Set(int64(c.queuedLocked()))
+	}
 	c.leases[l.id] = l
 	c.mx.leasesGranted.Inc()
 	c.mx.leasesActive.Set(int64(len(c.leases)))
-	fmt.Fprintf(c.cfg.Log, "dist: lease %s → %s: %d job(s) of %s\n", l.id, req.Worker, len(keys), cs.id)
-	return LeaseResponse{Lease: l.id, Campaign: cs.id, Keys: keys}, nil
+	fmt.Fprintf(c.cfg.Log, "dist: lease %s → %s: %d job(s) of %s\n", l.id, workerID, len(keys), cs.id)
+	return LeaseResponse{Lease: l.id, Campaign: cs.id, Keys: keys}
 }
 
-// pickJobsLocked chooses up to max pending jobs for a worker: campaigns
-// in sorted-ID order, the worker's own shard first (in expansion order),
-// then anything pending.
-func (c *Coordinator) pickJobsLocked(workerID string, max int) (*campaignState, []string) {
-	widx, n := c.workerShardLocked(workerID)
-	for _, id := range c.campaignIDsLocked() {
-		cs := c.campaigns[id]
-		if cs.state != serve.StateQueued && cs.state != serve.StateRunning {
+// pickJobsLocked chooses up to max pending jobs of the oldest campaign
+// with pending work, in expansion order. A sharded pick takes the
+// worker's own shard first and falls back to any pending job (cross-shard
+// pull) so stragglers cannot stall a campaign.
+func (c *Coordinator) pickJobsLocked(workerID string, max int, sharded bool) (*campaignState, []string) {
+	widx, n := 0, 1
+	if sharded {
+		widx, n = c.workerShardLocked(workerID)
+	}
+	// Loading can finalize or fail a campaign, which removes it from open.
+	for _, cs := range slices.Clone(c.open) {
+		if err := c.loadLocked(cs); err != nil {
+			c.closeOutLocked(cs, StateFailed, err.Error())
 			continue
 		}
 		if len(cs.pending) == 0 {
@@ -346,23 +457,14 @@ func (c *Coordinator) workerShardLocked(workerID string) (idx, n int) {
 	return 0, len(ids)
 }
 
-func (c *Coordinator) campaignIDsLocked() []string {
-	ids := make([]string, 0, len(c.campaigns))
-	for id := range c.campaigns {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Heartbeat extends a live lease; a worker whose lease has expired (or
-// was never granted) is told to abandon it.
+// Heartbeat extends a live lease; a worker whose lease has expired, was
+// released by Shutdown, or was never granted is told to abandon it.
 func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(time.Now())
 	l, ok := c.leases[req.Lease]
-	if !ok || l.worker != req.Worker || c.draining {
+	if !ok || l.worker != req.Worker {
 		return HeartbeatResponse{Abandon: true}
 	}
 	l.expires = time.Now().Add(c.cfg.LeaseTTL)
@@ -428,6 +530,7 @@ func (c *Coordinator) mergeLocked(cs *campaignState, l *lease, rec campaign.Reco
 	delete(cs.pending, rec.Key)
 	delete(cs.leasedBy, rec.Key)
 	c.mx.recordsMerged.Inc()
+	cs.events.Append(campaign.ProgressLine(cs.merged, len(cs.jobs), rec))
 	if cs.merged == len(cs.jobs) {
 		c.finalizeLocked(cs)
 	}
@@ -473,6 +576,7 @@ func (c *Coordinator) releaseLeaseLocked(l *lease, reclaimed bool) {
 	if !ok {
 		return
 	}
+	returned := false
 	for k := range l.remaining {
 		if cs.leasedBy[k] != l.id {
 			continue
@@ -480,16 +584,152 @@ func (c *Coordinator) releaseLeaseLocked(l *lease, reclaimed bool) {
 		delete(cs.leasedBy, k)
 		if i := cs.index[k]; cs.slots[i] == nil {
 			cs.pending[k] = true
+			returned = true
 			if reclaimed {
 				cs.reclaimed[k] = true
 			}
 		}
 	}
+	if returned {
+		c.kickLocked()
+	}
+}
+
+// Submit is Admit with no bound on queued campaigns.
+func (c *Coordinator) Submit(spec campaign.Spec) (JobStatus, int) {
+	return c.Admit(spec, 0)
+}
+
+// Admit routes one decoded spec and returns the HTTP status to answer
+// with: 200 for a done campaign (a cache hit, including a store completed
+// in an earlier life), 202 for a dedup onto a queued or running campaign,
+// 202 for a new campaign or a retry of a failed one — unless queueDepth >
+// 0 and that many campaigns already wait for their first lease (429) —
+// and 503 while draining. Dedups and cache hits are never refused.
+func (c *Coordinator) Admit(spec campaign.Spec, queueDepth int) (JobStatus, int) {
+	id := campaign.SpecHash(spec)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.draining {
+		return JobStatus{}, http.StatusServiceUnavailable
+	}
+	cs, known := c.campaigns[id]
+	switch {
+	case known && cs.state == StateDone:
+		c.mx.cacheHits.Inc()
+		return c.statusLocked(cs), http.StatusOK
+	case known && cs.state != StateFailed:
+		c.mx.deduped.Inc()
+		return c.statusLocked(cs), http.StatusAccepted
+	case !known:
+		cs = &campaignState{id: id, spec: spec, events: newEventLog()}
+		if _, err := os.Stat(c.storePath(id)); err == nil {
+			if err := c.loadLocked(cs); err != nil {
+				fmt.Fprintf(c.cfg.Log, "dist: campaign %s: %v\n", id, err)
+				return JobStatus{}, http.StatusInternalServerError
+			}
+			if cs.state == StateDone {
+				c.campaigns[id] = cs
+				c.mx.cacheHits.Inc()
+				return c.statusLocked(cs), http.StatusOK
+			}
+		}
+		c.mx.cacheMisses.Inc()
+	}
+	if queueDepth > 0 && c.queuedLocked() >= queueDepth {
+		_ = cs.unload() // best-effort: nothing was appended; the refusal is the answer
+		c.mx.rejected.Inc()
+		return JobStatus{}, http.StatusTooManyRequests
+	}
+	if known {
+		// A retry re-runs the cells whose record is not ok: the store,
+		// closed at finalize, reopens when the campaign is next leased.
+		cs.events.Reopen()
+		cs.events.Append("state: queued (retry)")
+	} else {
+		c.campaigns[id] = cs
+		cs.events.Append("state: queued")
+	}
+	c.mx.accepted.Inc()
+	c.enqueueLocked(cs)
+	if err := c.persistManifestLocked(); err != nil {
+		fmt.Fprintf(c.cfg.Log, "dist: persist manifest: %v\n", err)
+	}
+	return c.statusLocked(cs), http.StatusAccepted
+}
+
+// enqueueLocked queues cs for its first lease and wakes idle workers.
+func (c *Coordinator) enqueueLocked(cs *campaignState) {
+	cs.state, cs.errMsg = StateQueued, ""
+	c.open = append(c.open, cs)
+	c.mx.queueDepth.Set(int64(c.queuedLocked()))
+	c.kickLocked()
+}
+
+// kickLocked wakes every in-process worker waiting for work.
+func (c *Coordinator) kickLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// queuedLocked counts the campaigns waiting for their first lease.
+func (c *Coordinator) queuedLocked() int {
+	n := 0
+	for _, cs := range c.open {
+		if cs.state == StateQueued {
+			n++
+		}
+	}
+	return n
+}
+
+// loadLocked builds cs's merge state over its (possibly pre-existing)
+// store unless it is already built: slots prefill from completed records
+// — only ok records count, so failed cells re-run, exactly like a local
+// resume — and a store that already holds every record finalizes at once.
+func (c *Coordinator) loadLocked(cs *campaignState) error {
+	if cs.store != nil {
+		return nil
+	}
+	store, err := campaign.OpenStore(c.storePath(cs.id))
+	if err != nil {
+		return err
+	}
+	jobs := cs.spec.Expand()
+	cs.jobs, cs.store, cs.merged = jobs, store, 0
+	cs.index = make(map[string]int, len(jobs))
+	cs.slots = make([]*campaign.Record, len(jobs))
+	cs.pending = make(map[string]bool, len(jobs))
+	cs.leasedBy = make(map[string]string)
+	cs.reclaimed = make(map[string]bool)
+	for i, j := range jobs {
+		cs.index[j.Key] = i
+	}
+	for _, rec := range store.Records() {
+		i, ok := cs.index[rec.Key]
+		if !ok || rec.Status != campaign.StatusOK {
+			continue
+		}
+		if cs.slots[i] == nil {
+			cs.merged++
+		}
+		r := rec
+		cs.slots[i] = &r
+	}
+	for i, j := range jobs {
+		if cs.slots[i] == nil {
+			cs.pending[j.Key] = true
+		}
+	}
+	if cs.merged == len(cs.jobs) && len(cs.jobs) > 0 {
+		c.finalizeLocked(cs)
+	}
+	return nil
 }
 
 // finalizeLocked closes out a fully-merged campaign: the canonical
-// key-sorted artifact is written next to the arrival-order store, the
-// aggregate summary is computed, and the campaign leaves the manifest.
+// key-sorted artifact is written next to the arrival-order store, and a
+// clean campaign's aggregate summary enters the result cache.
 func (c *Coordinator) finalizeLocked(cs *campaignState) {
 	recs := make([]campaign.Record, 0, len(cs.slots))
 	failures := 0
@@ -503,177 +743,105 @@ func (c *Coordinator) finalizeLocked(cs *campaignState) {
 	if err == nil {
 		err = campaign.WriteFileAtomic(SortedArtifactPath(c.cfg.StoreDir, cs.id), sorted, 0o644)
 	}
-	if err != nil {
-		cs.state = serve.StateFailed
-		cs.errMsg = err.Error()
-		c.mx.campaignsFailed.Inc()
-		fmt.Fprintf(c.cfg.Log, "dist: campaign %s finalize: %v\n", cs.id, err)
-		return
-	}
-	cs.summary = campaign.Aggregate(summaryName(cs.spec), recs)
-	if failures > 0 {
-		cs.state = serve.StateFailed
-		cs.errMsg = fmt.Sprintf("%d of %d campaign cells failed", failures, len(cs.jobs))
-		c.mx.campaignsFailed.Inc()
-	} else {
-		cs.state = serve.StateDone
-		c.mx.campaignsDone.Inc()
-	}
-	if err := c.persistManifestLocked(); err != nil {
-		fmt.Fprintf(c.cfg.Log, "dist: persist manifest: %v\n", err)
-	}
-	fmt.Fprintf(c.cfg.Log, "dist: campaign %s %s (%d records)\n", cs.id, cs.state, len(recs))
-}
-
-// Submit routes one decoded spec: dedup onto an in-flight campaign,
-// answer from a finished one, retry a failed one, or adopt/create a
-// store. The int is the HTTP status the handler answers with.
-func (c *Coordinator) Submit(spec campaign.Spec) (serve.JobStatus, int) {
-	id := serve.SpecHash(spec)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return serve.JobStatus{}, http.StatusServiceUnavailable
-	}
-	cs, ok := c.campaigns[id]
-	if !ok {
-		var err error
-		if cs, err = c.restoreLocked(id, spec); err != nil {
-			fmt.Fprintf(c.cfg.Log, "dist: campaign %s: %v\n", id, err)
-			return serve.JobStatus{}, http.StatusInternalServerError
-		}
-		if err := c.persistManifestLocked(); err != nil {
-			fmt.Fprintf(c.cfg.Log, "dist: persist manifest: %v\n", err)
-		}
-	}
-	switch cs.state {
-	case serve.StateDone:
-		return c.statusLocked(cs), http.StatusOK
-	case serve.StateFailed:
-		c.retryLocked(cs)
-		return c.statusLocked(cs), http.StatusAccepted
+	switch {
+	case err != nil:
+		c.closeOutLocked(cs, StateFailed, "finalize: "+err.Error())
+	case failures > 0:
+		c.closeOutLocked(cs, StateFailed, fmt.Sprintf("%d of %d campaign cells failed", failures, len(recs)))
 	default:
-		return c.statusLocked(cs), http.StatusAccepted
+		c.closeOutLocked(cs, StateDone, "")
+		if cs.state == StateDone {
+			c.cache.Add(cs.id, &Result{ID: cs.id, Summary: campaign.Aggregate(summaryName(cs.spec), recs)})
+		}
 	}
 }
 
-// restoreLocked builds a campaign's merge state over its (possibly
-// pre-existing) store: slots prefill from completed records — only ok
-// records count, so failed cells re-run, exactly like a local resume —
-// and a store that already holds every record finalizes immediately.
-func (c *Coordinator) restoreLocked(id string, spec campaign.Spec) (*campaignState, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// closeOutLocked moves cs to a terminal state: its store closes and its
+// merge state is dropped (a failure to close fails a done campaign), it
+// leaves the lease queue and the manifest, and SSE subscribers get the
+// final event.
+func (c *Coordinator) closeOutLocked(cs *campaignState, state, errMsg string) {
+	if err := cs.unload(); err != nil && state == StateDone {
+		state, errMsg = StateFailed, "close store: "+err.Error()
 	}
-	store, err := campaign.OpenStore(c.storePath(id))
-	if err != nil {
-		return nil, err
+	if cs.state == StateRunning {
+		c.mx.inflight.Dec()
+		c.mx.jobSeconds.Observe(time.Since(cs.started).Seconds())
 	}
-	jobs := spec.Expand()
-	cs := &campaignState{
-		id:        id,
-		spec:      spec,
-		jobs:      jobs,
-		index:     make(map[string]int, len(jobs)),
-		slots:     make([]*campaign.Record, len(jobs)),
-		pending:   make(map[string]bool, len(jobs)),
-		leasedBy:  make(map[string]string),
-		reclaimed: make(map[string]bool),
-		state:     serve.StateQueued,
-		store:     store,
+	cs.state, cs.errMsg = state, errMsg
+	if state == StateDone {
+		c.mx.completed.Inc()
+	} else {
+		c.mx.failed.Inc()
 	}
-	for i, j := range jobs {
-		cs.index[j.Key] = i
-	}
-	// Last record per key wins (a failed cell retried on a previous
-	// life); only ok records prefill.
-	for _, rec := range store.Records() {
-		i, ok := cs.index[rec.Key]
-		if !ok || rec.Status != campaign.StatusOK {
-			continue
-		}
-		if cs.slots[i] == nil {
-			cs.merged++
-		}
-		r := rec
-		cs.slots[i] = &r
-	}
-	for _, j := range jobs {
-		if cs.slots[cs.index[j.Key]] == nil {
-			cs.pending[j.Key] = true
-		}
-	}
-	c.campaigns[id] = cs
-	if cs.merged == len(cs.jobs) && len(cs.jobs) > 0 {
-		c.finalizeLocked(cs)
-	}
-	return cs, nil
-}
-
-// retryLocked re-opens a failed campaign: cells whose record is not ok
-// return to pending, mirroring what resubmitting a failed spec does on a
-// single node.
-func (c *Coordinator) retryLocked(cs *campaignState) {
-	for i, r := range cs.slots {
-		if r == nil || r.Status == campaign.StatusOK {
-			continue
-		}
-		cs.slots[i] = nil
-		cs.merged--
-		cs.pending[cs.jobs[i].Key] = true
-	}
-	cs.state = serve.StateQueued
-	cs.errMsg = ""
-	cs.summary = nil
+	c.open = slices.DeleteFunc(c.open, func(o *campaignState) bool { return o == cs })
+	c.mx.queueDepth.Set(int64(c.queuedLocked()))
+	cs.events.Close(state)
 	if err := c.persistManifestLocked(); err != nil {
 		fmt.Fprintf(c.cfg.Log, "dist: persist manifest: %v\n", err)
 	}
+	if errMsg != "" {
+		state += ": " + errMsg
+	}
+	fmt.Fprintf(c.cfg.Log, "dist: campaign %s %s\n", cs.id, state)
 }
 
 // Status returns the wire status of one campaign.
-func (c *Coordinator) Status(id string) (serve.JobStatus, bool) {
+func (c *Coordinator) Status(id string) (JobStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs, ok := c.campaigns[id]
 	if !ok {
-		return serve.JobStatus{}, false
+		return JobStatus{}, false
 	}
 	return c.statusLocked(cs), true
 }
 
-func (c *Coordinator) statusLocked(cs *campaignState) serve.JobStatus {
-	st := serve.JobStatus{ID: cs.id, State: cs.state, Error: cs.errMsg, Events: cs.merged}
-	if cs.state == serve.StateDone {
+func (c *Coordinator) statusLocked(cs *campaignState) JobStatus {
+	st := JobStatus{ID: cs.id, State: cs.state, Error: cs.errMsg, Events: cs.events.Len()}
+	if cs.state == StateDone {
 		st.ResultID = cs.id
 	}
 	return st
 }
 
 // Result returns the aggregated report of a finished campaign: from the
-// finalized summary when this life merged it, otherwise recomputed from
-// the on-disk store (the restart path). The int is an HTTP status.
-func (c *Coordinator) Result(id string) (*serve.Result, int) {
+// result cache, otherwise recomputed from the on-disk store (the restart
+// and eviction paths). The int is an HTTP status: 200, 404 (unknown), or
+// 409 (the campaign exists but has not finished).
+func (c *Coordinator) Result(id string) (*Result, int) {
 	c.mu.Lock()
 	cs, known := c.campaigns[id]
+	if known && (cs.state == StateQueued || cs.state == StateRunning) {
+		c.mu.Unlock()
+		return nil, http.StatusConflict
+	}
+	res, hit := c.cache.Get(id)
 	var spec campaign.Spec
 	if known {
 		spec = cs.spec
-		if cs.summary != nil {
-			res := &serve.Result{ID: id, Summary: cs.summary}
-			c.mu.Unlock()
-			return res, http.StatusOK
-		}
-		if cs.state == serve.StateQueued || cs.state == serve.StateRunning {
-			c.mu.Unlock()
-			return nil, http.StatusConflict
-		}
+	}
+	if hit {
+		c.mx.cacheHits.Inc()
+	} else {
+		c.mx.cacheMisses.Inc()
 	}
 	c.mu.Unlock()
+	if hit {
+		return res, http.StatusOK
+	}
 	recs, err := campaign.ReadRecords(c.storePath(id))
 	if err != nil || len(recs) == 0 {
 		return nil, http.StatusNotFound
 	}
-	return &serve.Result{ID: id, Summary: campaign.Aggregate(summaryName(spec), recs)}, http.StatusOK
+	res = &Result{ID: id, Summary: campaign.Aggregate(summaryName(spec), recs)}
+	// Only clean summaries are cached: a failed campaign may be retried.
+	if res.Summary.Failures == 0 {
+		c.mu.Lock()
+		c.cache.Add(id, res)
+		c.mu.Unlock()
+	}
+	return res, http.StatusOK
 }
 
 // SpecOf returns a campaign's spec so a worker can expand the same job
@@ -688,6 +856,17 @@ func (c *Coordinator) SpecOf(id string) (campaign.Spec, bool) {
 	return cs.spec, true
 }
 
+// eventsOf returns a campaign's event log for SSE streaming.
+func (c *Coordinator) eventsOf(id string) (*eventLog, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cs, ok := c.campaigns[id]
+	if !ok {
+		return nil, false
+	}
+	return cs.events, true
+}
+
 func (c *Coordinator) storePath(id string) string {
 	return filepath.Join(c.cfg.StoreDir, id+".jsonl")
 }
@@ -698,21 +877,56 @@ func SortedArtifactPath(dir, id string) string {
 	return filepath.Join(dir, id+".sorted.jsonl")
 }
 
-// persistManifestLocked mirrors the set of unfinished campaigns to the
-// queue manifest (the shared serve format, atomically written).
-func (c *Coordinator) persistManifestLocked() error {
-	pending := make([]serve.ManifestJob, 0, len(c.campaigns))
-	for _, cs := range c.campaigns {
-		if cs.state == serve.StateQueued || cs.state == serve.StateRunning {
-			pending = append(pending, serve.ManifestJob{ID: cs.id, Spec: cs.spec})
-		}
-	}
-	return serve.WriteManifest(serve.ManifestPath(c.cfg.StoreDir), pending)
-}
-
 func summaryName(spec campaign.Spec) string {
 	if spec.Name != "" {
 		return spec.Name
 	}
 	return "aresd"
+}
+
+// ManifestJob is one entry of the persisted queue manifest: an
+// unfinished campaign and its spec.
+type ManifestJob struct {
+	ID   string        `json:"id"`
+	Spec campaign.Spec `json:"spec"`
+}
+
+// ManifestPath returns the queue-manifest path inside a store directory.
+func ManifestPath(dir string) string { return filepath.Join(dir, "queue.json") }
+
+// persistManifestLocked mirrors the unfinished campaigns to disk with an
+// atomic write, so any crash leaves either the previous manifest or the
+// new one. Entries are sorted by ID so the bytes are independent of
+// admission order.
+func (c *Coordinator) persistManifestLocked() error {
+	pending := make([]ManifestJob, 0, len(c.open))
+	for _, cs := range c.open {
+		pending = append(pending, ManifestJob{ID: cs.id, Spec: cs.spec})
+	}
+	sort.Slice(pending, func(i, k int) bool { return pending[i].ID < pending[k].ID })
+	data, err := json.MarshalIndent(struct {
+		Jobs []ManifestJob `json:"jobs"`
+	}{pending}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return campaign.WriteFileAtomic(ManifestPath(c.cfg.StoreDir), data, 0o644)
+}
+
+// LoadManifest reads a queue manifest; a missing file is an empty queue.
+func LoadManifest(path string) ([]ManifestJob, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var man struct {
+		Jobs []ManifestJob `json:"jobs"`
+	}
+	if err := json.Unmarshal(data, &man); err != nil {
+		return nil, fmt.Errorf("dist: manifest %s: %w", path, err)
+	}
+	return man.Jobs, nil
 }

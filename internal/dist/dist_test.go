@@ -3,20 +3,17 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/metrics"
-	"github.com/ares-cps/ares/internal/serve"
+	"github.com/ares-cps/ares/internal/par"
 )
 
 // fleetSpec is a 2-variable × trials campaign — enough jobs to spread
@@ -71,186 +68,13 @@ func localRun(t testing.TB, spec campaign.Spec) ([]byte, *campaign.Summary, []ca
 	return sorted, campaign.Aggregate(spec.Name, store.Records()), store.Records()
 }
 
-func submitHTTP(t *testing.T, url string, spec campaign.Spec) (serve.JobStatus, int) {
-	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st serve.JobStatus
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return st, resp.StatusCode
-}
-
-// waitTerminal polls a campaign until it reaches done or failed.
-func waitTerminal(t *testing.T, url, id string) serve.JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		resp, err := http.Get(url + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st serve.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == serve.StateDone || st.State == serve.StateFailed {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign %s stuck in %q (err %q)", id, st.State, st.Error)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// runFleet executes spec on an in-process fleet of n workers and returns
-// the sorted artifact, the aggregate summary and the coordinator's
-// metrics registry. With killOne, worker w0 is started first and dies
-// mid-lease without streaming a record, so the campaign can only finish
-// via lease expiry + work stealing.
-func runFleet(t *testing.T, spec campaign.Spec, n int, killOne bool) ([]byte, *campaign.Summary, *metrics.Registry) {
-	t.Helper()
-	dir := t.TempDir()
-	reg := metrics.NewRegistry()
-	c, err := NewCoordinator(CoordConfig{
-		StoreDir: dir,
-		LeaseTTL: 250 * time.Millisecond,
-		MaxLease: 2,
-		Metrics:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	ts := httptest.NewServer(c.Handler())
-
-	st, code := submitHTTP(t, ts.URL, spec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status = %d, want 202", code)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	start := 0
-	if killOne {
-		killCtx, kill := context.WithCancel(ctx)
-		w0, err := NewWorker(WorkerConfig{
-			Coordinator: ts.URL, ID: "w0", Jobs: 1, FlushEvery: 100,
-			Execute: func(jctx context.Context, _ campaign.Job) (campaign.Metrics, error) {
-				kill() // die mid-lease, record unstreamed
-				<-jctx.Done()
-				return campaign.Metrics{}, jctx.Err()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = w0.Run(killCtx) }()
-		<-killCtx.Done() // w0 holds a lease and is now dead
-		start = 1
-	}
-	for i := start; i < n; i++ {
-		w, err := NewWorker(WorkerConfig{
-			Coordinator: ts.URL, ID: fmt.Sprintf("w%d", i), Jobs: 2, FlushEvery: 2,
-			Execute: fleetExec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = w.Run(ctx) }()
-	}
-
-	final := waitTerminal(t, ts.URL, st.ID)
-	cancel()
-	wg.Wait()
-
-	var res serve.Result
-	resp, err := http.Get(ts.URL + "/v1/results/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&res)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("result = (%d, %v) for terminal state %q", resp.StatusCode, err, final.State)
-	}
-
-	if err := c.Shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	ts.Close()
-	sorted, err := os.ReadFile(SortedArtifactPath(dir, st.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sorted, res.Summary, reg
-}
-
-// TestFleetEquivalence is the acceptance contract: the same spec run
-// locally, on a 1-worker fleet, and on a 3-worker fleet with one worker
-// killed mid-run (forcing lease expiry and work stealing) produces
-// byte-identical sorted artifacts and identical aggregate summaries.
-func TestFleetEquivalence(t *testing.T) {
-	spec := fleetSpec("fleet-eq", 4)
-	wantSorted, wantSum, _ := localRun(t, spec)
-	if len(wantSorted) == 0 {
-		t.Fatal("local baseline produced no artifact")
-	}
-	wantSumJSON, err := json.Marshal(wantSum)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name    string
-		workers int
-		kill    bool
-	}{
-		{"one-worker", 1, false},
-		{"three-workers-one-killed", 3, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sorted, sum, reg := runFleet(t, spec, tc.workers, tc.kill)
-			if !bytes.Equal(sorted, wantSorted) {
-				t.Errorf("sorted artifact diverges from local run:\nfleet:\n%slocal:\n%s", sorted, wantSorted)
-			}
-			sumJSON, err := json.Marshal(sum)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sumJSON, wantSumJSON) {
-				t.Errorf("summary diverges:\nfleet: %s\nlocal: %s", sumJSON, wantSumJSON)
-			}
-			merged := reg.Counter("ares_dist_records_merged_total", "").Value()
-			if want := uint64(len(spec.Expand())); merged != want {
-				t.Errorf("records merged = %d, want %d (no double-merge)", merged, want)
-			}
-			if tc.kill {
-				if got := reg.Counter("ares_dist_leases_expired_total", "").Value(); got == 0 {
-					t.Error("killed worker's lease never expired")
-				}
-				if got := reg.Counter("ares_dist_steal_events_total", "").Value(); got == 0 {
-					t.Error("no steal events despite a killed worker")
-				}
-			}
-		})
-	}
-}
+// Exported to the external fleet tests (fleet_test.go), which import
+// internal/serve and so cannot live in package dist.
+var (
+	FleetSpec = fleetSpec
+	FleetExec = fleetExec
+	LocalRun  = localRun
+)
 
 // TestDrainWithActiveLease is the drain-race regression: a lease still
 // held at SIGTERM must land its unfinished jobs in the queue manifest as
@@ -299,7 +123,7 @@ func TestDrainWithActiveLease(t *testing.T) {
 		t.Error("post-drain heartbeat did not order abandon")
 	}
 
-	man, err := serve.LoadManifest(serve.ManifestPath(dir))
+	man, err := LoadManifest(ManifestPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +158,10 @@ func TestDrainWithActiveLease(t *testing.T) {
 	}
 	c2.Complete(CompleteRequest{Worker: "w1", Lease: g2.Lease})
 	st2, ok := c2.Status(st.ID)
-	if !ok || (st2.State != serve.StateDone && st2.State != serve.StateFailed) {
+	if !ok || (st2.State != StateDone && st2.State != StateFailed) {
 		t.Fatalf("life-2 state = %+v, want terminal", st2)
 	}
-	man2, err := serve.LoadManifest(serve.ManifestPath(dir))
+	man2, err := LoadManifest(ManifestPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,5 +308,67 @@ func TestShardStability(t *testing.T) {
 	}
 	if shardOf("abc123", "k", 1) != 0 || shardOf("abc123", "k", 0) != 0 {
 		t.Error("degenerate fleet sizes must map to shard 0")
+	}
+}
+
+// TestFinalizeClosesStores is the store-leak regression: finalizing a
+// campaign closes its store and drops its merge state, so the process's
+// open file descriptors stay flat across many finished campaigns.
+func TestFinalizeClosesStores(t *testing.T) {
+	countFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open files: %v", err)
+		}
+		return len(ents)
+	}
+	countFDs()
+	c, err := NewCoordinator(CoordConfig{
+		StoreDir: t.TempDir(), LeaseTTL: time.Hour, Metrics: metrics.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	w := c.InProcessWorker("local-0", fleetExec, par.NewBudget(1))
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() { defer close(exited); _ = w.Run(ctx) }()
+	defer func() { cancel(); <-exited }()
+	before := countFDs()
+
+	const n = 50
+	ids := make([]string, n)
+	for i := range ids {
+		spec := fleetSpec(fmt.Sprintf("fd-%d", i), 1)
+		spec.Seed = int64(100 + i)
+		st, code := c.Submit(spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d, want 202", i, code)
+		}
+		ids[i] = st.ID
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for _, id := range ids {
+		for {
+			st, _ := c.Status(id)
+			if st.State == StateDone || st.State == StateFailed {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("campaign %s stuck in %q", id, st.State)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if after := countFDs(); after > before+2 {
+		t.Errorf("open files grew from %d to %d across %d finalized campaigns", before, after, n)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, id := range ids {
+		if cs := c.campaigns[id]; cs.store != nil || cs.slots != nil || cs.index != nil || cs.jobs != nil {
+			t.Fatalf("finalized campaign %s kept its merge state", id)
+		}
 	}
 }

@@ -1,47 +1,28 @@
-package serve
+package dist
 
 import (
 	"context"
-	"strings"
 	"sync"
 )
 
-// eventLog is one job's append-only progress history with broadcast: the
-// campaign runner writes a line per finished cell, SSE subscribers replay
-// the history and then block for new lines. A subscriber that connects
-// after the job finished still sees the full history plus the final
-// event, so `submit; sleep; watch events` races are benign.
+// eventLog is one campaign's append-only progress history with
+// broadcast: the coordinator appends a line per state change and per
+// merged record, SSE subscribers replay the history and then block for
+// new lines. A subscriber that connects after the campaign finished still
+// sees the full history plus the final event, so `submit; sleep; watch
+// events` races are benign.
 type eventLog struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	lines   []string
-	partial strings.Builder // bytes written since the last newline
-	closed  bool
-	final   string // terminal state announced by Close
+	mu     sync.Mutex
+	cond   *sync.Cond
+	lines  []string
+	closed bool
+	final  string // terminal state announced by Close
 }
 
 func newEventLog() *eventLog {
 	l := &eventLog{}
 	l.cond = sync.NewCond(&l.mu)
 	return l
-}
-
-// Write implements io.Writer for campaign.Runner.Log: complete lines
-// become events; a partial trailing write is buffered until its newline
-// arrives.
-func (l *eventLog) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, b := range p {
-		if b == '\n' {
-			l.lines = append(l.lines, l.partial.String())
-			l.partial.Reset()
-			continue
-		}
-		l.partial.WriteByte(b)
-	}
-	l.cond.Broadcast()
-	return len(p), nil
 }
 
 // Append adds one event line.
@@ -53,8 +34,8 @@ func (l *eventLog) Append(line string) {
 }
 
 // Close marks the log terminal with a final state; idempotent. A closed
-// log reopened by a retry (resubmitted failed job) starts appending again
-// via Reopen.
+// log reopened by a retry (resubmitted failed campaign) starts appending
+// again via Reopen.
 func (l *eventLog) Close(final string) {
 	l.mu.Lock()
 	if !l.closed {
@@ -65,7 +46,7 @@ func (l *eventLog) Close(final string) {
 	l.mu.Unlock()
 }
 
-// Reopen clears the terminal mark so a retried job streams again.
+// Reopen clears the terminal mark so a retried campaign streams again.
 func (l *eventLog) Reopen() {
 	l.mu.Lock()
 	l.closed = false

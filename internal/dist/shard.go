@@ -7,7 +7,7 @@ import (
 
 // shardOf maps one job of one campaign onto a shard in [0, n). The shard
 // key derives from the campaign's content-addressed identity — the
-// serve.SpecHash hex that names the campaign — concatenated with the job
+// campaign.SpecHash hex that names the campaign — concatenated with the job
 // key and hashed with FNV-1a (the same hash family job seeds stream
 // from), so a job's preferred owner is a pure function of spec identity
 // and fleet size: every coordinator life, and every worker doing the

@@ -13,7 +13,7 @@ import (
 // Wire envelopes of the worker↔coordinator protocol. Every message is a
 // small JSON document decoded strictly on both ends: unknown fields,
 // trailing bytes and oversized bodies are errors, mirroring the spec
-// submission surface (serve.DecodeSpec). Record batches reuse
+// submission surface (campaign.DecodeSpec). Record batches reuse
 // campaign.Record verbatim, so the bytes a worker streams are the bytes
 // the coordinator's store would have written locally.
 
@@ -108,7 +108,7 @@ type CompleteResponse struct {
 
 // decodeWire strictly parses one JSON envelope: at most limit bytes, no
 // unknown fields, no trailing data. It is the dist counterpart of
-// serve.DecodeSpec and the surface FuzzDistEnvelope drives.
+// campaign.DecodeSpec and the surface FuzzDistEnvelope drives.
 func decodeWire[T any](r io.Reader, limit int64) (T, error) {
 	var v T
 	err := decodeWireInto(r, limit, &v)

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"github.com/ares-cps/ares/internal/campaign"
-	"github.com/ares-cps/ares/internal/serve"
+	"github.com/ares-cps/ares/internal/par"
 )
 
 // WorkerConfig parameterizes a fleet Worker.
@@ -77,44 +77,66 @@ func (c *WorkerConfig) applyDefaults() error {
 	return nil
 }
 
-// Worker is one fleet member: it registers with a coordinator, leases job
-// batches, executes them through the ordinary campaign runner, and
-// streams the records back. A worker holds no campaign state beyond a
-// per-campaign spec cache — kill one mid-lease and the coordinator
-// re-leases its jobs after the lease TTL.
+// Worker executes leases: it asks its coordinator for job batches, runs
+// them through the ordinary campaign runner, and streams the records
+// back. A fleet Worker talks to a remote coordinator over HTTP and holds
+// no campaign state beyond the job list of the campaign it last leased
+// from — kill one mid-lease and the coordinator re-leases its jobs after
+// the lease TTL. An in-process Worker (Coordinator.InProcessWorker) calls
+// its coordinator's methods directly.
 type Worker struct {
-	cfg WorkerConfig
+	cfg  WorkerConfig
+	link link
+	// budget, when set, sizes each lease's runner pool with a fair share
+	// drawn per lease; otherwise cfg.Jobs does.
+	budget *par.Budget
 	// hb is the heartbeat interval assigned at registration.
 	hb time.Duration
-	// specs caches each campaign's locally-expanded job list, keyed by
-	// campaign ID. Only the Run goroutine touches it.
-	specs map[string]map[string]campaign.Job
+	// specID names the campaign whose locally-expanded jobs, keyed by job
+	// key, are cached in jobs. Only the Run goroutine touches them.
+	specID string
+	jobs   map[string]campaign.Job
 }
 
-// NewWorker builds a Worker.
+// NewWorker builds a fleet Worker.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	return &Worker{cfg: cfg, specs: make(map[string]map[string]campaign.Job)}, nil
+	return &Worker{cfg: cfg, link: &httpLink{base: cfg.Coordinator, client: cfg.Client}}, nil
+}
+
+// InProcessWorker returns a Worker that calls c's methods directly, with
+// no HTTP or JSON. Each lease takes every pending job of the oldest
+// waiting campaign and runs it on a fair share of budget; every record is
+// merged as it finishes, so the campaign's event log gains one line per
+// cell; and an idle worker wakes as soon as a submission makes jobs
+// pending, not on a retry timer. Run returns once c drains. A nil exec
+// uses the built-in ARES executor.
+func (c *Coordinator) InProcessWorker(id string, exec campaign.Executor, budget *par.Budget) *Worker {
+	if exec == nil {
+		exec = campaign.NewExecutor()
+	}
+	return &Worker{
+		cfg:    WorkerConfig{ID: id, FlushEvery: 1, Execute: exec, Log: c.cfg.Log},
+		link:   &localLink{c: c},
+		budget: budget,
+	}
 }
 
 // ID returns the worker's effective identity.
 func (w *Worker) ID() string { return w.cfg.ID }
 
 // Run registers and then loops lease → execute → stream → complete until
-// ctx is cancelled. Transient coordinator failures (not up yet, restart
-// mid-fleet) are retried; a cancelled ctx returns nil.
+// ctx is cancelled (or, in process, the coordinator drains). Transient
+// coordinator failures (not up yet, restart mid-fleet) are retried; a
+// cancelled ctx returns nil.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		var grant LeaseResponse
-		err := w.post(ctx, "/v1/dist/lease", LeaseRequest{Worker: w.cfg.ID}, &grant, maxLeaseBytes)
+	for ctx.Err() == nil {
+		grant, err := w.link.lease(ctx, w.cfg.ID)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -126,11 +148,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if grant.Lease == "" {
-			d := time.Duration(grant.RetryMillis) * time.Millisecond
-			if d <= 0 {
-				d = time.Second
-			}
-			if !sleepCtx(ctx, d) {
+			if !w.link.idle(ctx, time.Duration(grant.RetryMillis)*time.Millisecond) {
 				return nil
 			}
 			continue
@@ -139,21 +157,20 @@ func (w *Worker) Run(ctx context.Context) error {
 			fmt.Fprintf(w.cfg.Log, "dist: worker %s lease %s: %v\n", w.cfg.ID, grant.Lease, err)
 		}
 	}
+	return nil
 }
 
 // register announces the worker, retrying until the coordinator answers
 // or ctx ends, and adopts the assigned heartbeat interval.
 func (w *Worker) register(ctx context.Context) error {
 	for {
-		var resp RegisterResponse
-		err := w.post(ctx, "/v1/dist/register", RegisterRequest{Worker: w.cfg.ID}, &resp, maxControlBytes)
+		resp, err := w.link.register(ctx, w.cfg.ID)
 		if err == nil {
 			w.hb = time.Duration(resp.HeartbeatMillis) * time.Millisecond
 			if w.hb < 10*time.Millisecond {
 				w.hb = 10 * time.Millisecond
 			}
-			fmt.Fprintf(w.cfg.Log, "dist: worker %s registered with %s (heartbeat %v)\n",
-				w.cfg.ID, w.cfg.Coordinator, w.hb)
+			fmt.Fprintf(w.cfg.Log, "dist: worker %s registered (heartbeat %v)\n", w.cfg.ID, w.hb)
 			return nil
 		}
 		var ae *apiError
@@ -203,9 +220,7 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 			case <-leaseCtx.Done():
 				return
 			case <-t.C:
-				var hr HeartbeatResponse
-				err := w.post(leaseCtx, "/v1/dist/heartbeat",
-					HeartbeatRequest{Worker: w.cfg.ID, Lease: grant.Lease}, &hr, maxControlBytes)
+				hr, err := w.link.heartbeat(leaseCtx, HeartbeatRequest{Worker: w.cfg.ID, Lease: grant.Lease})
 				if err == nil && hr.Abandon {
 					fmt.Fprintf(w.cfg.Log, "dist: worker %s abandoning lease %s\n", w.cfg.ID, grant.Lease)
 					cancel()
@@ -221,6 +236,12 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 		Execute: w.cfg.Execute,
 		Log:     w.cfg.Log,
 	}
+	if w.budget != nil {
+		// Progress reaches the campaign's event log as records merge.
+		share, release := w.budget.Acquire()
+		defer release()
+		runner.Workers, runner.Log = share, nil
+	}
 	_, runErr := runner.RunJobs(leaseCtx, jobs, sink)
 	flushErr := sink.flush()
 	cancel()
@@ -231,45 +252,30 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 	if runErr != nil {
 		return runErr
 	}
-	var cr CompleteResponse
-	return w.post(ctx, "/v1/dist/complete",
-		CompleteRequest{Worker: w.cfg.ID, Lease: grant.Lease}, &cr, maxControlBytes)
+	return w.link.complete(ctx, CompleteRequest{Worker: w.cfg.ID, Lease: grant.Lease})
 }
 
 // campaignJobs returns campaign id's jobs keyed by job key, fetching and
-// expanding the spec on first sight. The fetched spec re-passes the
-// strict submission decoder and must hash back to the campaign ID it was
-// fetched under — a worker never executes jobs whose provenance it
-// cannot recompute.
+// expanding the spec when the campaign differs from the last one leased.
+// The fetched spec must hash back to the campaign ID it was fetched
+// under — a worker never executes jobs whose provenance it cannot
+// recompute.
 func (w *Worker) campaignJobs(ctx context.Context, id string) (map[string]campaign.Job, error) {
-	if jobs, ok := w.specs[id]; ok {
-		return jobs, nil
+	if w.specID == id {
+		return w.jobs, nil
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.cfg.Coordinator+"/v1/dist/campaigns/"+id+"/spec", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := w.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("dist: spec fetch for %s: HTTP %d", id, resp.StatusCode)
-	}
-	spec, err := serve.DecodeSpec(io.LimitReader(resp.Body, serve.MaxSpecBytes))
+	spec, err := w.link.spec(ctx, id)
 	if err != nil {
 		return nil, fmt.Errorf("dist: spec fetch for %s: %w", id, err)
 	}
-	if got := serve.SpecHash(spec); got != id {
+	if got := campaign.SpecHash(spec); got != id {
 		return nil, fmt.Errorf("dist: spec fetched for campaign %s hashes to %s", id, got)
 	}
 	jobs := make(map[string]campaign.Job)
 	for _, j := range spec.Expand() {
 		jobs[j.Key] = j
 	}
-	w.specs[id] = jobs
+	w.specID, w.jobs = id, jobs
 	return jobs, nil
 }
 
@@ -312,11 +318,17 @@ func (s *streamSink) flushLocked() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
+	if err := s.ctx.Err(); err != nil {
+		// A cancelled lease streams nothing more: records finished after a
+		// drain deadline or an abandon re-run under the next lease instead
+		// of merging as failures.
+		return err
+	}
 	req := RecordsRequest{Worker: s.w.cfg.ID, Lease: s.lease, Offset: s.sent, Records: s.buf}
 	var resp RecordsResponse
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		err = s.w.post(s.ctx, "/v1/dist/records", req, &resp, maxControlBytes)
+		resp, err = s.w.link.records(s.ctx, req)
 		if err == nil {
 			break
 		}
@@ -340,8 +352,9 @@ func (s *streamSink) flushLocked() error {
 	return nil
 }
 
-// apiError is a non-2xx coordinator reply: a deliberate refusal, not a
-// transport fault, so callers treat it as permanent rather than retrying.
+// apiError is a coordinator refusal (a non-2xx reply, or an error from a
+// direct call), not a transport fault, so callers treat it as permanent
+// rather than retrying.
 type apiError struct {
 	Status int
 	Msg    string
@@ -351,18 +364,87 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("dist: coordinator replied %d: %s", e.Status, e.Msg)
 }
 
+// link is a worker's connection to its coordinator.
+type link interface {
+	register(ctx context.Context, worker string) (RegisterResponse, error)
+	lease(ctx context.Context, worker string) (LeaseResponse, error)
+	heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error)
+	records(ctx context.Context, req RecordsRequest) (RecordsResponse, error)
+	complete(ctx context.Context, req CompleteRequest) error
+	spec(ctx context.Context, campaignID string) (campaign.Spec, error)
+	// idle waits after an empty lease until work may be pending (retry
+	// is the coordinator's hint); false ends the worker.
+	idle(ctx context.Context, retry time.Duration) bool
+}
+
+// httpLink is a fleet worker's link: strict JSON envelopes over HTTP.
+type httpLink struct {
+	base   string
+	client *http.Client
+}
+
+func (h *httpLink) register(ctx context.Context, worker string) (resp RegisterResponse, err error) {
+	err = h.post(ctx, "/v1/dist/register", RegisterRequest{Worker: worker}, &resp, maxControlBytes)
+	return resp, err
+}
+
+func (h *httpLink) lease(ctx context.Context, worker string) (resp LeaseResponse, err error) {
+	err = h.post(ctx, "/v1/dist/lease", LeaseRequest{Worker: worker}, &resp, maxLeaseBytes)
+	return resp, err
+}
+
+func (h *httpLink) heartbeat(ctx context.Context, req HeartbeatRequest) (resp HeartbeatResponse, err error) {
+	err = h.post(ctx, "/v1/dist/heartbeat", req, &resp, maxControlBytes)
+	return resp, err
+}
+
+func (h *httpLink) records(ctx context.Context, req RecordsRequest) (resp RecordsResponse, err error) {
+	err = h.post(ctx, "/v1/dist/records", req, &resp, maxControlBytes)
+	return resp, err
+}
+
+func (h *httpLink) complete(ctx context.Context, req CompleteRequest) error {
+	var resp CompleteResponse
+	return h.post(ctx, "/v1/dist/complete", req, &resp, maxControlBytes)
+}
+
+// spec fetches a campaign's spec through the strict submission decoder.
+func (h *httpLink) spec(ctx context.Context, campaignID string) (campaign.Spec, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		h.base+"/v1/dist/campaigns/"+campaignID+"/spec", nil)
+	if err != nil {
+		return campaign.Spec{}, err
+	}
+	resp, err := h.client.Do(req)
+	if err != nil {
+		return campaign.Spec{}, err
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		return campaign.Spec{}, fmt.Errorf("HTTP %d", resp.StatusCode)
+	}
+	return campaign.DecodeSpec(io.LimitReader(resp.Body, campaign.MaxSpecBytes))
+}
+
+func (h *httpLink) idle(ctx context.Context, retry time.Duration) bool {
+	if retry <= 0 {
+		retry = time.Second
+	}
+	return sleepCtx(ctx, retry)
+}
+
 // post sends one JSON envelope and strictly decodes the JSON reply.
-func (w *Worker) post(ctx context.Context, path string, in, out any, limit int64) error {
+func (h *httpLink) post(ctx context.Context, path string, in, out any, limit int64) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.cfg.Client.Do(req)
+	resp, err := h.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -372,6 +454,60 @@ func (w *Worker) post(ctx context.Context, path string, in, out any, limit int64
 		return &apiError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(msg))}
 	}
 	return decodeWireInto(resp.Body, limit, out)
+}
+
+// localLink is an in-process worker's link: direct coordinator calls.
+type localLink struct {
+	c *Coordinator
+	// wake came with the last empty lease; nil once the coordinator drains.
+	wake <-chan struct{}
+}
+
+func (l *localLink) register(_ context.Context, worker string) (RegisterResponse, error) {
+	return l.c.timing(worker), nil
+}
+
+func (l *localLink) lease(_ context.Context, worker string) (LeaseResponse, error) {
+	resp, wake := l.c.leaseCampaign(worker)
+	l.wake = wake
+	return resp, nil
+}
+
+func (l *localLink) heartbeat(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
+	return l.c.Heartbeat(req), nil
+}
+
+func (l *localLink) records(_ context.Context, req RecordsRequest) (RecordsResponse, error) {
+	resp, code, err := l.c.MergeRecords(req)
+	if err != nil {
+		return resp, &apiError{Status: code, Msg: err.Error()}
+	}
+	return resp, nil
+}
+
+func (l *localLink) complete(_ context.Context, req CompleteRequest) error {
+	l.c.Complete(req)
+	return nil
+}
+
+func (l *localLink) spec(_ context.Context, campaignID string) (campaign.Spec, error) {
+	spec, ok := l.c.SpecOf(campaignID)
+	if !ok {
+		return spec, &apiError{Status: http.StatusNotFound, Msg: "unknown campaign"}
+	}
+	return spec, nil
+}
+
+func (l *localLink) idle(ctx context.Context, _ time.Duration) bool {
+	if l.wake == nil {
+		return false
+	}
+	select {
+	case <-ctx.Done():
+		return false
+	case <-l.wake:
+		return true
+	}
 }
 
 // sleepCtx sleeps d or until ctx ends; it reports whether the full sleep

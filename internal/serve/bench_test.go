@@ -54,7 +54,10 @@ func BenchmarkSubmitCacheHit(b *testing.B) {
 		b.Fatalf("prime submit = %d", code)
 	}
 	for {
-		if st, _ := s.status(SpecHash(spec)); st.State == StateDone {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+SpecHash(spec), nil))
+		var st JobStatus
+		if json.Unmarshal(rec.Body.Bytes(), &st) == nil && st.State == StateDone {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/cpv"
+	"github.com/ares-cps/ares/internal/dist"
 	"github.com/ares-cps/ares/internal/metrics"
 )
 
@@ -57,18 +59,18 @@ func decodeAssess(r io.Reader) (assessRequest, error) {
 }
 
 // handleCPVList serves the built-in catalog (GET /v1/cpvs).
-func (s *Server) handleCPVList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"cpvs": cpv.Catalog()})
+func handleCPVList(w http.ResponseWriter, _ *http.Request) {
+	dist.WriteJSON(w, http.StatusOK, map[string]any{"cpvs": cpv.Catalog()})
 }
 
 // handleCPVGet serves one catalog record (GET /v1/cpvs/{id}).
-func (s *Server) handleCPVGet(w http.ResponseWriter, r *http.Request) {
+func handleCPVGet(w http.ResponseWriter, r *http.Request) {
 	rec, ok := cpv.Get(r.PathValue("id"))
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown cpv record")
+		dist.WriteErr(w, http.StatusNotFound, "unknown cpv record")
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	dist.WriteJSON(w, http.StatusOK, rec)
 }
 
 // handleCPVAssess compiles one catalog record into a campaign spec and
@@ -80,12 +82,12 @@ func (s *Server) handleCPVGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCPVAssess(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := cpv.Get(id); !ok {
-		writeErr(w, http.StatusNotFound, "unknown cpv record")
+		dist.WriteErr(w, http.StatusNotFound, "unknown cpv record")
 		return
 	}
-	req, err := decodeAssess(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+	req, err := decodeAssess(http.MaxBytesReader(w, r.Body, campaign.MaxSpecBytes))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid assess request: %v", err)
+		dist.WriteErr(w, http.StatusBadRequest, "invalid assess request: %v", err)
 		return
 	}
 	spec, err := cpv.CompileIDs(cpv.Options{
@@ -98,18 +100,9 @@ func (s *Server) handleCPVAssess(w http.ResponseWriter, r *http.Request) {
 	}, id)
 	if err != nil {
 		s.cpvMx.compileErrors.Inc()
-		writeErr(w, http.StatusBadRequest, "compile %s: %v", id, err)
+		dist.WriteErr(w, http.StatusBadRequest, "compile %s: %v", id, err)
 		return
 	}
 	s.cpvMx.assess.Inc()
-	st, code := s.submit(spec)
-	switch code {
-	case http.StatusTooManyRequests:
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, code, "queue full (%d deep)", s.cfg.QueueDepth)
-	case http.StatusServiceUnavailable:
-		writeErr(w, code, "draining: not accepting new jobs")
-	default:
-		writeJSON(w, code, st)
-	}
+	s.coord.ServeSubmit(w, spec, s.cfg.QueueDepth)
 }

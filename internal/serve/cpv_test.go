@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -53,7 +54,8 @@ func TestCPVCatalogEndpoints(t *testing.T) {
 
 func TestCPVAssess(t *testing.T) {
 	var count atomic.Int64
-	s, ts, reg := newTestServer(t, Config{Executor: gatedExecutor(&count, nil)})
+	dir := t.TempDir()
+	s, ts, reg := newTestServer(t, Config{StoreDir: dir, Executor: gatedExecutor(&count, nil)})
 	s.Start()
 	defer s.Shutdown(t.Context())
 
@@ -92,7 +94,7 @@ func TestCPVAssess(t *testing.T) {
 	}
 
 	// Result records echo the originating CPV ID.
-	recs, err := campaign.ReadRecords(s.storePath(st.ID))
+	recs, err := campaign.ReadRecords(filepath.Join(dir, st.ID+".jsonl"))
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("read store: %v (%d records)", err, len(recs))
 	}

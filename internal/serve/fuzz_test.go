@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -98,4 +99,9 @@ func FuzzJobSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeSpecBytes is campaign.DecodeSpec over a byte slice.
+func decodeSpecBytes(b []byte) (campaign.Spec, error) {
+	return campaign.DecodeSpec(bytes.NewReader(b))
 }

@@ -1,53 +1,62 @@
-// Package serve is the networked assessment daemon: a long-running HTTP
-// service that accepts campaign specs, queues them with backpressure,
-// executes them on a bounded worker pool, deduplicates identical
-// in-flight submissions (singleflight), caches finished results in an
-// LRU, streams per-job progress over SSE and exposes Prometheus-style
-// metrics.
+// Package serve is the single-node assessment daemon: a dist.Coordinator
+// whose workers run in process. It accepts campaign specs over HTTP,
+// bounds the queue with backpressure, deduplicates identical in-flight
+// submissions (singleflight), caches finished results in an LRU, streams
+// per-campaign progress over SSE, exposes Prometheus-style metrics and
+// serves the CPV catalog.
 //
-// Identity is content-addressed: a job's ID is the canonical hash of its
-// normalized spec (SpecHash), so N clients submitting the same sweep get
-// one underlying campaign run and one shared result. Durability reuses
-// the campaign subsystem: every job appends to its own JSONL
-// campaign.Store under StoreDir, and the set of unfinished jobs is
-// mirrored to an atomically-written queue manifest — a daemon restarted
-// after a drain (or a crash) re-enqueues the manifest and each resumed
-// campaign skips the cells its store already holds.
+// The job lifecycle — submit, dedup, retry, status, result, queue
+// manifest and resume — is internal/dist's, shared with the fleet
+// coordinator; this package adds only its Config, the queue-depth bound
+// on admission and the /v1/cpvs routes. Identity is content-addressed: a
+// job's ID is the canonical hash of its normalized spec
+// (campaign.SpecHash), so N clients submitting the same sweep get one
+// underlying campaign run and one shared result. Every job appends to its
+// own JSONL campaign.Store under StoreDir and finalizes the same sorted
+// artifact a fleet writes; a daemon restarted after a drain (or a crash)
+// re-queues its manifest and each resumed campaign skips the cells its
+// store already holds.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
-	"time"
 
 	"github.com/ares-cps/ares/internal/campaign"
+	"github.com/ares-cps/ares/internal/dist"
 	"github.com/ares-cps/ares/internal/metrics"
 	"github.com/ares-cps/ares/internal/par"
 )
 
-// Job states reported by GET /v1/jobs/{id}.
+// Aliases of internal/dist and internal/campaign names, kept for callers
+// written against serve (perfbench/).
 const (
-	StateQueued  = "queued"
-	StateRunning = "running"
-	StateDone    = "done"
-	StateFailed  = "failed"
+	StateQueued  = dist.StateQueued
+	StateRunning = dist.StateRunning
+	StateDone    = dist.StateDone
+	StateFailed  = dist.StateFailed
 )
+
+// JobStatus is dist.JobStatus.
+type JobStatus = dist.JobStatus
+
+// Result is dist.Result.
+type Result = dist.Result
+
+// SpecHash is campaign.SpecHash.
+func SpecHash(spec campaign.Spec) string { return campaign.SpecHash(spec) }
 
 // Config parameterizes a Server.
 type Config struct {
 	// StoreDir holds one campaign artifact file per job plus the queue
 	// manifest. Required.
 	StoreDir string
-	// QueueDepth bounds the submission queue; a full queue answers 429
-	// with Retry-After. Default 64.
+	// QueueDepth bounds the jobs waiting to start; a new or retried job
+	// beyond it is answered 429 with Retry-After. Default 64.
 	QueueDepth int
 	// Workers is the number of jobs executed concurrently. Default 2.
 	Workers int
@@ -88,127 +97,52 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// JobStatus is the wire form of one job.
-type JobStatus struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	// ResultID is set once the job is done; it equals ID (results are
-	// content-addressed by the same spec hash).
-	ResultID string `json:"result_id,omitempty"`
-	Error    string `json:"error,omitempty"`
-	// Events is the number of progress events recorded so far.
-	Events int `json:"events"`
-}
-
-// Result is the aggregated report of one finished job.
-type Result struct {
-	ID      string            `json:"id"`
-	Summary *campaign.Summary `json:"summary"`
-}
-
-// job is the server-side state of one submitted spec.
-type job struct {
-	id     string
-	spec   campaign.Spec
-	state  string
-	errMsg string
-	events *eventLog
-	done   chan struct{} // closed on terminal state; replaced on retry
-}
-
-type serverMetrics struct {
-	accepted, deduped, completed, failed, rejected *metrics.Counter
-	cacheHits, cacheMisses                         *metrics.Counter
-	queueDepth, inflight                           *metrics.Gauge
-	jobSeconds                                     *metrics.Histogram
-}
-
-func newServerMetrics(r *metrics.Registry) serverMetrics {
-	return serverMetrics{
-		accepted:    r.Counter("ares_serve_jobs_accepted_total", "jobs accepted into the queue"),
-		deduped:     r.Counter("ares_serve_jobs_deduped_total", "submissions collapsed onto an identical in-flight job"),
-		completed:   r.Counter("ares_serve_jobs_completed_total", "jobs finished successfully"),
-		failed:      r.Counter("ares_serve_jobs_failed_total", "jobs finished with an error"),
-		rejected:    r.Counter("ares_serve_jobs_rejected_total", "submissions rejected because the queue was full"),
-		cacheHits:   r.Counter("ares_serve_cache_hits_total", "requests served from the result cache"),
-		cacheMisses: r.Counter("ares_serve_cache_misses_total", "requests that missed the result cache"),
-		queueDepth:  r.Gauge("ares_serve_queue_depth", "jobs waiting in the queue"),
-		inflight:    r.Gauge("ares_serve_inflight_workers", "workers currently executing a job"),
-		jobSeconds:  r.Histogram("ares_serve_job_seconds", "job wall time in seconds", nil),
-	}
-}
-
 // Server is the assessment daemon. Construct with New, mount Handler in
 // an http.Server, call Start, and Shutdown on the way out.
 type Server struct {
-	cfg    Config
-	mx     serverMetrics
-	cpvMx  cpvMetrics
-	budget *par.Budget
-	cache  *lru
+	cfg     Config
+	coord   *dist.Coordinator
+	cpvMx   cpvMetrics
+	workers []*dist.Worker
 
 	runCtx    context.Context
 	runCancel context.CancelFunc
-
-	mu       sync.Mutex // guards jobs, draining, manifest writes
-	jobs     map[string]*job
-	queue    chan *job
-	draining bool
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	wg        sync.WaitGroup
 }
 
-// New builds a Server, creating StoreDir if needed and re-enqueueing any
-// unfinished jobs found in its queue manifest (a previous daemon life's
-// drain or crash leftovers).
+// New builds a Server over a coordinator rooted at StoreDir (creating it
+// if needed and re-queueing any unfinished jobs found in its manifest)
+// with Config.Workers in-process workers sharing one Parallelism budget.
 func New(cfg Config) (*Server, error) {
 	if cfg.StoreDir == "" {
 		return nil, errors.New("serve: Config.StoreDir is required")
 	}
 	cfg.applyDefaults()
-	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
-		return nil, err
-	}
-	pending, err := LoadManifest(ManifestPath(cfg.StoreDir))
+	coord, err := dist.NewCoordinator(dist.CoordConfig{
+		StoreDir: cfg.StoreDir, Metrics: cfg.Metrics, Log: cfg.Log,
+	})
 	if err != nil {
 		return nil, err
 	}
-	runCtx, runCancel := context.WithCancel(context.Background())
-	s := &Server{
-		cfg:       cfg,
-		mx:        newServerMetrics(cfg.Metrics),
-		cpvMx:     newCPVMetrics(cfg.Metrics),
-		budget:    par.NewBudget(cfg.Parallelism),
-		cache:     newLRU(cfg.CacheSize),
-		runCtx:    runCtx,
-		runCancel: runCancel,
-		jobs:      make(map[string]*job),
-		// The channel must hold every manifest job plus a full queue's
-		// worth of new submissions.
-		queue: make(chan *job, cfg.QueueDepth+len(pending)),
-		stop:  make(chan struct{}),
-	}
-	for _, mj := range pending {
-		j := &job{id: mj.ID, spec: mj.Spec, state: StateQueued,
-			events: newEventLog(), done: make(chan struct{})}
-		j.events.Append("state: queued (resumed from manifest)")
-		s.jobs[j.id] = j
-		s.queue <- j
-	}
-	s.mx.queueDepth.Set(int64(len(s.queue)))
-	if len(pending) > 0 {
-		fmt.Fprintf(cfg.Log, "serve: resumed %d queued job(s) from manifest\n", len(pending))
+	coord.SetCacheSize(cfg.CacheSize)
+	s := &Server{cfg: cfg, coord: coord, cpvMx: newCPVMetrics(cfg.Metrics)}
+	s.runCtx, s.runCancel = context.WithCancel(context.Background())
+	budget := par.NewBudget(cfg.Parallelism)
+	for i := 0; i < cfg.Workers; i++ {
+		s.workers = append(s.workers, coord.InProcessWorker(fmt.Sprintf("local-%d", i), cfg.Executor, budget))
 	}
 	return s, nil
 }
 
-// Start launches the worker pool.
+// Start launches the workers.
 func (s *Server) Start() {
-	for w := 0; w < s.cfg.Workers; w++ {
+	s.coord.Start()
+	for _, w := range s.workers {
 		s.wg.Add(1)
-		go s.worker()
+		go func() {
+			defer s.wg.Done()
+			_ = w.Run(s.runCtx) // an in-process worker's Run cannot fail
+		}()
 	}
 }
 
@@ -219,11 +153,7 @@ func (s *Server) Start() {
 // their finished cells are already in their stores, so a restart resumes
 // mid-campaign.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stop) })
-
+	s.coord.Drain()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -235,310 +165,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.runCancel()
 		<-done
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistManifestLocked()
+	s.runCancel()
+	return s.coord.Shutdown()
 }
 
-// worker executes queued jobs until the daemon drains. The stop channel
-// wins over a non-empty queue, so queued-but-unstarted jobs survive into
-// the manifest instead of racing the drain.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		select {
-		case <-s.stop:
-			return
-		case j := <-s.queue:
-			s.runJob(j)
-		}
-	}
-}
-
-// runJob drives one job through running → done/failed (or back to queued
-// on a hard-shutdown cancellation).
-func (s *Server) runJob(j *job) {
-	s.mu.Lock()
-	j.state = StateRunning
-	s.mx.queueDepth.Set(int64(len(s.queue)))
-	s.mu.Unlock()
-	s.mx.inflight.Inc()
-	j.events.Append("state: running")
-	fmt.Fprintf(s.cfg.Log, "serve: job %s running\n", j.id)
-
-	start := time.Now()
-	res, err := s.execute(j)
-	s.mx.jobSeconds.Observe(time.Since(start).Seconds())
-	s.mx.inflight.Dec()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case err != nil && errors.Is(err, context.Canceled):
-		// Hard shutdown mid-campaign: completed cells are in the job's
-		// store; leave the job queued so the manifest carries it into the
-		// next daemon life.
-		j.state = StateQueued
-		j.events.Append("state: interrupted — resumes on restart")
-	case err != nil:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.mx.failed.Inc()
-		j.events.Close(StateFailed)
-		close(j.done)
-		fmt.Fprintf(s.cfg.Log, "serve: job %s failed: %v\n", j.id, err)
-	default:
-		s.cache.Add(j.id, res)
-		j.state = StateDone
-		s.mx.completed.Inc()
-		j.events.Close(StateDone)
-		close(j.done)
-		fmt.Fprintf(s.cfg.Log, "serve: job %s done (%d records)\n", j.id, res.Summary.Records)
-	}
-	if err := s.persistManifestLocked(); err != nil {
-		fmt.Fprintf(s.cfg.Log, "serve: persist manifest: %v\n", err)
-	}
-}
-
-// execute runs the job's campaign against its own store file under the
-// daemon's shared parallelism budget and aggregates the result.
-func (s *Server) execute(j *job) (*Result, error) {
-	share, release := s.budget.Acquire()
-	defer release()
-	store, err := campaign.OpenStore(s.storePath(j.id))
-	if err != nil {
-		return nil, err
-	}
-	defer store.Close()
-	runner := &campaign.Runner{Workers: share, Execute: s.cfg.Executor, Log: j.events}
-	stats, err := runner.Run(s.runCtx, j.spec, store)
-	if err != nil {
-		return nil, err
-	}
-	if n := stats.Errors + stats.Panics; n > 0 {
-		return nil, fmt.Errorf("%d of %d campaign cells failed", n, stats.Total)
-	}
-	return &Result{ID: j.id, Summary: campaign.Aggregate(summaryName(j.spec), store.Records())}, nil
-}
-
-func summaryName(spec campaign.Spec) string {
-	if spec.Name != "" {
-		return spec.Name
-	}
-	return "aresd"
-}
-
-func (s *Server) storePath(id string) string {
-	return filepath.Join(s.cfg.StoreDir, id+".jsonl")
-}
-
-// submit routes one decoded spec: cache hit, singleflight dedup, retry of
-// a failed job, or a fresh enqueue. It returns the job status and the
-// HTTP status code the handler should answer with.
-func (s *Server) submit(spec campaign.Spec) (JobStatus, int) {
-	id := SpecHash(spec)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return JobStatus{}, http.StatusServiceUnavailable
-	}
-	if j, ok := s.jobs[id]; ok {
-		switch j.state {
-		case StateDone:
-			s.mx.cacheHits.Inc()
-			return s.statusLocked(j), http.StatusOK
-		case StateFailed:
-			// A resubmitted failed spec retries; its store keeps whatever
-			// cells already succeeded.
-			return s.enqueueLocked(j, true)
-		default: // queued or running: singleflight
-			s.mx.deduped.Inc()
-			return s.statusLocked(j), http.StatusAccepted
-		}
-	}
-	// A result from an earlier daemon life may already be complete on
-	// disk even though this process never ran it.
-	if _, ok := s.loadResultLocked(id, spec); ok {
-		j := &job{id: id, spec: spec, state: StateDone, events: newEventLog(), done: make(chan struct{})}
-		j.events.Close(StateDone)
-		close(j.done)
-		s.jobs[id] = j
-		s.mx.cacheHits.Inc()
-		return s.statusLocked(j), http.StatusOK
-	}
-	s.mx.cacheMisses.Inc()
-	j := &job{id: id, spec: spec, state: StateQueued, events: newEventLog(), done: make(chan struct{})}
-	st, code := s.enqueueLocked(j, false)
-	if code == http.StatusAccepted {
-		s.jobs[id] = j
-	}
-	return st, code
-}
-
-// enqueueLocked places a job on the queue, answering 429 when full.
-func (s *Server) enqueueLocked(j *job, retry bool) (JobStatus, int) {
-	select {
-	case s.queue <- j:
-	default:
-		s.mx.rejected.Inc()
-		return JobStatus{}, http.StatusTooManyRequests
-	}
-	j.state = StateQueued
-	j.errMsg = ""
-	if retry {
-		j.done = make(chan struct{})
-		j.events.Reopen()
-		j.events.Append("state: queued (retry)")
-	} else {
-		j.events.Append("state: queued")
-	}
-	s.mx.accepted.Inc()
-	s.mx.queueDepth.Set(int64(len(s.queue)))
-	if err := s.persistManifestLocked(); err != nil {
-		fmt.Fprintf(s.cfg.Log, "serve: persist manifest: %v\n", err)
-	}
-	return s.statusLocked(j), http.StatusAccepted
-}
-
-// loadResultLocked rebuilds a finished result from a complete on-disk
-// store, populating the cache. It reports false when the store is absent,
-// incomplete or holds failures.
-func (s *Server) loadResultLocked(id string, spec campaign.Spec) (*Result, bool) {
-	recs, err := campaign.ReadRecords(s.storePath(id))
-	if err != nil || len(recs) == 0 {
-		return nil, false
-	}
-	sum := campaign.Aggregate(summaryName(spec), recs)
-	if sum.Failures > 0 || sum.Records != len(spec.Expand()) {
-		return nil, false
-	}
-	res := &Result{ID: id, Summary: sum}
-	s.cache.Add(id, res)
-	return res, true
-}
-
-// status returns the wire status of one job, or false if unknown.
-func (s *Server) status(id string) (JobStatus, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, false
-	}
-	return s.statusLocked(j), true
-}
-
-func (s *Server) statusLocked(j *job) JobStatus {
-	st := JobStatus{ID: j.id, State: j.state, Error: j.errMsg, Events: j.events.Len()}
-	if j.state == StateDone {
-		st.ResultID = j.id
-	}
-	return st
-}
-
-// result returns the aggregated report for a finished job: from the LRU
-// when cached, otherwise recomputed from the job's on-disk store (the
-// restart path and the LRU-eviction path). The int is an HTTP status:
-// 200, 404 (unknown), or 409 (job exists but is not finished).
-func (s *Server) result(id string) (*Result, int) {
-	if res, ok := s.cache.Get(id); ok {
-		s.mx.cacheHits.Inc()
-		return res, http.StatusOK
-	}
-	s.mx.cacheMisses.Inc()
-	s.mu.Lock()
-	j, known := s.jobs[id]
-	var spec campaign.Spec
-	if known {
-		spec = j.spec
-		if j.state == StateQueued || j.state == StateRunning {
-			s.mu.Unlock()
-			return nil, http.StatusConflict
-		}
-	}
-	s.mu.Unlock()
-
-	recs, err := campaign.ReadRecords(s.storePath(id))
-	if err != nil || len(recs) == 0 {
-		return nil, http.StatusNotFound
-	}
-	res := &Result{ID: id, Summary: campaign.Aggregate(summaryName(spec), recs)}
-	s.cache.Add(id, res)
-	return res, http.StatusOK
-}
-
-// events returns the job's event log for SSE streaming.
-func (s *Server) eventsOf(id string) (*eventLog, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return j.events, true
-}
-
-// ManifestJob is one entry of the persisted queue manifest: an unfinished
-// job (or, for a dist coordinator, an unfinished campaign) and its spec.
-// The type is shared with internal/dist, whose coordinator persists its
-// unfinished campaigns in the same queue.json format — a serve-mode and a
-// coordinator-mode store directory are mutually readable.
-type ManifestJob struct {
-	ID   string        `json:"id"`
-	Spec campaign.Spec `json:"spec"`
-}
-
-// ManifestPath returns the queue-manifest path inside a store directory.
-func ManifestPath(dir string) string { return filepath.Join(dir, "queue.json") }
-
-// persistManifestLocked mirrors the set of unfinished jobs to disk with
-// an atomic write, so any crash leaves either the previous manifest or
-// the new one. Callers hold s.mu.
-func (s *Server) persistManifestLocked() error {
-	pending := make([]ManifestJob, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if j.state == StateQueued || j.state == StateRunning {
-			pending = append(pending, ManifestJob{ID: j.id, Spec: j.spec})
-		}
-	}
-	return WriteManifest(ManifestPath(s.cfg.StoreDir), pending)
-}
-
-// WriteManifest atomically persists a queue manifest, sorted by ID so the
-// bytes are independent of map-iteration order.
-func WriteManifest(path string, jobs []ManifestJob) error {
-	sorted := make([]ManifestJob, len(jobs))
-	copy(sorted, jobs)
-	sort.Slice(sorted, func(i, k int) bool { return sorted[i].ID < sorted[k].ID })
-	data, err := json.MarshalIndent(struct {
-		Jobs []ManifestJob `json:"jobs"`
-	}{sorted}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return campaign.WriteFileAtomic(path, data, 0o644)
-}
-
-// LoadManifest reads a queue manifest; a missing file is an empty queue.
-func LoadManifest(path string) ([]ManifestJob, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var man struct {
-		Jobs []ManifestJob `json:"jobs"`
-	}
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("serve: manifest %s: %w", path, err)
-	}
-	return man.Jobs, nil
+// Handler returns the daemon's HTTP API: the coordinator's client routes
+// (dist.Coordinator.ClientMux, with POST /v1/jobs bounded by QueueDepth)
+// plus the CPV catalog. The /v1/dist/* fleet protocol is not mounted.
+//
+//	GET  /v1/cpvs             built-in CPV catalog (JSON)
+//	GET  /v1/cpvs/{id}        one catalog record
+//	POST /v1/cpvs/{id}/assess compile the record and submit it through the
+//	                          content-addressed queue (same codes as
+//	                          POST /v1/jobs); optional JSON body overrides
+//	                          seed/trials/episodes/max_steps/learner
+func (s *Server) Handler() http.Handler {
+	mux := s.coord.ClientMux(s.cfg.QueueDepth)
+	mux.HandleFunc("GET /v1/cpvs", handleCPVList)
+	mux.HandleFunc("GET /v1/cpvs/{id}", handleCPVGet)
+	mux.HandleFunc("POST /v1/cpvs/{id}/assess", s.handleCPVAssess)
+	return mux
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/ares-cps/ares/internal/campaign"
+	"github.com/ares-cps/ares/internal/dist"
 	"github.com/ares-cps/ares/internal/metrics"
 )
 
@@ -342,7 +343,7 @@ func TestShutdownDrainsPersistsResumes(t *testing.T) {
 		t.Errorf("post-drain submit status = %d, want 503", resp2.StatusCode)
 	}
 
-	man, err := LoadManifest(ManifestPath(dir))
+	man, err := dist.LoadManifest(dist.ManifestPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,11 +541,49 @@ func TestManifestSurvivesMissingDir(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(ManifestPath(dir)); err != nil {
+	if _, err := os.Stat(dist.ManifestPath(dir)); err != nil {
 		t.Fatalf("manifest not written: %v", err)
 	}
-	man, err := LoadManifest(ManifestPath(dir))
+	man, err := dist.LoadManifest(dist.ManifestPath(dir))
 	if err != nil || len(man) != 0 {
 		t.Fatalf("manifest = (%v, %v), want empty", man, err)
+	}
+}
+
+// TestRestartAnswersFinishedFromDisk: a spec finished in an earlier daemon
+// life is answered from its store — 200, a cache hit, no execution — even
+// with the queue full.
+func TestRestartAnswersFinishedFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec("earlier-life", 2)
+	s1, ts1, _ := newTestServer(t, Config{StoreDir: dir, Workers: 1, Executor: gatedExecutor(nil, nil)})
+	s1.Start()
+	st, _ := submitSpec(t, ts1.URL, spec)
+	waitState(t, ts1.URL, st.ID, StateDone)
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Life 2 never starts its workers, so one queued job fills the queue.
+	var count atomic.Int64
+	_, ts2, reg := newTestServer(t, Config{StoreDir: dir, QueueDepth: 1, Executor: gatedExecutor(&count, nil)})
+	other := tinySpec("other", 1)
+	other.Seed = 5
+	if _, resp := submitSpec(t, ts2.URL, other); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("filler submit = %d, want 202", resp.StatusCode)
+	}
+	st2, resp := submitSpec(t, ts2.URL, spec)
+	if resp.StatusCode != http.StatusOK || st2.ID != st.ID || st2.State != StateDone {
+		t.Fatalf("resubmit after restart = (%d, %+v), want 200 done %s", resp.StatusCode, st2, st.ID)
+	}
+	if got := reg.Counter("ares_serve_cache_hits_total", "").Value(); got != 1 {
+		t.Errorf("cache hits = %d, want 1", got)
+	}
+	res, err := getResult(ts2.URL, st.ID)
+	if err != nil || res.Summary.Records != 2 || res.Summary.Failures != 0 {
+		t.Fatalf("result = (%+v, %v), want 2 clean records", res.Summary, err)
+	}
+	if got := count.Load(); got != 0 {
+		t.Errorf("life-2 executions = %d, want 0", got)
 	}
 }
