@@ -54,11 +54,12 @@ type Config struct {
 	Seed int64
 	// Analysis tunes Algorithm 1. Analysis.Parallelism bounds the worker
 	// pool for the whole Analyze stage (controller groups fan out and each
-	// group's prune/correlation/selection stages share the remainder);
-	// the default, 0, uses GOMAXPROCS. Results are bit-identical at any
-	// worker count, so the knob trades only wall-clock time — embedders
-	// running pipelines concurrently (e.g. campaign fleets) should set it
-	// to their per-job share of the machine budget.
+	// group's prune/correlation/selection stages share the remainder) and
+	// how many of Profile's benign missions fly at once; the default, 0,
+	// uses GOMAXPROCS. Results are bit-identical at any worker count, so
+	// the knob trades only wall-clock time — embedders running pipelines
+	// concurrently (e.g. campaign fleets) should set it to their per-job
+	// share of the machine budget.
 	Analysis AnalysisOptions
 }
 
@@ -102,9 +103,10 @@ func NewPipeline(cfg Config) *Pipeline {
 // Profile flies the benign missions and collects the operation traces.
 func (p *Pipeline) Profile() error {
 	prof, err := core.CollectProfile(core.ProfileConfig{
-		Mission:  p.cfg.Mission,
-		Missions: p.cfg.Missions,
-		Seed:     p.cfg.Seed,
+		Mission:     p.cfg.Mission,
+		Missions:    p.cfg.Missions,
+		Seed:        p.cfg.Seed,
+		Parallelism: p.cfg.Analysis.Parallelism,
 	})
 	if err != nil {
 		return fmt.Errorf("ares: profile: %w", err)

@@ -20,21 +20,36 @@ var benchProfile = sync.OnceValues(func() (*Profile, error) {
 
 // BenchmarkCollectProfile measures the profiling stage itself: flying the
 // benign mission on the 400 Hz firmware stack while tracing every
-// registered state variable at 16 Hz.
+// registered state variable at 16 Hz. The five-mission cases are the
+// pipeline's default profile, flown one at a time (w1) and on a pool the
+// width of the process budget (wmax).
 func BenchmarkCollectProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		prof, err := CollectProfile(ProfileConfig{
-			Mission:  firmware.SquareMission(25, 10),
-			Missions: 1,
-			Seed:     100,
+	for _, c := range []struct {
+		name               string
+		missions, parallel int
+	}{
+		{"missions=1", 1, 1},
+		{"missions=5/w1", 5, 1},
+		{"missions=5/wmax", 5, 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prof, err := CollectProfile(ProfileConfig{
+					Mission:     firmware.SquareMission(25, 10),
+					Missions:    c.missions,
+					Seed:        100,
+					Parallelism: c.parallel,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(prof.Samples()), "samples")
+					b.ReportMetric(float64(len(prof.Names)), "variables")
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(prof.Samples()), "samples")
-			b.ReportMetric(float64(len(prof.Names)), "variables")
-		}
 	}
 }
 

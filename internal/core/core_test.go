@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,6 +138,77 @@ func TestCollectProfileUnknownVariable(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("unknown variable accepted")
+	}
+}
+
+// TestCollectProfileParallelEquivalence flies the same five missions on
+// pools of several widths: names, mission lengths and every sample's bits
+// must match the one-worker profile.
+func TestCollectProfileParallelEquivalence(t *testing.T) {
+	collect := func(workers int) *Profile {
+		prof, err := CollectProfile(ProfileConfig{
+			Mission:     firmware.LineMission(20, 10),
+			Missions:    5,
+			Seed:        7,
+			Parallelism: workers,
+		})
+		if err != nil {
+			t.Fatalf("w%d: %v", workers, err)
+		}
+		return prof
+	}
+	want := collect(1)
+	if len(want.MissionLens) != 5 || want.Samples() == 0 {
+		t.Fatalf("reference profile: mission lengths %v", want.MissionLens)
+	}
+	for _, workers := range []int{2, 5, 8} {
+		got := collect(workers)
+		if !slices.Equal(got.Names, want.Names) {
+			t.Fatalf("w%d: names differ", workers)
+		}
+		if !slices.Equal(got.MissionLens, want.MissionLens) {
+			t.Fatalf("w%d: mission lengths %v, want %v", workers, got.MissionLens, want.MissionLens)
+		}
+		if len(got.Series) != len(want.Series) {
+			t.Fatalf("w%d: %d series, want %d", workers, len(got.Series), len(want.Series))
+		}
+		for _, name := range want.Names {
+			g, w := got.Series[name], want.Series[name]
+			if len(g) != len(w) {
+				t.Fatalf("w%d: %s has %d samples, want %d", workers, name, len(g), len(w))
+			}
+			for i := range w {
+				if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+					t.Fatalf("w%d: %s[%d] = %v, want %v", workers, name, i, g[i], w[i])
+				}
+			}
+		}
+	}
+}
+
+// TestCollectProfileErrorAnyWidth checks that a failing profile reports
+// the same error at every pool width: every mission fails on the bad
+// variable list, and the lowest-numbered one's error wins.
+func TestCollectProfileErrorAnyWidth(t *testing.T) {
+	for _, tc := range []struct {
+		vars []string
+		want string
+	}{
+		{[]string{"ATT.Roll", "NOPE.VAR"}, `core: unknown variable "NOPE.VAR"`},
+		{[]string{"ATT.Roll", "ATT.Roll"}, `core: variable "ATT.Roll" listed twice`},
+	} {
+		for _, workers := range []int{1, 2, 5, 8} {
+			_, err := CollectProfile(ProfileConfig{
+				Mission:     firmware.LineMission(20, 10),
+				Missions:    5,
+				Seed:        1,
+				Variables:   tc.vars,
+				Parallelism: workers,
+			})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%v w%d: error %v, want %q", tc.vars, workers, err, tc.want)
+			}
+		}
 	}
 }
 

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/dataflash"
 	"github.com/ares-cps/ares/internal/firmware"
+	"github.com/ares-cps/ares/internal/par"
 	"github.com/ares-cps/ares/internal/vars"
 )
 
@@ -26,6 +29,9 @@ type ProfileConfig struct {
 	// Variables restricts tracing to the named variables; empty traces
 	// every registered variable.
 	Variables []string
+	// Parallelism bounds how many missions fly at once; <= 0 uses the
+	// process budget (GOMAXPROCS). The profile is identical at any value.
+	Parallelism int
 }
 
 // Profile holds the traced operation data: one time series per state
@@ -73,6 +79,14 @@ func (p *Profile) SeriesFor(names []string) ([]string, [][]float64, []string) {
 // CollectProfile flies the configured benign missions and traces the state
 // variable space through the live variable set — the memory-instrumentation
 // view of the paper's profiling step.
+//
+// Missions are independent (mission m builds its own firmware seeded
+// Seed+m), so they fly on a pool of cfg.Parallelism workers. Each flight
+// records into its own chunked buffer, and a flight is merged into Series
+// as soon as it and every earlier mission have landed, after which its
+// buffer is dropped. The profile, and on failure the error of the
+// lowest-numbered failing mission, are identical to flying the missions
+// one after another.
 func CollectProfile(cfg ProfileConfig) (*Profile, error) {
 	if cfg.Mission == nil {
 		cfg.Mission = firmware.SquareMission(25, 10)
@@ -91,56 +105,128 @@ func CollectProfile(cfg ProfileConfig) (*Profile, error) {
 		Series:   make(map[string][]float64),
 		SampleHz: cfg.SampleHz,
 	}
-
-	for m := 0; m < cfg.Missions; m++ {
-		fw, err := attack.NewFirmware(cfg.Seed + int64(m)) //areslint:ignore seedarith golden-pinned
+	var (
+		mu     sync.Mutex
+		landed = make([]*flight, cfg.Missions)
+		errs   = make([]error, cfg.Missions)
+		next   int // the lowest mission not yet merged
+	)
+	// ForEach hands out missions in order and stops handing them out after
+	// a failure, so every mission below a failed one has flown and the
+	// lowest failure is the one a sequential loop would have hit first.
+	par.ForEach(context.Background(), cfg.Parallelism, cfg.Missions, func(m int) error {
+		f, err := flyProfileMission(cfg, m)
+		mu.Lock()
+		defer mu.Unlock()
+		landed[m], errs[m] = f, err
+		for ; next < cfg.Missions && landed[next] != nil; next++ {
+			prof.merge(landed[next], cfg.Missions)
+			landed[next] = nil
+		}
+		return err
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		refs, names, err := resolveRefs(fw, cfg.Variables)
-		if err != nil {
-			return nil, err
-		}
-		if m == 0 {
-			prof.Names = names
-			for _, n := range names {
-				prof.Series[n] = nil
-			}
-		}
-
-		alt := -cfg.Mission.Target().Z
-		if err := fw.Takeoff(alt); err != nil {
-			return nil, err
-		}
-		fw.RunFor(10)
-		wps := make([]firmware.Waypoint, 0, cfg.Mission.Len())
-		for _, p := range cfg.Mission.Path() {
-			wps = append(wps, firmware.Waypoint{Pos: p})
-		}
-		fw.LoadMission(firmware.NewMission(wps))
-		if err := fw.StartMission(); err != nil {
-			return nil, err
-		}
-
-		every := int(math.Max(1, math.Round(1/(cfg.SampleHz*fw.DT()))))
-		maxTicks := int(cfg.MaxMissionS / fw.DT())
-		count := 0
-		for i := 0; i < maxTicks && !fw.Mission().Complete(); i++ {
-			fw.Step()
-			if i%every != 0 {
-				continue
-			}
-			for j, ref := range refs {
-				prof.Series[names[j]] = append(prof.Series[names[j]], ref.Get())
-			}
-			count++
-		}
-		if crashed, reason := fw.Quad().Crashed(); crashed {
-			return nil, fmt.Errorf("core: profiling mission %d crashed: %s", m, reason)
-		}
-		prof.MissionLens = append(prof.MissionLens, count)
 	}
 	return prof, nil
+}
+
+// flightChunkRows is the number of samples per chunk of an in-flight
+// mission's buffer, which bounds a flight's unused capacity to one chunk.
+const flightChunkRows = 64
+
+// flight is one profiling mission's trace: row-major samples of its
+// variables in fixed-size chunks.
+type flight struct {
+	names  []string
+	chunks [][]float64
+	n      int
+}
+
+// record appends one sample of every ref.
+func (f *flight) record(refs []vars.Ref) {
+	w := len(refs)
+	r := f.n % flightChunkRows
+	if r == 0 {
+		f.chunks = append(f.chunks, make([]float64, flightChunkRows*w))
+	}
+	row := f.chunks[len(f.chunks)-1][r*w : (r+1)*w]
+	for j, ref := range refs {
+		row[j] = ref.Get()
+	}
+	f.n++
+}
+
+// merge appends the next mission's flight to every series. A series too
+// small for the merged samples is reallocated to the merged length plus
+// the mean mission length so far for every mission still to come, so
+// in-order merges rarely copy and leave little unused capacity.
+func (p *Profile) merge(f *flight, missions int) {
+	m := len(p.MissionLens)
+	if m == 0 {
+		p.Names = f.names
+	}
+	merged := p.Samples() + f.n
+	want := merged + merged/(m+1)*(missions-m-1)
+	w := len(f.names)
+	for j, name := range f.names {
+		s := p.Series[name]
+		if cap(s) < merged {
+			grown := make([]float64, len(s), want)
+			copy(grown, s)
+			s = grown
+		}
+		for c, chunk := range f.chunks {
+			rows := min(flightChunkRows, f.n-c*flightChunkRows)
+			for r := 0; r < rows; r++ {
+				s = append(s, chunk[r*w+j])
+			}
+		}
+		p.Series[name] = s
+	}
+	p.MissionLens = append(p.MissionLens, f.n)
+}
+
+// flyProfileMission flies benign mission m and records its trace.
+func flyProfileMission(cfg ProfileConfig, m int) (*flight, error) {
+	fw, err := attack.NewFirmware(cfg.Seed + int64(m)) //areslint:ignore seedarith golden-pinned
+	if err != nil {
+		return nil, err
+	}
+	refs, names, err := resolveRefs(fw, cfg.Variables)
+	if err != nil {
+		return nil, err
+	}
+
+	alt := -cfg.Mission.Target().Z
+	if err := fw.Takeoff(alt); err != nil {
+		return nil, err
+	}
+	fw.RunFor(10)
+	wps := make([]firmware.Waypoint, 0, cfg.Mission.Len())
+	for _, p := range cfg.Mission.Path() {
+		wps = append(wps, firmware.Waypoint{Pos: p})
+	}
+	fw.LoadMission(firmware.NewMission(wps))
+	if err := fw.StartMission(); err != nil {
+		return nil, err
+	}
+
+	f := &flight{names: names}
+	every := int(math.Max(1, math.Round(1/(cfg.SampleHz*fw.DT()))))
+	maxTicks := int(cfg.MaxMissionS / fw.DT())
+	for i := 0; i < maxTicks && !fw.Mission().Complete(); i++ {
+		fw.Step()
+		if i%every == 0 {
+			f.record(refs)
+		}
+	}
+	if crashed, reason := fw.Quad().Crashed(); crashed {
+		return nil, fmt.Errorf("core: profiling mission %d crashed: %s", m, reason)
+	}
+	return f, nil
 }
 
 // ProfileFromLog builds a Profile from a recorded dataflash log — the
@@ -199,11 +285,17 @@ func resolveRefs(fw *firmware.Firmware, names []string) ([]vars.Ref, []string, e
 	}
 	refs := make([]vars.Ref, 0, len(names))
 	kept := make([]string, 0, len(names))
+	seen := make(map[string]bool, len(names))
 	for _, n := range names {
 		ref, ok := fw.Vars().Lookup(n)
 		if !ok {
 			return nil, nil, fmt.Errorf("core: unknown variable %q", n)
 		}
+		if seen[n] {
+			// Two refs would append to one series per sample.
+			return nil, nil, fmt.Errorf("core: variable %q listed twice", n)
+		}
+		seen[n] = true
 		refs = append(refs, ref)
 		kept = append(kept, n)
 	}

@@ -30,11 +30,12 @@ type Suite struct {
 	// Quick reduces trial counts and training budgets for smoke tests;
 	// full runs reproduce the paper-scale settings.
 	Quick bool
-	// Analysis tunes Algorithm 1 for every experiment that runs it. The
-	// zero value uses the defaults (full-machine parallelism); callers
-	// running several suites at once should set Parallelism to their
-	// per-suite share so the pools don't multiply. Results are identical
-	// at any setting.
+	// Analysis tunes Algorithm 1 for every experiment that runs it, and
+	// its Parallelism also bounds the profiling flights. The zero value
+	// uses the defaults (full-machine parallelism); callers running
+	// several suites at once should set Parallelism to their per-suite
+	// share so the pools don't multiply. Results are identical at any
+	// setting.
 	Analysis core.AnalysisOptions
 
 	mu      sync.Mutex
@@ -91,9 +92,10 @@ func (s *Suite) Profile() (*core.Profile, error) {
 		return s.profile, nil
 	}
 	prof, err := core.CollectProfile(core.ProfileConfig{
-		Mission:  s.evalMission(),
-		Missions: s.missions(),
-		Seed:     s.Seed,
+		Mission:     s.evalMission(),
+		Missions:    s.missions(),
+		Seed:        s.Seed,
+		Parallelism: s.Analysis.Parallelism,
 	})
 	if err != nil {
 		return nil, err

@@ -156,6 +156,21 @@ func BenchmarkPruneStateVars(b *testing.B) {
 	}
 }
 
+// BenchmarkRunsTest measures one runs test at the length of a profiled
+// variable's increments (five benign missions, about 2,240 samples): the
+// median's sort plus the one-pass run count.
+func BenchmarkRunsTest(b *testing.B) {
+	xs := Diff(benchSeries(1, 2239)[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, runsTestSink = RunsTest(xs)
+	}
+}
+
+// runsTestSink keeps BenchmarkRunsTest's call from being optimized away.
+var runsTestSink float64
+
 // BenchmarkGenerateTSVL runs the whole Algorithm 1 (prune → correlate →
 // cluster → stepwise AIC) on a synthetic 32-variable ESVL.
 func BenchmarkGenerateTSVL(b *testing.B) {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 
 	"github.com/ares-cps/ares/internal/par"
 )
@@ -24,36 +25,35 @@ func JarqueBera(xs []float64) (stat, pValue float64) {
 // RunsTest runs the Wald-Wolfowitz runs test for randomness/independence
 // about the median, returning the z statistic and two-sided p-value. Small
 // p-values reject independence. Algorithm 1 prunes variables that are
-// "not iid".
+// "not iid". A NaN sample makes both results NaN.
 func RunsTest(xs []float64) (z, pValue float64) {
 	if len(xs) < 8 {
 		return math.NaN(), math.NaN()
 	}
 	med := median(xs)
-	// Classify each sample above/below the median; drop ties.
-	var signs []bool
+	// Classify each sample above/below the median, dropping ties, and
+	// count the runs of equal classes in the same pass.
+	var n1, n2, runs float64
+	var prev bool
 	for _, x := range xs {
+		if math.IsNaN(x) {
+			return math.NaN(), math.NaN()
+		}
 		if x == med {
 			continue
 		}
-		signs = append(signs, x > med)
-	}
-	if len(signs) < 8 {
-		return math.NaN(), math.NaN()
-	}
-	var n1, n2 float64
-	runs := 1.0
-	for i, s := range signs {
-		if s {
+		above := x > med
+		if above {
 			n1++
 		} else {
 			n2++
 		}
-		if i > 0 && signs[i] != signs[i-1] {
+		if runs == 0 || above != prev {
 			runs++
 		}
+		prev = above
 	}
-	if n1 == 0 || n2 == 0 {
+	if n1+n2 < 8 || n1 == 0 || n2 == 0 {
 		return math.NaN(), math.NaN()
 	}
 	n := n1 + n2
@@ -67,30 +67,17 @@ func RunsTest(xs []float64) (z, pValue float64) {
 	return z, pValue
 }
 
+// median returns the median of xs without reordering it. Only RunsTest
+// reads it, through == and >, so which of ±0 lands in the middle of a
+// sorted run of zeros never changes a result.
 func median(xs []float64) float64 {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	insertionSort(sorted)
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
 	n := len(sorted)
 	if n%2 == 1 {
 		return sorted[n/2]
 	}
 	return 0.5 * (sorted[n/2-1] + sorted[n/2])
-}
-
-func insertionSort(xs []float64) {
-	// Small helper; series lengths here are a few thousand at most, and
-	// quicksort via sort.Float64s would also do — this avoids the
-	// interface allocation in hot benchmark loops.
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
 }
 
 // PruneResult explains why a variable survived or was removed by the
@@ -128,7 +115,8 @@ func DefaultPruneOptions() PruneOptions {
 // PruneStateVars applies Algorithm 1 lines 1–5: remove constant series and
 // series whose *state-by-state updates* (first differences) fail the
 // normality (Jarque-Bera) or independence (runs) test at the given
-// significance level.
+// significance level. A series holding any NaN or ±Inf sample is pruned
+// before either test runs.
 //
 // The tests run on increments rather than levels because raw controller
 // series are smooth trajectories — every level series would trivially fail
@@ -154,6 +142,11 @@ func PruneStateVarsWorkers(names []string, series [][]float64, opts PruneOptions
 		case len(xs) < 9:
 			res.Kept = false
 			res.Reason = "too few samples"
+		case !allFinite(xs):
+			// The tests below are undefined on NaN and ±Inf, and the
+			// runs test's median would depend on where its sort puts NaN.
+			res.Kept = false
+			res.Reason = "non-finite samples"
 		case IsConstant(xs, opts.ConstTol):
 			res.Kept = false
 			res.Reason = "constant value"
@@ -181,6 +174,16 @@ func PruneStateVarsWorkers(names []string, series [][]float64, opts PruneOptions
 		out[i] = res
 	})
 	return out
+}
+
+// allFinite reports whether every sample is a finite number.
+func allFinite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Diff returns the first differences of a series (length n-1).

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -80,6 +81,14 @@ func TestRunsTestDegenerate(t *testing.T) {
 	if _, p := RunsTest(xs); !math.IsNaN(p) {
 		t.Error("constant series did not return NaN")
 	}
+	// One NaN anywhere makes the result NaN, wherever the sort put it.
+	for _, at := range []int{0, 50, 99} {
+		xs := gaussian(100, 3)
+		xs[at] = math.NaN()
+		if z, p := RunsTest(xs); !math.IsNaN(z) || !math.IsNaN(p) {
+			t.Errorf("NaN at %d: z = %v, p = %v, want NaN", at, z, p)
+		}
+	}
 }
 
 func TestPruneStateVars(t *testing.T) {
@@ -125,7 +134,158 @@ func TestPruneStateVarsTooFew(t *testing.T) {
 	}
 }
 
+func TestPruneNonFinite(t *testing.T) {
+	bad := map[string]float64{"v.nan": math.NaN(), "v.inf": math.Inf(1), "v.ninf": math.Inf(-1)}
+	names := []string{"v.ok", "v.nan", "v.inf", "v.ninf"}
+	series := make([][]float64, len(names))
+	for i, name := range names {
+		xs := gaussian(500, int64(i))
+		for j := 1; j < len(xs); j++ {
+			xs[j] += xs[j-1] // integrated noise, kept when finite
+		}
+		if v, ok := bad[name]; ok {
+			xs[len(xs)/2] = v
+		}
+		series[i] = xs
+	}
+	for _, workers := range []int{1, 3} {
+		res := PruneStateVarsWorkers(names, series, DefaultPruneOptions(), workers)
+		if !res[0].Kept {
+			t.Errorf("w%d: finite series pruned: %+v", workers, res[0])
+		}
+		for _, r := range res[1:] {
+			// Pruned before either test ran, so no p-value was recorded.
+			if r.Kept || r.Reason != "non-finite samples" || r.JBPValue != 0 || r.RunsP != 0 {
+				t.Errorf("w%d: %+v, want pruned for non-finite samples", workers, r)
+			}
+		}
+	}
+}
+
 func TestMedian(t *testing.T) {
 	approx(t, "odd", median([]float64{3, 1, 2}), 2, 1e-12)
 	approx(t, "even", median([]float64{4, 1, 3, 2}), 2.5, 1e-12)
+}
+
+// insertionSort is the sort median used before slices.Sort, kept as the
+// oracle of TestRunsTestMatchesOracle.
+func insertionSort(xs []float64) {
+	for i := 1; i < len(xs); i++ {
+		v := xs[i]
+		j := i - 1
+		for j >= 0 && xs[j] > v {
+			xs[j+1] = xs[j]
+			j--
+		}
+		xs[j+1] = v
+	}
+}
+
+func medianOracle(xs []float64) float64 {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	insertionSort(sorted)
+	n := len(sorted)
+	if n%2 == 1 {
+		return sorted[n/2]
+	}
+	return 0.5 * (sorted[n/2-1] + sorted[n/2])
+}
+
+// runsTestOracle is RunsTest as it was before the one-pass count: the
+// above/below classes collected in a slice, then counted.
+func runsTestOracle(xs []float64) (z, pValue float64) {
+	if len(xs) < 8 {
+		return math.NaN(), math.NaN()
+	}
+	med := medianOracle(xs)
+	var signs []bool
+	for _, x := range xs {
+		if x == med {
+			continue
+		}
+		signs = append(signs, x > med)
+	}
+	if len(signs) < 8 {
+		return math.NaN(), math.NaN()
+	}
+	var n1, n2 float64
+	runs := 1.0
+	for i, s := range signs {
+		if s {
+			n1++
+		} else {
+			n2++
+		}
+		if i > 0 && signs[i] != signs[i-1] {
+			runs++
+		}
+	}
+	if n1 == 0 || n2 == 0 {
+		return math.NaN(), math.NaN()
+	}
+	n := n1 + n2
+	expRuns := 2*n1*n2/n + 1
+	varRuns := 2 * n1 * n2 * (2*n1*n2 - n) / (n * n * (n - 1))
+	if varRuns <= 0 {
+		return math.NaN(), math.NaN()
+	}
+	z = (runs - expRuns) / math.Sqrt(varRuns)
+	pValue = 2 * (1 - NormalCDF(math.Abs(z)))
+	return z, pValue
+}
+
+// oracleSample draws a finite series rich in the values a sort can
+// disagree on: signed zeros, ties, subnormals and ±MaxFloat64, mixed with
+// ordinary draws.
+func oracleSample(rng *rand.Rand, n int) []float64 {
+	special := []float64{0, math.Copysign(0, -1), 1, -1, 2.5,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64}
+	xs := make([]float64, n)
+	for i := range xs {
+		if rng.Intn(3) == 0 {
+			xs[i] = rng.NormFloat64()
+		} else {
+			xs[i] = special[rng.Intn(len(special))]
+		}
+	}
+	return xs
+}
+
+// TestRunsTestMatchesOracle pins slices.Sort in median against the old
+// insertion sort: on finite input RunsTest's z and p are bitwise equal,
+// and so is the median, except that a zero median may carry either sign
+// (the sorts may order -0 and +0 differently, and == cannot tell them
+// apart).
+func TestRunsTestMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tested := 0
+	for iter := 0; iter < 3000; iter++ {
+		n := 1 + rng.Intn(300) // odd and even, below and above pdqsort's insertion cutoff
+		xs := oracleSample(rng, n)
+		in := slices.Clone(xs)
+
+		got, want := median(xs), medianOracle(xs)
+		if math.Float64bits(got) != math.Float64bits(want) && !(got == 0 && want == 0) {
+			t.Fatalf("n=%d: median %v (%#x), oracle %v (%#x)", n, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		z, p := RunsTest(xs)
+		wz, wp := runsTestOracle(xs)
+		if math.Float64bits(z) != math.Float64bits(wz) || math.Float64bits(p) != math.Float64bits(wp) {
+			t.Fatalf("n=%d: RunsTest (%v, %v), oracle (%v, %v)", n, z, p, wz, wp)
+		}
+		if !slices.EqualFunc(in, xs, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("n=%d: RunsTest reordered its input", n)
+		}
+		if !math.IsNaN(z) {
+			tested++
+		}
+	}
+	// Most draws must reach the z statistic, or the comparison is vacuous.
+	if tested < 1500 {
+		t.Errorf("only %d of 3000 draws gave a finite z", tested)
+	}
 }
