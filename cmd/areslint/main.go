@@ -4,8 +4,7 @@
 //
 //	go run ./cmd/areslint ./...
 //	go run ./cmd/areslint -json ./internal/stats ./internal/core
-//	go run ./cmd/areslint -checks detrand,seedarith ./...
-//	go run ./cmd/areslint -cache .lintcache ./...
+//	go run ./cmd/areslint -checks dettaint,seedarith ./...
 //	go run ./cmd/areslint -diff ./...            # preview suggested fixes
 //	go run ./cmd/areslint -fix ./...             # apply suggested fixes
 //	go run ./cmd/areslint -sarif ./... > lint.sarif
@@ -15,9 +14,9 @@
 // finding in place with `//areslint:ignore <check> <reason>` on the
 // offending line or the line above.
 //
-// -cache memoizes per-package results keyed by source hash, check
-// config and dependency fact signatures; the report is byte-identical
-// to an uncached run. -fix applies every non-conflicting suggested fix
+// -checks takes a comma-separated subset of -list; empty entries are
+// ignored and repeats collapse, and a selection that names no check is
+// a usage error. -fix applies every non-conflicting suggested fix
 // atomically (overlapping fixes are skipped and reported); -diff
 // previews the same edits as a unified diff without writing. Exit
 // status: 0 clean, 1 findings, 2 usage or load failure.
@@ -45,12 +44,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 (code-scanning upload format)")
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
-	workers := fs.Int("workers", 0, "packages analyzed concurrently (0 = process budget)")
-	cachePath := fs.String("cache", "", "path to the incremental lint cache (empty = no cache)")
 	fix := fs.Bool("fix", false, "apply suggested fixes (atomically, skipping conflicts)")
 	diff := fs.Bool("diff", false, "print suggested fixes as a unified diff instead of findings")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: areslint [-json|-sarif] [-checks c1,c2] [-cache FILE] [-fix|-diff] [-list] packages...")
+		fmt.Fprintln(stderr, "usage: areslint [-json|-sarif] [-checks c1,c2] [-fix|-diff] [-list] packages...")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -75,9 +72,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analyzers := lint.All()
 	if *checks != "" {
 		var bad string
-		analyzers, bad = lint.ByName(strings.Split(*checks, ","))
+		analyzers, bad = lint.ByName(splitList(*checks))
 		if bad != "" {
 			fmt.Fprintf(stderr, "areslint: unknown check %q (see -list)\n", bad)
+			return 2
+		}
+		if len(analyzers) == 0 {
+			fmt.Fprintln(stderr, "areslint: no checks selected (see -list)")
 			return 2
 		}
 	}
@@ -99,40 +100,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var diags []lint.Diagnostic
-	var npkgs int
-	if *cachePath != "" {
-		names := make([]string, len(analyzers))
-		for i, a := range analyzers {
-			names[i] = a.Name
-		}
-		cache := lint.OpenCache(*cachePath, strings.Join(names, ","))
-		var stats lint.CacheStats
-		diags, stats, err = lint.RunCached(root, patterns, analyzers, *workers, cache)
-		if err != nil {
-			fmt.Fprintln(stderr, "areslint:", err)
-			return 2
-		}
-		if err := cache.Save(); err != nil {
-			fmt.Fprintln(stderr, "areslint: saving cache:", err)
-			return 2
-		}
-		npkgs = stats.Hits + stats.Misses
-		fmt.Fprintf(stderr, "areslint: cache: %d hit(s), %d miss(es)\n", stats.Hits, stats.Misses)
-	} else {
-		loader, err := lint.NewLoader(root)
-		if err != nil {
-			fmt.Fprintln(stderr, "areslint:", err)
-			return 2
-		}
-		pkgs, err := loader.Load(patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, "areslint:", err)
-			return 2
-		}
-		diags = lint.Run(pkgs, analyzers, *workers)
-		npkgs = len(pkgs)
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		fmt.Fprintln(stderr, "areslint:", err)
+		return 2
 	}
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		fmt.Fprintln(stderr, "areslint:", err)
+		return 2
+	}
+	diags := lint.Run(pkgs, analyzers, 0)
 
 	if *fix || *diff {
 		return runFixes(diags, root, *fix, stdout, stderr)
@@ -151,10 +129,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(stderr, "areslint: %d finding(s) in %d package(s)\n", len(diags), npkgs)
+		fmt.Fprintf(stderr, "areslint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0
+}
+
+// splitList splits a comma-separated flag value, dropping empty entries.
+func splitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // runFixes plans the report's suggested fixes against the on-disk

@@ -5,7 +5,6 @@ package lint
 func All() []*Analyzer {
 	return []*Analyzer{
 		CtxFlow,
-		DetRand,
 		DetTaint,
 		ErrClose,
 		FPReassoc,
@@ -17,20 +16,26 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName returns the subset of All matching the given names; unknown
-// names return nil and the offending name.
+// ByName returns the subset of All matching the given names, in first-
+// mention order with repeats collapsed; an unknown name returns nil and
+// the offending name. The empty name is never a check: callers drop
+// empty list entries before asking.
 func ByName(names []string) ([]*Analyzer, string) {
 	byName := make(map[string]*Analyzer)
 	for _, a := range All() {
 		byName[a.Name] = a
 	}
 	var out []*Analyzer
+	seen := make(map[string]bool)
 	for _, n := range names {
 		a, ok := byName[n]
 		if !ok {
 			return nil, n
 		}
-		out = append(out, a)
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, a)
+		}
 	}
 	return out, ""
 }

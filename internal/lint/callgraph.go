@@ -13,7 +13,7 @@ import (
 // be propagated bottom-up — callees first, callers after — with a small
 // fixpoint inside each recursion cycle.
 //
-// Two structural properties keep this cheap and incremental:
+// Two structural properties keep this cheap:
 //
 //   - Go imports are acyclic, so every call cycle is intra-package. The
 //     SCC pass (Tarjan) therefore runs one package at a time, after that
@@ -22,8 +22,7 @@ import (
 //   - Facts form a join semilattice (bit-union for the monotone facts, a
 //     bounded all-sites conjunction for the wire-decode summary), so the
 //     fixpoint is unique regardless of iteration order — the analysis
-//     report stays bit-identical at any worker count and between cold
-//     and warm cache runs.
+//     report stays bit-identical at any worker count.
 
 // A FuncInfo is one declared function (or method) with a body, plus the
 // static call edges out of it. Calls made inside nested function literals
@@ -52,7 +51,6 @@ type Program struct {
 	facts map[*types.Func]Facts
 	wire  map[*types.Func]wireFacts
 	done  map[*Package]bool
-	pkgs  []*Package // every processed package, dependency order
 }
 
 // NewProgram computes the call graph and function facts for pkgs and
@@ -69,13 +67,6 @@ func NewProgram(pkgs []*Package) *Program {
 	}
 	return pr
 }
-
-// Add extends the program with pkg (and its unprocessed dependencies) —
-// the incremental entry point the lint cache uses to grow a Program one
-// cache miss at a time. Facts are a unique least fixpoint, so growing a
-// Program miss-by-miss yields exactly the facts a cold whole-module
-// NewProgram computes.
-func (pr *Program) Add(pkg *Package) { pr.ensure(pkg) }
 
 // ensure processes pkg after its imports: collects its function
 // declarations and call edges, then runs the SCC fact pass (flow.go).
@@ -111,7 +102,6 @@ func (pr *Program) ensure(pkg *Package) {
 			fns = append(fns, fi)
 		}
 	}
-	pr.pkgs = append(pr.pkgs, pkg)
 	pr.computeFacts(fns)
 }
 

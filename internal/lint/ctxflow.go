@@ -1,27 +1,21 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // CtxFlow enforces the repo's cancellation discipline: a function that
 // receives a context.Context threads it down — it does not mint a fresh
 // context.Background()/TODO() that detaches callees from the caller's
-// cancellation — and every goroutine launched outside tests is either
-// cancellable (sees a ctx), awaited (WaitGroup or a result/done channel)
-// or delegated to the internal/par pool primitives. Fire-and-forget
-// goroutines are how drains hang and tests leak.
+// cancellation, which is how drains hang. Goroutine lifetimes are
+// goleak's.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "thread received contexts into callees; no unawaited, uncancellable goroutines",
+	Doc:  "thread received contexts into callees",
 	Run:  runCtxFlow,
 }
 
 func runCtxFlow(p *Pass) {
 	p.funcBodies(func(params *ast.FieldList, body *ast.BlockStmt) {
 		checkCtxThreading(p, params, body)
-		checkGoStmts(p, body)
 	})
 }
 
@@ -61,85 +55,4 @@ func checkCtxThreading(p *Pass, params *ast.FieldList, body *ast.BlockStmt) {
 		}
 		return true
 	})
-}
-
-// checkGoStmts flags go statements with no cancellation or join
-// mechanism. Nested function literals are skipped — funcBodies visits
-// them separately.
-func checkGoStmts(p *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			// Visited separately by funcBodies; its own go statements are
-			// checked there.
-			return false
-		}
-		if gs, ok := n.(*ast.GoStmt); ok && !goStmtManaged(p, gs, body) {
-			p.Reportf(gs.Pos(), "goroutine is neither cancellable nor awaited — give it a ctx, register it with a WaitGroup or result channel, or use the internal/par primitives")
-		}
-		return true
-	})
-}
-
-// goStmtManaged reports whether a go statement has a visible lifecycle:
-// the spawned body (for a literal) references a context, WaitGroup, par
-// helper or channel operation, an argument passes one in, or — for a
-// named function — the enclosing body coordinates through a WaitGroup.
-func goStmtManaged(p *Pass, gs *ast.GoStmt, enclosing *ast.BlockStmt) bool {
-	for _, arg := range gs.Call.Args {
-		if exprTouchesLifecycle(p, arg) {
-			return true
-		}
-	}
-	if lit, ok := unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-		return exprTouchesLifecycle(p, lit.Body)
-	}
-	// Named function or method value: accept a WaitGroup coordinated in
-	// the launching function (s.wg.Add(1); go s.worker()).
-	found := false
-	ast.Inspect(enclosing, func(n ast.Node) bool {
-		if e, ok := n.(ast.Expr); ok && isWaitGroupType(p.Pkg.Info.TypeOf(e)) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// exprTouchesLifecycle reports whether the AST under n mentions a
-// context, a WaitGroup, a par helper, or a channel operation
-// (send/receive/close) — any of which ties the goroutine to a lifecycle.
-func exprTouchesLifecycle(p *Pass, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		switch m := m.(type) {
-		case *ast.SendStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if m.Op.String() == "<-" {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if t := p.Pkg.Info.TypeOf(m.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			if id, ok := unparen(m.Fun).(*ast.Ident); ok && id.Name == "close" && p.Pkg.Info.Uses[id] == nil {
-				found = true
-			}
-			if obj := p.callee(m); obj != nil && obj.Pkg() != nil && pathHasSegment(obj.Pkg().Path(), "internal/par") {
-				found = true
-			}
-		case ast.Expr:
-			if t := p.Pkg.Info.TypeOf(m); isContextType(t) || isWaitGroupType(t) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -2,31 +2,57 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// DetTaint is the interprocedural deepening of detrand: it tracks values
-// derived from nondeterminism sources — time.Now, global math/rand,
-// random map-iteration order — through helper calls (summary facts over
-// the module call graph, see flow.go) and reports where they reach the
-// campaign artifact surface: a campaign.Record, a record sink's Append,
-// SortedBytes input, or an atomically finalized artifact. detrand stops
-// at a package boundary; dettaint catches the time.Now three calls deep
-// in another package whose result lands in a record field, which would
-// silently break the byte-identical-store contract the dist equivalence
-// suites enforce.
+// DetTaint guards the determinism contract — every record and every
+// Algorithm 1 result is a pure function of the seed — with three rules
+// over one interprocedural taint analysis (flow.go):
 //
-// It also enforces seeded purity: a function that receives a seed
-// parameter promises to be a deterministic function of it, so calling
-// anything that transitively reaches a nondeterminism source from such a
-// function is reported even when the source is packages away.
+//   - Scope: in the analysis packages (stats, core, rl, sim), every
+//     direct nondeterminism source — time.Now, a global math/rand
+//     function — and every map-order site — an append to a slice that is
+//     never sorted, or a float accumulation, under a map range — is
+//     reported where it occurs.
+//   - Sinks: values derived from those sources are tracked through
+//     helper calls (summary facts over the module call graph) and
+//     reported where they reach the campaign artifact surface: a
+//     campaign.Record, a record sink's Append, SortedBytes input, or an
+//     atomically finalized artifact. That catches the time.Now three
+//     calls deep in another package whose result lands in a record
+//     field, which would silently break the byte-identical-store
+//     contract the dist equivalence suites enforce.
+//   - Seeded purity: a function that receives a seed parameter promises
+//     to be a deterministic function of it, so calling anything that
+//     transitively reaches a nondeterminism source from such a function
+//     is reported even when the source is packages away.
+//
+// Each position is reported at most once: a time.Now in a seeded stats
+// function breaks one invariant, not two.
 var DetTaint = &Analyzer{
 	Name: "dettaint",
-	Doc:  "no nondeterministic values flowing through helpers into campaign records, sinks or SortedBytes; seeded functions stay pure",
+	Doc:  "no nondeterminism in analysis packages, none flowing through helpers into campaign records, sinks or SortedBytes, and seeded functions stay pure",
 	Run:  runDetTaint,
 }
 
+// analysisScope are the analysis-path packages where any nondeterminism
+// silently breaks the bit-identical-at-any-worker-count contract.
+var analysisScope = []string{"internal/stats", "internal/core", "internal/rl", "internal/sim"}
+
+// reportFunc records one finding. The one runDetTaint hands out drops
+// any finding at a position already reported.
+type reportFunc func(pos token.Pos, format string, args ...any)
+
 func runDetTaint(p *Pass) {
+	reported := make(map[token.Pos]bool)
+	report := func(pos token.Pos, format string, args ...any) {
+		if !reported[pos] {
+			reported[pos] = true
+			p.Reportf(pos, format, args...)
+		}
+	}
+	scoped := inAnalysisScope(p.Pkg.Path)
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -41,19 +67,59 @@ func runDetTaint(p *Pass) {
 			if fi == nil {
 				continue
 			}
-			checkRecordSinks(p, fi)
+			tt := newTaint(p.Prog, fi)
+			sites := tt.run()
+			checkRecordSinks(p, fi, tt, report)
 			if p.Prog.FactsFor(fn)&FactReceivesSeed != 0 {
-				checkSeededPurity(p, fi)
+				checkSeededPurity(p, fi, report)
+			}
+			if scoped {
+				for _, s := range sites {
+					report(s.pos, "%s", s.msg)
+				}
 			}
 		}
 	}
+	if scoped {
+		// Whole files, not just function bodies: a package-level
+		// `var start = time.Now()` counts too.
+		p.inspect(func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := staticCallee(p.Pkg, call)
+			if !ok || !isNondetSource(fn) {
+				return true
+			}
+			if fn.Pkg().Path() == "time" {
+				report(call.Pos(), "time.Now() in a deterministic analysis path — inject time from the caller or derive it from the seed")
+			} else {
+				report(call.Pos(), "global %s.%s uses unseeded process-wide state — use a seeded rand.New(rand.NewSource(...))", fn.Pkg().Path(), fn.Name())
+			}
+			return true
+		})
+	}
 }
 
-// checkRecordSinks runs the value-taint analysis over one function and
-// reports taint reaching the campaign artifact surface.
-func checkRecordSinks(p *Pass, fi *FuncInfo) {
-	tt := newTaint(p.Prog, fi)
-	tt.run()
+// inAnalysisScope matches the real analysis packages and fixture
+// packages whose path ends in one of their names.
+func inAnalysisScope(path string) bool {
+	for _, seg := range analysisScope {
+		if pathHasSegment(path, seg) {
+			return true
+		}
+	}
+	switch lastSegment(path) {
+	case "stats", "core", "rl", "sim":
+		return true
+	}
+	return false
+}
+
+// checkRecordSinks reports taint (already propagated through tt) reaching
+// the campaign artifact surface.
+func checkRecordSinks(p *Pass, fi *FuncInfo, tt *taint, report reportFunc) {
 	if len(tt.tainted) == 0 && !hasNondetCalls(p, fi) {
 		return
 	}
@@ -70,7 +136,7 @@ func checkRecordSinks(p *Pass, fi *FuncInfo) {
 					val = kv.Value
 				}
 				if tt.exprTainted(val) {
-					p.Reportf(val.Pos(), "nondeterministic value reaches a campaign.Record — record bytes must be a pure function of the spec (trace the taint through %s)", taintOrigin(p, tt, val))
+					report(val.Pos(), "nondeterministic value reaches a campaign.Record — record bytes must be a pure function of the spec (trace the taint through %s)", taintOrigin(p, tt, val))
 				}
 			}
 		case *ast.AssignStmt:
@@ -84,7 +150,7 @@ func checkRecordSinks(p *Pass, fi *FuncInfo) {
 					rhs = n.Rhs[i]
 				}
 				if tt.exprTainted(rhs) {
-					p.Reportf(rhs.Pos(), "nondeterministic value assigned to campaign.Record.%s — record bytes must be a pure function of the spec", sel.Sel.Name)
+					report(rhs.Pos(), "nondeterministic value assigned to campaign.Record.%s — record bytes must be a pure function of the spec", sel.Sel.Name)
 				}
 			}
 		case *ast.CallExpr:
@@ -93,7 +159,7 @@ func checkRecordSinks(p *Pass, fi *FuncInfo) {
 			}
 			for _, arg := range n.Args {
 				if tt.exprTainted(arg) {
-					p.Reportf(arg.Pos(), "nondeterministic value flows into %s — the artifact store must be byte-identical across runs and worker counts", sinkName(p, n))
+					report(arg.Pos(), "nondeterministic value flows into %s — the artifact store must be byte-identical across runs and worker counts", sinkName(p, n))
 				}
 			}
 		}
@@ -103,7 +169,7 @@ func checkRecordSinks(p *Pass, fi *FuncInfo) {
 
 // checkSeededPurity reports calls from a seeded function to anything
 // that transitively reaches a nondeterminism source.
-func checkSeededPurity(p *Pass, fi *FuncInfo) {
+func checkSeededPurity(p *Pass, fi *FuncInfo, report reportFunc) {
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -114,11 +180,11 @@ func checkSeededPurity(p *Pass, fi *FuncInfo) {
 			return true
 		}
 		if isNondetSource(fn) {
-			p.Reportf(call.Pos(), "%s.%s in a function that receives a seed — seeded functions must be pure functions of their seed", fn.Pkg().Name(), fn.Name())
+			report(call.Pos(), "%s.%s in a function that receives a seed — seeded functions must be pure functions of their seed", fn.Pkg().Name(), fn.Name())
 			return true
 		}
 		if p.Prog.FactsFor(fn)&FactReachesNondet != 0 {
-			p.Reportf(call.Pos(), "call to %s reaches a nondeterminism source (time.Now or global math/rand) from a function that receives a seed — seeded paths must be pure functions of their seed", calleeLabel(fn))
+			report(call.Pos(), "call to %s reaches a nondeterminism source (time.Now or global math/rand) from a function that receives a seed — seeded paths must be pure functions of their seed", calleeLabel(fn))
 		}
 		return true
 	})

@@ -112,6 +112,16 @@ func localFacts(pr *Program, fi *FuncInfo) (Facts, wireFacts) {
 	return facts, wireSummary(pr, fi)
 }
 
+// globalRandFuncs are the math/rand package-level functions backed by the
+// unseeded global source. Constructors (New, NewSource, NewZipf) are fine:
+// the repo's rule is seeded rand.New(rand.NewSource(...)).
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true, "Int63": true,
+	"Int63n": true, "Uint32": true, "Uint64": true, "Float32": true,
+	"Float64": true, "ExpFloat64": true, "NormFloat64": true, "Perm": true,
+	"Shuffle": true, "Seed": true, "Read": true,
+}
+
 // isNondetSource reports whether fn is a root nondeterminism source:
 // time.Now, or a package-level math/rand function backed by the global
 // unseeded state.
@@ -152,9 +162,9 @@ func hasSeedParam(fi *FuncInfo) bool {
 }
 
 // bodyTouchesLifecycle reports whether body references a context, a
-// WaitGroup, a channel operation, or an internal/par call — the same
-// lifecycle markers ctxflow accepts, here feeding the transitive
-// FactLifecycled bit.
+// WaitGroup, a channel operation, or an internal/par call — the
+// lifecycle markers behind the transitive FactLifecycled bit goleak
+// reads.
 func bodyTouchesLifecycle(pkg *Package, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -257,9 +267,10 @@ func newTaint(pr *Program, fi *FuncInfo) *taint {
 	return &taint{pr: pr, fi: fi, tainted: make(map[types.Object]bool)}
 }
 
-// run iterates assignment propagation to a fixpoint.
-func (t *taint) run() {
-	t.seedMapOrderTaint()
+// run iterates assignment propagation to a fixpoint and returns the
+// map-order sites that seeded it.
+func (t *taint) run() []mapOrderSite {
+	sites := t.seedMapOrderTaint()
 	for {
 		changed := false
 		ast.Inspect(t.fi.Decl.Body, func(n ast.Node) bool {
@@ -284,18 +295,28 @@ func (t *taint) run() {
 			return true
 		})
 		if !changed {
-			return
+			return sites
 		}
 	}
 }
 
-// seedMapOrderTaint marks order-carrying variables: slices appended to
+// A mapOrderSite is one place where random map-iteration order leaks
+// into a value: an append under a map range to a slice that is never
+// sorted, or a float accumulated under one. dettaint reports these
+// directly in the analysis packages.
+type mapOrderSite struct {
+	pos token.Pos
+	msg string
+}
+
+// seedMapOrderTaint marks order-carrying variables — slices appended to
 // inside a map range that are never sorted afterwards, and floats
-// compound-assigned inside one. These are detrand's per-function checks
-// lifted into taint that can cross call boundaries.
-func (t *taint) seedMapOrderTaint() {
+// compound-assigned inside one — so the taint can cross call
+// boundaries, and returns the sites where that happens.
+func (t *taint) seedMapOrderTaint() []mapOrderSite {
 	body := t.fi.Decl.Body
 	p := &Pass{Pkg: t.fi.Pkg} // helper receiver for shared resolution utilities
+	var sites []mapOrderSite
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -316,6 +337,7 @@ func (t *taint) seedMapOrderTaint() {
 			switch as.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 				if b, ok := t.fi.Pkg.Info.TypeOf(as.Lhs[0]).Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
+					sites = append(sites, mapOrderSite{as.Pos(), "float accumulation inside map iteration — summation order follows random map order; iterate sorted keys"})
 					if root := rootIdent(as.Lhs[0]); root != nil {
 						if obj := identObject(p, root); obj != nil {
 							t.tainted[obj] = true
@@ -336,6 +358,7 @@ func (t *taint) seedMapOrderTaint() {
 				}
 				if root := rootIdent(as.Lhs[0]); root != nil {
 					if obj := identObject(p, root); obj != nil && !sortedLater(p, body, obj) {
+						sites = append(sites, mapOrderSite{as.Pos(), "map iteration appends to " + obj.Name() + " which is never sorted in this function — output order follows random map order"})
 						t.tainted[obj] = true
 					}
 				}
@@ -344,6 +367,48 @@ func (t *taint) seedMapOrderTaint() {
 		})
 		return true
 	})
+	return sites
+}
+
+// isBuiltinAppend reports whether id resolves to the predeclared append
+// builtin (not a user-defined function shadowing the name).
+func isBuiltinAppend(p *Pass, id *ast.Ident) bool {
+	if id.Name != "append" {
+		return false
+	}
+	_, ok := p.Pkg.Info.Uses[id].(*types.Builtin)
+	return ok
+}
+
+// sortedLater reports whether obj is handed to a sort/slices sorting call
+// anywhere in body — the collect-keys-then-sort idiom that makes a
+// map-range deterministic.
+func sortedLater(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || found {
+			return !found
+		}
+		callee := p.callee(call)
+		if callee == nil || callee.Pkg() == nil {
+			return true
+		}
+		pkg := callee.Pkg().Path()
+		if pkg != "sort" && pkg != "slices" {
+			return true
+		}
+		for _, arg := range call.Args {
+			ast.Inspect(arg, func(a ast.Node) bool {
+				if id, ok := a.(*ast.Ident); ok && identObject(p, id) == obj {
+					found = true
+				}
+				return !found
+			})
+		}
+		return !found
+	})
+	return found
 }
 
 // markLHS taints the root object of an assignment target; reports

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -71,6 +72,47 @@ func TestFixtureGoldens(t *testing.T) {
 				t.Errorf("diagnostics drifted from %s.\n--- got ---\n%s--- want ---\n%s", golden, buf.String(), want)
 			}
 		})
+	}
+}
+
+// TestAnalyzerCatalogMatchesFixtures ties the fixture tree to the
+// registry: every analyzer has a fixture package and a golden, and every
+// fixture package and golden (apart from the SARIF rendering golden and
+// the -fix fixtures) names a registered analyzer, so retiring a check
+// cannot leave its fixtures behind.
+func TestAnalyzerCatalogMatchesFixtures(t *testing.T) {
+	registered := make(map[string]bool)
+	for _, a := range All() {
+		registered[a.Name] = true
+		if _, err := os.Stat(filepath.Join("testdata", "src", a.Name)); err != nil {
+			t.Errorf("analyzer %s has no fixture package: %v", a.Name, err)
+		}
+		if _, err := os.Stat(filepath.Join("testdata", a.Name+".golden")); err != nil {
+			t.Errorf("analyzer %s has no golden: %v", a.Name, err)
+		}
+	}
+	srcs, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range srcs {
+		if !registered[e.Name()] {
+			t.Errorf("fixture testdata/src/%s names no registered analyzer", e.Name())
+		}
+	}
+	ents, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		name := e.Name()
+		if name == "src" || name == "fix" || name == "sarif.golden" {
+			continue
+		}
+		check, ok := strings.CutSuffix(name, ".golden")
+		if !ok || e.IsDir() || !registered[check] {
+			t.Errorf("testdata/%s names no registered analyzer", name)
+		}
 	}
 }
 

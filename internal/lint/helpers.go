@@ -35,6 +35,14 @@ func (p *Pass) objectOf(e ast.Expr) types.Object {
 	return nil
 }
 
+// identObject resolves an identifier whether it is a use or a definition.
+func identObject(p *Pass, id *ast.Ident) types.Object {
+	if obj := p.Pkg.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return p.Pkg.Info.Defs[id]
+}
+
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	return t != nil && t.String() == "context.Context"

@@ -28,6 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"io"
+	"sort"
 	"strings"
 
 	"github.com/ares-cps/ares/internal/par"
@@ -211,8 +212,8 @@ func runPackage(pkg *Package, analyzers []*Analyzer, prog *Program) []Diagnostic
 		a.Run(pass)
 	}
 	// Marker names validate against the full registry, not the active
-	// subset: a detrand marker is legitimate even when `-checks
-	// seedarith` leaves detrand switched off.
+	// subset: a dettaint marker is legitimate even when `-checks
+	// seedarith` leaves dettaint switched off.
 	registry := All()
 	known := make(map[string]bool, len(registry))
 	for _, a := range registry {
@@ -235,6 +236,27 @@ func runPackage(pkg *Package, analyzers []*Analyzer, prog *Program) []Diagnostic
 		}
 	}
 	return diags
+}
+
+// sortDiagnostics applies the canonical report order: file, line, column,
+// check, message.
+func sortDiagnostics(ds []Diagnostic) {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i], ds[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
+	})
 }
 
 // WriteText renders findings one per line in the canonical

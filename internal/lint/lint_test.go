@@ -58,11 +58,11 @@ func TestSuppressionSameLineAndLineAbove(t *testing.T) {
 import "time"
 
 func trailing() int64 {
-	return time.Now().UnixNano() //areslint:ignore detrand pinned by test
+	return time.Now().UnixNano() //areslint:ignore dettaint pinned by test
 }
 
 func above() int64 {
-	//areslint:ignore detrand pinned by test
+	//areslint:ignore dettaint pinned by test
 	return time.Now().UnixNano()
 }
 
@@ -71,7 +71,7 @@ func unsuppressed() int64 {
 }
 `,
 	}, "stats")
-	if len(diags) != 1 || diags[0].Check != "detrand" || diags[0].Line != 15 {
+	if len(diags) != 1 || diags[0].Check != "dettaint" || diags[0].Line != 15 {
 		t.Fatalf("want exactly the unsuppressed finding at line 15, got %v", diags)
 	}
 }
@@ -83,7 +83,7 @@ func TestMalformedAndUnknownIgnoreMarkers(t *testing.T) {
 import "time"
 
 func missingReason() int64 {
-	//areslint:ignore detrand
+	//areslint:ignore dettaint
 	return time.Now().UnixNano()
 }
 
@@ -93,9 +93,9 @@ func unknownCheck() {
 `,
 	}, "stats")
 	got := strings.Join(checksOf(diags), ",")
-	// The reasonless marker must not suppress: the detrand finding
+	// The reasonless marker must not suppress: the dettaint finding
 	// survives, and both markers are reported under "areslint".
-	want := map[string]int{"detrand": 1, "areslint": 2}
+	want := map[string]int{"dettaint": 1, "areslint": 2}
 	for check, n := range want {
 		if c := strings.Count(got, check); c != n {
 			t.Errorf("want %d %s finding(s), got %d (all: %s)", n, check, c, got)
@@ -135,7 +135,7 @@ func TestWriteJSON(t *testing.T) {
 	}
 
 	buf.Reset()
-	in := []Diagnostic{{Check: "detrand", File: "a.go", Line: 3, Col: 2, Message: "m"}}
+	in := []Diagnostic{{Check: "dettaint", File: "a.go", Line: 3, Col: 2, Message: "m"}}
 	if err := WriteJSON(&buf, in); err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +149,9 @@ func TestWriteJSON(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	subset, bad := ByName([]string{"detrand", "errclose"})
-	if bad != "" || len(subset) != 2 || subset[0].Name != "detrand" || subset[1].Name != "errclose" {
-		t.Fatalf("ByName subset = %v, %q", subset, bad)
+	subset, bad := ByName([]string{"dettaint", "errclose", "dettaint"})
+	if bad != "" || len(subset) != 2 || subset[0].Name != "dettaint" || subset[1].Name != "errclose" {
+		t.Fatalf("ByName subset = %v, %q; want dettaint, errclose with the repeat collapsed", subset, bad)
 	}
 	if _, bad := ByName([]string{"nosuch"}); bad != "nosuch" {
 		t.Fatalf("ByName must report the unknown name, got %q", bad)

@@ -149,6 +149,52 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// resolveDirs expands patterns into package directories, sorted and
+// deduplicated, without loading anything.
+func resolveDirs(l *Loader, patterns []string) ([]string, error) {
+	var dirs []string
+	seen := make(map[string]bool)
+	add := func(dir string) {
+		if !seen[dir] {
+			seen[dir] = true
+			dirs = append(dirs, dir)
+		}
+	}
+	for _, pat := range patterns {
+		if rest, ok := strings.CutSuffix(pat, "..."); ok {
+			base := l.absDir(strings.TrimSuffix(rest, string(filepath.Separator)))
+			err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if !d.IsDir() {
+					return nil
+				}
+				name := d.Name()
+				if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+					name == "testdata" || name == "vendor") {
+					return filepath.SkipDir
+				}
+				if hasGoFiles(path) {
+					add(path)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		dir := l.absDir(pat)
+		if !hasGoFiles(dir) {
+			return nil, fmt.Errorf("lint: no non-test Go files in %s", pat)
+		}
+		add(dir)
+	}
+	sort.Strings(dirs)
+	return dirs, nil
+}
+
 // absDir normalizes a pattern directory against the module root.
 func (l *Loader) absDir(p string) string {
 	p = strings.TrimSuffix(p, "/")

@@ -14,7 +14,7 @@ import (
 //	go test -run TestWriteSARIFGolden -update ./internal/lint
 func TestWriteSARIFGolden(t *testing.T) {
 	diags := []Diagnostic{
-		{Check: "detrand", File: "internal/stats/boot.go", Line: 12, Col: 9,
+		{Check: "dettaint", File: "internal/stats/boot.go", Line: 12, Col: 9,
 			Message: "time.Now() in deterministic scope"},
 		{Check: "wirestrict", File: "cmd/aresd/main.go", Line: 40, Col: 2,
 			Message: "JSON decode on a wire boundary without a size cap"},

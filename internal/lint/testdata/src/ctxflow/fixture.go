@@ -1,5 +1,5 @@
-// Package ctxflow is an areslint fixture: context threading and
-// goroutine lifecycle discipline.
+// Package ctxflow is an areslint fixture: context threading, next to
+// goroutines whose lifetimes goleak judges.
 package ctxflow
 
 import (
