@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the experiment goldens with current output")
 
 // quickSuite is shared across tests; expensive artifacts are cached inside.
 var quickSuite = NewSuite(42, true)
@@ -28,6 +32,32 @@ func renderAndExport(t *testing.T, r Result) string {
 		t.Fatalf("%s exported no CSV files (%v)", r.Name(), err)
 	}
 	return buf.String()
+}
+
+// checkGolden pins a result's rendered text at the quick suite's seed. The
+// session-path experiments are deterministic end to end, so any byte of
+// drift is a behaviour change. Regenerate deliberately with:
+//
+//	go test ./internal/experiments -run 'Shape' -update
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", name, golden, got, want)
+	}
 }
 
 func TestTable1(t *testing.T) {
@@ -110,7 +140,7 @@ func TestFig6Shape(t *testing.T) {
 	if res.Naive.MaxCI < res.Threshold*2 {
 		t.Errorf("naive max %.0f not clearly above threshold", res.Naive.MaxCI)
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "fig6", renderAndExport(t, res))
 }
 
 // TestFig7Shape asserts the ML-monitor evasion: the gradual scaler attack
@@ -129,7 +159,7 @@ func TestFig7Shape(t *testing.T) {
 	if !res.Naive.DetectedML {
 		t.Errorf("naive attack evaded ML monitor (max %.4f)", res.Naive.MaxML)
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "fig7", renderAndExport(t, res))
 }
 
 // TestFig8Shape asserts the SAVIOR blind spot: the oversized-range
@@ -161,7 +191,7 @@ func TestFig8Shape(t *testing.T) {
 	if !res.Attack.Crashed && maxRoll < 10 {
 		t.Errorf("attack had no physical effect (max roll %.1f deg)", maxRoll)
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "fig8", renderAndExport(t, res))
 }
 
 // TestFig9Shape asserts the threshold-sweep trade-off: attack 2 is
@@ -191,7 +221,7 @@ func TestFig9Shape(t *testing.T) {
 			t.Errorf("FP not monotone: %v", res.Sweep1)
 		}
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "fig9", renderAndExport(t, res))
 }
 
 func TestFig10Runs(t *testing.T) {
@@ -294,7 +324,7 @@ func TestCountermeasureShape(t *testing.T) {
 		t.Errorf("tripped variable %q not in watched set %v",
 			res.Ramp.AlarmedVariable, res.Watched)
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "countermeasure", renderAndExport(t, res))
 }
 
 func TestCrossPlatformShape(t *testing.T) {
@@ -316,7 +346,7 @@ func TestCrossPlatformShape(t *testing.T) {
 			t.Errorf("%s: naive attack evaded", row.Vehicle)
 		}
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "crossplatform", renderAndExport(t, res))
 }
 
 func TestFuzzBaselineShape(t *testing.T) {
