@@ -20,13 +20,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/control"
 	"github.com/ares-cps/ares/internal/dataflash"
 	"github.com/ares-cps/ares/internal/ekf"
 	"github.com/ares-cps/ares/internal/experiments"
+	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/mavlink"
+	"github.com/ares-cps/ares/internal/sensors"
 	"github.com/ares-cps/ares/internal/stats"
 	"io"
 )
@@ -222,7 +223,7 @@ func BenchmarkFuzzBaseline(b *testing.B) {
 // BenchmarkFirmwareTick measures one 400 Hz main-loop iteration of the full
 // flight stack (sensors, EKF, SINS, cascade, mixer, physics).
 func BenchmarkFirmwareTick(b *testing.B) {
-	fw, err := attack.NewFirmware(1)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(1)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -69,18 +69,9 @@ func recordFlight(path string, seconds float64, seed int64) (err error) {
 	}()
 	w := dataflash.NewWriter(f)
 
-	sensorCfg := sensors.DefaultConfig()
-	sensorCfg.Seed = seed
-	fw, err := firmware.New(firmware.Config{Sensors: sensorCfg, LogWriter: w})
+	fw, err := firmware.Launch(firmware.Config{Sensors: sensors.Seeded(seed), LogWriter: w},
+		firmware.SquareMission(25, 10), 10)
 	if err != nil {
-		return err
-	}
-	if err := fw.Takeoff(10); err != nil {
-		return err
-	}
-	fw.RunFor(10)
-	fw.LoadMission(firmware.SquareMission(25, 10))
-	if err := fw.StartMission(); err != nil {
 		return err
 	}
 	fw.RunFor(seconds)

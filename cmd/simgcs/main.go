@@ -83,9 +83,7 @@ func serveVehicle(addr string, seconds float64, seed int64) error {
 	defer conn.Close()
 	fmt.Printf("GCS connected from %s\n", conn.RemoteAddr())
 
-	sensorCfg := sensors.DefaultConfig()
-	sensorCfg.Seed = seed
-	fw, err := firmware.New(firmware.Config{Sensors: sensorCfg})
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(seed)})
 	if err != nil {
 		return err
 	}

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"github.com/ares-cps/ares/internal/firmware"
+	"github.com/ares-cps/ares/internal/sensors"
 )
 
 func TestNaiveAttackRequiresRegionAccess(t *testing.T) {
-	fw, err := NewFirmware(1)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestNaiveAttackRequiresRegionAccess(t *testing.T) {
 }
 
 func TestGradualAttackIntervalAndCap(t *testing.T) {
-	fw, err := NewFirmware(2)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestGradualAttackIntervalAndCap(t *testing.T) {
 }
 
 func TestParamAttackRampsParameter(t *testing.T) {
-	fw, err := NewFirmware(3)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestSessionTraceSampling(t *testing.T) {
 }
 
 func TestPolicyAttackDrivesVariable(t *testing.T) {
-	fw, err := NewFirmware(4)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(4)})
 	if err != nil {
 		t.Fatal(err)
 	}

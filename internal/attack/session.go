@@ -93,14 +93,6 @@ type SessionConfig struct {
 	Vehicle sim.VehicleParams
 }
 
-// NewFirmware builds the standard evaluation vehicle: an IRIS+ with default
-// sensors, seeded for reproducibility.
-func NewFirmware(seed int64) (*firmware.Firmware, error) {
-	sensorCfg := sensors.DefaultConfig()
-	sensorCfg.Seed = seed
-	return firmware.New(firmware.Config{Sensors: sensorCfg})
-}
-
 // CalibrateMonitors flies three benign missions (seed, seed+1, seed+2) and
 // trains/identifies the CI and ML monitors on the combined trace, returning
 // fresh fitted monitors. Multiple flights make the benign-error calibration
@@ -117,28 +109,19 @@ func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, 
 	var mlTrace []defense.MLSample
 	var dt float64
 	for m := int64(0); m < 3; m++ {
-		sensorCfg := sensors.DefaultConfig()
-		sensorCfg.Seed = seed + m //areslint:ignore seedarith golden-pinned
-		fw, err := firmware.New(firmware.Config{Sensors: sensorCfg, Vehicle: vehicle})
+		fw, err := firmware.Launch(firmware.Config{
+			Sensors: sensors.Seeded(seed + m), //areslint:ignore seedarith golden-pinned
+			Vehicle: vehicle,
+		}, mission, 10)
 		if err != nil {
 			return nil, nil, err
 		}
 		dt = fw.DT()
-		if err := fw.Takeoff(altitudeOf(mission)); err != nil {
-			return nil, nil, err
-		}
-		fw.RunFor(10)
-		fw.LoadMission(cloneMission(mission))
-		if err := fw.StartMission(); err != nil {
-			return nil, nil, err
-		}
-
-		obs := NewCIObserver(fw)
 		maxTicks := int(120 / fw.DT())
 		minTicks := int(30 / fw.DT()) // hover missions complete instantly
 		for i := 0; i < maxTicks && (!fw.Mission().Complete() || i < minTicks); i++ {
 			fw.Step()
-			ciTrace = append(ciTrace, obs.Sample(fw))
+			ciTrace = append(ciTrace, CISampleOf(fw))
 			mlTrace = append(mlTrace, MLSampleOf(fw))
 		}
 		if crashed, reason := fw.Quad().Crashed(); crashed {
@@ -165,16 +148,6 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 60
 	}
-	sensorCfg := sensors.DefaultConfig()
-	sensorCfg.Seed = cfg.Seed
-	fw, err := firmware.New(firmware.Config{
-		World:   cfg.World,
-		Sensors: sensorCfg,
-		Vehicle: cfg.Vehicle,
-	})
-	if err != nil {
-		return nil, err
-	}
 	if cfg.CI != nil {
 		cfg.CI.Reset()
 	}
@@ -193,18 +166,16 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 		}
 		cfg.Recovery.Reset()
 	}
-
-	if err := fw.Takeoff(altitudeOf(cfg.Mission)); err != nil {
-		return nil, err
-	}
-	fw.RunFor(10)
-	fw.LoadMission(cloneMission(cfg.Mission))
-	if err := fw.StartMission(); err != nil {
+	fw, err := firmware.Launch(firmware.Config{
+		World:   cfg.World,
+		Sensors: sensors.Seeded(cfg.Seed),
+		Vehicle: cfg.Vehicle,
+	}, cfg.Mission, 10)
+	if err != nil {
 		return nil, err
 	}
 
 	res := &SessionResult{FirstAlarmT: -1}
-	ciObs := NewCIObserver(fw)
 	var varRefs []vars.Ref
 	var varVals []float64
 	if cfg.VarMon != nil {
@@ -265,12 +236,12 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 		roll, pitch, yaw := st.Euler()
 		var ciV, mlV, ekfV defense.Verdict
 		if cfg.CI != nil {
-			ciV = cfg.CI.Observe(ciObs.Sample(fw))
+			ciV = cfg.CI.Observe(CISampleOf(fw))
 		}
 		if cfg.Recovery != nil {
 			// The guard's detector verdict reports through the CI channel
 			// (it *is* a control-invariants detector, plus a response).
-			if v := cfg.Recovery.Observe(ciObs.Sample(fw), now); v.Stat > ciV.Stat || v.Alarm {
+			if v := cfg.Recovery.Observe(CISampleOf(fw), now); v.Stat > ciV.Stat || v.Alarm {
 				ciV = v
 			}
 		}
@@ -388,7 +359,7 @@ func RecoveryRefsOf(fw *firmware.Firmware) (defense.RecoveryRefs, error) {
 	return refs, nil
 }
 
-// CIObserver extracts the control-invariants observation. Following Choi
+// CISampleOf extracts the control-invariants observation. Following Choi
 // et al.'s implementation, the monitor reads the attitude *targets the
 // firmware itself computed* (ATT.DesRoll/DesPitch/DesYaw) — it has no
 // independent source of expected behavior. This is precisely the soundness
@@ -396,12 +367,7 @@ func RecoveryRefsOf(fw *firmware.Firmware) (defense.RecoveryRefs, error) {
 // vehicle track it stays self-consistent, while an attack that makes the
 // vehicle diverge from its own targets (e.g. forcing the rate integrator)
 // is caught.
-type CIObserver struct{}
-
-func NewCIObserver(_ *firmware.Firmware) *CIObserver { return &CIObserver{} }
-
-// Sample builds one CI observation from the running firmware.
-func (o *CIObserver) Sample(fw *firmware.Firmware) defense.CISample {
+func CISampleOf(fw *firmware.Firmware) defense.CISample {
 	roll, pitch, yaw := fw.Quad().State().Euler()
 	return defense.CISample{
 		Roll: roll, Pitch: pitch, Yaw: yaw,
@@ -411,7 +377,7 @@ func (o *CIObserver) Sample(fw *firmware.Firmware) defense.CISample {
 	}
 }
 
-// MLSample extracts the ML-monitor observation: the roll-rate controller's
+// MLSampleOf extracts the ML-monitor observation: the roll-rate controller's
 // target, measurement and output.
 func MLSampleOf(fw *firmware.Firmware) defense.MLSample {
 	return defense.MLSample{
@@ -426,21 +392,4 @@ func varOf(fw *firmware.Firmware, name string) float64 {
 		return ref.Get()
 	}
 	return 0
-}
-
-func altitudeOf(m *firmware.Mission) float64 {
-	if m.Len() == 0 {
-		return 10
-	}
-	return -m.Target().Z
-}
-
-func cloneMission(m *firmware.Mission) *firmware.Mission {
-	wps := make([]firmware.Waypoint, 0, m.Len())
-	for _, p := range m.Path() {
-		wps = append(wps, firmware.Waypoint{Pos: p})
-	}
-	out := firmware.NewMission(wps)
-	out.AcceptRadius = m.AcceptRadius
-	return out
 }

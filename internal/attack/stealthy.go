@@ -112,7 +112,7 @@ func (a *StealthyAttack) Apply(fw *firmware.Firmware, now float64) {
 	a.lastNow = now
 	a.haveLast = true
 
-	v := a.Shadow.Observe(NewCIObserver(fw).Sample(fw))
+	v := a.Shadow.Observe(CISampleOf(fw))
 	if v.Stat >= a.Budget*a.Shadow.Threshold {
 		a.offset *= a.Backoff
 	} else {

@@ -5,10 +5,11 @@ import (
 
 	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
+	"github.com/ares-cps/ares/internal/sensors"
 )
 
 func TestStealthyBeginValidation(t *testing.T) {
-	fw, err := NewFirmware(0)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

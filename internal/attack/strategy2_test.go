@@ -6,6 +6,7 @@ import (
 
 	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
+	"github.com/ares-cps/ares/internal/sensors"
 	"github.com/ares-cps/ares/internal/sim"
 )
 
@@ -33,7 +34,7 @@ func TestStrategyNames(t *testing.T) {
 }
 
 func TestRampAttackOffsetProfile(t *testing.T) {
-	fw, err := NewFirmware(11)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(11)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRampAttackOffsetProfile(t *testing.T) {
 }
 
 func TestJitterAttackBehavior(t *testing.T) {
-	fw, err := NewFirmware(12)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestJitterAttackBehavior(t *testing.T) {
 }
 
 func TestSetParamOnceAndSequence(t *testing.T) {
-	fw, err := NewFirmware(13)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(13)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestSessionWithVariableMonitor(t *testing.T) {
 	// robust variable-level monitor watches the set of cells the attack's
 	// footprint spreads across (as the countermeasure experiment does).
 	watched := []string{"CMD.Roll", "PIDR.INTEG"}
-	fw, err := NewFirmware(14)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(14)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,5 +165,5 @@ func (s *Summary) WriteCSV(dir string) error {
 			fmt.Sprintf("%g", c.MeanDeviation), fmt.Sprintf("%g", c.MaxDeviation),
 		})
 	}
-	return writeCSV(dir, "campaign_summary.csv", header, rows)
+	return WriteCSV(dir, "campaign_summary.csv", header, rows)
 }

@@ -7,12 +7,12 @@ import (
 	"path/filepath"
 )
 
-// writeCSV writes one CSV file with a header row into dir, creating the
-// directory if needed (the same contract as the experiments exporters).
-// The file is finalized atomically (write temp + rename), so a crash
-// mid-summary leaves either the previous summary or the new one — never a
-// torn file beside an intact artifact log.
-func writeCSV(dir, name string, header []string, rows [][]string) error {
+// WriteCSV writes one CSV file with a header row into dir, creating the
+// directory if needed; the campaign summary and every experiment exporter
+// write through it. The file is finalized atomically (write temp +
+// rename), so a crash mid-export leaves either the previous file or the
+// new one — never a torn file beside an intact artifact log.
+func WriteCSV(dir, name string, header []string, rows [][]string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

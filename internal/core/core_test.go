@@ -7,9 +7,10 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/ares-cps/ares/internal/attack"
+	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/mathx"
+	"github.com/ares-cps/ares/internal/sensors"
 	"github.com/ares-cps/ares/internal/sim"
 )
 
@@ -45,7 +46,7 @@ func TestStandardGroupsMatchTableII(t *testing.T) {
 }
 
 func TestGroupVariablesExistInFirmware(t *testing.T) {
-	fw, err := attack.NewFirmware(1)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +384,40 @@ func TestDeviationEnvRejectsBadTarget(t *testing.T) {
 	}
 	if _, err := NewDeviationEnv(EnvConfig{}); err == nil {
 		t.Error("missing variable accepted")
+	}
+}
+
+// TestEnvsRejectBadConfig: both environments refuse at construction what
+// reset could not fly — an empty mission — and a recovery guard that
+// attack.RunSession would reject, instead of silently training against a
+// guard that does nothing.
+func TestEnvsRejectBadConfig(t *testing.T) {
+	guard := func(mut func(*defense.RecoveryGuard)) *defense.RecoveryGuard {
+		g := defense.NewRecoveryGuard(defense.NewControlInvariants())
+		mut(g)
+		return g
+	}
+	obstacle := sim.Obstacle{Name: "wall", Box: mathx.AABB{Min: mathx.V3(35, 8, -20), Max: mathx.V3(45, 12, 0)}}
+	for _, c := range []struct {
+		name string
+		cfg  EnvConfig
+		ok   bool
+	}{
+		{"valid guard", EnvConfig{Recovery: guard(func(*defense.RecoveryGuard) {})}, true},
+		{"empty mission", EnvConfig{Mission: firmware.NewMission(nil)}, false},
+		{"guard without detector", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.Detector = nil })}, false},
+		{"guard clamp zero", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.ClampAngle = 0 })}, false},
+		{"guard decay one", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.IntegratorDecay = 1 })}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Variable = "PIDR.INTEG"
+			if _, err := NewDeviationEnv(c.cfg); (err == nil) != c.ok {
+				t.Errorf("deviation env: err = %v, want ok = %v", err, c.ok)
+			}
+			if _, err := NewCrashEnv(c.cfg, obstacle); (err == nil) != c.ok {
+				t.Errorf("crash env: err = %v, want ok = %v", err, c.ok)
+			}
+		})
 	}
 }
 

@@ -77,7 +77,6 @@ type baseEnv struct {
 	cfg     EnvConfig
 	fw      *firmware.Firmware
 	ref     vars.Ref
-	ciObs   *attack.CIObserver
 	recRefs defense.RecoveryRefs
 	episode int
 	ticks   int
@@ -94,7 +93,10 @@ type baseEnv struct {
 // disarming the vehicle, and resetting it back into its initial position"
 // realized as a clean re-launch).
 func (b *baseEnv) reset() error {
-	fw, err := newFirmware(b.cfg.Seed+int64(b.episode), b.world) //areslint:ignore seedarith golden-pinned
+	fw, err := firmware.Launch(firmware.Config{
+		World:   b.world,
+		Sensors: sensors.Seeded(b.cfg.Seed + int64(b.episode)), //areslint:ignore seedarith golden-pinned
+	}, b.cfg.Mission, b.cfg.SetupSeconds)
 	if err != nil {
 		return err
 	}
@@ -102,19 +104,6 @@ func (b *baseEnv) reset() error {
 	b.episode++
 	b.alarmed = false
 
-	alt := -b.cfg.Mission.Target().Z
-	if err := fw.Takeoff(alt); err != nil {
-		return err
-	}
-	fw.RunFor(b.cfg.SetupSeconds)
-	wps := make([]firmware.Waypoint, 0, b.cfg.Mission.Len())
-	for _, p := range b.cfg.Mission.Path() {
-		wps = append(wps, firmware.Waypoint{Pos: p})
-	}
-	fw.LoadMission(firmware.NewMission(wps))
-	if err := fw.StartMission(); err != nil {
-		return err
-	}
 	ref, err := fw.Memory().Access(b.cfg.Region, b.cfg.Variable, true)
 	if err != nil {
 		return err
@@ -145,9 +134,6 @@ func (b *baseEnv) reset() error {
 			b.cfg.Recovery.Apply(b.recRefs)
 		}
 	})
-	if b.cfg.Detector != nil || b.cfg.Recovery != nil {
-		b.ciObs = attack.NewCIObserver(fw)
-	}
 	if b.cfg.Detector != nil {
 		b.cfg.Detector.Reset()
 	}
@@ -166,7 +152,7 @@ func (b *baseEnv) advance(action float64) bool {
 	for i := 0; i < b.ticks; i++ {
 		b.fw.Step()
 		if b.cfg.Detector != nil {
-			if v := b.cfg.Detector.Observe(b.ciObs.Sample(b.fw)); v.Alarm {
+			if v := b.cfg.Detector.Observe(attack.CISampleOf(b.fw)); v.Alarm {
 				b.alarmed = true
 			}
 		}
@@ -175,7 +161,7 @@ func (b *baseEnv) advance(action float64) bool {
 			// back to the reward: recovery responds physically instead of
 			// aborting, so the episode continues and the evaluation
 			// measures what the attack achieves against the clamps.
-			if v := b.cfg.Recovery.Observe(b.ciObs.Sample(b.fw), b.fw.Time()); v.Alarm {
+			if v := b.cfg.Recovery.Observe(attack.CISampleOf(b.fw), b.fw.Time()); v.Alarm {
 				b.alarmed = true
 			}
 		}
@@ -194,19 +180,20 @@ func (b *baseEnv) recovered() bool {
 	return b.cfg.Recovery != nil && b.cfg.Recovery.Engaged()
 }
 
-// newFirmware builds an episode's vehicle: attack.NewFirmware's stack,
-// flying in world when one is set (the crash environment's obstacles).
-func newFirmware(seed int64, world *sim.World) (*firmware.Firmware, error) {
-	sensorCfg := sensors.DefaultConfig()
-	sensorCfg.Seed = seed
-	return firmware.New(firmware.Config{World: world, Sensors: sensorCfg})
-}
-
-// validateTarget checks at construction time that the configured variable
-// is reachable from the configured region, so Reset cannot fail on a
-// misconfigured target.
-func validateTarget(cfg EnvConfig) error {
-	fw, err := attack.NewFirmware(cfg.Seed)
+// validateConfig checks at construction time that the mission can launch,
+// the configured variable is reachable from the configured region, and
+// the recovery guard is one attack.RunSession would accept, so a
+// misconfiguration fails here rather than in Reset or silently in flight.
+func validateConfig(cfg EnvConfig) error {
+	if cfg.Mission.Len() == 0 {
+		return fmt.Errorf("core: env needs a mission")
+	}
+	if cfg.Recovery != nil {
+		if err := cfg.Recovery.Validate(); err != nil {
+			return err
+		}
+	}
+	fw, err := firmware.New(firmware.Config{})
 	if err != nil {
 		return err
 	}
@@ -234,7 +221,7 @@ func NewDeviationEnv(cfg EnvConfig) (*DeviationEnv, error) {
 	if cfg.Variable == "" {
 		return nil, fmt.Errorf("core: deviation env needs a target variable")
 	}
-	if err := validateTarget(cfg); err != nil {
+	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
 	e := &DeviationEnv{
@@ -329,7 +316,7 @@ func NewCrashEnv(cfg EnvConfig, obstacle sim.Obstacle) (*CrashEnv, error) {
 	if cfg.Variable == "" {
 		return nil, fmt.Errorf("core: crash env needs a target variable")
 	}
-	if err := validateTarget(cfg); err != nil {
+	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
 	world := &sim.World{}

@@ -14,18 +14,9 @@ func recordTestLog(t *testing.T) *dataflash.Log {
 	t.Helper()
 	var buf bytes.Buffer
 	w := dataflash.NewWriter(&buf)
-	sensorCfg := sensors.DefaultConfig()
-	sensorCfg.Seed = 600
-	fw, err := firmware.New(firmware.Config{Sensors: sensorCfg, LogWriter: w})
+	fw, err := firmware.Launch(firmware.Config{Sensors: sensors.Seeded(600), LogWriter: w},
+		firmware.SquareMission(25, 10), 10)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Takeoff(10); err != nil {
-		t.Fatal(err)
-	}
-	fw.RunFor(10)
-	fw.LoadMission(firmware.SquareMission(25, 10))
-	if err := fw.StartMission(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 90*400 && !fw.Mission().Complete(); i++ {

@@ -6,10 +6,10 @@ import (
 	"math"
 	"sync"
 
-	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/dataflash"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/par"
+	"github.com/ares-cps/ares/internal/sensors"
 	"github.com/ares-cps/ares/internal/vars"
 )
 
@@ -191,26 +191,14 @@ func (p *Profile) merge(f *flight, missions int) {
 
 // flyProfileMission flies benign mission m and records its trace.
 func flyProfileMission(cfg ProfileConfig, m int) (*flight, error) {
-	fw, err := attack.NewFirmware(cfg.Seed + int64(m)) //areslint:ignore seedarith golden-pinned
+	fw, err := firmware.Launch(firmware.Config{
+		Sensors: sensors.Seeded(cfg.Seed + int64(m)), //areslint:ignore seedarith golden-pinned
+	}, cfg.Mission, 10)
 	if err != nil {
 		return nil, err
 	}
 	refs, names, err := resolveRefs(fw, cfg.Variables)
 	if err != nil {
-		return nil, err
-	}
-
-	alt := -cfg.Mission.Target().Z
-	if err := fw.Takeoff(alt); err != nil {
-		return nil, err
-	}
-	fw.RunFor(10)
-	wps := make([]firmware.Waypoint, 0, cfg.Mission.Len())
-	for _, p := range cfg.Mission.Path() {
-		wps = append(wps, firmware.Waypoint{Pos: p})
-	}
-	fw.LoadMission(firmware.NewMission(wps))
-	if err := fw.StartMission(); err != nil {
 		return nil, err
 	}
 

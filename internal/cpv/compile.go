@@ -5,8 +5,8 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/campaign"
+	"github.com/ares-cps/ares/internal/firmware"
 )
 
 // probe is the lazily-built firmware inventory compile-time validation
@@ -24,7 +24,7 @@ var probe struct {
 
 func probeInventory() error {
 	probe.once.Do(func() {
-		fw, err := attack.NewFirmware(0)
+		fw, err := firmware.New(firmware.Config{})
 		if err != nil {
 			probe.err = fmt.Errorf("cpv: probe firmware: %w", err)
 			return

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/ares-cps/ares/internal/attack"
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/core"
 	"github.com/ares-cps/ares/internal/firmware"
 )
@@ -259,5 +260,5 @@ func (r *AblationResult) WriteCSV(dir string) error {
 		{"bounded_detected", fmt.Sprint(r.BoundedDetected)},
 		{"unbounded_detected", fmt.Sprint(r.UnboundedDetected)},
 	}
-	return writeCSVStrings(dir, "ablation.csv", []string{"metric", "value"}, rows)
+	return campaign.WriteCSV(dir, "ablation.csv", []string{"metric", "value"}, rows)
 }

@@ -6,12 +6,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 
@@ -104,19 +100,20 @@ func (s *Suite) Profile() (*core.Profile, error) {
 	return prof, nil
 }
 
-// Monitors returns the shared calibrated CI and ML monitors.
+// Monitors returns the suite's calibrated CI and ML monitors. Calibration
+// runs once; each caller gets its own clone of the CI monitor, because
+// flights mutate it and experiments may run concurrently (-parallel).
 func (s *Suite) Monitors() (*defense.ControlInvariants, *defense.MLMonitor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ci != nil {
-		return s.ci, s.ml, nil
+	if s.ci == nil {
+		ci, ml, err := attack.CalibrateMonitors(s.attackMission(), s.Seed+50) //areslint:ignore seedarith golden-pinned
+		if err != nil {
+			return nil, nil, err
+		}
+		s.ci, s.ml = ci, ml
 	}
-	ci, ml, err := attack.CalibrateMonitors(s.attackMission(), s.Seed+50) //areslint:ignore seedarith golden-pinned
-	if err != nil {
-		return nil, nil, err
-	}
-	s.ci, s.ml = ci, ml
-	return ci, ml, nil
+	return s.ci.Clone(), s.ml, nil
 }
 
 // Result is the common interface of experiment outputs.
@@ -130,59 +127,19 @@ type Result interface {
 	WriteCSV(dir string) error
 }
 
-// writeCSVFile writes one CSV file with a header row. The CSV is built
-// in memory and finalized with campaign.WriteFileAtomic, so a failed
-// export can never leave a torn file behind and close errors cannot be
-// silently dropped.
+// writeCSVFile writes one CSV file of float cells with a header row,
+// formatting each value at its shortest exact precision, through
+// campaign.WriteCSV's atomic writer.
 func writeCSVFile(dir, name string, header []string, rows [][]float64) error {
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	if err := w.Write(header); err != nil {
-		return err
-	}
-	rec := make([]string, len(header))
-	for _, row := range rows {
+	recs := make([][]string, len(rows))
+	for r, row := range rows {
 		if len(row) != len(header) {
 			return fmt.Errorf("experiments: row width %d != header %d", len(row), len(header))
 		}
+		recs[r] = make([]string, len(row))
 		for i, v := range row {
-			rec[i] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := w.Write(rec); err != nil {
-			return err
+			recs[r][i] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		return err
-	}
-	return finalizeCSV(dir, name, buf.Bytes())
-}
-
-// writeCSVStrings writes a CSV with free-form string cells, atomically
-// like writeCSVFile.
-func writeCSVStrings(dir, name string, header []string, rows [][]string) error {
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	if err := w.Write(header); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		return err
-	}
-	return finalizeCSV(dir, name, buf.Bytes())
-}
-
-// finalizeCSV lands rendered CSV bytes in dir via write-temp + rename.
-func finalizeCSV(dir, name string, data []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return campaign.WriteFileAtomic(filepath.Join(dir, name), data, 0o644)
+	return campaign.WriteCSV(dir, name, header, recs)
 }

@@ -5,8 +5,10 @@ import (
 	"io"
 
 	"github.com/ares-cps/ares/internal/attack"
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
+	"github.com/ares-cps/ares/internal/sensors"
 )
 
 // CountermeasureResult evaluates the paper's proposed mitigation (Section
@@ -38,20 +40,10 @@ func RunCountermeasure(s *Suite) (*CountermeasureResult, error) {
 	watched := countermeasureVars()
 
 	// Collect a 400 Hz benign trace of exactly the watched variables.
-	fw, err := attack.NewFirmware(s.Seed + 70) //areslint:ignore seedarith golden-pinned
+	fw, err := firmware.Launch(firmware.Config{
+		Sensors: sensors.Seeded(s.Seed + 70), //areslint:ignore seedarith golden-pinned
+	}, mission, 10)
 	if err != nil {
-		return nil, err
-	}
-	if err := fw.Takeoff(10); err != nil {
-		return nil, err
-	}
-	fw.RunFor(10)
-	wps := make([]firmware.Waypoint, 0, mission.Len())
-	for _, p := range mission.Path() {
-		wps = append(wps, firmware.Waypoint{Pos: p})
-	}
-	fw.LoadMission(firmware.NewMission(wps))
-	if err := fw.StartMission(); err != nil {
 		return nil, err
 	}
 	series := make([][]float64, len(watched))
@@ -148,6 +140,6 @@ func (r *CountermeasureResult) WriteCSV(dir string) error {
 		{"ramp", fmt.Sprint(r.Ramp.DetectedCI), fmt.Sprint(r.Ramp.DetectedVar), r.Ramp.AlarmedVariable},
 		{"naive", fmt.Sprint(r.Naive.DetectedCI), fmt.Sprint(r.Naive.DetectedVar), r.Naive.AlarmedVariable},
 	}
-	return writeCSVStrings(dir, "countermeasure.csv",
+	return campaign.WriteCSV(dir, "countermeasure.csv",
 		[]string{"run", "ci_alarm", "varmon_alarm", "tripped_var"}, rows)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"github.com/ares-cps/ares/internal/attack"
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/sim"
 )
@@ -129,6 +130,6 @@ func (r *CrossPlatformResult) WriteCSV(dir string) error {
 			fmt.Sprint(row.NaiveDetected),
 		})
 	}
-	return writeCSVStrings(dir, "crossplatform.csv",
+	return campaign.WriteCSV(dir, "crossplatform.csv",
 		[]string{"vehicle", "benign_ok", "ramp_evaded", "ramp_dev", "naive_detected"}, rows)
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/core"
 )
 
@@ -74,7 +75,7 @@ func (r *Fig3Result) WriteCSV(dir string) error {
 	for _, e := range r.Edges {
 		rows = append(rows, []string{e.A, e.B, strconv.FormatFloat(e.R, 'g', 6, 64)})
 	}
-	return writeCSVStrings(dir, "fig3_edges.csv", []string{"a", "b", "r"}, rows)
+	return campaign.WriteCSV(dir, "fig3_edges.csv", []string{"a", "b", "r"}, rows)
 }
 
 // Fig5Result reproduces Figure 5: the correlation heat map of the 24
@@ -135,7 +136,7 @@ func (r *Fig5Result) WriteCSV(dir string) error {
 		}
 		rows = append(rows, row)
 	}
-	return writeCSVStrings(dir, "fig5_corr.csv", header, rows)
+	return campaign.WriteCSV(dir, "fig5_corr.csv", header, rows)
 }
 
 func absf(v float64) float64 {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"github.com/ares-cps/ares/internal/attack"
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/firmware"
 )
 
@@ -143,5 +144,5 @@ func (r *FuzzBaselineResult) WriteCSV(dir string) error {
 		{"ares_stealthy", fmt.Sprint(r.ARESStealthy)},
 		{"ares_dev_m", fmt.Sprintf("%.2f", r.ARESDev)},
 	}
-	return writeCSVStrings(dir, "fuzzbaseline.csv", []string{"metric", "value"}, rows)
+	return campaign.WriteCSV(dir, "fuzzbaseline.csv", []string{"metric", "value"}, rows)
 }

@@ -35,3 +35,23 @@ func TestWrapErrorYieldsNilResult(t *testing.T) {
 		t.Fatalf("Result = %#v, want untyped nil", res)
 	}
 }
+
+// TestMonitorsHandsOutClones: flights mutate the CI monitor, so concurrent
+// experiments (-parallel) must not share one; every caller gets its own
+// copy of the once-calibrated model.
+func TestMonitorsHandsOutClones(t *testing.T) {
+	a, _, err := quickSuite.Monitors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := quickSuite.Monitors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("two callers share one CI monitor")
+	}
+	if a.Threshold != b.Threshold || a.Scale != b.Scale {
+		t.Errorf("clones differ: threshold %v/%v, scale %v/%v", a.Threshold, b.Threshold, a.Scale, b.Scale)
+	}
+}

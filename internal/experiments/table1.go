@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/dataflash"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/sensors"
@@ -46,7 +47,7 @@ func RunTable1(s *Suite) (*Table1Result, error) {
 	// and parse the log back.
 	var buf bytes.Buffer
 	w := dataflash.NewWriter(&buf)
-	fw, err := newLoggedFirmware(s.Seed, w)
+	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(s.Seed), LogWriter: w})
 	if err != nil {
 		return nil, err
 	}
@@ -102,12 +103,5 @@ func (r *Table1Result) WriteCSV(dir string) error {
 	for _, e := range r.Entries {
 		rows = append(rows, []string{e.Name, strconv.Itoa(e.ALVs)})
 	}
-	return writeCSVStrings(dir, "table1_ksvl.csv", []string{"message", "alvs"}, rows)
-}
-
-// newLoggedFirmware builds a firmware with a dataflash writer attached.
-func newLoggedFirmware(seed int64, w *dataflash.Writer) (*firmware.Firmware, error) {
-	sensorCfg := sensors.DefaultConfig()
-	sensorCfg.Seed = seed
-	return firmware.New(firmware.Config{Sensors: sensorCfg, LogWriter: w})
+	return campaign.WriteCSV(dir, "table1_ksvl.csv", []string{"message", "alvs"}, rows)
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/core"
 )
 
@@ -73,6 +74,6 @@ func (r *Table2Result) WriteCSV(dir string) error {
 			strings.Join(row.TSVL, ";"),
 		})
 	}
-	return writeCSVStrings(dir, "table2_tsvl.csv",
+	return campaign.WriteCSV(dir, "table2_tsvl.csv",
 		[]string{"controller", "ksvl", "added", "esvl", "tsvl", "ratio", "tsvl_vars"}, rows)
 }

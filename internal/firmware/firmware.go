@@ -425,6 +425,29 @@ func (f *Firmware) StartMission() error {
 	return nil
 }
 
+// Launch is the one way an evaluation flight starts: build the vehicle,
+// take off to the mission's altitude, settle for settleS seconds, then fly
+// a fresh copy of m in AUTO. The copy keeps the caller's mission reusable
+// across flights (every RL episode and trial relaunches the same one).
+func Launch(cfg Config, m *Mission, settleS float64) (*Firmware, error) {
+	if m == nil || m.Len() == 0 {
+		return nil, fmt.Errorf("firmware: launch needs a mission")
+	}
+	f, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Takeoff(-m.Target().Z); err != nil {
+		return nil, err
+	}
+	f.RunFor(settleS)
+	f.LoadMission(m.Clone())
+	if err := f.StartMission(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // Reset restores the whole stack to rest at pos with a fresh estimator and
 // clean controllers — the RL episode reset ("landing, disarming the vehicle,
 // and resetting it back into its initial position").

@@ -32,6 +32,14 @@ func NewMission(waypoints []Waypoint) *Mission {
 	return m
 }
 
+// Clone returns an unflown copy of m: the same waypoints (holds included)
+// and acceptance radius, with fresh progress.
+func (m *Mission) Clone() *Mission {
+	out := NewMission(m.waypoints)
+	out.AcceptRadius = m.AcceptRadius
+	return out
+}
+
 // Target returns the active waypoint position. After completion it keeps
 // returning the final waypoint so the vehicle loiters there.
 func (m *Mission) Target() mathx.Vec3 {

@@ -45,6 +45,29 @@ func TestMissionHold(t *testing.T) {
 		{Pos: mathx.V3(0, 0, -10), HoldS: 2},
 		{Pos: mathx.V3(10, 0, -10)},
 	})
+	// A launched copy keeps the hold: the vehicle starts on the first
+	// waypoint, so it loiters there 2 s before heading for the second.
+	f, err := Launch(Config{}, m, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Mission() == m {
+		t.Fatal("Launch flies the caller's mission, not a copy")
+	}
+	f.RunFor(1)
+	if got := f.Mission().CurrentIndex(); got != 0 {
+		t.Errorf("launched copy at waypoint %d after 1 s, want 0 (holding)", got)
+	}
+	f.RunFor(2)
+	if got := f.Mission().CurrentIndex(); got != 1 {
+		t.Errorf("launched copy at waypoint %d after the hold, want 1", got)
+	}
+	// Flying the copy left the source unflown: the checks below start
+	// from its first waypoint with no hold in progress.
+	if m.CurrentIndex() != 0 || m.Complete() {
+		t.Fatalf("source mission advanced to %d (complete %v)", m.CurrentIndex(), m.Complete())
+	}
+
 	// Reach the first waypoint at t=1: hold begins.
 	if !m.Update(mathx.V3(0, 0, -10), 1) {
 		t.Fatal("waypoint not reached")
@@ -59,6 +82,35 @@ func TestMissionHold(t *testing.T) {
 	m.Update(mathx.V3(0, 0, -10), 3.1) // hold elapsed
 	if m.CurrentIndex() != 1 {
 		t.Errorf("index = %d after hold, want 1", m.CurrentIndex())
+	}
+}
+
+func TestLaunchRejectsEmptyMission(t *testing.T) {
+	for _, m := range []*Mission{nil, NewMission(nil)} {
+		if _, err := Launch(Config{}, m, 10); err == nil {
+			t.Errorf("Launch accepted mission %v", m)
+		}
+	}
+}
+
+func TestMissionCloneKeepsWaypoints(t *testing.T) {
+	m := NewMission([]Waypoint{
+		{Pos: mathx.V3(0, 0, -10), HoldS: 3},
+		{Pos: mathx.V3(10, 0, -10)},
+	})
+	m.AcceptRadius = 0.5
+	m.Update(mathx.V3(0, 0, -10), 1)
+	c := m.Clone()
+	if c.AcceptRadius != 0.5 || c.Len() != 2 || c.waypoints[0].HoldS != 3 {
+		t.Errorf("clone lost data: radius %v, %d waypoints, hold %v",
+			c.AcceptRadius, c.Len(), c.waypoints[0].HoldS)
+	}
+	if c.holding || c.CurrentIndex() != 0 {
+		t.Error("clone inherited the source's progress")
+	}
+	c.waypoints[0].HoldS = 0
+	if m.waypoints[0].HoldS != 3 {
+		t.Error("clone shares the source's waypoint storage")
 	}
 }
 

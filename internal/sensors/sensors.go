@@ -85,6 +85,14 @@ func DefaultConfig() Config {
 	}
 }
 
+// Seeded returns DefaultConfig drawing its noise from seed: the standard
+// evaluation sensor set, reproducible per flight.
+func Seeded(seed int64) Config {
+	c := DefaultConfig()
+	c.Seed = seed
+	return c
+}
+
 // Suite samples every sensor from the simulated vehicle.
 type Suite struct {
 	cfg Config
