@@ -16,6 +16,14 @@ var quickSuite = NewSuite(42, true)
 
 func renderAndExport(t *testing.T, r Result) string {
 	t.Helper()
+	text, _ := export(t, r)
+	return text
+}
+
+// export renders r's text and writes its CSV files, returning the text and
+// the CSV paths in name order.
+func export(t *testing.T, r Result) (string, []string) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatalf("%s WriteText: %v", r.Name(), err)
@@ -31,6 +39,24 @@ func renderAndExport(t *testing.T, r Result) string {
 	if err != nil || len(files) == 0 {
 		t.Fatalf("%s exported no CSV files (%v)", r.Name(), err)
 	}
+	return buf.String(), files
+}
+
+// renderWithCSV is renderAndExport followed by every exported CSV file's
+// bytes, so a golden pins the data behind the text (fig10's traces) too.
+func renderWithCSV(t *testing.T, r Result) string {
+	t.Helper()
+	text, files := export(t, r)
+	var buf strings.Builder
+	buf.WriteString(text)
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString("\n--- " + filepath.Base(f) + " ---\n")
+		buf.Write(data)
+	}
 	return buf.String()
 }
 
@@ -38,7 +64,7 @@ func renderAndExport(t *testing.T, r Result) string {
 // session-path experiments are deterministic end to end, so any byte of
 // drift is a behaviour change. Regenerate deliberately with:
 //
-//	go test ./internal/experiments -run 'Shape' -update
+//	go test ./internal/experiments -run 'Shape|Runs' -update
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	golden := filepath.Join("testdata", name+".golden")
@@ -245,7 +271,7 @@ func TestFig10Runs(t *testing.T) {
 		t.Errorf("trained deviation %.2f not above benign %.2f",
 			byName["RL-trained"].MaxDev, byName["benign"].MaxDev)
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "fig10", renderWithCSV(t, res))
 }
 
 func TestFig11Runs(t *testing.T) {
@@ -268,7 +294,7 @@ func TestFig11Runs(t *testing.T) {
 	if byName["constant-push"].MinDist >= byName["benign"].MinDist {
 		t.Error("constant push did not approach the zone")
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "fig11", renderWithCSV(t, res))
 }
 
 func TestAblationRuns(t *testing.T) {
@@ -294,7 +320,7 @@ func TestAblationRuns(t *testing.T) {
 	if res.BoundedDetected {
 		t.Error("bounded manipulation detected")
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "ablation", renderWithCSV(t, res))
 }
 
 func TestCountermeasureShape(t *testing.T) {
