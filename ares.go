@@ -162,11 +162,14 @@ func (p *Pipeline) ProfileData() *core.Profile { return p.profile }
 // TrainDeviationExploit trains a Case Study I exploit for one target
 // variable with default budgets.
 func (p *Pipeline) TrainDeviationExploit(variable string, episodes int) (*core.ExploitResult, error) {
-	res, _, err := core.TrainDeviationExploit(core.ExploitConfig{
-		Env: core.EnvConfig{
-			Variable: variable,
-			Seed:     mathx.DeriveSeed(p.cfg.Seed, seedStreamExploitEnv),
-		},
+	env, err := core.NewDeviationEnv(core.EnvConfig{
+		Variable: variable,
+		Seed:     mathx.DeriveSeed(p.cfg.Seed, seedStreamExploitEnv),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ares: exploit: %w", err)
+	}
+	res, err := core.TrainExploit(env, core.ExploitConfig{
 		Episodes: episodes,
 		Seed:     mathx.DeriveSeed(p.cfg.Seed, seedStreamExploitPolicy),
 	})

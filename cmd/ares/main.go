@@ -67,7 +67,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("exploit %s: best return %.2f, eval deviation %.2f m, crashed=%v\n",
-			res.Variable, res.Train.BestReturn, res.EvalDeviation, res.EvalCrashed)
+			res.Variable, res.Train.BestReturn, res.Replay.Final, res.Replay.Crashed)
 	}
 	return nil
 }

@@ -13,9 +13,6 @@ import (
 
 	"github.com/ares-cps/ares/internal/core"
 	"github.com/ares-cps/ares/internal/firmware"
-	"github.com/ares-cps/ares/internal/mathx"
-	"github.com/ares-cps/ares/internal/rl"
-	"github.com/ares-cps/ares/internal/sim"
 )
 
 func main() {
@@ -29,56 +26,40 @@ func run() error {
 	episodes := flag.Int("episodes", 120, "training episodes")
 	flag.Parse()
 
-	// A forbidden zone 8 m beside the mission's final loiter point.
-	zone := sim.Obstacle{
-		Name: "forbidden-zone",
-		Box: mathx.AABB{
-			Min: mathx.V3(35, 8, -20),
-			Max: mathx.V3(45, 12, 0),
-		},
-	}
+	// The forbidden zone beside the mission's final loiter point.
 	env, err := core.NewCrashEnv(core.EnvConfig{
-		Variable:  "CMD.Roll",
-		PerTick:   true, // standing offset on the per-cycle command cell
+		Variable:  "CMD.Roll", // a standing offset on the per-cycle command cell
 		MaxAction: 0.6,
 		Mission:   firmware.LineMission(40, 10),
 		Seed:      9,
-	}, zone)
+	}, core.ForbiddenZone(40, 10))
 	if err != nil {
 		return err
 	}
 
-	lo, hi := env.ActionBounds()
-	agent := rl.NewReinforce(env.ObservationSize(), lo, hi, 2)
+	_, hi := env.ActionBounds()
 	fmt.Printf("training %d episodes (standing roll-command offsets up to ±%.1f rad)…\n",
 		*episodes, hi)
-	res := agent.Train(env, *episodes, 120)
-	fmt.Printf("best return %.2f at episode %d\n\n", res.BestReturn, res.BestEpisode)
+	res, err := core.TrainExploit(env, core.ExploitConfig{Episodes: *episodes, MaxSteps: 120, Seed: 2})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("best return %.2f at episode %d\n\n", res.Train.BestReturn, res.Train.BestEpisode)
 
 	fmt.Println("replaying the greedy policy:")
-	obs := env.Reset()
-	minDist := math.Inf(1)
-	for step := 0; step < 120; step++ {
-		action := agent.Policy.Mean(obs)
-		next, reward, done := env.Step(action)
-		obs = next
-		if d := env.GoalDistance(); d < minDist {
-			minDist = d
-		}
+	replay := res.Replay
+	for step, st := range replay.Steps {
 		if step%10 == 0 {
 			fmt.Printf("  t=%5.1fs offset=%+.2f rad dist-to-zone=%6.2f m\n",
-				float64(step)*0.3, action, env.GoalDistance())
-		}
-		if done {
-			if math.IsInf(reward, 1) {
-				fmt.Println("  >>> contact with the forbidden zone")
-			}
-			break
+				float64(step)*0.3, st.Action, st.Distance)
 		}
 	}
-	fmt.Printf("closest approach: %.2f m", minDist)
-	if crashed, reason := env.Firmware().Quad().Crashed(); crashed {
-		fmt.Printf(" — vehicle lost (%s)", reason)
+	if math.IsInf(replay.Terminal, 1) {
+		fmt.Println("  >>> contact with the forbidden zone")
+	}
+	fmt.Printf("closest approach: %.2f m", replay.Closest)
+	if replay.Crashed {
+		fmt.Printf(" — vehicle lost (%s)", replay.CrashReason)
 	}
 	fmt.Println()
 	return nil

@@ -13,7 +13,6 @@ import (
 
 	"github.com/ares-cps/ares/internal/core"
 	"github.com/ares-cps/ares/internal/firmware"
-	"github.com/ares-cps/ares/internal/rl"
 )
 
 func main() {
@@ -36,37 +35,34 @@ func run() error {
 		return err
 	}
 
-	lo, hi := env.ActionBounds()
-	agent := rl.NewReinforce(env.ObservationSize(), lo, hi, 1)
+	_, hi := env.ActionBounds()
 	fmt.Printf("training %d episodes (action: ±%.2f on PIDR.INTEG every 0.3 s)…\n",
 		*episodes, hi)
-	res := agent.Train(env, *episodes, 100)
+	res, err := core.TrainExploit(env, core.ExploitConfig{Episodes: *episodes, MaxSteps: 100, Seed: 1})
+	if err != nil {
+		return err
+	}
 
+	train := res.Train
 	fifth := *episodes / 5
 	if fifth < 1 {
 		fifth = 1
 	}
-	early, late := mean(res.Returns[:fifth]), res.MeanLastN(fifth)
+	early, late := mean(train.Returns[:fifth]), train.MeanLastN(fifth)
 	fmt.Printf("learning curve: first-fifth mean return %.2f → last-fifth %.2f (best %.2f @ episode %d)\n",
-		early, late, res.BestReturn, res.BestEpisode)
+		early, late, train.BestReturn, train.BestEpisode)
 
 	fmt.Println("\nreplaying the greedy policy:")
-	obs := env.Reset()
-	for step := 0; step < 100; step++ {
-		action := agent.Policy.Mean(obs)
-		next, _, done := env.Step(action)
-		obs = next
+	replay := res.Replay
+	for step, st := range replay.Steps {
 		if step%10 == 0 {
 			fmt.Printf("  t=%4.1fs action=%+.3f deviation=%6.2f m\n",
-				float64(step)*0.3, action, env.PathDistance())
-		}
-		if done {
-			break
+				float64(step)*0.3, st.Action, st.Distance)
 		}
 	}
-	fmt.Printf("final deviation: %.2f m", env.PathDistance())
-	if crashed, reason := env.Firmware().Quad().Crashed(); crashed {
-		fmt.Printf(" (vehicle crashed: %s)", reason)
+	fmt.Printf("final deviation: %.2f m", replay.Final)
+	if replay.Crashed {
+		fmt.Printf(" (vehicle crashed: %s)", replay.CrashReason)
 	}
 	fmt.Println()
 	return nil

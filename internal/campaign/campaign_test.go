@@ -16,6 +16,8 @@ import (
 	"testing"
 
 	"github.com/ares-cps/ares/internal/core"
+	"github.com/ares-cps/ares/internal/defense"
+	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/rl"
 )
 
@@ -111,6 +113,28 @@ func TestSpecValidate(t *testing.T) {
 	bad.Missions = []MissionSpec{{Kind: "spiral", Size: 10, Alt: 10}}
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown mission kind accepted")
+	}
+	bad = testSpec()
+	bad.Learner = "sarsa"
+	if err := bad.Validate(); err == nil {
+		t.Error("unknown learner accepted")
+	}
+	// The Q-table's observation bounds are deviation-only, at the top
+	// level and inside sweeps alike.
+	bad = testSpec()
+	bad.Learner = core.LearnerQLearning
+	bad.Goals = []string{GoalDeviation, GoalCrash}
+	if err := bad.Validate(); err == nil {
+		t.Error("qlearning × crash accepted")
+	}
+	bad = Spec{Learner: core.LearnerQLearning, Sweeps: []Sweep{{Goals: []string{GoalCrash}}}}
+	if err := bad.Validate(); err == nil {
+		t.Error("qlearning × crash accepted in a sweep")
+	}
+	ok := testSpec()
+	ok.Learner = core.LearnerQLearning
+	if err := ok.Validate(); err != nil {
+		t.Errorf("qlearning × deviation rejected: %v", err)
 	}
 	if err := testSpec().Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
@@ -434,6 +458,59 @@ func TestExecutorRejectsUnknowns(t *testing.T) {
 	}); err == nil {
 		t.Error("unknown mission accepted")
 	}
+	// A learner Validate would reject fails every RL goal at run time
+	// too, instead of silently training REINFORCE on crash jobs.
+	for _, c := range []struct{ goal, learner string }{
+		{GoalDeviation, "sarsa"},
+		{GoalCrash, "sarsa"},
+		{GoalCrash, core.LearnerQLearning},
+	} {
+		if _, err := exec(context.Background(), Job{
+			Mission: MissionSpec{Kind: "line", Size: 40, Alt: 10},
+			Goal:    c.goal, Variable: "PIDR.INTEG", Learner: c.learner,
+			Episodes: 1, MaxSteps: 1,
+		}); err == nil {
+			t.Errorf("%s × %s accepted", c.learner, c.goal)
+		}
+	}
+}
+
+// TestQLearningReplayReportsDetection: the Q-learning branch of exploit
+// training once dropped the replay's detection, so a Q-learning cell
+// under the CI defense counted as a stealthy success. With an
+// always-alarming detector the replay must report the detection and the
+// cell must fail even at a zero success threshold.
+func TestQLearningReplayReportsDetection(t *testing.T) {
+	ci := defense.NewControlInvariants()
+	trace := make([]defense.CISample, 64)
+	for i := range trace {
+		trace[i] = defense.CISample{Roll: 0.001 * float64(i%3)}
+	}
+	if err := ci.Identify(trace); err != nil {
+		t.Fatal(err)
+	}
+	ci.Threshold = 0
+
+	env, err := core.NewDeviationEnv(core.EnvConfig{
+		Variable: "PIDR.INTEG",
+		Seed:     530,
+		Mission:  firmware.LineMission(30, 10),
+		Detector: ci,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.TrainExploit(env, core.ExploitConfig{Episodes: 2, MaxSteps: 10, Seed: 1, Learner: core.LearnerQLearning})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Replay.Detected {
+		t.Fatal("qlearning replay under an always-alarming detector reports no detection")
+	}
+	m := metricsOf(Job{Goal: GoalDeviation, Learner: core.LearnerQLearning, SuccessDeviation: 0}, res)
+	if !m.Detected || m.Success {
+		t.Errorf("metrics: detected %v success %v, want a detected failure", m.Detected, m.Success)
+	}
 }
 
 // runSorted runs spec through r into a fresh store and returns the
@@ -536,9 +613,8 @@ func TestValidateRejectsNonPositiveMission(t *testing.T) {
 // campaign at store.Append.
 func TestMetricsOfNonFiniteReturns(t *testing.T) {
 	res := &core.ExploitResult{
-		EvalReturn:   math.Inf(-1),
-		EvalDetected: true,
-		Train:        &rl.TrainResult{BestReturn: math.Inf(1)},
+		Replay: &core.Rollout{Return: math.Inf(-1), Detected: true},
+		Train:  &rl.TrainResult{BestReturn: math.Inf(1)},
 	}
 	m := metricsOf(Job{Goal: GoalDeviation}, res)
 	if m.Return != -math.MaxFloat64 || m.BestReturn != math.MaxFloat64 {

@@ -11,7 +11,6 @@ import (
 	"github.com/ares-cps/ares/internal/core"
 	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/mathx"
-	"github.com/ares-cps/ares/internal/sim"
 )
 
 // Per-job seed streams. Each independent random consumer inside a job
@@ -113,10 +112,6 @@ func (e *aresExecutor) run(ctx context.Context, job Job) (Metrics, error) {
 		Mission:   mission,
 		MaxAction: job.MaxAction,
 		Seed:      mathx.DeriveSeed(job.Seed, streamJobEnv),
-		// CMD.* cells are rewritten by the navigator every cycle, so the
-		// injection must act as a standing per-tick offset; stateful cells
-		// (integrators) hold a one-shot injection.
-		PerTick: strings.HasPrefix(job.Variable, "CMD."),
 	}
 	switch job.Defense {
 	case DefenseCI:
@@ -132,37 +127,31 @@ func (e *aresExecutor) run(ctx context.Context, job Job) (Metrics, error) {
 		}
 		envCfg.Recovery = defense.NewRecoveryGuard(det)
 	}
-	cfg := core.ExploitConfig{
-		Env:      envCfg,
+	var env core.AttackEnv
+	switch job.Goal {
+	case GoalDeviation:
+		env, err = core.NewDeviationEnv(envCfg)
+	case GoalCrash:
+		if envCfg.MaxAction == 0 {
+			envCfg.MaxAction = 0.6
+		}
+		env, err = core.NewCrashEnv(envCfg, core.ForbiddenZone(job.Mission.Size, job.Mission.Alt))
+	default:
+		return Metrics{}, fmt.Errorf("campaign: unknown goal %q", job.Goal)
+	}
+	if err != nil {
+		return Metrics{}, err
+	}
+	res, err := core.TrainExploit(env, core.ExploitConfig{
 		Episodes: job.Episodes,
 		MaxSteps: job.MaxSteps,
 		Seed:     mathx.DeriveSeed(job.Seed, streamJobPolicy),
 		Learner:  job.Learner,
+	})
+	if err != nil {
+		return Metrics{}, err
 	}
-
-	switch job.Goal {
-	case GoalDeviation:
-		res, _, err := core.TrainDeviationExploit(cfg)
-		if err != nil {
-			return Metrics{}, err
-		}
-		return metricsOf(job, res), nil
-	case GoalCrash:
-		if cfg.Env.MaxAction == 0 {
-			cfg.Env.MaxAction = 0.6
-		}
-		env, err := core.NewCrashEnv(cfg.Env, crashZone(job.Mission))
-		if err != nil {
-			return Metrics{}, err
-		}
-		res, _, err := core.TrainCrashExploit(cfg, env)
-		if err != nil {
-			return Metrics{}, err
-		}
-		return metricsOf(job, res), nil
-	default:
-		return Metrics{}, fmt.Errorf("campaign: unknown goal %q", job.Goal)
-	}
+	return metricsOf(job, res), nil
 }
 
 // runStealthy executes one stealthy-injection cell. The attack is a fixed
@@ -227,25 +216,28 @@ func (e *aresExecutor) runStealthy(job Job) (Metrics, error) {
 
 // metricsOf folds an exploit result into the campaign metrics, applying
 // the success criterion: a *stealthy* failure — the goal condition met
-// without tripping the in-loop detector.
+// without tripping the in-loop detector. A deviation cell judges the
+// final deviation of the greedy replay; a crash cell's goal is a crash
+// into the forbidden zone.
 func metricsOf(job Job, res *core.ExploitResult) Metrics {
+	r := res.Replay
 	m := Metrics{
-		Deviation:   res.EvalDeviation,
-		Return:      finiteReturn(res.EvalReturn),
-		Detected:    res.EvalDetected,
-		Crashed:     res.EvalCrashed,
-		GoalReached: res.EvalGoalReached,
-		Recovered:   res.EvalRecovered,
+		Deviation: r.Final,
+		Return:    finiteReturn(r.Return),
+		Detected:  r.Detected,
+		Crashed:   r.Crashed,
+		Recovered: r.Recovered,
 	}
 	if res.Train != nil {
 		m.BestReturn = finiteReturn(res.Train.BestReturn)
 	}
 	switch job.Goal {
 	case GoalCrash:
-		m.Success = res.EvalGoalReached && !res.EvalDetected
+		zone := core.ForbiddenZone(job.Mission.Size, job.Mission.Alt)
+		m.GoalReached = r.Crashed && strings.Contains(r.CrashReason, zone.Name)
+		m.Success = m.GoalReached && !r.Detected
 	default:
-		m.Success = (res.EvalDeviation >= job.SuccessDeviation || res.EvalCrashed) &&
-			!res.EvalDetected
+		m.Success = (r.Final >= job.SuccessDeviation || r.Crashed) && !r.Detected
 	}
 	return m
 }
@@ -268,18 +260,4 @@ func finiteReturn(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// crashZone places the Case Study II forbidden zone 10 m beside the final
-// mission leg, spanning ground to twice the mission altitude — reachable
-// by a lateral push without being on the benign path.
-func crashZone(m MissionSpec) sim.Obstacle {
-	end := m.Size
-	return sim.Obstacle{
-		Name: "forbidden-zone",
-		Box: mathx.AABB{
-			Min: mathx.Vec3{X: end - 5, Y: 8, Z: -2 * m.Alt},
-			Max: mathx.Vec3{X: end + 5, Y: 12, Z: 0},
-		},
-	}
 }

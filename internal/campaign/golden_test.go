@@ -51,7 +51,7 @@ func TestExecutorRecordsGolden(t *testing.T) {
 	line := []MissionSpec{{Kind: "line", Size: 40, Alt: 10}}
 	vars := []string{"PIDR.INTEG", "CMD.Roll"}
 	defenses := []string{DefenseNone, DefenseCI, DefenseRecovery}
-	main := Spec{
+	spec := Spec{
 		Name: "golden",
 		Seed: 11,
 		Sweeps: []Sweep{
@@ -70,7 +70,7 @@ func TestExecutorRecordsGolden(t *testing.T) {
 		MaxSteps:  10,
 		Learner:   "qlearning",
 	}
-	got := append(goldenRecords(t, main), goldenRecords(t, q)...)
+	got := append(goldenRecords(t, spec), goldenRecords(t, q)...)
 
 	golden := filepath.Join("testdata", "executor_records.golden")
 	if *updateGolden {

@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/ares-cps/ares/internal/core"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/mathx"
 )
@@ -161,13 +162,15 @@ type Spec struct {
 	// core.ExploitConfig).
 	Episodes int `json:"episodes,omitempty"`
 	MaxSteps int `json:"max_steps,omitempty"`
-	// Learner selects the RL algorithm ("reinforce" default).
+	// Learner selects the RL algorithm: "reinforce" (default) or
+	// "qlearning", which trains only deviation exploits.
 	Learner string `json:"learner,omitempty"`
 	// MaxAction bounds the per-action manipulation; 0 uses per-goal
 	// defaults (0.1 deviation, 0.6 crash).
 	MaxAction float64 `json:"max_action,omitempty"`
-	// SuccessDeviation is the peak path deviation (meters) that counts a
-	// deviation job as a successful attack (default 5).
+	// SuccessDeviation is the path deviation (meters) that counts a
+	// deviation job as a successful attack (default 5): an RL job's
+	// final deviation after its greedy replay, a stealthy job's peak.
 	SuccessDeviation float64 `json:"success_deviation,omitempty"`
 }
 
@@ -291,18 +294,19 @@ func (s Spec) Validate() error {
 			if strings.Contains(sw.CPV, "/") {
 				return fmt.Errorf("campaign: sweep %d: cpv id %q must not contain '/'", i, sw.CPV)
 			}
-			if err := validateAxes(sw.Missions, sw.Variables, sw.Goals, sw.Attacks, sw.Defenses); err != nil {
+			if err := validateAxes(s.Learner, sw.Missions, sw.Variables, sw.Goals, sw.Attacks, sw.Defenses); err != nil {
 				return fmt.Errorf("campaign: sweep %d: %w", i, err)
 			}
 		}
 		return nil
 	}
 	s.applyDefaults()
-	return validateAxes(s.Missions, s.Variables, s.Goals, s.Attacks, s.Defenses)
+	return validateAxes(s.Learner, s.Missions, s.Variables, s.Goals, s.Attacks, s.Defenses)
 }
 
-// validateAxes checks one axis block (top-level or sweep).
-func validateAxes(missions []MissionSpec, variables, goals, attacks, defenses []string) error {
+// validateAxes checks one axis block (top-level or sweep) and that the
+// spec's learner can train every goal in it.
+func validateAxes(learner string, missions []MissionSpec, variables, goals, attacks, defenses []string) error {
 	for _, m := range missions {
 		if _, err := m.Build(); err != nil {
 			return err
@@ -314,6 +318,9 @@ func validateAxes(missions []MissionSpec, variables, goals, attacks, defenses []
 	for _, g := range goals {
 		if g != GoalDeviation && g != GoalCrash {
 			return fmt.Errorf("campaign: unknown goal %q", g)
+		}
+		if err := core.CheckLearner(learner, g == GoalCrash); err != nil {
+			return err
 		}
 	}
 	for _, a := range attacks {

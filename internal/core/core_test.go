@@ -356,7 +356,7 @@ func TestDeviationEnvBasics(t *testing.T) {
 			break
 		}
 	}
-	devAttack = env.PathDistance()
+	devAttack = env.distance()
 
 	env2, err := NewDeviationEnv(EnvConfig{
 		Variable: "PIDR.INTEG",
@@ -372,7 +372,7 @@ func TestDeviationEnvBasics(t *testing.T) {
 			break
 		}
 	}
-	devIdle := env2.PathDistance()
+	devIdle := env2.distance()
 	if devAttack <= devIdle {
 		t.Errorf("attack deviation %.2f not above idle %.2f", devAttack, devIdle)
 	}
@@ -422,22 +422,14 @@ func TestEnvsRejectBadConfig(t *testing.T) {
 }
 
 func TestCrashEnvBasics(t *testing.T) {
-	// A wall beside the mission's final loiter point (40, 0): a standing
-	// +roll command offset drifts the vehicle east (+Y) into it.
-	obstacle := sim.Obstacle{
-		Name: "wall",
-		Box: mathx.AABB{
-			Min: mathx.V3(35, 8, -20),
-			Max: mathx.V3(45, 12, 0),
-		},
-	}
+	// The forbidden zone beside the mission's final loiter point (40, 0):
+	// a standing +roll command offset drifts the vehicle east (+Y) into it.
 	env, err := NewCrashEnv(EnvConfig{
 		Variable:  "CMD.Roll",
-		PerTick:   true,
 		MaxAction: 0.6,
 		Seed:      300,
 		Mission:   firmware.LineMission(40, 10),
-	}, obstacle)
+	}, ForbiddenZone(40, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +437,7 @@ func TestCrashEnvBasics(t *testing.T) {
 	if len(obs) != env.ObservationSize() {
 		t.Fatalf("obs size %d", len(obs))
 	}
-	d0 := env.GoalDistance()
+	d0 := env.distance()
 	if d0 <= 0 {
 		t.Fatalf("starting inside the obstacle: %v", d0)
 	}
@@ -457,7 +449,7 @@ func TestCrashEnvBasics(t *testing.T) {
 	minDist := d0
 	for i := 0; i < 80; i++ {
 		_, reward, done := env.Step(hi)
-		if d := env.GoalDistance(); d < minDist {
+		if d := env.distance(); d < minDist {
 			minDist = d
 		}
 		if done {
@@ -473,48 +465,45 @@ func TestCrashEnvBasics(t *testing.T) {
 }
 
 func TestTrainDeviationExploitSmoke(t *testing.T) {
-	res, agent, err := TrainDeviationExploit(ExploitConfig{
-		Env: EnvConfig{
-			Variable: "PIDR.INTEG",
-			Seed:     400,
-			Mission:  firmware.LineMission(40, 10),
-		},
-		Episodes: 6,
-		MaxSteps: 25,
-		Seed:     1,
+	env, err := NewDeviationEnv(EnvConfig{
+		Variable: "PIDR.INTEG",
+		Seed:     400,
+		Mission:  firmware.LineMission(40, 10),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agent == nil || res.Train == nil || res.Train.Episodes != 6 {
+	res, err := TrainExploit(env, ExploitConfig{Episodes: 6, MaxSteps: 25, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Policy == nil || res.Train == nil || res.Train.Episodes != 6 {
 		t.Fatalf("training result: %+v", res)
 	}
-	if res.Variable != "PIDR.INTEG" || res.Learner != "reinforce" {
+	if res.Variable != "PIDR.INTEG" || res.Learner != LearnerReinforce {
 		t.Errorf("metadata: %+v", res)
 	}
+	if n := len(res.Replay.Steps); n == 0 || n > 25 {
+		t.Errorf("replay ran %d steps, want 1..25", n)
+	}
 	// Q-learning variant runs too.
-	qres, _, err := TrainDeviationExploit(ExploitConfig{
-		Env: EnvConfig{
-			Variable: "PIDR.INTEG",
-			Seed:     410,
-			Mission:  firmware.LineMission(40, 10),
-		},
-		Episodes: 3,
-		MaxSteps: 15,
-		Seed:     2,
-		Learner:  "qlearning",
+	qenv, err := NewDeviationEnv(EnvConfig{
+		Variable: "PIDR.INTEG",
+		Seed:     410,
+		Mission:  firmware.LineMission(40, 10),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qres.Learner != "qlearning" || qres.Train.Episodes != 3 {
+	qres, err := TrainExploit(qenv, ExploitConfig{Episodes: 3, MaxSteps: 15, Seed: 2, Learner: LearnerQLearning})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qres.Learner != LearnerQLearning || qres.Train.Episodes != 3 {
 		t.Errorf("qlearning result: %+v", qres)
 	}
 	// Unknown learner rejected.
-	if _, _, err := TrainDeviationExploit(ExploitConfig{
-		Env:     EnvConfig{Variable: "PIDR.INTEG", Seed: 1},
-		Learner: "sarsa",
-	}); err == nil {
+	if _, err := TrainExploit(qenv, ExploitConfig{Learner: "sarsa"}); err == nil {
 		t.Error("unknown learner accepted")
 	}
 }

@@ -36,7 +36,7 @@ type EnvConfig struct {
 	// the episode — the defender's response is recovery, not abort — so
 	// the evaluation measures the *physical* outcome the attack achieves
 	// against an actively recovering vehicle. The detection itself is
-	// still recorded (Alarmed/EvalDetected), so the campaign success
+	// still recorded (Rollout.Detected), so the campaign success
 	// criterion — an undetected failure — already counts a recovered
 	// flight as a defended one.
 	Recovery *defense.RecoveryGuard
@@ -44,14 +44,6 @@ type EnvConfig struct {
 	Seed int64
 	// SetupSeconds is the pre-mission flight time (takeoff + settle).
 	SetupSeconds float64
-	// PerTick selects the manipulation semantics. False (default): each
-	// action adds its amount to the variable once — right for stateful
-	// cells like the PID integrator, which hold the injected value.
-	// True: the amount is re-applied at every 400 Hz tick during the
-	// action interval — required for cells the firmware rewrites each
-	// cycle (e.g. the CMD.* handoff), where the injection acts as a
-	// standing offset.
-	PerTick bool
 }
 
 func (c *EnvConfig) applyDefaults() {
@@ -82,10 +74,31 @@ type baseEnv struct {
 	ticks   int
 	alarmed bool
 	world   *sim.World
+	// perTick selects the manipulation semantics, derived from the
+	// variable name at construction. False: each action adds its amount
+	// to the variable once — right for stateful cells like the PID
+	// integrator, which hold the injected value. True, for the CMD.*
+	// handoff cells the navigator rewrites every cycle: the amount is
+	// re-applied at every 400 Hz tick of the action interval, so the
+	// injection acts as a standing offset.
+	perTick bool
 
 	// Injection state consumed by the firmware's mid-pipeline hook.
 	pendDelta float64
 	pendOnce  bool
+}
+
+// newBaseEnv applies the config defaults and validates the config, so a
+// misconfiguration fails at construction rather than in Reset.
+func newBaseEnv(cfg EnvConfig, world *sim.World) (baseEnv, error) {
+	cfg.applyDefaults()
+	if cfg.Variable == "" {
+		return baseEnv{}, fmt.Errorf("core: env needs a target variable")
+	}
+	if err := validateConfig(cfg); err != nil {
+		return baseEnv{}, err
+	}
+	return baseEnv{cfg: cfg, world: world, perTick: strings.HasPrefix(cfg.Variable, "CMD.")}, nil
 }
 
 // reset rebuilds the episode: fresh firmware (per-episode sensor seed),
@@ -124,7 +137,7 @@ func (b *baseEnv) reset() error {
 	// the handoff cells, exactly as in the attack-session path.
 	fw.SetAttackHook(func() {
 		switch {
-		case b.cfg.PerTick:
+		case b.perTick:
 			b.ref.Add(b.pendDelta)
 		case b.pendOnce:
 			b.ref.Add(b.pendDelta)
@@ -180,6 +193,19 @@ func (b *baseEnv) recovered() bool {
 	return b.cfg.Recovery != nil && b.cfg.Recovery.Engaged()
 }
 
+func (b *baseEnv) base() *baseEnv { return b }
+
+// Firmware exposes the running stack (read-only use in evaluations).
+func (b *baseEnv) Firmware() *firmware.Firmware { return b.fw }
+
+// ActionBounds implements rl.Env.
+func (b *baseEnv) ActionBounds() (float64, float64) {
+	return -b.cfg.MaxAction, b.cfg.MaxAction
+}
+
+// ObservationSize implements rl.Env: both environments observe five values.
+func (b *baseEnv) ObservationSize() int { return 5 }
+
 // validateConfig checks at construction time that the mission can launch,
 // the configured variable is reachable from the configured region, and
 // the recovery guard is one attack.RunSession would accept, so a
@@ -217,19 +243,15 @@ var _ rl.Env = (*DeviationEnv)(nil)
 
 // NewDeviationEnv creates the environment.
 func NewDeviationEnv(cfg EnvConfig) (*DeviationEnv, error) {
-	cfg.applyDefaults()
-	if cfg.Variable == "" {
-		return nil, fmt.Errorf("core: deviation env needs a target variable")
-	}
-	if err := validateConfig(cfg); err != nil {
+	base, err := newBaseEnv(cfg, nil)
+	if err != nil {
 		return nil, err
 	}
-	e := &DeviationEnv{
-		baseEnv: baseEnv{cfg: cfg},
+	return &DeviationEnv{
+		baseEnv: base,
 		reward:  rl.NewUncontrolledReward(),
-	}
-	e.path = cfg.Mission.Path()
-	return e, nil
+		path:    base.cfg.Mission.Path(),
+	}, nil
 }
 
 // Reset implements rl.Env.
@@ -242,39 +264,22 @@ func (e *DeviationEnv) Reset() []float64 {
 		panic(fmt.Sprintf("core: deviation env reset: %v", err))
 	}
 	e.reward.Reset()
-	e.reward.Step(e.pathDist(), false)
+	e.reward.Step(e.distance(), false)
 	return e.observe()
 }
 
 // Step implements rl.Env.
 func (e *DeviationEnv) Step(action float64) ([]float64, float64, bool) {
 	alarm := e.advance(action)
-	dist := e.pathDist()
-	reward, done := e.reward.Step(dist, alarm)
+	reward, done := e.reward.Step(e.distance(), alarm)
 	if crashed, _ := e.fw.Quad().Crashed(); crashed {
 		done = true
 	}
 	return e.observe(), reward, done
 }
 
-// ObservationSize implements rl.Env.
-func (e *DeviationEnv) ObservationSize() int { return 5 }
-
-// ActionBounds implements rl.Env.
-func (e *DeviationEnv) ActionBounds() (float64, float64) {
-	return -e.cfg.MaxAction, e.cfg.MaxAction
-}
-
-// PathDistance exposes the current deviation (for evaluation rollouts).
-func (e *DeviationEnv) PathDistance() float64 { return e.pathDist() }
-
-// Alarmed reports whether the in-loop detector fired this episode.
-func (e *DeviationEnv) Alarmed() bool { return e.alarmed }
-
-// Firmware exposes the running stack (read-only use in evaluations).
-func (e *DeviationEnv) Firmware() *firmware.Firmware { return e.fw }
-
-func (e *DeviationEnv) pathDist() float64 {
+// distance is the vehicle's current deviation from the mission path.
+func (e *DeviationEnv) distance() float64 {
 	return mathx.PathDistance(e.fw.Quad().State().Pos, e.path)
 }
 
@@ -291,7 +296,7 @@ func (e *DeviationEnv) observe() []float64 {
 		}
 	}
 	return []float64{
-		e.pathDist() / 10,
+		e.distance() / 10,
 		roll,
 		st.Omega.X,
 		e.ref.Get(),
@@ -312,17 +317,14 @@ var _ rl.Env = (*CrashEnv)(nil)
 
 // NewCrashEnv creates the environment with the given forbidden zone.
 func NewCrashEnv(cfg EnvConfig, obstacle sim.Obstacle) (*CrashEnv, error) {
-	cfg.applyDefaults()
-	if cfg.Variable == "" {
-		return nil, fmt.Errorf("core: crash env needs a target variable")
-	}
-	if err := validateConfig(cfg); err != nil {
-		return nil, err
-	}
 	world := &sim.World{}
 	world.AddObstacle(obstacle)
+	base, err := newBaseEnv(cfg, world)
+	if err != nil {
+		return nil, err
+	}
 	e := &CrashEnv{
-		baseEnv:  baseEnv{cfg: cfg, world: world},
+		baseEnv:  base,
 		reward:   rl.NewControlledReward(),
 		obstacle: obstacle,
 	}
@@ -331,20 +333,34 @@ func NewCrashEnv(cfg EnvConfig, obstacle sim.Obstacle) (*CrashEnv, error) {
 	return e, nil
 }
 
+// ForbiddenZone is the Case Study II forbidden zone for a mission whose
+// final leg ends at x = size, flown at alt: a wall 8–12 m beside the end
+// point, 10 m long and spanning ground to twice the altitude — reachable
+// by a lateral push without lying on the benign path.
+func ForbiddenZone(size, alt float64) sim.Obstacle {
+	return sim.Obstacle{
+		Name: "forbidden-zone",
+		Box: mathx.AABB{
+			Min: mathx.Vec3{X: size - 5, Y: 8, Z: -2 * alt},
+			Max: mathx.Vec3{X: size + 5, Y: 12, Z: 0},
+		},
+	}
+}
+
 // Reset implements rl.Env.
 func (e *CrashEnv) Reset() []float64 {
 	if err := e.reset(); err != nil {
 		panic(fmt.Sprintf("core: crash env reset: %v", err))
 	}
 	e.reward.Reset()
-	e.reward.Step(e.goalDist(), false)
+	e.reward.Step(e.distance(), false)
 	return e.observe()
 }
 
 // Step implements rl.Env.
 func (e *CrashEnv) Step(action float64) ([]float64, float64, bool) {
 	alarm := e.advance(action)
-	dist := e.goalDist()
+	dist := e.distance()
 	// A registered collision with the target obstacle is goal contact
 	// even if the crash handler froze the vehicle just outside Epsilon.
 	if crashed, reason := e.fw.Quad().Crashed(); crashed &&
@@ -358,21 +374,8 @@ func (e *CrashEnv) Step(action float64) ([]float64, float64, bool) {
 	return e.observe(), reward, done
 }
 
-// ObservationSize implements rl.Env.
-func (e *CrashEnv) ObservationSize() int { return 5 }
-
-// ActionBounds implements rl.Env.
-func (e *CrashEnv) ActionBounds() (float64, float64) {
-	return -e.cfg.MaxAction, e.cfg.MaxAction
-}
-
-// GoalDistance exposes the distance to the forbidden zone.
-func (e *CrashEnv) GoalDistance() float64 { return e.goalDist() }
-
-// Firmware exposes the running stack.
-func (e *CrashEnv) Firmware() *firmware.Firmware { return e.fw }
-
-func (e *CrashEnv) goalDist() float64 {
+// distance is the vehicle's current distance to the forbidden zone.
+func (e *CrashEnv) distance() float64 {
 	return e.obstacle.Box.Distance(e.fw.Quad().State().Pos)
 }
 
@@ -381,7 +384,7 @@ func (e *CrashEnv) observe() []float64 {
 	roll, _, _ := st.Euler()
 	center := e.obstacle.Box.Center()
 	return []float64{
-		e.goalDist() / 10,
+		e.distance() / 10,
 		(center.X - st.Pos.X) / 10,
 		(center.Y - st.Pos.Y) / 10,
 		roll,

@@ -15,8 +15,6 @@ type Report struct {
 	Groups []*GroupAnalysis
 	// Roll holds the Figure 3/5 roll-control analysis.
 	Roll *RollAnalysis
-	// Exploits holds the trained exploit results.
-	Exploits []*ExploitResult
 }
 
 // WriteText renders the report as aligned text tables.
@@ -67,14 +65,6 @@ func (r *Report) WriteText(w io.Writer) error {
 			return err
 		}
 		if err := fprintf("roll TSVL: %s\n\n", strings.Join(r.Roll.TSVL, ", ")); err != nil {
-			return err
-		}
-	}
-
-	for _, e := range r.Exploits {
-		if err := fprintf("exploit %-14s learner=%-9s bestReturn=%8.2f evalDev=%6.2f m crashed=%v detected=%v\n",
-			e.Variable, e.Learner, e.Train.BestReturn, e.EvalDeviation,
-			e.EvalCrashed, e.EvalDetected); err != nil {
 			return err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/core"
+	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
 )
 
@@ -92,17 +93,13 @@ func RunAblation(s *Suite) (*AblationResult, error) {
 
 	// (3) Policy gradient vs Q-learning on the deviation task.
 	episodes := s.episodes() / 2
-	pg, _, err := core.TrainDeviationExploit(core.ExploitConfig{
-		Env:      core.EnvConfig{Variable: "PIDR.INTEG", Seed: s.Seed + 2000}, //areslint:ignore seedarith golden-pinned
-		Episodes: episodes, MaxSteps: 40, Seed: s.Seed,
-	})
+	pg, err := trainAblation(core.EnvConfig{Variable: "PIDR.INTEG", Seed: s.Seed + 2000}, //areslint:ignore seedarith golden-pinned
+		core.ExploitConfig{Episodes: episodes, MaxSteps: 40, Seed: s.Seed})
 	if err != nil {
 		return nil, err
 	}
-	q, _, err := core.TrainDeviationExploit(core.ExploitConfig{
-		Env:      core.EnvConfig{Variable: "PIDR.INTEG", Seed: s.Seed + 2100}, //areslint:ignore seedarith golden-pinned
-		Episodes: episodes, MaxSteps: 40, Seed: s.Seed, Learner: "qlearning",
-	})
+	q, err := trainAblation(core.EnvConfig{Variable: "PIDR.INTEG", Seed: s.Seed + 2100}, //areslint:ignore seedarith golden-pinned
+		core.ExploitConfig{Episodes: episodes, MaxSteps: 40, Seed: s.Seed, Learner: core.LearnerQLearning})
 	if err != nil {
 		return nil, err
 	}
@@ -152,47 +149,40 @@ func RunAblation(s *Suite) (*AblationResult, error) {
 	// The command-offset lever is strong enough that an unconstrained
 	// agent's aggressive offsets trip the CI monitor; the in-loop agent
 	// must trade deviation for stealth.
-	inLoop, _, err := core.TrainDeviationExploit(core.ExploitConfig{
-		Env: core.EnvConfig{
-			Variable:  "CMD.Roll",
-			PerTick:   true,
-			MaxAction: 0.6,
-			Seed:      s.Seed + 2200, //areslint:ignore seedarith golden-pinned
-			Detector:  ci,
-		},
-		Episodes: episodes, MaxSteps: 60, Seed: s.Seed + 3, //areslint:ignore seedarith golden-pinned
-	})
+	cmdRoll := func(seed int64, detector *defense.ControlInvariants) core.EnvConfig {
+		return core.EnvConfig{Variable: "CMD.Roll", MaxAction: 0.6, Seed: seed, Detector: detector}
+	}
+	train := core.ExploitConfig{Episodes: episodes, MaxSteps: 60, Seed: s.Seed + 3} //areslint:ignore seedarith golden-pinned
+
+	inLoop, err := trainAblation(cmdRoll(s.Seed+2200, ci), train) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
-	_, plainAgent, err := core.TrainDeviationExploit(core.ExploitConfig{
-		Env: core.EnvConfig{
-			Variable:  "CMD.Roll",
-			PerTick:   true,
-			MaxAction: 0.6,
-			Seed:      s.Seed + 2300, //areslint:ignore seedarith golden-pinned
-		},
-		Episodes: episodes, MaxSteps: 60, Seed: s.Seed + 3, //areslint:ignore seedarith golden-pinned
-	})
+	plain, err := trainAblation(cmdRoll(s.Seed+2300, nil), train) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
-	// Judge the detector-blind policy under the detector it never saw.
-	plainDev, plainDetected, _, err := core.EvaluateDeviation(plainAgent, core.EnvConfig{
-		Variable:  "CMD.Roll",
-		PerTick:   true,
-		MaxAction: 0.6,
-		Seed:      s.Seed + 2400, //areslint:ignore seedarith golden-pinned
-		Detector:  ci,
-	}, 60)
+	// Judge the detector-blind policy under the detector it never saw, by
+	// the peak deviation of its replay.
+	judge, err := core.NewDeviationEnv(cmdRoll(s.Seed+2400, ci)) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
-	res.WithDetectorEvaded = !inLoop.EvalDetected
-	res.WithDetectorDev = inLoop.EvalDeviation
-	res.WithoutDetectorDev = plainDev
-	res.WithoutDetectorCaught = plainDetected
+	judged := core.Replay(judge, plain.Policy, 60)
+	res.WithDetectorEvaded = !inLoop.Replay.Detected
+	res.WithDetectorDev = inLoop.Replay.Final
+	res.WithoutDetectorDev = judged.Peak
+	res.WithoutDetectorCaught = judged.Detected
 	return res, nil
+}
+
+// trainAblation trains one exploit on a deviation environment.
+func trainAblation(env core.EnvConfig, cfg core.ExploitConfig) (*core.ExploitResult, error) {
+	e, err := core.NewDeviationEnv(env)
+	if err != nil {
+		return nil, err
+	}
+	return core.TrainExploit(e, cfg)
 }
 
 func bestAIC(g *core.GroupAnalysis) float64 {

@@ -7,9 +7,7 @@ import (
 	"math/rand"
 
 	"github.com/ares-cps/ares/internal/core"
-	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
-	"github.com/ares-cps/ares/internal/rl"
 )
 
 // Fig10Scenario is one uncontrolled-failure exploit scenario: a policy
@@ -41,39 +39,30 @@ type Fig10Result struct {
 // Name implements Result.
 func (*Fig10Result) Name() string { return "fig10" }
 
-// fig10Env builds the Case Study I environment; a non-nil detector wires
-// the Section V-C reward shaping (−∞ on alarm).
-func fig10Env(seed int64, detector *defense.ControlInvariants) (*core.DeviationEnv, error) {
+// fig10Env builds the Case Study I environment.
+func fig10Env(seed int64) (*core.DeviationEnv, error) {
 	return core.NewDeviationEnv(core.EnvConfig{
 		Variable: "PIDR.INTEG",
 		Mission:  firmware.LineMission(60, 10),
 		Seed:     seed,
-		Detector: detector,
 	})
 }
 
-// evalDeviation rolls out a policy and records the deviation profile.
-func evalDeviation(env *core.DeviationEnv, policy func([]float64) float64, steps int) Fig10Scenario {
-	var sc Fig10Scenario
-	obs := env.Reset()
-	acc := 0.0
-	for i := 0; i < steps; i++ {
-		action := policy(obs)
-		next, _, done := env.Step(action)
-		obs = next
-		d := env.PathDistance()
-		acc += d
-		sc.DevTrace = append(sc.DevTrace, d)
-		sc.Accumulated = append(sc.Accumulated, acc)
-		if d > sc.MaxDev {
-			sc.MaxDev = d
-		}
-		if done {
-			break
-		}
+// fig10Scenario summarizes a replay as a named scenario.
+func fig10Scenario(name string, r *core.Rollout) Fig10Scenario {
+	sc := Fig10Scenario{
+		Name:     name,
+		FinalDev: r.Final,
+		MaxDev:   r.Peak,
+		Detected: r.Detected,
+		Crashed:  r.Crashed,
 	}
-	sc.FinalDev = env.PathDistance()
-	sc.Crashed, _ = env.Firmware().Quad().Crashed()
+	acc := 0.0
+	for _, st := range r.Steps {
+		acc += st.Distance
+		sc.DevTrace = append(sc.DevTrace, st.Distance)
+		sc.Accumulated = append(sc.Accumulated, acc)
+	}
 	return sc
 }
 
@@ -86,23 +75,23 @@ func RunFig10(s *Suite) (*Fig10Result, error) {
 		steps = 30
 	}
 	res := &Fig10Result{Episodes: episodes}
-
-	// Trained agent.
-	env, err := fig10Env(s.Seed+500, nil) //areslint:ignore seedarith golden-pinned
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := env.ActionBounds()
-	agent := rl.NewReinforce(env.ObservationSize(), lo, hi, s.Seed)
-	train := agent.Train(env, episodes, steps)
 	fifth := episodes / 5
 	if fifth < 1 {
 		fifth = 1
 	}
-	trained := evalDeviation(env, agent.Policy.Mean, steps)
-	trained.Name = "RL-trained"
-	trained.LearnFirst = meanOf(train.Returns[:fifth])
-	trained.LearnLast = train.MeanLastN(fifth)
+
+	// Trained agent.
+	env, err := fig10Env(s.Seed + 500) //areslint:ignore seedarith golden-pinned
+	if err != nil {
+		return nil, err
+	}
+	agent, err := core.TrainExploit(env, core.ExploitConfig{Episodes: episodes, MaxSteps: steps, Seed: s.Seed})
+	if err != nil {
+		return nil, err
+	}
+	trained := fig10Scenario("RL-trained", agent.Replay)
+	trained.LearnFirst = meanOf(agent.Train.Returns[:fifth])
+	trained.LearnLast = agent.Train.MeanLastN(fifth)
 	res.Scenarios = append(res.Scenarios, trained)
 
 	// Trained with the CI detector in the reward loop (Section V-C): the
@@ -118,7 +107,6 @@ func RunFig10(s *Suite) (*Fig10Result, error) {
 	// manipulation the monitor implicitly trusts (see EXPERIMENTS.md).
 	envD, err := core.NewDeviationEnv(core.EnvConfig{
 		Variable:  "CMD.Roll",
-		PerTick:   true,
 		MaxAction: 0.6,
 		Mission:   firmware.LineMission(60, 10),
 		Seed:      s.Seed + 550, //areslint:ignore seedarith golden-pinned
@@ -127,36 +115,37 @@ func RunFig10(s *Suite) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	loD, hiD := envD.ActionBounds()
-	agentD := rl.NewReinforce(envD.ObservationSize(), loD, hiD, s.Seed+1) //areslint:ignore seedarith golden-pinned
-	trainD := agentD.Train(envD, episodes, steps)
-	withDet := evalDeviation(envD, agentD.Policy.Mean, steps)
-	withDet.Name = "RL+detector"
-	withDet.LearnFirst = clippedMean(trainD.Returns[:fifth])
-	withDet.LearnLast = clippedMean(trainD.Returns[len(trainD.Returns)-fifth:])
-	withDet.Detected = envD.Alarmed()
+	agentD, err := core.TrainExploit(envD, core.ExploitConfig{
+		Episodes: episodes, MaxSteps: steps, Seed: s.Seed + 1, //areslint:ignore seedarith golden-pinned
+	})
+	if err != nil {
+		return nil, err
+	}
+	withDet := fig10Scenario("RL+detector", agentD.Replay)
+	returnsD := agentD.Train.Returns
+	withDet.LearnFirst = clippedMean(returnsD[:fifth])
+	withDet.LearnLast = clippedMean(returnsD[len(returnsD)-fifth:])
 	res.Scenarios = append(res.Scenarios, withDet)
 
 	// Random-policy baseline.
-	envR, err := fig10Env(s.Seed+600, nil) //areslint:ignore seedarith golden-pinned
+	envR, err := fig10Env(s.Seed + 600) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
+	lo, hi := envR.ActionBounds()
 	rng := rand.New(rand.NewSource(s.Seed + 9)) //areslint:ignore seedarith golden-pinned
-	random := evalDeviation(envR, func([]float64) float64 {
+	random := core.Replay(envR, func([]float64) float64 {
 		return lo + rng.Float64()*(hi-lo)
 	}, steps)
-	random.Name = "random"
-	res.Scenarios = append(res.Scenarios, random)
+	res.Scenarios = append(res.Scenarios, fig10Scenario("random", random))
 
 	// Benign baseline (no manipulation).
-	envB, err := fig10Env(s.Seed+700, nil) //areslint:ignore seedarith golden-pinned
+	envB, err := fig10Env(s.Seed + 700) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
-	benign := evalDeviation(envB, func([]float64) float64 { return 0 }, steps)
-	benign.Name = "benign"
-	res.Scenarios = append(res.Scenarios, benign)
+	benign := core.Replay(envB, func([]float64) float64 { return 0 }, steps)
+	res.Scenarios = append(res.Scenarios, fig10Scenario("benign", benign))
 	return res, nil
 }
 

@@ -8,8 +8,6 @@ import (
 
 	"github.com/ares-cps/ares/internal/core"
 	"github.com/ares-cps/ares/internal/firmware"
-	"github.com/ares-cps/ares/internal/mathx"
-	"github.com/ares-cps/ares/internal/rl"
 	"github.com/ares-cps/ares/internal/sim"
 )
 
@@ -40,18 +38,6 @@ type Fig11Result struct {
 // Name implements Result.
 func (*Fig11Result) Name() string { return "fig11" }
 
-// fig11Obstacle returns the forbidden zone: a wall 8 m east of the
-// mission's final loiter point.
-func fig11Obstacle() sim.Obstacle {
-	return sim.Obstacle{
-		Name: "forbidden-zone",
-		Box: mathx.AABB{
-			Min: mathx.V3(35, 8, -20),
-			Max: mathx.V3(45, 12, 0),
-		},
-	}
-}
-
 // hitRate counts the fraction of episodes that ended at the goal (+∞
 // return).
 func hitRate(returns []float64) float64 {
@@ -67,38 +53,34 @@ func hitRate(returns []float64) float64 {
 	return float64(hits) / float64(len(returns))
 }
 
+// fig11Size and fig11Alt define the Case Study II flight: a 40 m line at
+// 10 m altitude.
+const fig11Size, fig11Alt = 40, 10
+
 func fig11Env(seed int64) (*core.CrashEnv, error) {
 	return core.NewCrashEnv(core.EnvConfig{
 		Variable:  "CMD.Roll",
-		PerTick:   true,
 		MaxAction: 0.6,
-		Mission:   firmware.LineMission(40, 10),
+		Mission:   firmware.LineMission(fig11Size, fig11Alt),
 		Seed:      seed,
-	}, fig11Obstacle())
+	}, core.ForbiddenZone(fig11Size, fig11Alt))
 }
 
-// evalCrash rolls out a policy and records the distance profile.
-func evalCrash(env *core.CrashEnv, policy func([]float64) float64, steps int) Fig11Scenario {
-	sc := Fig11Scenario{MinDist: math.Inf(1)}
-	obs := env.Reset()
-	for i := 0; i < steps; i++ {
-		action := policy(obs)
-		next, reward, done := env.Step(action)
-		obs = next
-		d := env.GoalDistance()
-		sc.DistTrace = append(sc.DistTrace, d)
-		if d < sc.MinDist {
-			sc.MinDist = d
-		}
-		if done {
-			if math.IsInf(reward, 1) {
-				sc.Reached = true
-				sc.MinDist = 0
-			}
-			break
-		}
+// fig11Scenario summarizes a replay as a named scenario: contact is a +∞
+// terminal reward (Equation 5), which also zeroes the closest approach.
+func fig11Scenario(name string, r *core.Rollout) Fig11Scenario {
+	sc := Fig11Scenario{
+		Name:    name,
+		MinDist: r.Closest,
+		Reached: math.IsInf(r.Terminal, 1),
+		Crashed: r.Crashed,
 	}
-	sc.Crashed, _ = env.Firmware().Quad().Crashed()
+	if sc.Reached {
+		sc.MinDist = 0
+	}
+	for _, st := range r.Steps {
+		sc.DistTrace = append(sc.DistTrace, st.Distance)
+	}
 	return sc
 }
 
@@ -110,33 +92,36 @@ func RunFig11(s *Suite) (*Fig11Result, error) {
 	if s.Quick {
 		steps = 40
 	}
-	res := &Fig11Result{Episodes: episodes, Obstacle: fig11Obstacle()}
+	res := &Fig11Result{Episodes: episodes, Obstacle: core.ForbiddenZone(fig11Size, fig11Alt)}
 
 	env, err := fig11Env(s.Seed + 800) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := env.ActionBounds()
-	agent := rl.NewReinforce(env.ObservationSize(), lo, hi, s.Seed+1) //areslint:ignore seedarith golden-pinned
-	train := agent.Train(env, episodes, steps)
+	agent, err := core.TrainExploit(env, core.ExploitConfig{
+		Episodes: episodes, MaxSteps: steps, Seed: s.Seed + 1, //areslint:ignore seedarith golden-pinned
+	})
+	if err != nil {
+		return nil, err
+	}
 	fifth := episodes / 5
 	if fifth < 1 {
 		fifth = 1
 	}
-	trained := evalCrash(env, agent.Policy.Mean, steps)
-	trained.Name = "RL-trained"
-	trained.HitFirst = hitRate(train.Returns[:fifth])
-	trained.HitLast = hitRate(train.Returns[len(train.Returns)-fifth:])
+	returns := agent.Train.Returns
+	trained := fig11Scenario("RL-trained", agent.Replay)
+	trained.HitFirst = hitRate(returns[:fifth])
+	trained.HitLast = hitRate(returns[len(returns)-fifth:])
 	res.Scenarios = append(res.Scenarios, trained)
+	lo, hi := env.ActionBounds()
 
 	// Constant maximum push (open-loop).
 	envC, err := fig11Env(s.Seed + 900) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
-	constant := evalCrash(envC, func([]float64) float64 { return hi }, steps)
-	constant.Name = "constant-push"
-	res.Scenarios = append(res.Scenarios, constant)
+	constant := core.Replay(envC, func([]float64) float64 { return hi }, steps)
+	res.Scenarios = append(res.Scenarios, fig11Scenario("constant-push", constant))
 
 	// Random policy.
 	envR, err := fig11Env(s.Seed + 1000) //areslint:ignore seedarith golden-pinned
@@ -144,20 +129,18 @@ func RunFig11(s *Suite) (*Fig11Result, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed + 11)) //areslint:ignore seedarith golden-pinned
-	random := evalCrash(envR, func([]float64) float64 {
+	random := core.Replay(envR, func([]float64) float64 {
 		return lo + rng.Float64()*(hi-lo)
 	}, steps)
-	random.Name = "random"
-	res.Scenarios = append(res.Scenarios, random)
+	res.Scenarios = append(res.Scenarios, fig11Scenario("random", random))
 
 	// Benign (no manipulation).
 	envB, err := fig11Env(s.Seed + 1100) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
-	benign := evalCrash(envB, func([]float64) float64 { return 0 }, steps)
-	benign.Name = "benign"
-	res.Scenarios = append(res.Scenarios, benign)
+	benign := core.Replay(envB, func([]float64) float64 { return 0 }, steps)
+	res.Scenarios = append(res.Scenarios, fig11Scenario("benign", benign))
 	return res, nil
 }
 

@@ -7,8 +7,6 @@
 // ablation bench, and the Equation 4/5 reward functions.
 package rl
 
-import "math"
-
 // Env is the episodic environment interface (modeled on OpenAI Gym). The
 // ARES attack environments wrap the simulated firmware: Reset lands,
 // disarms and re-arms the vehicle; Step injects one state-variable
@@ -63,23 +61,4 @@ func Rollout(env Env, choose func(obs []float64) float64, maxSteps int) Episode 
 		}
 	}
 	return ep
-}
-
-// DiscountedReturns computes G_t = Σ_k γ^k r_{t+k} for every step. Infinite
-// rewards (the paper's ±∞ terminal rewards) saturate rather than poison the
-// sum: they are replaced by ±infSurrogate before discounting.
-func DiscountedReturns(ep Episode, gamma, infSurrogate float64) []float64 {
-	g := make([]float64, len(ep.Transitions))
-	acc := 0.0
-	for t := len(ep.Transitions) - 1; t >= 0; t-- {
-		r := ep.Transitions[t].Reward
-		if math.IsInf(r, 1) {
-			r = infSurrogate
-		} else if math.IsInf(r, -1) {
-			r = -infSurrogate
-		}
-		acc = r + gamma*acc
-		g[t] = acc
-	}
-	return g
 }

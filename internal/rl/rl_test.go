@@ -116,30 +116,6 @@ func TestQLearnerLearnsDrift(t *testing.T) {
 	}
 }
 
-func TestDiscountedReturns(t *testing.T) {
-	ep := Episode{Transitions: []Transition{
-		{Reward: 1}, {Reward: 2}, {Reward: 4},
-	}}
-	g := DiscountedReturns(ep, 0.5, 100)
-	want := []float64{1 + 0.5*(2+0.5*4), 2 + 0.5*4, 4}
-	for i := range want {
-		if math.Abs(g[i]-want[i]) > 1e-12 {
-			t.Fatalf("G = %v, want %v", g, want)
-		}
-	}
-	// Infinite rewards are saturated.
-	epInf := Episode{Transitions: []Transition{
-		{Reward: math.Inf(1)}, {Reward: math.Inf(-1)},
-	}}
-	gInf := DiscountedReturns(epInf, 0.9, 50)
-	if gInf[1] != -50 {
-		t.Errorf("−∞ surrogate = %v, want -50", gInf[1])
-	}
-	if gInf[0] != 50+0.9*-50 {
-		t.Errorf("+∞ surrogate = %v", gInf[0])
-	}
-}
-
 func TestGaussianPolicyBoundsAndDeterminism(t *testing.T) {
 	p := NewGaussianPolicy(1, -2, 3, 1)
 	p.W = []float64{10, 0} // latent mean far beyond the bound
