@@ -396,7 +396,7 @@ func TestFuzzBaselineShape(t *testing.T) {
 		t.Errorf("fuzzer found effective+stealthy in %d/%d trials",
 			res.FuzzBoth, res.Trials)
 	}
-	renderAndExport(t, res)
+	checkGolden(t, "fuzzbaseline", renderAndExport(t, res))
 }
 
 func TestRegistryAndLookup(t *testing.T) {
