@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/sensors"
 )
@@ -173,12 +174,30 @@ func TestSessionBenignVsNaiveVsRamp(t *testing.T) {
 	}
 }
 
+// TestSessionValidation: a session refuses a config it cannot fly and
+// every monitor that would fly silently disarmed because it was never
+// fitted. The EKF residual monitor has no training step.
 func TestSessionValidation(t *testing.T) {
-	if _, err := RunSession(SessionConfig{}); err == nil {
-		t.Error("empty config accepted")
-	}
-	if _, err := RunSession(SessionConfig{Mission: firmware.NewMission(nil)}); err == nil {
-		t.Error("empty mission accepted")
+	mission := firmware.LineMission(30, 10)
+	for _, c := range []struct {
+		name string
+		cfg  SessionConfig
+		ok   bool
+	}{
+		{"empty config", SessionConfig{}, false},
+		{"empty mission", SessionConfig{Mission: firmware.NewMission(nil)}, false},
+		{"unfitted CI", SessionConfig{Mission: mission, CI: defense.NewControlInvariants()}, false},
+		{"unfitted ML", SessionConfig{Mission: mission, ML: defense.NewMLMonitor(0.0025)}, false},
+		{"unfitted variable monitor", SessionConfig{Mission: mission, VarMon: defense.NewVariableMonitor()}, false},
+		{"guard with unfitted detector", SessionConfig{Mission: mission, Recovery: defense.NewRecoveryGuard(defense.NewControlInvariants())}, false},
+		{"EKF residual", SessionConfig{Mission: mission, EKF: defense.NewEKFResidual()}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Duration = 0.1
+			if _, err := RunSession(c.cfg); (err == nil) != c.ok {
+				t.Errorf("err = %v, want ok = %v", err, c.ok)
+			}
+		})
 	}
 }
 

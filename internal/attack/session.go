@@ -9,7 +9,6 @@ import (
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/sensors"
 	"github.com/ares-cps/ares/internal/sim"
-	"github.com/ares-cps/ares/internal/vars"
 )
 
 // TracePoint is one recorded sample of an attack session (16 Hz).
@@ -75,17 +74,12 @@ type SessionConfig struct {
 	Duration float64
 	// Seed controls sensor noise; distinct seeds give distinct trials.
 	Seed int64
-	// Monitors: fitted detectors to run; nil entries are skipped.
-	CI  *defense.ControlInvariants
-	ML  *defense.MLMonitor
-	EKF *defense.EKFResidual
-	// VarMon is the variable-level countermeasure; it watches the live
-	// values of its trained variable set every tick.
-	VarMon *defense.VariableMonitor
-	// Recovery is the SpecGuard-style recovery defense: its detector runs
-	// in the loop and, from the first alarm on, the guard's conservative
-	// recovery controller clamps the attitude commands and bleeds the
-	// integrators every tick.
+	// CI, ML, EKF, VarMon and Recovery are the in-loop monitors, as in
+	// Monitors; nil entries are skipped.
+	CI       *defense.ControlInvariants
+	ML       *defense.MLMonitor
+	EKF      *defense.EKFResidual
+	VarMon   *defense.VariableMonitor
 	Recovery *defense.RecoveryGuard
 	// World adds obstacles/forbidden zones to the environment.
 	World *sim.World
@@ -121,8 +115,8 @@ func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, 
 		minTicks := int(30 / fw.DT()) // hover missions complete instantly
 		for i := 0; i < maxTicks && (!fw.Mission().Complete() || i < minTicks); i++ {
 			fw.Step()
-			ciTrace = append(ciTrace, CISampleOf(fw))
-			mlTrace = append(mlTrace, MLSampleOf(fw))
+			ciTrace = append(ciTrace, ciSampleOf(fw))
+			mlTrace = append(mlTrace, mlSampleOf(fw))
 		}
 		if crashed, reason := fw.Quad().Crashed(); crashed {
 			return nil, nil, fmt.Errorf("attack: calibration flight crashed: %s", reason)
@@ -140,88 +134,37 @@ func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, 
 	return ci, ml, nil
 }
 
-// RunSession executes one instrumented flight and returns its result.
+// RunSession executes one instrumented flight and returns its result: the
+// strategy loop over a Flight, with the 16 Hz trace and the detection and
+// path-deviation bookkeeping.
 func RunSession(cfg SessionConfig) (*SessionResult, error) {
-	if cfg.Mission == nil || cfg.Mission.Len() == 0 {
-		return nil, fmt.Errorf("attack: session needs a mission")
-	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 60
 	}
-	if cfg.CI != nil {
-		cfg.CI.Reset()
-	}
-	if cfg.ML != nil {
-		cfg.ML.Reset()
-	}
-	if cfg.EKF != nil {
-		cfg.EKF.Reset()
-	}
-	if cfg.VarMon != nil {
-		cfg.VarMon.Reset()
-	}
-	if cfg.Recovery != nil {
-		if err := cfg.Recovery.Validate(); err != nil {
-			return nil, err
-		}
-		cfg.Recovery.Reset()
-	}
-	fw, err := firmware.Launch(firmware.Config{
+	attackBegun := false
+	var hookNow float64
+	fl, err := NewFlight(firmware.Config{
 		World:   cfg.World,
 		Sensors: sensors.Seeded(cfg.Seed),
 		Vehicle: cfg.Vehicle,
-	}, cfg.Mission, 10)
+	}, cfg.Mission, 10, Monitors{
+		CI: cfg.CI, ML: cfg.ML, EKF: cfg.EKF, VarMon: cfg.VarMon, Recovery: cfg.Recovery,
+	}, func(fw *firmware.Firmware) {
+		if attackBegun {
+			cfg.Strategy.Apply(fw, hookNow)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
+	fw := fl.Firmware()
 
 	res := &SessionResult{FirstAlarmT: -1}
-	var varRefs []vars.Ref
-	var varVals []float64
-	if cfg.VarMon != nil {
-		for _, name := range cfg.VarMon.Names() {
-			ref, ok := fw.Vars().Lookup(name)
-			if !ok {
-				return nil, fmt.Errorf("attack: variable monitor watches unknown %q", name)
-			}
-			varRefs = append(varRefs, ref)
-		}
-		varVals = make([]float64, len(varRefs))
-	}
 	path := cfg.Mission.Path()
 	ticks := int(cfg.Duration / fw.DT())
-	logEvery := int(math.Round(1 / (16 * fw.DT()))) // 16 Hz trace
-	if logEvery < 1 {
-		logEvery = 1
-	}
-	attackBegun := false
-	start := fw.Time()
-
-	var recRefs defense.RecoveryRefs
-	if cfg.Recovery != nil {
-		if recRefs, err = RecoveryRefsOf(fw); err != nil {
-			return nil, err
-		}
-	}
-
-	// The strategy fires from the mid-pipeline hook: after the navigator
-	// writes the attitude command, before the stabilizer consumes it —
-	// the timing an attacker with code in the stabilizer region has. The
-	// recovery clamp runs after the strategy from the same hook: the
-	// legitimate firmware gets the last word on what the stabilizer sees.
-	var hookNow float64
-	fw.SetAttackHook(func() {
-		if attackBegun && cfg.Strategy != nil {
-			cfg.Strategy.Apply(fw, hookNow)
-		}
-		if cfg.Recovery != nil {
-			cfg.Recovery.Apply(recRefs)
-		}
-	})
-	defer fw.SetAttackHook(nil)
-
+	logEvery := max(1, int(math.Round(1/(16*fw.DT())))) // 16 Hz trace
 	for i := 0; i < ticks; i++ {
-		now := fw.Time() - start
+		now := fl.Now()
 		if cfg.Strategy != nil && !attackBegun && now >= cfg.AttackStart {
 			if err := cfg.Strategy.Begin(fw); err != nil {
 				return nil, err
@@ -229,47 +172,26 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 			attackBegun = true
 		}
 		hookNow = now - cfg.AttackStart
-		fw.Step()
+		v, flying := fl.Tick()
 
-		// Feed the monitors at the control rate.
+		// The guard's detector verdict reports through the CI channel (it
+		// *is* a control-invariants detector, plus a response).
+		ciV := v.CI
+		if cfg.Recovery != nil && (v.Guard.Stat > ciV.Stat || v.Guard.Alarm) {
+			ciV = v.Guard
+		}
+		alarm := note(&res.MaxCI, &res.DetectedCI, ciV)
+		alarm = note(&res.MaxML, &res.DetectedML, v.ML) || alarm
+		alarm = note(&res.MaxEKF, &res.DetectedEKF, v.EKF) || alarm
+		if note(&res.MaxVar, &res.DetectedVar, v.Var) {
+			res.AlarmedVariable = cfg.VarMon.AlarmedVariable()
+			alarm = true
+		}
+		if alarm && res.FirstAlarmT < 0 {
+			res.FirstAlarmT = now
+		}
+
 		st := fw.Quad().State()
-		roll, pitch, yaw := st.Euler()
-		var ciV, mlV, ekfV defense.Verdict
-		if cfg.CI != nil {
-			ciV = cfg.CI.Observe(CISampleOf(fw))
-		}
-		if cfg.Recovery != nil {
-			// The guard's detector verdict reports through the CI channel
-			// (it *is* a control-invariants detector, plus a response).
-			if v := cfg.Recovery.Observe(CISampleOf(fw), now); v.Stat > ciV.Stat || v.Alarm {
-				ciV = v
-			}
-		}
-		if cfg.ML != nil {
-			mlV = cfg.ML.Observe(MLSampleOf(fw))
-		}
-		estRoll, _, _ := fw.EKF().Attitude()
-		if cfg.EKF != nil {
-			ekfV = cfg.EKF.Observe(roll, estRoll)
-		}
-		if cfg.VarMon != nil {
-			for j, ref := range varRefs {
-				varVals[j] = ref.Get()
-			}
-			v := cfg.VarMon.Observe(varVals)
-			if v.Stat > res.MaxVar {
-				res.MaxVar = v.Stat
-			}
-			if v.Alarm && !res.DetectedVar {
-				res.DetectedVar = true
-				res.AlarmedVariable = cfg.VarMon.AlarmedVariable()
-				if res.FirstAlarmT < 0 {
-					res.FirstAlarmT = now
-				}
-			}
-		}
-		updateDetection(res, now, ciV, mlV, ekfV)
-
 		dev := mathx.PathDistance(st.Pos, path)
 		if dev > res.MaxPathDev {
 			res.MaxPathDev = dev
@@ -277,6 +199,8 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 		res.FinalPathDev = dev
 
 		if i%logEvery == 0 {
+			roll, pitch, _ := st.Euler()
+			estRoll, _, _ := fw.EKF().Attitude()
 			res.Trace = append(res.Trace, TracePoint{
 				T:          now,
 				RollDeg:    mathx.Deg(roll),
@@ -284,19 +208,18 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 				PitchDeg:   mathx.Deg(pitch),
 				PathDev:    dev,
 				CIStat:     ciV.Stat,
-				MLStat:     mlV.Stat,
-				EKFStat:    ekfV.Stat,
+				MLStat:     v.ML.Stat,
+				EKFStat:    v.EKF.Stat,
 				PIDOutP:    varOf(fw, "PIDR.P"),
 				PIDOutI:    varOf(fw, "PIDR.I"),
 				PIDOutD:    varOf(fw, "PIDR.D"),
 				EKFRollDeg: mathx.Deg(estRoll),
 			})
 		}
-		_ = yaw
 
-		if crashed, reason := fw.Quad().Crashed(); crashed {
+		if !flying {
 			res.Crashed = true
-			res.CrashReason = reason
+			_, res.CrashReason = fw.Quad().Crashed()
 			break
 		}
 	}
@@ -308,88 +231,15 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 	return res, nil
 }
 
-func updateDetection(res *SessionResult, now float64, ci, ml, ekf defense.Verdict) {
-	if ci.Stat > res.MaxCI {
-		res.MaxCI = ci.Stat
+// note folds one tick's verdict into a monitor's peak statistic and
+// detection flag, reporting whether it is the monitor's first alarm.
+func note(peak *float64, detected *bool, v defense.Verdict) bool {
+	if v.Stat > *peak {
+		*peak = v.Stat
 	}
-	if ml.Stat > res.MaxML {
-		res.MaxML = ml.Stat
+	if !v.Alarm || *detected {
+		return false
 	}
-	if ekf.Stat > res.MaxEKF {
-		res.MaxEKF = ekf.Stat
-	}
-	alarm := false
-	if ci.Alarm && !res.DetectedCI {
-		res.DetectedCI = true
-		alarm = true
-	}
-	if ml.Alarm && !res.DetectedML {
-		res.DetectedML = true
-		alarm = true
-	}
-	if ekf.Alarm && !res.DetectedEKF {
-		res.DetectedEKF = true
-		alarm = true
-	}
-	if alarm && res.FirstAlarmT < 0 {
-		res.FirstAlarmT = now
-	}
-}
-
-// RecoveryRefsOf resolves the canonical recovery-actuation cells of the
-// SpecGuard-style guard against a running firmware: the attitude-command
-// handoff cells it clamps and the rate-PID integrators it bleeds. The
-// defense package stays firmware-agnostic; this is the wiring layer.
-func RecoveryRefsOf(fw *firmware.Firmware) (defense.RecoveryRefs, error) {
-	var refs defense.RecoveryRefs
-	for _, name := range []string{"CMD.Roll", "CMD.Pitch"} {
-		ref, ok := fw.Vars().Lookup(name)
-		if !ok {
-			return defense.RecoveryRefs{}, fmt.Errorf("attack: recovery cell %q not registered", name)
-		}
-		refs.Commands = append(refs.Commands, ref)
-	}
-	for _, name := range []string{"PIDR.INTEG", "PIDP.INTEG"} {
-		ref, ok := fw.Vars().Lookup(name)
-		if !ok {
-			return defense.RecoveryRefs{}, fmt.Errorf("attack: recovery cell %q not registered", name)
-		}
-		refs.Integrators = append(refs.Integrators, ref)
-	}
-	return refs, nil
-}
-
-// CISampleOf extracts the control-invariants observation. Following Choi
-// et al.'s implementation, the monitor reads the attitude *targets the
-// firmware itself computed* (ATT.DesRoll/DesPitch/DesYaw) — it has no
-// independent source of expected behavior. This is precisely the soundness
-// gap ARES exploits: a manipulation that shifts the target and lets the
-// vehicle track it stays self-consistent, while an attack that makes the
-// vehicle diverge from its own targets (e.g. forcing the rate integrator)
-// is caught.
-func CISampleOf(fw *firmware.Firmware) defense.CISample {
-	roll, pitch, yaw := fw.Quad().State().Euler()
-	return defense.CISample{
-		Roll: roll, Pitch: pitch, Yaw: yaw,
-		DesRoll:  varOf(fw, "ATT.DesRoll"),
-		DesPitch: varOf(fw, "ATT.DesPitch"),
-		DesYaw:   varOf(fw, "ATT.DesYaw"),
-	}
-}
-
-// MLSampleOf extracts the ML-monitor observation: the roll-rate controller's
-// target, measurement and output.
-func MLSampleOf(fw *firmware.Firmware) defense.MLSample {
-	return defense.MLSample{
-		Target: varOf(fw, "RATE.RDes"),
-		Actual: fw.LastReading().IMU.Gyro.X,
-		Output: varOf(fw, "PIDR.OUT"),
-	}
-}
-
-func varOf(fw *firmware.Firmware, name string) float64 {
-	if ref, ok := fw.Vars().Lookup(name); ok {
-		return ref.Get()
-	}
-	return 0
+	*detected = true
+	return true
 }

@@ -112,7 +112,7 @@ func (a *StealthyAttack) Apply(fw *firmware.Firmware, now float64) {
 	a.lastNow = now
 	a.haveLast = true
 
-	v := a.Shadow.Observe(CISampleOf(fw))
+	v := a.Shadow.Observe(ciSampleOf(fw))
 	if v.Stat >= a.Budget*a.Shadow.Threshold {
 		a.offset *= a.Backoff
 	} else {

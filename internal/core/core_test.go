@@ -388,12 +388,12 @@ func TestDeviationEnvRejectsBadTarget(t *testing.T) {
 }
 
 // TestEnvsRejectBadConfig: both environments refuse at construction what
-// reset could not fly — an empty mission — and a recovery guard that
-// attack.RunSession would reject, instead of silently training against a
-// guard that does nothing.
+// reset could not fly — an empty mission — and a monitor that
+// attack.NewFlight would reject, instead of silently training against a
+// defense that does nothing.
 func TestEnvsRejectBadConfig(t *testing.T) {
 	guard := func(mut func(*defense.RecoveryGuard)) *defense.RecoveryGuard {
-		g := defense.NewRecoveryGuard(defense.NewControlInvariants())
+		g := defense.NewRecoveryGuard(identifiedCI(t, 1))
 		mut(g)
 		return g
 	}
@@ -408,6 +408,9 @@ func TestEnvsRejectBadConfig(t *testing.T) {
 		{"guard without detector", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.Detector = nil })}, false},
 		{"guard clamp zero", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.ClampAngle = 0 })}, false},
 		{"guard decay one", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.IntegratorDecay = 1 })}, false},
+		{"guard with unfitted detector", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.Detector = defense.NewControlInvariants() })}, false},
+		{"valid detector", EnvConfig{Detector: identifiedCI(t, 1)}, true},
+		{"unfitted detector", EnvConfig{Detector: defense.NewControlInvariants()}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.Variable = "PIDR.INTEG"

@@ -26,8 +26,9 @@ type EnvConfig struct {
 	ActionInterval float64
 	// Mission is the flight the attack disrupts; nil uses a 60 m line.
 	Mission *firmware.Mission
-	// Detector, when non-nil, runs in the loop and ends the episode with
-	// the −∞ penalty on alarm (the Section V-C reward shaping).
+	// Detector, when non-nil, is a fitted CI monitor that runs in the loop
+	// and ends the episode with the −∞ penalty on alarm (the Section V-C
+	// reward shaping), whether or not Recovery is also set.
 	Detector *defense.ControlInvariants
 	// Recovery, when non-nil, runs the SpecGuard-style recovery defense in
 	// the loop: its detector observes every tick and, once engaged, the
@@ -38,7 +39,8 @@ type EnvConfig struct {
 	// against an actively recovering vehicle. The detection itself is
 	// still recorded (Rollout.Detected), so the campaign success
 	// criterion — an undetected failure — already counts a recovered
-	// flight as a defended one.
+	// flight as a defended one. With both set, the vehicle recovers on the
+	// guard's alarm and the episode ends on the Detector's.
 	Recovery *defense.RecoveryGuard
 	// Seed drives per-episode variation.
 	Seed int64
@@ -67,13 +69,17 @@ func (c *EnvConfig) applyDefaults() {
 // baseEnv holds the machinery shared by both attack environments.
 type baseEnv struct {
 	cfg     EnvConfig
+	mons    attack.Monitors
+	flight  *attack.Flight
 	fw      *firmware.Firmware
 	ref     vars.Ref
-	recRefs defense.RecoveryRefs
 	episode int
 	ticks   int
-	alarmed bool
-	world   *sim.World
+	// alarmed records any in-loop alarm this episode, the recovery
+	// guard's included; detected records only the Detector's, which ends
+	// the episode.
+	alarmed, detected bool
+	world             *sim.World
 	// perTick selects the manipulation semantics, derived from the
 	// variable name at construction. False: each action adds its amount
 	// to the variable once — right for stateful cells like the PID
@@ -83,114 +89,94 @@ type baseEnv struct {
 	// injection acts as a standing offset.
 	perTick bool
 
-	// Injection state consumed by the firmware's mid-pipeline hook.
+	// Injection state consumed by the flight's injection hook.
 	pendDelta float64
 	pendOnce  bool
 }
 
-// newBaseEnv applies the config defaults and validates the config, so a
-// misconfiguration fails at construction rather than in Reset.
+// newBaseEnv applies the config defaults and checks that the mission can
+// launch, the variable is reachable from the region, and the monitors are
+// ones attack.NewFlight accepts, so a misconfiguration fails at
+// construction rather than in Reset or silently in flight.
 func newBaseEnv(cfg EnvConfig, world *sim.World) (baseEnv, error) {
 	cfg.applyDefaults()
 	if cfg.Variable == "" {
 		return baseEnv{}, fmt.Errorf("core: env needs a target variable")
 	}
-	if err := validateConfig(cfg); err != nil {
+	if cfg.Mission.Len() == 0 {
+		return baseEnv{}, fmt.Errorf("core: env needs a mission")
+	}
+	mons := attack.Monitors{CI: cfg.Detector, Recovery: cfg.Recovery}
+	if err := mons.Validate(); err != nil {
 		return baseEnv{}, err
 	}
-	return baseEnv{cfg: cfg, world: world, perTick: strings.HasPrefix(cfg.Variable, "CMD.")}, nil
+	fw, err := firmware.New(firmware.Config{})
+	if err != nil {
+		return baseEnv{}, err
+	}
+	if _, err := fw.Memory().Access(cfg.Region, cfg.Variable, true); err != nil {
+		return baseEnv{}, fmt.Errorf("core: env target: %w", err)
+	}
+	return baseEnv{cfg: cfg, mons: mons, world: world, perTick: strings.HasPrefix(cfg.Variable, "CMD.")}, nil
 }
 
-// reset rebuilds the episode: fresh firmware (per-episode sensor seed),
-// takeoff, mission start — the Gym env reset of Section V-A ("landing,
-// disarming the vehicle, and resetting it back into its initial position"
-// realized as a clean re-launch).
-func (b *baseEnv) reset() error {
-	fw, err := firmware.Launch(firmware.Config{
+// reset rebuilds the episode: a fresh attacked flight (per-episode sensor
+// seed), takeoff, mission start — the Gym env reset of Section V-A
+// ("landing, disarming the vehicle, and resetting it back into its
+// initial position" realized as a clean re-launch). An environment that
+// cannot reset cannot train, and the mission, variable and monitors were
+// validated at construction, so a failure here is a programming bug, not
+// a runtime condition: reset panics.
+func (b *baseEnv) reset() {
+	fl, err := attack.NewFlight(firmware.Config{
 		World:   b.world,
 		Sensors: sensors.Seeded(b.cfg.Seed + int64(b.episode)), //areslint:ignore seedarith golden-pinned
-	}, b.cfg.Mission, b.cfg.SetupSeconds)
-	if err != nil {
-		return err
+	}, b.cfg.Mission, b.cfg.SetupSeconds, b.mons, b.inject)
+	if err == nil {
+		b.ref, err = fl.Firmware().Memory().Access(b.cfg.Region, b.cfg.Variable, true)
 	}
-	b.fw = fw
+	if err != nil {
+		panic(fmt.Sprintf("core: env reset: %v", err))
+	}
+	b.flight, b.fw = fl, fl.Firmware()
 	b.episode++
-	b.alarmed = false
-
-	ref, err := fw.Memory().Access(b.cfg.Region, b.cfg.Variable, true)
-	if err != nil {
-		return err
-	}
-	b.ref = ref
+	b.alarmed, b.detected = false, false
 	b.pendDelta, b.pendOnce = 0, false
-	if b.cfg.Recovery != nil {
-		b.cfg.Recovery.Reset()
-		if b.recRefs, err = attack.RecoveryRefsOf(fw); err != nil {
-			return err
-		}
+	b.ticks = max(1, int(b.cfg.ActionInterval/b.fw.DT()))
+}
+
+// inject is the flight's injection hook. Firing after the navigator
+// writes its commands and before the stabilizer consumes them, it can
+// manipulate both stateful cells (INTEG) and per-cycle rewritten cells
+// (CMD.*).
+func (b *baseEnv) inject(*firmware.Firmware) {
+	switch {
+	case b.perTick:
+		b.ref.Add(b.pendDelta)
+	case b.pendOnce:
+		b.ref.Add(b.pendDelta)
+		b.pendOnce = false
 	}
-	// The injection fires from the firmware's mid-pipeline hook, after
-	// the navigator writes its commands and before the stabilizer
-	// consumes them — so both stateful cells (INTEG) and per-cycle
-	// rewritten cells (CMD.*) are manipulable. The recovery clamp runs
-	// after the injection so the legitimate defense gets the last word on
-	// the handoff cells, exactly as in the attack-session path.
-	fw.SetAttackHook(func() {
-		switch {
-		case b.perTick:
-			b.ref.Add(b.pendDelta)
-		case b.pendOnce:
-			b.ref.Add(b.pendDelta)
-			b.pendOnce = false
-		}
-		if b.cfg.Recovery != nil {
-			b.cfg.Recovery.Apply(b.recRefs)
-		}
-	})
-	if b.cfg.Detector != nil {
-		b.cfg.Detector.Reset()
-	}
-	b.ticks = int(b.cfg.ActionInterval / fw.DT())
-	if b.ticks < 1 {
-		b.ticks = 1
-	}
-	return nil
 }
 
 // advance injects the action and runs one action interval, returning
-// whether a detector alarm fired.
-func (b *baseEnv) advance(action float64) bool {
+// whether the Detector has alarmed and whether the vehicle crashed. A
+// recovery guard's alarm is recorded but deliberately not fed back to the
+// reward: recovery responds physically instead of aborting, so the episode
+// continues and the evaluation measures what the attack achieves against
+// the clamps.
+func (b *baseEnv) advance(action float64) (detected, crashed bool) {
 	b.pendDelta = mathx.Clamp(action, -b.cfg.MaxAction, b.cfg.MaxAction)
 	b.pendOnce = true
 	for i := 0; i < b.ticks; i++ {
-		b.fw.Step()
-		if b.cfg.Detector != nil {
-			if v := b.cfg.Detector.Observe(attack.CISampleOf(b.fw)); v.Alarm {
-				b.alarmed = true
-			}
-		}
-		if b.cfg.Recovery != nil {
-			// The guard's detection is recorded but deliberately not fed
-			// back to the reward: recovery responds physically instead of
-			// aborting, so the episode continues and the evaluation
-			// measures what the attack achieves against the clamps.
-			if v := b.cfg.Recovery.Observe(attack.CISampleOf(b.fw), b.fw.Time()); v.Alarm {
-				b.alarmed = true
-			}
-		}
-		if crashed, _ := b.fw.Quad().Crashed(); crashed {
-			break
+		v, flying := b.flight.Tick()
+		b.detected = b.detected || v.CI.Alarm
+		b.alarmed = b.alarmed || v.CI.Alarm || v.Guard.Alarm
+		if !flying {
+			return b.detected, true
 		}
 	}
-	if b.cfg.Recovery != nil {
-		return false
-	}
-	return b.alarmed
-}
-
-// recovered reports whether the recovery guard engaged this episode.
-func (b *baseEnv) recovered() bool {
-	return b.cfg.Recovery != nil && b.cfg.Recovery.Engaged()
+	return b.detected, false
 }
 
 func (b *baseEnv) base() *baseEnv { return b }
@@ -205,29 +191,6 @@ func (b *baseEnv) ActionBounds() (float64, float64) {
 
 // ObservationSize implements rl.Env: both environments observe five values.
 func (b *baseEnv) ObservationSize() int { return 5 }
-
-// validateConfig checks at construction time that the mission can launch,
-// the configured variable is reachable from the configured region, and
-// the recovery guard is one attack.RunSession would accept, so a
-// misconfiguration fails here rather than in Reset or silently in flight.
-func validateConfig(cfg EnvConfig) error {
-	if cfg.Mission.Len() == 0 {
-		return fmt.Errorf("core: env needs a mission")
-	}
-	if cfg.Recovery != nil {
-		if err := cfg.Recovery.Validate(); err != nil {
-			return err
-		}
-	}
-	fw, err := firmware.New(firmware.Config{})
-	if err != nil {
-		return err
-	}
-	if _, err := fw.Memory().Access(cfg.Region, cfg.Variable, true); err != nil {
-		return fmt.Errorf("core: env target: %w", err)
-	}
-	return nil
-}
 
 // DeviationEnv is the uncontrolled-failure environment (Case Study I): the
 // agent manipulates one state variable to push the vehicle off its mission
@@ -256,13 +219,7 @@ func NewDeviationEnv(cfg EnvConfig) (*DeviationEnv, error) {
 
 // Reset implements rl.Env.
 func (e *DeviationEnv) Reset() []float64 {
-	if err := e.reset(); err != nil {
-		// An environment that cannot reset cannot train; surfacing the
-		// error through a panic here is a programming/configuration bug,
-		// not a runtime condition (mission and variable were validated
-		// at construction).
-		panic(fmt.Sprintf("core: deviation env reset: %v", err))
-	}
+	e.reset()
 	e.reward.Reset()
 	e.reward.Step(e.distance(), false)
 	return e.observe()
@@ -270,12 +227,9 @@ func (e *DeviationEnv) Reset() []float64 {
 
 // Step implements rl.Env.
 func (e *DeviationEnv) Step(action float64) ([]float64, float64, bool) {
-	alarm := e.advance(action)
+	alarm, crashed := e.advance(action)
 	reward, done := e.reward.Step(e.distance(), alarm)
-	if crashed, _ := e.fw.Quad().Crashed(); crashed {
-		done = true
-	}
-	return e.observe(), reward, done
+	return e.observe(), reward, done || crashed
 }
 
 // distance is the vehicle's current deviation from the mission path.
@@ -349,9 +303,7 @@ func ForbiddenZone(size, alt float64) sim.Obstacle {
 
 // Reset implements rl.Env.
 func (e *CrashEnv) Reset() []float64 {
-	if err := e.reset(); err != nil {
-		panic(fmt.Sprintf("core: crash env reset: %v", err))
-	}
+	e.reset()
 	e.reward.Reset()
 	e.reward.Step(e.distance(), false)
 	return e.observe()
@@ -359,19 +311,15 @@ func (e *CrashEnv) Reset() []float64 {
 
 // Step implements rl.Env.
 func (e *CrashEnv) Step(action float64) ([]float64, float64, bool) {
-	alarm := e.advance(action)
+	alarm, crashed := e.advance(action)
 	dist := e.distance()
 	// A registered collision with the target obstacle is goal contact
 	// even if the crash handler froze the vehicle just outside Epsilon.
-	if crashed, reason := e.fw.Quad().Crashed(); crashed &&
-		strings.Contains(reason, e.obstacle.Name) {
+	if _, reason := e.fw.Quad().Crashed(); crashed && strings.Contains(reason, e.obstacle.Name) {
 		dist = 0
 	}
 	reward, done := e.reward.Step(dist, alarm)
-	if crashed, _ := e.fw.Quad().Crashed(); crashed {
-		done = true
-	}
-	return e.observe(), reward, done
+	return e.observe(), reward, done || crashed
 }
 
 // distance is the vehicle's current distance to the forbidden zone.

@@ -8,9 +8,8 @@ import (
 
 // RecoveryRefs are the live control cells a RecoveryGuard actuates while
 // engaged. The guard itself stays firmware-agnostic — whoever runs the
-// vehicle (the attack session, the RL environments) resolves the cells and
-// hands the references over, exactly as monitors receive samples instead
-// of a firmware handle.
+// vehicle (attack.Flight) resolves the cells and hands the references
+// over, exactly as monitors receive samples instead of a firmware handle.
 type RecoveryRefs struct {
 	// Commands are the attitude-command handoff cells (e.g. CMD.Roll,
 	// CMD.Pitch) clamped into the conservative flight envelope.
@@ -142,8 +141,8 @@ func (g *RecoveryGuard) Reset() {
 
 // Validate checks the guard's configuration without flying anything.
 func (g *RecoveryGuard) Validate() error {
-	if g.Detector == nil {
-		return fmt.Errorf("defense: recovery guard needs a detector")
+	if !g.Fitted() {
+		return fmt.Errorf("defense: recovery guard needs an identified detector")
 	}
 	if g.ClampAngle <= 0 {
 		return fmt.Errorf("defense: recovery guard needs a positive clamp angle")
