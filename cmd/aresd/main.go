@@ -1,29 +1,28 @@
 // Command aresd is the networked assessment daemon: it serves the
 // internal/serve HTTP API (job queueing with backpressure, singleflight
 // dedup of identical specs, LRU result caching, SSE progress, Prometheus
-// metrics) backed by the ARES campaign executor. Both daemon modes run
-// the same internal/dist job lifecycle; they differ only in where the
-// workers live.
+// metrics, the CPV catalog and the /v1/dist/* fleet protocol) backed by
+// the ARES campaign executor. Every daemon is built the same way, by
+// serve.New: one internal/dist coordinator serving one API, with -workers
+// in-process workers and any number of remote workers joining it.
 //
-// Daemon mode (a coordinator with -workers in-process workers):
+// Daemon mode:
 //
-//	aresd [-addr :8080] [-store DIR] [-queue N] [-workers N]
-//	      [-parallel N] [-cache N] [-drain D]
+//	aresd [-addr :8080] [-store DIR] [-workers N] [-queue N] [-parallel N]
+//	      [-cache N] [-lease-ttl D] [-lease-batch N] [-drain D]
 //
+// -workers 0 is a pure fleet coordinator: only remote workers execute.
 // SIGINT/SIGTERM drains gracefully: the daemon stops accepting, finishes
-// in-flight jobs (up to -drain), persists the queue manifest, and a
-// restarted daemon with the same -store completes the remainder.
+// in-flight jobs (up to -drain), releases outstanding remote leases,
+// persists the queue manifest, and a restarted daemon with the same
+// -store completes the remainder. Nothing authenticates, so run aresd on
+// a trusted network.
 //
-// Fleet mode shards campaigns across machines (internal/dist). One
-// daemon coordinates; any number of workers join it:
+// Fleet mode shards campaigns across machines (internal/dist). Any
+// number of workers join one daemon:
 //
-//	aresd -coordinator [-addr :8080] [-store DIR] [-lease-ttl D] [-lease-batch N]
 //	aresd -worker -join http://coordinator:8080 [-id NAME] [-workers N]
 //
-// The coordinator serves the same submission, status, SSE and result API
-// as a single-node daemon — -submit/-wait point at it unchanged — and
-// drains the same way: SIGTERM releases outstanding leases back into the
-// queue manifest.
 // A killed worker costs nothing but its lease TTL; the fleet's merged
 // artifacts are byte-identical to a local run of the same spec.
 //
@@ -38,7 +37,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -50,6 +48,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/dist"
 	"github.com/ares-cps/ares/internal/serve"
 )
@@ -66,49 +65,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address (daemon) or daemon address/URL (client)")
 	storeDir := fs.String("store", "aresd-store", "artifact + queue-manifest directory")
-	queueDepth := fs.Int("queue", 64, "submission queue depth (backpressure beyond this)")
-	workers := fs.Int("workers", 2, "concurrent jobs")
+	queueDepth := fs.Int("queue", 0, "submission queue depth, backpressure beyond this (0 = 64)")
+	workers := fs.Int("workers", 2, "concurrent jobs: in-process workers (0 = pure fleet coordinator), or with -worker, leased jobs")
 	parallel := fs.Int("parallel", 0, "machine-wide parallelism budget shared by running jobs (0 = all CPUs)")
-	cacheSize := fs.Int("cache", 128, "result cache entries (LRU)")
+	cacheSize := fs.Int("cache", 0, "result cache entries, LRU (0 = 128)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	submit := fs.String("submit", "", "client mode: POST this spec file (\"-\" = stdin) to -addr")
 	wait := fs.Bool("wait", false, "with -submit: poll until the job finishes and print the summary")
 	timeout := fs.Duration("timeout", 10*time.Minute, "with -wait: give up after this long")
-	coordinator := fs.Bool("coordinator", false, "fleet mode: coordinate -worker daemons instead of executing locally")
 	worker := fs.Bool("worker", false, "fleet mode: execute job leases from the -join coordinator")
 	join := fs.String("join", "", "worker mode: coordinator address or URL to join")
 	workerID := fs.String("id", "", "worker mode: stable worker identity (default host-pid)")
-	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "coordinator mode: lease lifetime without a heartbeat")
-	leaseBatch := fs.Int("lease-batch", 8, "coordinator mode: max jobs per lease")
+	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "remote-worker lease lifetime without a heartbeat")
+	leaseBatch := fs.Int("lease-batch", 8, "max jobs per remote-worker lease")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *coordinator && *worker {
-		return errors.New("-coordinator and -worker are mutually exclusive")
-	}
 	if *submit != "" {
 		return clientSubmit(*addr, *submit, *wait, *timeout, stdout, stderr)
 	}
 	if *worker {
 		return workerDaemon(*join, *workerID, *workers, stderr)
-	}
-	if *coordinator {
-		c, err := dist.NewCoordinator(dist.CoordConfig{
-			StoreDir: *storeDir,
-			LeaseTTL: *leaseTTL,
-			MaxLease: *leaseBatch,
-			Log:      stderr,
-		})
-		if err != nil {
-			return err
-		}
-		c.Start()
-		fmt.Fprintf(stderr, "aresd: coordinating on %s (store %s, lease ttl %s, batch %d)\n",
-			*addr, *storeDir, *leaseTTL, *leaseBatch)
-		// Shutdown releases outstanding worker leases into the manifest.
-		return serveUntilSignal(*addr, c.Handler(), *drain,
-			func(context.Context) error { return c.Shutdown() }, stderr)
 	}
 	srv, err := serve.New(serve.Config{
 		StoreDir:    *storeDir,
@@ -116,23 +94,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Workers:     *workers,
 		Parallelism: *parallel,
 		CacheSize:   *cacheSize,
+		LeaseTTL:    *leaseTTL,
+		MaxLease:    *leaseBatch,
 		Log:         stderr,
 	})
 	if err != nil {
 		return err
 	}
 	srv.Start()
-	fmt.Fprintf(stderr, "aresd: listening on %s (store %s, %d workers, queue %d)\n",
-		*addr, *storeDir, *workers, *queueDepth)
-	return serveUntilSignal(*addr, srv.Handler(), *drain, srv.Shutdown, stderr)
+	fmt.Fprintf(stderr, "aresd: listening on %s (store %s, %d in-process workers)\n",
+		*addr, *storeDir, *workers)
+	return serveUntilSignal(*addr, srv, *drain, stderr)
 }
 
-// serveUntilSignal serves h on addr until SIGINT/SIGTERM, then stops
-// accepting connections and drains through shutdown, which gets up to
-// drain to finish in-flight work and persist the queue manifest.
-func serveUntilSignal(addr string, h http.Handler, drain time.Duration,
-	shutdown func(context.Context) error, stderr io.Writer) error {
-	httpSrv := &http.Server{Addr: addr, Handler: h}
+// serveUntilSignal serves srv on addr until SIGINT/SIGTERM, then stops
+// accepting connections and drains srv, which gets up to drain to finish
+// in-flight work and persist the queue manifest.
+func serveUntilSignal(addr string, srv *serve.Server, drain time.Duration, stderr io.Writer) error {
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	ctx, cancel := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -153,7 +132,7 @@ func serveUntilSignal(addr string, h http.Handler, drain time.Duration,
 	drainCtx, stop := context.WithTimeout(context.Background(), drain)
 	defer stop()
 	_ = httpSrv.Shutdown(drainCtx)
-	if err := shutdown(drainCtx); err != nil {
+	if err := srv.Shutdown(drainCtx); err != nil {
 		return err
 	}
 	fmt.Fprintln(stderr, "aresd: queue persisted; bye")
@@ -222,19 +201,19 @@ func clientSubmit(addr, specPath string, wait bool, timeout time.Duration, stdou
 	}
 
 	deadline := time.Now().Add(timeout)
-	for st.State != serve.StateDone && st.State != serve.StateFailed {
+	for st.State != dist.StateDone && st.State != dist.StateFailed {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("job %s still %s after %s", st.ID, st.State, timeout)
 		}
 		time.Sleep(200 * time.Millisecond)
-		if st, err = getJSON[serve.JobStatus](client, base+"/v1/jobs/"+st.ID); err != nil {
+		if st, err = getJSON[dist.JobStatus](client, base+"/v1/jobs/"+st.ID); err != nil {
 			return err
 		}
 	}
-	if st.State == serve.StateFailed {
+	if st.State == dist.StateFailed {
 		return fmt.Errorf("job %s failed: %s", st.ID, st.Error)
 	}
-	res, err := getJSON[serve.Result](client, base+"/v1/results/"+st.ID)
+	res, err := getJSON[dist.Result](client, base+"/v1/results/"+st.ID)
 	if err != nil {
 		return err
 	}
@@ -242,18 +221,18 @@ func clientSubmit(addr, specPath string, wait bool, timeout time.Duration, stdou
 	return res.Summary.WriteText(stdout)
 }
 
-func postSpec(client *http.Client, base string, body []byte) (serve.JobStatus, error) {
+func postSpec(client *http.Client, base string, body []byte) (dist.JobStatus, error) {
 	resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(string(body)))
 	if err != nil {
-		return serve.JobStatus{}, err
+		return dist.JobStatus{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return serve.JobStatus{}, apiError(resp)
+		return dist.JobStatus{}, apiError(resp)
 	}
-	var st serve.JobStatus
+	var st dist.JobStatus
 	if err := decodeBody(resp.Body, &st); err != nil {
-		return serve.JobStatus{}, err
+		return dist.JobStatus{}, err
 	}
 	return st, nil
 }
@@ -292,13 +271,5 @@ const maxBodyBytes = 1 << 20
 // protocol live in this module, so a field the client does not know is
 // a version skew worth failing loudly on, not ignoring.
 func decodeBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
+	return campaign.DecodeStrict(io.LimitReader(r, maxBodyBytes), v)
 }

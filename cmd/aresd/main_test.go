@@ -88,11 +88,7 @@ func TestClientSubmitInvalidSpec(t *testing.T) {
 // TestFleetFlagValidation pins the fleet-mode flag contract.
 func TestFleetFlagValidation(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-coordinator", "-worker"}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("-coordinator -worker: err = %v, want mutual-exclusion error", err)
-	}
-	err = run([]string{"-worker"}, &stdout, &stderr)
+	err := run([]string{"-worker"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "-join") {
 		t.Errorf("-worker without -join: err = %v, want join error", err)
 	}
@@ -103,11 +99,12 @@ func TestFleetFlagValidation(t *testing.T) {
 }
 
 // TestClientAgainstCoordinator proves the unchanged client mode drives a
-// fleet: -submit/-wait against a coordinator whose jobs a dist worker
-// executes.
+// fleet: -submit/-wait against a pure coordinator (serve.New with no
+// in-process workers) whose jobs a remote dist worker executes.
 func TestClientAgainstCoordinator(t *testing.T) {
-	c, err := dist.NewCoordinator(dist.CoordConfig{
+	c, err := serve.New(serve.Config{
 		StoreDir: t.TempDir(),
+		Workers:  0,
 		Metrics:  metrics.NewRegistry(),
 	})
 	if err != nil {
@@ -117,7 +114,7 @@ func TestClientAgainstCoordinator(t *testing.T) {
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		c.Shutdown()
+		c.Shutdown(context.Background())
 	})
 
 	w, err := dist.NewWorker(dist.WorkerConfig{
@@ -146,6 +143,29 @@ func TestClientAgainstCoordinator(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "Campaign fleet-cli — 2 jobs") {
 		t.Errorf("output missing fleet summary:\n%s", stdout.String())
+	}
+}
+
+// TestDecodeBodyStrict: a response body must hold exactly one JSON
+// document whose fields the client knows; stray closing brackets after it
+// are trailing data, not whitespace.
+func TestDecodeBodyStrict(t *testing.T) {
+	var st dist.JobStatus
+	if err := decodeBody(strings.NewReader(`{"id":"a","state":"done","events":1}`+" \n"), &st); err != nil || st.ID != "a" {
+		t.Fatalf("good body: %+v, %v", st, err)
+	}
+	for _, body := range []string{
+		``,
+		`{"id":"a"}]`,
+		`{"id":"a"}}`,
+		`{"id":"a"} {"id":"b"}`,
+		`{"id":"a"} x`,
+		`{"id":"a","bogus":1}`,
+	} {
+		var st dist.JobStatus
+		if err := decodeBody(strings.NewReader(body), &st); err == nil {
+			t.Errorf("decodeBody(%q) accepted", body)
+		}
 	}
 }
 

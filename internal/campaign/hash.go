@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -41,17 +42,33 @@ const MaxSpecBytes = 1 << 20
 // fleet agree on what a valid spec is.
 func DecodeSpec(r io.Reader) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(r, &spec); err != nil {
 		return Spec{}, err
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
-		return Spec{}, fmt.Errorf("trailing data after spec")
 	}
 	if err := spec.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return spec, nil
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v under the
+// repository's strict-decode convention: unknown fields are errors, and so
+// is anything but whitespace after the value. Empty input returns io.EOF
+// unwrapped. The caller bounds r (http.MaxBytesReader, io.LimitReader or
+// an already-capped byte slice); every wire and document decoder in the
+// module goes through here.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// A second Decode sees only what follows the value: io.EOF means
+	// whitespace at most; a stray ']' or '}' is a syntax error here, not
+	// a silently ignored byte.
+	var trailing json.RawMessage
+	if err := dec.Decode(&trailing); err != io.EOF {
+		return errors.New("trailing data after JSON value")
+	}
+	return nil
 }

@@ -130,6 +130,10 @@ func TestParseRecordsStrict(t *testing.T) {
 		`{"id":"X-1"}`, // not an array
 		`[{"id":"X-1","name":"x","entry_component":"stabilizer","attack_vector":"rl","goal":"deviation","variables":["V"],"bonus":1}]`, // unknown field
 		good + `[]`, // trailing data
+		good + `]`,  // stray closing bracket
+		good + `}`,  // stray closing brace
+		good + ` x`, // trailing garbage
+		good + `{`,  // truncated second value
 		`[{"id":"X-1","name":"x","entry_component":"stabilizer","attack_vector":"rl","goal":"deviation","variables":[]}]`, // no variables
 	}
 	for i, doc := range bad {

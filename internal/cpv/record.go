@@ -20,7 +20,6 @@ package cpv
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"regexp"
@@ -173,15 +172,9 @@ func ParseRecords(data []byte) ([]Record, error) {
 	if len(data) > maxRecordsBytes {
 		return nil, fmt.Errorf("cpv: catalog document exceeds %d bytes", maxRecordsBytes)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var recs []Record
-	if err := dec.Decode(&recs); err != nil {
+	if err := campaign.DecodeStrict(bytes.NewReader(data), &recs); err != nil {
 		return nil, fmt.Errorf("cpv: parse: %w", err)
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err == nil || len(trailing) > 0 {
-		return nil, fmt.Errorf("cpv: parse: trailing data after catalog array")
 	}
 	for _, r := range recs {
 		if err := r.Validate(); err != nil {

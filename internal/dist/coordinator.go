@@ -1,7 +1,9 @@
 // Package dist is ARES's one job lifecycle: a content-addressed campaign
-// coordinator whose workers run in the same process (single-node aresd,
-// via internal/serve) or on other machines (aresd -coordinator / -worker),
-// with byte-identical artifacts either way.
+// coordinator whose workers run in the same process (aresd -workers N,
+// via internal/serve), on other machines (aresd -worker joining a
+// coordinator), or both, with byte-identical artifacts either way. Every
+// daemon mode serves the one Handler mux: the client routes, bounded by
+// CoordConfig.QueueDepth, plus the /v1/dist/* fleet protocol.
 //
 // The coordinator accepts campaign specs keyed by their canonical hash
 // (campaign.SpecHash): identical in-flight submissions collapse onto one
@@ -85,6 +87,11 @@ type CoordConfig struct {
 	// MaxLease bounds the jobs granted per fleet lease. Default 8.
 	// In-process workers always lease a whole campaign.
 	MaxLease int
+	// QueueDepth bounds the campaigns waiting for their first lease; a
+	// new or retried campaign beyond it is refused (429). Default 64.
+	QueueDepth int
+	// CacheSize bounds the LRU cache of finished summaries. Default 128.
+	CacheSize int
 	// Metrics receives the ares_serve_* and ares_dist_* instruments; nil
 	// uses metrics.Default().
 	Metrics *metrics.Registry
@@ -98,6 +105,12 @@ func (c *CoordConfig) applyDefaults() {
 	}
 	if c.MaxLease <= 0 {
 		c.MaxLease = 8
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 64
+	}
+	if c.CacheSize <= 0 {
+		c.CacheSize = 128
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.Default()
@@ -159,8 +172,8 @@ type lease struct {
 }
 
 // Coordinator owns every campaign's lifecycle. Construct with
-// NewCoordinator, mount Handler (fleet) or ClientMux (single node) in an
-// http.Server, call Start, and Shutdown on the way out.
+// NewCoordinator, mount Handler in an http.Server, call Start, and
+// Shutdown on the way out.
 type Coordinator struct {
 	cfg CoordConfig
 	mx  coordMetrics
@@ -186,8 +199,7 @@ type Coordinator struct {
 
 // NewCoordinator builds a Coordinator, creating StoreDir if needed and
 // re-queueing every unfinished campaign found in its queue manifest (a
-// previous life's drain or crash leftovers). Its result cache holds 128
-// summaries until SetCacheSize says otherwise.
+// previous life's drain or crash leftovers).
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	if cfg.StoreDir == "" {
 		return nil, errors.New("dist: CoordConfig.StoreDir is required")
@@ -204,7 +216,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		cfg:       cfg,
 		mx:        newCoordMetrics(cfg.Metrics),
 		campaigns: make(map[string]*campaignState),
-		cache:     newLRU(128),
+		cache:     newLRU(cfg.CacheSize),
 		workers:   make(map[string]bool),
 		leases:    make(map[string]*lease),
 		wake:      make(chan struct{}),
@@ -225,14 +237,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		fmt.Fprintf(cfg.Log, "dist: resumed %d campaign(s) from manifest\n", len(pending))
 	}
 	return c, nil
-}
-
-// SetCacheSize bounds the result cache at n finished summaries (a
-// single-node daemon sizes it from its Config). Call it before serving.
-func (c *Coordinator) SetCacheSize(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cache = newLRU(n)
 }
 
 // Start launches the lease reaper, which reclaims expired leases even
@@ -595,18 +599,13 @@ func (c *Coordinator) releaseLeaseLocked(l *lease, reclaimed bool) {
 	}
 }
 
-// Submit is Admit with no bound on queued campaigns.
-func (c *Coordinator) Submit(spec campaign.Spec) (JobStatus, int) {
-	return c.Admit(spec, 0)
-}
-
-// Admit routes one decoded spec and returns the HTTP status to answer
+// Submit routes one decoded spec and returns the HTTP status to answer
 // with: 200 for a done campaign (a cache hit, including a store completed
 // in an earlier life), 202 for a dedup onto a queued or running campaign,
-// 202 for a new campaign or a retry of a failed one — unless queueDepth >
-// 0 and that many campaigns already wait for their first lease (429) —
-// and 503 while draining. Dedups and cache hits are never refused.
-func (c *Coordinator) Admit(spec campaign.Spec, queueDepth int) (JobStatus, int) {
+// 202 for a new campaign or a retry of a failed one — unless QueueDepth
+// campaigns already wait for their first lease (429) — and 503 while
+// draining. Dedups and cache hits are never refused.
+func (c *Coordinator) Submit(spec campaign.Spec) (JobStatus, int) {
 	id := campaign.SpecHash(spec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -636,7 +635,7 @@ func (c *Coordinator) Admit(spec campaign.Spec, queueDepth int) (JobStatus, int)
 		}
 		c.mx.cacheMisses.Inc()
 	}
-	if queueDepth > 0 && c.queuedLocked() >= queueDepth {
+	if c.queuedLocked() >= c.cfg.QueueDepth {
 		_ = cs.unload() // best-effort: nothing was appended; the refusal is the answer
 		c.mx.rejected.Inc()
 		return JobStatus{}, http.StatusTooManyRequests

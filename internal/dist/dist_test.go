@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -285,6 +286,32 @@ func TestWireStrictness(t *testing.T) {
 	}
 	if err := validWorkerID("bench-host-42"); err != nil {
 		t.Errorf("valid worker id refused: %v", err)
+	}
+}
+
+// TestFleetRoutes: the five POST envelopes share one route, which must
+// still answer an unknown operation 404 and a wrong method 405.
+func TestFleetRoutes(t *testing.T) {
+	c, err := NewCoordinator(CoordConfig{StoreDir: t.TempDir(), Metrics: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	h := c.Handler()
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"POST", "/v1/dist/register", `{"worker":"w0"}`, http.StatusOK},
+		{"POST", "/v1/dist/lease", `{"worker":"w0"}`, http.StatusOK},
+		{"POST", "/v1/dist/bogus", `{"worker":"w0"}`, http.StatusNotFound},
+		{"GET", "/v1/dist/register", ``, http.StatusMethodNotAllowed},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, rec.Code, tc.want)
+		}
 	}
 }
 

@@ -8,8 +8,21 @@ import (
 	"github.com/ares-cps/ares/internal/campaign"
 )
 
-// Handler returns the fleet coordinator's HTTP API: ClientMux's routes
-// with no queue bound, plus the /v1/dist/* worker fleet protocol:
+// Handler returns the coordinator's HTTP API, the one mux every daemon
+// mode serves, on a fresh mux the caller may add routes to:
+//
+//	POST /v1/jobs             submit a campaign.Spec (JSON); 202 accepted,
+//	                          deduped onto an in-flight twin or retried, 200
+//	                          when already done, 429 + Retry-After when
+//	                          QueueDepth campaigns already wait, 503 while
+//	                          draining
+//	GET  /v1/jobs/{id}        campaign status
+//	GET  /v1/jobs/{id}/events campaign progress as Server-Sent Events
+//	GET  /v1/results/{id}     aggregated report of a finished campaign
+//	GET  /metrics             Prometheus text exposition
+//	GET  /healthz             liveness, queue depth and fleet gauges
+//
+// plus the /v1/dist/* worker fleet protocol:
 //
 //	GET  /v1/dist/campaigns/{id}/spec campaign spec for worker-side expansion
 //	POST /v1/dist/register            worker hello → lease TTL + heartbeat interval
@@ -17,31 +30,9 @@ import (
 //	POST /v1/dist/heartbeat           keep a lease alive (or learn to abandon it)
 //	POST /v1/dist/records             stream finished records (resumable offsets)
 //	POST /v1/dist/complete            retire a fully-streamed lease
-func (c *Coordinator) Handler() http.Handler {
-	mux := c.ClientMux(0)
-	mux.HandleFunc("GET /v1/dist/campaigns/{id}/spec", c.handleSpec)
-	mux.HandleFunc("POST /v1/dist/register", c.handleRegister)
-	mux.HandleFunc("POST /v1/dist/lease", c.handleLease)
-	mux.HandleFunc("POST /v1/dist/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /v1/dist/records", c.handleRecords)
-	mux.HandleFunc("POST /v1/dist/complete", c.handleComplete)
-	return mux
-}
-
-// ClientMux returns the client-facing API both daemon modes serve, on a
-// fresh mux the caller may add routes to. queueDepth bounds the campaigns
-// waiting for their first lease (0 = unbounded; see Admit).
 //
-//	POST /v1/jobs             submit a campaign.Spec (JSON); 202 accepted,
-//	                          deduped onto an in-flight twin or retried, 200
-//	                          when already done, 429 + Retry-After when the
-//	                          queue is full, 503 while draining
-//	GET  /v1/jobs/{id}        campaign status
-//	GET  /v1/jobs/{id}/events campaign progress as Server-Sent Events
-//	GET  /v1/results/{id}     aggregated report of a finished campaign
-//	GET  /metrics             Prometheus text exposition
-//	GET  /healthz             liveness, queue depth and fleet gauges
-func (c *Coordinator) ClientMux(queueDepth int) *http.ServeMux {
+// Nothing here authenticates: the daemon belongs on a trusted network.
+func (c *Coordinator) Handler() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		spec, err := campaign.DecodeSpec(http.MaxBytesReader(w, r.Body, campaign.MaxSpecBytes))
@@ -49,26 +40,48 @@ func (c *Coordinator) ClientMux(queueDepth int) *http.ServeMux {
 			WriteErr(w, http.StatusBadRequest, "invalid spec: %v", err)
 			return
 		}
-		c.ServeSubmit(w, spec, queueDepth)
+		c.ServeSubmit(w, spec)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
 	mux.HandleFunc("GET /v1/results/{id}", c.handleResult)
 	mux.Handle("GET /metrics", c.cfg.Metrics.Handler())
 	mux.HandleFunc("GET /healthz", c.handleHealth)
+	mux.HandleFunc("GET /v1/dist/campaigns/{id}/spec", c.handleSpec)
+	// One pattern for the five POST envelopes: every daemon and test
+	// builds this mux, and ServeMux registration costs a few µs per
+	// pattern.
+	mux.HandleFunc("POST /v1/dist/{op}", c.handleFleet)
 	return mux
 }
 
-// ServeSubmit admits spec with queued campaigns bounded by queueDepth
-// (see Admit) and writes the answer.
-func (c *Coordinator) ServeSubmit(w http.ResponseWriter, spec campaign.Spec, queueDepth int) {
-	st, code := c.Admit(spec, queueDepth)
+// handleFleet dispatches one POST /v1/dist/{op} envelope.
+func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
+	switch r.PathValue("op") {
+	case "register":
+		c.handleRegister(w, r)
+	case "lease":
+		c.handleLease(w, r)
+	case "heartbeat":
+		c.handleHeartbeat(w, r)
+	case "records":
+		c.handleRecords(w, r)
+	case "complete":
+		c.handleComplete(w, r)
+	default:
+		WriteErr(w, http.StatusNotFound, "unknown fleet operation")
+	}
+}
+
+// ServeSubmit submits spec (see Submit) and writes the answer.
+func (c *Coordinator) ServeSubmit(w http.ResponseWriter, spec campaign.Spec) {
+	st, code := c.Submit(spec)
 	switch code {
 	case http.StatusTooManyRequests:
 		// Retry after roughly one queued campaign's head start; clients in
 		// CI poll, humans re-run.
 		w.Header().Set("Retry-After", "1")
-		WriteErr(w, code, "queue full (%d deep)", queueDepth)
+		WriteErr(w, code, "queue full (%d deep)", c.cfg.QueueDepth)
 	case http.StatusServiceUnavailable:
 		WriteErr(w, code, "draining: not accepting new jobs")
 	case http.StatusInternalServerError:

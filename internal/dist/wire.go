@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -106,9 +105,9 @@ type CompleteResponse struct {
 	OK bool `json:"ok"`
 }
 
-// decodeWire strictly parses one JSON envelope: at most limit bytes, no
-// unknown fields, no trailing data. It is the dist counterpart of
-// campaign.DecodeSpec and the surface FuzzDistEnvelope drives.
+// decodeWire strictly parses one JSON envelope: campaign.DecodeStrict
+// (no unknown fields, no trailing data) over at most limit bytes. It is
+// the surface FuzzDistEnvelope drives.
 func decodeWire[T any](r io.Reader, limit int64) (T, error) {
 	var v T
 	err := decodeWireInto(r, limit, &v)
@@ -125,16 +124,7 @@ func decodeWireInto(r io.Reader, limit int64, v any) error {
 	if int64(len(data)) > limit {
 		return fmt.Errorf("dist: message exceeds %d bytes", limit)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
-		return fmt.Errorf("dist: trailing data after message")
-	}
-	return nil
+	return campaign.DecodeStrict(bytes.NewReader(data), v)
 }
 
 // validWorkerID vets a worker identity: non-empty, bounded, and free of

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -44,16 +42,8 @@ type assessRequest struct {
 // the zero request.
 func decodeAssess(r io.Reader) (assessRequest, error) {
 	var req assessRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err == io.EOF {
-		return assessRequest{}, nil
-	} else if err != nil {
+	if err := campaign.DecodeStrict(r, &req); err != nil && err != io.EOF {
 		return assessRequest{}, err
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
-		return assessRequest{}, fmt.Errorf("trailing data after request")
 	}
 	return req, nil
 }
@@ -104,5 +94,5 @@ func (s *Server) handleCPVAssess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cpvMx.assess.Inc()
-	s.coord.ServeSubmit(w, spec, s.cfg.QueueDepth)
+	s.coord.ServeSubmit(w, spec)
 }

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -10,6 +12,7 @@ import (
 
 	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/cpv"
+	"github.com/ares-cps/ares/internal/metrics"
 )
 
 func TestCPVCatalogEndpoints(t *testing.T) {
@@ -129,5 +132,88 @@ func TestCPVAssess(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestModesServeOneAPI: a pure fleet coordinator (Workers 0) and a daemon
+// with in-process workers serve the same API — the catalog, catalog
+// assessments, the /v1/dist/* fleet protocol and the queue bound.
+func TestModesServeOneAPI(t *testing.T) {
+	type answer struct {
+		code int
+		body string
+	}
+	do := func(t *testing.T, method, url, body string) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return answer{resp.StatusCode, readAll(t, resp)}
+	}
+
+	var first map[string]answer
+	for _, tc := range []struct {
+		name              string
+		workers, queueCap int
+	}{
+		{"coordinator", 0, 1},
+		{"in-process-workers", 2, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{
+				StoreDir: t.TempDir(), Workers: tc.workers, QueueDepth: tc.queueCap,
+				Metrics: metrics.NewRegistry(), Executor: gatedExecutor(nil, nil),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Start()
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(func() {
+				ts.Close()
+				s.Shutdown(context.Background())
+			})
+
+			got := map[string]answer{
+				"list": do(t, "GET", ts.URL+"/v1/cpvs", ""),
+				"get":  do(t, "GET", ts.URL+"/v1/cpvs/ARES-CPV-001", ""),
+			}
+			assess := do(t, "POST", ts.URL+"/v1/cpvs/ARES-CPV-003/assess", `{"trials":1,"episodes":2,"max_steps":6}`)
+			if assess.code != http.StatusAccepted {
+				t.Fatalf("assess = %d, want 202: %s", assess.code, assess.body)
+			}
+			var st JobStatus
+			if err := json.Unmarshal([]byte(assess.body), &st); err != nil {
+				t.Fatal(err)
+			}
+			got["assess id"] = answer{assess.code, st.ID}
+			if reg := do(t, "POST", ts.URL+"/v1/dist/register", `{"worker":"modes-w0"}`); reg.code != http.StatusOK {
+				t.Errorf("register = %d, want 200: %s", reg.code, reg.body)
+			}
+			if tc.queueCap == 1 {
+				if _, resp := submitSpec(t, ts.URL, tinySpec("second", 1)); resp.StatusCode != http.StatusTooManyRequests {
+					t.Errorf("second distinct spec = %d, want 429", resp.StatusCode)
+				}
+			}
+			if m := metricsBody(t, ts.URL); !strings.Contains(m, "ares_cpv_catalog_records") {
+				t.Error("metrics missing ares_cpv_catalog_records")
+			}
+
+			if first == nil {
+				first = got
+				return
+			}
+			for k, want := range first {
+				if got[k] != want {
+					t.Errorf("%s differs across modes:\n%+v\nvs\n%+v", k, got[k], want)
+				}
+			}
+		})
 	}
 }

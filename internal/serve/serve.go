@@ -1,21 +1,21 @@
-// Package serve is the single-node assessment daemon: a dist.Coordinator
-// whose workers run in process. It accepts campaign specs over HTTP,
-// bounds the queue with backpressure, deduplicates identical in-flight
-// submissions (singleflight), caches finished results in an LRU, streams
-// per-campaign progress over SSE, exposes Prometheus-style metrics and
-// serves the CPV catalog.
+// Package serve builds the assessment daemon, in every mode: a
+// dist.Coordinator with Config.Workers in-process workers, 0 for a pure
+// fleet coordinator that only remote aresd -worker daemons feed. It
+// accepts campaign specs over HTTP, bounds the queue with backpressure,
+// deduplicates identical in-flight submissions (singleflight), caches
+// finished results in an LRU, streams per-campaign progress over SSE,
+// exposes Prometheus-style metrics and serves the CPV catalog.
 //
 // The job lifecycle — submit, dedup, retry, status, result, queue
-// manifest and resume — is internal/dist's, shared with the fleet
-// coordinator; this package adds only its Config, the queue-depth bound
-// on admission and the /v1/cpvs routes. Identity is content-addressed: a
-// job's ID is the canonical hash of its normalized spec
-// (campaign.SpecHash), so N clients submitting the same sweep get one
-// underlying campaign run and one shared result. Every job appends to its
-// own JSONL campaign.Store under StoreDir and finalizes the same sorted
-// artifact a fleet writes; a daemon restarted after a drain (or a crash)
-// re-queues its manifest and each resumed campaign skips the cells its
-// store already holds.
+// manifest and resume — and the HTTP mux are internal/dist's; this
+// package adds only its Config, the in-process workers and the /v1/cpvs
+// routes. Identity is content-addressed: a job's ID is the canonical hash
+// of its normalized spec (campaign.SpecHash), so N clients submitting the
+// same sweep get one underlying campaign run and one shared result. Every
+// job appends to its own JSONL campaign.Store under StoreDir and
+// finalizes the same sorted artifact in every mode; a daemon restarted
+// after a drain (or a crash) re-queues its manifest and each resumed
+// campaign skips the cells its store already holds.
 package serve
 
 import (
@@ -25,6 +25,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 
 	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/dist"
@@ -50,21 +51,29 @@ type Result = dist.Result
 // SpecHash is campaign.SpecHash.
 func SpecHash(spec campaign.Spec) string { return campaign.SpecHash(spec) }
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. Zero values of the coordinator
+// settings (QueueDepth, CacheSize, LeaseTTL, MaxLease) take
+// dist.CoordConfig's defaults.
 type Config struct {
 	// StoreDir holds one campaign artifact file per job plus the queue
 	// manifest. Required.
 	StoreDir string
 	// QueueDepth bounds the jobs waiting to start; a new or retried job
-	// beyond it is answered 429 with Retry-After. Default 64.
+	// beyond it is answered 429 with Retry-After.
 	QueueDepth int
-	// Workers is the number of jobs executed concurrently. Default 2.
+	// Workers is the number of in-process workers, each running one job
+	// at a time; 0 makes a pure fleet coordinator.
 	Workers int
 	// Parallelism is the machine-wide simulation/analysis budget shared by
 	// all running jobs (par.Budget); 0 = GOMAXPROCS.
 	Parallelism int
-	// CacheSize bounds the LRU result cache (entries). Default 128.
+	// CacheSize bounds the LRU result cache (entries).
 	CacheSize int
+	// LeaseTTL is how long a remote worker's lease lives without a
+	// heartbeat.
+	LeaseTTL time.Duration
+	// MaxLease bounds the jobs granted per remote-worker lease.
+	MaxLease int
 	// Executor runs one campaign cell; nil uses the built-in ARES
 	// executor, shared across jobs so per-mission monitor calibration is
 	// done once per daemon, not once per job.
@@ -76,31 +85,9 @@ type Config struct {
 	Log io.Writer
 }
 
-func (c *Config) applyDefaults() {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 128
-	}
-	if c.Executor == nil {
-		c.Executor = campaign.NewExecutor()
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.Default()
-	}
-	if c.Log == nil {
-		c.Log = io.Discard
-	}
-}
-
 // Server is the assessment daemon. Construct with New, mount Handler in
 // an http.Server, call Start, and Shutdown on the way out.
 type Server struct {
-	cfg     Config
 	coord   *dist.Coordinator
 	cpvMx   cpvMetrics
 	workers []*dist.Worker
@@ -117,15 +104,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StoreDir == "" {
 		return nil, errors.New("serve: Config.StoreDir is required")
 	}
-	cfg.applyDefaults()
+	if cfg.Executor == nil {
+		cfg.Executor = campaign.NewExecutor()
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.Default()
+	}
 	coord, err := dist.NewCoordinator(dist.CoordConfig{
-		StoreDir: cfg.StoreDir, Metrics: cfg.Metrics, Log: cfg.Log,
+		StoreDir: cfg.StoreDir, LeaseTTL: cfg.LeaseTTL, MaxLease: cfg.MaxLease,
+		QueueDepth: cfg.QueueDepth, CacheSize: cfg.CacheSize,
+		Metrics: cfg.Metrics, Log: cfg.Log,
 	})
 	if err != nil {
 		return nil, err
 	}
-	coord.SetCacheSize(cfg.CacheSize)
-	s := &Server{cfg: cfg, coord: coord, cpvMx: newCPVMetrics(cfg.Metrics)}
+	s := &Server{coord: coord, cpvMx: newCPVMetrics(cfg.Metrics)}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	budget := par.NewBudget(cfg.Parallelism)
 	for i := 0; i < cfg.Workers; i++ {
@@ -134,7 +127,8 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the workers.
+// Start launches the coordinator's lease reaper and the in-process
+// workers.
 func (s *Server) Start() {
 	s.coord.Start()
 	for _, w := range s.workers {
@@ -169,9 +163,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.coord.Shutdown()
 }
 
-// Handler returns the daemon's HTTP API: the coordinator's client routes
-// (dist.Coordinator.ClientMux, with POST /v1/jobs bounded by QueueDepth)
-// plus the CPV catalog. The /v1/dist/* fleet protocol is not mounted.
+// Handler returns the daemon's HTTP API, the same in every mode:
+// dist.Coordinator.Handler (client routes with POST /v1/jobs bounded by
+// QueueDepth, plus the /v1/dist/* fleet protocol) and the CPV catalog:
 //
 //	GET  /v1/cpvs             built-in CPV catalog (JSON)
 //	GET  /v1/cpvs/{id}        one catalog record
@@ -180,7 +174,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	                          POST /v1/jobs); optional JSON body overrides
 //	                          seed/trials/episodes/max_steps/learner
 func (s *Server) Handler() http.Handler {
-	mux := s.coord.ClientMux(s.cfg.QueueDepth)
+	mux := s.coord.Handler()
 	mux.HandleFunc("GET /v1/cpvs", handleCPVList)
 	mux.HandleFunc("GET /v1/cpvs/{id}", handleCPVGet)
 	mux.HandleFunc("POST /v1/cpvs/{id}/assess", s.handleCPVAssess)

@@ -61,6 +61,9 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *metric
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
+	if cfg.Workers == 0 {
+		cfg.Workers = 2
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
