@@ -52,18 +52,19 @@ type Config struct {
 	Missions int
 	// Seed makes the whole pipeline reproducible.
 	Seed int64
-	// Analysis tunes Algorithm 1. Analysis.Parallelism bounds the worker
-	// pool for the whole Analyze stage (controller groups fan out and each
-	// group's prune/correlation/selection stages share the remainder) and
-	// how many of Profile's benign missions fly at once; the default, 0,
-	// uses GOMAXPROCS. Results are bit-identical at any worker count, so
-	// the knob trades only wall-clock time — embedders running pipelines
-	// concurrently (e.g. campaign fleets) should set it to their per-job
+	// Analysis selects the ablation variants of Algorithm 1
+	// (SkipClustering, Exhaustive) and its worker budget. Parallelism
+	// bounds the worker pool for the whole Analyze stage (controller
+	// groups fan out and each group's prune/correlation/selection stages
+	// share the remainder) and how many of Profile's benign missions fly
+	// at once; the default, 0, uses GOMAXPROCS. Results are bit-identical
+	// at any worker count, so the knob trades only wall-clock time —
+	// embedders running pipelines concurrently should set it to their
 	// share of the machine budget.
 	Analysis AnalysisOptions
 }
 
-// AnalysisOptions re-exports the Algorithm 1 tuning knobs.
+// AnalysisOptions re-exports the Algorithm 1 options.
 type AnalysisOptions = core.AnalysisOptions
 
 // Mission re-exports the waypoint mission type.

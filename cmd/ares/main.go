@@ -86,7 +86,7 @@ func analyzeLog(path string) error {
 	if err != nil {
 		return err
 	}
-	prof, err := core.ProfileFromLog(log, nil)
+	prof, err := core.ProfileFromLog(log)
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/experiments"
 	"github.com/ares-cps/ares/internal/par"
 	"github.com/ares-cps/ares/internal/profiling"
@@ -105,7 +104,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		// share the expensive profile/monitor setup safely; per-entry
 		// buffers keep the interleaved output readable and ordered.
 		bufs := make([]bytes.Buffer, len(registry))
-		err := campaign.ForEach(ctx, *parallel, len(registry), func(i int) error {
+		err := par.ForEach(ctx, *parallel, len(registry), func(i int) error {
 			return runOne(registry[i].ID, registry[i].Run, &bufs[i])
 		})
 		for i := range bufs {

@@ -51,7 +51,7 @@ func run() error {
 	for step, st := range replay.Steps {
 		if step%10 == 0 {
 			fmt.Printf("  t=%5.1fs offset=%+.2f rad dist-to-zone=%6.2f m\n",
-				float64(step)*0.3, st.Action, st.Distance)
+				float64(step)*core.ActionInterval, st.Action, st.Distance)
 		}
 	}
 	if math.IsInf(replay.Terminal, 1) {

@@ -57,7 +57,7 @@ func run() error {
 	for step, st := range replay.Steps {
 		if step%10 == 0 {
 			fmt.Printf("  t=%4.1fs action=%+.3f deviation=%6.2f m\n",
-				float64(step)*0.3, st.Action, st.Distance)
+				float64(step)*core.ActionInterval, st.Action, st.Distance)
 		}
 	}
 	fmt.Printf("final deviation: %.2f m", replay.Final)

@@ -218,36 +218,3 @@ func TestSessionTraceSampling(t *testing.T) {
 		}
 	}
 }
-
-func TestPolicyAttackDrivesVariable(t *testing.T) {
-	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	a := &PolicyAttack{
-		Region:   firmware.RegionStabilizer,
-		Variable: "PIDR.INTEG",
-		Interval: 0.3,
-		Observe: func(fw *firmware.Firmware) []float64 {
-			return []float64{fw.Quad().State().Pos.X}
-		},
-		Act: func(obs []float64) float64 {
-			calls++
-			return 0.05
-		},
-	}
-	if err := a.Begin(fw); err != nil {
-		t.Fatal(err)
-	}
-	a.Apply(fw, 0)
-	a.Apply(fw, 0.1)
-	a.Apply(fw, 0.4)
-	if calls != 2 {
-		t.Errorf("policy consulted %d times, want 2", calls)
-	}
-	ref, _ := fw.Vars().Lookup("PIDR.INTEG")
-	if math.Abs(ref.Get()-0.1) > 1e-12 {
-		t.Errorf("variable = %v, want 0.1", ref.Get())
-	}
-}

@@ -81,8 +81,6 @@ type SessionConfig struct {
 	EKF      *defense.EKFResidual
 	VarMon   *defense.VariableMonitor
 	Recovery *defense.RecoveryGuard
-	// World adds obstacles/forbidden zones to the environment.
-	World *sim.World
 	// Vehicle selects the airframe; zero value flies the IRIS+.
 	Vehicle sim.VehicleParams
 }
@@ -144,7 +142,6 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 	attackBegun := false
 	var hookNow float64
 	fl, err := NewFlight(firmware.Config{
-		World:   cfg.World,
 		Sensors: sensors.Seeded(cfg.Seed),
 		Vehicle: cfg.Vehicle,
 	}, cfg.Mission, 10, Monitors{

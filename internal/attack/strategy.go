@@ -162,49 +162,6 @@ func (a *ParamAttack) Apply(fw *firmware.Firmware, now float64) {
 	a.lastApply = now
 }
 
-// PolicyAttack drives a manipulation from a learned policy: at each action
-// interval it asks the policy for the manipulation amount given the current
-// observation. This is how a trained RL agent's exploit is replayed inside
-// a full attack session.
-type PolicyAttack struct {
-	// Region and Variable locate the manipulated cell.
-	Region, Variable string
-	// Interval is the action period (0.3 s in the paper).
-	Interval float64
-	// Observe extracts the policy's observation from the firmware.
-	Observe func(fw *firmware.Firmware) []float64
-	// Act returns the manipulation amount for an observation.
-	Act func(obs []float64) float64
-
-	ref       vars.Ref
-	lastApply float64
-	begun     bool
-}
-
-// Name implements Strategy.
-func (a *PolicyAttack) Name() string { return "rl-policy" }
-
-// Begin implements Strategy.
-func (a *PolicyAttack) Begin(fw *firmware.Firmware) error {
-	ref, err := fw.Memory().Access(a.Region, a.Variable, true)
-	if err != nil {
-		return fmt.Errorf("attack: policy begin: %w", err)
-	}
-	a.ref = ref
-	a.lastApply = -1e9
-	a.begun = true
-	return nil
-}
-
-// Apply implements Strategy.
-func (a *PolicyAttack) Apply(fw *firmware.Firmware, now float64) {
-	if !a.begun || now-a.lastApply < a.Interval {
-		return
-	}
-	a.ref.Add(a.Act(a.Observe(fw)))
-	a.lastApply = now
-}
-
 // RampAttack writes a slowly growing offset into a per-cycle-rewritten cell
 // (such as the CMD.* navigator→stabilizer handoff) at every tick: the
 // paper's headline manipulation that "increases the roll angles for 2.5

@@ -22,7 +22,6 @@ func TestStrategyNames(t *testing.T) {
 		{&RampAttack{}, "ares-ramp"},
 		{&JitterAttack{}, "random-jitter"},
 		{&ParamAttack{}, "param-set"},
-		{&PolicyAttack{}, "rl-policy"},
 		{&SetParamOnce{}, "param-once"},
 		{&Sequence{Steps: []Strategy{&NaiveAttack{}, &RampAttack{}}}, "seq(naive+ares-ramp)"},
 	}

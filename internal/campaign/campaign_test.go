@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -317,46 +315,6 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		if seq[i] != par[i] {
 			t.Fatalf("record %d differs:\n  1 worker: %s\n  4 workers: %s", i, seq[i], par[i])
 		}
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	var active, peak atomic.Int64
-	err := ForEach(context.Background(), 3, 20, func(i int) error {
-		if a := active.Add(1); a > peak.Load() {
-			peak.Store(a)
-		}
-		defer active.Add(-1)
-		mu.Lock()
-		seen[i] = true
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 20 {
-		t.Fatalf("ran %d of 20 indices", len(seen))
-	}
-	if peak.Load() > 3 {
-		t.Fatalf("concurrency %d exceeded 3 workers", peak.Load())
-	}
-
-	calls := 0
-	err = ForEach(context.Background(), 1, 10, func(i int) error {
-		calls++
-		if i == 2 {
-			return fmt.Errorf("stop at %d", i)
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "stop at 2") {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	if calls >= 10 {
-		t.Fatal("error did not stop the feed")
 	}
 }
 

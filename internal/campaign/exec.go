@@ -181,9 +181,9 @@ func (e *aresExecutor) runStealthy(job Job) (Metrics, error) {
 			Cap:      job.MaxAction, // 0 keeps the strategy default
 		},
 		AttackStart: 2,
-		// One RL action interval is 0.3 s; the session flies the same
-		// wall-clock budget the RL evaluation rollout would get.
-		Duration: float64(maxSteps) * 0.3,
+		// The session flies the same wall-clock budget the RL evaluation
+		// rollout would get.
+		Duration: float64(maxSteps) * core.ActionInterval,
 		Seed:     mathx.DeriveSeed(job.Seed, streamJobEnv),
 	}
 	switch job.Defense {

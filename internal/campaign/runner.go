@@ -109,14 +109,10 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job, sink RecordSink) (RunS
 		logw = io.Discard
 	}
 
-	// Jobs and any analysis they run internally share one concurrency
-	// budget: W job workers each get ~GOMAXPROCS/W analysis workers.
-	inner := par.Inner(0, workers)
 	start := time.Now()
 	var mu sync.Mutex // guards stats and logw
-	err := ForEach(ctx, workers, len(pending), func(i int) error {
+	err := par.ForEach(ctx, workers, len(pending), func(i int) error {
 		job := pending[i]
-		job.Parallelism = inner
 		mInflight.Inc()
 		jobStart := time.Now()
 		rec := runJob(ctx, exec, job)
@@ -186,13 +182,4 @@ func runJob(ctx context.Context, exec Executor, job Job) (rec Record) {
 	rec.Status = StatusOK
 	rec.Metrics = &m
 	return rec
-}
-
-// ForEach runs fn(0) … fn(n-1) on up to `workers` goroutines and waits for
-// all of them. The first non-nil error (or ctx cancellation) stops further
-// indices from starting — already-running calls finish — and is returned.
-// It is par.ForEach, re-exported because campaign consumers (cmd/arescamp,
-// cmd/experiments) predate the shared package.
-func ForEach(ctx context.Context, workers, n int, fn func(int) error) error {
-	return par.ForEach(ctx, workers, n, fn)
 }

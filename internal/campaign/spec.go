@@ -380,13 +380,6 @@ type Job struct {
 	Learner          string
 	MaxAction        float64
 	SuccessDeviation float64
-
-	// Parallelism is the in-job concurrency budget. The Runner sets it to
-	// ~GOMAXPROCS/Workers before dispatch, so executors that run Algorithm 1
-	// internally (core.AnalysisOptions.Parallelism) keep the whole campaign
-	// at one machine-wide budget instead of multiplying pools. Zero means
-	// "unmanaged" (the executor's own default applies).
-	Parallelism int
 }
 
 // Expand produces the deterministic job list: axes iterate in declaration

@@ -7,15 +7,9 @@ import (
 	"github.com/ares-cps/ares/internal/stats"
 )
 
-// AnalysisOptions tunes the Algorithm 1 run.
+// AnalysisOptions tunes the Algorithm 1 run. The correlation cut (0.5) and
+// the regression significance level (0.05) are stats' defaults.
 type AnalysisOptions struct {
-	// ClusterCut is the correlation-distance threshold (default 0.5:
-	// variables join a subset when |r| with it exceeds ~0.5).
-	ClusterCut float64
-	// Alpha is the regression significance level (default 0.05).
-	Alpha float64
-	// Prune overrides the assumption-check options.
-	Prune stats.PruneOptions
 	// SkipClustering and Exhaustive select the ablation variants.
 	SkipClustering bool
 	Exhaustive     bool
@@ -27,17 +21,26 @@ type AnalysisOptions struct {
 	Parallelism int
 }
 
-// pruneOptions returns the configured prune options, defaulting to the
-// advisory mode: constants are pruned, distributional p-values are computed
-// for the report but do not remove variables. Mission-scale controller
-// series are decisively non-Gaussian (maneuvers give their increments heavy
-// tails), so exact-test pruning would empty the ESVL — the paper's own
-// 24-variable Figure 5 set implies the same leniency in practice.
-func (o AnalysisOptions) pruneOptions() stats.PruneOptions {
-	if o.Prune != (stats.PruneOptions{}) {
-		return o.Prune
+// advisoryPrune is the assumption check the analysis runs: constants are
+// pruned, distributional p-values are computed for the report but do not
+// remove variables. Mission-scale controller series are decisively
+// non-Gaussian (maneuvers give their increments heavy tails), so exact-test
+// pruning would empty the ESVL — the paper's own 24-variable Figure 5 set
+// implies the same leniency in practice.
+var advisoryPrune = stats.PruneOptions{ConstTol: 1e-9}
+
+// tsvlInput is the Algorithm 1 input for the traced subset of a variable
+// list explaining responses.
+func (o AnalysisOptions) tsvlInput(names []string, series [][]float64, responses []string) stats.TSVLInput {
+	return stats.TSVLInput{
+		Names:          names,
+		Series:         series,
+		Responses:      responses,
+		Prune:          advisoryPrune,
+		SkipClustering: o.SkipClustering,
+		Exhaustive:     o.Exhaustive,
+		Parallelism:    par.Workers(o.Parallelism),
 	}
-	return stats.PruneOptions{ConstTol: 1e-9, Alpha: 0}
 }
 
 // GroupAnalysis is the Table II row for one controller function: the size
@@ -67,17 +70,7 @@ func AnalyzeGroup(p *Profile, g ControllerGroup, opts AnalysisOptions) (*GroupAn
 	if len(names) < 2 {
 		return nil, fmt.Errorf("core: group %s: too few traced variables", g.Name)
 	}
-	rep, err := stats.GenerateTSVL(stats.TSVLInput{
-		Names:          names,
-		Series:         series,
-		Responses:      g.Responses,
-		ClusterCut:     opts.ClusterCut,
-		Alpha:          opts.Alpha,
-		Prune:          opts.pruneOptions(),
-		SkipClustering: opts.SkipClustering,
-		Exhaustive:     opts.Exhaustive,
-		Parallelism:    par.Workers(opts.Parallelism),
-	})
+	rep, err := stats.GenerateTSVL(opts.tsvlInput(names, series, g.Responses))
 	if err != nil {
 		return nil, fmt.Errorf("core: group %s: %w", g.Name, err)
 	}
@@ -147,17 +140,7 @@ func AnalyzeRoll(p *Profile, opts AnalysisOptions) (*RollAnalysis, error) {
 	if len(names) < 2 {
 		return nil, fmt.Errorf("core: roll ESVL not traced")
 	}
-	rep, err := stats.GenerateTSVL(stats.TSVLInput{
-		Names:          names,
-		Series:         series,
-		Responses:      []string{RollResponse},
-		ClusterCut:     opts.ClusterCut,
-		Alpha:          opts.Alpha,
-		Prune:          opts.pruneOptions(),
-		SkipClustering: opts.SkipClustering,
-		Exhaustive:     opts.Exhaustive,
-		Parallelism:    par.Workers(opts.Parallelism),
-	})
+	rep, err := stats.GenerateTSVL(opts.tsvlInput(names, series, []string{RollResponse}))
 	if err != nil {
 		return nil, err
 	}

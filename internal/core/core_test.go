@@ -130,18 +130,6 @@ func TestCollectProfile(t *testing.T) {
 	}
 }
 
-func TestCollectProfileUnknownVariable(t *testing.T) {
-	_, err := CollectProfile(ProfileConfig{
-		Mission:   firmware.LineMission(20, 10),
-		Missions:  1,
-		Seed:      1,
-		Variables: []string{"NOPE.VAR"},
-	})
-	if err == nil {
-		t.Error("unknown variable accepted")
-	}
-}
-
 // TestCollectProfileParallelEquivalence flies the same five missions on
 // pools of several widths: names, mission lengths and every sample's bits
 // must match the one-worker profile.
@@ -188,27 +176,20 @@ func TestCollectProfileParallelEquivalence(t *testing.T) {
 }
 
 // TestCollectProfileErrorAnyWidth checks that a failing profile reports
-// the same error at every pool width: every mission fails on the bad
-// variable list, and the lowest-numbered one's error wins.
+// the same error at every pool width: every mission fails to launch its
+// empty mission, and the pool must stop and surface that error at any
+// width.
 func TestCollectProfileErrorAnyWidth(t *testing.T) {
-	for _, tc := range []struct {
-		vars []string
-		want string
-	}{
-		{[]string{"ATT.Roll", "NOPE.VAR"}, `core: unknown variable "NOPE.VAR"`},
-		{[]string{"ATT.Roll", "ATT.Roll"}, `core: variable "ATT.Roll" listed twice`},
-	} {
-		for _, workers := range []int{1, 2, 5, 8} {
-			_, err := CollectProfile(ProfileConfig{
-				Mission:     firmware.LineMission(20, 10),
-				Missions:    5,
-				Seed:        1,
-				Variables:   tc.vars,
-				Parallelism: workers,
-			})
-			if err == nil || err.Error() != tc.want {
-				t.Errorf("%v w%d: error %v, want %q", tc.vars, workers, err, tc.want)
-			}
+	const want = "firmware: launch needs a mission"
+	for _, workers := range []int{1, 2, 5, 8} {
+		_, err := CollectProfile(ProfileConfig{
+			Mission:     firmware.NewMission(nil),
+			Missions:    5,
+			Seed:        1,
+			Parallelism: workers,
+		})
+		if err == nil || err.Error() != want {
+			t.Errorf("w%d: error %v, want %q", workers, err, want)
 		}
 	}
 }

@@ -14,16 +14,20 @@ import (
 	"github.com/ares-cps/ares/internal/vars"
 )
 
-// EnvConfig configures the RL attack environments.
+// ActionInterval is the seconds between agent actions (the paper's 0.3 s).
+const ActionInterval = 0.3
+
+// setupSeconds is the pre-mission flight time (takeoff + settle) of every
+// episode.
+const setupSeconds = 8
+
+// EnvConfig configures the RL attack environments. The agent writes from
+// the compromised stabilizer MPU region.
 type EnvConfig struct {
-	// Variable is the TSVL state variable the agent manipulates, and
-	// Region the compromised MPU region it lives in.
+	// Variable is the TSVL state variable the agent manipulates.
 	Variable string
-	Region   string
 	// MaxAction bounds the per-action manipulation magnitude.
 	MaxAction float64
-	// ActionInterval is the seconds between agent actions (paper: 0.3).
-	ActionInterval float64
 	// Mission is the flight the attack disrupts; nil uses a 60 m line.
 	Mission *firmware.Mission
 	// Detector, when non-nil, is a fitted CI monitor that runs in the loop
@@ -44,25 +48,14 @@ type EnvConfig struct {
 	Recovery *defense.RecoveryGuard
 	// Seed drives per-episode variation.
 	Seed int64
-	// SetupSeconds is the pre-mission flight time (takeoff + settle).
-	SetupSeconds float64
 }
 
 func (c *EnvConfig) applyDefaults() {
-	if c.Region == "" {
-		c.Region = firmware.RegionStabilizer
-	}
 	if c.MaxAction == 0 {
 		c.MaxAction = 0.1
 	}
-	if c.ActionInterval == 0 {
-		c.ActionInterval = 0.3
-	}
 	if c.Mission == nil {
 		c.Mission = firmware.LineMission(60, 10)
-	}
-	if c.SetupSeconds == 0 {
-		c.SetupSeconds = 8
 	}
 }
 
@@ -114,7 +107,7 @@ func newBaseEnv(cfg EnvConfig, world *sim.World) (baseEnv, error) {
 	if err != nil {
 		return baseEnv{}, err
 	}
-	if _, err := fw.Memory().Access(cfg.Region, cfg.Variable, true); err != nil {
+	if _, err := fw.Memory().Access(firmware.RegionStabilizer, cfg.Variable, true); err != nil {
 		return baseEnv{}, fmt.Errorf("core: env target: %w", err)
 	}
 	return baseEnv{cfg: cfg, mons: mons, world: world, perTick: strings.HasPrefix(cfg.Variable, "CMD.")}, nil
@@ -131,9 +124,9 @@ func (b *baseEnv) reset() {
 	fl, err := attack.NewFlight(firmware.Config{
 		World:   b.world,
 		Sensors: sensors.Seeded(b.cfg.Seed + int64(b.episode)), //areslint:ignore seedarith golden-pinned
-	}, b.cfg.Mission, b.cfg.SetupSeconds, b.mons, b.inject)
+	}, b.cfg.Mission, setupSeconds, b.mons, b.inject)
 	if err == nil {
-		b.ref, err = fl.Firmware().Memory().Access(b.cfg.Region, b.cfg.Variable, true)
+		b.ref, err = fl.Firmware().Memory().Access(firmware.RegionStabilizer, b.cfg.Variable, true)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("core: env reset: %v", err))
@@ -142,7 +135,7 @@ func (b *baseEnv) reset() {
 	b.episode++
 	b.alarmed, b.detected = false, false
 	b.pendDelta, b.pendOnce = 0, false
-	b.ticks = max(1, int(b.cfg.ActionInterval/b.fw.DT()))
+	b.ticks = max(1, int(ActionInterval/b.fw.DT()))
 }
 
 // inject is the flight's injection hook. Firing after the navigator

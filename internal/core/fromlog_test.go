@@ -37,7 +37,7 @@ func recordTestLog(t *testing.T) *dataflash.Log {
 
 func TestProfileFromLog(t *testing.T) {
 	log := recordTestLog(t)
-	prof, err := ProfileFromLog(log, nil)
+	prof, err := ProfileFromLog(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestProfileFromLog(t *testing.T) {
 // come from the KSVL — quantifying what the paper's expansion adds.
 func TestLogOnlyAnalysisLosesIntermediates(t *testing.T) {
 	log := recordTestLog(t)
-	prof, err := ProfileFromLog(log, nil)
+	prof, err := ProfileFromLog(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +108,8 @@ func analyzeSeries(names []string, series [][]float64) (*RollAnalysis, error) {
 }
 
 func TestProfileFromLogErrors(t *testing.T) {
-	log := recordTestLog(t)
-	if _, err := ProfileFromLog(log, []string{"NOPE.VAR"}); err == nil {
-		t.Error("log without requested variables accepted")
-	}
 	empty := &dataflash.Log{}
-	if _, err := ProfileFromLog(empty, nil); err == nil {
+	if _, err := ProfileFromLog(empty); err == nil {
 		t.Error("empty log accepted")
 	}
 }

@@ -13,6 +13,13 @@ import (
 	"github.com/ares-cps/ares/internal/vars"
 )
 
+// Profiling traces every registered variable at the paper's 16 Hz logging
+// rate, for at most 120 simulated seconds per mission.
+const (
+	profileSampleHz    = 16
+	profileMaxMissionS = 120
+)
+
 // ProfileConfig configures the RAV profiling step: benign missions flown
 // while tracing the full state variable space.
 type ProfileConfig struct {
@@ -20,15 +27,8 @@ type ProfileConfig struct {
 	Mission *firmware.Mission
 	// Missions is the number of benign flights (the paper logs 5).
 	Missions int
-	// SampleHz is the trace rate (the paper logs at 16 Hz).
-	SampleHz float64
-	// MaxMissionS bounds each flight in simulated seconds.
-	MaxMissionS float64
 	// Seed seeds sensor noise; each mission uses Seed+i.
 	Seed int64
-	// Variables restricts tracing to the named variables; empty traces
-	// every registered variable.
-	Variables []string
 	// Parallelism bounds how many missions fly at once; <= 0 uses the
 	// process budget (GOMAXPROCS). The profile is identical at any value.
 	Parallelism int
@@ -94,16 +94,10 @@ func CollectProfile(cfg ProfileConfig) (*Profile, error) {
 	if cfg.Missions <= 0 {
 		cfg.Missions = 5
 	}
-	if cfg.SampleHz <= 0 {
-		cfg.SampleHz = 16
-	}
-	if cfg.MaxMissionS <= 0 {
-		cfg.MaxMissionS = 120
-	}
 
 	prof := &Profile{
 		Series:   make(map[string][]float64),
-		SampleHz: cfg.SampleHz,
+		SampleHz: profileSampleHz,
 	}
 	var (
 		mu     sync.Mutex
@@ -197,14 +191,10 @@ func flyProfileMission(cfg ProfileConfig, m int) (*flight, error) {
 	if err != nil {
 		return nil, err
 	}
-	refs, names, err := resolveRefs(fw, cfg.Variables)
-	if err != nil {
-		return nil, err
-	}
-
-	f := &flight{names: names}
-	every := int(math.Max(1, math.Round(1/(cfg.SampleHz*fw.DT()))))
-	maxTicks := int(cfg.MaxMissionS / fw.DT())
+	refs := fw.Vars().Refs()
+	f := &flight{names: fw.Vars().Names()}
+	every := int(math.Max(1, math.Round(1/(profileSampleHz*fw.DT()))))
+	maxTicks := int(profileMaxMissionS / fw.DT())
 	for i := 0; i < maxTicks && !fw.Mission().Complete(); i++ {
 		fw.Step()
 		if i%every == 0 {
@@ -224,15 +214,11 @@ func flyProfileMission(cfg ProfileConfig, m int) (*flight, error) {
 // variables that require memory instrumentation (PIDR.INTEG, CMD.*, …) are
 // absent, which is exactly the visibility gap the ESVL expansion closes.
 //
-// The variables argument restricts extraction; empty extracts every logged
-// variable. Variables with no records are skipped.
-func ProfileFromLog(log *dataflash.Log, variables []string) (*Profile, error) {
-	if len(variables) == 0 {
-		variables = log.Variables()
-	}
+// Every logged variable is extracted; variables with no records are skipped.
+func ProfileFromLog(log *dataflash.Log) (*Profile, error) {
 	prof := &Profile{Series: make(map[string][]float64)}
 	n := -1
-	for _, name := range variables {
+	for _, name := range log.Variables() {
 		_, values := log.Series(name)
 		if len(values) == 0 {
 			continue
@@ -251,7 +237,7 @@ func ProfileFromLog(log *dataflash.Log, variables []string) (*Profile, error) {
 		prof.Series[name] = values
 	}
 	if len(prof.Names) == 0 {
-		return nil, fmt.Errorf("core: log contains none of the requested variables")
+		return nil, fmt.Errorf("core: log contains no variable records")
 	}
 	for _, name := range prof.Names {
 		prof.Series[name] = prof.Series[name][:n]
@@ -265,27 +251,4 @@ func ProfileFromLog(log *dataflash.Log, variables []string) (*Profile, error) {
 		}
 	}
 	return prof, nil
-}
-
-func resolveRefs(fw *firmware.Firmware, names []string) ([]vars.Ref, []string, error) {
-	if len(names) == 0 {
-		names = fw.Vars().Names()
-	}
-	refs := make([]vars.Ref, 0, len(names))
-	kept := make([]string, 0, len(names))
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		ref, ok := fw.Vars().Lookup(n)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: unknown variable %q", n)
-		}
-		if seen[n] {
-			// Two refs would append to one series per sample.
-			return nil, nil, fmt.Errorf("core: variable %q listed twice", n)
-		}
-		seen[n] = true
-		refs = append(refs, ref)
-		kept = append(kept, n)
-	}
-	return refs, kept, nil
 }

@@ -348,11 +348,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		return LeaseResponse{RetryMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}, nil
 	}
 	c.registerLocked(req.Worker)
-	max := req.Max
-	if max <= 0 || max > c.cfg.MaxLease {
-		max = c.cfg.MaxLease
-	}
-	return c.leaseLocked(req.Worker, max, true), nil
+	return c.leaseLocked(req.Worker, c.cfg.MaxLease, true), nil
 }
 
 // leaseCampaign is Lease for an in-process worker: it grants every

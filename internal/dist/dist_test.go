@@ -100,7 +100,7 @@ func TestDrainWithActiveLease(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
 	}
-	grant, err := c.Lease(LeaseRequest{Worker: "w0", Max: 64})
+	grant, err := c.Lease(LeaseRequest{Worker: "w0"})
 	if err != nil || grant.Lease == "" {
 		t.Fatalf("lease = (%+v, %v), want a grant", grant, err)
 	}
@@ -140,7 +140,7 @@ func TestDrainWithActiveLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Shutdown()
-	g2, err := c2.Lease(LeaseRequest{Worker: "w1", Max: 64})
+	g2, err := c2.Lease(LeaseRequest{Worker: "w1"})
 	if err != nil || g2.Campaign != st.ID {
 		t.Fatalf("life-2 lease = (%+v, %v)", g2, err)
 	}

@@ -44,11 +44,9 @@ type RegisterResponse struct {
 	HeartbeatMillis int64 `json:"heartbeat_ms"`
 }
 
-// LeaseRequest asks for a batch of jobs.
+// LeaseRequest asks for a batch of at most CoordConfig.MaxLease jobs.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
-	// Max bounds the batch size (0 = coordinator default).
-	Max int `json:"max,omitempty"`
 }
 
 // LeaseResponse grants a batch, or — with an empty Lease — tells the

@@ -112,7 +112,7 @@ func RunAblation(s *Suite) (*AblationResult, error) {
 
 	// (4) Bounded (gradual) vs unbounded (jump) manipulation of equal
 	// total magnitude against the CI detector.
-	ci, _, err := s.Monitors()
+	ci, err := s.CI()
 	if err != nil {
 		return nil, err
 	}

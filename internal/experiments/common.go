@@ -37,7 +37,6 @@ type Suite struct {
 	mu      sync.Mutex
 	profile *core.Profile
 	ci      *defense.ControlInvariants
-	ml      *defense.MLMonitor
 }
 
 // NewSuite creates an experiment suite.
@@ -100,20 +99,20 @@ func (s *Suite) Profile() (*core.Profile, error) {
 	return prof, nil
 }
 
-// Monitors returns the suite's calibrated CI and ML monitors. Calibration
-// runs once; each caller gets its own clone of the CI monitor, because
-// flights mutate it and experiments may run concurrently (-parallel).
-func (s *Suite) Monitors() (*defense.ControlInvariants, *defense.MLMonitor, error) {
+// CI returns the suite's calibrated control-invariant monitor. Calibration
+// runs once; each caller gets its own clone, because flights mutate it and
+// experiments may run concurrently (-parallel).
+func (s *Suite) CI() (*defense.ControlInvariants, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ci == nil {
-		ci, ml, err := attack.CalibrateMonitors(s.attackMission(), s.Seed+50) //areslint:ignore seedarith golden-pinned
+		ci, _, err := attack.CalibrateMonitors(s.attackMission(), s.Seed+50) //areslint:ignore seedarith golden-pinned
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		s.ci, s.ml = ci, ml
+		s.ci = ci
 	}
-	return s.ci.Clone(), s.ml, nil
+	return s.ci.Clone(), nil
 }
 
 // Result is the common interface of experiment outputs.

@@ -66,7 +66,7 @@ func RunCountermeasure(s *Suite) (*CountermeasureResult, error) {
 	if err := varMon.Train(watched, series); err != nil {
 		return nil, err
 	}
-	ci, _, err := s.Monitors()
+	ci, err := s.CI()
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func RunFig10(s *Suite) (*Fig10Result, error) {
 	// Trained with the CI detector in the reward loop (Section V-C): the
 	// agent explores "areas of the state space which do not trigger an
 	// alarm, but still lead the RAV toward the desired attacker goal".
-	ci, _, err := s.Monitors()
+	ci, err := s.CI()
 	if err != nil {
 		return nil, err
 	}

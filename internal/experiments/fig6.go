@@ -23,7 +23,7 @@ func (*Fig6Result) Name() string { return "fig6" }
 
 // RunFig6 executes the three instrumented flights.
 func RunFig6(s *Suite) (*Fig6Result, error) {
-	ci, _, err := s.Monitors()
+	ci, err := s.CI()
 	if err != nil {
 		return nil, err
 	}

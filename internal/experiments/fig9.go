@@ -28,7 +28,7 @@ func (*Fig9Result) Name() string { return "fig9" }
 
 // RunFig9 executes the trial matrix and the threshold sweep.
 func RunFig9(s *Suite) (*Fig9Result, error) {
-	ci, _, err := s.Monitors()
+	ci, err := s.CI()
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ var fuzzTargets = []struct {
 
 // RunFuzzBaseline executes the comparison.
 func RunFuzzBaseline(s *Suite) (*FuzzBaselineResult, error) {
-	ci, _, err := s.Monitors()
+	ci, err := s.CI()
 	if err != nil {
 		return nil, err
 	}

@@ -40,11 +40,11 @@ func TestWrapErrorYieldsNilResult(t *testing.T) {
 // experiments (-parallel) must not share one; every caller gets its own
 // copy of the once-calibrated model.
 func TestMonitorsHandsOutClones(t *testing.T) {
-	a, _, err := quickSuite.Monitors()
+	a, err := quickSuite.CI()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := quickSuite.Monitors()
+	b, err := quickSuite.CI()
 	if err != nil {
 		t.Fatal(err)
 	}

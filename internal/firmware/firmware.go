@@ -54,11 +54,6 @@ type Config struct {
 	Vehicle sim.VehicleParams
 	// Sensors sets sensor noise; zero value means DefaultConfig.
 	Sensors sensors.Config
-	// LoopHz is the main loop rate (default 400, ArduCopter's rate). It
-	// and LogHz must be finite; a value <= 0 selects the default.
-	LoopHz float64
-	// LogHz is the dataflash rate (default 16, the paper's logging rate).
-	LogHz float64
 	// Wind optionally installs a wind model.
 	Wind *sim.Wind
 	// World optionally installs obstacles.
@@ -120,7 +115,12 @@ type Firmware struct {
 	outbox  []mavlink.Message
 }
 
-func finiteHz(hz float64) bool { return !math.IsNaN(hz) && !math.IsInf(hz, 0) }
+// The main loop runs at ArduCopter's 400 Hz and the dataflash logger at
+// the paper's 16 Hz, every 25th tick.
+const (
+	loopHz = 400
+	logHz  = 16
+)
 
 // New assembles a firmware instance. All controller variables are registered
 // and assigned to MPU regions; an unassigned variable is an assembly error.
@@ -130,17 +130,6 @@ func New(cfg Config) (*Firmware, error) {
 	}
 	if cfg.Sensors == (sensors.Config{}) {
 		cfg.Sensors = sensors.DefaultConfig()
-	}
-	// A NaN rate would slip past the <= 0 defaults below and yield a NaN
-	// tick and a garbage log divider.
-	if !finiteHz(cfg.LoopHz) || !finiteHz(cfg.LogHz) {
-		return nil, fmt.Errorf("firmware: non-finite loop rate %v Hz or log rate %v Hz", cfg.LoopHz, cfg.LogHz)
-	}
-	if cfg.LoopHz <= 0 {
-		cfg.LoopHz = 400
-	}
-	if cfg.LogHz <= 0 {
-		cfg.LogHz = 16
 	}
 
 	var opts []sim.Option
@@ -155,7 +144,7 @@ func New(cfg Config) (*Firmware, error) {
 		return nil, err
 	}
 
-	dt := 1 / cfg.LoopHz
+	dt := 1.0 / loopHz
 	hover := cfg.Vehicle.HoverThrottle()
 	f := &Firmware{
 		cfg:      cfg,
@@ -170,7 +159,7 @@ func New(cfg Config) (*Firmware, error) {
 		varSet:   vars.NewSet(),
 		mode:     ModeStabilize,
 		dt:       dt,
-		logEvery: int(math.Max(1, math.Round(cfg.LoopHz/cfg.LogHz))),
+		logEvery: loopHz / logHz,
 	}
 	if err := f.registerVars(); err != nil {
 		return nil, fmt.Errorf("firmware: register vars: %w", err)

@@ -40,27 +40,6 @@ func TestFirmwareAssembles(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNonFiniteRates: a NaN or ±Inf loop or log rate is an
-// assembly error, not a NaN tick.
-func TestNewRejectsNonFiniteRates(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"loop-nan", Config{LoopHz: math.NaN()}},
-		{"loop-inf", Config{LoopHz: math.Inf(1)}},
-		{"loop-neg-inf", Config{LoopHz: math.Inf(-1)}},
-		{"log-nan", Config{LogHz: math.NaN()}},
-		{"log-inf", Config{LogHz: math.Inf(1)}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			if f, err := New(c.cfg); err == nil {
-				t.Errorf("New accepted %s: dt=%v logEvery=%d", c.name, f.dt, f.logEvery)
-			}
-		})
-	}
-}
-
 func TestFirmwareTakeoffAndHover(t *testing.T) {
 	f := newTestFirmware(t, Config{})
 	if err := f.Takeoff(10); err != nil {

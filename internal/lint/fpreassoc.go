@@ -169,17 +169,16 @@ func isSlotWrite(p *Pass, lit *ast.FuncLit, e ast.Expr) bool {
 
 // isParWorkerCall reports whether call invokes one of the parallel
 // primitives whose closure argument runs concurrently: par.Do / ForEach /
-// Chunks / Argmin, or campaign.ForEach (the re-export).
+// Chunks / Argmin.
 func isParWorkerCall(p *Pass, call *ast.CallExpr) bool {
 	fn, ok := staticCallee(p.Pkg, call)
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
 	path := fn.Pkg().Path()
-	parPkg := pathHasSegment(path, "internal/par") || lastSegment(path) == "par"
 	switch fn.Name() {
 	case "Do", "ForEach", "Chunks", "Argmin":
-		return parPkg || isCampaignPkg(path)
+		return pathHasSegment(path, "internal/par") || lastSegment(path) == "par"
 	}
 	return false
 }

@@ -40,11 +40,19 @@ func TestInner(t *testing.T) {
 	}
 }
 
+// TestForEachRunsAll checks that every index runs once and that no more
+// than workers calls are ever in flight.
 func TestForEachRunsAll(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 100} {
-		var sum atomic.Int64
-		var calls atomic.Int64
+	for _, workers := range []int{1, 2, 3, 8, 100} {
+		var sum, calls, active, peak atomic.Int64
 		err := ForEach(context.Background(), workers, 50, func(i int) error {
+			a := active.Add(1)
+			for p := peak.Load(); a > p; p = peak.Load() {
+				if peak.CompareAndSwap(p, a) {
+					break
+				}
+			}
+			defer active.Add(-1)
 			sum.Add(int64(i))
 			calls.Add(1)
 			return nil
@@ -54,6 +62,9 @@ func TestForEachRunsAll(t *testing.T) {
 		}
 		if calls.Load() != 50 || sum.Load() != 49*50/2 {
 			t.Fatalf("workers=%d: calls=%d sum=%d", workers, calls.Load(), sum.Load())
+		}
+		if peak.Load() > int64(workers) {
+			t.Fatalf("workers=%d: %d calls in flight", workers, peak.Load())
 		}
 	}
 }

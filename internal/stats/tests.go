@@ -107,7 +107,9 @@ type PruneOptions struct {
 	Alpha float64
 }
 
-// DefaultPruneOptions returns the options used by the evaluation.
+// DefaultPruneOptions returns the strict exact-test options GenerateTSVL
+// applies when TSVLInput.Prune is zero. The evaluation does not use them:
+// internal/core passes an advisory set that prunes only constants.
 func DefaultPruneOptions() PruneOptions {
 	return PruneOptions{ConstTol: 1e-12, Alpha: 1e-6}
 }
