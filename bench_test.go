@@ -269,7 +269,7 @@ func BenchmarkCorrelationMatrix24x3000(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.CorrelationMatrix(series)
+		stats.CorrelationMatrixWorkers(series, 0)
 	}
 }
 
@@ -317,7 +317,7 @@ func BenchmarkStepwiseAIC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.StepwiseAIC(y, preds)
+		stats.StepwiseAICWorkers(y, preds, 1)
 	}
 }
 

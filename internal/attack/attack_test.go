@@ -76,7 +76,7 @@ func TestParamAttackRampsParameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &ParamAttack{Param: "ATC_RAT_RLL_P", Delta: 0.01, Interval: 0.3}
+	a := &paramAttack{Param: "ATC_RAT_RLL_P", Delta: 0.01, Interval: 0.3}
 	if err := a.Begin(fw); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestParamAttackRampsParameter(t *testing.T) {
 		t.Errorf("param after one shot = %v, want 0.145", v)
 	}
 	// Unknown parameter fails at Begin.
-	bad := &ParamAttack{Param: "NOPE", Delta: 1, Interval: 1}
+	bad := &paramAttack{Param: "NOPE", Delta: 1, Interval: 1}
 	if err := bad.Begin(fw); err == nil {
 		t.Error("unknown parameter accepted")
 	}

@@ -120,11 +120,11 @@ func (a *GradualAttack) Apply(_ *firmware.Firmware, now float64) {
 	a.lastApply = now
 }
 
-// ParamAttack issues PARAM_SET commands over the GCS channel at a fixed
+// paramAttack issues PARAM_SET commands over the GCS channel at a fixed
 // interval, ramping a parameter from its current value by Delta per shot —
 // the remote half of the threat model ("the attacker can concoct and issue
 // malicious GCS commands to update the control parameters").
-type ParamAttack struct {
+type paramAttack struct {
 	// Param is the parameter name.
 	Param string
 	// Delta is the per-command increment.
@@ -138,10 +138,10 @@ type ParamAttack struct {
 }
 
 // Name implements Strategy.
-func (a *ParamAttack) Name() string { return "param-set" }
+func (a *paramAttack) Name() string { return "param-set" }
 
 // Begin implements Strategy.
-func (a *ParamAttack) Begin(fw *firmware.Firmware) error {
+func (a *paramAttack) Begin(fw *firmware.Firmware) error {
 	v, err := fw.Params().Get(a.Param)
 	if err != nil {
 		return fmt.Errorf("attack: param begin: %w", err)
@@ -153,7 +153,7 @@ func (a *ParamAttack) Begin(fw *firmware.Firmware) error {
 }
 
 // Apply implements Strategy.
-func (a *ParamAttack) Apply(fw *firmware.Firmware, now float64) {
+func (a *paramAttack) Apply(fw *firmware.Firmware, now float64) {
 	if !a.begun || now-a.lastApply < a.Interval {
 		return
 	}

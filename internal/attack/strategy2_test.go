@@ -21,7 +21,7 @@ func TestStrategyNames(t *testing.T) {
 		{&GradualAttack{}, "ares-gradual"},
 		{&RampAttack{}, "ares-ramp"},
 		{&JitterAttack{}, "random-jitter"},
-		{&ParamAttack{}, "param-set"},
+		{&paramAttack{}, "param-set"},
 		{&SetParamOnce{}, "param-once"},
 		{&Sequence{Steps: []Strategy{&NaiveAttack{}, &RampAttack{}}}, "seq(naive+ares-ramp)"},
 	}

@@ -161,7 +161,7 @@ func TestStoreRoundTripAndResume(t *testing.T) {
 	if err := st.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(Record{Key: "b", Status: StatusError, Error: "boom"}); err != nil {
+	if err := st.Append(Record{Key: "b", Status: statusError, Error: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -235,7 +235,7 @@ func TestRunnerPanicRecovery(t *testing.T) {
 	}
 	for _, rec := range st.Records() {
 		if rec.Trial == 1 {
-			if rec.Status != StatusPanic || !strings.Contains(rec.Error, "diverged") {
+			if rec.Status != statusPanic || !strings.Contains(rec.Error, "diverged") {
 				t.Fatalf("panic record %+v", rec)
 			}
 		}
@@ -329,7 +329,7 @@ func TestAggregate(t *testing.T) {
 		// A failed attempt later retried successfully: only the last
 		// record per key counts.
 		{Key: "m/b/deviation/none/t000", Mission: "m", Variable: "b", Goal: "deviation",
-			Defense: "none", Status: StatusError, Error: "boom"},
+			Defense: "none", Status: statusError, Error: "boom"},
 		{Key: "m/b/deviation/none/t000", Mission: "m", Variable: "b", Goal: "deviation",
 			Defense: "none", Status: StatusOK,
 			Metrics: &Metrics{Deviation: 8, Success: true}},

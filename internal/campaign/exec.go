@@ -73,7 +73,7 @@ type monitorKey struct {
 
 func (e *aresExecutor) monitor(job Job) (*defense.ControlInvariants, error) {
 	name := job.Mission.Name()
-	key := monitorKey{name, mathx.DeriveSeed(job.BaseSeed, StreamOf("calibrate/"+name))}
+	key := monitorKey{name, mathx.DeriveSeed(job.BaseSeed, streamOf("calibrate/"+name))}
 	e.mu.Lock()
 	ent, ok := e.monitors[key]
 	if !ok {

@@ -72,7 +72,7 @@ type Runner struct {
 
 // Run expands the spec, skips jobs already completed in the store, and
 // executes the remainder. A job panic is recovered and recorded as a
-// StatusPanic record — it never kills the fleet. Cancelling ctx stops new
+// statusPanic record — it never kills the fleet. Cancelling ctx stops new
 // jobs from starting; in-flight jobs finish and are recorded, so a
 // cancelled run resumes cleanly.
 func (r *Runner) Run(ctx context.Context, spec Spec, store *Store) (RunStats, error) {
@@ -126,7 +126,7 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job, sink RecordSink) (RunS
 		case StatusOK:
 			stats.OK++
 			mJobsOK.Inc()
-		case StatusPanic:
+		case statusPanic:
 			stats.Panics++
 			mJobsPanic.Inc()
 		default:
@@ -168,14 +168,14 @@ func runJob(ctx context.Context, exec Executor, job Job) (rec Record) {
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			rec.Status = StatusPanic
+			rec.Status = statusPanic
 			rec.Error = fmt.Sprint(p)
 			rec.Metrics = nil
 		}
 	}()
 	m, err := exec(ctx, job)
 	if err != nil {
-		rec.Status = StatusError
+		rec.Status = statusError
 		rec.Error = err.Error()
 		return rec
 	}

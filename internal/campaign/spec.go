@@ -431,11 +431,11 @@ func (s Spec) expandBlock(sw Sweep) []Job {
 				for _, a := range sw.Attacks {
 					for _, d := range sw.Defenses {
 						for t := 0; t < sw.Trials; t++ {
-							key := prefix + JobKey(m, v, g, a, d, t)
+							key := prefix + jobKey(m, v, g, a, d, t)
 							jobs = append(jobs, Job{
 								Key:              key,
 								BaseSeed:         s.Seed,
-								Seed:             mathx.DeriveSeed(s.Seed, StreamOf(key)),
+								Seed:             mathx.DeriveSeed(s.Seed, streamOf(key)),
 								Mission:          m,
 								Variable:         v,
 								Goal:             g,
@@ -458,14 +458,14 @@ func (s Spec) expandBlock(sw Sweep) []Job {
 	return jobs
 }
 
-// JobKey builds the stable identifier of one campaign cell. Catalog-
+// jobKey builds the stable identifier of one campaign cell. Catalog-
 // compiled sweeps additionally prefix the originating CPV record ID.
-func JobKey(m MissionSpec, variable, goal, attack, defense string, trial int) string {
+func jobKey(m MissionSpec, variable, goal, attack, defense string, trial int) string {
 	return fmt.Sprintf("%s/%s/%s/%s/%s/t%03d", m.Name(), variable, goal, attack, defense, trial)
 }
 
-// StreamOf hashes an arbitrary label into a mathx.DeriveSeed stream id.
-func StreamOf(label string) int64 {
+// streamOf hashes an arbitrary label into a mathx.DeriveSeed stream id.
+func streamOf(label string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(label))
 	return int64(h.Sum64())

@@ -58,8 +58,8 @@ type Record struct {
 // Statuses a Record can carry.
 const (
 	StatusOK    = "ok"
-	StatusError = "error"
-	StatusPanic = "panic"
+	statusError = "error"
+	statusPanic = "panic"
 )
 
 // Store is the append-only JSON-lines artifact log. Opening an existing

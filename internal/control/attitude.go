@@ -74,9 +74,9 @@ func DefaultAttitudeConfig(dt float64) AttitudeConfig {
 // NewAttitudeController builds the cascade from the config.
 func NewAttitudeController(cfg AttitudeConfig) *AttitudeController {
 	return &AttitudeController{
-		AngleRoll:  NewSqrtController(cfg.AngleP, cfg.AccelLim),
-		AnglePitch: NewSqrtController(cfg.AngleP, cfg.AccelLim),
-		AngleYaw:   NewSqrtController(cfg.AngleP, cfg.AccelLim),
+		AngleRoll:  newSqrtController(cfg.AngleP, cfg.AccelLim),
+		AnglePitch: newSqrtController(cfg.AngleP, cfg.AccelLim),
+		AngleYaw:   newSqrtController(cfg.AngleP, cfg.AccelLim),
 		RateRoll:   NewPID(cfg.Rate),
 		RatePitch:  NewPID(cfg.Rate),
 		RateYaw:    NewPID(cfg.RateYaw),

@@ -54,21 +54,21 @@ func NewParamStore() *ParamStore {
 	return s
 }
 
-// ErrUnknownParam is returned for parameter names not in the table.
-type ErrUnknownParam struct{ Name string }
+// errUnknownParam is returned for parameter names not in the table.
+type errUnknownParam struct{ Name string }
 
-func (e *ErrUnknownParam) Error() string {
+func (e *errUnknownParam) Error() string {
 	return fmt.Sprintf("control: unknown parameter %q", e.Name)
 }
 
-// ErrParamRange is returned when a value violates the documented range.
-type ErrParamRange struct {
+// errParamRange is returned when a value violates the documented range.
+type errParamRange struct {
 	Name     string
 	Value    float64
 	Min, Max float64
 }
 
-func (e *ErrParamRange) Error() string {
+func (e *errParamRange) Error() string {
 	return fmt.Sprintf("control: parameter %q value %g outside [%g, %g]",
 		e.Name, e.Value, e.Min, e.Max)
 }
@@ -79,7 +79,7 @@ func (s *ParamStore) Get(name string) (float64, error) {
 	defer s.mu.RUnlock()
 	p, ok := s.params[name]
 	if !ok {
-		return 0, &ErrUnknownParam{Name: name}
+		return 0, &errUnknownParam{Name: name}
 	}
 	return p.Value(), nil
 }
@@ -92,10 +92,10 @@ func (s *ParamStore) Set(name string, value float64) error {
 	defer s.mu.Unlock()
 	p, ok := s.params[name]
 	if !ok {
-		return &ErrUnknownParam{Name: name}
+		return &errUnknownParam{Name: name}
 	}
 	if value < p.Min || value > p.Max {
-		return &ErrParamRange{Name: name, Value: value, Min: p.Min, Max: p.Max}
+		return &errParamRange{Name: name, Value: value, Min: p.Min, Max: p.Max}
 	}
 	p.value = value
 	if p.ptr != nil {
@@ -111,7 +111,7 @@ func (s *ParamStore) Bind(name string, ptr *float64) error {
 	defer s.mu.Unlock()
 	p, ok := s.params[name]
 	if !ok {
-		return &ErrUnknownParam{Name: name}
+		return &errUnknownParam{Name: name}
 	}
 	p.ptr = ptr
 	*ptr = p.value

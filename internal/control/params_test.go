@@ -30,18 +30,18 @@ func TestParamStoreSetAndRangeValidation(t *testing.T) {
 	}
 	// Out of range is rejected with a typed error.
 	err := s.Set("ATC_RAT_RLL_P", 99)
-	var rangeErr *ErrParamRange
+	var rangeErr *errParamRange
 	if !errors.As(err, &rangeErr) {
-		t.Fatalf("expected ErrParamRange, got %v", err)
+		t.Fatalf("expected errParamRange, got %v", err)
 	}
 	if rangeErr.Name != "ATC_RAT_RLL_P" || rangeErr.Value != 99 {
 		t.Errorf("range error fields: %+v", rangeErr)
 	}
 	// Unknown parameter.
 	err = s.Set("NO_SUCH_PARAM", 1)
-	var unknownErr *ErrUnknownParam
+	var unknownErr *errUnknownParam
 	if !errors.As(err, &unknownErr) {
-		t.Fatalf("expected ErrUnknownParam, got %v", err)
+		t.Fatalf("expected errUnknownParam, got %v", err)
 	}
 	if _, err := s.Get("NO_SUCH_PARAM"); err == nil {
 		t.Error("Get unknown param did not error")

@@ -214,8 +214,8 @@ type SqrtController struct {
 	output float64
 }
 
-// NewSqrtController builds a square-root controller.
-func NewSqrtController(p, secondOrdLim float64) *SqrtController {
+// newSqrtController builds a square-root controller.
+func newSqrtController(p, secondOrdLim float64) *SqrtController {
 	return &SqrtController{P: p, SecondOrdLim: secondOrdLim}
 }
 

@@ -161,7 +161,7 @@ func TestPIDDefaultDT(t *testing.T) {
 }
 
 func TestSqrtControllerLinearRegion(t *testing.T) {
-	s := NewSqrtController(2, 0) // no limit → pure P
+	s := newSqrtController(2, 0) // no limit → pure P
 	if got := s.Update(3); got != 6 {
 		t.Errorf("linear output = %v, want 6", got)
 	}
@@ -171,7 +171,7 @@ func TestSqrtControllerLinearRegion(t *testing.T) {
 }
 
 func TestSqrtControllerLimitsLargeErrors(t *testing.T) {
-	s := NewSqrtController(2, 1) // linearDist = 1/4
+	s := newSqrtController(2, 1) // linearDist = 1/4
 	small := s.Update(0.1)
 	if !mathx.ApproxEqual(small, 0.2, 1e-12) {
 		t.Errorf("small error output = %v, want 0.2", small)
@@ -192,7 +192,7 @@ func TestSqrtControllerLimitsLargeErrors(t *testing.T) {
 }
 
 func TestSqrtControllerMonotonic(t *testing.T) {
-	s := NewSqrtController(4.5, mathx.Rad(720))
+	s := newSqrtController(4.5, mathx.Rad(720))
 	prev := math.Inf(-1)
 	for e := -2.0; e <= 2.0; e += 0.01 {
 		out := s.Update(e)
@@ -204,7 +204,7 @@ func TestSqrtControllerMonotonic(t *testing.T) {
 }
 
 func TestSqrtControllerRegisterVars(t *testing.T) {
-	s := NewSqrtController(1, 1)
+	s := newSqrtController(1, 1)
 	set := vars.NewSet()
 	if err := s.RegisterVars(set, "SQ"); err != nil {
 		t.Fatal(err)

@@ -94,10 +94,10 @@ func NewPositionController(cfg PositionConfig) *PositionController {
 		dt = 1.0 / 400
 	}
 	return &PositionController{
-		PosXY:         NewSqrtController(cfg.PosP, 2.0),
+		PosXY:         newSqrtController(cfg.PosP, 2.0),
 		VelX:          NewPID(cfg.VelXY),
 		VelY:          NewPID(cfg.VelXY),
-		PosZ:          NewSqrtController(cfg.PosZP, 1.5),
+		PosZ:          newSqrtController(cfg.PosZP, 1.5),
 		VelZ:          NewPID(cfg.VelZ),
 		MaxSpeedXY:    cfg.MaxSpeedXY,
 		MaxSpeedZ:     cfg.MaxSpeedZ,

@@ -46,7 +46,7 @@ func TestPropertySqrtController(t *testing.T) {
 	f := func(pRaw, limRaw float64) bool {
 		p := math.Mod(math.Abs(pRaw), 20) + 0.1
 		lim := math.Mod(math.Abs(limRaw), 50) + 0.1
-		s := NewSqrtController(p, lim)
+		s := newSqrtController(p, lim)
 		prev := math.Inf(-1)
 		for e := -20.0; e <= 20.0; e += 0.05 {
 			out := s.Update(e)

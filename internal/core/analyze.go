@@ -96,7 +96,7 @@ func AnalyzeGroup(p *Profile, g ControllerGroup, opts AnalysisOptions) (*GroupAn
 // in fixed slots and errors surface in group order, so the output (and the
 // error, if any) is identical to a sequential run at any worker count.
 func AnalyzeAllGroups(p *Profile, opts AnalysisOptions) ([]*GroupAnalysis, error) {
-	groups := StandardGroups()
+	groups := standardGroups()
 	budget := par.Workers(opts.Parallelism)
 	outer := budget
 	if outer > len(groups) {
@@ -140,7 +140,7 @@ func AnalyzeRoll(p *Profile, opts AnalysisOptions) (*RollAnalysis, error) {
 	if len(names) < 2 {
 		return nil, fmt.Errorf("core: roll ESVL not traced")
 	}
-	rep, err := stats.GenerateTSVL(opts.tsvlInput(names, series, []string{RollResponse}))
+	rep, err := stats.GenerateTSVL(opts.tsvlInput(names, series, []string{rollResponse}))
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 )
 
 func TestStandardGroupsMatchTableII(t *testing.T) {
-	groups := StandardGroups()
+	groups := standardGroups()
 	if len(groups) != 3 {
 		t.Fatalf("groups = %d, want 3", len(groups))
 	}
@@ -62,7 +62,7 @@ func TestGroupVariablesExistInFirmware(t *testing.T) {
 			}
 		}
 	}
-	for _, g := range StandardGroups() {
+	for _, g := range standardGroups() {
 		check(g.ESVL(), g.Name)
 		check(g.Responses, g.Name+" responses")
 	}
@@ -177,10 +177,10 @@ func TestCollectProfileParallelEquivalence(t *testing.T) {
 
 // TestCollectProfileErrorAnyWidth checks that a failing profile reports
 // the same error at every pool width: every mission fails to launch its
-// empty mission, and the pool must stop and surface that error at any
-// width.
+// empty mission, and the pool must stop and surface the lowest-numbered
+// mission's error at any width.
 func TestCollectProfileErrorAnyWidth(t *testing.T) {
-	const want = "firmware: launch needs a mission"
+	const want = "core: profiling mission 0: firmware: launch needs a mission"
 	for _, workers := range []int{1, 2, 5, 8} {
 		_, err := CollectProfile(ProfileConfig{
 			Mission:     firmware.NewMission(nil),
@@ -464,7 +464,7 @@ func TestTrainDeviationExploitSmoke(t *testing.T) {
 	if res.Policy == nil || res.Train == nil || res.Train.Episodes != 6 {
 		t.Fatalf("training result: %+v", res)
 	}
-	if res.Variable != "PIDR.INTEG" || res.Learner != LearnerReinforce {
+	if res.Variable != "PIDR.INTEG" || res.Learner != learnerReinforce {
 		t.Errorf("metadata: %+v", res)
 	}
 	if n := len(res.Replay.Steps); n == 0 || n > 25 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/ares-cps/ares/internal/attack"
@@ -159,6 +160,13 @@ func (b *baseEnv) inject(*firmware.Firmware) {
 // continues and the evaluation measures what the attack achieves against
 // the clamps.
 func (b *baseEnv) advance(action float64) (detected, crashed bool) {
+	// A NaN action injects nothing: like ArduPilot's constrain_value, it
+	// maps to the midpoint of ±MaxAction, 0. mathx.Clamp passes NaN
+	// through, and a NaN written into a controller cell would wreck the
+	// plant on the next tick.
+	if math.IsNaN(action) {
+		action = 0
+	}
 	b.pendDelta = mathx.Clamp(action, -b.cfg.MaxAction, b.cfg.MaxAction)
 	b.pendOnce = true
 	for i := 0; i < b.ticks; i++ {

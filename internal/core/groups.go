@@ -35,10 +35,10 @@ func (g ControllerGroup) ESVL() []string {
 	return out
 }
 
-// StandardGroups returns the three controller functions of Table II mapped
+// standardGroups returns the three controller functions of Table II mapped
 // onto this firmware's variable inventory. The counts reproduce the
 // paper's structure: PID 28→+36→64, Sqrt 9→+12→21, SINS 14→+19→33.
-func StandardGroups() []ControllerGroup {
+func standardGroups() []ControllerGroup {
 	pidLog := func(prefix string) []string {
 		return []string{
 			prefix + ".Tar", prefix + ".Act",
@@ -130,12 +130,12 @@ func RollESVL() []string {
 	}
 }
 
-// RollResponse is the response variable of the Figure 5 analysis.
-const RollResponse = "ATT.Roll"
+// rollResponse is the response variable of the Figure 5 analysis.
+const rollResponse = "ATT.Roll"
 
 // GroupByName finds a standard group.
 func GroupByName(name string) (ControllerGroup, error) {
-	for _, g := range StandardGroups() {
+	for _, g := range standardGroups() {
 		if g.Name == name {
 			return g, nil
 		}

@@ -189,7 +189,7 @@ func flyProfileMission(cfg ProfileConfig, m int) (*flight, error) {
 		Sensors: sensors.Seeded(cfg.Seed + int64(m)), //areslint:ignore seedarith golden-pinned
 	}, cfg.Mission, 10)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: profiling mission %d: %w", m, err)
 	}
 	refs := fw.Vars().Refs()
 	f := &flight{names: fw.Vars().Names()}

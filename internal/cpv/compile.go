@@ -80,7 +80,7 @@ func Check(r Record) error {
 	return nil
 }
 
-// Options configures Compile: the campaign identity plus the shared
+// Options configures compile: the campaign identity plus the shared
 // training budgets the records themselves do not carry.
 type Options struct {
 	// Name labels the compiled campaign (display only, excluded from
@@ -98,13 +98,13 @@ type Options struct {
 	Learner  string
 }
 
-// Compile lowers a set of catalog records into one normalized
+// compile lowers a set of catalog records into one normalized
 // campaign.Spec: records sort by ID, each becomes one sweep block tagged
 // with its CPV ID, and the result is validated end to end. Compilation is
 // canonical — the same record set (in any order) yields a byte-identical
 // normalized spec, so the daemon's content-addressed identity (SpecHash)
 // dedupes catalog assessments exactly like hand-written ones.
-func Compile(opts Options, records ...Record) (campaign.Spec, error) {
+func compile(opts Options, records ...Record) (campaign.Spec, error) {
 	if len(records) == 0 {
 		return campaign.Spec{}, fmt.Errorf("cpv: compile needs at least one record")
 	}
@@ -153,5 +153,5 @@ func CompileIDs(opts Options, ids ...string) (campaign.Spec, error) {
 		}
 		recs = append(recs, r)
 	}
-	return Compile(opts, recs...)
+	return compile(opts, recs...)
 }

@@ -35,7 +35,7 @@ func TestBuiltinCatalogChecks(t *testing.T) {
 func TestCompileCanonical(t *testing.T) {
 	recs := Catalog()
 	opts := Options{Seed: 7, Episodes: 2, MaxSteps: 10}
-	a, err := Compile(opts, recs...)
+	a, err := compile(opts, recs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestCompileCanonical(t *testing.T) {
 	for i, r := range recs {
 		rev[len(recs)-1-i] = r
 	}
-	b, err := Compile(opts, rev...)
+	b, err := compile(opts, rev...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCompileExpandsTaggedJobs(t *testing.T) {
 	if !ok {
 		t.Fatal("ARES-CPV-001 missing")
 	}
-	spec, err := Compile(Options{Seed: 1}, rec)
+	spec, err := compile(Options{Seed: 1}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestCompileRejects(t *testing.T) {
 	for _, tc := range cases {
 		r := base
 		tc.mutate(&r)
-		if _, err := Compile(Options{}, r); err == nil {
+		if _, err := compile(Options{}, r); err == nil {
 			t.Errorf("%s: compile accepted", tc.name)
 		}
 	}
-	if _, err := Compile(Options{}, base, base); err == nil {
+	if _, err := compile(Options{}, base, base); err == nil {
 		t.Error("duplicate ids accepted")
 	}
-	if _, err := Compile(Options{}); err == nil {
+	if _, err := compile(Options{}); err == nil {
 		t.Error("empty record set accepted")
 	}
 	if _, err := CompileIDs(Options{}, "ARES-CPV-999"); err == nil {
@@ -151,7 +151,7 @@ func TestCatalogGolden(t *testing.T) {
 	var buf bytes.Buffer
 	opts := Options{Seed: 42, Episodes: 2, MaxSteps: 10}
 	for _, r := range Catalog() {
-		spec, err := Compile(opts, r)
+		spec, err := compile(opts, r)
 		if err != nil {
 			t.Fatalf("%s: %v", r.ID, err)
 		}
@@ -161,7 +161,7 @@ func TestCatalogGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&buf, "=== %s\n%s\n", r.ID, js)
 	}
-	all, err := Compile(opts, Catalog()...)
+	all, err := compile(opts, Catalog()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func FuzzCPVRecord(f *testing.F) {
 		if len(recs) == 0 {
 			return
 		}
-		spec, err := Compile(Options{Seed: 1}, recs...)
+		spec, err := compile(Options{Seed: 1}, recs...)
 		if err != nil {
 			return // semantic rejection (unknown variable, duplicate id, …) is fine
 		}
@@ -49,7 +49,7 @@ func FuzzCPVRecord(f *testing.F) {
 		for i, r := range recs {
 			rev[len(recs)-1-i] = r
 		}
-		spec2, err := Compile(Options{Seed: 1}, rev...)
+		spec2, err := compile(Options{Seed: 1}, rev...)
 		if err != nil {
 			t.Fatalf("reordered set failed to compile: %v", err)
 		}

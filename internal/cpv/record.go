@@ -9,7 +9,7 @@
 // state variables, and the success thresholds — plus literature
 // references.
 //
-// Records are not executable by themselves. Compile lowers any subset of
+// Records are not executable by themselves. compile lowers any subset of
 // them into a normalized campaign.Spec (one sweep block per record), which
 // the existing campaign runner, CLI and assessment daemon execute
 // unchanged. Compilation is deterministic — records are sorted by ID and

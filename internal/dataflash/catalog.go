@@ -8,8 +8,6 @@
 // the known state variable list (KSVL) that ARES starts from.
 package dataflash
 
-import "fmt"
-
 // MessageDef describes one log message type.
 type MessageDef struct {
 	// Type is the binary record type byte.
@@ -33,29 +31,6 @@ func Catalogue() []MessageDef {
 	out := make([]MessageDef, len(catalogue))
 	copy(out, catalogue)
 	return out
-}
-
-// DefByName looks up a message definition.
-func DefByName(name string) (MessageDef, bool) {
-	for _, d := range catalogue {
-		if d.Name == name {
-			return d, true
-		}
-	}
-	return MessageDef{}, false
-}
-
-// KSVL returns the known state variable list: every "MSG.Field" name in the
-// catalogue, in catalogue order. This is the starting variable inventory of
-// the paper's Section IV-B.
-func KSVL() []string {
-	var names []string
-	for _, d := range catalogue {
-		for _, f := range d.Fields {
-			names = append(names, fmt.Sprintf("%s.%s", d.Name, f))
-		}
-	}
-	return names
 }
 
 // TotalALVs returns the catalogue-wide ALV count (342 per Table I).

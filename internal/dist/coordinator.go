@@ -51,8 +51,8 @@ import (
 
 // Campaign states reported by GET /v1/jobs/{id}.
 const (
-	StateQueued  = "queued"
-	StateRunning = "running"
+	stateQueued  = "queued"
+	stateRunning = "running"
 	StateDone    = "done"
 	StateFailed  = "failed"
 )
@@ -389,8 +389,8 @@ func (c *Coordinator) leaseLocked(workerID string, max int, sharded bool) LeaseR
 			c.mx.steals.Inc()
 		}
 	}
-	if cs.state == StateQueued {
-		cs.state, cs.started = StateRunning, time.Now()
+	if cs.state == stateQueued {
+		cs.state, cs.started = stateRunning, time.Now()
 		cs.events.Append("state: running")
 		c.mx.inflight.Inc()
 		c.mx.queueDepth.Set(int64(c.queuedLocked()))
@@ -655,7 +655,7 @@ func (c *Coordinator) Submit(spec campaign.Spec) (JobStatus, int) {
 
 // enqueueLocked queues cs for its first lease and wakes idle workers.
 func (c *Coordinator) enqueueLocked(cs *campaignState) {
-	cs.state, cs.errMsg = StateQueued, ""
+	cs.state, cs.errMsg = stateQueued, ""
 	c.open = append(c.open, cs)
 	c.mx.queueDepth.Set(int64(c.queuedLocked()))
 	c.kickLocked()
@@ -671,7 +671,7 @@ func (c *Coordinator) kickLocked() {
 func (c *Coordinator) queuedLocked() int {
 	n := 0
 	for _, cs := range c.open {
-		if cs.state == StateQueued {
+		if cs.state == stateQueued {
 			n++
 		}
 	}
@@ -759,7 +759,7 @@ func (c *Coordinator) closeOutLocked(cs *campaignState, state, errMsg string) {
 	if err := cs.unload(); err != nil && state == StateDone {
 		state, errMsg = StateFailed, "close store: "+err.Error()
 	}
-	if cs.state == StateRunning {
+	if cs.state == stateRunning {
 		c.mx.inflight.Dec()
 		c.mx.jobSeconds.Observe(time.Since(cs.started).Seconds())
 	}
@@ -807,7 +807,7 @@ func (c *Coordinator) statusLocked(cs *campaignState) JobStatus {
 func (c *Coordinator) Result(id string) (*Result, int) {
 	c.mu.Lock()
 	cs, known := c.campaigns[id]
-	if known && (cs.state == StateQueued || cs.state == StateRunning) {
+	if known && (cs.state == stateQueued || cs.state == stateRunning) {
 		c.mu.Unlock()
 		return nil, http.StatusConflict
 	}

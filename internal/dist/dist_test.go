@@ -267,16 +267,16 @@ func TestMergeOrderInvariance(t *testing.T) {
 // TestWireStrictness pins the decode gate: unknown fields, trailing data,
 // oversize bodies and malformed worker IDs are refused.
 func TestWireStrictness(t *testing.T) {
-	if _, err := decodeWire[RegisterRequest](strings.NewReader(`{"worker":"a","extra":1}`), maxControlBytes); err == nil {
+	if _, err := decodeWire[registerRequest](strings.NewReader(`{"worker":"a","extra":1}`), maxControlBytes); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if _, err := decodeWire[RegisterRequest](strings.NewReader(`{"worker":"a"} {"worker":"b"}`), maxControlBytes); err == nil {
+	if _, err := decodeWire[registerRequest](strings.NewReader(`{"worker":"a"} {"worker":"b"}`), maxControlBytes); err == nil {
 		t.Error("trailing data accepted")
 	}
-	if _, err := decodeWire[RegisterRequest](strings.NewReader(`{"worker":"a"}`), 4); err == nil {
+	if _, err := decodeWire[registerRequest](strings.NewReader(`{"worker":"a"}`), 4); err == nil {
 		t.Error("oversize body accepted")
 	}
-	if _, err := decodeWire[RegisterRequest](strings.NewReader(`{"worker":"ok-1"}`), maxControlBytes); err != nil {
+	if _, err := decodeWire[registerRequest](strings.NewReader(`{"worker":"ok-1"}`), maxControlBytes); err != nil {
 		t.Errorf("valid envelope refused: %v", err)
 	}
 	for _, id := range []string{"", "has space", "has/slash", "tab\tid", strings.Repeat("x", 129), "ctl\x01"} {

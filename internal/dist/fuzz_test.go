@@ -67,8 +67,8 @@ func FuzzDistEnvelope(f *testing.F) {
 			}
 		}
 
-		req, err := decodeWire[RegisterRequest](bytes.NewReader(body), maxControlBytes)
-		req2, err2 := decodeWire[RegisterRequest](bytes.NewReader(body), maxControlBytes)
+		req, err := decodeWire[registerRequest](bytes.NewReader(body), maxControlBytes)
+		req2, err2 := decodeWire[registerRequest](bytes.NewReader(body), maxControlBytes)
 		if (err == nil) != (err2 == nil) || req != req2 {
 			t.Fatalf("decode not stable for %q: (%+v, %v) vs (%+v, %v)", body, req, err, req2, err2)
 		}

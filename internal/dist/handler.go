@@ -186,7 +186,7 @@ func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeWire[RegisterRequest](http.MaxBytesReader(w, r.Body, maxControlBytes), maxControlBytes)
+	req, err := decodeWire[registerRequest](http.MaxBytesReader(w, r.Body, maxControlBytes), maxControlBytes)
 	if err != nil {
 		WriteErr(w, http.StatusBadRequest, "invalid register: %v", err)
 		return

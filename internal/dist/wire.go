@@ -26,9 +26,9 @@ const (
 	maxWorkerIDBytes = 128
 )
 
-// RegisterRequest announces a worker to the coordinator. Registration is
+// registerRequest announces a worker to the coordinator. Registration is
 // idempotent: re-registering after a worker restart refreshes its entry.
-type RegisterRequest struct {
+type registerRequest struct {
 	// Worker is the worker's stable identity; it shards the job space, so
 	// a restarted worker with the same ID leases the same shard.
 	Worker string `json:"worker"`

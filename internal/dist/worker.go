@@ -384,7 +384,7 @@ type httpLink struct {
 }
 
 func (h *httpLink) register(ctx context.Context, worker string) (resp RegisterResponse, err error) {
-	err = h.post(ctx, "/v1/dist/register", RegisterRequest{Worker: worker}, &resp, maxControlBytes)
+	err = h.post(ctx, "/v1/dist/register", registerRequest{Worker: worker}, &resp, maxControlBytes)
 	return resp, err
 }
 

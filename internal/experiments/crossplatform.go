@@ -10,17 +10,17 @@ import (
 	"github.com/ares-cps/ares/internal/sim"
 )
 
-// CrossPlatformResult evaluates the paper's generalizability claim (Section
+// crossPlatformResult evaluates the paper's generalizability claim (Section
 // VI): the same methodology applied to the second virtual vehicle (the
 // Pixhawk4-class airframe) without any retuning — the evaluation uses "two
 // virtual vehicles, IRIS+ (a quadrotor) and Pixhawk4".
-type CrossPlatformResult struct {
+type crossPlatformResult struct {
 	// PerVehicle holds one row per airframe.
-	PerVehicle []CrossPlatformRow
+	PerVehicle []crossPlatformRow
 }
 
-// CrossPlatformRow summarizes one airframe's run.
-type CrossPlatformRow struct {
+// crossPlatformRow summarizes one airframe's run.
+type crossPlatformRow struct {
 	Vehicle string
 	// BenignOK reports a clean benign mission; BenignMaxCI its statistic.
 	BenignOK    bool
@@ -33,12 +33,12 @@ type CrossPlatformRow struct {
 }
 
 // Name implements Result.
-func (*CrossPlatformResult) Name() string { return "crossplatform" }
+func (*crossPlatformResult) Name() string { return "crossplatform" }
 
-// RunCrossPlatform replays the Figure 6 scenario set on both airframes,
+// runCrossPlatform replays the Figure 6 scenario set on both airframes,
 // calibrating the monitor per vehicle (a deployed detector is fit to its
 // own airframe).
-func RunCrossPlatform(s *Suite) (*CrossPlatformResult, error) {
+func runCrossPlatform(s *Suite) (*crossPlatformResult, error) {
 	mission := s.attackMission()
 	vehicles := []struct {
 		name   string
@@ -47,13 +47,13 @@ func RunCrossPlatform(s *Suite) (*CrossPlatformResult, error) {
 		{"IRIS+", sim.IRISPlusParams()},
 		{"Pixhawk4", sim.Pixhawk4Params()},
 	}
-	res := &CrossPlatformResult{}
+	res := &crossPlatformResult{}
 	for vi, v := range vehicles {
 		ci, _, err := attack.CalibrateMonitorsFor(mission, v.params, s.Seed+int64(80+vi*10)) //areslint:ignore seedarith golden-pinned
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		row := CrossPlatformRow{Vehicle: v.name}
+		row := crossPlatformRow{Vehicle: v.name}
 
 		benign, err := attack.RunSession(attack.SessionConfig{
 			Mission: mission, Duration: 60, Seed: s.Seed + int64(81+vi*10), //areslint:ignore seedarith golden-pinned
@@ -99,7 +99,7 @@ func RunCrossPlatform(s *Suite) (*CrossPlatformResult, error) {
 }
 
 // WriteText implements Result.
-func (r *CrossPlatformResult) WriteText(w io.Writer) error {
+func (r *crossPlatformResult) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintln(w,
 		"Cross-platform — the Figure 6 scenario set on both virtual vehicles"); err != nil {
 		return err
@@ -119,7 +119,7 @@ func (r *CrossPlatformResult) WriteText(w io.Writer) error {
 }
 
 // WriteCSV implements Result.
-func (r *CrossPlatformResult) WriteCSV(dir string) error {
+func (r *crossPlatformResult) WriteCSV(dir string) error {
 	rows := make([][]string, 0, len(r.PerVehicle))
 	for _, row := range r.PerVehicle {
 		rows = append(rows, []string{

@@ -354,7 +354,7 @@ func TestCountermeasureShape(t *testing.T) {
 }
 
 func TestCrossPlatformShape(t *testing.T) {
-	res, err := RunCrossPlatform(quickSuite)
+	res, err := runCrossPlatform(quickSuite)
 	if err != nil {
 		t.Fatal(err)
 	}

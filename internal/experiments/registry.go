@@ -41,7 +41,7 @@ func Registry() []Entry {
 		{"fig11", wrap(RunFig11)},
 		{"ablation", wrap(RunAblation)},
 		{"countermeasure", wrap(RunCountermeasure)},
-		{"crossplatform", wrap(RunCrossPlatform)},
+		{"crossplatform", wrap(runCrossPlatform)},
 		{"fuzzbaseline", wrap(RunFuzzBaseline)},
 	}
 }

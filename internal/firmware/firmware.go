@@ -20,28 +20,28 @@ type Mode int
 
 // Flight modes, following ArduCopter's semantics.
 const (
-	ModeStabilize Mode = iota + 1
-	ModeGuided
+	modeStabilize Mode = iota + 1
+	modeGuided
 	ModeAuto
-	ModeLoiter
-	ModeRTL
-	ModeLand
+	modeLoiter
+	modeRTL
+	modeLand
 )
 
 // String returns the mode name.
 func (m Mode) String() string {
 	switch m {
-	case ModeStabilize:
+	case modeStabilize:
 		return "STABILIZE"
-	case ModeGuided:
+	case modeGuided:
 		return "GUIDED"
 	case ModeAuto:
 		return "AUTO"
-	case ModeLoiter:
+	case modeLoiter:
 		return "LOITER"
-	case ModeRTL:
+	case modeRTL:
 		return "RTL"
-	case ModeLand:
+	case modeLand:
 		return "LAND"
 	default:
 		return fmt.Sprintf("MODE(%d)", int(m))
@@ -157,14 +157,14 @@ func New(cfg Config) (*Firmware, error) {
 		params:   control.NewParamStore(),
 		mission:  NewMission(nil),
 		varSet:   vars.NewSet(),
-		mode:     ModeStabilize,
+		mode:     modeStabilize,
 		dt:       dt,
 		logEvery: loopHz / logHz,
 	}
 	if err := f.registerVars(); err != nil {
 		return nil, fmt.Errorf("firmware: register vars: %w", err)
 	}
-	f.memmap = NewMemoryMap(f.varSet)
+	f.memmap = newMemoryMap(f.varSet)
 	if err := f.assignRegions(); err != nil {
 		return nil, fmt.Errorf("firmware: assign regions: %w", err)
 	}
@@ -239,23 +239,23 @@ var regionByPrefix = []struct {
 	{"ANGY.", RegionStabilizer},
 	{"ATT.", RegionStabilizer},
 	{"RATE.", RegionStabilizer},
-	{"NTUN.", RegionNavigator},
-	{"CTUN.", RegionNavigator},
-	{"SQP.", RegionNavigator},
-	{"SQZ.", RegionNavigator},
-	{"PIDVX.", RegionNavigator},
-	{"PIDVY.", RegionNavigator},
-	{"PIDVZ.", RegionNavigator},
-	{"EKF1.", RegionEstimator},
-	{"NKF4.", RegionEstimator},
-	{"SINS.", RegionEstimator},
+	{"NTUN.", regionNavigator},
+	{"CTUN.", regionNavigator},
+	{"SQP.", regionNavigator},
+	{"SQZ.", regionNavigator},
+	{"PIDVX.", regionNavigator},
+	{"PIDVY.", regionNavigator},
+	{"PIDVZ.", regionNavigator},
+	{"EKF1.", regionEstimator},
+	{"NKF4.", regionEstimator},
+	{"SINS.", regionEstimator},
 	{"IMU.", RegionDrivers},
 	{"IMU2.", RegionDrivers},
 	{"BARO.", RegionDrivers},
 	{"MAG.", RegionDrivers},
 	{"GPS.", RegionDrivers},
 	{"CURR.", RegionDrivers},
-	{"RCOU.", RegionActuators},
+	{"RCOU.", regionActuators},
 }
 
 func (f *Firmware) assignRegions() error {
@@ -377,7 +377,7 @@ func (f *Firmware) Disarm() { f.armed = false }
 // SetMode switches the flight mode.
 func (f *Firmware) SetMode(m Mode) {
 	f.mode = m
-	if m == ModeLoiter || m == ModeGuided {
+	if m == modeLoiter || m == modeGuided {
 		f.guidedTgt = f.quad.State().Pos
 	}
 }
@@ -389,7 +389,7 @@ func (f *Firmware) Takeoff(altitude float64) error {
 	}
 	st := f.quad.State().Pos
 	f.guidedTgt = mathx.V3(st.X, st.Y, -altitude)
-	f.mode = ModeGuided
+	f.mode = modeGuided
 	return nil
 }
 
@@ -448,7 +448,7 @@ func (f *Firmware) Reset(pos mathx.Vec3) {
 	f.pos.Reset()
 	f.mission.Reset()
 	f.armed = false
-	f.mode = ModeStabilize
+	f.mode = modeStabilize
 	f.desYaw = 0
 	f.tick = 0
 	f.guidedTgt = pos
@@ -543,21 +543,21 @@ func (f *Firmware) runControllers() [4]float64 {
 		if d.XY() > 1.0 {
 			f.desYaw = math.Atan2(d.Y, d.X)
 		}
-	case ModeGuided, ModeLoiter:
+	case modeGuided, modeLoiter:
 		target = f.guidedTgt
-	case ModeRTL:
+	case modeRTL:
 		target = mathx.V3(f.home.X, f.home.Y, f.guidedTgt.Z)
 		if estPos.Sub(target).XY() < 1.0 {
-			f.mode = ModeLand
+			f.mode = modeLand
 		}
-	case ModeLand:
+	case modeLand:
 		// Descend ~1 m/s by chasing a point 1 m below the current
 		// estimate; touchdown then stays below the crash threshold.
 		target = mathx.V3(estPos.X, estPos.Y, estPos.Z+1.0)
 		if f.quad.State().Altitude() < 0.1 {
 			f.Disarm()
 		}
-	case ModeStabilize:
+	case modeStabilize:
 		// Attitude-only: hold level at current throttle.
 		f.cmdRoll, f.cmdPitch, f.cmdThr = 0, 0, f.pos.HoverThrottle
 		if f.attackHook != nil {
@@ -591,7 +591,7 @@ func (f *Firmware) checkFailsafes() {
 	if err != nil {
 		return
 	}
-	if f.quad.Battery().Voltage < lowV && f.mode != ModeRTL && f.mode != ModeLand {
-		f.mode = ModeLand
+	if f.quad.Battery().Voltage < lowV && f.mode != modeRTL && f.mode != modeLand {
+		f.mode = modeLand
 	}
 }

@@ -52,7 +52,7 @@ func TestFirmwareTakeoffAndHover(t *testing.T) {
 	if alt := f.Quad().State().Altitude(); math.Abs(alt-10) > 1.0 {
 		t.Errorf("altitude after takeoff = %v, want ~10", alt)
 	}
-	if f.Mode() != ModeGuided || !f.Armed() {
+	if f.Mode() != modeGuided || !f.Armed() {
 		t.Errorf("mode = %v, armed = %v", f.Mode(), f.Armed())
 	}
 }
@@ -92,7 +92,7 @@ func TestFirmwareLanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.RunFor(10)
-	f.SetMode(ModeLand)
+	f.SetMode(modeLand)
 	f.RunFor(25)
 	if f.Armed() {
 		t.Error("still armed after landing")
@@ -117,7 +117,7 @@ func TestFirmwareRTLReturnsHome(t *testing.T) {
 		t.Fatalf("vehicle did not travel out: %v", f.Quad().State().Pos)
 	}
 	f.SetGuidedTarget(f.Quad().State().Pos) // RTL keeps guided altitude
-	f.SetMode(ModeRTL)
+	f.SetMode(modeRTL)
 	f.RunFor(40)
 	pos := f.Quad().State().Pos
 	// RTL flies home then hands off to LAND, which drifts slightly while
@@ -174,7 +174,7 @@ func TestFirmwareCommandsViaGCS(t *testing.T) {
 	if ack.Result != 0 {
 		t.Errorf("takeoff rejected: %+v", ack)
 	}
-	if !f.Armed() || f.Mode() != ModeGuided {
+	if !f.Armed() || f.Mode() != modeGuided {
 		t.Errorf("takeoff did not arm+guide: armed=%v mode=%v", f.Armed(), f.Mode())
 	}
 	// Unknown command returns unsupported.
@@ -304,7 +304,7 @@ func TestFirmwareBatteryFailsafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Step()
-	if f.Mode() != ModeLand {
+	if f.Mode() != modeLand {
 		t.Errorf("mode = %v, want LAND after battery failsafe", f.Mode())
 	}
 }
@@ -316,7 +316,7 @@ func TestFirmwareReset(t *testing.T) {
 	}
 	f.RunFor(5)
 	f.Reset(mathx.V3(1, 2, 0))
-	if f.Armed() || f.Mode() != ModeStabilize {
+	if f.Armed() || f.Mode() != modeStabilize {
 		t.Error("Reset left armed/mode state")
 	}
 	if f.Quad().State().Pos != mathx.V3(1, 2, 0) {
@@ -340,9 +340,9 @@ func TestModeString(t *testing.T) {
 		mode Mode
 		want string
 	}{
-		{ModeStabilize, "STABILIZE"}, {ModeGuided, "GUIDED"},
-		{ModeAuto, "AUTO"}, {ModeLoiter, "LOITER"},
-		{ModeRTL, "RTL"}, {ModeLand, "LAND"}, {Mode(42), "MODE(42)"},
+		{modeStabilize, "STABILIZE"}, {modeGuided, "GUIDED"},
+		{ModeAuto, "AUTO"}, {modeLoiter, "LOITER"},
+		{modeRTL, "RTL"}, {modeLand, "LAND"}, {Mode(42), "MODE(42)"},
 	}
 	for _, tt := range tests {
 		if got := tt.mode.String(); got != tt.want {

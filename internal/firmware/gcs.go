@@ -94,9 +94,9 @@ func (f *Firmware) handleCommand(c *mavlink.CommandLong) mavlink.Message {
 			result = 4
 		}
 	case mavlink.CmdLand:
-		f.SetMode(ModeLand)
+		f.SetMode(modeLand)
 	case mavlink.CmdRTL:
-		f.SetMode(ModeRTL)
+		f.SetMode(modeRTL)
 	case mavlink.CmdSetMode:
 		f.SetMode(Mode(int(c.Params[0])))
 	case mavlink.CmdMissionGo:

@@ -22,7 +22,7 @@ func TestGCSLandAndRTLCommands(t *testing.T) {
 	if ack := f.DrainOutbox()[0].(*mavlink.CommandAck); ack.Result != 0 {
 		t.Errorf("RTL rejected: %+v", ack)
 	}
-	if f.Mode() != ModeRTL {
+	if f.Mode() != modeRTL {
 		t.Errorf("mode = %v, want RTL", f.Mode())
 	}
 
@@ -31,7 +31,7 @@ func TestGCSLandAndRTLCommands(t *testing.T) {
 	if ack := f.DrainOutbox()[0].(*mavlink.CommandAck); ack.Result != 0 {
 		t.Errorf("LAND rejected: %+v", ack)
 	}
-	if f.Mode() != ModeLand {
+	if f.Mode() != modeLand {
 		t.Errorf("mode = %v, want LAND", f.Mode())
 	}
 }
@@ -45,9 +45,9 @@ func TestGCSSetModeAndArmDisarm(t *testing.T) {
 		t.Error("arm command did not arm")
 	}
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdSetMode,
-		Params: [7]float64{float64(ModeLoiter)}})
+		Params: [7]float64{float64(modeLoiter)}})
 	f.Step()
-	if f.Mode() != ModeLoiter {
+	if f.Mode() != modeLoiter {
 		t.Errorf("mode = %v, want LOITER", f.Mode())
 	}
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdArmDisarm,

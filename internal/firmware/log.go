@@ -130,7 +130,7 @@ func (f *Firmware) currentTarget() mathx.Vec3 {
 	switch f.mode {
 	case ModeAuto:
 		return f.mission.Target()
-	case ModeRTL:
+	case modeRTL:
 		return f.home
 	default:
 		return f.guidedTgt

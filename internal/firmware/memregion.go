@@ -15,22 +15,22 @@ import (
 type RegionPerm int
 
 const (
-	// PermReadWrite allows both reads and writes from unprivileged code.
-	PermReadWrite RegionPerm = iota + 1
-	// PermReadOnly allows only reads.
-	PermReadOnly
-	// PermNoAccess blocks unprivileged access entirely.
-	PermNoAccess
+	// permReadWrite allows both reads and writes from unprivileged code.
+	permReadWrite RegionPerm = iota + 1
+	// permReadOnly allows only reads.
+	permReadOnly
+	// permNoAccess blocks unprivileged access entirely.
+	permNoAccess
 )
 
 // String returns the permission label.
 func (p RegionPerm) String() string {
 	switch p {
-	case PermReadWrite:
+	case permReadWrite:
 		return "rw"
-	case PermReadOnly:
+	case permReadOnly:
 		return "ro"
-	case PermNoAccess:
+	case permNoAccess:
 		return "none"
 	default:
 		return fmt.Sprintf("perm(%d)", int(p))
@@ -43,11 +43,11 @@ func (p RegionPerm) String() string {
 // their intermediates share RegionStabilizer.
 const (
 	RegionStabilizer = "stabilizer" // attitude + rate PIDs and intermediates
-	RegionNavigator  = "navigator"  // position cascade, mission state
-	RegionEstimator  = "estimator"  // EKF, SINS
+	regionNavigator  = "navigator"  // position cascade, mission state
+	regionEstimator  = "estimator"  // EKF, SINS
 	RegionDrivers    = "drivers"    // sensor readings
-	RegionConfig     = "config"     // parameter table
-	RegionActuators  = "actuators"  // motor outputs
+	regionConfig     = "config"     // parameter table
+	regionActuators  = "actuators"  // motor outputs
 )
 
 // MemoryMap models the MPU configuration: a set of isolated regions and the
@@ -58,20 +58,20 @@ type MemoryMap struct {
 	vars    *vars.Set
 }
 
-// NewMemoryMap creates a map over the given variable set with the standard
+// newMemoryMap creates a map over the given variable set with the standard
 // regions preconfigured read-write (the MPU isolates regions from *each
 // other*; code inside a region has full access to it).
-func NewMemoryMap(set *vars.Set) *MemoryMap {
+func newMemoryMap(set *vars.Set) *MemoryMap {
 	m := &MemoryMap{
 		regions: make(map[string]RegionPerm),
 		varHome: make(map[string]string),
 		vars:    set,
 	}
 	for _, r := range []string{
-		RegionStabilizer, RegionNavigator, RegionEstimator,
-		RegionDrivers, RegionConfig, RegionActuators,
+		RegionStabilizer, regionNavigator, regionEstimator,
+		RegionDrivers, regionConfig, regionActuators,
 	} {
-		m.regions[r] = PermReadWrite
+		m.regions[r] = permReadWrite
 	}
 	return m
 }
@@ -123,15 +123,15 @@ func (m *MemoryMap) Regions() []string {
 	return names
 }
 
-// AccessError reports an MPU access violation — the fault the hardware
+// accessError reports an MPU access violation — the fault the hardware
 // raises when code in one region touches another.
-type AccessError struct {
+type accessError struct {
 	Variable   string
 	From, Home string
 	Write      bool
 }
 
-func (e *AccessError) Error() string {
+func (e *accessError) Error() string {
 	op := "read"
 	if e.Write {
 		op = "write"
@@ -151,7 +151,7 @@ func (m *MemoryMap) Access(fromRegion, variable string, write bool) (vars.Ref, e
 		return vars.Ref{}, fmt.Errorf("firmware: unknown variable %q", variable)
 	}
 	if home != fromRegion {
-		return vars.Ref{}, &AccessError{
+		return vars.Ref{}, &accessError{
 			Variable: variable, From: fromRegion, Home: home, Write: write,
 		}
 	}

@@ -14,14 +14,14 @@ func newTestMap(t *testing.T) (*MemoryMap, *vars.Set, []float64) {
 	set.MustRegister("PIDR.INTEG", vars.KindIntermediate, &vals[0])
 	set.MustRegister("IMU.GyrX", vars.KindSensor, &vals[1])
 	set.MustRegister("EKF1.Roll", vars.KindDynamic, &vals[2])
-	m := NewMemoryMap(set)
+	m := newMemoryMap(set)
 	if err := m.Assign("PIDR.INTEG", RegionStabilizer); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Assign("IMU.GyrX", RegionDrivers); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Assign("EKF1.Roll", RegionEstimator); err != nil {
+	if err := m.Assign("EKF1.Roll", regionEstimator); err != nil {
 		t.Fatal(err)
 	}
 	return m, set, vals
@@ -69,12 +69,12 @@ func TestMemoryMapAccessEnforcement(t *testing.T) {
 	}
 	// Cross-region access raises an MPU violation.
 	_, err = m.Access(RegionStabilizer, "IMU.GyrX", false)
-	var accessErr *AccessError
+	var accessErr *accessError
 	if !errors.As(err, &accessErr) {
-		t.Fatalf("cross-region access error = %v, want AccessError", err)
+		t.Fatalf("cross-region access error = %v, want accessError", err)
 	}
 	if accessErr.From != RegionStabilizer || accessErr.Home != RegionDrivers {
-		t.Errorf("AccessError fields: %+v", accessErr)
+		t.Errorf("accessError fields: %+v", accessErr)
 	}
 	if accessErr.Error() == "" {
 		t.Error("empty error string")
@@ -89,12 +89,12 @@ func TestMemoryMapUnassignedVars(t *testing.T) {
 	set := vars.NewSet()
 	v := 0.0
 	set.MustRegister("LONELY.VAR", vars.KindParam, &v)
-	m := NewMemoryMap(set)
+	m := newMemoryMap(set)
 	missing := m.UnassignedVars()
 	if len(missing) != 1 || missing[0] != "LONELY.VAR" {
 		t.Errorf("UnassignedVars = %v", missing)
 	}
-	if err := m.Assign("LONELY.VAR", RegionConfig); err != nil {
+	if err := m.Assign("LONELY.VAR", regionConfig); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.UnassignedVars()) != 0 {
@@ -104,8 +104,8 @@ func TestMemoryMapUnassignedVars(t *testing.T) {
 
 func TestMemoryMapAddRegion(t *testing.T) {
 	set := vars.NewSet()
-	m := NewMemoryMap(set)
-	m.AddRegion("custom", PermReadOnly)
+	m := newMemoryMap(set)
+	m.AddRegion("custom", permReadOnly)
 	found := false
 	for _, r := range m.Regions() {
 		if r == "custom" {
@@ -122,9 +122,9 @@ func TestRegionPermString(t *testing.T) {
 		perm RegionPerm
 		want string
 	}{
-		{PermReadWrite, "rw"},
-		{PermReadOnly, "ro"},
-		{PermNoAccess, "none"},
+		{permReadWrite, "rw"},
+		{permReadOnly, "ro"},
+		{permNoAccess, "none"},
 		{RegionPerm(9), "perm(9)"},
 	}
 	for _, tt := range tests {

@@ -4,15 +4,15 @@ package lint
 // order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CtxFlow,
-		DetTaint,
-		ErrClose,
-		FPReassoc,
-		GoLeak,
-		MetricName,
-		ParBudget,
-		SeedArith,
-		WireStrict,
+		ctxFlow,
+		detTaint,
+		errClose,
+		fpReassoc,
+		goLeak,
+		metricName,
+		parBudget,
+		seedArith,
+		wireStrict,
 	}
 }
 

@@ -44,7 +44,7 @@ type FuncInfo struct {
 
 // A Program is the interprocedural view over one or more analysis target
 // packages and their module-internal dependency closure. Build it once
-// with NewProgram, then read it from any number of goroutines: all maps
+// with newProgram, then read it from any number of goroutines: all maps
 // are frozen after construction.
 type Program struct {
 	info  map[*types.Func]*FuncInfo
@@ -53,9 +53,9 @@ type Program struct {
 	done  map[*Package]bool
 }
 
-// NewProgram computes the call graph and function facts for pkgs and
+// newProgram computes the call graph and function facts for pkgs and
 // every module-internal package they transitively import.
-func NewProgram(pkgs []*Package) *Program {
+func newProgram(pkgs []*Package) *Program {
 	pr := &Program{
 		info:  make(map[*types.Func]*FuncInfo),
 		facts: make(map[*types.Func]Facts),

@@ -2,12 +2,12 @@ package lint
 
 import "go/ast"
 
-// CtxFlow enforces the repo's cancellation discipline: a function that
+// ctxFlow enforces the repo's cancellation discipline: a function that
 // receives a context.Context threads it down — it does not mint a fresh
 // context.Background()/TODO() that detaches callees from the caller's
 // cancellation, which is how drains hang. Goroutine lifetimes are
 // goleak's.
-var CtxFlow = &Analyzer{
+var ctxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "thread received contexts into callees",
 	Run:  runCtxFlow,

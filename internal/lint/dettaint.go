@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// DetTaint guards the determinism contract — every record and every
+// detTaint guards the determinism contract — every record and every
 // Algorithm 1 result is a pure function of the seed — with three rules
 // over one interprocedural taint analysis (flow.go):
 //
@@ -30,7 +30,7 @@ import (
 //
 // Each position is reported at most once: a time.Now in a seeded stats
 // function breaks one invariant, not two.
-var DetTaint = &Analyzer{
+var detTaint = &Analyzer{
 	Name: "dettaint",
 	Doc:  "no nondeterminism in analysis packages, none flowing through helpers into campaign records, sinks or SortedBytes, and seeded functions stay pure",
 	Run:  runDetTaint,
@@ -70,7 +70,7 @@ func runDetTaint(p *Pass) {
 			tt := newTaint(p.Prog, fi)
 			sites := tt.run()
 			checkRecordSinks(p, fi, tt, report)
-			if p.Prog.FactsFor(fn)&FactReceivesSeed != 0 {
+			if p.Prog.FactsFor(fn)&factReceivesSeed != 0 {
 				checkSeededPurity(p, fi, report)
 			}
 			if scoped {
@@ -183,7 +183,7 @@ func checkSeededPurity(p *Pass, fi *FuncInfo, report reportFunc) {
 			report(call.Pos(), "%s.%s in a function that receives a seed — seeded functions must be pure functions of their seed", fn.Pkg().Name(), fn.Name())
 			return true
 		}
-		if p.Prog.FactsFor(fn)&FactReachesNondet != 0 {
+		if p.Prog.FactsFor(fn)&factReachesNondet != 0 {
 			report(call.Pos(), "call to %s reaches a nondeterminism source (time.Now or global math/rand) from a function that receives a seed — seeded paths must be pure functions of their seed", calleeLabel(fn))
 		}
 		return true
@@ -195,7 +195,7 @@ func checkSeededPurity(p *Pass, fi *FuncInfo, report reportFunc) {
 // sink walk.
 func hasNondetCalls(p *Pass, fi *FuncInfo) bool {
 	for _, callee := range fi.Callees {
-		if isNondetSource(callee) || p.Prog.FactsFor(callee)&FactReturnsNondet != 0 {
+		if isNondetSource(callee) || p.Prog.FactsFor(callee)&factReturnsNondet != 0 {
 			return true
 		}
 	}
@@ -279,7 +279,7 @@ func taintOrigin(p *Pass, tt *taint, e ast.Expr) string {
 			}
 		case *ast.CallExpr:
 			if fn, ok := staticCallee(p.Pkg, n); ok {
-				if isNondetSource(fn) || p.Prog.FactsFor(fn)&FactReturnsNondet != 0 {
+				if isNondetSource(fn) || p.Prog.FactsFor(fn)&factReturnsNondet != 0 {
 					origin = calleeLabel(fn)
 					return false
 				}

@@ -6,14 +6,14 @@ import (
 	"go/types"
 )
 
-// ErrClose reports discarded Close/Flush/Sync errors on files opened for
+// errClose reports discarded Close/Flush/Sync errors on files opened for
 // writing. A write error surfacing only at Close (delayed flush, full
 // disk) silently truncates campaign artifacts and CSV exports; the repo's
 // rule is to check the error on write paths — finalize whole artifacts
 // with campaign.WriteFileAtomic where a torn file must never be visible —
 // and to acknowledge best-effort closes on error paths explicitly with
 // `_ = f.Close()`.
-var ErrClose = &Analyzer{
+var errClose = &Analyzer{
 	Name: "errclose",
 	Doc:  "no discarded Close/Flush/Sync errors on files opened for writing",
 	Run:  runErrClose,

@@ -292,15 +292,3 @@ func splitLines(s string) []string {
 	}
 	return strings.Split(s, "\n")
 }
-
-// SourcesOf merges the per-package source maps of pkgs into the single
-// display-path → bytes map PlanFixes consumes.
-func SourcesOf(pkgs []*Package) map[string][]byte {
-	src := make(map[string][]byte)
-	for _, pkg := range pkgs {
-		for name, data := range pkg.Src {
-			src[name] = data
-		}
-	}
-	return src
-}

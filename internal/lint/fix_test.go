@@ -117,7 +117,7 @@ func planModule(t *testing.T, root string, patterns ...string) (*FixPlan, []Diag
 		t.Fatal(err)
 	}
 	diags := Run(pkgs, All(), 0)
-	plan, err := PlanFixes(diags, SourcesOf(pkgs))
+	plan, err := PlanFixes(diags, sourcesOf(pkgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,4 +333,16 @@ func TestFixPlanWriteAbortsOnMissingTarget(t *testing.T) {
 	if string(got) != "original\n" {
 		t.Errorf("b.go = %q; a failed Write must not leave later files rewritten", got)
 	}
+}
+
+// sourcesOf merges the per-package source maps of pkgs into the single
+// display-path → bytes map PlanFixes consumes.
+func sourcesOf(pkgs []*Package) map[string][]byte {
+	src := make(map[string][]byte)
+	for _, pkg := range pkgs {
+		for name, data := range pkg.Src {
+			src[name] = data
+		}
+	}
+	return src
 }

@@ -15,28 +15,28 @@ import (
 type Facts uint16
 
 const (
-	// FactReachesNondet: the function (or a transitive callee) invokes a
+	// factReachesNondet: the function (or a transitive callee) invokes a
 	// nondeterminism source — time.Now or a global math/rand function.
-	FactReachesNondet Facts = 1 << iota
-	// FactReturnsNondet: a value derived from a nondeterminism source or
+	factReachesNondet Facts = 1 << iota
+	// factReturnsNondet: a value derived from a nondeterminism source or
 	// from random map-iteration order may flow out of the function's
 	// results.
-	FactReturnsNondet
-	// FactReceivesSeed: the function takes an integer parameter named
+	factReturnsNondet
+	// factReceivesSeed: the function takes an integer parameter named
 	// seed-like; its output is expected to be a pure function of it.
-	FactReceivesSeed
-	// FactSpawnsGoroutine: the function (or a transitive callee) launches
+	factReceivesSeed
+	// factSpawnsGoroutine: the function (or a transitive callee) launches
 	// a goroutine.
-	FactSpawnsGoroutine
-	// FactLifecycled: the function's execution observes a lifecycle —
+	factSpawnsGoroutine
+	// factLifecycled: the function's execution observes a lifecycle —
 	// a context, channel operation, WaitGroup or internal/par primitive —
 	// directly or through a transitive callee. A goroutine running a
 	// lifecycled function can be cancelled or awaited.
-	FactLifecycled
-	// FactPtrAccum: the function accumulates (+= and friends) through a
+	factLifecycled
+	// factPtrAccum: the function accumulates (+= and friends) through a
 	// float pointer parameter — calling it from concurrent workers with a
 	// shared target makes the reduction order schedule-dependent.
-	FactPtrAccum
+	factPtrAccum
 )
 
 // wireFacts summarizes how a function treats readers it was handed: the
@@ -77,17 +77,17 @@ func (w *wireFacts) merge(site wireFacts) {
 func localFacts(pr *Program, fi *FuncInfo) (Facts, wireFacts) {
 	var facts Facts
 	if hasSeedParam(fi) {
-		facts |= FactReceivesSeed
+		facts |= factReceivesSeed
 	}
 	for _, callee := range fi.Callees {
 		cf := pr.facts[callee]
-		facts |= cf & (FactReachesNondet | FactSpawnsGoroutine | FactLifecycled)
+		facts |= cf & (factReachesNondet | factSpawnsGoroutine | factLifecycled)
 		if isNondetSource(callee) {
-			facts |= FactReachesNondet
+			facts |= factReachesNondet
 		}
 	}
 	if bodyTouchesLifecycle(fi.Pkg, fi.Decl.Body) {
-		facts |= FactLifecycled
+		facts |= factLifecycled
 	}
 	hasGo := false
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
@@ -97,16 +97,16 @@ func localFacts(pr *Program, fi *FuncInfo) (Facts, wireFacts) {
 		return !hasGo
 	})
 	if hasGo {
-		facts |= FactSpawnsGoroutine
+		facts |= factSpawnsGoroutine
 	}
 	if ptrAccumulates(fi) {
-		facts |= FactPtrAccum
+		facts |= factPtrAccum
 	}
 
 	tt := newTaint(pr, fi)
 	tt.run()
 	if tt.returnsTainted() {
-		facts |= FactReturnsNondet
+		facts |= factReturnsNondet
 	}
 
 	return facts, wireSummary(pr, fi)
@@ -163,7 +163,7 @@ func hasSeedParam(fi *FuncInfo) bool {
 
 // bodyTouchesLifecycle reports whether body references a context, a
 // WaitGroup, a channel operation, or an internal/par call — the
-// lifecycle markers behind the transitive FactLifecycled bit goleak
+// lifecycle markers behind the transitive factLifecycled bit goleak
 // reads.
 func bodyTouchesLifecycle(pkg *Package, body *ast.BlockStmt) bool {
 	found := false
@@ -252,11 +252,11 @@ func ptrAccumulates(fi *FuncInfo) bool {
 
 // taint is a flow-insensitive per-function value-taint analysis: a value
 // is tainted when it derives from a nondeterminism source (time.Now,
-// global math/rand, a callee with FactReturnsNondet) or carries random
+// global math/rand, a callee with factReturnsNondet) or carries random
 // map-iteration order (a slice appended to under a map range and never
 // sorted, or a float accumulated under one). dettaint asks it two
 // questions: does taint reach the function's results (the propagated
-// FactReturnsNondet), and does taint reach a campaign record sink.
+// factReturnsNondet), and does taint reach a campaign record sink.
 type taint struct {
 	pr      *Program
 	fi      *FuncInfo
@@ -449,7 +449,7 @@ func (t *taint) exprTainted(e ast.Expr) bool {
 			}
 		case *ast.CallExpr:
 			if fn, ok := staticCallee(t.fi.Pkg, n); ok {
-				if isNondetSource(fn) || t.pr.facts[fn]&FactReturnsNondet != 0 {
+				if isNondetSource(fn) || t.pr.facts[fn]&factReturnsNondet != 0 {
 					found = true
 				}
 			}

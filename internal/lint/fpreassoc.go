@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// FPReassoc guards the float reduction-order contract in the numeric
+// fpReassoc guards the float reduction-order contract in the numeric
 // packages (internal/stats, internal/sim): serial and parallel-worker
 // variants of a kernel must produce bit-identical sums, which holds only
 // when every parallel construct writes disjoint slots and a single
@@ -21,10 +21,10 @@ import (
 //     declared outside the closure and not a per-iteration slot,
 //   - a worker closure passing a pointer to a captured variable into a
 //     function that accumulates through its pointer parameter
-//     (FactPtrAccum, interprocedural),
+//     (factPtrAccum, interprocedural),
 //   - a float compound-assign inside a range over a channel, where
 //     arrival order is scheduler-dependent.
-var FPReassoc = &Analyzer{
+var fpReassoc = &Analyzer{
 	Name: "fpreassoc",
 	Doc:  "numeric kernels must not fold floats in scheduler-dependent order: no captured float accumulators in worker closures",
 	Run:  runFPReassoc,
@@ -79,7 +79,7 @@ func checkWorkerLit(p *Pass, lit *ast.FuncLit) {
 			p.Reportf(n.Pos(), "float accumulation into a captured variable from a worker closure — reduction order becomes schedule-dependent; write per-worker slots and fold them in one deterministic loop")
 		case *ast.CallExpr:
 			fn, ok := staticCallee(p.Pkg, n)
-			if !ok || p.Prog.FactsFor(fn)&FactPtrAccum == 0 {
+			if !ok || p.Prog.FactsFor(fn)&factPtrAccum == 0 {
 				return true
 			}
 			for _, arg := range n.Args {

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// GoLeak reports goroutine spawns that provably escape their spawner:
+// goLeak reports goroutine spawns that provably escape their spawner:
 // nothing in the spawned body, its transitive callees, or the values it
 // was handed observes a lifecycle (context, channel, WaitGroup or
 // internal/par primitive), so nothing can cancel the goroutine or wait
@@ -17,7 +17,7 @@ import (
 // whose body is `helper()` is fine when helper three packages away ranges
 // over a channel, and flagged when nothing it reaches ever can be told to
 // stop.
-var GoLeak = &Analyzer{
+var goLeak = &Analyzer{
 	Name: "goleak",
 	Doc:  "goroutines must be cancellable or awaitable: a context, channel, WaitGroup or par primitive, locally or in a transitive callee",
 	Run:  runGoLeak,
@@ -62,8 +62,8 @@ func goStmtLifecycled(p *Pass, gs *ast.GoStmt) bool {
 		}
 		// Method values close over their receiver; a receiver holding
 		// channels is typical (w.run reads w.stop). The facts already
-		// cover that: FactLifecycled is set when the body touches one.
-		return p.Prog.FactsFor(fn)&FactLifecycled != 0
+		// cover that: factLifecycled is set when the body touches one.
+		return p.Prog.FactsFor(fn)&factLifecycled != 0
 	}
 }
 
@@ -82,7 +82,7 @@ func funcLitLifecycled(p *Pass, lit *ast.FuncLit) bool {
 		if !ok {
 			return true
 		}
-		if fn, ok := staticCallee(p.Pkg, call); ok && p.Prog.FactsFor(fn)&FactLifecycled != 0 {
+		if fn, ok := staticCallee(p.Pkg, call); ok && p.Prog.FactsFor(fn)&factLifecycled != 0 {
 			found = true
 		}
 		return !found

@@ -24,17 +24,6 @@ func isPkgObj(obj types.Object, pkgPath, name string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// objectOf resolves an identifier or selector to its object.
-func (p *Pass) objectOf(e ast.Expr) types.Object {
-	switch e := unparen(e).(type) {
-	case *ast.Ident:
-		return p.Pkg.Info.Uses[e]
-	case *ast.SelectorExpr:
-		return p.Pkg.Info.Uses[e.Sel]
-	}
-	return nil
-}
-
 // identObject resolves an identifier whether it is a use or a definition.
 func identObject(p *Pass, id *ast.Ident) types.Object {
 	if obj := p.Pkg.Info.Uses[id]; obj != nil {

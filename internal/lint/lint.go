@@ -180,7 +180,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, workers int) []Diagnostic {
 	// the targets and their module-internal dependency closure; the
 	// resulting Program is frozen and shared read-only by the parallel
 	// per-package passes.
-	prog := NewProgram(pkgs)
+	prog := newProgram(pkgs)
 	perPkg := make([][]Diagnostic, len(pkgs))
 	par.Do(workers, len(pkgs), func(i int) {
 		perPkg[i] = runPackage(pkgs[i], analyzers, prog)

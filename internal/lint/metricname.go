@@ -12,13 +12,13 @@ import (
 // (`grep -x 'ares_serve_jobs_completed_total 1'`) can rely on the shape.
 var metricNameRE = regexp.MustCompile(`^ares_[a-z0-9_]+$`)
 
-// MetricName enforces that every metrics registration uses an
+// metricName enforces that every metrics registration uses an
 // `ares_[a-z0-9_]+` string literal — a computed name cannot be grepped,
 // alerted on, or checked for collisions statically — and that a name is
 // registered as exactly one kind per package (a name reused as a
 // different kind panics at runtime in the registry; catch it before
 // then).
-var MetricName = &Analyzer{
+var metricName = &Analyzer{
 	Name: "metricname",
 	Doc:  "metrics register ares_* string literals, one kind per name",
 	Run:  runMetricName,

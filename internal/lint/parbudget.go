@@ -4,13 +4,13 @@ import (
 	"go/ast"
 )
 
-// ParBudget keeps one machine-wide concurrency budget: every worker
+// parBudget keeps one machine-wide concurrency budget: every worker
 // count flows through internal/par (Workers, Inner, Budget), never raw
 // runtime.GOMAXPROCS/NumCPU arithmetic. Raw reads are how nested pools
 // end up multiplying — W jobs × GOMAXPROCS analysis goroutines — instead
 // of splitting the budget. internal/par itself is the one place allowed
 // to read the process budget.
-var ParBudget = &Analyzer{
+var parBudget = &Analyzer{
 	Name: "parbudget",
 	Doc:  "worker counts come from internal/par helpers, not raw GOMAXPROCS/NumCPU",
 	Run:  runParBudget,

@@ -8,13 +8,13 @@ import (
 	"strings"
 )
 
-// SeedArith reports ad-hoc arithmetic on seed values (`s.Seed + 9`,
+// seedArith reports ad-hoc arithmetic on seed values (`s.Seed + 9`,
 // `seed + int64(i)`). Offset schemes collide across runs — stream k of
 // seed s is stream k-1 of seed s+1 — which is exactly why the repo grew
 // mathx.DeriveSeed (a splitmix64 mix of base and stream). Existing
 // offsets that golden reports pin are suppressed in place with
 // `//areslint:ignore seedarith golden-pinned`; new code must derive.
-var SeedArith = &Analyzer{
+var seedArith = &Analyzer{
 	Name: "seedarith",
 	Doc:  "no ad-hoc seed+offset arithmetic — derive stream seeds with mathx.DeriveSeed",
 	Run:  runSeedArith,

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// WireStrict enforces the repository's strict-decode convention on wire
+// wireStrict enforces the repository's strict-decode convention on wire
 // boundaries, interprocedurally. internal/dist and internal/serve
 // established the contract: every JSON document arriving over HTTP (or
 // read back from an artifact file) is decoded with DisallowUnknownFields,
@@ -19,7 +19,7 @@ import (
 // per-function wire-decode summary (flow.go) and checks both the direct
 // decode sites and every call site where a request/response body flows
 // into a decoding helper.
-var WireStrict = &Analyzer{
+var wireStrict = &Analyzer{
 	Name: "wirestrict",
 	Doc:  "wire-boundary JSON decodes disallow unknown fields, reject trailing data, and sit behind a size cap",
 	Run:  runWireStrict,

@@ -11,13 +11,6 @@ type Quat struct {
 // QuatIdentity returns the identity rotation.
 func QuatIdentity() Quat { return Quat{W: 1} }
 
-// QuatFromAxisAngle builds a quaternion rotating angle radians about axis.
-func QuatFromAxisAngle(axis Vec3, angle float64) Quat {
-	axis = axis.Normalized()
-	s, c := math.Sincos(angle / 2)
-	return Quat{W: c, X: axis.X * s, Y: axis.Y * s, Z: axis.Z * s}
-}
-
 // QuatFromEuler builds a quaternion from roll (φ, about X), pitch (θ, about
 // Y) and yaw (ψ, about Z) using the aerospace Z-Y-X rotation sequence.
 func QuatFromEuler(roll, pitch, yaw float64) Quat {
@@ -96,17 +89,6 @@ func (q Quat) Rotate(v Vec3) Vec3 {
 
 // RotateInverse applies the inverse rotation: world frame → body frame.
 func (q Quat) RotateInverse(v Vec3) Vec3 { return q.Conj().Rotate(v) }
-
-// RotationMatrix returns the 3×3 direction-cosine matrix equivalent of q
-// (body → world).
-func (q Quat) RotationMatrix() Mat3 {
-	w, x, y, z := q.W, q.X, q.Y, q.Z
-	return Mat3{M: [3][3]float64{
-		{1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y)},
-		{2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x)},
-		{2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y)},
-	}}
-}
 
 // Integrate advances the attitude by body angular rate ω over dt seconds
 // using first-order quaternion kinematics, renormalizing the result.

@@ -25,44 +25,23 @@ func WrapPi(a float64) float64 {
 	return a
 }
 
-// Wrap2Pi wraps an angle in radians to [0, 2π).
-func Wrap2Pi(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
-	if a < 0 {
-		a += 2 * math.Pi
-	}
-	return a
-}
-
 // Deg converts radians to degrees.
 func Deg(rad float64) float64 { return rad * 180 / math.Pi }
 
 // Rad converts degrees to radians.
 func Rad(deg float64) float64 { return deg * math.Pi / 180 }
 
-// Sign returns -1, 0 or +1 matching the sign of v.
-func Sign(v float64) float64 {
-	switch {
-	case v > 0:
-		return 1
-	case v < 0:
-		return -1
-	default:
-		return 0
-	}
-}
-
 // ApproxEqual reports whether a and b differ by no more than tol.
 func ApproxEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// Segment is a 3D line segment between points A and B, used for mission
+// segment is a 3D line segment between points A and B, used for mission
 // path legs and forbidden-zone boundaries.
-type Segment struct {
+type segment struct {
 	A, B Vec3
 }
 
 // ClosestPoint returns the point on the segment closest to p.
-func (s Segment) ClosestPoint(p Vec3) Vec3 {
+func (s segment) ClosestPoint(p Vec3) Vec3 {
 	ab := s.B.Sub(s.A)
 	denom := ab.NormSq()
 	if denom == 0 {
@@ -73,12 +52,9 @@ func (s Segment) ClosestPoint(p Vec3) Vec3 {
 }
 
 // Distance returns the shortest distance from p to the segment.
-func (s Segment) Distance(p Vec3) float64 {
+func (s segment) Distance(p Vec3) float64 {
 	return s.ClosestPoint(p).Dist(p)
 }
-
-// Length returns the segment length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
 // PathDistance returns the minimum distance from p to a polyline defined by
 // consecutive waypoints, matching the paper's observation
@@ -93,7 +69,7 @@ func PathDistance(p Vec3, waypoints []Vec3) float64 {
 	}
 	best := math.Inf(1)
 	for i := 0; i+1 < len(waypoints); i++ {
-		d := (Segment{A: waypoints[i], B: waypoints[i+1]}).Distance(p)
+		d := (segment{A: waypoints[i], B: waypoints[i+1]}).Distance(p)
 		if d < best {
 			best = d
 		}

@@ -51,17 +51,6 @@ func TestWrapPi(t *testing.T) {
 	}
 }
 
-func TestWrap2Pi(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 1000; i++ {
-		a := rng.NormFloat64() * 50
-		w := Wrap2Pi(a)
-		if w < 0 || w >= 2*math.Pi {
-			t.Fatalf("Wrap2Pi(%v) = %v out of range", a, w)
-		}
-	}
-}
-
 func TestDegRad(t *testing.T) {
 	if !ApproxEqual(Deg(math.Pi), 180, 1e-12) {
 		t.Errorf("Deg(π) = %v", Deg(math.Pi))
@@ -77,14 +66,8 @@ func TestDegRad(t *testing.T) {
 	}
 }
 
-func TestSign(t *testing.T) {
-	if Sign(3) != 1 || Sign(-0.1) != -1 || Sign(0) != 0 {
-		t.Error("Sign incorrect")
-	}
-}
-
 func TestSegmentClosestPoint(t *testing.T) {
-	s := Segment{A: V3(0, 0, 0), B: V3(10, 0, 0)}
+	s := segment{A: V3(0, 0, 0), B: V3(10, 0, 0)}
 	tests := []struct {
 		give Vec3
 		want Vec3
@@ -99,12 +82,9 @@ func TestSegmentClosestPoint(t *testing.T) {
 		}
 	}
 	// Degenerate segment.
-	d := Segment{A: V3(1, 1, 1), B: V3(1, 1, 1)}
+	d := segment{A: V3(1, 1, 1), B: V3(1, 1, 1)}
 	if got := d.ClosestPoint(V3(5, 5, 5)); got != V3(1, 1, 1) {
 		t.Errorf("degenerate ClosestPoint = %v", got)
-	}
-	if got := s.Length(); got != 10 {
-		t.Errorf("Length = %v", got)
 	}
 }
 

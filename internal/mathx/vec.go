@@ -1,7 +1,7 @@
 // Package mathx provides the small linear-algebra and numeric toolkit shared
 // by the simulator, controllers, estimators and statistics packages.
 //
-// Everything here is deliberately allocation-free value math: Vec3 and Mat3
+// Everything here is deliberately allocation-free value math: Vec3 and AABB
 // are plain structs, quaternions are four floats, and all operations return
 // new values. This keeps the 400 Hz control loop free of garbage and makes
 // the physics integrator trivially testable.
@@ -72,121 +72,5 @@ func (v Vec3) IsFinite() bool {
 		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
 
-// Lerp linearly interpolates from v to o by t in [0, 1].
-func (v Vec3) Lerp(o Vec3, t float64) Vec3 {
-	return v.Add(o.Sub(v).Scale(t))
-}
-
 // Dist returns the Euclidean distance between v and o.
 func (v Vec3) Dist(o Vec3) float64 { return v.Sub(o).Norm() }
-
-// Mat3 is a 3×3 matrix in row-major order.
-type Mat3 struct {
-	M [3][3]float64
-}
-
-// Identity3 returns the 3×3 identity matrix.
-func Identity3() Mat3 {
-	return Mat3{M: [3][3]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}}
-}
-
-// Diag returns a diagonal matrix with the given entries.
-func Diag(x, y, z float64) Mat3 {
-	return Mat3{M: [3][3]float64{{x, 0, 0}, {0, y, 0}, {0, 0, z}}}
-}
-
-// MulVec returns m · v.
-func (m Mat3) MulVec(v Vec3) Vec3 {
-	return Vec3{
-		X: m.M[0][0]*v.X + m.M[0][1]*v.Y + m.M[0][2]*v.Z,
-		Y: m.M[1][0]*v.X + m.M[1][1]*v.Y + m.M[1][2]*v.Z,
-		Z: m.M[2][0]*v.X + m.M[2][1]*v.Y + m.M[2][2]*v.Z,
-	}
-}
-
-// Mul returns the matrix product m · o.
-func (m Mat3) Mul(o Mat3) Mat3 {
-	var r Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			s := 0.0
-			for k := 0; k < 3; k++ {
-				s += m.M[i][k] * o.M[k][j]
-			}
-			r.M[i][j] = s
-		}
-	}
-	return r
-}
-
-// Transpose returns mᵀ.
-func (m Mat3) Transpose() Mat3 {
-	var r Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			r.M[i][j] = m.M[j][i]
-		}
-	}
-	return r
-}
-
-// Scale returns m with every entry multiplied by s.
-func (m Mat3) Scale(s float64) Mat3 {
-	var r Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			r.M[i][j] = m.M[i][j] * s
-		}
-	}
-	return r
-}
-
-// Add returns m + o.
-func (m Mat3) Add(o Mat3) Mat3 {
-	var r Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			r.M[i][j] = m.M[i][j] + o.M[i][j]
-		}
-	}
-	return r
-}
-
-// Det returns the determinant of m.
-func (m Mat3) Det() float64 {
-	a := m.M
-	return a[0][0]*(a[1][1]*a[2][2]-a[1][2]*a[2][1]) -
-		a[0][1]*(a[1][0]*a[2][2]-a[1][2]*a[2][0]) +
-		a[0][2]*(a[1][0]*a[2][1]-a[1][1]*a[2][0])
-}
-
-// Inverse returns the inverse of m and whether it exists (det ≠ 0).
-func (m Mat3) Inverse() (Mat3, bool) {
-	d := m.Det()
-	if d == 0 {
-		return Mat3{}, false
-	}
-	a := m.M
-	inv := 1 / d
-	var r Mat3
-	r.M[0][0] = (a[1][1]*a[2][2] - a[1][2]*a[2][1]) * inv
-	r.M[0][1] = (a[0][2]*a[2][1] - a[0][1]*a[2][2]) * inv
-	r.M[0][2] = (a[0][1]*a[1][2] - a[0][2]*a[1][1]) * inv
-	r.M[1][0] = (a[1][2]*a[2][0] - a[1][0]*a[2][2]) * inv
-	r.M[1][1] = (a[0][0]*a[2][2] - a[0][2]*a[2][0]) * inv
-	r.M[1][2] = (a[0][2]*a[1][0] - a[0][0]*a[1][2]) * inv
-	r.M[2][0] = (a[1][0]*a[2][1] - a[1][1]*a[2][0]) * inv
-	r.M[2][1] = (a[0][1]*a[2][0] - a[0][0]*a[2][1]) * inv
-	r.M[2][2] = (a[0][0]*a[1][1] - a[0][1]*a[1][0]) * inv
-	return r, true
-}
-
-// Skew returns the skew-symmetric cross-product matrix [v]× such that
-// Skew(v).MulVec(w) == v.Cross(w).
-func Skew(v Vec3) Mat3 {
-	return Mat3{M: [3][3]float64{
-		{0, -v.Z, v.Y},
-		{v.Z, 0, -v.X},
-		{-v.Y, v.X, 0},
-	}}
-}

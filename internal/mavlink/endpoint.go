@@ -42,15 +42,15 @@ func (e *Endpoint) Send(m Message) error {
 		Payload: m.Marshal(),
 	}
 	e.seq++
-	return WriteFrame(e.w, f)
+	return writeFrame(e.w, f)
 }
 
 // Recv blocks for the next valid message, skipping frames with checksum
 // errors and unknown message IDs (forward compatibility).
 func (e *Endpoint) Recv() (Message, error) {
 	for {
-		f, err := ReadFrame(e.r)
-		if errors.Is(err, ErrBadChecksum) {
+		f, err := readFrame(e.r)
+		if errors.Is(err, errBadChecksum) {
 			continue
 		}
 		if err != nil {
@@ -62,27 +62,4 @@ func (e *Endpoint) Recv() (Message, error) {
 		}
 		return m, nil
 	}
-}
-
-// Pipe returns two connected in-memory endpoints (GCS side, vehicle side),
-// useful for tests and the in-process attack injector. The returned closer
-// shuts both directions down.
-func Pipe() (gcs, vehicle *Endpoint, closeFn func()) {
-	gr, vw := io.Pipe()
-	vr, gw := io.Pipe()
-	gcs = NewEndpoint(struct {
-		io.Reader
-		io.Writer
-	}{gr, gw}, 255)
-	vehicle = NewEndpoint(struct {
-		io.Reader
-		io.Writer
-	}{vr, vw}, 1)
-	closeFn = func() {
-		_ = vw.Close()
-		_ = gw.Close()
-		_ = gr.Close()
-		_ = vr.Close()
-	}
-	return gcs, vehicle, closeFn
 }

@@ -33,8 +33,8 @@ type Frame struct {
 	Payload []byte
 }
 
-// ErrBadChecksum reports a frame whose CRC failed.
-var ErrBadChecksum = errors.New("mavlink: bad checksum")
+// errBadChecksum reports a frame whose CRC failed.
+var errBadChecksum = errors.New("mavlink: bad checksum")
 
 // crcX25 computes the CRC-16/MCRF4XX checksum MAVLink uses (the X.25
 // polynomial with reflected processing and no final XOR).
@@ -49,8 +49,8 @@ func crcX25(data []byte) uint16 {
 	return crc
 }
 
-// WriteFrame encodes and writes one frame.
-func WriteFrame(w io.Writer, f Frame) error {
+// writeFrame encodes and writes one frame.
+func writeFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > maxPayload {
 		return fmt.Errorf("mavlink: payload %d exceeds %d bytes", len(f.Payload), maxPayload)
 	}
@@ -63,10 +63,10 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// ReadFrame reads the next well-formed frame, skipping garbage bytes until a
-// start marker is found. A CRC failure returns ErrBadChecksum (the caller
+// readFrame reads the next well-formed frame, skipping garbage bytes until a
+// start marker is found. A CRC failure returns errBadChecksum (the caller
 // may continue reading).
-func ReadFrame(r *bufio.Reader) (Frame, error) {
+func readFrame(r *bufio.Reader) (Frame, error) {
 	for {
 		b, err := r.ReadByte()
 		if err != nil {
@@ -87,7 +87,7 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 		body := append(header, rest[:payloadLen]...)
 		wantCRC := binary.LittleEndian.Uint16(rest[payloadLen:])
 		if crcX25(body) != wantCRC {
-			return Frame{}, ErrBadChecksum
+			return Frame{}, errBadChecksum
 		}
 		return Frame{
 			Seq:     header[1],

@@ -10,13 +10,13 @@ import (
 func frameBytes(tb testing.TB, f Frame) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
+	if err := writeFrame(&buf, f); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// FuzzParseFrame drives ReadFrame over arbitrary byte streams: it must never
+// FuzzParseFrame drives readFrame over arbitrary byte streams: it must never
 // panic, must terminate, and every frame it does accept must survive a
 // re-encode/re-decode round trip bit-for-bit.
 //
@@ -40,8 +40,8 @@ func FuzzParseFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
-			fr, err := ReadFrame(r)
-			if err == ErrBadChecksum {
+			fr, err := readFrame(r)
+			if err == errBadChecksum {
 				continue // stream-level resync, keep scanning
 			}
 			if err != nil {
@@ -51,7 +51,7 @@ func FuzzParseFrame(f *testing.F) {
 				t.Fatalf("payload %d exceeds protocol max", len(fr.Payload))
 			}
 			reenc := frameBytes(t, fr)
-			back, err := ReadFrame(bufio.NewReader(bytes.NewReader(reenc)))
+			back, err := readFrame(bufio.NewReader(bytes.NewReader(reenc)))
 			if err != nil {
 				t.Fatalf("re-decode of accepted frame failed: %v\nframe: %+v", err, fr)
 			}

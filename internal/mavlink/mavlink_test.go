@@ -21,10 +21,10 @@ func TestCRCX25KnownVector(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := Frame{Seq: 7, SysID: 255, CompID: 1, MsgID: 23, Payload: []byte{1, 2, 3}}
-	if err := WriteFrame(&buf, in); err != nil {
+	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFrame(bufio.NewReader(&buf))
+	out, err := readFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +36,10 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameResyncSkipsGarbage(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0x00, 0x13, 0x37}) // garbage
-	if err := WriteFrame(&buf, Frame{MsgID: 5, Payload: []byte{9}}); err != nil {
+	if err := writeFrame(&buf, Frame{MsgID: 5, Payload: []byte{9}}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(bufio.NewReader(&buf))
+	f, err := readFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,19 +50,19 @@ func TestFrameResyncSkipsGarbage(t *testing.T) {
 
 func TestFrameChecksumRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{MsgID: 5, Payload: []byte{1, 2}}); err != nil {
+	if err := writeFrame(&buf, Frame{MsgID: 5, Payload: []byte{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	raw[len(raw)-1] ^= 0xFF // corrupt CRC
-	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)))
-	if !errors.Is(err, ErrBadChecksum) {
-		t.Errorf("err = %v, want ErrBadChecksum", err)
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(raw)))
+	if !errors.Is(err, errBadChecksum) {
+		t.Errorf("err = %v, want errBadChecksum", err)
 	}
 }
 
 func TestFrameOversizedPayload(t *testing.T) {
-	err := WriteFrame(io.Discard, Frame{Payload: make([]byte, 300)})
+	err := writeFrame(io.Discard, Frame{Payload: make([]byte, 300)})
 	if err == nil {
 		t.Error("oversized payload accepted")
 	}
@@ -126,13 +126,13 @@ func TestDecodeUnknownAndShort(t *testing.T) {
 	if _, err := Decode(Frame{MsgID: 250}); err == nil {
 		t.Error("unknown message decoded")
 	}
-	if _, err := Decode(Frame{MsgID: MsgIDParamSet, Payload: []byte{1}}); err == nil {
+	if _, err := Decode(Frame{MsgID: msgIDParamSet, Payload: []byte{1}}); err == nil {
 		t.Error("short PARAM_SET decoded")
 	}
 }
 
 func TestEndpointPipe(t *testing.T) {
-	gcs, vehicle, closeFn := Pipe()
+	gcs, vehicle, closeFn := pipe()
 	defer closeFn()
 
 	done := make(chan error, 1)
@@ -180,7 +180,7 @@ func TestEndpointSequenceNumbers(t *testing.T) {
 	}
 	r := bufio.NewReader(&buf)
 	for i := 0; i < 3; i++ {
-		f, err := ReadFrame(r)
+		f, err := readFrame(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,4 +200,26 @@ func TestCStringHandling(t *testing.T) {
 	if got := cString([]byte("FULL")); got != "FULL" {
 		t.Errorf("cString = %q", got)
 	}
+}
+
+// pipe returns two connected in-memory endpoints (GCS side, vehicle side).
+// The returned closer shuts both directions down.
+func pipe() (gcs, vehicle *Endpoint, closeFn func()) {
+	gr, vw := io.Pipe()
+	vr, gw := io.Pipe()
+	gcs = NewEndpoint(struct {
+		io.Reader
+		io.Writer
+	}{gr, gw}, 255)
+	vehicle = NewEndpoint(struct {
+		io.Reader
+		io.Writer
+	}{vr, vw}, 1)
+	closeFn = func() {
+		_ = vw.Close()
+		_ = gw.Close()
+		_ = gr.Close()
+		_ = vr.Close()
+	}
+	return gcs, vehicle, closeFn
 }

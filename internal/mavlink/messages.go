@@ -8,28 +8,27 @@ import (
 
 // Message IDs (the subset of the common MAVLink dialect the system needs).
 const (
-	MsgIDHeartbeat        = 0
-	MsgIDParamRequestRead = 20
+	msgIDHeartbeat        = 0
+	msgIDParamRequestRead = 20
 	MsgIDParamValue       = 22
-	MsgIDParamSet         = 23
-	MsgIDAttitude         = 30
-	MsgIDGlobalPosition   = 33
-	MsgIDMissionItem      = 39
+	msgIDParamSet         = 23
+	msgIDAttitude         = 30
+	msgIDGlobalPosition   = 33
+	msgIDMissionItem      = 39
 	MsgIDMissionAck       = 47
-	MsgIDCommandLong      = 76
+	msgIDCommandLong      = 76
 	MsgIDCommandAck       = 77
-	MsgIDStatusText       = 253
+	msgIDStatusText       = 253
 )
 
 // Command IDs for CommandLong.
 const (
-	CmdArmDisarm  = 400
-	CmdTakeoff    = 22
-	CmdLand       = 21
-	CmdSetMode    = 176
-	CmdMissionGo  = 300
-	CmdRTL        = 20
-	CmdComponentA = 241
+	CmdArmDisarm = 400
+	CmdTakeoff   = 22
+	CmdLand      = 21
+	CmdSetMode   = 176
+	CmdMissionGo = 300
+	CmdRTL       = 20
 )
 
 // Message is any encodable protocol message.
@@ -52,7 +51,7 @@ type Heartbeat struct {
 }
 
 // ID implements Message.
-func (*Heartbeat) ID() uint8 { return MsgIDHeartbeat }
+func (*Heartbeat) ID() uint8 { return msgIDHeartbeat }
 
 // Marshal implements Message.
 func (m *Heartbeat) Marshal() []byte {
@@ -86,7 +85,7 @@ type ParamSet struct {
 }
 
 // ID implements Message.
-func (*ParamSet) ID() uint8 { return MsgIDParamSet }
+func (*ParamSet) ID() uint8 { return msgIDParamSet }
 
 // Marshal implements Message.
 func (m *ParamSet) Marshal() []byte {
@@ -112,7 +111,7 @@ type ParamRequestRead struct {
 }
 
 // ID implements Message.
-func (*ParamRequestRead) ID() uint8 { return MsgIDParamRequestRead }
+func (*ParamRequestRead) ID() uint8 { return msgIDParamRequestRead }
 
 // Marshal implements Message.
 func (m *ParamRequestRead) Marshal() []byte {
@@ -170,7 +169,7 @@ type CommandLong struct {
 }
 
 // ID implements Message.
-func (*CommandLong) ID() uint8 { return MsgIDCommandLong }
+func (*CommandLong) ID() uint8 { return msgIDCommandLong }
 
 // Marshal implements Message.
 func (m *CommandLong) Marshal() []byte {
@@ -229,7 +228,7 @@ type MissionItem struct {
 }
 
 // ID implements Message.
-func (*MissionItem) ID() uint8 { return MsgIDMissionItem }
+func (*MissionItem) ID() uint8 { return msgIDMissionItem }
 
 // Marshal implements Message.
 func (m *MissionItem) Marshal() []byte {
@@ -291,7 +290,7 @@ type Attitude struct {
 }
 
 // ID implements Message.
-func (*Attitude) ID() uint8 { return MsgIDAttitude }
+func (*Attitude) ID() uint8 { return msgIDAttitude }
 
 // Marshal implements Message.
 func (m *Attitude) Marshal() []byte {
@@ -323,7 +322,7 @@ type GlobalPosition struct {
 }
 
 // ID implements Message.
-func (*GlobalPosition) ID() uint8 { return MsgIDGlobalPosition }
+func (*GlobalPosition) ID() uint8 { return msgIDGlobalPosition }
 
 // Marshal implements Message.
 func (m *GlobalPosition) Marshal() []byte {
@@ -356,7 +355,7 @@ type StatusText struct {
 }
 
 // ID implements Message.
-func (*StatusText) ID() uint8 { return MsgIDStatusText }
+func (*StatusText) ID() uint8 { return msgIDStatusText }
 
 // Marshal implements Message.
 func (m *StatusText) Marshal() []byte {
@@ -380,27 +379,27 @@ func (m *StatusText) Unmarshal(p []byte) error {
 func Decode(f Frame) (Message, error) {
 	var m Message
 	switch f.MsgID {
-	case MsgIDHeartbeat:
+	case msgIDHeartbeat:
 		m = &Heartbeat{}
-	case MsgIDParamSet:
+	case msgIDParamSet:
 		m = &ParamSet{}
-	case MsgIDParamRequestRead:
+	case msgIDParamRequestRead:
 		m = &ParamRequestRead{}
 	case MsgIDParamValue:
 		m = &ParamValue{}
-	case MsgIDCommandLong:
+	case msgIDCommandLong:
 		m = &CommandLong{}
 	case MsgIDCommandAck:
 		m = &CommandAck{}
-	case MsgIDMissionItem:
+	case msgIDMissionItem:
 		m = &MissionItem{}
 	case MsgIDMissionAck:
 		m = &MissionAck{}
-	case MsgIDAttitude:
+	case msgIDAttitude:
 		m = &Attitude{}
-	case MsgIDGlobalPosition:
+	case msgIDGlobalPosition:
 		m = &GlobalPosition{}
-	case MsgIDStatusText:
+	case msgIDStatusText:
 		m = &StatusText{}
 	default:
 		return nil, fmt.Errorf("mavlink: unknown message id %d", f.MsgID)

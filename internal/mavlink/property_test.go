@@ -18,10 +18,10 @@ func TestPropertyFrameRoundTrip(t *testing.T) {
 		}
 		in := Frame{Seq: seq, SysID: sys, CompID: comp, MsgID: msgID, Payload: payload}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, in); err != nil {
+		if err := writeFrame(&buf, in); err != nil {
 			return false
 		}
-		out, err := ReadFrame(bufio.NewReader(&buf))
+		out, err := readFrame(bufio.NewReader(&buf))
 		if err != nil {
 			return false
 		}
@@ -46,14 +46,14 @@ func TestPropertySingleBitFlipRejected(t *testing.T) {
 		rng.Read(payload)
 		in := Frame{Seq: uint8(trial), MsgID: uint8(rng.Intn(250)), Payload: payload}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, in); err != nil {
+		if err := writeFrame(&buf, in); err != nil {
 			t.Fatal(err)
 		}
 		raw := buf.Bytes()
 		bit := rng.Intn(len(raw) * 8)
 		raw[bit/8] ^= 1 << (bit % 8)
 
-		out, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)))
+		out, err := readFrame(bufio.NewReader(bytes.NewReader(raw)))
 		if err != nil {
 			continue // corruption detected: checksum, truncation, or resync
 		}

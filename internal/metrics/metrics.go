@@ -68,9 +68,9 @@ type Histogram struct {
 	count  atomic.Uint64
 }
 
-// DefBuckets are latency buckets in seconds spanning a 5 ms HTTP round
+// defBuckets are latency buckets in seconds spanning a 5 ms HTTP round
 // trip to a multi-minute campaign.
-func DefBuckets() []float64 {
+func defBuckets() []float64 {
 	return []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120}
 }
 
@@ -151,12 +151,12 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it on
-// first use with the given bucket upper bounds (nil uses DefBuckets; the
+// first use with the given bucket upper bounds (nil uses defBuckets; the
 // +Inf bucket is implicit). Buckets are fixed at first registration.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.lookup(name, help, "histogram", func(m *metric) {
 		if len(buckets) == 0 {
-			buckets = DefBuckets()
+			buckets = defBuckets()
 		}
 		b := append([]float64(nil), buckets...)
 		sort.Float64s(b)

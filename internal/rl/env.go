@@ -40,9 +40,9 @@ type Episode struct {
 	Steps int
 }
 
-// Rollout runs a single episode of at most maxSteps using the given action
+// rollout runs a single episode of at most maxSteps using the given action
 // chooser.
-func Rollout(env Env, choose func(obs []float64) float64, maxSteps int) Episode {
+func rollout(env Env, choose func(obs []float64) float64, maxSteps int) Episode {
 	var ep Episode
 	obs := env.Reset()
 	for step := 0; step < maxSteps; step++ {

@@ -28,9 +28,9 @@ type GaussianPolicy struct {
 	rng *rand.Rand
 }
 
-// NewGaussianPolicy creates a zero-initialized policy for obsSize-dim
+// newGaussianPolicy creates a zero-initialized policy for obsSize-dim
 // observations with the given action bounds.
-func NewGaussianPolicy(obsSize int, lo, hi float64, seed int64) *GaussianPolicy {
+func newGaussianPolicy(obsSize int, lo, hi float64, seed int64) *GaussianPolicy {
 	return &GaussianPolicy{
 		W:          make([]float64, obsSize+1),
 		Sigma:      1,
@@ -80,8 +80,8 @@ type Baseline struct {
 	W []float64
 }
 
-// NewBaseline creates a zero value function for obsSize-dim observations.
-func NewBaseline(obsSize int) *Baseline {
+// newBaseline creates a zero value function for obsSize-dim observations.
+func newBaseline(obsSize int) *Baseline {
 	return &Baseline{W: make([]float64, obsSize+1)}
 }
 
@@ -122,11 +122,11 @@ type Reinforce struct {
 // NewReinforce builds a learner with sensible defaults for the attack
 // environments.
 func NewReinforce(obsSize int, lo, hi float64, seed int64) *Reinforce {
-	p := NewGaussianPolicy(obsSize, lo, hi, seed)
+	p := newGaussianPolicy(obsSize, lo, hi, seed)
 	p.SigmaDecay = 0.995
 	return &Reinforce{
 		Policy:       p,
-		Baseline:     NewBaseline(obsSize),
+		Baseline:     newBaseline(obsSize),
 		Gamma:        0.99,
 		LR:           0.2,
 		BaselineLR:   0.02,
@@ -237,7 +237,7 @@ func (t *TrainResult) MeanLastN(n int) float64 {
 func (r *Reinforce) Train(env Env, episodes, maxSteps int) *TrainResult {
 	res := &TrainResult{BestReturn: math.Inf(-1), BestEpisode: -1}
 	for e := 0; e < episodes; e++ {
-		ep := Rollout(env, r.Policy.Sample, maxSteps)
+		ep := rollout(env, r.Policy.Sample, maxSteps)
 		r.Update(ep)
 		res.Returns = append(res.Returns, ep.Return)
 		if ep.Return > res.BestReturn {

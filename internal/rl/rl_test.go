@@ -89,7 +89,7 @@ func TestReinforceLearnsGoal(t *testing.T) {
 	agent := NewReinforce(env.ObservationSize(), -1, 1, 8)
 	res := agent.Train(env, 400, 100)
 	// The trained greedy policy must reach the goal.
-	ep := Rollout(env, agent.Policy.Mean, 100)
+	ep := rollout(env, agent.Policy.Mean, 100)
 	last := ep.Transitions[len(ep.Transitions)-1]
 	if !math.IsInf(last.Reward, 1) {
 		t.Errorf("greedy policy did not reach goal; final x=%v, best return %v",
@@ -110,14 +110,14 @@ func TestQLearnerLearnsDrift(t *testing.T) {
 	}
 	// A greedy rollout escapes the origin (the task is symmetric, so
 	// only the achieved distance matters, not the direction).
-	ep := Rollout(env, q.Greedy, 50)
+	ep := rollout(env, q.Greedy, 50)
 	if ep.Return < 2 {
 		t.Errorf("greedy rollout return = %v, want ≥ 2", ep.Return)
 	}
 }
 
 func TestGaussianPolicyBoundsAndDeterminism(t *testing.T) {
-	p := NewGaussianPolicy(1, -2, 3, 1)
+	p := newGaussianPolicy(1, -2, 3, 1)
 	p.W = []float64{10, 0} // latent mean far beyond the bound
 	if got := p.Mean([]float64{0}); got < -2 || got > 3 {
 		t.Errorf("mean out of bounds: %v", got)
@@ -139,8 +139,8 @@ func TestGaussianPolicyBoundsAndDeterminism(t *testing.T) {
 		}
 	}
 	// Same seed, same samples.
-	a := NewGaussianPolicy(1, -1, 1, 42)
-	b := NewGaussianPolicy(1, -1, 1, 42)
+	a := newGaussianPolicy(1, -1, 1, 42)
+	b := newGaussianPolicy(1, -1, 1, 42)
 	for i := 0; i < 10; i++ {
 		if a.Sample([]float64{0}) != b.Sample([]float64{0}) {
 			t.Fatal("same-seed policies diverged")
@@ -228,7 +228,7 @@ func TestControlledRewardShape(t *testing.T) {
 
 func TestRolloutRespectsMaxSteps(t *testing.T) {
 	env := newDriftEnv()
-	ep := Rollout(env, func([]float64) float64 { return 1 }, 7)
+	ep := rollout(env, func([]float64) float64 { return 1 }, 7)
 	if ep.Steps != 7 || len(ep.Transitions) != 7 {
 		t.Errorf("steps = %d", ep.Steps)
 	}

@@ -36,10 +36,8 @@ import (
 // Aliases of internal/dist and internal/campaign names, kept for callers
 // written against serve (perfbench/).
 const (
-	StateQueued  = dist.StateQueued
-	StateRunning = dist.StateRunning
-	StateDone    = dist.StateDone
-	StateFailed  = dist.StateFailed
+	StateDone   = dist.StateDone
+	StateFailed = dist.StateFailed
 )
 
 // JobStatus is dist.JobStatus.

@@ -218,9 +218,6 @@ func (q *Quad) LastAccel() mathx.Vec3 { return q.lastAccel }
 // Battery returns the current battery status.
 func (q *Quad) Battery() Battery { return q.battery }
 
-// World returns the world the vehicle flies in.
-func (q *Quad) World() *World { return q.world }
-
 // Crashed reports whether the vehicle has crashed and why.
 func (q *Quad) Crashed() (bool, string) { return q.crashed, q.crashInfo }
 
@@ -412,9 +409,9 @@ func (q *Quad) integrate(cmd *[4]float64, windVel mathx.Vec3, dt float64) {
 	}
 }
 
-// CrashSpeed is the vertical impact speed in m/s above which ground contact
+// crashSpeed is the vertical impact speed in m/s above which ground contact
 // counts as a crash rather than a landing.
-const CrashSpeed = 2.5
+const crashSpeed = 2.5
 
 // tipOverRad is the roll/pitch magnitude beyond which ground contact counts
 // as a tip-over (60°).
@@ -423,7 +420,7 @@ var tipOverRad = mathx.Rad(60)
 func (q *Quad) checkCollisions() {
 	s := &q.state
 	// Hard ground impact (impact speed recorded by the ground clamp).
-	if q.impactSpeed > CrashSpeed {
+	if q.impactSpeed > crashSpeed {
 		q.crash(fmt.Sprintf("ground impact at %.1f m/s", q.impactSpeed))
 		return
 	}

@@ -152,7 +152,7 @@ func TestQuadCrashOnHardImpact(t *testing.T) {
 		Pos: mathx.V3(0, 0, -30),
 		Att: mathx.QuatIdentity(),
 	}))
-	// Free fall from 30 m: impact speed ~24 m/s, far above CrashSpeed.
+	// Free fall from 30 m: impact speed ~24 m/s, far above crashSpeed.
 	for i := 0; i < 5*400; i++ {
 		q.Step([4]float64{}, 1.0/400)
 		if crashed, _ := q.Crashed(); crashed {

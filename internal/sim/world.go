@@ -38,28 +38,6 @@ func (w *World) Hit(p mathx.Vec3) (Obstacle, bool) {
 	return Obstacle{}, false
 }
 
-// InForbiddenZone returns the first forbidden zone containing p, if any.
-func (w *World) InForbiddenZone(p mathx.Vec3) (Obstacle, bool) {
-	for _, o := range w.Obstacles {
-		if o.Forbidden && o.Box.Contains(p) {
-			return o, true
-		}
-	}
-	return Obstacle{}, false
-}
-
-// NearestObstacleDistance returns the distance from p to the closest
-// obstacle or forbidden-zone surface, or +Inf when the world is empty.
-func (w *World) NearestObstacleDistance(p mathx.Vec3) float64 {
-	best := math.Inf(1)
-	for _, o := range w.Obstacles {
-		if d := o.Box.Distance(p); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Wind is an Ornstein-Uhlenbeck gust model producing a slowly varying wind
 // velocity around a constant mean. It stands in for Gazebo's wind plugin.
 type Wind struct {

@@ -25,26 +25,6 @@ func TestWorldHitAndForbidden(t *testing.T) {
 	if _, hit := w.Hit(mathx.V3(25, 5, -5)); hit {
 		t.Error("forbidden zone reported as solid hit")
 	}
-	if _, in := w.InForbiddenZone(mathx.V3(25, 5, -5)); !in {
-		t.Error("point inside no-fly zone not detected")
-	}
-	if _, in := w.InForbiddenZone(mathx.V3(0.5, 5, -5)); in {
-		t.Error("solid wall reported as forbidden zone")
-	}
-}
-
-func TestWorldNearestObstacleDistance(t *testing.T) {
-	w := &World{}
-	if got := w.NearestObstacleDistance(mathx.V3(0, 0, 0)); !math.IsInf(got, 1) {
-		t.Errorf("empty world distance = %v, want +Inf", got)
-	}
-	w.AddObstacle(Obstacle{
-		Name: "wall",
-		Box:  mathx.AABB{Min: mathx.V3(10, -5, -10), Max: mathx.V3(11, 5, 0)},
-	})
-	if got := w.NearestObstacleDistance(mathx.V3(0, 0, -5)); got != 10 {
-		t.Errorf("distance = %v, want 10", got)
-	}
 }
 
 func TestWindStatistics(t *testing.T) {

@@ -131,7 +131,7 @@ func BenchmarkExhaustiveAICSelection(b *testing.B) {
 		b.Run(fmt.Sprintf("gram/V=10/n=500/w%d", workers), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ExhaustiveAICWorkers(y, preds, workers)
+				exhaustiveAICWorkers(y, preds, workers)
 			}
 		})
 	}
@@ -145,7 +145,7 @@ func BenchmarkPruneStateVars(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("v%02d", i)
 	}
-	opts := DefaultPruneOptions()
+	opts := defaultPruneOptions()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("V=64/w%d", workers), func(b *testing.B) {
 			b.ResetTimer()
@@ -160,11 +160,11 @@ func BenchmarkPruneStateVars(b *testing.B) {
 // variable's increments (five benign missions, about 2,240 samples): the
 // median's sort plus the one-pass run count.
 func BenchmarkRunsTest(b *testing.B) {
-	xs := Diff(benchSeries(1, 2239)[0])
+	xs := diff(benchSeries(1, 2239)[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, runsTestSink = RunsTest(xs)
+		_, runsTestSink = runsTest(xs)
 	}
 }
 

@@ -5,19 +5,6 @@ import (
 	"sort"
 )
 
-// Linkage selects how inter-cluster distance is computed during
-// agglomeration.
-type Linkage int
-
-const (
-	// LinkageAverage uses the mean pairwise distance (UPGMA).
-	LinkageAverage Linkage = iota + 1
-	// LinkageComplete uses the maximum pairwise distance.
-	LinkageComplete
-	// LinkageSingle uses the minimum pairwise distance.
-	LinkageSingle
-)
-
 // Dendrogram records an agglomerative clustering run.
 type Dendrogram struct {
 	// Merges lists each merge in order: the two cluster ids joined and
@@ -33,10 +20,10 @@ type Merge struct {
 	Distance float64
 }
 
-// CorrelationDistance converts a correlation matrix into the dissimilarity
+// correlationDistance converts a correlation matrix into the dissimilarity
 // the paper's heat-map clustering uses: d = 1 − |r|, so strongly correlated
 // variables (either sign) are close.
-func CorrelationDistance(corr [][]float64) [][]float64 {
+func correlationDistance(corr [][]float64) [][]float64 {
 	n := len(corr)
 	d := make([][]float64, n)
 	for i := range d {
@@ -53,8 +40,9 @@ func CorrelationDistance(corr [][]float64) [][]float64 {
 	return d
 }
 
-// HierCluster performs agglomerative clustering over a distance matrix.
-func HierCluster(dist [][]float64, linkage Linkage) *Dendrogram {
+// hierCluster performs average-linkage (UPGMA) agglomerative clustering
+// over a distance matrix.
+func hierCluster(dist [][]float64) *Dendrogram {
 	n := len(dist)
 	dend := &Dendrogram{n: n}
 	if n == 0 {
@@ -76,7 +64,7 @@ func HierCluster(dist [][]float64, linkage Linkage) *Dendrogram {
 		sort.Ints(ids) // deterministic tie-breaking
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {
-				d := clusterDistance(active[ids[i]], active[ids[j]], dist, linkage)
+				d := clusterDistance(active[ids[i]], active[ids[j]], dist)
 				if d < bestD {
 					bestD, bestA, bestB = d, ids[i], ids[j]
 				}
@@ -92,37 +80,15 @@ func HierCluster(dist [][]float64, linkage Linkage) *Dendrogram {
 	return dend
 }
 
-func clusterDistance(a, b []int, dist [][]float64, linkage Linkage) float64 {
-	switch linkage {
-	case LinkageComplete:
-		worst := math.Inf(-1)
-		for _, i := range a {
-			for _, j := range b {
-				if dist[i][j] > worst {
-					worst = dist[i][j]
-				}
-			}
+// clusterDistance is the mean pairwise distance between clusters a and b.
+func clusterDistance(a, b []int, dist [][]float64) float64 {
+	sum := 0.0
+	for _, i := range a {
+		for _, j := range b {
+			sum += dist[i][j]
 		}
-		return worst
-	case LinkageSingle:
-		best := math.Inf(1)
-		for _, i := range a {
-			for _, j := range b {
-				if dist[i][j] < best {
-					best = dist[i][j]
-				}
-			}
-		}
-		return best
-	default: // LinkageAverage
-		sum := 0.0
-		for _, i := range a {
-			for _, j := range b {
-				sum += dist[i][j]
-			}
-		}
-		return sum / float64(len(a)*len(b))
 	}
+	return sum / float64(len(a)*len(b))
 }
 
 // CutAt returns the clusters obtained by stopping agglomeration at merges
@@ -147,49 +113,6 @@ func (d *Dendrogram) CutAt(threshold float64) [][]int {
 			parent[find(m.A)] = nextID
 			parent[find(m.B)] = nextID
 		}
-		nextID++
-	}
-	groups := make(map[int][]int)
-	for leaf := 0; leaf < d.n; leaf++ {
-		root := find(leaf)
-		groups[root] = append(groups[root], leaf)
-	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// CutK returns exactly k clusters by replaying the merge sequence and
-// stopping when k clusters remain (k ≥ 1; k > n yields singletons).
-func (d *Dendrogram) CutK(k int) [][]int {
-	if k < 1 {
-		k = 1
-	}
-	stop := d.n - k
-	if stop < 0 {
-		stop = 0
-	}
-	parent := make(map[int]int)
-	find := func(x int) int {
-		for {
-			p, ok := parent[x]
-			if !ok {
-				return x
-			}
-			x = p
-		}
-	}
-	nextID := d.n
-	for i, m := range d.Merges {
-		if i >= stop {
-			break
-		}
-		parent[find(m.A)] = nextID
-		parent[find(m.B)] = nextID
 		nextID++
 	}
 	groups := make(map[int][]int)

@@ -29,40 +29,19 @@ func twoGroupDistance() [][]float64 {
 }
 
 func TestHierClusterTwoGroups(t *testing.T) {
-	for _, linkage := range []Linkage{LinkageAverage, LinkageComplete, LinkageSingle} {
-		dend := HierCluster(twoGroupDistance(), linkage)
-		if len(dend.Merges) != 4 {
-			t.Fatalf("merges = %d, want 4", len(dend.Merges))
-		}
-		clusters := dend.CutAt(0.5)
-		want := [][]int{{0, 1, 2}, {3, 4}}
-		if !reflect.DeepEqual(clusters, want) {
-			t.Errorf("linkage %v clusters = %v, want %v", linkage, clusters, want)
-		}
+	dend := hierCluster(twoGroupDistance())
+	if len(dend.Merges) != 4 {
+		t.Fatalf("merges = %d, want 4", len(dend.Merges))
 	}
-}
-
-func TestDendrogramCutK(t *testing.T) {
-	dend := HierCluster(twoGroupDistance(), LinkageAverage)
-	if got := dend.CutK(1); len(got) != 1 || len(got[0]) != 5 {
-		t.Errorf("CutK(1) = %v", got)
-	}
-	if got := dend.CutK(2); !reflect.DeepEqual(got, [][]int{{0, 1, 2}, {3, 4}}) {
-		t.Errorf("CutK(2) = %v", got)
-	}
-	if got := dend.CutK(5); len(got) != 5 {
-		t.Errorf("CutK(5) = %v", got)
-	}
-	if got := dend.CutK(99); len(got) != 5 {
-		t.Errorf("CutK(99) = %v", got)
-	}
-	if got := dend.CutK(0); len(got) != 1 {
-		t.Errorf("CutK(0) = %v", got)
+	clusters := dend.CutAt(0.5)
+	want := [][]int{{0, 1, 2}, {3, 4}}
+	if !reflect.DeepEqual(clusters, want) {
+		t.Errorf("clusters = %v, want %v", clusters, want)
 	}
 }
 
 func TestDendrogramLeafOrderGroupsNeighbors(t *testing.T) {
-	dend := HierCluster(twoGroupDistance(), LinkageAverage)
+	dend := hierCluster(twoGroupDistance())
 	order := dend.LeafOrder()
 	if len(order) != 5 {
 		t.Fatalf("leaf order = %v", order)
@@ -88,11 +67,11 @@ func TestDendrogramLeafOrderGroupsNeighbors(t *testing.T) {
 }
 
 func TestHierClusterEmptyAndSingle(t *testing.T) {
-	dend := HierCluster(nil, LinkageAverage)
+	dend := hierCluster(nil)
 	if len(dend.Merges) != 0 || len(dend.CutAt(0.5)) != 0 {
 		t.Error("empty input mishandled")
 	}
-	single := HierCluster([][]float64{{0}}, LinkageAverage)
+	single := hierCluster([][]float64{{0}})
 	if got := single.CutAt(0.5); len(got) != 1 {
 		t.Errorf("single leaf clusters = %v", got)
 	}
@@ -106,7 +85,7 @@ func TestCorrelationDistance(t *testing.T) {
 		{1, -0.8},
 		{-0.8, 1},
 	}
-	d := CorrelationDistance(corr)
+	d := correlationDistance(corr)
 	approx(t, "diag", d[0][0], 0, 1e-12)
 	// Strong negative correlation is also "close" (|r|).
 	approx(t, "negcorr", d[0][1], 0.2, 1e-12)
@@ -130,8 +109,8 @@ func TestClusteringRecoversCorrelatedVariables(t *testing.T) {
 		series[3][i] = rng.NormFloat64()
 		series[4][i] = rng.NormFloat64()
 	}
-	corr := CorrelationMatrix(series)
-	dend := HierCluster(CorrelationDistance(corr), LinkageAverage)
+	corr := CorrelationMatrixWorkers(series, 0)
+	dend := hierCluster(correlationDistance(corr))
 	clusters := dend.CutAt(0.5)
 	// The first cluster must contain exactly {0,1,2}.
 	if !reflect.DeepEqual(clusters[0], []int{0, 1, 2}) {

@@ -6,13 +6,6 @@ import (
 	"github.com/ares-cps/ares/internal/par"
 )
 
-// CorrelationMatrix computes the pairwise Pearson matrix for the given
-// series (rows are variables). Series must share a common length. It is
-// CorrelationMatrixWorkers at the process-default worker count.
-func CorrelationMatrix(series [][]float64) [][]float64 {
-	return CorrelationMatrixWorkers(series, 0)
-}
-
 // stdSeries is one standardized input series: mean-centered, scaled to
 // unit Euclidean norm, so the Pearson coefficient of two series is the dot
 // product of their standardized forms.
@@ -27,14 +20,16 @@ type stdSeries struct {
 	short bool
 }
 
-// CorrelationMatrixWorkers is the single-pass Algorithm 1 correlation
-// kernel. The naive formulation recomputes means and variances for every
-// variable pair — O(V²·T) redundant passes. This kernel standardizes each
-// series exactly once (mean and inverse centered norm, O(V·T)), then fills
-// the matrix with plain dot products, fanned out over rows on a bounded
-// worker pool. Every cell is a pure function of the standardized inputs and
-// is written to its own slot, so the result is bit-identical at any worker
-// count. workers <= 0 uses the process budget (GOMAXPROCS).
+// CorrelationMatrixWorkers computes the pairwise Pearson matrix for the
+// given series (rows are variables); series must share a common length. It
+// is the single-pass Algorithm 1 correlation kernel. The naive formulation
+// recomputes means and variances for every variable pair — O(V²·T) redundant
+// passes. This kernel standardizes each series exactly once (mean and
+// inverse centered norm, O(V·T)), then fills the matrix with plain dot
+// products, fanned out over rows on a bounded worker pool. Every cell is a
+// pure function of the standardized inputs and is written to its own slot,
+// so the result is bit-identical at any worker count. workers <= 0 uses the
+// process budget (GOMAXPROCS).
 func CorrelationMatrixWorkers(series [][]float64, workers int) [][]float64 {
 	n := len(series)
 	m := make([][]float64, n)
@@ -71,11 +66,11 @@ func standardize(xs []float64) stdSeries {
 	if len(xs) < 2 {
 		return stdSeries{short: true}
 	}
-	mean := Mean(xs)
+	m := mean(xs)
 	z := make([]float64, len(xs))
 	ss := 0.0
 	for k, x := range xs {
-		d := x - mean
+		d := x - m
 		z[k] = d
 		ss += d * d
 	}

@@ -7,10 +7,10 @@ import (
 	"testing/quick"
 )
 
-// pearsonMatrixNaive is the seed implementation of CorrelationMatrix: the
-// textbook per-pair Pearson, recomputing means and variances for every
-// pair. It stays here as the oracle the single-pass kernel is checked (and
-// benchmarked) against.
+// pearsonMatrixNaive is the seed implementation of the correlation
+// matrix: the textbook per-pair Pearson, recomputing means and variances
+// for every pair. It stays here as the oracle the single-pass kernel is
+// checked (and benchmarked) against.
 func pearsonMatrixNaive(series [][]float64) [][]float64 {
 	n := len(series)
 	m := make([][]float64, n)
@@ -20,7 +20,7 @@ func pearsonMatrixNaive(series [][]float64) [][]float64 {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			r := Pearson(series[i], series[j])
+			r := pearson(series[i], series[j])
 			m[i][j], m[j][i] = r, r
 		}
 	}
@@ -145,8 +145,8 @@ func TestPruneStateVarsWorkersEquivalence(t *testing.T) {
 		{1, 2, 3}, // too few samples
 		gaussianSeries(r, 300),
 	}
-	opts := DefaultPruneOptions()
-	want := PruneStateVars(names, series, opts)
+	opts := defaultPruneOptions()
+	want := PruneStateVarsWorkers(names, series, opts, 1)
 	for _, workers := range []int{1, 2, 8} {
 		got := PruneStateVarsWorkers(names, series, opts, workers)
 		if len(got) != len(want) {

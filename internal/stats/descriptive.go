@@ -2,8 +2,8 @@ package stats
 
 import "math"
 
-// Mean returns the arithmetic mean; NaN for an empty slice.
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean; NaN for an empty slice.
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
@@ -14,13 +14,13 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance; NaN for fewer than two
+// variance returns the unbiased sample variance; NaN for fewer than two
 // samples.
-func Variance(xs []float64) float64 {
+func variance(xs []float64) float64 {
 	if len(xs) < 2 {
 		return math.NaN()
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
@@ -29,16 +29,13 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Skewness returns the sample skewness (g1).
-func Skewness(xs []float64) float64 {
+// skewness returns the sample skewness (g1).
+func skewness(xs []float64) float64 {
 	n := float64(len(xs))
 	if n < 3 {
 		return math.NaN()
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	var m2, m3 float64
 	for _, x := range xs {
 		d := x - m
@@ -53,13 +50,13 @@ func Skewness(xs []float64) float64 {
 	return m3 / math.Pow(m2, 1.5)
 }
 
-// Kurtosis returns the sample excess kurtosis (g2).
-func Kurtosis(xs []float64) float64 {
+// kurtosis returns the sample excess kurtosis (g2).
+func kurtosis(xs []float64) float64 {
 	n := float64(len(xs))
 	if n < 4 {
 		return math.NaN()
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	var m2, m4 float64
 	for _, x := range xs {
 		d := x - m
@@ -74,32 +71,10 @@ func Kurtosis(xs []float64) float64 {
 	return m4/(m2*m2) - 3
 }
 
-// Pearson returns the Pearson correlation coefficient between two
-// equal-length series (Equation 1 of the paper). Constant series yield 0
-// (no linear relationship measurable).
-func Pearson(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// IsConstant reports whether a series never deviates from its first value
+// isConstant reports whether a series never deviates from its first value
 // by more than tol. Constant intermediates (e.g. the paper's v1 KP, v2 KI,
 // v3 KD gains) are pruned before correlation analysis.
-func IsConstant(xs []float64, tol float64) bool {
+func isConstant(xs []float64, tol float64) bool {
 	if len(xs) == 0 {
 		return true
 	}

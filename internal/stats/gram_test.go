@@ -102,7 +102,7 @@ func TestExhaustiveGramMatchesQR(t *testing.T) {
 		y, preds := gramProblem(c.seed, c.v, c.n, c.signal)
 		oracle := exhaustiveAICQR(y, preds)
 		for _, workers := range []int{1, 2, 8} {
-			got := ExhaustiveAICWorkers(y, preds, workers)
+			got := exhaustiveAICWorkers(y, preds, workers)
 			requireSameSelection(t, "exhaustive", got, oracle)
 		}
 	}

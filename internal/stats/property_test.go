@@ -24,11 +24,11 @@ func TestPropertyPearsonInvariances(t *testing.T) {
 		n := 16 + r.Intn(200)
 		x := gaussianSeries(r, n)
 		y := gaussianSeries(r, n)
-		rxy := Pearson(x, y)
+		rxy := pearson(x, y)
 		if math.IsNaN(rxy) || rxy < -1-1e-12 || rxy > 1+1e-12 {
 			return false
 		}
-		if math.Abs(rxy-Pearson(y, x)) > 1e-12 {
+		if math.Abs(rxy-pearson(y, x)) > 1e-12 {
 			return false
 		}
 		// Affine invariance: r(a·x + b, y) = sign(a)·r(x, y).
@@ -38,13 +38,13 @@ func TestPropertyPearsonInvariances(t *testing.T) {
 		for i := range scaled {
 			scaled[i] = a*x[i] + b
 		}
-		if math.Abs(Pearson(scaled, y)-rxy) > 1e-9 {
+		if math.Abs(pearson(scaled, y)-rxy) > 1e-9 {
 			return false
 		}
 		for i := range scaled {
 			scaled[i] = -a*x[i] + b
 		}
-		return math.Abs(Pearson(scaled, y)+rxy) < 1e-9
+		return math.Abs(pearson(scaled, y)+rxy) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -69,7 +69,7 @@ func TestPropertyCorrelationMatrix(t *testing.T) {
 			}
 			series[i] = s
 		}
-		m := CorrelationMatrix(series)
+		m := CorrelationMatrixWorkers(series, 0)
 		for i := 0; i < k; i++ {
 			if math.Abs(m[i][i]-1) > 1e-12 {
 				return false
@@ -168,7 +168,7 @@ func TestPropertyClusterPartition(t *testing.T) {
 				dist[i][j], dist[j][i] = d, d
 			}
 		}
-		dend := HierCluster(dist, LinkageAverage)
+		dend := hierCluster(dist)
 		th := math.Mod(math.Abs(threshold), 1.2)
 		clusters := dend.CutAt(th)
 		seen := make(map[int]bool)
@@ -190,8 +190,8 @@ func TestPropertyClusterPartition(t *testing.T) {
 	}
 }
 
-// TestPropertyDendrogramMonotoneMerges: agglomerative merge distances under
-// average/complete linkage never decrease (no inversions).
+// TestPropertyDendrogramMonotoneMerges: average-linkage merge distances
+// never decrease (no inversions).
 func TestPropertyDendrogramMonotoneMerges(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -206,16 +206,12 @@ func TestPropertyDendrogramMonotoneMerges(t *testing.T) {
 				dist[i][j], dist[j][i] = d, d
 			}
 		}
-		for _, linkage := range []Linkage{LinkageComplete, LinkageAverage} {
-			dend := HierCluster(dist, linkage)
-			for i := 1; i < len(dend.Merges); i++ {
-				// Average linkage admits tiny numerical inversions;
-				// allow an epsilon.
-				if dend.Merges[i].Distance < dend.Merges[i-1].Distance-1e-9 {
-					if linkage == LinkageComplete {
-						return false
-					}
-				}
+		dend := hierCluster(dist)
+		for i := 1; i < len(dend.Merges); i++ {
+			// Average linkage is monotone in exact arithmetic; allow an
+			// epsilon for rounding in the pairwise means.
+			if dend.Merges[i].Distance < dend.Merges[i-1].Distance-1e-9 {
+				return false
 			}
 		}
 		return true
@@ -232,7 +228,7 @@ func TestPropertyStudentTCDF(t *testing.T) {
 		df := math.Mod(math.Abs(dfRaw), 200) + 0.5
 		prev := -1.0
 		for x := -8.0; x <= 8.0; x += 0.25 {
-			p := StudentTCDF(x, df)
+			p := studentTCDF(x, df)
 			if p < 0 || p > 1 || p < prev-1e-12 {
 				return false
 			}

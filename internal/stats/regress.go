@@ -47,7 +47,7 @@ func OLS(y []float64, predictors [][]float64, names []string) (*OLSResult, error
 	}
 	cols := k + 1 // intercept + predictors
 	if n <= cols {
-		return nil, ErrInsufficientData
+		return nil, errInsufficientData
 	}
 
 	// Design matrix in column-major order.
@@ -157,7 +157,7 @@ func OLS(y []float64, predictors [][]float64, names []string) (*OLSResult, error
 		stdErr[i] = math.Sqrt(sigma2 * v)
 		if stdErr[i] > 0 {
 			tStat[i] = coef[i] / stdErr[i]
-			pVal[i] = TTestPValue(tStat[i], df)
+			pVal[i] = tTestPValue(tStat[i], df)
 		} else {
 			tStat[i] = math.Inf(1)
 			pVal[i] = 0
@@ -165,7 +165,7 @@ func OLS(y []float64, predictors [][]float64, names []string) (*OLSResult, error
 	}
 
 	// R², log-likelihood, AIC.
-	my := Mean(y)
+	my := mean(y)
 	tss := 0.0
 	for _, v := range y {
 		d := v - my

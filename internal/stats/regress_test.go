@@ -132,7 +132,7 @@ func TestStepwiseAICSelectsTrueModel(t *testing.T) {
 	for i := range y {
 		y[i] = 3*preds["a"][i] - 2*preds["b"][i] + rng.NormFloat64()
 	}
-	res := StepwiseAIC(y, preds)
+	res := StepwiseAICWorkers(y, preds, 1)
 	if res.Model == nil {
 		t.Fatal("no model selected")
 	}
@@ -160,7 +160,7 @@ func TestStepwiseAICNoSignal(t *testing.T) {
 		preds["junk"][i] = rng.NormFloat64()
 		y[i] = rng.NormFloat64()
 	}
-	res := StepwiseAIC(y, preds)
+	res := StepwiseAICWorkers(y, preds, 1)
 	// AIC is a liberal criterion: pure noise sneaks in with probability
 	// P(χ²₁ > 2) ≈ 0.16, so a selection is tolerated — but any selected
 	// model must explain essentially nothing.
@@ -184,8 +184,8 @@ func TestExhaustiveAICMatchesStepwiseOnEasyProblem(t *testing.T) {
 	for i := range y {
 		y[i] = 2*preds["a"][i] + rng.NormFloat64()*0.5
 	}
-	sw := StepwiseAIC(y, preds)
-	ex := ExhaustiveAIC(y, preds)
+	sw := StepwiseAICWorkers(y, preds, 1)
+	ex := exhaustiveAICWorkers(y, preds, 1)
 	if sw.Model == nil || ex.Model == nil {
 		t.Fatal("missing models")
 	}

@@ -11,11 +11,11 @@ import (
 	"math"
 )
 
-// ErrInsufficientData is returned when a computation needs more samples.
-var ErrInsufficientData = errors.New("stats: insufficient data")
+// errInsufficientData is returned when a computation needs more samples.
+var errInsufficientData = errors.New("stats: insufficient data")
 
-// NormalCDF returns P(Z ≤ x) for a standard normal variable.
-func NormalCDF(x float64) float64 {
+// normalCDF returns P(Z ≤ x) for a standard normal variable.
+func normalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
@@ -88,9 +88,9 @@ func betacf(a, b, x float64) float64 {
 	return h
 }
 
-// StudentTCDF returns P(T ≤ t) for Student's t distribution with df degrees
+// studentTCDF returns P(T ≤ t) for Student's t distribution with df degrees
 // of freedom.
-func StudentTCDF(t, df float64) float64 {
+func studentTCDF(t, df float64) float64 {
 	if df <= 0 {
 		return math.NaN()
 	}
@@ -102,13 +102,13 @@ func StudentTCDF(t, df float64) float64 {
 	return p
 }
 
-// TTestPValue returns the two-sided p-value for a t statistic with df
+// tTestPValue returns the two-sided p-value for a t statistic with df
 // degrees of freedom.
-func TTestPValue(t, df float64) float64 {
+func tTestPValue(t, df float64) float64 {
 	if math.IsNaN(t) || df <= 0 {
 		return math.NaN()
 	}
-	return 2 * (1 - StudentTCDF(math.Abs(t), df))
+	return 2 * (1 - studentTCDF(math.Abs(t), df))
 }
 
 // lowerIncGamma computes the regularized lower incomplete gamma function
@@ -162,21 +162,11 @@ func lowerIncGamma(a, x float64) float64 {
 	return 1 - q
 }
 
-// ChiSquareCDF returns P(X ≤ x) for a chi-squared variable with k degrees
+// chiSquareCDF returns P(X ≤ x) for a chi-squared variable with k degrees
 // of freedom.
-func ChiSquareCDF(x, k float64) float64 {
+func chiSquareCDF(x, k float64) float64 {
 	if x < 0 || k <= 0 {
 		return 0
 	}
 	return lowerIncGamma(k/2, x/2)
-}
-
-// FCDF returns P(F ≤ f) for an F distribution with d1 and d2 degrees of
-// freedom.
-func FCDF(f, d1, d2 float64) float64 {
-	if f <= 0 {
-		return 0
-	}
-	x := d1 * f / (d1*f + d2)
-	return regIncBeta(d1/2, d2/2, x)
 }

@@ -21,18 +21,12 @@ type StepwiseResult struct {
 	ModelsFitted int
 }
 
-// StepwiseAIC performs bidirectional stepwise model selection: starting
-// from the intercept-only model, it repeatedly applies the single add-or-
-// remove move that lowers AIC most, stopping at a local optimum. This is
-// Algorithm 1's STEPWISEAIC. It runs single-threaded; callers with a
-// concurrency budget use StepwiseAICWorkers, which returns bit-identical
-// results at any worker count.
-func StepwiseAIC(y []float64, predictors map[string][]float64) *StepwiseResult {
-	return StepwiseAICWorkers(y, predictors, 1)
-}
-
-// StepwiseAICWorkers is StepwiseAIC on the Gram kernel with the per-step
-// add/remove candidate sweep fanned out over up to `workers` goroutines.
+// StepwiseAICWorkers performs bidirectional stepwise model selection:
+// starting from the intercept-only model, it repeatedly applies the single
+// add-or-remove move that lowers AIC most, stopping at a local optimum.
+// This is Algorithm 1's STEPWISEAIC, run on the Gram kernel with the
+// per-step add/remove candidate sweep fanned out over up to `workers`
+// goroutines.
 // Candidate AICs land in per-move slots and the winning move is chosen by
 // a fixed-order scan over them, so the selected model — and every
 // AIC-comparison tie — is identical at any worker count. workers <= 0 uses
@@ -140,23 +134,17 @@ func StepwiseAICWorkers(y []float64, predictors map[string][]float64, workers in
 	return res
 }
 
-// ExhaustiveAIC fits every non-empty subset of predictors and returns the
-// AIC-optimal model. Exponential in predictor count; it exists as the
-// baseline for the stepwise-selection ablation bench. Single-threaded;
-// see ExhaustiveAICWorkers.
-func ExhaustiveAIC(y []float64, predictors map[string][]float64) *StepwiseResult {
-	return ExhaustiveAICWorkers(y, predictors, 1)
-}
-
 // exhaustiveBlock bounds how many subset AICs are reduced per Argmin call,
 // so the sweep streams over the 2^V mask space in constant memory.
 const exhaustiveBlock = 1 << 14
 
-// ExhaustiveAICWorkers is ExhaustiveAIC on the Gram kernel, sweeping the
-// subset masks in ascending-order blocks with a deterministic argmin
-// reduction: ties go to the lowest mask, so the selected subset is
+// exhaustiveAICWorkers fits every non-empty subset of predictors and returns
+// the AIC-optimal model. Exponential in predictor count; it exists as the
+// baseline for the stepwise-selection ablation. It runs on the Gram kernel,
+// sweeping the subset masks in ascending-order blocks with a deterministic
+// argmin reduction: ties go to the lowest mask, so the selected subset is
 // identical at any worker count.
-func ExhaustiveAICWorkers(y []float64, predictors map[string][]float64, workers int) *StepwiseResult {
+func exhaustiveAICWorkers(y []float64, predictors map[string][]float64, workers int) *StepwiseResult {
 	res := &StepwiseResult{}
 	names := sortedPredictorNames(predictors)
 	v := len(names)
@@ -230,7 +218,7 @@ func interceptOnlyAIC(y []float64) float64 {
 	if n < 2 {
 		return math.Inf(1)
 	}
-	m := Mean(y)
+	m := mean(y)
 	rss := 0.0
 	for _, v := range y {
 		d := v - m

@@ -7,26 +7,26 @@ import (
 	"github.com/ares-cps/ares/internal/par"
 )
 
-// JarqueBera runs the Jarque-Bera normality test, returning the statistic
+// jarqueBera runs the Jarque-Bera normality test, returning the statistic
 // and its p-value (χ², 2 degrees of freedom). Small p-values reject
 // normality. Algorithm 1 prunes state variables that are "not NormDist".
-func JarqueBera(xs []float64) (stat, pValue float64) {
+func jarqueBera(xs []float64) (stat, pValue float64) {
 	n := float64(len(xs))
 	if n < 8 {
 		return math.NaN(), math.NaN()
 	}
-	s := Skewness(xs)
-	k := Kurtosis(xs)
+	s := skewness(xs)
+	k := kurtosis(xs)
 	stat = n / 6 * (s*s + k*k/4)
-	pValue = 1 - ChiSquareCDF(stat, 2)
+	pValue = 1 - chiSquareCDF(stat, 2)
 	return stat, pValue
 }
 
-// RunsTest runs the Wald-Wolfowitz runs test for randomness/independence
+// runsTest runs the Wald-Wolfowitz runs test for randomness/independence
 // about the median, returning the z statistic and two-sided p-value. Small
 // p-values reject independence. Algorithm 1 prunes variables that are
 // "not iid". A NaN sample makes both results NaN.
-func RunsTest(xs []float64) (z, pValue float64) {
+func runsTest(xs []float64) (z, pValue float64) {
 	if len(xs) < 8 {
 		return math.NaN(), math.NaN()
 	}
@@ -63,11 +63,11 @@ func RunsTest(xs []float64) (z, pValue float64) {
 		return math.NaN(), math.NaN()
 	}
 	z = (runs - expRuns) / math.Sqrt(varRuns)
-	pValue = 2 * (1 - NormalCDF(math.Abs(z)))
+	pValue = 2 * (1 - normalCDF(math.Abs(z)))
 	return z, pValue
 }
 
-// median returns the median of xs without reordering it. Only RunsTest
+// median returns the median of xs without reordering it. Only runsTest
 // reads it, through == and >, so which of ±0 lands in the middle of a
 // sorted run of zeros never changes a result.
 func median(xs []float64) float64 {
@@ -107,33 +107,29 @@ type PruneOptions struct {
 	Alpha float64
 }
 
-// DefaultPruneOptions returns the strict exact-test options GenerateTSVL
+// defaultPruneOptions returns the strict exact-test options GenerateTSVL
 // applies when TSVLInput.Prune is zero. The evaluation does not use them:
 // internal/core passes an advisory set that prunes only constants.
-func DefaultPruneOptions() PruneOptions {
+func defaultPruneOptions() PruneOptions {
 	return PruneOptions{ConstTol: 1e-12, Alpha: 1e-6}
 }
 
-// PruneStateVars applies Algorithm 1 lines 1–5: remove constant series and
-// series whose *state-by-state updates* (first differences) fail the
-// normality (Jarque-Bera) or independence (runs) test at the given
+// PruneStateVarsWorkers applies Algorithm 1 lines 1–5: remove constant
+// series and series whose *state-by-state updates* (first differences) fail
+// the normality (Jarque-Bera) or independence (runs) test at the given
 // significance level. A series holding any NaN or ±Inf sample is pruned
 // before either test runs.
 //
 // The tests run on increments rather than levels because raw controller
 // series are smooth trajectories — every level series would trivially fail
-// an i.i.d. test. The paper analyzes "the state-by-state ESVL updates in
-// the sequential cycles of the RAV"; the increments are exactly those
-// updates, and noise-driven variables pass while frozen or saturated ones
-// are pruned.
-func PruneStateVars(names []string, series [][]float64, opts PruneOptions) []PruneResult {
-	return PruneStateVarsWorkers(names, series, opts, 1)
-}
-
-// PruneStateVarsWorkers is PruneStateVars fanned out over a bounded worker
-// pool: each variable's assumption check (differencing, Jarque-Bera, runs
-// test) is independent and writes only its own result slot, so the output
-// is identical at any worker count. workers <= 0 uses the process budget.
+// an i.i.d. test. The paper analyzes "the state-by-state ESVL updates in the
+// sequential cycles of the RAV"; the increments are exactly those updates,
+// and noise-driven variables pass while frozen or saturated ones are pruned.
+//
+// The checks fan out over a bounded worker pool: each variable's assumption
+// check (differencing, Jarque-Bera, runs test) is independent and writes
+// only its own result slot, so the output is identical at any worker count.
+// workers <= 0 uses the process budget.
 func PruneStateVarsWorkers(names []string, series [][]float64, opts PruneOptions, workers int) []PruneResult {
 	out := make([]PruneResult, len(names))
 	par.Do(workers, len(names), func(i int) {
@@ -149,19 +145,19 @@ func PruneStateVarsWorkers(names []string, series [][]float64, opts PruneOptions
 			// runs test's median would depend on where its sort puts NaN.
 			res.Kept = false
 			res.Reason = "non-finite samples"
-		case IsConstant(xs, opts.ConstTol):
+		case isConstant(xs, opts.ConstTol):
 			res.Kept = false
 			res.Reason = "constant value"
 		default:
-			diffs := Diff(xs)
-			if IsConstant(diffs, opts.ConstTol) {
+			diffs := diff(xs)
+			if isConstant(diffs, opts.ConstTol) {
 				res.Kept = false
 				res.Reason = "constant increments"
 				break
 			}
-			_, jb := JarqueBera(diffs)
+			_, jb := jarqueBera(diffs)
 			res.JBPValue = jb
-			_, rp := RunsTest(diffs)
+			_, rp := runsTest(diffs)
 			res.RunsP = rp
 			if opts.Alpha > 0 {
 				if !math.IsNaN(jb) && jb < opts.Alpha {
@@ -188,8 +184,8 @@ func allFinite(xs []float64) bool {
 	return true
 }
 
-// Diff returns the first differences of a series (length n-1).
-func Diff(xs []float64) []float64 {
+// diff returns the first differences of a series (length n-1).
+func diff(xs []float64) []float64 {
 	if len(xs) < 2 {
 		return nil
 	}

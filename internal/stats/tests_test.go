@@ -17,7 +17,7 @@ func gaussian(n int, seed int64) []float64 {
 }
 
 func TestJarqueBeraAcceptsGaussian(t *testing.T) {
-	_, p := JarqueBera(gaussian(5000, 11))
+	_, p := jarqueBera(gaussian(5000, 11))
 	if p < 0.01 {
 		t.Errorf("JB rejected Gaussian data: p = %v", p)
 	}
@@ -29,20 +29,20 @@ func TestJarqueBeraRejectsSkewed(t *testing.T) {
 	for i := range xs {
 		xs[i] = math.Exp(rng.NormFloat64()) // log-normal, heavily skewed
 	}
-	_, p := JarqueBera(xs)
+	_, p := jarqueBera(xs)
 	if p > 1e-6 {
 		t.Errorf("JB accepted log-normal data: p = %v", p)
 	}
 }
 
 func TestJarqueBeraSmallSample(t *testing.T) {
-	if s, p := JarqueBera([]float64{1, 2, 3}); !math.IsNaN(s) || !math.IsNaN(p) {
+	if s, p := jarqueBera([]float64{1, 2, 3}); !math.IsNaN(s) || !math.IsNaN(p) {
 		t.Error("small sample did not return NaN")
 	}
 }
 
 func TestRunsTestAcceptsIID(t *testing.T) {
-	_, p := RunsTest(gaussian(5000, 13))
+	_, p := runsTest(gaussian(5000, 13))
 	if p < 0.01 {
 		t.Errorf("runs test rejected iid data: p = %v", p)
 	}
@@ -54,7 +54,7 @@ func TestRunsTestRejectsTrend(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	z, p := RunsTest(xs)
+	z, p := runsTest(xs)
 	if p > 1e-10 {
 		t.Errorf("runs test accepted a ramp: z=%v p=%v", z, p)
 	}
@@ -66,26 +66,26 @@ func TestRunsTestRejectsAlternating(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i % 2)
 	}
-	_, p := RunsTest(xs)
+	_, p := runsTest(xs)
 	if p > 1e-10 {
 		t.Errorf("runs test accepted alternation: p = %v", p)
 	}
 }
 
 func TestRunsTestDegenerate(t *testing.T) {
-	if _, p := RunsTest([]float64{1, 2}); !math.IsNaN(p) {
+	if _, p := runsTest([]float64{1, 2}); !math.IsNaN(p) {
 		t.Error("tiny sample did not return NaN")
 	}
 	// All-equal series: every value ties the median.
 	xs := make([]float64, 100)
-	if _, p := RunsTest(xs); !math.IsNaN(p) {
+	if _, p := runsTest(xs); !math.IsNaN(p) {
 		t.Error("constant series did not return NaN")
 	}
 	// One NaN anywhere makes the result NaN, wherever the sort put it.
 	for _, at := range []int{0, 50, 99} {
 		xs := gaussian(100, 3)
 		xs[at] = math.NaN()
-		if z, p := RunsTest(xs); !math.IsNaN(z) || !math.IsNaN(p) {
+		if z, p := runsTest(xs); !math.IsNaN(z) || !math.IsNaN(p) {
 			t.Errorf("NaN at %d: z = %v, p = %v, want NaN", at, z, p)
 		}
 	}
@@ -109,8 +109,8 @@ func TestPruneStateVars(t *testing.T) {
 		}
 	}
 	names := []string{"v.gauss", "v.const", "v.ramp", "v.skew"}
-	res := PruneStateVars(names, [][]float64{gauss, constant, ramp, skewInc},
-		DefaultPruneOptions())
+	res := PruneStateVarsWorkers(names, [][]float64{gauss, constant, ramp, skewInc},
+		defaultPruneOptions(), 1)
 	want := map[string]bool{
 		"v.gauss": true,
 		"v.const": false,
@@ -128,7 +128,7 @@ func TestPruneStateVars(t *testing.T) {
 }
 
 func TestPruneStateVarsTooFew(t *testing.T) {
-	res := PruneStateVars([]string{"x"}, [][]float64{{1, 2, 3}}, DefaultPruneOptions())
+	res := PruneStateVarsWorkers([]string{"x"}, [][]float64{{1, 2, 3}}, defaultPruneOptions(), 1)
 	if res[0].Kept || res[0].Reason != "too few samples" {
 		t.Errorf("short series: %+v", res[0])
 	}
@@ -149,7 +149,7 @@ func TestPruneNonFinite(t *testing.T) {
 		series[i] = xs
 	}
 	for _, workers := range []int{1, 3} {
-		res := PruneStateVarsWorkers(names, series, DefaultPruneOptions(), workers)
+		res := PruneStateVarsWorkers(names, series, defaultPruneOptions(), workers)
 		if !res[0].Kept {
 			t.Errorf("w%d: finite series pruned: %+v", workers, res[0])
 		}
@@ -192,7 +192,7 @@ func medianOracle(xs []float64) float64 {
 	return 0.5 * (sorted[n/2-1] + sorted[n/2])
 }
 
-// runsTestOracle is RunsTest as it was before the one-pass count: the
+// runsTestOracle is runsTest as it was before the one-pass count: the
 // above/below classes collected in a slice, then counted.
 func runsTestOracle(xs []float64) (z, pValue float64) {
 	if len(xs) < 8 {
@@ -231,7 +231,7 @@ func runsTestOracle(xs []float64) (z, pValue float64) {
 		return math.NaN(), math.NaN()
 	}
 	z = (runs - expRuns) / math.Sqrt(varRuns)
-	pValue = 2 * (1 - NormalCDF(math.Abs(z)))
+	pValue = 2 * (1 - normalCDF(math.Abs(z)))
 	return z, pValue
 }
 
@@ -254,7 +254,7 @@ func oracleSample(rng *rand.Rand, n int) []float64 {
 }
 
 // TestRunsTestMatchesOracle pins slices.Sort in median against the old
-// insertion sort: on finite input RunsTest's z and p are bitwise equal,
+// insertion sort: on finite input runsTest's z and p are bitwise equal,
 // and so is the median, except that a zero median may carry either sign
 // (the sorts may order -0 and +0 differently, and == cannot tell them
 // apart).
@@ -270,15 +270,15 @@ func TestRunsTestMatchesOracle(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) && !(got == 0 && want == 0) {
 			t.Fatalf("n=%d: median %v (%#x), oracle %v (%#x)", n, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		z, p := RunsTest(xs)
+		z, p := runsTest(xs)
 		wz, wp := runsTestOracle(xs)
 		if math.Float64bits(z) != math.Float64bits(wz) || math.Float64bits(p) != math.Float64bits(wp) {
-			t.Fatalf("n=%d: RunsTest (%v, %v), oracle (%v, %v)", n, z, p, wz, wp)
+			t.Fatalf("n=%d: runsTest (%v, %v), oracle (%v, %v)", n, z, p, wz, wp)
 		}
 		if !slices.EqualFunc(in, xs, func(a, b float64) bool {
 			return math.Float64bits(a) == math.Float64bits(b)
 		}) {
-			t.Fatalf("n=%d: RunsTest reordered its input", n)
+			t.Fatalf("n=%d: runsTest reordered its input", n)
 		}
 		if !math.IsNaN(z) {
 			tested++

@@ -23,8 +23,6 @@ type TSVLInput struct {
 	ClusterCut float64
 	// Alpha is the regression significance level (the paper uses 0.05).
 	Alpha float64
-	// Linkage selects the agglomeration rule (default average).
-	Linkage Linkage
 	// SkipClustering regresses each response on every surviving variable
 	// instead of only its cluster — the no-clustering ablation.
 	SkipClustering bool
@@ -66,7 +64,7 @@ func GenerateTSVL(in TSVLInput) (*TSVLReport, error) {
 		return nil, fmt.Errorf("stats: %d names for %d series", len(in.Names), len(in.Series))
 	}
 	if len(in.Names) == 0 {
-		return nil, ErrInsufficientData
+		return nil, errInsufficientData
 	}
 	if in.Alpha <= 0 {
 		in.Alpha = 0.05
@@ -74,11 +72,8 @@ func GenerateTSVL(in TSVLInput) (*TSVLReport, error) {
 	if in.ClusterCut <= 0 {
 		in.ClusterCut = 0.5
 	}
-	if in.Linkage == 0 {
-		in.Linkage = LinkageAverage
-	}
 	if in.Prune == (PruneOptions{}) {
-		in.Prune = DefaultPruneOptions()
+		in.Prune = defaultPruneOptions()
 	}
 
 	workers := par.Workers(in.Parallelism)
@@ -95,7 +90,7 @@ func GenerateTSVL(in TSVLInput) (*TSVLReport, error) {
 		}
 	}
 	if len(keptIdx) < 2 {
-		return nil, ErrInsufficientData
+		return nil, errInsufficientData
 	}
 	keptSeries := make([][]float64, len(keptIdx))
 	rep.Kept = make([]string, len(keptIdx))
@@ -116,7 +111,7 @@ func GenerateTSVL(in TSVLInput) (*TSVLReport, error) {
 		}
 		clusters = [][]int{all}
 	} else {
-		rep.Dendro = HierCluster(CorrelationDistance(rep.Corr), in.Linkage)
+		rep.Dendro = hierCluster(correlationDistance(rep.Corr))
 		clusters = rep.Dendro.CutAt(in.ClusterCut)
 	}
 	for _, c := range clusters {
@@ -178,7 +173,7 @@ func GenerateTSVL(in TSVLInput) (*TSVLReport, error) {
 	par.Do(workers, len(tasks), func(ti int) {
 		t := tasks[ti]
 		if in.Exhaustive {
-			sels[ti] = ExhaustiveAICWorkers(t.y, t.preds, inner)
+			sels[ti] = exhaustiveAICWorkers(t.y, t.preds, inner)
 		} else {
 			sels[ti] = StepwiseAICWorkers(t.y, t.preds, inner)
 		}

@@ -131,25 +131,5 @@ func (s *Set) Refs() []Ref {
 	return refs
 }
 
-// OfKind returns all references of the given kind, sorted by name.
-func (s *Set) OfKind(kind Kind) []Ref {
-	var refs []Ref
-	for _, r := range s.Refs() {
-		if r.Kind == kind {
-			refs = append(refs, r)
-		}
-	}
-	return refs
-}
-
 // Len returns the number of registered variables.
 func (s *Set) Len() int { return len(s.byName) }
-
-// Snapshot captures the current value of every variable.
-func (s *Set) Snapshot() map[string]float64 {
-	snap := make(map[string]float64, len(s.byName))
-	for n, r := range s.byName {
-		snap[n] = r.Get()
-	}
-	return snap
-}

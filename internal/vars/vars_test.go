@@ -73,38 +73,6 @@ func TestSetNamesSorted(t *testing.T) {
 	}
 }
 
-func TestSetOfKind(t *testing.T) {
-	s := NewSet()
-	vals := make([]float64, 4)
-	s.MustRegister("p1", KindParam, &vals[0])
-	s.MustRegister("p2", KindParam, &vals[1])
-	s.MustRegister("s1", KindSensor, &vals[2])
-	s.MustRegister("i1", KindIntermediate, &vals[3])
-	if got := len(s.OfKind(KindParam)); got != 2 {
-		t.Errorf("params = %d, want 2", got)
-	}
-	if got := len(s.OfKind(KindSensor)); got != 1 {
-		t.Errorf("sensors = %d, want 1", got)
-	}
-	if got := len(s.OfKind(KindDynamic)); got != 0 {
-		t.Errorf("dynamics = %d, want 0", got)
-	}
-}
-
-func TestSnapshot(t *testing.T) {
-	s := NewSet()
-	a := 7.0
-	s.MustRegister("A", KindSensor, &a)
-	snap := s.Snapshot()
-	a = 9
-	if snap["A"] != 7 {
-		t.Errorf("snapshot tracked live value: %v", snap["A"])
-	}
-	if s.Snapshot()["A"] != 9 {
-		t.Error("new snapshot missed update")
-	}
-}
-
 func TestMustRegisterPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
