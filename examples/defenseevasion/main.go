@@ -57,7 +57,7 @@ func run() error {
 			Mission:     mission,
 			Duration:    60,
 			Seed:        200 + int64(i),
-			CI:          ci,
+			Monitors:    attack.Monitors{CI: ci},
 			Strategy:    sc.strategy,
 			AttackStart: 10,
 		})

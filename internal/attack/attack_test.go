@@ -71,28 +71,6 @@ func TestGradualAttackIntervalAndCap(t *testing.T) {
 	idle.Apply(fw, 1)
 }
 
-func TestParamAttackRampsParameter(t *testing.T) {
-	fw, err := firmware.New(firmware.Config{Sensors: sensors.Seeded(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &paramAttack{Param: "ATC_RAT_RLL_P", Delta: 0.01, Interval: 0.3}
-	if err := a.Begin(fw); err != nil {
-		t.Fatal(err)
-	}
-	a.Apply(fw, 0)
-	fw.Step() // processes the PARAM_SET
-	v, _ := fw.Params().Get("ATC_RAT_RLL_P")
-	if math.Abs(v-0.145) > 1e-9 {
-		t.Errorf("param after one shot = %v, want 0.145", v)
-	}
-	// Unknown parameter fails at Begin.
-	bad := &paramAttack{Param: "NOPE", Delta: 1, Interval: 1}
-	if err := bad.Begin(fw); err == nil {
-		t.Error("unknown parameter accepted")
-	}
-}
-
 func TestCalibrateMonitors(t *testing.T) {
 	mission := firmware.SquareMission(25, 10)
 	ci, ml, err := CalibrateMonitors(mission, 10)
@@ -116,7 +94,7 @@ func TestSessionBenignVsNaiveVsRamp(t *testing.T) {
 	}
 
 	benign, err := RunSession(SessionConfig{
-		Mission: mission, Duration: 60, Seed: 20, CI: ci,
+		Mission: mission, Duration: 60, Seed: 20, Monitors: Monitors{CI: ci},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +113,7 @@ func TestSessionBenignVsNaiveVsRamp(t *testing.T) {
 		Mission:     mission,
 		Duration:    60,
 		Seed:        21,
-		CI:          ci,
+		Monitors:    Monitors{CI: ci},
 		Strategy:    &NaiveAttack{Region: firmware.RegionStabilizer, Variable: "PIDR.INTEG", Value: 0.25},
 		AttackStart: 10,
 	})
@@ -153,7 +131,7 @@ func TestSessionBenignVsNaiveVsRamp(t *testing.T) {
 		Mission:  mission,
 		Duration: 60,
 		Seed:     22,
-		CI:       ci,
+		Monitors: Monitors{CI: ci},
 		Strategy: &RampAttack{
 			Region:   firmware.RegionStabilizer,
 			Variable: "CMD.Roll",
@@ -186,11 +164,11 @@ func TestSessionValidation(t *testing.T) {
 	}{
 		{"empty config", SessionConfig{}, false},
 		{"empty mission", SessionConfig{Mission: firmware.NewMission(nil)}, false},
-		{"unfitted CI", SessionConfig{Mission: mission, CI: defense.NewControlInvariants()}, false},
-		{"unfitted ML", SessionConfig{Mission: mission, ML: defense.NewMLMonitor(0.0025)}, false},
-		{"unfitted variable monitor", SessionConfig{Mission: mission, VarMon: defense.NewVariableMonitor()}, false},
-		{"guard with unfitted detector", SessionConfig{Mission: mission, Recovery: defense.NewRecoveryGuard(defense.NewControlInvariants())}, false},
-		{"EKF residual", SessionConfig{Mission: mission, EKF: defense.NewEKFResidual()}, true},
+		{"unfitted CI", SessionConfig{Mission: mission, Monitors: Monitors{CI: defense.NewControlInvariants()}}, false},
+		{"unfitted ML", SessionConfig{Mission: mission, Monitors: Monitors{ML: defense.NewMLMonitor(0.0025)}}, false},
+		{"unfitted variable monitor", SessionConfig{Mission: mission, Monitors: Monitors{VarMon: defense.NewVariableMonitor()}}, false},
+		{"guard with unfitted detector", SessionConfig{Mission: mission, Monitors: Monitors{Recovery: defense.NewRecoveryGuard(defense.NewControlInvariants())}}, false},
+		{"EKF residual", SessionConfig{Mission: mission, Monitors: Monitors{EKF: defense.NewEKFResidual()}}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.Duration = 0.1

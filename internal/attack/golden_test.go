@@ -61,20 +61,19 @@ func TestSessionsGolden(t *testing.T) {
 	}
 	monitorSets := []struct {
 		name string
-		set  func(*SessionConfig)
+		mons func() Monitors
 	}{
-		{"none", func(*SessionConfig) {}},
-		{"ci+ml+ekf", func(c *SessionConfig) { c.CI, c.ML, c.EKF = ci, ml, defense.NewEKFResidual() }},
-		{"ci+varmon", func(c *SessionConfig) { c.CI, c.VarMon = ci, vm }},
-		{"recovery", func(c *SessionConfig) { c.Recovery = defense.NewRecoveryGuard(ci.Clone()) }},
+		{"none", func() Monitors { return Monitors{} }},
+		{"ci+ml+ekf", func() Monitors { return Monitors{CI: ci, ML: ml, EKF: defense.NewEKFResidual()} }},
+		{"ci+varmon", func() Monitors { return Monitors{CI: ci, VarMon: vm} }},
+		{"recovery", func() Monitors { return Monitors{Recovery: defense.NewRecoveryGuard(ci.Clone())} }},
 	}
 	var b strings.Builder
 	seed := int64(41)
 	for _, s := range strategies {
 		for _, m := range monitorSets {
-			cfg := SessionConfig{Mission: mission, Duration: 6, Seed: seed, Strategy: s.make(), AttackStart: 1}
+			cfg := SessionConfig{Mission: mission, Duration: 6, Seed: seed, Strategy: s.make(), AttackStart: 1, Monitors: m.mons()}
 			seed++
-			m.set(&cfg)
 			res, err := RunSession(cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", s.name, m.name, err)

@@ -74,13 +74,8 @@ type SessionConfig struct {
 	Duration float64
 	// Seed controls sensor noise; distinct seeds give distinct trials.
 	Seed int64
-	// CI, ML, EKF, VarMon and Recovery are the in-loop monitors, as in
-	// Monitors; nil entries are skipped.
-	CI       *defense.ControlInvariants
-	ML       *defense.MLMonitor
-	EKF      *defense.EKFResidual
-	VarMon   *defense.VariableMonitor
-	Recovery *defense.RecoveryGuard
+	// Monitors is the in-loop defense set the flight runs.
+	Monitors Monitors
 	// Vehicle selects the airframe; zero value flies the IRIS+.
 	Vehicle sim.VehicleParams
 }
@@ -144,9 +139,7 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 	fl, err := NewFlight(firmware.Config{
 		Sensors: sensors.Seeded(cfg.Seed),
 		Vehicle: cfg.Vehicle,
-	}, cfg.Mission, 10, Monitors{
-		CI: cfg.CI, ML: cfg.ML, EKF: cfg.EKF, VarMon: cfg.VarMon, Recovery: cfg.Recovery,
-	}, func(fw *firmware.Firmware) {
+	}, cfg.Mission, 10, cfg.Monitors, func(fw *firmware.Firmware) {
 		if attackBegun {
 			cfg.Strategy.Apply(fw, hookNow)
 		}
@@ -174,14 +167,14 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 		// The guard's detector verdict reports through the CI channel (it
 		// *is* a control-invariants detector, plus a response).
 		ciV := v.CI
-		if cfg.Recovery != nil && (v.Guard.Stat > ciV.Stat || v.Guard.Alarm) {
+		if cfg.Monitors.Recovery != nil && (v.Guard.Stat > ciV.Stat || v.Guard.Alarm) {
 			ciV = v.Guard
 		}
 		alarm := note(&res.MaxCI, &res.DetectedCI, ciV)
 		alarm = note(&res.MaxML, &res.DetectedML, v.ML) || alarm
 		alarm = note(&res.MaxEKF, &res.DetectedEKF, v.EKF) || alarm
 		if note(&res.MaxVar, &res.DetectedVar, v.Var) {
-			res.AlarmedVariable = cfg.VarMon.AlarmedVariable()
+			res.AlarmedVariable = cfg.Monitors.VarMon.AlarmedVariable()
 			alarm = true
 		}
 		if alarm && res.FirstAlarmT < 0 {
@@ -220,9 +213,9 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 			break
 		}
 	}
-	if cfg.Recovery != nil && cfg.Recovery.Engaged() {
+	if cfg.Monitors.Recovery != nil && cfg.Monitors.Recovery.Engaged() {
 		res.Recovered = true
-		res.RecoveredAt = cfg.Recovery.EngagedAt()
+		res.RecoveredAt = cfg.Monitors.Recovery.EngagedAt()
 	}
 	res.MissionComplete = fw.Mission().Complete()
 	return res, nil

@@ -49,7 +49,7 @@ func TestStealthySessionEvadesCI(t *testing.T) {
 	}
 
 	benign, err := RunSession(SessionConfig{
-		Mission: mission, Duration: 60, Seed: 30, CI: ci.Clone(),
+		Mission: mission, Duration: 60, Seed: 30, Monitors: Monitors{CI: ci.Clone()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestStealthySessionEvadesCI(t *testing.T) {
 		Mission:     mission,
 		Duration:    60,
 		Seed:        30,
-		CI:          ci.Clone(),
+		Monitors:    Monitors{CI: ci.Clone()},
 		Strategy:    strat,
 		AttackStart: 10,
 	})
@@ -103,7 +103,7 @@ func TestSessionRecoveryBoundsAttack(t *testing.T) {
 	guarded, err := RunSession(SessionConfig{
 		Mission: mission, Duration: 60, Seed: 40,
 		Strategy: naive(), AttackStart: 10,
-		Recovery: defense.NewRecoveryGuard(ci.Clone()),
+		Monitors: Monitors{Recovery: defense.NewRecoveryGuard(ci.Clone())},
 	})
 	if err != nil {
 		t.Fatal(err)

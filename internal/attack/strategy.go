@@ -8,7 +8,9 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/mathx"
@@ -112,53 +114,11 @@ func (a *GradualAttack) Apply(_ *firmware.Firmware, now float64) {
 	if a.Interval > 0 && now-a.lastApply < a.Interval {
 		return
 	}
-	if a.Cap > 0 && abs(a.applied+a.Delta) > a.Cap {
+	if a.Cap > 0 && math.Abs(a.applied+a.Delta) > a.Cap {
 		return
 	}
 	a.ref.Add(a.Delta)
 	a.applied += a.Delta
-	a.lastApply = now
-}
-
-// paramAttack issues PARAM_SET commands over the GCS channel at a fixed
-// interval, ramping a parameter from its current value by Delta per shot —
-// the remote half of the threat model ("the attacker can concoct and issue
-// malicious GCS commands to update the control parameters").
-type paramAttack struct {
-	// Param is the parameter name.
-	Param string
-	// Delta is the per-command increment.
-	Delta float64
-	// Interval is the time between commands in seconds.
-	Interval float64
-
-	value     float64
-	lastApply float64
-	begun     bool
-}
-
-// Name implements Strategy.
-func (a *paramAttack) Name() string { return "param-set" }
-
-// Begin implements Strategy.
-func (a *paramAttack) Begin(fw *firmware.Firmware) error {
-	v, err := fw.Params().Get(a.Param)
-	if err != nil {
-		return fmt.Errorf("attack: param begin: %w", err)
-	}
-	a.value = v
-	a.lastApply = -1e9
-	a.begun = true
-	return nil
-}
-
-// Apply implements Strategy.
-func (a *paramAttack) Apply(fw *firmware.Firmware, now float64) {
-	if !a.begun || now-a.lastApply < a.Interval {
-		return
-	}
-	a.value += a.Delta
-	fw.Enqueue(&mavlink.ParamSet{Name: a.Param, Value: a.value})
 	a.lastApply = now
 }
 
@@ -307,7 +267,7 @@ func (s *Sequence) Name() string {
 	for i, st := range s.Steps {
 		names[i] = st.Name()
 	}
-	return "seq(" + joinStrings(names, "+") + ")"
+	return "seq(" + strings.Join(names, "+") + ")"
 }
 
 // Begin implements Strategy.
@@ -325,22 +285,4 @@ func (s *Sequence) Apply(fw *firmware.Firmware, now float64) {
 	for _, st := range s.Steps {
 		st.Apply(fw, now)
 	}
-}
-
-func joinStrings(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -21,7 +21,6 @@ func TestStrategyNames(t *testing.T) {
 		{&GradualAttack{}, "ares-gradual"},
 		{&RampAttack{}, "ares-ramp"},
 		{&JitterAttack{}, "random-jitter"},
-		{&paramAttack{}, "param-set"},
 		{&SetParamOnce{}, "param-once"},
 		{&Sequence{Steps: []Strategy{&NaiveAttack{}, &RampAttack{}}}, "seq(naive+ares-ramp)"},
 	}
@@ -192,7 +191,7 @@ func TestSessionWithVariableMonitor(t *testing.T) {
 
 	// The ramp attack trips the variable monitor inside a session.
 	res, err := RunSession(SessionConfig{
-		Mission: mission, Duration: 40, Seed: 15, VarMon: vm,
+		Mission: mission, Duration: 40, Seed: 15, Monitors: Monitors{VarMon: vm},
 		Strategy: &RampAttack{
 			Region: firmware.RegionStabilizer, Variable: "CMD.Roll",
 			Rate: 0.0436, Cap: 0.4,
@@ -217,7 +216,7 @@ func TestSessionWithVariableMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := RunSession(SessionConfig{
-		Mission: mission, Duration: 5, Seed: 16, VarMon: vmBad,
+		Mission: mission, Duration: 5, Seed: 16, Monitors: Monitors{VarMon: vmBad},
 	}); err == nil {
 		t.Error("unknown watched variable accepted")
 	}

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/core"
 	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
@@ -453,7 +454,7 @@ func TestQLearningReplayReportsDetection(t *testing.T) {
 		Variable: "PIDR.INTEG",
 		Seed:     530,
 		Mission:  firmware.LineMission(30, 10),
-		Detector: ci,
+		Monitors: attack.Monitors{CI: ci},
 	})
 	if err != nil {
 		t.Fatal(err)

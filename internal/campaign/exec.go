@@ -95,6 +95,22 @@ func (e *aresExecutor) monitor(job Job) (*defense.ControlInvariants, error) {
 	return ent.ci.Clone(), nil
 }
 
+// monitorsFor maps the job's defense axis onto the in-loop monitor set:
+// none, the calibrated CI monitor, or a recovery guard over it.
+func (e *aresExecutor) monitorsFor(job Job) (attack.Monitors, error) {
+	if job.Defense != DefenseCI && job.Defense != DefenseRecovery {
+		return attack.Monitors{}, nil
+	}
+	ci, err := e.monitor(job)
+	if err != nil {
+		return attack.Monitors{}, err
+	}
+	if job.Defense == DefenseRecovery {
+		return attack.Monitors{Recovery: defense.NewRecoveryGuard(ci)}, nil
+	}
+	return attack.Monitors{CI: ci}, nil
+}
+
 func (e *aresExecutor) run(ctx context.Context, job Job) (Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return Metrics{}, err
@@ -107,25 +123,16 @@ func (e *aresExecutor) run(ctx context.Context, job Job) (Metrics, error) {
 		return Metrics{}, err
 	}
 
+	mons, err := e.monitorsFor(job)
+	if err != nil {
+		return Metrics{}, err
+	}
 	envCfg := core.EnvConfig{
 		Variable:  job.Variable,
 		Mission:   mission,
 		MaxAction: job.MaxAction,
+		Monitors:  mons,
 		Seed:      mathx.DeriveSeed(job.Seed, streamJobEnv),
-	}
-	switch job.Defense {
-	case DefenseCI:
-		det, err := e.monitor(job)
-		if err != nil {
-			return Metrics{}, err
-		}
-		envCfg.Detector = det
-	case DefenseRecovery:
-		det, err := e.monitor(job)
-		if err != nil {
-			return Metrics{}, err
-		}
-		envCfg.Recovery = defense.NewRecoveryGuard(det)
 	}
 	var env core.AttackEnv
 	switch job.Goal {
@@ -169,11 +176,15 @@ func (e *aresExecutor) runStealthy(job Job) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
+	mons, err := e.monitorsFor(job)
+	if err != nil {
+		return Metrics{}, err
+	}
 	maxSteps := job.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 100
 	}
-	cfg := attack.SessionConfig{
+	res, err := attack.RunSession(attack.SessionConfig{
 		Mission: mission,
 		Strategy: &attack.StealthyAttack{
 			Variable: job.Variable,
@@ -185,33 +196,24 @@ func (e *aresExecutor) runStealthy(job Job) (Metrics, error) {
 		// rollout would get.
 		Duration: float64(maxSteps) * core.ActionInterval,
 		Seed:     mathx.DeriveSeed(job.Seed, streamJobEnv),
-	}
-	switch job.Defense {
-	case DefenseCI:
-		det, err := e.monitor(job)
-		if err != nil {
-			return Metrics{}, err
-		}
-		cfg.CI = det
-	case DefenseRecovery:
-		det, err := e.monitor(job)
-		if err != nil {
-			return Metrics{}, err
-		}
-		cfg.Recovery = defense.NewRecoveryGuard(det)
-	}
-	res, err := attack.RunSession(cfg)
+		Monitors: mons,
+	})
 	if err != nil {
 		return Metrics{}, err
 	}
-	m := Metrics{
+	return Metrics{
 		Deviation: res.MaxPathDev,
 		Detected:  res.Detected(),
 		Crashed:   res.Crashed,
 		Recovered: res.Recovered,
-	}
-	m.Success = (res.MaxPathDev >= job.SuccessDeviation || res.Crashed) && !res.Detected()
-	return m, nil
+		Success:   deviated(job, res.MaxPathDev, res.Crashed, res.Detected()),
+	}, nil
+}
+
+// deviated is a deviation cell's success criterion: the vehicle left the
+// path by at least the job's threshold, or crashed, without an alarm.
+func deviated(job Job, dev float64, crashed, detected bool) bool {
+	return (dev >= job.SuccessDeviation || crashed) && !detected
 }
 
 // metricsOf folds an exploit result into the campaign metrics, applying
@@ -237,7 +239,7 @@ func metricsOf(job Job, res *core.ExploitResult) Metrics {
 		m.GoalReached = r.Crashed && strings.Contains(r.CrashReason, zone.Name)
 		m.Success = m.GoalReached && !r.Detected
 	default:
-		m.Success = (r.Final >= job.SuccessDeviation || r.Crashed) && !r.Detected
+		m.Success = deviated(job, r.Final, r.Crashed, r.Detected)
 	}
 	return m
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/mathx"
@@ -384,14 +385,14 @@ func TestEnvsRejectBadConfig(t *testing.T) {
 		cfg  EnvConfig
 		ok   bool
 	}{
-		{"valid guard", EnvConfig{Recovery: guard(func(*defense.RecoveryGuard) {})}, true},
+		{"valid guard", EnvConfig{Monitors: attack.Monitors{Recovery: guard(func(*defense.RecoveryGuard) {})}}, true},
 		{"empty mission", EnvConfig{Mission: firmware.NewMission(nil)}, false},
-		{"guard without detector", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.Detector = nil })}, false},
-		{"guard clamp zero", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.ClampAngle = 0 })}, false},
-		{"guard decay one", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.IntegratorDecay = 1 })}, false},
-		{"guard with unfitted detector", EnvConfig{Recovery: guard(func(g *defense.RecoveryGuard) { g.Detector = defense.NewControlInvariants() })}, false},
-		{"valid detector", EnvConfig{Detector: identifiedCI(t, 1)}, true},
-		{"unfitted detector", EnvConfig{Detector: defense.NewControlInvariants()}, false},
+		{"guard without detector", EnvConfig{Monitors: attack.Monitors{Recovery: guard(func(g *defense.RecoveryGuard) { g.Detector = nil })}}, false},
+		{"guard clamp zero", EnvConfig{Monitors: attack.Monitors{Recovery: guard(func(g *defense.RecoveryGuard) { g.ClampAngle = 0 })}}, false},
+		{"guard decay one", EnvConfig{Monitors: attack.Monitors{Recovery: guard(func(g *defense.RecoveryGuard) { g.IntegratorDecay = 1 })}}, false},
+		{"guard with unfitted detector", EnvConfig{Monitors: attack.Monitors{Recovery: guard(func(g *defense.RecoveryGuard) { g.Detector = defense.NewControlInvariants() })}}, false},
+		{"valid detector", EnvConfig{Monitors: attack.Monitors{CI: identifiedCI(t, 1)}}, true},
+		{"unfitted detector", EnvConfig{Monitors: attack.Monitors{CI: defense.NewControlInvariants()}}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.Variable = "PIDR.INTEG"

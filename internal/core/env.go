@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/ares-cps/ares/internal/attack"
-	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/rl"
@@ -31,22 +30,18 @@ type EnvConfig struct {
 	MaxAction float64
 	// Mission is the flight the attack disrupts; nil uses a 60 m line.
 	Mission *firmware.Mission
-	// Detector, when non-nil, is a fitted CI monitor that runs in the loop
-	// and ends the episode with the −∞ penalty on alarm (the Section V-C
-	// reward shaping), whether or not Recovery is also set.
-	Detector *defense.ControlInvariants
-	// Recovery, when non-nil, runs the SpecGuard-style recovery defense in
-	// the loop: its detector observes every tick and, once engaged, the
+	// Monitors is the in-loop defense set. A CI, ML, EKF or variable
+	// monitor alarm ends the episode with the −∞ penalty (the Section V-C
+	// reward shaping). The SpecGuard-style recovery guard's alarm does
+	// not: its detector observes every tick and, once engaged, the
 	// conservative recovery controller clamps the attitude commands and
-	// bleeds the integrators. Unlike Detector, an alarm does NOT terminate
-	// the episode — the defender's response is recovery, not abort — so
-	// the evaluation measures the *physical* outcome the attack achieves
-	// against an actively recovering vehicle. The detection itself is
-	// still recorded (Rollout.Detected), so the campaign success
-	// criterion — an undetected failure — already counts a recovered
-	// flight as a defended one. With both set, the vehicle recovers on the
-	// guard's alarm and the episode ends on the Detector's.
-	Recovery *defense.RecoveryGuard
+	// bleeds the integrators — the defender's response is recovery, not
+	// abort — so the evaluation measures the *physical* outcome the attack
+	// achieves against an actively recovering vehicle. The guard's
+	// detection is still recorded (Rollout.Detected), so the campaign
+	// success criterion — an undetected failure — already counts a
+	// recovered flight as a defended one.
+	Monitors attack.Monitors
 	// Seed drives per-episode variation.
 	Seed int64
 }
@@ -63,15 +58,14 @@ func (c *EnvConfig) applyDefaults() {
 // baseEnv holds the machinery shared by both attack environments.
 type baseEnv struct {
 	cfg     EnvConfig
-	mons    attack.Monitors
 	flight  *attack.Flight
 	fw      *firmware.Firmware
 	ref     vars.Ref
 	episode int
 	ticks   int
 	// alarmed records any in-loop alarm this episode, the recovery
-	// guard's included; detected records only the Detector's, which ends
-	// the episode.
+	// guard's included; detected records only the alarms that end the
+	// episode.
 	alarmed, detected bool
 	world             *sim.World
 	// perTick selects the manipulation semantics, derived from the
@@ -100,8 +94,7 @@ func newBaseEnv(cfg EnvConfig, world *sim.World) (baseEnv, error) {
 	if cfg.Mission.Len() == 0 {
 		return baseEnv{}, fmt.Errorf("core: env needs a mission")
 	}
-	mons := attack.Monitors{CI: cfg.Detector, Recovery: cfg.Recovery}
-	if err := mons.Validate(); err != nil {
+	if err := cfg.Monitors.Validate(); err != nil {
 		return baseEnv{}, err
 	}
 	fw, err := firmware.New(firmware.Config{})
@@ -111,7 +104,7 @@ func newBaseEnv(cfg EnvConfig, world *sim.World) (baseEnv, error) {
 	if _, err := fw.Memory().Access(firmware.RegionStabilizer, cfg.Variable, true); err != nil {
 		return baseEnv{}, fmt.Errorf("core: env target: %w", err)
 	}
-	return baseEnv{cfg: cfg, mons: mons, world: world, perTick: strings.HasPrefix(cfg.Variable, "CMD.")}, nil
+	return baseEnv{cfg: cfg, world: world, perTick: strings.HasPrefix(cfg.Variable, "CMD.")}, nil
 }
 
 // reset rebuilds the episode: a fresh attacked flight (per-episode sensor
@@ -125,7 +118,7 @@ func (b *baseEnv) reset() {
 	fl, err := attack.NewFlight(firmware.Config{
 		World:   b.world,
 		Sensors: sensors.Seeded(b.cfg.Seed + int64(b.episode)), //areslint:ignore seedarith golden-pinned
-	}, b.cfg.Mission, setupSeconds, b.mons, b.inject)
+	}, b.cfg.Mission, setupSeconds, b.cfg.Monitors, b.inject)
 	if err == nil {
 		b.ref, err = fl.Firmware().Memory().Access(firmware.RegionStabilizer, b.cfg.Variable, true)
 	}
@@ -154,11 +147,11 @@ func (b *baseEnv) inject(*firmware.Firmware) {
 }
 
 // advance injects the action and runs one action interval, returning
-// whether the Detector has alarmed and whether the vehicle crashed. A
-// recovery guard's alarm is recorded but deliberately not fed back to the
-// reward: recovery responds physically instead of aborting, so the episode
-// continues and the evaluation measures what the attack achieves against
-// the clamps.
+// whether a CI, ML, EKF or variable monitor has alarmed and whether the
+// vehicle crashed. A recovery guard's alarm is recorded but deliberately
+// not fed back to the reward: recovery responds physically instead of
+// aborting, so the episode continues and the evaluation measures what
+// the attack achieves against the clamps.
 func (b *baseEnv) advance(action float64) (detected, crashed bool) {
 	// A NaN action injects nothing: like ArduPilot's constrain_value, it
 	// maps to the midpoint of ±MaxAction, 0. mathx.Clamp passes NaN
@@ -171,8 +164,8 @@ func (b *baseEnv) advance(action float64) (detected, crashed bool) {
 	b.pendOnce = true
 	for i := 0; i < b.ticks; i++ {
 		v, flying := b.flight.Tick()
-		b.detected = b.detected || v.CI.Alarm
-		b.alarmed = b.alarmed || v.CI.Alarm || v.Guard.Alarm
+		b.detected = b.detected || v.CI.Alarm || v.ML.Alarm || v.EKF.Alarm || v.Var.Alarm
+		b.alarmed = b.alarmed || b.detected || v.Guard.Alarm
 		if !flying {
 			return b.detected, true
 		}

@@ -36,9 +36,9 @@ func TestRolloutsGolden(t *testing.T) {
 				}
 				switch def {
 				case "ci":
-					cfg.Detector = ci.Clone()
+					cfg.Monitors.CI = ci.Clone()
 				case "recovery":
-					cfg.Recovery = defense.NewRecoveryGuard(ci.Clone())
+					cfg.Monitors.Recovery = defense.NewRecoveryGuard(ci.Clone())
 				}
 				var env AttackEnv
 				if goal == "crash" {

@@ -335,9 +335,8 @@ func (c *Coordinator) registerLocked(workerID string) {
 	}
 }
 
-// Lease grants a fleet worker a batch of pending jobs, preferring jobs
-// whose shard the worker owns. An empty-Lease response tells the worker
-// to retry later.
+// Lease grants a fleet worker a batch of pending jobs. An empty-Lease
+// response tells the worker to retry later.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if err := validWorkerID(req.Worker); err != nil {
 		return LeaseResponse{}, err
@@ -348,26 +347,26 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		return LeaseResponse{RetryMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}, nil
 	}
 	c.registerLocked(req.Worker)
-	return c.leaseLocked(req.Worker, c.cfg.MaxLease, true), nil
+	return c.leaseLocked(req.Worker, c.cfg.MaxLease), nil
 }
 
 // leaseCampaign is Lease for an in-process worker: it grants every
-// pending job of the oldest campaign with pending work, ignoring shards.
-// With nothing to grant it also returns a channel that closes when jobs
-// next become pending — or nil once the coordinator drains.
+// pending job of the oldest campaign with pending work. With nothing to
+// grant it also returns a channel that closes when jobs next become
+// pending — or nil once the coordinator drains.
 func (c *Coordinator) leaseCampaign(workerID string) (LeaseResponse, <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
 		return LeaseResponse{}, nil
 	}
-	return c.leaseLocked(workerID, math.MaxInt, false), c.wake
+	return c.leaseLocked(workerID, math.MaxInt), c.wake
 }
 
 // leaseLocked grants up to max pending jobs of one campaign.
-func (c *Coordinator) leaseLocked(workerID string, max int, sharded bool) LeaseResponse {
+func (c *Coordinator) leaseLocked(workerID string, max int) LeaseResponse {
 	c.reapLocked(time.Now())
-	cs, keys := c.pickJobsLocked(workerID, max, sharded)
+	cs, keys := c.pickJobsLocked(max)
 	if cs == nil {
 		return LeaseResponse{RetryMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}
 	}
@@ -402,59 +401,30 @@ func (c *Coordinator) leaseLocked(workerID string, max int, sharded bool) LeaseR
 	return LeaseResponse{Lease: l.id, Campaign: cs.id, Keys: keys}
 }
 
-// pickJobsLocked chooses up to max pending jobs of the oldest campaign
-// with pending work, in expansion order. A sharded pick takes the
-// worker's own shard first and falls back to any pending job (cross-shard
-// pull) so stragglers cannot stall a campaign.
-func (c *Coordinator) pickJobsLocked(workerID string, max int, sharded bool) (*campaignState, []string) {
-	widx, n := 0, 1
-	if sharded {
-		widx, n = c.workerShardLocked(workerID)
-	}
+// pickJobsLocked chooses the first max pending jobs of the oldest
+// campaign with pending work, in expansion order. Records do not depend
+// on which worker runs a job, so any worker may take any job.
+func (c *Coordinator) pickJobsLocked(max int) (*campaignState, []string) {
 	// Loading can finalize or fail a campaign, which removes it from open.
 	for _, cs := range slices.Clone(c.open) {
 		if err := c.loadLocked(cs); err != nil {
 			c.closeOutLocked(cs, StateFailed, err.Error())
 			continue
 		}
-		if len(cs.pending) == 0 {
-			continue
-		}
-		var own, any []string
+		var keys []string
 		for _, j := range cs.jobs {
-			if !cs.pending[j.Key] {
-				continue
+			if len(keys) == max {
+				break
 			}
-			if shardOf(cs.id, j.Key, n) == widx {
-				if len(own) < max {
-					own = append(own, j.Key)
-				}
-			} else if len(any) < max {
-				any = append(any, j.Key)
+			if cs.pending[j.Key] {
+				keys = append(keys, j.Key)
 			}
 		}
-		if len(own) > 0 {
-			return cs, own
+		if len(keys) > 0 {
+			return cs, keys
 		}
-		return cs, any
 	}
 	return nil, nil
-}
-
-// workerShardLocked returns the worker's index in the sorted registry and
-// the registry size.
-func (c *Coordinator) workerShardLocked(workerID string) (idx, n int) {
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for i, id := range ids {
-		if id == workerID {
-			return i, len(ids)
-		}
-	}
-	return 0, len(ids)
 }
 
 // Heartbeat extends a live lease; a worker whose lease has expired, was

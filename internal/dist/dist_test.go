@@ -315,29 +315,6 @@ func TestFleetRoutes(t *testing.T) {
 	}
 }
 
-// TestShardStability pins shard arithmetic: deterministic, in-range, and
-// only a function of (campaign, key, n).
-func TestShardStability(t *testing.T) {
-	counts := make(map[int]int)
-	for i := 0; i < 64; i++ {
-		k := fmt.Sprintf("m0/v%d/t%02d", i%4, i)
-		s := shardOf("abc123", k, 3)
-		if s < 0 || s >= 3 {
-			t.Fatalf("shardOf out of range: %d", s)
-		}
-		if s2 := shardOf("abc123", k, 3); s2 != s {
-			t.Fatalf("shardOf not deterministic: %d vs %d", s, s2)
-		}
-		counts[s]++
-	}
-	if len(counts) != 3 {
-		t.Errorf("64 keys landed on %d of 3 shards: %v", len(counts), counts)
-	}
-	if shardOf("abc123", "k", 1) != 0 || shardOf("abc123", "k", 0) != 0 {
-		t.Error("degenerate fleet sizes must map to shard 0")
-	}
-}
-
 // TestFinalizeClosesStores is the store-leak regression: finalizing a
 // campaign closes its store and drops its merge state, so the process's
 // open file descriptors stay flat across many finished campaigns.

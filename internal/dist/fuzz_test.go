@@ -48,7 +48,7 @@ func FuzzDistEnvelope(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// The fuzzer registers a worker per decodable body; keep the
-		// registry bounded so shard math stays cheap across iterations.
+		// registry bounded across iterations.
 		c.mu.Lock()
 		if len(c.workers) > 1024 {
 			c.workers = make(map[string]bool)

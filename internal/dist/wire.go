@@ -29,8 +29,8 @@ const (
 // registerRequest announces a worker to the coordinator. Registration is
 // idempotent: re-registering after a worker restart refreshes its entry.
 type registerRequest struct {
-	// Worker is the worker's stable identity; it shards the job space, so
-	// a restarted worker with the same ID leases the same shard.
+	// Worker is the worker's stable identity; it names the worker's
+	// leases in the coordinator's log and registry.
 	Worker string `json:"worker"`
 }
 
@@ -126,8 +126,7 @@ func decodeWireInto(r io.Reader, limit int64, v any) error {
 }
 
 // validWorkerID vets a worker identity: non-empty, bounded, and free of
-// separators and control characters (IDs appear in job-key shard hashes,
-// log lines and URLs).
+// separators and control characters (IDs appear in log lines and URLs).
 func validWorkerID(id string) error {
 	if id == "" {
 		return fmt.Errorf("dist: empty worker id")

@@ -22,9 +22,8 @@ type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL (e.g. http://host:8080).
 	// Required.
 	Coordinator string
-	// ID is the worker's stable identity; empty derives host-pid. The ID
-	// shards the job space, so restarting under the same ID re-leases the
-	// same shard.
+	// ID is the worker's stable identity; empty derives host-pid. It names
+	// the worker's leases; any worker may lease any job.
 	ID string
 	// Jobs is the local runner pool size; <=0 uses the process budget.
 	Jobs int

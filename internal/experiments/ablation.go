@@ -118,7 +118,7 @@ func RunAblation(s *Suite) (*AblationResult, error) {
 	}
 	mission := s.attackMission()
 	bounded, err := attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 60, Seed: s.Seed + 30, CI: ci, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 60, Seed: s.Seed + 30, Monitors: attack.Monitors{CI: ci}, //areslint:ignore seedarith golden-pinned
 		Strategy: &attack.RampAttack{
 			Region: firmware.RegionStabilizer, Variable: "CMD.Roll",
 			Rate: 0.0436, Cap: 0.4,
@@ -129,7 +129,7 @@ func RunAblation(s *Suite) (*AblationResult, error) {
 		return nil, err
 	}
 	unbounded, err := attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 60, Seed: s.Seed + 31, CI: ci, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 60, Seed: s.Seed + 31, Monitors: attack.Monitors{CI: ci}, //areslint:ignore seedarith golden-pinned
 		Strategy: &attack.JitterAttack{
 			Region: firmware.RegionStabilizer, Variable: "CMD.Roll",
 			Amplitude: 0.4, Interval: 0.3, Seed: s.Seed,
@@ -150,7 +150,7 @@ func RunAblation(s *Suite) (*AblationResult, error) {
 	// agent's aggressive offsets trip the CI monitor; the in-loop agent
 	// must trade deviation for stealth.
 	cmdRoll := func(seed int64, detector *defense.ControlInvariants) core.EnvConfig {
-		return core.EnvConfig{Variable: "CMD.Roll", MaxAction: 0.6, Seed: seed, Detector: detector}
+		return core.EnvConfig{Variable: "CMD.Roll", MaxAction: 0.6, Seed: seed, Monitors: attack.Monitors{CI: detector}}
 	}
 	train := core.ExploitConfig{Episodes: episodes, MaxSteps: 60, Seed: s.Seed + 3} //areslint:ignore seedarith golden-pinned
 

@@ -75,7 +75,7 @@ func RunCountermeasure(s *Suite) (*CountermeasureResult, error) {
 	run := func(strategy attack.Strategy, seed int64) (*attack.SessionResult, error) {
 		return attack.RunSession(attack.SessionConfig{
 			Mission: mission, Duration: 60, Seed: seed,
-			CI: ci, VarMon: varMon,
+			Monitors: attack.Monitors{CI: ci, VarMon: varMon},
 			Strategy: strategy, AttackStart: 10,
 		})
 	}

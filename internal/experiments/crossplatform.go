@@ -57,7 +57,7 @@ func runCrossPlatform(s *Suite) (*crossPlatformResult, error) {
 
 		benign, err := attack.RunSession(attack.SessionConfig{
 			Mission: mission, Duration: 60, Seed: s.Seed + int64(81+vi*10), //areslint:ignore seedarith golden-pinned
-			CI: ci, Vehicle: v.params,
+			Monitors: attack.Monitors{CI: ci}, Vehicle: v.params,
 		})
 		if err != nil {
 			return nil, err
@@ -67,7 +67,7 @@ func runCrossPlatform(s *Suite) (*crossPlatformResult, error) {
 
 		ramp, err := attack.RunSession(attack.SessionConfig{
 			Mission: mission, Duration: 60, Seed: s.Seed + int64(82+vi*10), //areslint:ignore seedarith golden-pinned
-			CI: ci, Vehicle: v.params,
+			Monitors: attack.Monitors{CI: ci}, Vehicle: v.params,
 			Strategy: &attack.RampAttack{
 				Region: firmware.RegionStabilizer, Variable: "CMD.Roll",
 				Rate: 0.0436, Cap: 0.4,
@@ -82,7 +82,7 @@ func runCrossPlatform(s *Suite) (*crossPlatformResult, error) {
 
 		naive, err := attack.RunSession(attack.SessionConfig{
 			Mission: mission, Duration: 60, Seed: s.Seed + int64(83+vi*10), //areslint:ignore seedarith golden-pinned
-			CI: ci, Vehicle: v.params,
+			Monitors: attack.Monitors{CI: ci}, Vehicle: v.params,
 			Strategy: &attack.NaiveAttack{
 				Region: firmware.RegionStabilizer, Variable: "PIDR.INTEG",
 				Value: 0.25,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/core"
 	"github.com/ares-cps/ares/internal/firmware"
 )
@@ -110,7 +111,7 @@ func RunFig10(s *Suite) (*Fig10Result, error) {
 		MaxAction: 0.6,
 		Mission:   firmware.LineMission(60, 10),
 		Seed:      s.Seed + 550, //areslint:ignore seedarith golden-pinned
-		Detector:  ci,
+		Monitors:  attack.Monitors{CI: ci},
 	})
 	if err != nil {
 		return nil, err

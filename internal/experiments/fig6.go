@@ -31,7 +31,7 @@ func RunFig6(s *Suite) (*Fig6Result, error) {
 	res := &Fig6Result{Threshold: ci.Threshold, AttackStart: 10}
 
 	if res.Benign, err = attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 60, Seed: s.Seed + 1, CI: ci, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 60, Seed: s.Seed + 1, Monitors: attack.Monitors{CI: ci}, //areslint:ignore seedarith golden-pinned
 	}); err != nil {
 		return nil, err
 	}
@@ -40,7 +40,7 @@ func RunFig6(s *Suite) (*Fig6Result, error) {
 	// attitude targets, so the control invariant stays satisfied while
 	// the vehicle drifts off the path.
 	if res.ARES, err = attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 60, Seed: s.Seed + 2, CI: ci, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 60, Seed: s.Seed + 2, Monitors: attack.Monitors{CI: ci}, //areslint:ignore seedarith golden-pinned
 		Strategy: &attack.RampAttack{
 			Region:   firmware.RegionStabilizer,
 			Variable: "CMD.Roll",
@@ -54,7 +54,7 @@ func RunFig6(s *Suite) (*Fig6Result, error) {
 	// Naive: force the roll-rate integrator to its clamp — the vehicle
 	// rolls hard against its own targets.
 	if res.Naive, err = attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 60, Seed: s.Seed + 3, CI: ci, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 60, Seed: s.Seed + 3, Monitors: attack.Monitors{CI: ci}, //areslint:ignore seedarith golden-pinned
 		Strategy: &attack.NaiveAttack{
 			Region:   firmware.RegionStabilizer,
 			Variable: "PIDR.INTEG",

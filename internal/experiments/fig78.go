@@ -43,13 +43,13 @@ func RunFig7(s *Suite) (*Fig7Result, error) {
 	res := &Fig7Result{Threshold: ml.Threshold, AttackStart: 12}
 
 	if res.Benign, err = attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 35, Seed: s.Seed + 4, ML: ml, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 35, Seed: s.Seed + 4, Monitors: attack.Monitors{ML: ml}, //areslint:ignore seedarith golden-pinned
 	}); err != nil {
 		return nil, err
 	}
 	// ARES: gradually drift the PID scaler ratio.
 	if res.ARES, err = attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 35, Seed: s.Seed + 5, ML: ml, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 35, Seed: s.Seed + 5, Monitors: attack.Monitors{ML: ml}, //areslint:ignore seedarith golden-pinned
 		Strategy: &attack.GradualAttack{
 			Region:   firmware.RegionStabilizer,
 			Variable: "PIDR.SCALER",
@@ -64,7 +64,7 @@ func RunFig7(s *Suite) (*Fig7Result, error) {
 	// Naive: force the integrator to its clamp, snapping the roll and
 	// making the output inconsistent with the controller inputs.
 	if res.Naive, err = attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 35, Seed: s.Seed + 6, ML: ml, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 35, Seed: s.Seed + 6, Monitors: attack.Monitors{ML: ml}, //areslint:ignore seedarith golden-pinned
 		Strategy: &attack.NaiveAttack{
 			Region:   firmware.RegionStabilizer,
 			Variable: "PIDR.INTEG",
@@ -165,7 +165,7 @@ func RunFig8(s *Suite) (*Fig8Result, error) {
 		Mission:     mission,
 		Duration:    60,
 		Seed:        s.Seed + 7, //areslint:ignore seedarith golden-pinned
-		EKF:         defense.NewEKFResidual(),
+		Monitors:    attack.Monitors{EKF: defense.NewEKFResidual()},
 		Strategy:    strategy,
 		AttackStart: res.AttackStart,
 	})

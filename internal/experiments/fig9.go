@@ -50,7 +50,7 @@ func RunFig9(s *Suite) (*Fig9Result, error) {
 			}
 			sess, err := attack.RunSession(attack.SessionConfig{
 				Mission: mission, Duration: 60, Seed: seed,
-				CI: ci, Strategy: strat, AttackStart: 10,
+				Monitors: attack.Monitors{CI: ci}, Strategy: strat, AttackStart: 10,
 			})
 			if err != nil {
 				return nil, err

@@ -68,7 +68,7 @@ func RunFuzzBaseline(s *Suite) (*FuzzBaselineResult, error) {
 		value := (rng.Float64()*2 - 1) * target.scale
 		sess, err := attack.RunSession(attack.SessionConfig{
 			Mission: mission, Duration: 45, Seed: s.Seed + 4100 + int64(i), //areslint:ignore seedarith golden-pinned
-			CI: ci,
+			Monitors: attack.Monitors{CI: ci},
 			Strategy: &attack.NaiveAttack{
 				Region:   firmware.RegionStabilizer,
 				Variable: target.variable,
@@ -94,7 +94,7 @@ func RunFuzzBaseline(s *Suite) (*FuzzBaselineResult, error) {
 
 	// The ARES time-dependent sequence on the same budget class.
 	ares, err := attack.RunSession(attack.SessionConfig{
-		Mission: mission, Duration: 45, Seed: s.Seed + 4999, CI: ci, //areslint:ignore seedarith golden-pinned
+		Mission: mission, Duration: 45, Seed: s.Seed + 4999, Monitors: attack.Monitors{CI: ci}, //areslint:ignore seedarith golden-pinned
 		Strategy: &attack.RampAttack{
 			Region: firmware.RegionStabilizer, Variable: "CMD.Roll",
 			Rate: 0.0436, Cap: 0.4,

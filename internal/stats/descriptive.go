@@ -14,21 +14,6 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// variance returns the unbiased sample variance; NaN for fewer than two
-// samples.
-func variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
 // skewness returns the sample skewness (g1).
 func skewness(xs []float64) float64 {
 	n := float64(len(xs))
