@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -107,18 +108,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return serveUntilSignal(*addr, srv, *drain, stderr)
 }
 
-// serveUntilSignal serves srv on addr until SIGINT/SIGTERM, then stops
-// accepting connections and drains srv, which gets up to drain to finish
-// in-flight work and persist the queue manifest.
+// serveUntilSignal serves srv on addr until SIGINT/SIGTERM (see serveUntil).
 func serveUntilSignal(addr string, srv *serve.Server, drain time.Duration, stderr io.Writer) error {
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
 	ctx, cancel := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)
 	defer cancel()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	return serveUntil(ctx, ln, srv, drain, stderr)
+}
 
+// serveUntil serves srv on ln until ctx ends, then drains srv, which gets
+// up to drain to finish in-flight work and persist the queue manifest,
+// and only then closes the listener. Draining first keeps the API up for
+// remote workers streaming their last records, and answers every parked
+// worker wait at once; the requests still open after the drain (SSE
+// streams) are cancelled, so none of them holds the exit.
+func serveUntil(ctx context.Context, ln net.Listener, srv *serve.Server, drain time.Duration, stderr io.Writer) error {
+	// Requests and the drain outlive ctx, which ends to start the drain.
+	detached := context.WithoutCancel(ctx)
+	reqCtx, cancelReqs := context.WithCancel(detached)
+	defer cancelReqs()
+	httpSrv := &http.Server{Handler: srv.Handler(),
+		BaseContext: func(net.Listener) context.Context { return reqCtx }}
 	errc := make(chan error, 1)
 	go func() {
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		if err := httpSrv.Serve(ln); err != http.ErrServerClosed {
 			errc <- err
 		}
 	}()
@@ -129,10 +146,12 @@ func serveUntilSignal(addr string, srv *serve.Server, drain time.Duration, stder
 	case <-ctx.Done():
 	}
 	fmt.Fprintf(stderr, "aresd: draining (up to %s)...\n", drain)
-	drainCtx, stop := context.WithTimeout(context.Background(), drain)
+	drainCtx, stop := context.WithTimeout(detached, drain)
 	defer stop()
+	err := srv.Shutdown(drainCtx)
+	cancelReqs()
 	_ = httpSrv.Shutdown(drainCtx)
-	if err := srv.Shutdown(drainCtx); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stderr, "aresd: queue persisted; bye")

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/dist"
@@ -180,5 +184,94 @@ func TestBaseURL(t *testing.T) {
 		if got := baseURL(in); got != want {
 			t.Errorf("baseURL(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// waitSpy is a fleet worker's transport that reports each wait it sends.
+type waitSpy struct{ sent chan<- struct{} }
+
+func (s waitSpy) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/v1/dist/wait" {
+		select {
+		case s.sent <- struct{}{}:
+		default:
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestShutdownDrainsFirst: a signal drains the coordinator before the
+// listener closes, so a fleet worker parked in a wait cannot hold the
+// exit for the drain budget, and the in-process campaign finishes rather
+// than being cancelled by a budget the listener used up.
+func TestShutdownDrainsFirst(t *testing.T) {
+	dir := t.TempDir()
+	var cancelled atomic.Bool
+	s, err := serve.New(serve.Config{
+		StoreDir: dir, Workers: 1, Metrics: metrics.NewRegistry(),
+		Executor: func(ctx context.Context, _ campaign.Job) (campaign.Metrics, error) {
+			select {
+			case <-time.After(200 * time.Millisecond):
+				return campaign.Metrics{Deviation: 6, Success: true}, nil
+			case <-ctx.Done():
+				cancelled.Store(true)
+				return campaign.Metrics{}, ctx.Err()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + ln.Addr().String()
+	sigCtx, sigterm := context.WithCancel(context.Background())
+	defer sigterm()
+	var stderr bytes.Buffer
+	served := make(chan error, 1)
+	go func() { served <- serveUntil(sigCtx, ln, s, 5*time.Second, &stderr) }()
+
+	spec := `{"name":"drain","seed":3,"missions":[{"kind":"line","size":40,"alt":10}],"variables":["PIDR.INTEG"],"trials":1,"episodes":1,"max_steps":4}`
+	st, err := postSpec(http.DefaultClient, base, []byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st.State != "running" {
+		time.Sleep(5 * time.Millisecond)
+		if st, err = getJSON[dist.JobStatus](http.DefaultClient, base+"/v1/jobs/"+st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The in-process worker holds every job, so a fleet worker parks.
+	sent := make(chan struct{}, 1)
+	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: base, ID: "parked",
+		Client: &http.Client{Timeout: 30 * time.Second, Transport: waitSpy{sent}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, wcancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() { defer close(exited); _ = w.Run(wctx) }()
+	defer func() { wcancel(); <-exited }()
+	<-sent
+	time.Sleep(20 * time.Millisecond) // the wait reaches the coordinator
+
+	start := time.Now()
+	sigterm()
+	if err := <-served; err != nil {
+		t.Fatalf("serveUntil = %v\nstderr: %s", err, stderr.String())
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("shutdown took %v with a parked fleet worker, want < 1s", d)
+	}
+	if cancelled.Load() {
+		t.Error("the in-process campaign was cancelled by the shutdown")
+	}
+	if _, err := os.Stat(dist.SortedArtifactPath(dir, st.ID)); err != nil {
+		t.Errorf("campaign did not finish during the drain: %v", err)
 	}
 }

@@ -24,7 +24,7 @@ func main() {
 func run() error {
 	mission := firmware.LineMission(120, 10)
 	fmt.Println("calibrating the control-invariants monitor on 3 benign flights…")
-	ci, _, err := attack.CalibrateMonitors(mission, 100)
+	ci, err := attack.CalibrateMonitors(mission, 100)
 	if err != nil {
 		return err
 	}

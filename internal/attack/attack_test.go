@@ -73,7 +73,11 @@ func TestGradualAttackIntervalAndCap(t *testing.T) {
 
 func TestCalibrateMonitors(t *testing.T) {
 	mission := firmware.SquareMission(25, 10)
-	ci, ml, err := CalibrateMonitors(mission, 10)
+	ci, err := CalibrateMonitors(mission, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml, err := CalibrateML(mission, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestCalibrateMonitors(t *testing.T) {
 // ramp manipulation deviates the vehicle while staying undetected.
 func TestSessionBenignVsNaiveVsRamp(t *testing.T) {
 	mission := firmware.LineMission(120, 10)
-	ci, _, err := CalibrateMonitors(mission, 10)
+	ci, err := CalibrateMonitors(mission, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the session golden with c
 // covers an engaged recovery guard, a variable-monitor alarm and a crash.
 func TestSessionsGolden(t *testing.T) {
 	mission := firmware.LineMission(60, 10)
-	ci, ml, err := CalibrateMonitors(mission, 40)
+	ci, err := CalibrateMonitors(mission, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml, err := CalibrateML(mission, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,19 +81,50 @@ type SessionConfig struct {
 }
 
 // CalibrateMonitors flies three benign missions (seed, seed+1, seed+2) and
-// trains/identifies the CI and ML monitors on the combined trace, returning
-// fresh fitted monitors. Multiple flights make the benign-error calibration
+// identifies the CI monitor on the combined trace, returning a fresh
+// fitted monitor. Multiple flights make the benign-error calibration
 // robust to per-flight sensor-noise variance — a single lucky flight would
 // otherwise set an over-tight scale that false-alarms on its siblings.
-func CalibrateMonitors(mission *firmware.Mission, seed int64) (*defense.ControlInvariants, *defense.MLMonitor, error) {
+func CalibrateMonitors(mission *firmware.Mission, seed int64) (*defense.ControlInvariants, error) {
 	return CalibrateMonitorsFor(mission, sim.VehicleParams{}, seed)
 }
 
 // CalibrateMonitorsFor is CalibrateMonitors with an explicit airframe (the
 // zero value flies the IRIS+ default).
-func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, seed int64) (*defense.ControlInvariants, *defense.MLMonitor, error) {
-	var ciTrace []defense.CISample
-	var mlTrace []defense.MLSample
+func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, seed int64) (*defense.ControlInvariants, error) {
+	var trace []defense.CISample
+	if _, err := calibrationFlights(mission, vehicle, seed, func(fw *firmware.Firmware) {
+		trace = append(trace, ciSampleOf(fw))
+	}); err != nil {
+		return nil, err
+	}
+	ci := defense.NewControlInvariants()
+	if err := ci.Identify(trace); err != nil {
+		return nil, fmt.Errorf("attack: CI identification: %w", err)
+	}
+	return ci, nil
+}
+
+// CalibrateML trains the ML monitor on the three benign flights
+// CalibrateMonitors flies.
+func CalibrateML(mission *firmware.Mission, seed int64) (*defense.MLMonitor, error) {
+	var trace []defense.MLSample
+	dt, err := calibrationFlights(mission, sim.VehicleParams{}, seed, func(fw *firmware.Firmware) {
+		trace = append(trace, mlSampleOf(fw))
+	})
+	if err != nil {
+		return nil, err
+	}
+	ml := defense.NewMLMonitor(dt)
+	if err := ml.Train(trace); err != nil {
+		return nil, fmt.Errorf("attack: ML training: %w", err)
+	}
+	return ml, nil
+}
+
+// calibrationFlights flies the three benign calibration missions, calling
+// sample after every firmware tick, and returns the tick length.
+func calibrationFlights(mission *firmware.Mission, vehicle sim.VehicleParams, seed int64, sample func(*firmware.Firmware)) (float64, error) {
 	var dt float64
 	for m := int64(0); m < 3; m++ {
 		fw, err := firmware.Launch(firmware.Config{
@@ -101,30 +132,20 @@ func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, 
 			Vehicle: vehicle,
 		}, mission, 10)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		dt = fw.DT()
 		maxTicks := int(120 / fw.DT())
 		minTicks := int(30 / fw.DT()) // hover missions complete instantly
 		for i := 0; i < maxTicks && (!fw.Mission().Complete() || i < minTicks); i++ {
 			fw.Step()
-			ciTrace = append(ciTrace, ciSampleOf(fw))
-			mlTrace = append(mlTrace, mlSampleOf(fw))
+			sample(fw)
 		}
 		if crashed, reason := fw.Quad().Crashed(); crashed {
-			return nil, nil, fmt.Errorf("attack: calibration flight crashed: %s", reason)
+			return 0, fmt.Errorf("attack: calibration flight crashed: %s", reason)
 		}
 	}
-
-	ci := defense.NewControlInvariants()
-	if err := ci.Identify(ciTrace); err != nil {
-		return nil, nil, fmt.Errorf("attack: CI identification: %w", err)
-	}
-	ml := defense.NewMLMonitor(dt)
-	if err := ml.Train(mlTrace); err != nil {
-		return nil, nil, fmt.Errorf("attack: ML training: %w", err)
-	}
-	return ci, ml, nil
+	return dt, nil
 }
 
 // RunSession executes one instrumented flight and returns its result: the

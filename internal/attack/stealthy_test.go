@@ -21,7 +21,7 @@ func TestStealthyBeginValidation(t *testing.T) {
 	}
 
 	mission := firmware.LineMission(40, 10)
-	ci, _, err := CalibrateMonitors(mission, 5)
+	ci, err := CalibrateMonitors(mission, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestStealthyBeginValidation(t *testing.T) {
 // the attacker schedules against — never alarms.
 func TestStealthySessionEvadesCI(t *testing.T) {
 	mission := firmware.LineMission(120, 10)
-	ci, _, err := CalibrateMonitors(mission, 10)
+	ci, err := CalibrateMonitors(mission, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestStealthySessionEvadesCI(t *testing.T) {
 // reduce the physical effect relative to an undefended flight.
 func TestSessionRecoveryBoundsAttack(t *testing.T) {
 	mission := firmware.LineMission(120, 10)
-	ci, _, err := CalibrateMonitors(mission, 10)
+	ci, err := CalibrateMonitors(mission, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func (e *aresExecutor) monitor(job Job) (*defense.ControlInvariants, error) {
 			ent.err = err
 			return
 		}
-		ent.ci, _, ent.err = attack.CalibrateMonitors(mission, key.seed)
+		ent.ci, ent.err = attack.CalibrateMonitors(mission, key.seed)
 	})
 	if ent.err != nil {
 		return nil, fmt.Errorf("campaign: calibrate %s: %w", name, ent.err)

@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the rollout golden with c
 // policy for each goal × variable × defense cell of the attack envs.
 func TestRolloutsGolden(t *testing.T) {
 	mission := firmware.LineMission(40, 10)
-	ci, _, err := attack.CalibrateMonitors(mission, 600)
+	ci, err := attack.CalibrateMonitors(mission, 600)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -189,8 +190,12 @@ type Coordinator struct {
 	leaseSeq int
 	draining bool
 	// wake is closed, and replaced, whenever jobs become pending or the
-	// coordinator drains, so idle in-process workers react at once.
-	wake chan struct{}
+	// coordinator drains, so parked workers react at once; kicks counts
+	// the replacements. An empty lease carries kicks, and a wait that
+	// names an older count returns at once, so a submission that lands
+	// between the empty lease and the wait is not lost.
+	wake  chan struct{}
+	kicks uint64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -264,9 +269,10 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Drain stops admitting submissions and granting leases, and wakes idle
-// in-process workers so they exit. Leases already granted keep streaming
-// records, so a graceful drain lets them finish; Shutdown drains too.
+// Drain stops admitting submissions and granting leases, and answers
+// every parked wait: in-process workers exit, fleet workers back off.
+// Leases already granted keep streaming records, so a graceful drain
+// lets them finish; Shutdown drains too.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -336,7 +342,8 @@ func (c *Coordinator) registerLocked(workerID string) {
 }
 
 // Lease grants a fleet worker a batch of pending jobs. An empty-Lease
-// response tells the worker to retry later.
+// response means nothing is pending now; its Wake is what the worker's
+// next wait names.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if err := validWorkerID(req.Worker); err != nil {
 		return LeaseResponse{}, err
@@ -344,23 +351,48 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
-		return LeaseResponse{RetryMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}, nil
+		return LeaseResponse{}, nil
 	}
 	c.registerLocked(req.Worker)
 	return c.leaseLocked(req.Worker, c.cfg.MaxLease), nil
 }
 
 // leaseCampaign is Lease for an in-process worker: it grants every
-// pending job of the oldest campaign with pending work. With nothing to
-// grant it also returns a channel that closes when jobs next become
-// pending — or nil once the coordinator drains.
-func (c *Coordinator) leaseCampaign(workerID string) (LeaseResponse, <-chan struct{}) {
+// pending job of the oldest campaign with pending work.
+func (c *Coordinator) leaseCampaign(workerID string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
-		return LeaseResponse{}, nil
+		return LeaseResponse{}
 	}
-	return c.leaseLocked(workerID, math.MaxInt), c.wake
+	return c.leaseLocked(workerID, math.MaxInt)
+}
+
+// maxWait caps how long a wait parks a worker, below the fleet worker's
+// 30 s client timeout; wait also stays under a quarter of the lease TTL.
+const maxWait = 20 * time.Second
+
+// wait parks a worker whose last lease was empty until the wake counter
+// moves past seen (that lease's Wake), the coordinator drains, ctx ends,
+// or min(LeaseTTL/4, maxWait) elapses. It reports whether the
+// coordinator is draining. Both worker links park here: in process
+// directly, in the fleet through POST /v1/dist/wait.
+func (c *Coordinator) wait(ctx context.Context, seen uint64) (draining bool) {
+	c.mu.Lock()
+	wake, park := c.wake, !c.draining && c.kicks == seen
+	c.mu.Unlock()
+	if park {
+		t := time.NewTimer(min(c.cfg.LeaseTTL/4, maxWait))
+		defer t.Stop()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		case <-t.C:
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.draining
 }
 
 // leaseLocked grants up to max pending jobs of one campaign.
@@ -368,7 +400,7 @@ func (c *Coordinator) leaseLocked(workerID string, max int) LeaseResponse {
 	c.reapLocked(time.Now())
 	cs, keys := c.pickJobsLocked(max)
 	if cs == nil {
-		return LeaseResponse{RetryMillis: (c.cfg.LeaseTTL / 4).Milliseconds()}
+		return LeaseResponse{Wake: c.kicks}
 	}
 	c.leaseSeq++
 	l := &lease{
@@ -631,10 +663,11 @@ func (c *Coordinator) enqueueLocked(cs *campaignState) {
 	c.kickLocked()
 }
 
-// kickLocked wakes every in-process worker waiting for work.
+// kickLocked wakes every parked worker.
 func (c *Coordinator) kickLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
+	c.kicks++
 }
 
 // queuedLocked counts the campaigns waiting for their first lease.

@@ -289,7 +289,7 @@ func TestWireStrictness(t *testing.T) {
 	}
 }
 
-// TestFleetRoutes: the five POST envelopes share one route, which must
+// TestFleetRoutes: the six POST envelopes share one route, which must
 // still answer an unknown operation 404 and a wrong method 405.
 func TestFleetRoutes(t *testing.T) {
 	c, err := NewCoordinator(CoordConfig{StoreDir: t.TempDir(), Metrics: metrics.NewRegistry()})
@@ -304,6 +304,10 @@ func TestFleetRoutes(t *testing.T) {
 	}{
 		{"POST", "/v1/dist/register", `{"worker":"w0"}`, http.StatusOK},
 		{"POST", "/v1/dist/lease", `{"worker":"w0"}`, http.StatusOK},
+		{"POST", "/v1/dist/wait", `{"worker":"w0","wake":99}`, http.StatusOK},
+		{"POST", "/v1/dist/wait", `{"worker":"w0","bogus":1}`, http.StatusBadRequest},
+		{"POST", "/v1/dist/wait", `{"worker":"has space","wake":99}`, http.StatusBadRequest},
+		{"GET", "/v1/dist/wait", ``, http.StatusMethodNotAllowed},
 		{"POST", "/v1/dist/bogus", `{"worker":"w0"}`, http.StatusNotFound},
 		{"GET", "/v1/dist/register", ``, http.StatusMethodNotAllowed},
 	} {
@@ -312,6 +316,45 @@ func TestFleetRoutes(t *testing.T) {
 		if rec.Code != tc.want {
 			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, rec.Code, tc.want)
 		}
+	}
+}
+
+// TestWaitAfterLostWakeup is the lost-wakeup regression: a submission
+// that lands between a worker's empty lease and its wait ends that wait
+// at once, while a wait naming the current counter parks.
+func TestWaitAfterLostWakeup(t *testing.T) {
+	c, err := NewCoordinator(CoordConfig{StoreDir: t.TempDir(), LeaseTTL: time.Hour, Metrics: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	h := c.Handler()
+	post := func(op, body string) (*httptest.ResponseRecorder, time.Duration) {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/dist/"+op, strings.NewReader(body)).WithContext(ctx))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", op, rec.Code, rec.Body)
+		}
+		return rec, time.Since(start)
+	}
+
+	rec, _ := post("lease", `{"worker":"w0"}`)
+	grant, err := decodeWire[LeaseResponse](rec.Body, maxLeaseBytes)
+	if err != nil || grant.Lease != "" {
+		t.Fatalf("lease on an idle coordinator = %+v, %v; want empty", grant, err)
+	}
+	body := fmt.Sprintf(`{"worker":"w0","wake":%d}`, grant.Wake)
+	if _, d := post("wait", body); d < 150*time.Millisecond {
+		t.Fatalf("wait on the current counter returned after %v, want it parked", d)
+	}
+	if _, code := c.Submit(fleetSpec("lost-wakeup", 1)); code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	if _, d := post("wait", body); d > 100*time.Millisecond {
+		t.Fatalf("wait after a missed submission returned after %v, want at once", d)
 	}
 }
 

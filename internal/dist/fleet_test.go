@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,8 +189,24 @@ func runDaemon(t *testing.T, spec campaign.Spec, workers int, _ bool) ([]byte, *
 	return sorted, res.Summary, reg
 }
 
+// waitDoneWithin fails t unless campaign id reaches a terminal state
+// within d of start.
+func waitDoneWithin(t *testing.T, c *dist.Coordinator, id string, start time.Time, d time.Duration) {
+	t.Helper()
+	for {
+		got, _ := c.Status(id)
+		if got.State == dist.StateDone || got.State == dist.StateFailed {
+			return
+		}
+		if time.Since(start) > d {
+			t.Fatalf("campaign still %q after %v: the idle worker did not wake on the submission", got.State, d)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestInProcessWorkerWakesOnSubmit: an idle in-process worker starts a
-// campaign as soon as it is submitted rather than after the retry timer
+// campaign as soon as it is submitted rather than after the wait bound
 // (LeaseTTL/4, 7.5 s here), and exits once the coordinator drains.
 func TestInProcessWorkerWakesOnSubmit(t *testing.T) {
 	c, err := dist.NewCoordinator(dist.CoordConfig{
@@ -212,16 +229,7 @@ func TestInProcessWorkerWakesOnSubmit(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
 	}
-	for {
-		got, _ := c.Status(st.ID)
-		if got.State == dist.StateDone || got.State == dist.StateFailed {
-			break
-		}
-		if time.Since(start) > time.Second {
-			t.Fatalf("campaign still %q after 1s: the idle worker waited for its retry timer", got.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitDoneWithin(t, c, st.ID, start, time.Second)
 
 	c.Drain()
 	select {
@@ -231,6 +239,91 @@ func TestInProcessWorkerWakesOnSubmit(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("in-process worker still running 1s after the coordinator drained")
+	}
+}
+
+// TestFleetWorkerWakesOnSubmit is the HTTP twin of
+// TestInProcessWorkerWakesOnSubmit: a fleet worker parked in a wait
+// starts a campaign as soon as it is submitted.
+func TestFleetWorkerWakesOnSubmit(t *testing.T) {
+	c, err := dist.NewCoordinator(dist.CoordConfig{
+		StoreDir: t.TempDir(), LeaseTTL: 30 * time.Second, Metrics: metrics.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	defer c.Shutdown()
+	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: ts.URL, ID: "w0", Jobs: 1, Execute: dist.FleetExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() { defer close(exited); _ = w.Run(ctx) }()
+	defer func() { cancel(); <-exited }()
+	time.Sleep(50 * time.Millisecond) // the worker finds nothing and parks
+
+	start := time.Now()
+	st, code := submitHTTP(t, ts.URL, dist.FleetSpec("fleet-wake", 1))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	waitDoneWithin(t, c, st.ID, start, time.Second)
+}
+
+// TestFleetWorkerDrain: Drain answers a parked fleet worker's wait at
+// once, and the worker then backs off rather than spin on a coordinator
+// that answers every lease and wait at once.
+func TestFleetWorkerDrain(t *testing.T) {
+	c, err := dist.NewCoordinator(dist.CoordConfig{
+		StoreDir: t.TempDir(), LeaseTTL: 30 * time.Second, Metrics: metrics.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Shutdown()
+	var requests atomic.Int64
+	waited := make(chan time.Time, 1)
+	h := c.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/dist/wait" {
+			select {
+			case waited <- time.Now():
+			default:
+			}
+		}
+	}))
+	defer ts.Close()
+	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: ts.URL, ID: "w0", Jobs: 1, Execute: dist.FleetExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() { defer close(exited); _ = w.Run(ctx) }()
+	defer func() { cancel(); <-exited }()
+	time.Sleep(50 * time.Millisecond) // the worker finds nothing and parks
+
+	drained := time.Now()
+	before := requests.Load()
+	c.Drain()
+	select {
+	case end := <-waited:
+		if d := end.Sub(drained); d > 200*time.Millisecond {
+			t.Errorf("parked wait answered %v after the drain, want at once", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("no parked wait answered within 1s of the drain")
+	}
+	time.Sleep(time.Second)
+	if n := requests.Load() - before; n > 6 {
+		t.Errorf("worker sent %d requests in the second after the drain, want a back-off", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -21,6 +22,7 @@ func FuzzDistEnvelope(f *testing.F) {
 	f.Add([]byte(`{"worker":"w0"}`))
 	f.Add([]byte(`{"worker":"w0","max":4}`))
 	f.Add([]byte(`{"worker":"w0","lease":"L000001"}`))
+	f.Add([]byte(`{"worker":"w0","wake":3}`))
 	f.Add([]byte(`{"worker":"w0","lease":"L000001","offset":0,"records":[{"key":"k","mission":"line-40","variable":"PIDR.INTEG","goal":"deviation","defense":"none","trial":0,"seed":9,"status":"ok"}]}`))
 	f.Add([]byte(`{"worker":"w0","bogus":1}`))
 	f.Add([]byte(`{"worker":"w0"} trailing`))
@@ -38,9 +40,12 @@ func FuzzDistEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	handler := c.Handler()
+	ended, end := context.WithCancel(context.Background())
+	end()
 	endpoints := []string{
 		"/v1/dist/register",
 		"/v1/dist/lease",
+		"/v1/dist/wait",
 		"/v1/dist/heartbeat",
 		"/v1/dist/records",
 		"/v1/dist/complete",
@@ -56,8 +61,14 @@ func FuzzDistEnvelope(f *testing.F) {
 		c.mu.Unlock()
 
 		for _, ep := range endpoints {
+			// A wait naming the current wake counter parks until its
+			// request ends: end it before it starts.
+			ctx := context.Background()
+			if ep == "/v1/dist/wait" {
+				ctx = ended
+			}
 			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest("POST", ep, bytes.NewReader(body)))
+			handler.ServeHTTP(rec, httptest.NewRequest("POST", ep, bytes.NewReader(body)).WithContext(ctx))
 			switch rec.Code {
 			case http.StatusOK, http.StatusBadRequest,
 				http.StatusNotFound, http.StatusConflict,

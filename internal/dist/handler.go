@@ -26,7 +26,10 @@ import (
 //
 //	GET  /v1/dist/campaigns/{id}/spec campaign spec for worker-side expansion
 //	POST /v1/dist/register            worker hello → lease TTL + heartbeat interval
-//	POST /v1/dist/lease               lease a job batch (empty lease = retry later)
+//	POST /v1/dist/lease               lease a job batch (empty lease = nothing
+//	                                  pending now, with the wake counter)
+//	POST /v1/dist/wait                park until the wake counter moves past the
+//	                                  one named, a drain, or min(LeaseTTL/4, 20s)
 //	POST /v1/dist/heartbeat           keep a lease alive (or learn to abandon it)
 //	POST /v1/dist/records             stream finished records (resumable offsets)
 //	POST /v1/dist/complete            retire a fully-streamed lease
@@ -48,7 +51,7 @@ func (c *Coordinator) Handler() *http.ServeMux {
 	mux.Handle("GET /metrics", c.cfg.Metrics.Handler())
 	mux.HandleFunc("GET /healthz", c.handleHealth)
 	mux.HandleFunc("GET /v1/dist/campaigns/{id}/spec", c.handleSpec)
-	// One pattern for the five POST envelopes: every daemon and test
+	// One pattern for the six POST envelopes: every daemon and test
 	// builds this mux, and ServeMux registration costs a few µs per
 	// pattern.
 	mux.HandleFunc("POST /v1/dist/{op}", c.handleFleet)
@@ -62,6 +65,8 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 		c.handleRegister(w, r)
 	case "lease":
 		c.handleLease(w, r)
+	case "wait":
+		c.handleWait(w, r)
 	case "heartbeat":
 		c.handleHeartbeat(w, r)
 	case "records":
@@ -211,6 +216,18 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+func (c *Coordinator) handleWait(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeWire[WaitRequest](http.MaxBytesReader(w, r.Body, maxControlBytes), maxControlBytes)
+	if err == nil {
+		err = validWorkerID(req.Worker)
+	}
+	if err != nil {
+		WriteErr(w, http.StatusBadRequest, "invalid wait: %v", err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, WaitResponse{Draining: c.wait(r.Context(), req.Wake)})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

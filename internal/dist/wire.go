@@ -49,8 +49,9 @@ type LeaseRequest struct {
 	Worker string `json:"worker"`
 }
 
-// LeaseResponse grants a batch, or — with an empty Lease — tells the
-// worker to retry after RetryMillis (no pending work right now).
+// LeaseResponse grants a batch, or — with an empty Lease — says nothing
+// is pending now. Wake is then the coordinator's wake counter, which the
+// worker's WaitRequest names.
 type LeaseResponse struct {
 	Lease    string `json:"lease,omitempty"`
 	Campaign string `json:"campaign,omitempty"`
@@ -58,8 +59,22 @@ type LeaseResponse struct {
 	// locally (fetched once per campaign) and maps keys back to jobs, so
 	// the wire carries identities, not job bodies — determinism makes the
 	// worker-side expansion bit-identical to the coordinator's.
-	Keys        []string `json:"keys,omitempty"`
-	RetryMillis int64    `json:"retry_ms,omitempty"`
+	Keys []string `json:"keys,omitempty"`
+	Wake uint64   `json:"wake,omitempty"`
+}
+
+// WaitRequest parks an idle worker until work may be pending. Wake is the
+// counter of the worker's last empty lease: a coordinator whose counter
+// has moved since answers at once.
+type WaitRequest struct {
+	Worker string `json:"worker"`
+	Wake   uint64 `json:"wake"`
+}
+
+// WaitResponse ends a parked wait: the worker leases again, or, when the
+// coordinator is draining, backs off first.
+type WaitResponse struct {
+	Draining bool `json:"draining,omitempty"`
 }
 
 // HeartbeatRequest keeps a lease alive.

@@ -109,9 +109,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // no HTTP or JSON. Each lease takes every pending job of the oldest
 // waiting campaign and runs it on a fair share of budget; every record is
 // merged as it finishes, so the campaign's event log gains one line per
-// cell; and an idle worker wakes as soon as a submission makes jobs
-// pending, not on a retry timer. Run returns once c drains. A nil exec
-// uses the built-in ARES executor.
+// cell. Like a fleet worker, an idle one parks on the coordinator's wake
+// and leases as soon as a submission makes jobs pending. Run returns once
+// c drains. A nil exec uses the built-in ARES executor.
 func (c *Coordinator) InProcessWorker(id string, exec campaign.Executor, budget *par.Budget) *Worker {
 	if exec == nil {
 		exec = campaign.NewExecutor()
@@ -147,7 +147,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if grant.Lease == "" {
-			if !w.link.idle(ctx, time.Duration(grant.RetryMillis)*time.Millisecond) {
+			if !w.link.wait(ctx, WaitRequest{Worker: w.cfg.ID, Wake: grant.Wake}) {
 				return nil
 			}
 			continue
@@ -371,9 +371,9 @@ type link interface {
 	records(ctx context.Context, req RecordsRequest) (RecordsResponse, error)
 	complete(ctx context.Context, req CompleteRequest) error
 	spec(ctx context.Context, campaignID string) (campaign.Spec, error)
-	// idle waits after an empty lease until work may be pending (retry
-	// is the coordinator's hint); false ends the worker.
-	idle(ctx context.Context, retry time.Duration) bool
+	// wait parks after an empty lease until work may be pending (see
+	// Coordinator.wait); false ends the worker.
+	wait(ctx context.Context, req WaitRequest) bool
 }
 
 // httpLink is a fleet worker's link: strict JSON envelopes over HTTP.
@@ -425,11 +425,15 @@ func (h *httpLink) spec(ctx context.Context, campaignID string) (campaign.Spec, 
 	return campaign.DecodeSpec(io.LimitReader(resp.Body, campaign.MaxSpecBytes))
 }
 
-func (h *httpLink) idle(ctx context.Context, retry time.Duration) bool {
-	if retry <= 0 {
-		retry = time.Second
+// wait parks in the coordinator. A draining or unreachable coordinator
+// answers at once, so the worker backs off a second rather than spin, and
+// leases again once the coordinator is back.
+func (h *httpLink) wait(ctx context.Context, req WaitRequest) bool {
+	var resp WaitResponse
+	if err := h.post(ctx, "/v1/dist/wait", req, &resp, maxControlBytes); err != nil || resp.Draining {
+		return sleepCtx(ctx, time.Second)
 	}
-	return sleepCtx(ctx, retry)
+	return true
 }
 
 // post sends one JSON envelope and strictly decodes the JSON reply.
@@ -458,8 +462,6 @@ func (h *httpLink) post(ctx context.Context, path string, in, out any, limit int
 // localLink is an in-process worker's link: direct coordinator calls.
 type localLink struct {
 	c *Coordinator
-	// wake came with the last empty lease; nil once the coordinator drains.
-	wake <-chan struct{}
 }
 
 func (l *localLink) register(_ context.Context, worker string) (RegisterResponse, error) {
@@ -467,9 +469,7 @@ func (l *localLink) register(_ context.Context, worker string) (RegisterResponse
 }
 
 func (l *localLink) lease(_ context.Context, worker string) (LeaseResponse, error) {
-	resp, wake := l.c.leaseCampaign(worker)
-	l.wake = wake
-	return resp, nil
+	return l.c.leaseCampaign(worker), nil
 }
 
 func (l *localLink) heartbeat(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
@@ -497,16 +497,9 @@ func (l *localLink) spec(_ context.Context, campaignID string) (campaign.Spec, e
 	return spec, nil
 }
 
-func (l *localLink) idle(ctx context.Context, _ time.Duration) bool {
-	if l.wake == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return false
-	case <-l.wake:
-		return true
-	}
+// wait ends the worker once the coordinator drains.
+func (l *localLink) wait(ctx context.Context, req WaitRequest) bool {
+	return !l.c.wait(ctx, req.Wake)
 }
 
 // sleepCtx sleeps d or until ctx ends; it reports whether the full sleep

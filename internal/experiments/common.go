@@ -106,7 +106,7 @@ func (s *Suite) CI() (*defense.ControlInvariants, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ci == nil {
-		ci, _, err := attack.CalibrateMonitors(s.attackMission(), s.Seed+50) //areslint:ignore seedarith golden-pinned
+		ci, err := attack.CalibrateMonitors(s.attackMission(), s.Seed+50) //areslint:ignore seedarith golden-pinned
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,7 @@ func runCrossPlatform(s *Suite) (*crossPlatformResult, error) {
 	}
 	res := &crossPlatformResult{}
 	for vi, v := range vehicles {
-		ci, _, err := attack.CalibrateMonitorsFor(mission, v.params, s.Seed+int64(80+vi*10)) //areslint:ignore seedarith golden-pinned
+		ci, err := attack.CalibrateMonitorsFor(mission, v.params, s.Seed+int64(80+vi*10)) //areslint:ignore seedarith golden-pinned
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}

@@ -36,7 +36,7 @@ func hoverMission() *firmware.Mission {
 // monitor.
 func RunFig7(s *Suite) (*Fig7Result, error) {
 	mission := hoverMission()
-	_, ml, err := attack.CalibrateMonitors(mission, s.Seed+60) //areslint:ignore seedarith golden-pinned
+	ml, err := attack.CalibrateML(mission, s.Seed+60) //areslint:ignore seedarith golden-pinned
 	if err != nil {
 		return nil, err
 	}
