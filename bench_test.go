@@ -238,7 +238,7 @@ func BenchmarkFirmwareTick(b *testing.B) {
 }
 
 func BenchmarkEKFPredict(b *testing.B) {
-	e := ekf.New(ekf.DefaultConfig())
+	e := ekf.New()
 	gyro := mathx.V3(0.1, -0.05, 0.02)
 	accel := mathx.V3(0.2, 0.1, -9.8)
 	b.ReportAllocs()

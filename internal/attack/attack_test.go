@@ -63,8 +63,8 @@ func TestGradualAttackIntervalAndCap(t *testing.T) {
 	if got := ref.Get(); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("cap not respected: %v", got)
 	}
-	if math.Abs(a.Applied()-0.2) > 1e-12 {
-		t.Errorf("Applied = %v", a.Applied())
+	if math.Abs(a.applied-0.2) > 1e-12 {
+		t.Errorf("applied = %v", a.applied)
 	}
 	// Unbegun attack is inert.
 	var idle GradualAttack

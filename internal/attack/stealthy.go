@@ -94,9 +94,6 @@ func (a *StealthyAttack) Begin(fw *firmware.Firmware) error {
 	return nil
 }
 
-// Offset returns the current standing offset (for tests and traces).
-func (a *StealthyAttack) Offset() float64 { return a.offset }
-
 // Apply implements Strategy: one scheduling step per tick. The shadow
 // monitor consumes the same observation the deployed monitor sees; the
 // offset grows while the shadow statistic is under Budget×Threshold and

@@ -74,8 +74,8 @@ func TestStealthySessionEvadesCI(t *testing.T) {
 		t.Errorf("stealthy deviation %v not clearly above benign %v",
 			res.MaxPathDev, benign.MaxPathDev)
 	}
-	if strat.Offset() <= 0 {
-		t.Errorf("standing offset never grew: %v", strat.Offset())
+	if strat.offset <= 0 {
+		t.Errorf("standing offset never grew: %v", strat.offset)
 	}
 }
 

@@ -103,9 +103,6 @@ func (a *GradualAttack) Begin(fw *firmware.Firmware) error {
 	return nil
 }
 
-// Applied returns the accumulated manipulation so far.
-func (a *GradualAttack) Applied() float64 { return a.applied }
-
 // Apply implements Strategy.
 func (a *GradualAttack) Apply(_ *firmware.Firmware, now float64) {
 	if !a.begun {

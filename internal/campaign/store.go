@@ -125,13 +125,6 @@ func (s *Store) Completed(key string) bool {
 	return s.done[key]
 }
 
-// CompletedCount returns the number of distinct completed keys.
-func (s *Store) CompletedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.done)
-}
-
 // Records returns a copy of every record seen so far (loaded + appended).
 func (s *Store) Records() []Record {
 	s.mu.Lock()
@@ -141,7 +134,8 @@ func (s *Store) Records() []Record {
 	return out
 }
 
-// Append writes one record as a JSON line and syncs it to the OS.
+// Append writes one record as a JSON line. The line is handed to the OS
+// but not fsynced, so it survives a killed process but not a host crash.
 func (s *Store) Append(r Record) error {
 	line, err := json.Marshal(r)
 	if err != nil {

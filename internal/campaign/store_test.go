@@ -66,8 +66,8 @@ func TestStoreResumeCorruptTail(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenStore after corruption: %v", err)
 			}
-			if got := s.CompletedCount(); got != 2 {
-				t.Fatalf("CompletedCount = %d, want 2", got)
+			if got := len(s.done); got != 2 {
+				t.Fatalf("completed keys = %d, want 2", got)
 			}
 			if !s.Completed("a") || !s.Completed("b") || s.Completed("c") {
 				t.Fatal("completed-key index wrong after recovery")
@@ -112,8 +112,8 @@ func TestStoreResumeMissingFinalNewline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.CompletedCount(); got != 2 {
-		t.Fatalf("CompletedCount = %d, want 2", got)
+	if got := len(s.done); got != 2 {
+		t.Fatalf("completed keys = %d, want 2", got)
 	}
 	if err := s.Append(okRecord("c")); err != nil {
 		t.Fatal(err)

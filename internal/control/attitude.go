@@ -36,52 +36,35 @@ type AttitudeController struct {
 	rateTargetR, rateTargetP, rateTargetY float64
 }
 
-// AttitudeConfig holds gains for the attitude cascade. Defaults follow
-// ArduCopter's IRIS+ tune.
-type AttitudeConfig struct {
-	AngleP       float64 // ATC_ANG_RLL_P and friends
-	AccelLim     float64 // rad/s² second-order limit for the sqrt controller
-	Rate         PIDConfig
-	RateYaw      PIDConfig
-	MaxRateRS    float64 // rad/s
-	MaxYawRateRS float64 // rad/s
-}
-
-// DefaultAttitudeConfig returns the IRIS+-style attitude tune.
-func DefaultAttitudeConfig(dt float64) AttitudeConfig {
-	return AttitudeConfig{
-		AngleP:   4.5,
-		AccelLim: mathx.Rad(720), // ATC_ACCEL_*_MAX ≈ 72000 cdeg/s²
-		// Rate PID outputs are torque fractions; they are bounded to
-		// about half the motor range so one axis can never consume all
-		// authority. (The oversized ±5000 range stays the *default* for
-		// unconfigured PIDs — the defect Figure 8 exploits.)
-		Rate: PIDConfig{
-			KP: 0.135, KI: 0.090, KD: 0.0036,
-			IMax: 0.25, FilterHz: 20, DT: dt,
-			OutMin: -0.5, OutMax: 0.5,
-		},
-		RateYaw: PIDConfig{
+// NewAttitudeController builds the cascade with ArduCopter's IRIS+ tune for
+// a loop period of dt seconds.
+func NewAttitudeController(dt float64) *AttitudeController {
+	// Angle P gain (ATC_ANG_*_P) and the sqrt controller's second-order
+	// limit (ATC_ACCEL_*_MAX ≈ 72000 cdeg/s²).
+	const angleP = 4.5
+	accelLim := mathx.Rad(720)
+	// Rate PID outputs are torque fractions; they are bounded to about
+	// half the motor range so one axis can never consume all authority.
+	// (The oversized ±5000 range stays the *default* for unconfigured
+	// PIDs — the defect Figure 8 exploits.)
+	rate := PIDConfig{
+		KP: 0.135, KI: 0.090, KD: 0.0036,
+		IMax: 0.25, FilterHz: 20, DT: dt,
+		OutMin: -0.5, OutMax: 0.5,
+	}
+	return &AttitudeController{
+		AngleRoll:  newSqrtController(angleP, accelLim),
+		AnglePitch: newSqrtController(angleP, accelLim),
+		AngleYaw:   newSqrtController(angleP, accelLim),
+		RateRoll:   NewPID(rate),
+		RatePitch:  NewPID(rate),
+		RateYaw: NewPID(PIDConfig{
 			KP: 0.18, KI: 0.018, KD: 0,
 			IMax: 0.1, FilterHz: 5, DT: dt,
 			OutMin: -0.2, OutMax: 0.2,
-		},
-		MaxRateRS:    mathx.Rad(360),
-		MaxYawRateRS: mathx.Rad(45),
-	}
-}
-
-// NewAttitudeController builds the cascade from the config.
-func NewAttitudeController(cfg AttitudeConfig) *AttitudeController {
-	return &AttitudeController{
-		AngleRoll:  newSqrtController(cfg.AngleP, cfg.AccelLim),
-		AnglePitch: newSqrtController(cfg.AngleP, cfg.AccelLim),
-		AngleYaw:   newSqrtController(cfg.AngleP, cfg.AccelLim),
-		RateRoll:   NewPID(cfg.Rate),
-		RatePitch:  NewPID(cfg.Rate),
-		RateYaw:    NewPID(cfg.RateYaw),
-		MaxRate:    cfg.MaxRateRS,
-		MaxYawRate: cfg.MaxYawRateRS,
+		}),
+		MaxRate:    mathx.Rad(360),
+		MaxYawRate: mathx.Rad(45),
 	}
 }
 
@@ -95,11 +78,7 @@ func (a *AttitudeController) Update(desRoll, desPitch, desYaw float64, roll, pit
 	// Outer loop: desired Euler-angle rates.
 	eulerRateR := mathx.Clamp(a.AngleRoll.Update(mathx.WrapPi(desRoll-roll)), -a.MaxRate, a.MaxRate)
 	eulerRateP := mathx.Clamp(a.AnglePitch.Update(mathx.WrapPi(desPitch-pitch)), -a.MaxRate, a.MaxRate)
-	maxYaw := a.MaxYawRate
-	if maxYaw <= 0 {
-		maxYaw = a.MaxRate
-	}
-	eulerRateY := mathx.Clamp(a.AngleYaw.Update(mathx.WrapPi(desYaw-yaw)), -maxYaw, maxYaw)
+	eulerRateY := mathx.Clamp(a.AngleYaw.Update(mathx.WrapPi(desYaw-yaw)), -a.MaxYawRate, a.MaxYawRate)
 
 	// Transform Euler-angle rates into body rates. The gyro measures body
 	// rates (p, q, r); commanding them as if they were Euler rates makes
@@ -118,13 +97,6 @@ func (a *AttitudeController) Update(desRoll, desPitch, desYaw float64, roll, pit
 	tp = a.RatePitch.Update(a.rateTargetP, gyro.Y)
 	ty = a.RateYaw.Update(a.rateTargetY, gyro.Z)
 	return tr, tp, ty
-}
-
-// Reset clears all dynamic controller state.
-func (a *AttitudeController) Reset() {
-	a.RateRoll.Reset()
-	a.RatePitch.Reset()
-	a.RateYaw.Reset()
 }
 
 // RegisterVars exposes the cascade's variables: the ATT dynamics block, the

@@ -10,8 +10,8 @@ import (
 // attitude → mixer, from a fixed mid-flight state.
 func BenchmarkCascadeStep(b *testing.B) {
 	const dt = 1.0 / 400
-	pos := NewPositionController(DefaultPositionConfig(dt, 0.39))
-	att := NewAttitudeController(DefaultAttitudeConfig(dt))
+	pos := NewPositionController(dt, 0.39)
+	att := NewAttitudeController(dt)
 	var mix Mixer
 	target, p, v := mathx.V3(0, 0, -8), mathx.V3(0, 0, -7.5), mathx.V3(-1.5, -1, 0)
 	roll, pitch, yaw, desYaw := -0.2, -0.15, -1.5, -1.5

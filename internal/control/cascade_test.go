@@ -12,7 +12,7 @@ import (
 const testDT = 1.0 / 400
 
 func TestAttitudeControllerCommandsTowardTarget(t *testing.T) {
-	a := NewAttitudeController(DefaultAttitudeConfig(testDT))
+	a := NewAttitudeController(testDT)
 	// Vehicle level, target roll +10°: roll torque demand must be positive.
 	tr, tp, ty := a.Update(mathx.Rad(10), 0, 0, 0, 0, 0, mathx.Vec3{})
 	if tr <= 0 {
@@ -24,7 +24,7 @@ func TestAttitudeControllerCommandsTowardTarget(t *testing.T) {
 }
 
 func TestAttitudeControllerYawWrap(t *testing.T) {
-	a := NewAttitudeController(DefaultAttitudeConfig(testDT))
+	a := NewAttitudeController(testDT)
 	// Target yaw 179°, measured -179°: shortest path is -2°, so the yaw
 	// demand must be negative, not a +358° slew.
 	_, _, ty := a.Update(0, 0, mathx.Rad(179), 0, 0, mathx.Rad(-179), mathx.Vec3{})
@@ -34,7 +34,7 @@ func TestAttitudeControllerYawWrap(t *testing.T) {
 }
 
 func TestAttitudeControllerRegisterVars(t *testing.T) {
-	a := NewAttitudeController(DefaultAttitudeConfig(testDT))
+	a := NewAttitudeController(testDT)
 	set := vars.NewSet()
 	if err := a.RegisterVars(set); err != nil {
 		t.Fatal(err)
@@ -50,8 +50,7 @@ func TestAttitudeControllerRegisterVars(t *testing.T) {
 }
 
 func TestPositionControllerHorizontal(t *testing.T) {
-	cfg := DefaultPositionConfig(testDT, 0.4)
-	c := NewPositionController(cfg)
+	c := NewPositionController(testDT, 0.4)
 	// Target 10 m north of the vehicle, yaw 0: expect a pitch-forward
 	// (negative pitch) command and near-zero roll.
 	desRoll, desPitch, _ := c.Update(
@@ -63,7 +62,7 @@ func TestPositionControllerHorizontal(t *testing.T) {
 		t.Errorf("desRoll = %v, want ~0", desRoll)
 	}
 	// Target east with yaw 0: expect positive roll.
-	c2 := NewPositionController(cfg)
+	c2 := NewPositionController(testDT, 0.4)
 	desRoll2, _, _ := c2.Update(
 		mathx.V3(0, 10, -5), mathx.V3(0, 0, -5), mathx.Vec3{}, 0)
 	if desRoll2 <= 0 {
@@ -72,8 +71,7 @@ func TestPositionControllerHorizontal(t *testing.T) {
 }
 
 func TestPositionControllerHeadingFrame(t *testing.T) {
-	cfg := DefaultPositionConfig(testDT, 0.4)
-	c := NewPositionController(cfg)
+	c := NewPositionController(testDT, 0.4)
 	// Target north, but vehicle yawed 90° (facing east): the target is to
 	// the vehicle's left, so it must roll left (negative).
 	desRoll, _, _ := c.Update(
@@ -84,33 +82,31 @@ func TestPositionControllerHeadingFrame(t *testing.T) {
 }
 
 func TestPositionControllerVertical(t *testing.T) {
-	cfg := DefaultPositionConfig(testDT, 0.4)
-	c := NewPositionController(cfg)
+	c := NewPositionController(testDT, 0.4)
 	// Below target: throttle must exceed hover.
 	_, _, thr := c.Update(mathx.V3(0, 0, -10), mathx.V3(0, 0, -5), mathx.Vec3{}, 0)
-	if thr <= cfg.HoverThrottle {
-		t.Errorf("throttle = %v, want > hover %v", thr, cfg.HoverThrottle)
+	if thr <= c.HoverThrottle {
+		t.Errorf("throttle = %v, want > hover %v", thr, c.HoverThrottle)
 	}
 	// Above target: throttle below hover.
-	c2 := NewPositionController(cfg)
+	c2 := NewPositionController(testDT, 0.4)
 	_, _, thr2 := c2.Update(mathx.V3(0, 0, -5), mathx.V3(0, 0, -10), mathx.Vec3{}, 0)
-	if thr2 >= cfg.HoverThrottle {
-		t.Errorf("throttle = %v, want < hover %v", thr2, cfg.HoverThrottle)
+	if thr2 >= c.HoverThrottle {
+		t.Errorf("throttle = %v, want < hover %v", thr2, c.HoverThrottle)
 	}
 }
 
 func TestPositionControllerLeanAngleClamp(t *testing.T) {
-	cfg := DefaultPositionConfig(testDT, 0.4)
-	c := NewPositionController(cfg)
+	c := NewPositionController(testDT, 0.4)
 	// Huge error must not exceed the lean-angle limit.
 	_, desPitch, _ := c.Update(mathx.V3(1e6, 0, 0), mathx.Vec3{}, mathx.Vec3{}, 0)
-	if math.Abs(desPitch) > cfg.MaxLeanAngle+1e-12 {
-		t.Errorf("lean angle %v exceeds limit %v", desPitch, cfg.MaxLeanAngle)
+	if math.Abs(desPitch) > c.MaxLeanAngle+1e-12 {
+		t.Errorf("lean angle %v exceeds limit %v", desPitch, c.MaxLeanAngle)
 	}
 }
 
 func TestPositionControllerRegisterVars(t *testing.T) {
-	c := NewPositionController(DefaultPositionConfig(testDT, 0.4))
+	c := NewPositionController(testDT, 0.4)
 	set := vars.NewSet()
 	if err := c.RegisterVars(set); err != nil {
 		t.Fatal(err)
@@ -172,8 +168,8 @@ func TestClosedLoopStabilization(t *testing.T) {
 		t.Fatal(err)
 	}
 	hover := quad.Params.HoverThrottle()
-	att := NewAttitudeController(DefaultAttitudeConfig(testDT))
-	pos := NewPositionController(DefaultPositionConfig(testDT, hover))
+	att := NewAttitudeController(testDT)
+	pos := NewPositionController(testDT, hover)
 	var mix Mixer
 
 	target := mathx.V3(5, 3, -12)
@@ -232,11 +228,12 @@ func TestSINSCorrections(t *testing.T) {
 	}
 }
 
-func TestSINSResetAndVars(t *testing.T) {
+func TestSINSVars(t *testing.T) {
 	s := NewSINS()
-	s.Reset(mathx.V3(1, 2, 3), mathx.V3(4, 5, 6))
+	s.posN, s.posE, s.posD = 1, 2, 3
+	s.velN, s.velE, s.velD = 4, 5, 6
 	if s.Position() != mathx.V3(1, 2, 3) || s.Velocity() != mathx.V3(4, 5, 6) {
-		t.Error("Reset did not apply")
+		t.Errorf("Position/Velocity = %v/%v, want the stored solution", s.Position(), s.Velocity())
 	}
 	set := vars.NewSet()
 	if err := s.RegisterVars(set, "SINS"); err != nil {

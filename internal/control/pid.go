@@ -131,19 +131,6 @@ func (p *PID) Update(target, actual float64) float64 {
 	return p.output
 }
 
-// Reset clears the dynamic state (integrator, filters) but keeps gains.
-func (p *PID) Reset() {
-	p.integrator = 0
-	p.input = 0
-	p.derivative = 0
-	p.lastInput = 0
-	p.hasInput = false
-	p.pOut, p.iOut, p.dOut, p.ffOut, p.output = 0, 0, 0, 0, 0
-}
-
-// ResetIntegrator zeroes only the integrator, as ArduPilot does on landing.
-func (p *PID) ResetIntegrator() { p.integrator = 0 }
-
 // P returns the proportional contribution of the last Update.
 func (p *PID) P() float64 { return p.pOut }
 
@@ -155,12 +142,6 @@ func (p *PID) D() float64 { return p.dOut }
 
 // FF returns the feed-forward contribution of the last Update.
 func (p *PID) FF() float64 { return p.ffOut }
-
-// Output returns the total output of the last Update.
-func (p *PID) Output() float64 { return p.output }
-
-// Integrator returns the current integrator value.
-func (p *PID) Integrator() float64 { return p.integrator }
 
 // RegisterVars exposes the controller's parameters and intermediates under
 // the given prefix (e.g. "PIDR") in the variable set.
@@ -239,9 +220,6 @@ func (s *SqrtController) Update(err float64) float64 {
 	}
 	return s.output
 }
-
-// Output returns the most recent output.
-func (s *SqrtController) Output() float64 { return s.output }
 
 // RegisterVars exposes the controller's variables under the given prefix.
 func (s *SqrtController) RegisterVars(set *vars.Set, prefix string) error {

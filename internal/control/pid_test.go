@@ -23,21 +23,21 @@ func TestPIDIntegratorAccumulatesAndClamps(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p.Update(1, 0) // error 1: integrator += 1*1*0.1
 	}
-	if !mathx.ApproxEqual(p.Integrator(), 0.4, 1e-12) {
-		t.Errorf("integrator = %v, want 0.4", p.Integrator())
+	if !mathx.ApproxEqual(p.integrator, 0.4, 1e-12) {
+		t.Errorf("integrator = %v, want 0.4", p.integrator)
 	}
 	for i := 0; i < 10; i++ {
 		p.Update(1, 0)
 	}
-	if p.Integrator() != 0.5 {
-		t.Errorf("integrator = %v, want clamp 0.5", p.Integrator())
+	if p.integrator != 0.5 {
+		t.Errorf("integrator = %v, want clamp 0.5", p.integrator)
 	}
 	// Negative direction clamps too.
 	for i := 0; i < 30; i++ {
 		p.Update(-1, 0)
 	}
-	if p.Integrator() != -0.5 {
-		t.Errorf("integrator = %v, want clamp -0.5", p.Integrator())
+	if p.integrator != -0.5 {
+		t.Errorf("integrator = %v, want clamp -0.5", p.integrator)
 	}
 }
 
@@ -103,25 +103,6 @@ func TestPIDScaler(t *testing.T) {
 	}
 }
 
-func TestPIDResets(t *testing.T) {
-	p := NewPID(PIDConfig{KP: 1, KI: 1, KD: 0.1, IMax: 10, DT: 0.1})
-	for i := 0; i < 5; i++ {
-		p.Update(1, 0)
-	}
-	if p.Integrator() == 0 {
-		t.Fatal("integrator did not accumulate")
-	}
-	p.ResetIntegrator()
-	if p.Integrator() != 0 {
-		t.Error("ResetIntegrator left integrator")
-	}
-	p.Update(1, 0)
-	p.Reset()
-	if p.Output() != 0 || p.P() != 0 || p.D() != 0 {
-		t.Error("Reset left term outputs")
-	}
-}
-
 func TestPIDRegisterVars(t *testing.T) {
 	p := NewPID(PIDConfig{KP: 0.135, KI: 0.09, KD: 0.0036, IMax: 0.5, DT: 1.0 / 400})
 	set := vars.NewSet()
@@ -165,8 +146,8 @@ func TestSqrtControllerLinearRegion(t *testing.T) {
 	if got := s.Update(3); got != 6 {
 		t.Errorf("linear output = %v, want 6", got)
 	}
-	if s.Output() != 6 {
-		t.Errorf("Output() = %v", s.Output())
+	if s.output != 6 {
+		t.Errorf("stored output = %v", s.output)
 	}
 }
 

@@ -26,12 +26,6 @@ type PositionController struct {
 	VelZ *PID
 	// MaxSpeedXY and MaxSpeedZ clamp commanded speeds (m/s).
 	MaxSpeedXY, MaxSpeedZ float64
-	// MaxAccelXY slews the horizontal velocity demand (m/s²), the
-	// WPNAV_ACCEL behavior that keeps 90° waypoint turns from demanding
-	// instantaneous velocity reversals.
-	MaxAccelXY float64
-	// DT is the controller period used by the slew limiter.
-	DT float64
 	// MaxLeanAngle clamps the commanded lean in radians.
 	MaxLeanAngle float64
 	// HoverThrottle is the feed-forward throttle that balances gravity.
@@ -48,63 +42,32 @@ type PositionController struct {
 	tv float64
 }
 
-// PositionConfig holds gains for the position cascade.
-type PositionConfig struct {
-	PosP          float64 // POS_XY_P
-	VelXY         PIDConfig
-	PosZP         float64 // POS_Z_P
-	VelZ          PIDConfig
-	MaxSpeedXY    float64
-	MaxSpeedZ     float64
-	MaxAccelXY    float64
-	MaxLeanAngle  float64
-	HoverThrottle float64
-	DT            float64
-}
-
-// DefaultPositionConfig returns the ArduCopter-style position tune.
-func DefaultPositionConfig(dt, hoverThrottle float64) PositionConfig {
-	return PositionConfig{
-		PosP: 1.0,
-		// The D gain is kept small: the velocity estimate steps at each
-		// 5 Hz GPS fusion and a large D term would turn those steps
-		// into lean-angle spikes.
-		VelXY: PIDConfig{
-			KP: 1.8, KI: 0.8, KD: 0.05,
-			IMax: 2.5, FilterHz: 5, DT: dt,
-		},
-		PosZP: 1.0,
-		VelZ: PIDConfig{
+// NewPositionController builds the cascade with the ArduCopter-style
+// position tune for a loop period of dt seconds, holding altitude around
+// the given hover throttle.
+func NewPositionController(dt, hoverThrottle float64) *PositionController {
+	// The D gain is kept small: the velocity estimate steps at each 5 Hz
+	// GPS fusion and a large D term would turn those steps into lean-angle
+	// spikes.
+	velXY := PIDConfig{
+		KP: 1.8, KI: 0.8, KD: 0.05,
+		IMax: 2.5, FilterHz: 5, DT: dt,
+	}
+	return &PositionController{
+		PosXY: newSqrtController(1.0, 2.0), // POS_XY_P
+		VelX:  NewPID(velXY),
+		VelY:  NewPID(velXY),
+		PosZ:  newSqrtController(1.0, 1.5), // POS_Z_P
+		VelZ: NewPID(PIDConfig{
 			KP: 0.30, KI: 0.15, KD: 0.0,
 			IMax: 0.2, FilterHz: 5, DT: dt,
-		},
+		}),
 		// 5 m/s matches ArduCopter's WPNAV_SPEED default; faster cruise
 		// makes 90° waypoint turns overshoot badly.
 		MaxSpeedXY:    5,
 		MaxSpeedZ:     3,
 		MaxLeanAngle:  mathx.Rad(30),
 		HoverThrottle: hoverThrottle,
-	}
-}
-
-// NewPositionController builds the cascade from the config.
-func NewPositionController(cfg PositionConfig) *PositionController {
-	dt := cfg.DT
-	if dt <= 0 {
-		dt = 1.0 / 400
-	}
-	return &PositionController{
-		PosXY:         newSqrtController(cfg.PosP, 2.0),
-		VelX:          NewPID(cfg.VelXY),
-		VelY:          NewPID(cfg.VelXY),
-		PosZ:          newSqrtController(cfg.PosZP, 1.5),
-		VelZ:          NewPID(cfg.VelZ),
-		MaxSpeedXY:    cfg.MaxSpeedXY,
-		MaxSpeedZ:     cfg.MaxSpeedZ,
-		MaxAccelXY:    cfg.MaxAccelXY,
-		MaxLeanAngle:  cfg.MaxLeanAngle,
-		HoverThrottle: cfg.HoverThrottle,
-		DT:            dt,
 	}
 }
 
@@ -118,19 +81,10 @@ func (c *PositionController) Update(targetPos, pos, vel mathx.Vec3, yaw float64)
 	errDist := math.Hypot(errN, errE)
 	speed := mathx.Clamp(c.PosXY.Update(errDist), 0, c.MaxSpeedXY)
 	c.tv = speed
-	rawVelX, rawVelY := 0.0, 0.0
+	c.desVelX, c.desVelY = 0, 0
 	if errDist > 1e-9 {
-		rawVelX = speed * errN / errDist
-		rawVelY = speed * errE / errDist
-	}
-	// Slew the velocity demand at MaxAccelXY so waypoint switches cannot
-	// demand an instantaneous velocity reversal.
-	if c.MaxAccelXY > 0 {
-		maxStep := c.MaxAccelXY * c.DT
-		c.desVelX += mathx.Clamp(rawVelX-c.desVelX, -maxStep, maxStep)
-		c.desVelY += mathx.Clamp(rawVelY-c.desVelY, -maxStep, maxStep)
-	} else {
-		c.desVelX, c.desVelY = rawVelX, rawVelY
+		c.desVelX = speed * errN / errDist
+		c.desVelY = speed * errE / errDist
 	}
 
 	c.desAccX = c.VelX.Update(c.desVelX, vel.X)
@@ -152,13 +106,6 @@ func (c *PositionController) Update(targetPos, pos, vel mathx.Vec3, yaw float64)
 	delta := c.VelZ.Update(climb, climbMeas)
 	c.throttleOut = mathx.Clamp(c.HoverThrottle+delta, 0, 1)
 	return desRoll, desPitch, c.throttleOut
-}
-
-// Reset clears the dynamic state of all sub-controllers.
-func (c *PositionController) Reset() {
-	c.VelX.Reset()
-	c.VelY.Reset()
-	c.VelZ.Reset()
 }
 
 // Throttle returns the last computed throttle.

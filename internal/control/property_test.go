@@ -29,7 +29,7 @@ func TestPropertyPIDOutputBounded(t *testing.T) {
 			if out < cfg.OutMin-1e-12 || out > cfg.OutMax+1e-12 {
 				return false
 			}
-			if math.Abs(p.Integrator()) > cfg.IMax+1e-12 {
+			if math.Abs(p.integrator) > cfg.IMax+1e-12 {
 				return false
 			}
 		}
@@ -136,7 +136,7 @@ func TestPropertyParamStoreRange(t *testing.T) {
 func TestPropertyPositionControllerBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := NewPositionController(DefaultPositionConfig(1.0/400, 0.4))
+		c := NewPositionController(1.0/400, 0.4)
 		for i := 0; i < 200; i++ {
 			target := mathx.V3(r.NormFloat64()*100, r.NormFloat64()*100, -math.Abs(r.NormFloat64()*50))
 			pos := mathx.V3(r.NormFloat64()*100, r.NormFloat64()*100, -math.Abs(r.NormFloat64()*50))

@@ -81,13 +81,6 @@ func (s *SINS) Velocity() mathx.Vec3 { return mathx.V3(s.velN, s.velE, s.velD) }
 // Position returns the current NED position estimate.
 func (s *SINS) Position() mathx.Vec3 { return mathx.V3(s.posN, s.posE, s.posD) }
 
-// Reset sets the solution to the given position and velocity.
-func (s *SINS) Reset(pos, vel mathx.Vec3) {
-	s.posN, s.posE, s.posD = pos.X, pos.Y, pos.Z
-	s.velN, s.velE, s.velD = vel.X, vel.Y, vel.Z
-	s.velCorr, s.posCorr = 0, 0
-}
-
 // RegisterVars exposes the SINS state under the given prefix.
 func (s *SINS) RegisterVars(set *vars.Set, prefix string) error {
 	entries := []struct {

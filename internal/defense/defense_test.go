@@ -221,8 +221,8 @@ func TestEKFResidualCUSUM(t *testing.T) {
 			t.Fatal("false alarm on agreeing signals")
 		}
 	}
-	if m.Residual() > 0.01 {
-		t.Errorf("score accumulated on agreeing signals: %v", m.Residual())
+	if m.score > 0.01 {
+		t.Errorf("score accumulated on agreeing signals: %v", m.score)
 	}
 	// Diverging signals (sensor spoofing): alarm.
 	alarmed := false
@@ -236,7 +236,7 @@ func TestEKFResidualCUSUM(t *testing.T) {
 		t.Error("persistent 0.4 rad residual not detected")
 	}
 	m.Reset()
-	if m.Residual() != 0 {
+	if m.score != 0 {
 		t.Error("reset did not clear score")
 	}
 }

@@ -161,8 +161,5 @@ func (m *EKFResidual) Observe(sensed, estimated float64) Verdict {
 	return Verdict{Stat: m.score, Alarm: m.score > m.Threshold}
 }
 
-// Residual returns the current CUSUM score.
-func (m *EKFResidual) Residual() float64 { return m.score }
-
 // Reset clears the CUSUM state.
 func (m *EKFResidual) Reset() { m.score = 0 }

@@ -32,42 +32,39 @@ const (
 	ixPD
 )
 
-// Config holds the filter noise parameters (matching the EK2_* parameter
+// noise holds the filter noise parameters (matching the EK2_* parameter
 // namespace of the firmware's parameter table).
-type Config struct {
-	GyroNoise  float64 // rad/s process noise on attitude
-	AccelNoise float64 // m/s² process noise on velocity
-	PosNoise   float64 // m/s process noise on position
-	GPSPosR    float64 // m, GPS position measurement noise
-	GPSVelR    float64 // m/s, GPS velocity measurement noise
-	BaroR      float64 // m, baro measurement noise
-	MagR       float64 // rad, magnetometer yaw noise
-	GravR      float64 // rad, gravity-direction attitude noise
+type noise struct {
+	gyro   float64 // rad/s process noise on attitude
+	accel  float64 // m/s² process noise on velocity
+	pos    float64 // m/s process noise on position
+	gpsPos float64 // m, GPS position measurement noise
+	gpsVel float64 // m/s, GPS velocity measurement noise
+	baro   float64 // m, baro measurement noise
+	mag    float64 // rad, magnetometer yaw noise
+	grav   float64 // rad, gravity-direction attitude noise
 }
 
-// DefaultConfig returns Pixhawk-class EKF tuning.
-func DefaultConfig() Config {
-	return Config{
-		GyroNoise:  0.03,
-		AccelNoise: 0.6,
-		PosNoise:   0.1,
-		GPSPosR:    1.0,
-		GPSVelR:    0.5,
-		BaroR:      1.5,
-		MagR:       0.05,
-		// Gravity-direction fusion is deliberately weak: during
-		// coordinated acceleration the specific force aligns with the
-		// thrust axis and reads "level" even when tilted, so this
-		// observation may only trim slow gyro drift, never fight the
-		// gyro during maneuvers.
-		GravR: 0.6,
-	}
+// tune is the Pixhawk-class EKF tuning. It is a variable read at run time,
+// not a set of constants, so no product of it is folded at compile time
+// with a different rounding.
+var tune = noise{
+	gyro:   0.03,
+	accel:  0.6,
+	pos:    0.1,
+	gpsPos: 1.0,
+	gpsVel: 0.5,
+	baro:   1.5,
+	mag:    0.05,
+	// Gravity-direction fusion is deliberately weak: during coordinated
+	// acceleration the specific force aligns with the thrust axis and
+	// reads "level" even when tilted, so this observation may only trim
+	// slow gyro drift, never fight the gyro during maneuvers.
+	grav: 0.6,
 }
 
 // EKF is the nine-state filter.
 type EKF struct {
-	cfg Config
-
 	x [n]float64    // state estimate
 	p [n][n]float64 // covariance
 
@@ -80,26 +77,13 @@ type EKF struct {
 }
 
 // New creates an EKF initialized at the origin with a loose prior.
-func New(cfg Config) *EKF {
-	e := &EKF{cfg: cfg}
+func New() *EKF {
+	e := &EKF{}
 	for i := 0; i < n; i++ {
 		e.p[i][i] = 1.0
 	}
 	e.syncOutputs()
 	return e
-}
-
-// Reset re-initializes the state at the given position with zero velocity
-// and level attitude.
-func (e *EKF) Reset(pos mathx.Vec3, yaw float64) {
-	e.x = [n]float64{}
-	e.x[ixYaw] = yaw
-	e.x[ixPN], e.x[ixPE], e.x[ixPD] = pos.X, pos.Y, pos.Z
-	e.p = [n][n]float64{}
-	for i := 0; i < n; i++ {
-		e.p[i][i] = 1.0
-	}
-	e.syncOutputs()
 }
 
 // Predict propagates the state with one IMU sample: gyro body rates and
@@ -141,7 +125,7 @@ func (e *EKF) Predict(gyro, accel mathx.Vec3, dt float64) {
 
 	// Covariance: P ← F·P·Fᵀ + Q.
 	predictCov(&e.p, dt)
-	q := [3]float64{sq(e.cfg.GyroNoise) * dt, sq(e.cfg.AccelNoise) * dt, sq(e.cfg.PosNoise) * dt}
+	q := [3]float64{sq(tune.gyro) * dt, sq(tune.accel) * dt, sq(tune.pos) * dt}
 	for i := 0; i < n; i++ {
 		e.p[i][i] += q[i/3]
 	}
@@ -154,18 +138,18 @@ const gravity = 9.80665
 func (e *EKF) FuseGPS(pos, vel mathx.Vec3) {
 	e.innovPos = math.Hypot(pos.X-e.x[ixPN], pos.Y-e.x[ixPE])
 	e.innovVel = vel.Sub(mathx.V3(e.x[ixVN], e.x[ixVE], e.x[ixVD])).Norm()
-	e.fuseScalar(ixPN, pos.X, sq(e.cfg.GPSPosR))
-	e.fuseScalar(ixPE, pos.Y, sq(e.cfg.GPSPosR))
-	e.fuseScalar(ixPD, pos.Z, sq(e.cfg.GPSPosR*1.5))
-	e.fuseScalar(ixVN, vel.X, sq(e.cfg.GPSVelR))
-	e.fuseScalar(ixVE, vel.Y, sq(e.cfg.GPSVelR))
-	e.fuseScalar(ixVD, vel.Z, sq(e.cfg.GPSVelR))
+	e.fuseScalar(ixPN, pos.X, sq(tune.gpsPos))
+	e.fuseScalar(ixPE, pos.Y, sq(tune.gpsPos))
+	e.fuseScalar(ixPD, pos.Z, sq(tune.gpsPos*1.5))
+	e.fuseScalar(ixVN, vel.X, sq(tune.gpsVel))
+	e.fuseScalar(ixVE, vel.Y, sq(tune.gpsVel))
+	e.fuseScalar(ixVD, vel.Z, sq(tune.gpsVel))
 	e.syncOutputs()
 }
 
 // FuseBaro applies a barometric altitude (m above origin, positive up).
 func (e *EKF) FuseBaro(alt float64) {
-	e.fuseScalar(ixPD, -alt, sq(e.cfg.BaroR))
+	e.fuseScalar(ixPD, -alt, sq(tune.baro))
 	e.syncOutputs()
 }
 
@@ -174,7 +158,7 @@ func (e *EKF) FuseMag(yaw float64) {
 	e.innovMag = math.Abs(mathx.WrapPi(yaw - e.x[ixYaw]))
 	// Fold the measurement into the estimate's wrap branch.
 	z := e.x[ixYaw] + mathx.WrapPi(yaw-e.x[ixYaw])
-	e.fuseScalar(ixYaw, z, sq(e.cfg.MagR))
+	e.fuseScalar(ixYaw, z, sq(tune.mag))
 	e.x[ixYaw] = mathx.WrapPi(e.x[ixYaw])
 	e.syncOutputs()
 }
@@ -191,8 +175,8 @@ func (e *EKF) FuseGravity(accel mathx.Vec3) {
 	}
 	rollMeas := math.Atan2(-accel.Y, -accel.Z)
 	pitchMeas := math.Atan2(accel.X, math.Hypot(accel.Y, accel.Z))
-	e.fuseScalar(ixRoll, e.x[ixRoll]+mathx.WrapPi(rollMeas-e.x[ixRoll]), sq(e.cfg.GravR))
-	e.fuseScalar(ixPitch, pitchMeas, sq(e.cfg.GravR))
+	e.fuseScalar(ixRoll, e.x[ixRoll]+mathx.WrapPi(rollMeas-e.x[ixRoll]), sq(tune.grav))
+	e.fuseScalar(ixPitch, pitchMeas, sq(tune.grav))
 	e.x[ixRoll] = mathx.WrapPi(e.x[ixRoll])
 	e.syncOutputs()
 }
@@ -247,15 +231,6 @@ func (e *EKF) Velocity() mathx.Vec3 {
 // Position returns the estimated NED position.
 func (e *EKF) Position() mathx.Vec3 {
 	return mathx.V3(e.x[ixPN], e.x[ixPE], e.x[ixPD])
-}
-
-// Covariance returns the diagonal of the covariance matrix.
-func (e *EKF) Covariance() [n]float64 {
-	var d [n]float64
-	for i := 0; i < n; i++ {
-		d[i] = e.p[i][i]
-	}
-	return d
 }
 
 // RegisterVars exposes the EKF1 log block and the NKF4-style innovation

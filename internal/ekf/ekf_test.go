@@ -15,8 +15,21 @@ import (
 
 const dt = 1.0 / 400
 
+// reset re-initializes e at the given position and yaw with zero velocity,
+// level attitude and the loose prior New starts from.
+func reset(e *EKF, pos mathx.Vec3, yaw float64) {
+	e.x = [n]float64{}
+	e.x[ixYaw] = yaw
+	e.x[ixPN], e.x[ixPE], e.x[ixPD] = pos.X, pos.Y, pos.Z
+	e.p = [n][n]float64{}
+	for i := 0; i < n; i++ {
+		e.p[i][i] = 1.0
+	}
+	e.syncOutputs()
+}
+
 func TestEKFPredictAttitude(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	// Constant roll rate of 0.5 rad/s for 1 s at level attitude.
 	for i := 0; i < 400; i++ {
 		e.Predict(mathx.V3(0.5, 0, 0), mathx.V3(0, 0, -gravity), dt)
@@ -31,7 +44,7 @@ func TestEKFPredictAttitude(t *testing.T) {
 }
 
 func TestEKFPredictVelocityAndPosition(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	// Level, accelerating north at 1 m/s²: specific force (1, 0, -g).
 	for i := 0; i < 400; i++ {
 		e.Predict(mathx.Vec3{}, mathx.V3(1, 0, -gravity), dt)
@@ -47,7 +60,7 @@ func TestEKFPredictVelocityAndPosition(t *testing.T) {
 }
 
 func TestEKFFuseGPSPullsState(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	target := mathx.V3(10, -5, -3)
 	for i := 0; i < 50; i++ {
 		e.Predict(mathx.Vec3{}, mathx.V3(0, 0, -gravity), dt)
@@ -59,7 +72,7 @@ func TestEKFFuseGPSPullsState(t *testing.T) {
 }
 
 func TestEKFFuseBaro(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	for i := 0; i < 200; i++ {
 		e.Predict(mathx.Vec3{}, mathx.V3(0, 0, -gravity), dt)
 		e.FuseBaro(20)
@@ -70,8 +83,8 @@ func TestEKFFuseBaro(t *testing.T) {
 }
 
 func TestEKFFuseMagHandlesWrap(t *testing.T) {
-	e := New(DefaultConfig())
-	e.Reset(mathx.Vec3{}, mathx.Rad(-179))
+	e := New()
+	reset(e, mathx.Vec3{}, mathx.Rad(-179))
 	// Magnetometer says +179°: the filter must move -2° (through ±180),
 	// not +358°.
 	for i := 0; i < 100; i++ {
@@ -84,7 +97,7 @@ func TestEKFFuseMagHandlesWrap(t *testing.T) {
 }
 
 func TestEKFFuseGravityCorrectsTilt(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	// Inject an attitude error, then feed level gravity measurements.
 	e.x[ixRoll] = 0.3
 	for i := 0; i < 400; i++ {
@@ -97,7 +110,7 @@ func TestEKFFuseGravityCorrectsTilt(t *testing.T) {
 }
 
 func TestEKFFuseGravityRejectsManeuvers(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	e.x[ixRoll] = 0.3
 	// 2 g specific force: measurement must be rejected.
 	e.FuseGravity(mathx.V3(0, 0, -2*gravity))
@@ -108,7 +121,7 @@ func TestEKFFuseGravityRejectsManeuvers(t *testing.T) {
 }
 
 func TestEKFCovarianceStaysPositive(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	for i := 0; i < 4000; i++ {
 		e.Predict(mathx.V3(0.1, -0.05, 0.2), mathx.V3(0.5, 0, -gravity), dt)
 		if i%80 == 0 {
@@ -117,31 +130,33 @@ func TestEKFCovarianceStaysPositive(t *testing.T) {
 			e.FuseMag(0.5)
 		}
 	}
-	for i, v := range e.Covariance() {
-		if v <= 0 || math.IsNaN(v) {
+	for i := 0; i < n; i++ {
+		if v := e.p[i][i]; v <= 0 || math.IsNaN(v) {
 			t.Fatalf("covariance diag[%d] = %v", i, v)
 		}
 	}
 }
 
+// TestEKFReset checks the reset helper that the tests starting from a pose
+// rely on: it must place a filter that has already run at that pose.
 func TestEKFReset(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	e.Predict(mathx.V3(1, 1, 1), mathx.V3(3, 0, -gravity), 0.5)
-	e.Reset(mathx.V3(5, 6, -7), 1.0)
+	reset(e, mathx.V3(5, 6, -7), 1.0)
 	if e.Position() != mathx.V3(5, 6, -7) {
-		t.Errorf("Reset position = %v", e.Position())
+		t.Errorf("reset position = %v", e.Position())
 	}
 	_, _, yaw := e.Attitude()
 	if yaw != 1.0 {
-		t.Errorf("Reset yaw = %v", yaw)
+		t.Errorf("reset yaw = %v", yaw)
 	}
 	if e.Velocity().Norm() != 0 {
-		t.Errorf("Reset velocity = %v", e.Velocity())
+		t.Errorf("reset velocity = %v", e.Velocity())
 	}
 }
 
 func TestEKFZeroDTPredictNoOp(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	before := e.Position()
 	e.Predict(mathx.V3(1, 1, 1), mathx.V3(1, 1, 1), 0)
 	if e.Position() != before {
@@ -150,7 +165,7 @@ func TestEKFZeroDTPredictNoOp(t *testing.T) {
 }
 
 func TestEKFRegisterVars(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	set := vars.NewSet()
 	if err := e.RegisterVars(set); err != nil {
 		t.Fatal(err)
@@ -180,16 +195,16 @@ func TestEKFTracksSimulatedFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	suite := sensors.NewSuite(sensors.DefaultConfig())
-	e := New(DefaultConfig())
-	e.Reset(mathx.V3(0, 0, -10), 0)
+	e := New()
+	reset(e, mathx.V3(0, 0, -10), 0)
 
 	hover := quad.Params.HoverThrottle()
 	s := quad.State()
 	s.Motor = [4]float64{hover, hover, hover, hover}
 	quad.SetState(s)
 
-	att := control.NewAttitudeController(control.DefaultAttitudeConfig(dt))
-	pos := control.NewPositionController(control.DefaultPositionConfig(dt, hover))
+	att := control.NewAttitudeController(dt)
+	pos := control.NewPositionController(dt, hover)
 	var mix control.Mixer
 
 	var maxRollErr, maxPosErr float64
@@ -272,7 +287,7 @@ func densePredict(e *EKF, gyro, accel mathx.Vec3, dt float64) {
 	p := e.p
 	e.Predict(gyro, accel, dt)
 	e.p = denseFPFt(p, dt)
-	q := [3]float64{sq(e.cfg.GyroNoise) * dt, sq(e.cfg.AccelNoise) * dt, sq(e.cfg.PosNoise) * dt}
+	q := [3]float64{sq(tune.gyro) * dt, sq(tune.accel) * dt, sq(tune.pos) * dt}
 	for i := 0; i < n; i++ {
 		e.p[i][i] += q[i/3]
 	}
@@ -361,7 +376,7 @@ func FuzzPredictCovVsDense(f *testing.F) {
 		}
 		return binary.LittleEndian.AppendUint64(b, math.Float64bits(dt))
 	}
-	f.Add(seed(New(DefaultConfig()).p, dt))
+	f.Add(seed(New().p, dt))
 	var signed [n][n]float64
 	for i := range signed {
 		for j := range signed[i] {
@@ -391,9 +406,9 @@ func FuzzPredictCovVsDense(f *testing.F) {
 // bit-identical at every step.
 func TestPredictLockstepWithDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	e, o := New(DefaultConfig()), New(DefaultConfig())
-	e.Reset(mathx.V3(1, -2, -10), 0.3)
-	o.Reset(mathx.V3(1, -2, -10), 0.3)
+	e, o := New(), New()
+	reset(e, mathx.V3(1, -2, -10), 0.3)
+	reset(o, mathx.V3(1, -2, -10), 0.3)
 	vec := func(scale float64) mathx.Vec3 {
 		return mathx.V3(rng.NormFloat64()*scale, rng.NormFloat64()*scale, rng.NormFloat64()*scale)
 	}
@@ -434,7 +449,7 @@ func TestPredictLockstepWithDense(t *testing.T) {
 }
 
 func TestPredictAllocatesNothing(t *testing.T) {
-	e := New(DefaultConfig())
+	e := New()
 	gyro, accel := mathx.V3(0.1, -0.05, 0.02), mathx.V3(0.2, 0.1, -9.8)
 	if allocs := testing.AllocsPerRun(100, func() { e.Predict(gyro, accel, dt) }); allocs != 0 {
 		t.Errorf("Predict allocates %v times per call, want 0", allocs)
@@ -449,7 +464,7 @@ func TestPredictNonFiniteDT(t *testing.T) {
 		dt   float64
 	}{{"nan", math.NaN()}, {"inf", math.Inf(1)}, {"neg-inf", math.Inf(-1)}} {
 		t.Run(c.name, func(t *testing.T) {
-			e := New(DefaultConfig())
+			e := New()
 			for i := 0; i < 50; i++ {
 				e.Predict(mathx.V3(0.2, 0.1, 0), mathx.V3(0.3, 0, -gravity), dt)
 			}

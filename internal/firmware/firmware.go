@@ -54,8 +54,6 @@ type Config struct {
 	Vehicle sim.VehicleParams
 	// Sensors sets sensor noise; zero value means DefaultConfig.
 	Sensors sensors.Config
-	// Wind optionally installs a wind model.
-	Wind *sim.Wind
 	// World optionally installs obstacles.
 	World *sim.World
 	// LogWriter receives dataflash records when non-nil.
@@ -132,14 +130,7 @@ func New(cfg Config) (*Firmware, error) {
 		cfg.Sensors = sensors.DefaultConfig()
 	}
 
-	var opts []sim.Option
-	if cfg.Wind != nil {
-		opts = append(opts, sim.WithWind(cfg.Wind))
-	}
-	if cfg.World != nil {
-		opts = append(opts, sim.WithWorld(cfg.World))
-	}
-	quad, err := sim.NewQuad(cfg.Vehicle, opts...)
+	quad, err := sim.NewQuad(cfg.Vehicle, sim.WithWorld(cfg.World))
 	if err != nil {
 		return nil, err
 	}
@@ -150,10 +141,10 @@ func New(cfg Config) (*Firmware, error) {
 		cfg:      cfg,
 		quad:     quad,
 		suite:    sensors.NewSuite(cfg.Sensors),
-		est:      ekf.New(ekf.DefaultConfig()),
+		est:      ekf.New(),
 		sins:     control.NewSINS(),
-		att:      control.NewAttitudeController(control.DefaultAttitudeConfig(dt)),
-		pos:      control.NewPositionController(control.DefaultPositionConfig(dt, hover)),
+		att:      control.NewAttitudeController(dt),
+		pos:      control.NewPositionController(dt, hover),
 		params:   control.NewParamStore(),
 		mission:  NewMission(nil),
 		varSet:   vars.NewSet(),
@@ -280,10 +271,10 @@ func (f *Firmware) assignRegions() error {
 	return nil
 }
 
-// bindParams wires the GCS-visible parameter table to live controller fields
-// so PARAM_SET writes take effect immediately.
-func (f *Firmware) bindParams() error {
-	bindings := map[string]*float64{
+// paramBindings maps each GCS-visible parameter that drives a live
+// controller or SINS field to that field.
+func (f *Firmware) paramBindings() map[string]*float64 {
+	return map[string]*float64{
 		"ATC_RAT_RLL_P":    &f.att.RateRoll.KP,
 		"ATC_RAT_RLL_I":    &f.att.RateRoll.KI,
 		"ATC_RAT_RLL_D":    &f.att.RateRoll.KD,
@@ -307,7 +298,12 @@ func (f *Firmware) bindParams() error {
 		"SINS_VEL_GAIN":    &f.sins.VelGain,
 		"SINS_POS_GAIN":    &f.sins.PosGain,
 	}
-	for name, ptr := range bindings {
+}
+
+// bindParams wires the parameter table to the live fields so PARAM_SET
+// writes take effect immediately.
+func (f *Firmware) bindParams() error {
+	for name, ptr := range f.paramBindings() {
 		if err := f.params.Bind(name, ptr); err != nil {
 			return err
 		}
@@ -319,9 +315,6 @@ func (f *Firmware) bindParams() error {
 
 // Quad returns the simulated plant.
 func (f *Firmware) Quad() *sim.Quad { return f.quad }
-
-// Sensors returns the sensor suite (fault-injection hooks live there).
-func (f *Firmware) Sensors() *sensors.Suite { return f.suite }
 
 // Vars returns the full variable set (the instrumentation view).
 func (f *Firmware) Vars() *vars.Set { return f.varSet }
@@ -335,20 +328,11 @@ func (f *Firmware) Params() *control.ParamStore { return f.params }
 // EKF returns the onboard estimator.
 func (f *Firmware) EKF() *ekf.EKF { return f.est }
 
-// Attitude returns the attitude controller.
-func (f *Firmware) Attitude() *control.AttitudeController { return f.att }
-
-// Position returns the position controller.
-func (f *Firmware) Position() *control.PositionController { return f.pos }
-
 // Mission returns the loaded mission.
 func (f *Firmware) Mission() *Mission { return f.mission }
 
 // Mode returns the active flight mode.
 func (f *Firmware) Mode() Mode { return f.mode }
-
-// Armed reports whether motors are live.
-func (f *Firmware) Armed() bool { return f.armed }
 
 // Time returns the simulation time in seconds.
 func (f *Firmware) Time() float64 { return f.quad.Time() }
@@ -393,9 +377,6 @@ func (f *Firmware) Takeoff(altitude float64) error {
 	return nil
 }
 
-// SetGuidedTarget points GUIDED mode at a position.
-func (f *Firmware) SetGuidedTarget(p mathx.Vec3) { f.guidedTgt = p }
-
 // LoadMission installs a mission (replacing any previous one).
 func (f *Firmware) LoadMission(m *Mission) { f.mission = m }
 
@@ -435,23 +416,6 @@ func Launch(cfg Config, m *Mission, settleS float64) (*Firmware, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// Reset restores the whole stack to rest at pos with a fresh estimator and
-// clean controllers — the RL episode reset ("landing, disarming the vehicle,
-// and resetting it back into its initial position").
-func (f *Firmware) Reset(pos mathx.Vec3) {
-	f.quad.Reset(pos)
-	f.est.Reset(pos, 0)
-	f.sins.Reset(pos, mathx.Vec3{})
-	f.att.Reset()
-	f.pos.Reset()
-	f.mission.Reset()
-	f.armed = false
-	f.mode = modeStabilize
-	f.desYaw = 0
-	f.tick = 0
-	f.guidedTgt = pos
 }
 
 // Step runs one 400 Hz main-loop iteration: drain GCS traffic, sample

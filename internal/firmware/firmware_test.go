@@ -28,15 +28,8 @@ func TestFirmwareAssembles(t *testing.T) {
 		t.Errorf("unassigned variables: %v", missing)
 	}
 	// The stabilizer region holds the PID intermediates, per the paper.
-	stab := f.Memory().VarsInRegion(RegionStabilizer)
-	found := false
-	for _, v := range stab {
-		if v == "PIDR.INTEG" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("PIDR.INTEG not in stabilizer region: %v", stab)
+	if r, _ := f.Memory().RegionOf("PIDR.INTEG"); r != RegionStabilizer {
+		t.Errorf("PIDR.INTEG in region %q, want %q", r, RegionStabilizer)
 	}
 }
 
@@ -52,8 +45,8 @@ func TestFirmwareTakeoffAndHover(t *testing.T) {
 	if alt := f.Quad().State().Altitude(); math.Abs(alt-10) > 1.0 {
 		t.Errorf("altitude after takeoff = %v, want ~10", alt)
 	}
-	if f.Mode() != modeGuided || !f.Armed() {
-		t.Errorf("mode = %v, armed = %v", f.Mode(), f.Armed())
+	if f.Mode() != modeGuided || !f.armed {
+		t.Errorf("mode = %v, armed = %v", f.Mode(), f.armed)
 	}
 }
 
@@ -75,7 +68,7 @@ func TestFirmwareFliesMission(t *testing.T) {
 	}
 	if !f.Mission().Complete() {
 		t.Fatalf("mission incomplete after 90 s; at waypoint %d, pos %v",
-			f.Mission().CurrentIndex(), f.Quad().State().Pos)
+			f.mission.current, f.Quad().State().Pos)
 	}
 }
 
@@ -94,7 +87,7 @@ func TestFirmwareLanding(t *testing.T) {
 	f.RunFor(10)
 	f.SetMode(modeLand)
 	f.RunFor(25)
-	if f.Armed() {
+	if f.armed {
 		t.Error("still armed after landing")
 	}
 	if alt := f.Quad().State().Altitude(); alt > 0.5 {
@@ -111,12 +104,12 @@ func TestFirmwareRTLReturnsHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.RunFor(8)
-	f.SetGuidedTarget(mathx.V3(20, 0, -10))
+	f.guidedTgt = mathx.V3(20, 0, -10)
 	f.RunFor(15)
 	if f.Quad().State().Pos.XY() < 15 {
 		t.Fatalf("vehicle did not travel out: %v", f.Quad().State().Pos)
 	}
-	f.SetGuidedTarget(f.Quad().State().Pos) // RTL keeps guided altitude
+	f.guidedTgt = f.Quad().State().Pos // RTL keeps guided altitude
 	f.SetMode(modeRTL)
 	f.RunFor(40)
 	pos := f.Quad().State().Pos
@@ -143,8 +136,8 @@ func TestFirmwareParamSetViaGCS(t *testing.T) {
 		t.Errorf("reply = %+v", replies[0])
 	}
 	// The live controller gain changed.
-	if f.Attitude().RateRoll.KP != 0.2 {
-		t.Errorf("live KP = %v, want 0.2", f.Attitude().RateRoll.KP)
+	if f.att.RateRoll.KP != 0.2 {
+		t.Errorf("live KP = %v, want 0.2", f.att.RateRoll.KP)
 	}
 	// Out-of-range set is rejected but still replied to.
 	f.Enqueue(&mavlink.ParamSet{Name: "ATC_RAT_RLL_P", Value: 10})
@@ -156,8 +149,93 @@ func TestFirmwareParamSetViaGCS(t *testing.T) {
 	if pv := replies[0].(*mavlink.ParamValue); pv.OK {
 		t.Error("out-of-range PARAM_SET acknowledged OK")
 	}
-	if f.Attitude().RateRoll.KP != 0.2 {
+	if f.att.RateRoll.KP != 0.2 {
 		t.Error("rejected set still changed the gain")
+	}
+}
+
+// TestFirmwareParamBindings sets every bound parameter through the
+// parameter table: an in-range value must reach exactly its live controller
+// or SINS field, and an out-of-range one must change nothing.
+func TestFirmwareParamBindings(t *testing.T) {
+	fields := []struct {
+		name string
+		get  func(f *Firmware) float64
+	}{
+		{"ATC_RAT_RLL_P", func(f *Firmware) float64 { return f.att.RateRoll.KP }},
+		{"ATC_RAT_RLL_I", func(f *Firmware) float64 { return f.att.RateRoll.KI }},
+		{"ATC_RAT_RLL_D", func(f *Firmware) float64 { return f.att.RateRoll.KD }},
+		{"ATC_RAT_RLL_FF", func(f *Firmware) float64 { return f.att.RateRoll.KFF }},
+		{"ATC_RAT_RLL_IMAX", func(f *Firmware) float64 { return f.att.RateRoll.IMax }},
+		{"ATC_RAT_PIT_IMAX", func(f *Firmware) float64 { return f.att.RatePitch.IMax }},
+		{"ATC_RAT_PIT_P", func(f *Firmware) float64 { return f.att.RatePitch.KP }},
+		{"ATC_RAT_PIT_I", func(f *Firmware) float64 { return f.att.RatePitch.KI }},
+		{"ATC_RAT_PIT_D", func(f *Firmware) float64 { return f.att.RatePitch.KD }},
+		{"ATC_RAT_YAW_P", func(f *Firmware) float64 { return f.att.RateYaw.KP }},
+		{"ATC_RAT_YAW_I", func(f *Firmware) float64 { return f.att.RateYaw.KI }},
+		{"ATC_ANG_RLL_P", func(f *Firmware) float64 { return f.att.AngleRoll.P }},
+		{"ATC_ANG_PIT_P", func(f *Firmware) float64 { return f.att.AnglePitch.P }},
+		{"ATC_ANG_YAW_P", func(f *Firmware) float64 { return f.att.AngleYaw.P }},
+		{"PSC_POSXY_P", func(f *Firmware) float64 { return f.pos.PosXY.P }},
+		{"PSC_VELXY_P", func(f *Firmware) float64 { return f.pos.VelX.KP }},
+		{"PSC_VELXY_I", func(f *Firmware) float64 { return f.pos.VelX.KI }},
+		{"PSC_VELXY_D", func(f *Firmware) float64 { return f.pos.VelX.KD }},
+		{"PSC_POSZ_P", func(f *Firmware) float64 { return f.pos.PosZ.P }},
+		{"PSC_VELZ_P", func(f *Firmware) float64 { return f.pos.VelZ.KP }},
+		{"SINS_VEL_GAIN", func(f *Firmware) float64 { return f.sins.VelGain }},
+		{"SINS_POS_GAIN", func(f *Firmware) float64 { return f.sins.PosGain }},
+	}
+	f := newTestFirmware(t, Config{})
+	bound := f.paramBindings()
+	if len(bound) != len(fields) {
+		t.Errorf("%d bound parameters, table covers %d", len(bound), len(fields))
+	}
+	for _, fl := range fields {
+		if bound[fl.name] == nil {
+			t.Errorf("table entry %s is not a bound parameter", fl.name)
+		}
+	}
+	snapshot := func() []float64 {
+		out := make([]float64, len(fields))
+		for i, fl := range fields {
+			out[i] = fl.get(f)
+		}
+		return out
+	}
+	for _, fl := range fields {
+		name := fl.name
+		t.Run(name, func(t *testing.T) {
+			def, ok := f.Params().Lookup(name)
+			if !ok {
+				t.Fatalf("%s not in the parameter table", name)
+			}
+			v := (def.Min + def.Max) / 2
+			if v == def.Value() {
+				v = def.Min + (def.Max-def.Min)/4
+			}
+			before := snapshot()
+			if err := f.Params().Set(name, v); err != nil {
+				t.Fatalf("in-range Set(%v): %v", v, err)
+			}
+			for i, other := range fields {
+				want := before[i]
+				if other.name == name {
+					want = v
+				}
+				if got := other.get(f); got != want {
+					t.Errorf("after Set(%s, %v): %s = %v, want %v", name, v, other.name, got, want)
+				}
+			}
+			before = snapshot()
+			if err := f.Params().Set(name, def.Max+1); err == nil {
+				t.Errorf("out-of-range Set(%v) accepted", def.Max+1)
+			}
+			for i, other := range fields {
+				if got := other.get(f); got != before[i] {
+					t.Errorf("rejected Set(%s) changed %s to %v", name, other.name, got)
+				}
+			}
+		})
 	}
 }
 
@@ -174,8 +252,8 @@ func TestFirmwareCommandsViaGCS(t *testing.T) {
 	if ack.Result != 0 {
 		t.Errorf("takeoff rejected: %+v", ack)
 	}
-	if !f.Armed() || f.Mode() != modeGuided {
-		t.Errorf("takeoff did not arm+guide: armed=%v mode=%v", f.Armed(), f.Mode())
+	if !f.armed || f.Mode() != modeGuided {
+		t.Errorf("takeoff did not arm+guide: armed=%v mode=%v", f.armed, f.Mode())
 	}
 	// Unknown command returns unsupported.
 	f.Enqueue(&mavlink.CommandLong{Command: 999})
@@ -306,32 +384,6 @@ func TestFirmwareBatteryFailsafe(t *testing.T) {
 	f.Step()
 	if f.Mode() != modeLand {
 		t.Errorf("mode = %v, want LAND after battery failsafe", f.Mode())
-	}
-}
-
-func TestFirmwareReset(t *testing.T) {
-	f := newTestFirmware(t, Config{})
-	if err := f.Takeoff(10); err != nil {
-		t.Fatal(err)
-	}
-	f.RunFor(5)
-	f.Reset(mathx.V3(1, 2, 0))
-	if f.Armed() || f.Mode() != modeStabilize {
-		t.Error("Reset left armed/mode state")
-	}
-	if f.Quad().State().Pos != mathx.V3(1, 2, 0) {
-		t.Errorf("Reset pos = %v", f.Quad().State().Pos)
-	}
-	if f.Time() != 0 {
-		t.Errorf("Reset time = %v", f.Time())
-	}
-	// Flyable again after reset.
-	if err := f.Takeoff(5); err != nil {
-		t.Fatal(err)
-	}
-	f.RunFor(8)
-	if crashed, _ := f.Quad().Crashed(); crashed {
-		t.Error("crashed after reset + takeoff")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/mavlink"
+	"github.com/ares-cps/ares/internal/sim"
 )
 
 func TestGCSLandAndRTLCommands(t *testing.T) {
@@ -14,7 +15,7 @@ func TestGCSLandAndRTLCommands(t *testing.T) {
 	}
 	f.RunFor(8)
 	// Fly away first: RTL from home would hand off to LAND immediately.
-	f.SetGuidedTarget(mathx.V3(20, 0, -10))
+	f.guidedTgt = mathx.V3(20, 0, -10)
 	f.RunFor(10)
 
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdRTL})
@@ -41,7 +42,7 @@ func TestGCSSetModeAndArmDisarm(t *testing.T) {
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdArmDisarm,
 		Params: [7]float64{1}})
 	f.Step()
-	if !f.Armed() {
+	if !f.armed {
 		t.Error("arm command did not arm")
 	}
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdSetMode,
@@ -53,7 +54,7 @@ func TestGCSSetModeAndArmDisarm(t *testing.T) {
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdArmDisarm,
 		Params: [7]float64{0}})
 	f.Step()
-	if f.Armed() {
+	if f.armed {
 		t.Error("disarm command did not disarm")
 	}
 	f.DrainOutbox()
@@ -113,7 +114,7 @@ func TestTelemetrySnapshot(t *testing.T) {
 
 func TestFirmwareAccessors(t *testing.T) {
 	f := newTestFirmware(t, Config{})
-	if f.EKF() == nil || f.Position() == nil || f.Attitude() == nil {
+	if f.EKF() == nil {
 		t.Fatal("nil subsystem accessor")
 	}
 	if f.DT() != 1.0/400 {
@@ -127,12 +128,9 @@ func TestFirmwareAccessors(t *testing.T) {
 
 // crashForTest forces the crashed state through the public physics path.
 func (f *Firmware) crashForTest() {
-	f.quad.SetState(f.quad.State())
-	f.quad.Reset(f.quad.State().Pos)
-	// Drop from altitude to force a hard impact.
-	st := f.quad.State()
-	st.Pos.Z = -30
-	f.quad.SetState(st)
+	// Drop from altitude, at rest with motors off, to force a hard impact.
+	pos := f.quad.State().Pos
+	f.quad.SetState(sim.State{Pos: mathx.V3(pos.X, pos.Y, -30), Att: mathx.QuatIdentity()})
 	for i := 0; i < 5*400; i++ {
 		f.quad.Step([4]float64{}, 1.0/400)
 		if crashed, _ := f.quad.Crashed(); crashed {

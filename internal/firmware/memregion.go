@@ -76,11 +76,6 @@ func newMemoryMap(set *vars.Set) *MemoryMap {
 	return m
 }
 
-// AddRegion declares an additional region.
-func (m *MemoryMap) AddRegion(name string, perm RegionPerm) {
-	m.regions[name] = perm
-}
-
 // Assign places a variable in a region. Unknown variables or regions are
 // wiring errors.
 func (m *MemoryMap) Assign(variable, region string) error {
@@ -98,19 +93,6 @@ func (m *MemoryMap) Assign(variable, region string) error {
 func (m *MemoryMap) RegionOf(variable string) (string, bool) {
 	r, ok := m.varHome[variable]
 	return r, ok
-}
-
-// VarsInRegion returns the names of all variables in a region, sorted. This
-// is the attacker's reachable set after compromising that one region.
-func (m *MemoryMap) VarsInRegion(region string) []string {
-	var names []string
-	for v, r := range m.varHome {
-		if r == region {
-			names = append(names, v)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Regions returns all region names, sorted.

@@ -53,9 +53,6 @@ func (m *Mission) Target() mathx.Vec3 {
 	return m.waypoints[idx].Pos
 }
 
-// CurrentIndex returns the active waypoint index.
-func (m *Mission) CurrentIndex() int { return m.current }
-
 // Complete reports whether every waypoint has been visited.
 func (m *Mission) Complete() bool { return m.complete }
 

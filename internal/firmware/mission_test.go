@@ -23,8 +23,8 @@ func TestMissionProgression(t *testing.T) {
 	if !m.Update(mathx.V3(0.5, 0, -10), 1) {
 		t.Error("did not advance at waypoint")
 	}
-	if m.CurrentIndex() != 1 {
-		t.Errorf("index = %d, want 1", m.CurrentIndex())
+	if m.current != 1 {
+		t.Errorf("index = %d, want 1", m.current)
 	}
 	m.Update(mathx.V3(10, 0.5, -10), 2)
 	m.Update(mathx.V3(10, 9.5, -10), 3)
@@ -55,33 +55,33 @@ func TestMissionHold(t *testing.T) {
 		t.Fatal("Launch flies the caller's mission, not a copy")
 	}
 	f.RunFor(1)
-	if got := f.Mission().CurrentIndex(); got != 0 {
+	if got := f.mission.current; got != 0 {
 		t.Errorf("launched copy at waypoint %d after 1 s, want 0 (holding)", got)
 	}
 	f.RunFor(2)
-	if got := f.Mission().CurrentIndex(); got != 1 {
+	if got := f.mission.current; got != 1 {
 		t.Errorf("launched copy at waypoint %d after the hold, want 1", got)
 	}
 	// Flying the copy left the source unflown: the checks below start
 	// from its first waypoint with no hold in progress.
-	if m.CurrentIndex() != 0 || m.Complete() {
-		t.Fatalf("source mission advanced to %d (complete %v)", m.CurrentIndex(), m.Complete())
+	if m.current != 0 || m.Complete() {
+		t.Fatalf("source mission advanced to %d (complete %v)", m.current, m.Complete())
 	}
 
 	// Reach the first waypoint at t=1: hold begins.
 	if !m.Update(mathx.V3(0, 0, -10), 1) {
 		t.Fatal("waypoint not reached")
 	}
-	if m.CurrentIndex() != 0 {
+	if m.current != 0 {
 		t.Error("advanced during hold")
 	}
 	m.Update(mathx.V3(0, 0, -10), 2) // still holding
-	if m.CurrentIndex() != 0 {
+	if m.current != 0 {
 		t.Error("advanced before hold elapsed")
 	}
 	m.Update(mathx.V3(0, 0, -10), 3.1) // hold elapsed
-	if m.CurrentIndex() != 1 {
-		t.Errorf("index = %d after hold, want 1", m.CurrentIndex())
+	if m.current != 1 {
+		t.Errorf("index = %d after hold, want 1", m.current)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestMissionCloneKeepsWaypoints(t *testing.T) {
 		t.Errorf("clone lost data: radius %v, %d waypoints, hold %v",
 			c.AcceptRadius, c.Len(), c.waypoints[0].HoldS)
 	}
-	if c.holding || c.CurrentIndex() != 0 {
+	if c.holding || c.current != 0 {
 		t.Error("clone inherited the source's progress")
 	}
 	c.waypoints[0].HoldS = 0
@@ -128,7 +128,7 @@ func TestMissionEmptyAndReset(t *testing.T) {
 	}
 	sq.Update(mathx.V3(0, 0, -10), 0)
 	sq.Reset()
-	if sq.CurrentIndex() != 0 || sq.Complete() {
+	if sq.current != 0 || sq.Complete() {
 		t.Error("Reset did not rewind")
 	}
 }

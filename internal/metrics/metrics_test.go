@@ -19,9 +19,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	g.Set(3)
 	g.Inc()
 	g.Dec()
-	g.Add(-2)
-	if got := g.Value(); got != 1 {
-		t.Errorf("gauge = %d, want 1", got)
+	g.Dec()
+	if got := g.Value(); got != 2 {
+		t.Errorf("gauge = %d, want 2", got)
 	}
 	h := r.Histogram("h_seconds", "a histogram", []float64{1, 10})
 	h.Observe(0.5)

@@ -169,9 +169,6 @@ func NewBudget(total int) *Budget {
 	return &Budget{total: Workers(total)}
 }
 
-// Total returns the full budget width.
-func (b *Budget) Total() int { return b.total }
-
 // Acquire registers one consumer and returns its fair share of the budget
 // plus a release func. release is idempotent and must be called when the
 // consumer's work ends.

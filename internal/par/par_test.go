@@ -204,8 +204,8 @@ func TestArgminSkipsNaN(t *testing.T) {
 
 func TestBudgetFairShare(t *testing.T) {
 	b := NewBudget(8)
-	if b.Total() != 8 {
-		t.Fatalf("total = %d, want 8", b.Total())
+	if b.total != 8 {
+		t.Fatalf("total = %d, want 8", b.total)
 	}
 	s1, r1 := b.Acquire()
 	if s1 != 8 {

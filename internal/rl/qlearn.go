@@ -184,6 +184,3 @@ func (q *QLearner) Train(env Env, episodes, maxSteps int) *TrainResult {
 	}
 	return res
 }
-
-// TableSize returns the number of discretized states visited so far.
-func (q *QLearner) TableSize() int { return len(q.table) }

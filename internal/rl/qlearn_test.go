@@ -141,10 +141,10 @@ func TestQLearnerTableGrowth(t *testing.T) {
 	env := newDriftEnv()
 	q := NewQLearner([]float64{-5}, []float64{5}, 5, -1, 1, 9)
 	q.Train(env, 50, 50)
-	if q.TableSize() == 0 {
+	if len(q.table) == 0 {
 		t.Fatal("no states visited")
 	}
-	if q.TableSize() > q.ObsBins {
-		t.Fatalf("table size %d exceeds the %d reachable 1-D bins", q.TableSize(), q.ObsBins)
+	if len(q.table) > q.ObsBins {
+		t.Fatalf("table size %d exceeds the %d reachable 1-D bins", len(q.table), q.ObsBins)
 	}
 }

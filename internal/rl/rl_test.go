@@ -105,7 +105,7 @@ func TestQLearnerLearnsDrift(t *testing.T) {
 	if late < 2 {
 		t.Errorf("Q-learning late mean return = %v, want ≥ 2", late)
 	}
-	if q.TableSize() == 0 {
+	if len(q.table) == 0 {
 		t.Error("empty Q table after training")
 	}
 	// A greedy rollout escapes the origin (the task is symmetric, so

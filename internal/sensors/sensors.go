@@ -107,7 +107,6 @@ type Suite struct {
 	gpsQueue    []timedFix // fixes awaiting their latency
 	haveGPS     bool
 	lastFix     GPSReading
-	gpsDenied   bool
 }
 
 type timedFix struct {
@@ -156,10 +155,7 @@ func (s *Suite) Sample(now float64, state sim.State, accelWorld mathx.Vec3, batt
 	r.MagYaw = mathx.WrapPi(yaw + s.noise(s.cfg.MagNoise))
 
 	// GPS: enqueue a fix at the fix rate; deliver it after the latency.
-	// A denied receiver (jamming, canyon, spoof-shield fail-closed)
-	// produces no new fixes; the stale held fix keeps its old value but
-	// is never refreshed.
-	if !s.gpsDenied && (s.lastGPSTime < 0 || now-s.lastGPSTime >= 1/s.cfg.GPSRateHz) {
+	if s.lastGPSTime < 0 || now-s.lastGPSTime >= 1/s.cfg.GPSRateHz {
 		s.lastGPSTime = now
 		fix := GPSReading{
 			Pos: state.Pos.Add(mathx.V3(
@@ -188,11 +184,6 @@ func (s *Suite) Sample(now float64, state sim.State, accelWorld mathx.Vec3, batt
 	}
 	return r
 }
-
-// SetGPSDenied toggles GPS denial — the fault-injection hook for
-// GPS-outage scenarios. While denied, no new fixes are generated; fixes
-// already in the latency pipeline still deliver.
-func (s *Suite) SetGPSDenied(denied bool) { s.gpsDenied = denied }
 
 func (s *Suite) sampleIMU(state sim.State, accelWorld mathx.Vec3, gyroBias, accelBias mathx.Vec3) IMUReading {
 	gyro := state.Omega.

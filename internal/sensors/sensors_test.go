@@ -190,44 +190,3 @@ func TestZeroRateDefaulted(t *testing.T) {
 		t.Errorf("zero GPS rate defaulted to %v, want 5", s.cfg.GPSRateHz)
 	}
 }
-
-func TestGPSDenial(t *testing.T) {
-	cfg := noiselessConfig()
-	cfg.GPSLatency = 0
-	s := NewSuite(cfg)
-	st := restingState()
-	// Establish a fix.
-	r := s.Sample(0, st, mathx.Vec3{}, sim.Battery{})
-	if !r.GPSFresh {
-		t.Fatal("no initial fix")
-	}
-	// Deny: no fresh fixes for two seconds, held fix persists.
-	s.SetGPSDenied(true)
-	moved := st
-	moved.Pos = mathx.V3(10, 0, -5)
-	for i := 1; i <= 800; i++ {
-		r = s.Sample(float64(i)/400, moved, mathx.Vec3{}, sim.Battery{})
-		if r.GPSFresh {
-			t.Fatalf("fresh fix at %d while denied", i)
-		}
-	}
-	if r.GPS.Pos != st.Pos {
-		t.Errorf("held fix changed during denial: %v", r.GPS.Pos)
-	}
-	// Restore: fixes resume and reflect the new position.
-	s.SetGPSDenied(false)
-	got := false
-	for i := 801; i <= 1200; i++ {
-		r = s.Sample(float64(i)/400, moved, mathx.Vec3{}, sim.Battery{})
-		if r.GPSFresh {
-			got = true
-			break
-		}
-	}
-	if !got {
-		t.Fatal("no fix after denial lifted")
-	}
-	if r.GPS.Pos != moved.Pos {
-		t.Errorf("post-denial fix = %v, want %v", r.GPS.Pos, moved.Pos)
-	}
-}

@@ -2,10 +2,10 @@
 // in for the ArduPilot SITL + Gazebo testbed used in the ARES paper.
 //
 // The simulator models a quad-X frame as a rigid body driven by four
-// first-order-lag motors, with aerodynamic drag, a gust-capable wind model, a
-// simple battery, a flat ground plane and axis-aligned box obstacles. State
-// is integrated with a fourth-order Runge-Kutta scheme at the physics rate
-// (default 400 Hz, matching the ArduCopter main loop).
+// first-order-lag motors, with aerodynamic drag, a simple battery, a flat
+// ground plane and axis-aligned box obstacles. State is integrated with a
+// fourth-order Runge-Kutta scheme at the physics rate (default 400 Hz,
+// matching the ArduCopter main loop).
 //
 // Frames: world vectors are NED (north, east, down; gravity is +Z), body
 // vectors are FRD (forward, right, down). Thrust acts along body -Z.
@@ -139,7 +139,6 @@ type Quad struct {
 	Params VehicleParams
 
 	state       State
-	wind        *Wind
 	battery     Battery
 	crashed     bool
 	crashInfo   string
@@ -179,11 +178,6 @@ type optionFunc func(*Quad)
 
 func (f optionFunc) apply(q *Quad) { f(q) }
 
-// WithWind installs a wind model.
-func WithWind(w *Wind) Option {
-	return optionFunc(func(q *Quad) { q.wind = w })
-}
-
 // WithWorld installs a world (ground plane plus obstacles).
 func WithWorld(w *World) Option {
 	return optionFunc(func(q *Quad) {
@@ -201,14 +195,14 @@ func WithInitialState(s State) Option {
 // State returns a copy of the current vehicle state.
 func (q *Quad) State() State { return q.state }
 
-// SetState overwrites the vehicle state (used by episode resets).
+// SetState overwrites the vehicle state and clears any crash condition.
 func (q *Quad) SetState(s State) {
 	q.state = s
 	q.crashed = false
 	q.crashInfo = ""
 }
 
-// Time returns the simulated time in seconds since construction or Reset.
+// Time returns the simulated time in seconds since construction.
 func (q *Quad) Time() float64 { return q.timeS }
 
 // LastAccel returns the world-frame acceleration over the most recent step,
@@ -220,20 +214,6 @@ func (q *Quad) Battery() Battery { return q.battery }
 
 // Crashed reports whether the vehicle has crashed and why.
 func (q *Quad) Crashed() (bool, string) { return q.crashed, q.crashInfo }
-
-// Reset restores the vehicle to rest at the given NED position with full
-// battery and clears any crash condition.
-func (q *Quad) Reset(pos mathx.Vec3) {
-	q.state = State{Pos: pos, Att: mathx.QuatIdentity()}
-	q.battery.RemainmAh = q.battery.CapacitymAh
-	q.battery.Voltage = q.battery.NominalV
-	q.crashed = false
-	q.crashInfo = ""
-	q.timeS = 0
-	if q.wind != nil {
-		q.wind.Reset()
-	}
-}
 
 // nonFiniteStep is the crash reason recorded when Step is fed NaN or ±Inf.
 const nonFiniteStep = "non-finite motor command or dt"
@@ -268,13 +248,8 @@ func (q *Quad) Step(cmd [4]float64, dt float64) {
 		cmd = [4]float64{}
 	}
 
-	windVel := mathx.Vec3{}
-	if q.wind != nil {
-		windVel = q.wind.Step(dt)
-	}
-
 	prevVel := q.state.Vel
-	q.integrate(&cmd, windVel, dt)
+	q.integrate(&cmd, dt)
 	q.lastAccel = q.state.Vel.Sub(prevVel).Scale(1 / dt)
 	q.timeS += dt
 	q.battery.drain(q.currentDraw(&cmd), dt)
@@ -306,7 +281,7 @@ type deriv struct {
 // dynamics writes the state derivative at s into d. States, derivatives
 // and parameters travel by pointer: the RK4 step evaluates this four times,
 // and copying State, deriv and VehicleParams by value dominated its cost.
-func (q *Quad) dynamics(d *deriv, s *State, cmd *[4]float64, windVel mathx.Vec3) {
+func (q *Quad) dynamics(d *deriv, s *State, cmd *[4]float64) {
 	p := &q.Params
 
 	// Motor first-order lag toward command.
@@ -332,11 +307,10 @@ func (q *Quad) dynamics(d *deriv, s *State, cmd *[4]float64, windVel mathx.Vec3)
 	torque := mathx.V3(rollTorque, pitchTorque, yawTorque)
 	torque = torque.Sub(p.AngularDrag.Hadamard(s.Omega))
 
-	// Forces in world frame: gravity + rotated thrust + drag vs air.
+	// Forces in world frame: gravity + rotated thrust + drag.
 	gravity := mathx.V3(0, 0, p.Mass*Gravity)
 	thrustWorld := s.Att.Rotate(mathx.V3(0, 0, -total))
-	airRel := s.Vel.Sub(windVel)
-	drag := p.LinearDrag.Hadamard(airRel).Neg()
+	drag := p.LinearDrag.Hadamard(s.Vel).Neg()
 	d.acc = gravity.Add(thrustWorld).Add(drag).Scale(1 / p.Mass)
 
 	// Euler's rotation equation: I·ω̇ = τ − ω × (I·ω).
@@ -364,17 +338,17 @@ func applyDeriv(out, s *State, d *deriv, dt float64) {
 }
 
 // integrate advances q.state by one RK4 step of the full dynamics.
-func (q *Quad) integrate(cmd *[4]float64, windVel mathx.Vec3, dt float64) {
+func (q *Quad) integrate(cmd *[4]float64, dt float64) {
 	s := &q.state
 	var k1, k2, k3, k4 deriv
 	var tmp State
-	q.dynamics(&k1, s, cmd, windVel)
+	q.dynamics(&k1, s, cmd)
 	applyDeriv(&tmp, s, &k1, dt/2)
-	q.dynamics(&k2, &tmp, cmd, windVel)
+	q.dynamics(&k2, &tmp, cmd)
 	applyDeriv(&tmp, s, &k2, dt/2)
-	q.dynamics(&k3, &tmp, cmd, windVel)
+	q.dynamics(&k3, &tmp, cmd)
 	applyDeriv(&tmp, s, &k3, dt)
-	q.dynamics(&k4, &tmp, cmd, windVel)
+	q.dynamics(&k4, &tmp, cmd)
 
 	combine := func(a, b, c, d mathx.Vec3) mathx.Vec3 {
 		return a.Add(b.Scale(2)).Add(c.Scale(2)).Add(d).Scale(1.0 / 6)

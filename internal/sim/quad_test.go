@@ -232,25 +232,6 @@ func TestQuadBatteryDrainsAndKillsMotors(t *testing.T) {
 	}
 }
 
-func TestQuadReset(t *testing.T) {
-	q := newTestQuad(t)
-	q.Step([4]float64{1, 1, 1, 1}, 0.1)
-	q.crash("test")
-	q.Reset(mathx.V3(1, 2, -3))
-	if crashed, _ := q.Crashed(); crashed {
-		t.Error("Reset did not clear crash")
-	}
-	if q.State().Pos != mathx.V3(1, 2, -3) {
-		t.Errorf("Reset pos = %v", q.State().Pos)
-	}
-	if q.Time() != 0 {
-		t.Errorf("Reset time = %v", q.Time())
-	}
-	if q.Battery().Fraction() != 1 {
-		t.Errorf("Reset battery fraction = %v", q.Battery().Fraction())
-	}
-}
-
 func TestQuadEnergyConservationInFreeFall(t *testing.T) {
 	// With drag zeroed, free-fall must match kinematics: v = g·t.
 	p := IRISPlusParams()
