@@ -53,11 +53,17 @@ type Flight struct {
 	start   float64
 	varRefs []vars.Ref
 	varVals []float64
+	// ciRefs are ATT.DesRoll, ATT.DesPitch and ATT.DesYaw, resolved when
+	// a CI monitor or the recovery guard runs; mlRefs are RATE.RDes and
+	// PIDR.OUT, resolved when the ML monitor runs.
+	ciRefs []vars.Ref
+	mlRefs []vars.Ref
 }
 
 // NewFlight launches a flight through firmware.Launch and arms it: the
-// monitors are reset, and the cells the variable monitor watches and the
-// recovery guard actuates are resolved (the defense package stays
+// monitors are reset, and the cells the monitors observe, the variable
+// monitor watches and the recovery guard actuates are resolved once (the
+// defense package stays
 // firmware-agnostic; this is the wiring layer). inject runs every tick
 // from the firmware's mid-pipeline hook, after the navigator writes the
 // attitude command and before the stabilizer consumes it — the timing an
@@ -90,10 +96,18 @@ func NewFlight(cfg firmware.Config, mission *firmware.Mission, settleS float64, 
 		}
 		mons.Recovery.Reset()
 	}
+	if mons.CI != nil || mons.Recovery != nil {
+		if f.ciRefs, err = lookupAll(fw, ciCells); err != nil {
+			return nil, err
+		}
+	}
 	if mons.CI != nil {
 		mons.CI.Reset()
 	}
 	if mons.ML != nil {
+		if f.mlRefs, err = lookupAll(fw, mlCells); err != nil {
+			return nil, err
+		}
 		mons.ML.Reset()
 	}
 	if mons.EKF != nil {
@@ -115,16 +129,17 @@ func (f *Flight) Firmware() *firmware.Firmware { return f.fw }
 func (f *Flight) Now() float64 { return f.fw.Time() - f.start }
 
 // Tick steps the flight one control tick and feeds each configured
-// monitor its observation. It returns the tick's verdicts and whether the
-// vehicle is still flying (false once it has crashed). The recovery guard
-// records its engagement at the tick's start time, Now before the step.
-func (f *Flight) Tick() (Verdicts, bool) {
+// monitor its observation. It overwrites v with the tick's verdicts and
+// reports whether the vehicle is still flying (false once it has
+// crashed). The recovery guard records its engagement at the tick's start
+// time, Now before the step.
+func (f *Flight) Tick(v *Verdicts) bool {
 	now := f.Now()
 	f.fw.Step()
 	m := &f.mons
-	var v Verdicts
+	*v = Verdicts{}
 	if m.CI != nil || m.Recovery != nil {
-		s := ciSampleOf(f.fw)
+		s := ciSampleOf(f.fw, f.ciRefs)
 		if m.CI != nil {
 			v.CI = m.CI.Observe(s)
 		}
@@ -133,10 +148,10 @@ func (f *Flight) Tick() (Verdicts, bool) {
 		}
 	}
 	if m.ML != nil {
-		v.ML = m.ML.Observe(mlSampleOf(f.fw))
+		v.ML = m.ML.Observe(mlSampleOf(f.fw, f.mlRefs))
 	}
 	if m.EKF != nil {
-		roll, _, _ := f.fw.Quad().State().Euler()
+		roll, _, _ := f.fw.Quad().Euler()
 		estRoll, _, _ := f.fw.EKF().Attitude()
 		v.EKF = m.EKF.Observe(roll, estRoll)
 	}
@@ -147,7 +162,7 @@ func (f *Flight) Tick() (Verdicts, bool) {
 		v.Var = m.VarMon.Observe(f.varVals)
 	}
 	crashed, _ := f.fw.Quad().Crashed()
-	return v, !crashed
+	return !crashed
 }
 
 // lookupAll resolves the named cells against a running firmware.
@@ -163,7 +178,16 @@ func lookupAll(fw *firmware.Firmware, names []string) ([]vars.Ref, error) {
 	return refs, nil
 }
 
-// ciSampleOf extracts the control-invariants observation. Following Choi
+// ciCells are the attitude targets the CI observation reads, and mlCells
+// the roll-rate target and output the ML observation reads. Callers
+// resolve them once per flight with lookupAll.
+var (
+	ciCells = []string{"ATT.DesRoll", "ATT.DesPitch", "ATT.DesYaw"}
+	mlCells = []string{"RATE.RDes", "PIDR.OUT"}
+)
+
+// ciSampleOf extracts the control-invariants observation, reading the
+// attitude targets through des, the resolved ciCells. Following Choi
 // et al.'s implementation, the monitor reads the attitude *targets the
 // firmware itself computed* (ATT.DesRoll/DesPitch/DesYaw) — it has no
 // independent source of expected behavior. This is precisely the soundness
@@ -171,23 +195,24 @@ func lookupAll(fw *firmware.Firmware, names []string) ([]vars.Ref, error) {
 // vehicle track it stays self-consistent, while an attack that makes the
 // vehicle diverge from its own targets (e.g. forcing the rate integrator)
 // is caught.
-func ciSampleOf(fw *firmware.Firmware) defense.CISample {
-	roll, pitch, yaw := fw.Quad().State().Euler()
+func ciSampleOf(fw *firmware.Firmware, des []vars.Ref) defense.CISample {
+	roll, pitch, yaw := fw.Quad().Euler()
 	return defense.CISample{
 		Roll: roll, Pitch: pitch, Yaw: yaw,
-		DesRoll:  varOf(fw, "ATT.DesRoll"),
-		DesPitch: varOf(fw, "ATT.DesPitch"),
-		DesYaw:   varOf(fw, "ATT.DesYaw"),
+		DesRoll:  des[0].Get(),
+		DesPitch: des[1].Get(),
+		DesYaw:   des[2].Get(),
 	}
 }
 
 // mlSampleOf extracts the ML-monitor observation: the roll-rate controller's
-// target, measurement and output.
-func mlSampleOf(fw *firmware.Firmware) defense.MLSample {
+// target and output, through cells (the resolved mlCells), and its
+// measurement.
+func mlSampleOf(fw *firmware.Firmware, cells []vars.Ref) defense.MLSample {
 	return defense.MLSample{
-		Target: varOf(fw, "RATE.RDes"),
+		Target: cells[0].Get(),
 		Actual: fw.LastReading().IMU.Gyro.X,
-		Output: varOf(fw, "PIDR.OUT"),
+		Output: cells[1].Get(),
 	}
 }
 

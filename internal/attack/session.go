@@ -9,6 +9,7 @@ import (
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/sensors"
 	"github.com/ares-cps/ares/internal/sim"
+	"github.com/ares-cps/ares/internal/vars"
 )
 
 // TracePoint is one recorded sample of an attack session (16 Hz).
@@ -93,8 +94,8 @@ func CalibrateMonitors(mission *firmware.Mission, seed int64) (*defense.ControlI
 // zero value flies the IRIS+ default).
 func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, seed int64) (*defense.ControlInvariants, error) {
 	var trace []defense.CISample
-	if _, err := calibrationFlights(mission, vehicle, seed, func(fw *firmware.Firmware) {
-		trace = append(trace, ciSampleOf(fw))
+	if _, err := calibrationFlights(mission, vehicle, seed, ciCells, func(fw *firmware.Firmware, des []vars.Ref) {
+		trace = append(trace, ciSampleOf(fw, des))
 	}); err != nil {
 		return nil, err
 	}
@@ -109,8 +110,8 @@ func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, 
 // CalibrateMonitors flies.
 func CalibrateML(mission *firmware.Mission, seed int64) (*defense.MLMonitor, error) {
 	var trace []defense.MLSample
-	dt, err := calibrationFlights(mission, sim.VehicleParams{}, seed, func(fw *firmware.Firmware) {
-		trace = append(trace, mlSampleOf(fw))
+	dt, err := calibrationFlights(mission, sim.VehicleParams{}, seed, mlCells, func(fw *firmware.Firmware, cells []vars.Ref) {
+		trace = append(trace, mlSampleOf(fw, cells))
 	})
 	if err != nil {
 		return nil, err
@@ -123,8 +124,9 @@ func CalibrateML(mission *firmware.Mission, seed int64) (*defense.MLMonitor, err
 }
 
 // calibrationFlights flies the three benign calibration missions, calling
-// sample after every firmware tick, and returns the tick length.
-func calibrationFlights(mission *firmware.Mission, vehicle sim.VehicleParams, seed int64, sample func(*firmware.Firmware)) (float64, error) {
+// sample after every firmware tick with the flight's cells resolved from
+// names, and returns the tick length.
+func calibrationFlights(mission *firmware.Mission, vehicle sim.VehicleParams, seed int64, names []string, sample func(*firmware.Firmware, []vars.Ref)) (float64, error) {
 	var dt float64
 	for m := int64(0); m < 3; m++ {
 		fw, err := firmware.Launch(firmware.Config{
@@ -134,12 +136,16 @@ func calibrationFlights(mission *firmware.Mission, vehicle sim.VehicleParams, se
 		if err != nil {
 			return 0, err
 		}
+		cells, err := lookupAll(fw, names)
+		if err != nil {
+			return 0, err
+		}
 		dt = fw.DT()
 		maxTicks := int(120 / fw.DT())
 		minTicks := int(30 / fw.DT()) // hover missions complete instantly
 		for i := 0; i < maxTicks && (!fw.Mission().Complete() || i < minTicks); i++ {
 			fw.Step()
-			sample(fw)
+			sample(fw, cells)
 		}
 		if crashed, reason := fw.Quad().Crashed(); crashed {
 			return 0, fmt.Errorf("attack: calibration flight crashed: %s", reason)
@@ -174,6 +180,7 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 	path := cfg.Mission.Path()
 	ticks := int(cfg.Duration / fw.DT())
 	logEvery := max(1, int(math.Round(1/(16*fw.DT())))) // 16 Hz trace
+	var v Verdicts
 	for i := 0; i < ticks; i++ {
 		now := fl.Now()
 		if cfg.Strategy != nil && !attackBegun && now >= cfg.AttackStart {
@@ -183,7 +190,7 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 			attackBegun = true
 		}
 		hookNow = now - cfg.AttackStart
-		v, flying := fl.Tick()
+		flying := fl.Tick(&v)
 
 		// The guard's detector verdict reports through the CI channel (it
 		// *is* a control-invariants detector, plus a response).
@@ -202,15 +209,14 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 			res.FirstAlarmT = now
 		}
 
-		st := fw.Quad().State()
-		dev := mathx.PathDistance(st.Pos, path)
+		dev := mathx.PathDistance(fw.Quad().StateRef().Pos, path)
 		if dev > res.MaxPathDev {
 			res.MaxPathDev = dev
 		}
 		res.FinalPathDev = dev
 
 		if i%logEvery == 0 {
-			roll, pitch, _ := st.Euler()
+			roll, pitch, _ := fw.Quad().Euler()
 			estRoll, _, _ := fw.EKF().Attitude()
 			res.Trace = append(res.Trace, TracePoint{
 				T:          now,

@@ -48,6 +48,7 @@ type StealthyAttack struct {
 	Backoff float64
 
 	ref      vars.Ref
+	des      []vars.Ref // the resolved ciCells the shadow monitor reads
 	offset   float64
 	lastNow  float64
 	haveLast bool
@@ -86,7 +87,12 @@ func (a *StealthyAttack) Begin(fw *firmware.Firmware) error {
 	if a.Backoff <= 0 || a.Backoff >= 1 {
 		a.Backoff = 0.98
 	}
+	des, err := lookupAll(fw, ciCells)
+	if err != nil {
+		return fmt.Errorf("attack: stealthy begin: %w", err)
+	}
 	a.ref = ref
+	a.des = des
 	a.offset = 0
 	a.haveLast = false
 	a.Shadow.Reset()
@@ -109,7 +115,7 @@ func (a *StealthyAttack) Apply(fw *firmware.Firmware, now float64) {
 	a.lastNow = now
 	a.haveLast = true
 
-	v := a.Shadow.Observe(ciSampleOf(fw))
+	v := a.Shadow.Observe(ciSampleOf(fw, a.des))
 	if v.Stat >= a.Budget*a.Shadow.Threshold {
 		a.offset *= a.Backoff
 	} else {

@@ -162,8 +162,9 @@ func (b *baseEnv) advance(action float64) (detected, crashed bool) {
 	}
 	b.pendDelta = mathx.Clamp(action, -b.cfg.MaxAction, b.cfg.MaxAction)
 	b.pendOnce = true
+	var v attack.Verdicts
 	for i := 0; i < b.ticks; i++ {
-		v, flying := b.flight.Tick()
+		flying := b.flight.Tick(&v)
 		b.detected = b.detected || v.CI.Alarm || v.ML.Alarm || v.EKF.Alarm || v.Var.Alarm
 		b.alarmed = b.alarmed || b.detected || v.Guard.Alarm
 		if !flying {
@@ -234,8 +235,8 @@ func (e *DeviationEnv) distance() float64 {
 // observe builds the normalized observation: deviation, roll, roll rate,
 // manipulated-variable value, mission progress.
 func (e *DeviationEnv) observe() []float64 {
-	st := e.fw.Quad().State()
-	roll, _, _ := st.Euler()
+	st := e.fw.Quad().StateRef()
+	roll, _, _ := e.fw.Quad().Euler()
 	progress := 0.0
 	if n := len(e.path); n > 1 {
 		total := e.path[0].Dist(e.path[n-1])
@@ -322,8 +323,8 @@ func (e *CrashEnv) distance() float64 {
 }
 
 func (e *CrashEnv) observe() []float64 {
-	st := e.fw.Quad().State()
-	roll, _, _ := st.Euler()
+	st := e.fw.Quad().StateRef()
+	roll, _, _ := e.fw.Quad().Euler()
 	center := e.obstacle.Box.Center()
 	return []float64{
 		e.distance() / 10,

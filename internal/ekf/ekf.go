@@ -74,6 +74,12 @@ type EKF struct {
 	pn, pe, pd       float64
 	// innovation magnitudes (NKF4-style health variables).
 	innovPos, innovVel, innovMag float64
+
+	// attQ is QuatFromEuler of the attitude whose exact bits are attKey;
+	// attOK is false until the first AttitudeQuat call.
+	attKey [3]uint64
+	attQ   mathx.Quat
+	attOK  bool
 }
 
 // New creates an EKF initialized at the origin with a loose prior.
@@ -112,7 +118,7 @@ func (e *EKF) Predict(gyro, accel mathx.Vec3, dt float64) {
 	e.x[ixYaw] = mathx.WrapPi(yaw + yawRate*dt)
 
 	// Velocity: rotate specific force to world, add gravity.
-	att := mathx.QuatFromEuler(e.x[ixRoll], e.x[ixPitch], e.x[ixYaw])
+	att := e.AttitudeQuat()
 	accWorld := att.Rotate(accel).Add(mathx.V3(0, 0, gravity))
 	e.x[ixVN] += accWorld.X * dt
 	e.x[ixVE] += accWorld.Y * dt
@@ -221,6 +227,24 @@ func (e *EKF) syncOutputs() {
 // Attitude returns the estimated (roll, pitch, yaw) in radians.
 func (e *EKF) Attitude() (roll, pitch, yaw float64) {
 	return e.x[ixRoll], e.x[ixPitch], e.x[ixYaw]
+}
+
+// AttitudeQuat returns the estimated attitude as a quaternion, the value
+// of mathx.QuatFromEuler(e.Attitude()). The conversion is memoized on the
+// exact bits of the three angles, so a repeat read of an unchanged
+// estimate, such as the firmware's after Predict on a tick with no fusion,
+// costs no trigonometry and returns the same bits.
+func (e *EKF) AttitudeQuat() mathx.Quat {
+	key := [3]uint64{
+		math.Float64bits(e.x[ixRoll]),
+		math.Float64bits(e.x[ixPitch]),
+		math.Float64bits(e.x[ixYaw]),
+	}
+	if !e.attOK || key != e.attKey {
+		e.attQ = mathx.QuatFromEuler(e.x[ixRoll], e.x[ixPitch], e.x[ixYaw])
+		e.attKey, e.attOK = key, true
+	}
+	return e.attQ
 }
 
 // Velocity returns the estimated NED velocity.

@@ -43,6 +43,37 @@ func TestEKFPredictAttitude(t *testing.T) {
 	}
 }
 
+// TestEKFAttitudeQuatMemo checks that the memoized AttitudeQuat always
+// returns the bits QuatFromEuler(Attitude()) computes, after every kind of
+// update that moves the attitude and on a repeat read.
+func TestEKFAttitudeQuatMemo(t *testing.T) {
+	e := New()
+	check := func(what string) {
+		t.Helper()
+		want := mathx.QuatFromEuler(e.Attitude())
+		for read := 0; read < 2; read++ {
+			got := e.AttitudeQuat()
+			if math.Float64bits(got.W) != math.Float64bits(want.W) ||
+				math.Float64bits(got.X) != math.Float64bits(want.X) ||
+				math.Float64bits(got.Y) != math.Float64bits(want.Y) ||
+				math.Float64bits(got.Z) != math.Float64bits(want.Z) {
+				t.Fatalf("after %s, read %d: AttitudeQuat() = %v, QuatFromEuler(Attitude()) = %v", what, read, got, want)
+			}
+		}
+	}
+	check("New")
+	for i := 0; i < 20; i++ {
+		e.Predict(mathx.V3(0.2, -0.1, 0.3), mathx.V3(0.5, -0.4, -gravity), dt)
+		check("Predict")
+		e.FuseGravity(mathx.V3(0.3, 0.2, -gravity))
+		check("FuseGravity")
+		e.FuseMag(2.5)
+		check("FuseMag")
+		e.FuseGPS(mathx.V3(1, -1, -5), mathx.V3(0.5, 0, 0))
+		check("FuseGPS")
+	}
+}
+
 func TestEKFPredictVelocityAndPosition(t *testing.T) {
 	e := New()
 	// Level, accelerating north at 1 m/s²: specific force (1, 0, -g).
@@ -217,7 +248,9 @@ func TestEKFTracksSimulatedFlight(t *testing.T) {
 		wobble := mathx.Rad(3) * math.Sin(float64(i)*dt*2*math.Pi*0.5)
 		tr, tp, ty := att.Update(wobble, 0, 0, trueR, trueP, trueY, st.Omega)
 		quad.Step(mix.Mix(thr, tr, tp, ty), dt)
-		r := suite.Sample(quad.Time(), quad.State(), quad.LastAccel(), quad.Battery())
+		var r sensors.Reading
+		_, _, yaw := quad.Euler()
+		suite.Sample(&r, quad.Time(), quad.StateRef(), yaw, quad.LastAccel(), quad.Battery())
 		e.Predict(r.IMU.Gyro, r.IMU.Accel, dt)
 		e.FuseGravity(r.IMU.Accel)
 		if i%25 == 0 { // 16 Hz aiding

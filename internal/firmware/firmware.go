@@ -106,6 +106,12 @@ type Firmware struct {
 	gpsN, gpsE, gpsD    float64
 	battV, battA        float64
 
+	// Battery failsafe parameters, bound to FS_BATT_ENABLE and
+	// BATT_LOW_VOLT so PARAM_SET writes through to them.
+	fsBattEnable, battLowVolt float64
+
+	// lastReading is the current tick's sensor snapshot; the suite
+	// samples into it in place.
 	lastReading sensors.Reading
 
 	inboxMu sync.Mutex
@@ -272,7 +278,7 @@ func (f *Firmware) assignRegions() error {
 }
 
 // paramBindings maps each GCS-visible parameter that drives a live
-// controller or SINS field to that field.
+// controller, SINS or failsafe field to that field.
 func (f *Firmware) paramBindings() map[string]*float64 {
 	return map[string]*float64{
 		"ATC_RAT_RLL_P":    &f.att.RateRoll.KP,
@@ -297,6 +303,8 @@ func (f *Firmware) paramBindings() map[string]*float64 {
 		"PSC_VELZ_P":       &f.pos.VelZ.KP,
 		"SINS_VEL_GAIN":    &f.sins.VelGain,
 		"SINS_POS_GAIN":    &f.sins.PosGain,
+		"FS_BATT_ENABLE":   &f.fsBattEnable,
+		"BATT_LOW_VOLT":    &f.battLowVolt,
 	}
 }
 
@@ -340,8 +348,9 @@ func (f *Firmware) Time() float64 { return f.quad.Time() }
 // DT returns the main loop period.
 func (f *Firmware) DT() float64 { return f.dt }
 
-// LastReading returns the most recent sensor snapshot.
-func (f *Firmware) LastReading() sensors.Reading { return f.lastReading }
+// LastReading returns the most recent sensor snapshot. It is the live
+// snapshot, which the next Step overwrites; callers must not write it.
+func (f *Firmware) LastReading() *sensors.Reading { return &f.lastReading }
 
 // --- commands ---
 
@@ -425,8 +434,9 @@ func (f *Firmware) Step() {
 	f.drainInbox()
 
 	// Sense.
-	r := f.suite.Sample(f.quad.Time(), f.quad.State(), f.quad.LastAccel(), f.quad.Battery())
-	f.lastReading = r
+	r := &f.lastReading
+	_, _, yaw := f.quad.Euler()
+	f.suite.Sample(r, f.quad.Time(), f.quad.StateRef(), yaw, f.quad.LastAccel(), f.quad.Battery())
 	f.copySensorVars(r)
 
 	// Estimate.
@@ -438,8 +448,7 @@ func (f *Firmware) Step() {
 		f.est.FuseBaro(r.BaroAlt)
 		f.est.FuseMag(r.MagYaw)
 	}
-	estRoll, estPitch, estYaw := f.est.Attitude()
-	f.sins.Predict(r.IMU.Accel, mathx.QuatFromEuler(estRoll, estPitch, estYaw), f.dt)
+	f.sins.Predict(r.IMU.Accel, f.est.AttitudeQuat(), f.dt)
 	if r.GPSFresh {
 		f.est.FuseGPS(r.GPS.Pos, r.GPS.Vel)
 		f.sins.CorrectPosition(r.GPS.Pos)
@@ -480,7 +489,7 @@ func (f *Firmware) RunFor(seconds float64) {
 	f.StepN(int(seconds / f.dt))
 }
 
-func (f *Firmware) copySensorVars(r sensors.Reading) {
+func (f *Firmware) copySensorVars(r *sensors.Reading) {
 	f.gyrX, f.gyrY, f.gyrZ = r.IMU.Gyro.X, r.IMU.Gyro.Y, r.IMU.Gyro.Z
 	f.accX, f.accY, f.accZ = r.IMU.Accel.X, r.IMU.Accel.Y, r.IMU.Accel.Z
 	f.gyr2X, f.gyr2Y, f.gyr2Z = r.IMU2.Gyro.X, r.IMU2.Gyro.Y, r.IMU2.Gyro.Z
@@ -518,7 +527,7 @@ func (f *Firmware) runControllers() [4]float64 {
 		// Descend ~1 m/s by chasing a point 1 m below the current
 		// estimate; touchdown then stays below the crash threshold.
 		target = mathx.V3(estPos.X, estPos.Y, estPos.Z+1.0)
-		if f.quad.State().Altitude() < 0.1 {
+		if -f.quad.StateRef().Pos.Z < 0.1 { // altitude, without copying the State
 			f.Disarm()
 		}
 	case modeStabilize:
@@ -544,18 +553,10 @@ func (f *Firmware) runControllers() [4]float64 {
 func (f *Firmware) SetAttackHook(hook func()) { f.attackHook = hook }
 
 func (f *Firmware) checkFailsafes() {
-	if !f.armed {
+	if !f.armed || f.fsBattEnable == 0 {
 		return
 	}
-	enabled, err := f.params.Get("FS_BATT_ENABLE")
-	if err != nil || enabled == 0 {
-		return
-	}
-	lowV, err := f.params.Get("BATT_LOW_VOLT")
-	if err != nil {
-		return
-	}
-	if f.quad.Battery().Voltage < lowV && f.mode != modeRTL && f.mode != modeLand {
+	if f.quad.Battery().Voltage < f.battLowVolt && f.mode != modeRTL && f.mode != modeLand {
 		f.mode = modeLand
 	}
 }

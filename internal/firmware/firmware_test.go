@@ -184,6 +184,8 @@ func TestFirmwareParamBindings(t *testing.T) {
 		{"PSC_VELZ_P", func(f *Firmware) float64 { return f.pos.VelZ.KP }},
 		{"SINS_VEL_GAIN", func(f *Firmware) float64 { return f.sins.VelGain }},
 		{"SINS_POS_GAIN", func(f *Firmware) float64 { return f.sins.PosGain }},
+		{"FS_BATT_ENABLE", func(f *Firmware) float64 { return f.fsBattEnable }},
+		{"BATT_LOW_VOLT", func(f *Firmware) float64 { return f.battLowVolt }},
 	}
 	f := newTestFirmware(t, Config{})
 	bound := f.paramBindings()
@@ -384,6 +386,47 @@ func TestFirmwareBatteryFailsafe(t *testing.T) {
 	f.Step()
 	if f.Mode() != modeLand {
 		t.Errorf("mode = %v, want LAND after battery failsafe", f.Mode())
+	}
+}
+
+// TestBatteryFailsafeViaGCS drives the battery failsafe the way a
+// parameter attack does: a MAVLink PARAM_SET through the firmware inbox in
+// the middle of an AUTO mission. Raising BATT_LOW_VOLT above the pack
+// voltage lands the vehicle on the very tick that applies the write;
+// with FS_BATT_ENABLE cleared first, the same write leaves it in AUTO.
+func TestBatteryFailsafeViaGCS(t *testing.T) {
+	for _, tt := range []struct {
+		name    string
+		disable bool
+		want    Mode
+	}{
+		{"enabled", false, modeLand},
+		{"disabled", true, ModeAuto},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			f, err := Launch(Config{}, LineMission(200, 10), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.RunFor(3)
+			if tt.disable {
+				f.Enqueue(&mavlink.ParamSet{Name: "FS_BATT_ENABLE", Value: 0})
+				f.Step()
+			}
+			if f.Mode() != ModeAuto {
+				t.Fatalf("mode = %v before the write, want AUTO", f.Mode())
+			}
+			f.Enqueue(&mavlink.ParamSet{Name: "BATT_LOW_VOLT", Value: 49})
+			f.Step()
+			for _, m := range f.DrainOutbox() {
+				if pv, ok := m.(*mavlink.ParamValue); ok && pv.Name == "BATT_LOW_VOLT" && !pv.OK {
+					t.Fatalf("PARAM_SET BATT_LOW_VOLT 49 rejected: %+v", pv)
+				}
+			}
+			if f.Mode() != tt.want {
+				t.Errorf("mode = %v after PARAM_SET BATT_LOW_VOLT 49, want %v", f.Mode(), tt.want)
+			}
+		})
 	}
 }
 

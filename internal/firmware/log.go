@@ -14,7 +14,7 @@ func (f *Firmware) writeLogs() {
 	w := f.cfg.LogWriter
 	now := f.quad.Time()
 	st := f.quad.State()
-	roll, pitch, yaw := st.Euler()
+	roll, pitch, yaw := f.quad.Euler()
 	estRoll, estPitch, estYaw := f.est.Attitude()
 	estVel := f.est.Velocity()
 	estPos := f.est.Position()

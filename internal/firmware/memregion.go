@@ -11,32 +11,6 @@ import (
 	"github.com/ares-cps/ares/internal/vars"
 )
 
-// RegionPerm is the MPU access permission of a memory region.
-type RegionPerm int
-
-const (
-	// permReadWrite allows both reads and writes from unprivileged code.
-	permReadWrite RegionPerm = iota + 1
-	// permReadOnly allows only reads.
-	permReadOnly
-	// permNoAccess blocks unprivileged access entirely.
-	permNoAccess
-)
-
-// String returns the permission label.
-func (p RegionPerm) String() string {
-	switch p {
-	case permReadWrite:
-		return "rw"
-	case permReadOnly:
-		return "ro"
-	case permNoAccess:
-		return "none"
-	default:
-		return fmt.Sprintf("perm(%d)", int(p))
-	}
-}
-
 // Standard region names used by the firmware's memory map. The paper's
 // observation drives the layout: "PID controllers executed by the stabilizer
 // process usually run in the same memory region", so all three rate PIDs and
@@ -53,17 +27,17 @@ const (
 // MemoryMap models the MPU configuration: a set of isolated regions and the
 // assignment of every state variable to exactly one region.
 type MemoryMap struct {
-	regions map[string]RegionPerm
+	regions map[string]struct{}
 	varHome map[string]string // variable name → region
 	vars    *vars.Set
 }
 
 // newMemoryMap creates a map over the given variable set with the standard
-// regions preconfigured read-write (the MPU isolates regions from *each
-// other*; code inside a region has full access to it).
+// regions. The MPU isolates regions from *each other*; code inside a region
+// has full read and write access to it, so a region carries no permission.
 func newMemoryMap(set *vars.Set) *MemoryMap {
 	m := &MemoryMap{
-		regions: make(map[string]RegionPerm),
+		regions: make(map[string]struct{}),
 		varHome: make(map[string]string),
 		vars:    set,
 	}
@@ -71,7 +45,7 @@ func newMemoryMap(set *vars.Set) *MemoryMap {
 		RegionStabilizer, regionNavigator, regionEstimator,
 		RegionDrivers, regionConfig, regionActuators,
 	} {
-		m.regions[r] = permReadWrite
+		m.regions[r] = struct{}{}
 	}
 	return m
 }

@@ -102,20 +102,3 @@ func TestMemoryMapUnassignedVars(t *testing.T) {
 		t.Error("assigned variable still reported missing")
 	}
 }
-
-func TestRegionPermString(t *testing.T) {
-	tests := []struct {
-		perm RegionPerm
-		want string
-	}{
-		{permReadWrite, "rw"},
-		{permReadOnly, "ro"},
-		{permNoAccess, "none"},
-		{RegionPerm(9), "perm(9)"},
-	}
-	for _, tt := range tests {
-		if got := tt.perm.String(); got != tt.want {
-			t.Errorf("perm = %q, want %q", got, tt.want)
-		}
-	}
-}

@@ -14,7 +14,14 @@ func Clamp(v, lo, hi float64) float64 {
 }
 
 // WrapPi wraps an angle in radians to (-π, π].
+//
+// An angle already in range is returned as is: math.Mod(a, 2π) returns
+// a itself, −0 included, whenever |a| < 2π, so skipping it there gives the
+// same bits. NaN fails both comparisons and still goes through Mod.
 func WrapPi(a float64) float64 {
+	if -math.Pi < a && a <= math.Pi {
+		return a
+	}
 	a = math.Mod(a, 2*math.Pi)
 	switch {
 	case a > math.Pi:

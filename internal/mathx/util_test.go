@@ -51,6 +51,45 @@ func TestWrapPi(t *testing.T) {
 	}
 }
 
+// wrapPiMod is WrapPi without its in-range fast path: every angle goes
+// through math.Mod. It is the oracle the fast path must match bit for bit.
+func wrapPiMod(a float64) float64 {
+	a = math.Mod(a, 2*math.Pi)
+	switch {
+	case a > math.Pi:
+		a -= 2 * math.Pi
+	case a <= -math.Pi:
+		a += 2 * math.Pi
+	}
+	return a
+}
+
+// FuzzWrapPi checks that WrapPi returns the same bits as the Mod-only
+// oracle for every input, the range edges, signed zeros, subnormals,
+// infinities and NaN included.
+func FuzzWrapPi(f *testing.F) {
+	for _, a := range []float64{
+		0, math.Copysign(0, -1),
+		math.Pi, -math.Pi,
+		math.Nextafter(math.Pi, 4), math.Nextafter(math.Pi, 0),
+		math.Nextafter(-math.Pi, -4), math.Nextafter(-math.Pi, 0),
+		2 * math.Pi, -2 * math.Pi,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		f.Add(math.Float64bits(a))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		a := math.Float64frombits(bits)
+		got, want := WrapPi(a), wrapPiMod(a)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("WrapPi(%v [%#x]) = %v [%#x], Mod-only oracle gives %v [%#x]",
+				a, bits, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}
+
 func TestDegRad(t *testing.T) {
 	if !ApproxEqual(Deg(math.Pi), 180, 1e-12) {
 		t.Errorf("Deg(π) = %v", Deg(math.Pi))

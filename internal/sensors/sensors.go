@@ -105,8 +105,7 @@ type Suite struct {
 
 	lastGPSTime float64
 	gpsQueue    []timedFix // fixes awaiting their latency
-	haveGPS     bool
-	lastFix     GPSReading
+	lastFix     GPSReading // zero (not Valid) until the first fix arrives
 }
 
 type timedFix struct {
@@ -139,19 +138,19 @@ func NewSuite(cfg Config) *Suite {
 	}
 }
 
-// Sample produces a full sensor reading from the vehicle's true state. The
-// now parameter is the simulation time in seconds and accelWorld is the true
-// world-frame acceleration over the last step.
-func (s *Suite) Sample(now float64, state sim.State, accelWorld mathx.Vec3, battery sim.Battery) Reading {
-	r := Reading{
-		Time:     now,
-		IMU:      s.sampleIMU(state, accelWorld, s.gyroBias, s.accelBias),
-		IMU2:     s.sampleIMU(state, accelWorld, s.gyroBias2, s.accelBias2),
-		BaroAlt:  state.Altitude() + s.noise(s.cfg.BaroNoise),
-		BatteryV: battery.Voltage,
-		CurrentA: battery.CurrentA,
-	}
-	_, _, yaw := state.Euler()
+// Sample writes a full sensor reading from the vehicle's true state into
+// r, overwriting every field. The now parameter is the simulation time in
+// seconds, yaw is the true yaw of state.Att (the caller's memoized Euler
+// conversion) and accelWorld is the true world-frame acceleration over the
+// last step. The noise draws run in a fixed order: IMU, IMU2, baro, mag,
+// then GPS.
+func (s *Suite) Sample(r *Reading, now float64, state *sim.State, yaw float64, accelWorld mathx.Vec3, battery *sim.Battery) {
+	r.Time = now
+	s.sampleIMU(&r.IMU, state, accelWorld, &s.gyroBias, &s.accelBias)
+	s.sampleIMU(&r.IMU2, state, accelWorld, &s.gyroBias2, &s.accelBias2)
+	r.BaroAlt = -state.Pos.Z + s.noise(s.cfg.BaroNoise) // altitude, without copying *state
+	r.BatteryV = battery.Voltage
+	r.CurrentA = battery.CurrentA
 	r.MagYaw = mathx.WrapPi(yaw + s.noise(s.cfg.MagNoise))
 
 	// GPS: enqueue a fix at the fix rate; deliver it after the latency.
@@ -173,30 +172,28 @@ func (s *Suite) Sample(now float64, state sim.State, accelWorld mathx.Vec3, batt
 		}
 		s.gpsQueue = append(s.gpsQueue, timedFix{due: now + s.cfg.GPSLatency, fix: fix})
 	}
+	r.GPSFresh = false
 	for len(s.gpsQueue) > 0 && s.gpsQueue[0].due <= now {
 		s.lastFix = s.gpsQueue[0].fix
-		s.haveGPS = true
 		s.gpsQueue = s.gpsQueue[1:]
 		r.GPSFresh = true
 	}
-	if s.haveGPS {
-		r.GPS = s.lastFix
-	}
-	return r
+	r.GPS = s.lastFix
 }
 
-func (s *Suite) sampleIMU(state sim.State, accelWorld mathx.Vec3, gyroBias, accelBias mathx.Vec3) IMUReading {
-	gyro := state.Omega.
-		Add(gyroBias).
+// sampleIMU writes one IMU's sample into out: gyro noise is drawn before
+// accelerometer noise.
+func (s *Suite) sampleIMU(out *IMUReading, state *sim.State, accelWorld mathx.Vec3, gyroBias, accelBias *mathx.Vec3) {
+	out.Gyro = state.Omega.
+		Add(*gyroBias).
 		Add(s.noiseVec(s.cfg.GyroNoise))
 	// Specific force: what an accelerometer measures is the non-
 	// gravitational acceleration, expressed in the body frame.
 	gravity := mathx.V3(0, 0, sim.Gravity)
 	specificWorld := accelWorld.Sub(gravity)
-	accel := state.Att.RotateInverse(specificWorld).
-		Add(accelBias).
+	out.Accel = state.Att.RotateInverse(specificWorld).
+		Add(*accelBias).
 		Add(s.noiseVec(s.cfg.AccelNoise))
-	return IMUReading{Gyro: gyro, Accel: accel}
 }
 
 func (s *Suite) noise(sigma float64) float64 {

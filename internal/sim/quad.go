@@ -146,6 +146,12 @@ type Quad struct {
 	world       *World
 	impactSpeed float64
 	lastAccel   mathx.Vec3
+
+	// euler is state.Att.Euler() for the attitude whose exact bits are
+	// eulerKey; eulerOK is false until the first Euler call.
+	eulerKey [4]uint64
+	euler    [3]float64
+	eulerOK  bool
 }
 
 // NewQuad creates a quadrotor resting on the ground at the origin.
@@ -195,6 +201,29 @@ func WithInitialState(s State) Option {
 // State returns a copy of the current vehicle state.
 func (q *Quad) State() State { return q.state }
 
+// StateRef returns the live vehicle state, which every Step overwrites.
+// It is for readers on the per-tick path that would otherwise copy the
+// whole State; callers must not write through it (use SetState).
+func (q *Quad) StateRef() *State { return &q.state }
+
+// Euler returns the attitude as (roll, pitch, yaw) in radians, the value
+// of State().Euler(). The conversion is memoized on the exact bits of the
+// attitude quaternion, not on ==: a +0 and a −0 component compare equal
+// but can give Atan2 results of opposite sign. Every reader between two
+// physics steps then shares one conversion.
+func (q *Quad) Euler() (roll, pitch, yaw float64) {
+	a := &q.state.Att
+	key := [4]uint64{
+		math.Float64bits(a.W), math.Float64bits(a.X),
+		math.Float64bits(a.Y), math.Float64bits(a.Z),
+	}
+	if !q.eulerOK || key != q.eulerKey {
+		q.euler[0], q.euler[1], q.euler[2] = a.Euler()
+		q.eulerKey, q.eulerOK = key, true
+	}
+	return q.euler[0], q.euler[1], q.euler[2]
+}
+
 // SetState overwrites the vehicle state and clears any crash condition.
 func (q *Quad) SetState(s State) {
 	q.state = s
@@ -209,8 +238,9 @@ func (q *Quad) Time() float64 { return q.timeS }
 // used by the IMU model to derive the specific force an accelerometer sees.
 func (q *Quad) LastAccel() mathx.Vec3 { return q.lastAccel }
 
-// Battery returns the current battery status.
-func (q *Quad) Battery() Battery { return q.battery }
+// Battery returns the live battery status, which every Step updates;
+// like StateRef it is read-only.
+func (q *Quad) Battery() *Battery { return &q.battery }
 
 // Crashed reports whether the vehicle has crashed and why.
 func (q *Quad) Crashed() (bool, string) { return q.crashed, q.crashInfo }
@@ -398,11 +428,16 @@ func (q *Quad) checkCollisions() {
 		q.crash(fmt.Sprintf("ground impact at %.1f m/s", q.impactSpeed))
 		return
 	}
-	// Extreme attitude near the ground means a tip-over.
-	roll, pitch, _ := s.Att.Euler()
-	if s.Altitude() < 0.3 && (math.Abs(roll) > tipOverRad || math.Abs(pitch) > tipOverRad) {
-		q.crash("tip-over near ground")
-		return
+	// Extreme attitude near the ground means a tip-over. The attitude is
+	// converted only there; higher up the test cannot fire. The altitude
+	// is read from Pos directly: State.Altitude's value receiver would
+	// copy the whole State on every step.
+	if -s.Pos.Z < 0.3 {
+		roll, pitch, _ := q.Euler()
+		if math.Abs(roll) > tipOverRad || math.Abs(pitch) > tipOverRad {
+			q.crash("tip-over near ground")
+			return
+		}
 	}
 	// Obstacle contact.
 	if ob, hit := q.world.Hit(s.Pos); hit {

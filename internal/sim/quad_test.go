@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -302,5 +303,53 @@ func TestQuadStepNonFinite(t *testing.T) {
 				t.Fatalf("non-finite step advanced the clock to %v", q.Time())
 			}
 		})
+	}
+}
+
+// TestQuadEulerMemo checks that the memoized Quad.Euler always returns the
+// bits State().Euler() computes, across SetState and Step and on repeat
+// reads, including two attitudes that differ only in the sign of a zero
+// component (equal under ==, yet a roll of +π against −π).
+func TestQuadEulerMemo(t *testing.T) {
+	q := newTestQuad(t)
+	negZero := math.Copysign(0, -1)
+	plusPi := mathx.Quat{W: 0, X: 1, Y: 0, Z: negZero}
+	minusPi := mathx.Quat{W: negZero, X: 1, Y: 0, Z: negZero}
+	if plusPi != minusPi {
+		t.Fatal("signed-zero pair compares unequal; the case below tests nothing")
+	}
+	r1, _, _ := (State{Att: plusPi}).Euler()
+	r2, _, _ := (State{Att: minusPi}).Euler()
+	if math.Float64bits(r1) == math.Float64bits(r2) {
+		t.Fatalf("signed-zero pair converts to the same roll %v", r1)
+	}
+	check := func(what string) {
+		t.Helper()
+		want := [3]float64{}
+		want[0], want[1], want[2] = q.State().Euler()
+		for read := 0; read < 2; read++ {
+			got := [3]float64{}
+			got[0], got[1], got[2] = q.Euler()
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s, read %d: Euler() = %v, State().Euler() = %v", what, read, got, want)
+				}
+			}
+		}
+	}
+	check("initial")
+	for i, att := range []mathx.Quat{
+		mathx.QuatFromEuler(0.3, -0.2, 2.9), plusPi, minusPi, plusPi, mathx.QuatIdentity(),
+	} {
+		st := q.State()
+		st.Att = att
+		st.Pos = mathx.V3(0, 0, -20)
+		q.SetState(st)
+		check(fmt.Sprintf("SetState %d", i))
+	}
+	hover := q.Params.HoverThrottle()
+	for i := 0; i < 50; i++ {
+		q.Step([4]float64{hover + 0.05, hover, hover, hover - 0.05}, 1.0/400)
+		check("Step")
 	}
 }
