@@ -60,25 +60,22 @@ type Flight struct {
 	mlRefs []vars.Ref
 }
 
-// NewFlight launches a flight through firmware.Launch and arms it: the
-// monitors are reset, and the cells the monitors observe, the variable
+// Arm arms a flight launched by firmware.Launch: the monitors are
+// validated and reset, and the cells the monitors observe, the variable
 // monitor watches and the recovery guard actuates are resolved once (the
-// defense package stays
-// firmware-agnostic; this is the wiring layer). inject runs every tick
-// from the firmware's mid-pipeline hook, after the navigator writes the
-// attitude command and before the stabilizer consumes it — the timing an
-// attacker with code in the stabilizer region has. The recovery clamp
-// runs after inject from the same hook, so the legitimate firmware gets
-// the last word on what the stabilizer sees.
-func NewFlight(cfg firmware.Config, mission *firmware.Mission, settleS float64, mons Monitors, inject func(*firmware.Firmware)) (*Flight, error) {
+// defense package stays firmware-agnostic; this is the wiring layer).
+// Flight time starts at the arming. inject runs every tick from the
+// firmware's mid-pipeline hook, after the navigator writes the attitude
+// command and before the stabilizer consumes it — the timing an attacker
+// with code in the stabilizer region has. The recovery clamp runs after
+// inject from the same hook, so the legitimate firmware gets the last
+// word on what the stabilizer sees.
+func Arm(fw *firmware.Firmware, mons Monitors, inject func(*firmware.Firmware)) (*Flight, error) {
 	if err := mons.Validate(); err != nil {
 		return nil, err
 	}
-	fw, err := firmware.Launch(cfg, mission, settleS)
-	if err != nil {
-		return nil, err
-	}
 	f := &Flight{fw: fw, mons: mons, start: fw.Time()}
+	var err error
 	if mons.VarMon != nil {
 		if f.varRefs, err = lookupAll(fw, mons.VarMon.Names()); err != nil {
 			return nil, err

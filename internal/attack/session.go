@@ -163,10 +163,14 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 	}
 	attackBegun := false
 	var hookNow float64
-	fl, err := NewFlight(firmware.Config{
+	fw, err := firmware.Launch(firmware.Config{
 		Sensors: sensors.Seeded(cfg.Seed),
 		Vehicle: cfg.Vehicle,
-	}, cfg.Mission, 10, cfg.Monitors, func(fw *firmware.Firmware) {
+	}, cfg.Mission, 10)
+	if err != nil {
+		return nil, err
+	}
+	fl, err := Arm(fw, cfg.Monitors, func(fw *firmware.Firmware) {
 		if attackBegun {
 			cfg.Strategy.Apply(fw, hookNow)
 		}
@@ -174,7 +178,6 @@ func RunSession(cfg SessionConfig) (*SessionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fw := fl.Firmware()
 
 	res := &SessionResult{FirstAlarmT: -1}
 	path := cfg.Mission.Path()

@@ -371,7 +371,7 @@ func TestDeviationEnvRejectsBadTarget(t *testing.T) {
 
 // TestEnvsRejectBadConfig: both environments refuse at construction what
 // reset could not fly — an empty mission — and a monitor that
-// attack.NewFlight would reject, instead of silently training against a
+// attack.Arm would reject, instead of silently training against a
 // defense that does nothing.
 func TestEnvsRejectBadConfig(t *testing.T) {
 	guard := func(mut func(*defense.RecoveryGuard)) *defense.RecoveryGuard {

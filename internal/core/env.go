@@ -80,11 +80,21 @@ type baseEnv struct {
 	// Injection state consumed by the flight's injection hook.
 	pendDelta float64
 	pendOnce  bool
+
+	// launched delivers the episodes a prelaunch producer launched, in
+	// episode order; nil when no producer runs.
+	launched <-chan launchResult
+}
+
+// launchResult is one episode's launched firmware, or why it failed.
+type launchResult struct {
+	fw  *firmware.Firmware
+	err error
 }
 
 // newBaseEnv applies the config defaults and checks that the mission can
 // launch, the variable is reachable from the region, and the monitors are
-// ones attack.NewFlight accepts, so a misconfiguration fails at
+// ones attack.Arm accepts, so a misconfiguration fails at
 // construction rather than in Reset or silently in flight.
 func newBaseEnv(cfg EnvConfig, world *sim.World) (baseEnv, error) {
 	cfg.applyDefaults()
@@ -107,29 +117,86 @@ func newBaseEnv(cfg EnvConfig, world *sim.World) (baseEnv, error) {
 	return baseEnv{cfg: cfg, world: world, perTick: strings.HasPrefix(cfg.Variable, "CMD.")}, nil
 }
 
+// launch flies episode ep's warm-up: a fresh firmware with the
+// episode's sensor seed, takeoff, settle and mission start. It depends
+// only on the config and the world, which nothing writes after
+// construction, so it may run on any goroutine.
+func (b *baseEnv) launch(ep int) (*firmware.Firmware, error) {
+	return firmware.Launch(firmware.Config{
+		World:   b.world,
+		Sensors: sensors.Seeded(b.cfg.Seed + int64(ep)), //areslint:ignore seedarith golden-pinned
+	}, b.cfg.Mission, setupSeconds)
+}
+
+// prelaunch starts a producer that launches the next n episodes
+// (b.episode … b.episode+n-1) in order into a channel of capacity 1: a
+// launch does not depend on the policy, so episode k+1's warm-up flies
+// on a free core while episode k trains, and the producer runs no
+// further ahead than one launch in the channel and one it waits to hand
+// over. stop ends the producer, even one blocked on a launch no reset
+// will take, and returns once it has exited.
+func (b *baseEnv) prelaunch(n int) (stop func()) {
+	ch := make(chan launchResult, 1)
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	first := b.episode
+	go func() {
+		defer close(exited)
+		defer close(ch)
+		for ep := first; ep < first+n; ep++ {
+			fw, err := b.launch(ep)
+			select {
+			case ch <- launchResult{fw, err}:
+			case <-done:
+				return
+			}
+		}
+	}()
+	b.launched = ch
+	return func() {
+		close(done)
+		<-exited
+		b.launched = nil
+	}
+}
+
 // reset rebuilds the episode: a fresh attacked flight (per-episode sensor
 // seed), takeoff, mission start — the Gym env reset of Section V-A
 // ("landing, disarming the vehicle, and resetting it back into its
-// initial position" realized as a clean re-launch). An environment that
-// cannot reset cannot train, and the mission, variable and monitors were
-// validated at construction, so a failure here is a programming bug, not
-// a runtime condition: reset panics.
+// initial position" realized as a clean re-launch). It takes the
+// producer's next launch when one runs and launches synchronously
+// otherwise; arming stays on the env's goroutine, so the monitors and
+// the hook are never shared. An environment that cannot reset cannot
+// train, and the mission, variable and monitors were validated at
+// construction, so a failure here is a programming bug, not a runtime
+// condition: reset panics.
 func (b *baseEnv) reset() {
-	fl, err := attack.NewFlight(firmware.Config{
-		World:   b.world,
-		Sensors: sensors.Seeded(b.cfg.Seed + int64(b.episode)), //areslint:ignore seedarith golden-pinned
-	}, b.cfg.Mission, setupSeconds, b.cfg.Monitors, b.inject)
+	fw, err := b.nextLaunch()
 	if err == nil {
-		b.ref, err = fl.Firmware().Memory().Access(firmware.RegionStabilizer, b.cfg.Variable, true)
+		b.flight, err = attack.Arm(fw, b.cfg.Monitors, b.inject)
+	}
+	if err == nil {
+		b.ref, err = fw.Memory().Access(firmware.RegionStabilizer, b.cfg.Variable, true)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("core: env reset: %v", err))
 	}
-	b.flight, b.fw = fl, fl.Firmware()
+	b.fw = fw
 	b.episode++
 	b.alarmed, b.detected = false, false
 	b.pendDelta, b.pendOnce = 0, false
 	b.ticks = max(1, int(ActionInterval/b.fw.DT()))
+}
+
+// nextLaunch takes the producer's next launch, or launches b.episode
+// itself when no producer runs or it has delivered all n.
+func (b *baseEnv) nextLaunch() (*firmware.Firmware, error) {
+	if b.launched != nil {
+		if l, ok := <-b.launched; ok {
+			return l.fw, l.err
+		}
+	}
+	return b.launch(b.episode)
 }
 
 // inject is the flight's injection hook. Firing after the navigator

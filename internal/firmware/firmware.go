@@ -113,6 +113,9 @@ type Firmware struct {
 	// lastReading is the current tick's sensor snapshot; the suite
 	// samples into it in place.
 	lastReading sensors.Reading
+	// logCells are the cells writeLogs reads; nil unless cfg.LogWriter
+	// is set.
+	logCells *logCells
 
 	inboxMu sync.Mutex
 	inbox   []mavlink.Message
@@ -167,6 +170,11 @@ func New(cfg Config) (*Firmware, error) {
 	}
 	if err := f.bindParams(); err != nil {
 		return nil, fmt.Errorf("firmware: bind params: %w", err)
+	}
+	if cfg.LogWriter != nil {
+		if err := f.bindLogCells(); err != nil {
+			return nil, fmt.Errorf("firmware: %w", err)
+		}
 	}
 	return f, nil
 }

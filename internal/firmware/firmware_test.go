@@ -2,12 +2,15 @@ package firmware
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
 	"github.com/ares-cps/ares/internal/dataflash"
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/mavlink"
+	"github.com/ares-cps/ares/internal/sensors"
 )
 
 func newTestFirmware(t *testing.T, cfg Config) *Firmware {
@@ -42,7 +45,7 @@ func TestFirmwareTakeoffAndHover(t *testing.T) {
 	if crashed, reason := f.Quad().Crashed(); crashed {
 		t.Fatalf("crashed during takeoff: %s", reason)
 	}
-	if alt := f.Quad().State().Altitude(); math.Abs(alt-10) > 1.0 {
+	if alt := -f.Quad().StateRef().Pos.Z; math.Abs(alt-10) > 1.0 {
 		t.Errorf("altitude after takeoff = %v, want ~10", alt)
 	}
 	if f.Mode() != modeGuided || !f.armed {
@@ -90,7 +93,7 @@ func TestFirmwareLanding(t *testing.T) {
 	if f.armed {
 		t.Error("still armed after landing")
 	}
-	if alt := f.Quad().State().Altitude(); alt > 0.5 {
+	if alt := -f.Quad().StateRef().Pos.Z; alt > 0.5 {
 		t.Errorf("altitude after landing = %v", alt)
 	}
 	if crashed, reason := f.Quad().Crashed(); crashed {
@@ -333,6 +336,27 @@ func TestFirmwareDataflashLogging(t *testing.T) {
 		if math.Abs(v) > 45 {
 			t.Fatalf("logged roll %v deg out of plausible hover range", v)
 		}
+	}
+}
+
+// TestDataflashLogBytesPinned pins the exact bytes of a 20 s logged
+// flight (an 8 s launch and 12 s of a square mission, so the log covers
+// takeoff, hover and turns): any change to what writeLogs reads or how
+// it resolves its cells must leave every logged value bit-identical.
+func TestDataflashLogBytesPinned(t *testing.T) {
+	var buf bytes.Buffer
+	w := dataflash.NewWriter(&buf)
+	f, err := Launch(Config{Sensors: sensors.Seeded(7), LogWriter: w}, SquareMission(25, 10), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(12)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "e16a2d616af552da8f3956de52da1d815a32e4972bb8d856d3843cd144390356"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("dataflash log of %d bytes has SHA-256 %s, want %s", buf.Len(), got, want)
 	}
 }
 

@@ -1,34 +1,78 @@
 package firmware
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/ares-cps/ares/internal/control"
 	"github.com/ares-cps/ares/internal/mathx"
+	"github.com/ares-cps/ares/internal/vars"
 )
+
+// logCells are the cells writeLogs reads: the attitude and rate targets,
+// the rate PIDs' outputs, targets and measurements (index 0 roll, 1
+// pitch, 2 yaw) and the navigator's NTUN cells. New resolves them only
+// when a log writer is set, so a flight that logs nothing carries none.
+type logCells struct {
+	attDes, rateDes                [3]vars.Ref
+	pidOut, pidTar, pidAct         [3]vars.Ref
+	dVelX, dVelY, dAccX, dAccY, tv vars.Ref
+}
+
+// bindLogCells resolves f.logCells.
+func (f *Firmware) bindLogCells() error {
+	c := &logCells{}
+	var missing []string
+	ref := func(name string) vars.Ref {
+		r, ok := f.varSet.Lookup(name)
+		if !ok {
+			missing = append(missing, name)
+		}
+		return r
+	}
+	for i, axis := range [3]struct{ att, rate, pid string }{
+		{"ATT.DesRoll", "RATE.RDes", "PIDR"},
+		{"ATT.DesPitch", "RATE.PDes", "PIDP"},
+		{"ATT.DesYaw", "RATE.YDes", "PIDY"},
+	} {
+		c.attDes[i] = ref(axis.att)
+		c.rateDes[i] = ref(axis.rate)
+		c.pidOut[i] = ref(axis.pid + ".OUT")
+		c.pidTar[i] = ref(axis.pid + ".Tar")
+		c.pidAct[i] = ref(axis.pid + ".Act")
+	}
+	c.dVelX, c.dVelY = ref("NTUN.DVelX"), ref("NTUN.DVelY")
+	c.dAccX, c.dAccY = ref("NTUN.DAccX"), ref("NTUN.DAccY")
+	c.tv = ref("NTUN.tv")
+	if len(missing) > 0 {
+		return fmt.Errorf("log cells not registered: %v", missing)
+	}
+	f.logCells = c
+	return nil
+}
 
 // writeLogs emits one dataflash sample of every message the profiler
 // consumes. Errors are swallowed deliberately: in real firmware a full or
 // failing flash never brings down the flight controller.
 func (f *Firmware) writeLogs() {
-	w := f.cfg.LogWriter
+	w, c := f.cfg.LogWriter, f.logCells
 	now := f.quad.Time()
-	st := f.quad.State()
+	st := f.quad.StateRef()
 	roll, pitch, yaw := f.quad.Euler()
 	estRoll, estPitch, estYaw := f.est.Attitude()
 	estVel := f.est.Velocity()
 	estPos := f.est.Position()
-	r := f.lastReading
+	r := &f.lastReading
 
 	deg := mathx.Deg
+	desRoll, desPitch, desYaw := c.attDes[0].Get(), c.attDes[1].Get(), c.attDes[2].Get()
 	_ = w.Log("ATT", now,
-		deg(f.attDes(0)), deg(roll), deg(f.attDes(1)), deg(pitch),
-		deg(f.attDes(2)), deg(yaw), deg(mathx.WrapPi(f.attDes(0)-roll)),
-		deg(mathx.WrapPi(f.attDes(2)-yaw)),
+		deg(desRoll), deg(roll), deg(desPitch), deg(pitch),
+		deg(desYaw), deg(yaw), deg(mathx.WrapPi(desRoll-roll)),
+		deg(mathx.WrapPi(desYaw-yaw)),
 		r.IMU.Gyro.X, r.IMU.Gyro.Y, r.IMU.Gyro.Z, 1)
 
-	rateVals := f.rateVals(r)
-	_ = w.Log("RATE", now, rateVals...)
+	_ = w.Log("RATE", now, f.rateVals()...)
 
 	_ = w.Log("IMU", now,
 		r.IMU.Gyro.X, r.IMU.Gyro.Y, r.IMU.Gyro.Z,
@@ -42,16 +86,16 @@ func (f *Firmware) writeLogs() {
 	_ = w.Log("BARO", now, r.BaroAlt, 1013.25, 25, -st.Vel.Z, now*1000)
 	_ = w.Log("CTUN", now,
 		f.pos.HoverThrottle, f.pos.Throttle(), f.pos.HoverThrottle,
-		-f.currentTarget().Z, st.Altitude(), -st.Vel.Z)
+		-f.currentTarget().Z, -st.Pos.Z, -st.Vel.Z)
 
 	tgt := f.currentTarget()
 	_ = w.Log("NTUN", now,
 		tgt.Sub(estPos).XY(), mathx.Deg(yawTo(estPos, tgt)),
 		tgt.X-estPos.X, tgt.Y-estPos.Y,
-		f.ntunVar("NTUN.DVelX"), f.ntunVar("NTUN.DVelY"),
+		c.dVelX.Get(), c.dVelY.Get(),
 		estVel.X, estVel.Y,
-		f.ntunVar("NTUN.DAccX"), f.ntunVar("NTUN.DAccY"),
-		f.ntunVar("NTUN.tv"))
+		c.dAccX.Get(), c.dAccY.Get(),
+		c.tv.Get())
 
 	_ = w.Log("GPS", now,
 		3, now*1000, 0, float64(r.GPS.NumSats), 0.8,
@@ -75,9 +119,9 @@ func (f *Firmware) writeLogs() {
 		pwm(mot[0]), pwm(mot[1]), pwm(mot[2]), pwm(mot[3]),
 		0, 0, 0, 0, 0, 0, 0, 0, 0)
 
-	_ = w.Log("PIDR", now, f.pidVals("PIDR", f.att.RateRoll)...)
-	_ = w.Log("PIDP", now, f.pidVals("PIDP", f.att.RatePitch)...)
-	_ = w.Log("PIDY", now, f.pidVals("PIDY", f.att.RateYaw)...)
+	_ = w.Log("PIDR", now, f.pidVals(0, f.att.RateRoll)...)
+	_ = w.Log("PIDP", now, f.pidVals(1, f.att.RatePitch)...)
+	_ = w.Log("PIDY", now, f.pidVals(2, f.att.RateYaw)...)
 
 	_ = w.Log("MODE", now, float64(f.mode), float64(f.mode), 1)
 	_ = w.Log("VIBE", now,
@@ -85,42 +129,24 @@ func (f *Firmware) writeLogs() {
 	_ = w.Log("MOTB", now, 1, r.BatteryV, 0, 0, f.pos.Throttle())
 }
 
-// attDes reads the desired attitude angle (0 roll, 1 pitch, 2 yaw) from the
-// attitude controller's registered variables.
-func (f *Firmware) attDes(axis int) float64 {
-	names := [3]string{"ATT.DesRoll", "ATT.DesPitch", "ATT.DesYaw"}
-	if ref, ok := f.varSet.Lookup(names[axis]); ok {
-		return ref.Get()
-	}
-	return 0
-}
-
-func (f *Firmware) ntunVar(name string) float64 {
-	if ref, ok := f.varSet.Lookup(name); ok {
-		return ref.Get()
-	}
-	return 0
-}
-
-func (f *Firmware) rateVals(_ interface{}) []float64 {
-	get := func(name string) float64 {
-		if ref, ok := f.varSet.Lookup(name); ok {
-			return ref.Get()
-		}
-		return 0
-	}
-	st := f.quad.State()
+// rateVals is the RATE log record: each axis's rate target, measured rate
+// and PID output, then the vertical acceleration and throttle.
+func (f *Firmware) rateVals() []float64 {
+	c := f.logCells
+	om := &f.quad.StateRef().Omega
 	return []float64{
-		get("RATE.RDes"), st.Omega.X, get("PIDR.OUT"),
-		get("RATE.PDes"), st.Omega.Y, get("PIDP.OUT"),
-		get("RATE.YDes"), st.Omega.Z, get("PIDY.OUT"),
+		c.rateDes[0].Get(), om.X, c.pidOut[0].Get(),
+		c.rateDes[1].Get(), om.Y, c.pidOut[1].Get(),
+		c.rateDes[2].Get(), om.Z, c.pidOut[2].Get(),
 		0, -f.quad.LastAccel().Z, f.pos.Throttle(), f.pos.Throttle(),
 	}
 }
 
-func (f *Firmware) pidVals(prefix string, p *control.PID) []float64 {
+// pidVals is one rate PID's log record; axis indexes the logCells.
+func (f *Firmware) pidVals(axis int, p *control.PID) []float64 {
+	c := f.logCells
 	return []float64{
-		f.ntunVar(prefix + ".Tar"), f.ntunVar(prefix + ".Act"),
+		c.pidTar[axis].Get(), c.pidAct[axis].Get(),
 		p.P(), p.I(), p.D(), p.FF(), 0,
 	}
 }

@@ -128,9 +128,6 @@ type State struct {
 	Motor [4]float64
 }
 
-// Altitude returns height above ground in m (positive up).
-func (s State) Altitude() float64 { return -s.Pos.Z }
-
 // Euler returns the attitude as (roll, pitch, yaw) in radians.
 func (s State) Euler() (roll, pitch, yaw float64) { return s.Att.Euler() }
 
@@ -429,9 +426,7 @@ func (q *Quad) checkCollisions() {
 		return
 	}
 	// Extreme attitude near the ground means a tip-over. The attitude is
-	// converted only there; higher up the test cannot fire. The altitude
-	// is read from Pos directly: State.Altitude's value receiver would
-	// copy the whole State on every step.
+	// converted only there; higher up the test cannot fire.
 	if -s.Pos.Z < 0.3 {
 		roll, pitch, _ := q.Euler()
 		if math.Abs(roll) > tipOverRad || math.Abs(pitch) > tipOverRad {

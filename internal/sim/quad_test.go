@@ -59,8 +59,8 @@ func TestQuadRestsOnGround(t *testing.T) {
 		q.Step([4]float64{}, 1.0/400)
 	}
 	s := q.State()
-	if s.Altitude() != 0 {
-		t.Errorf("idle vehicle altitude = %v, want 0", s.Altitude())
+	if alt := -s.Pos.Z; alt != 0 {
+		t.Errorf("idle vehicle altitude = %v, want 0", alt)
 	}
 	if crashed, _ := q.Crashed(); crashed {
 		t.Error("idle vehicle crashed")
@@ -74,7 +74,7 @@ func TestQuadClimbsAboveHoverThrottle(t *testing.T) {
 	for i := 0; i < 2*400; i++ {
 		q.Step(cmd, 1.0/400)
 	}
-	if alt := q.State().Altitude(); alt < 1 {
+	if alt := -q.State().Pos.Z; alt < 1 {
 		t.Errorf("altitude after 2 s at 120%% hover = %v, want > 1 m", alt)
 	}
 	// Symmetric thrust must not induce rotation.
@@ -98,7 +98,7 @@ func TestQuadHoverIsSteady(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		q.Step(cmd, 1.0/400)
 	}
-	if alt := q.State().Altitude(); !mathx.ApproxEqual(alt, 10, 0.05) {
+	if alt := -q.State().Pos.Z; !mathx.ApproxEqual(alt, 10, 0.05) {
 		t.Errorf("hover altitude drifted to %v, want ~10", alt)
 	}
 }
