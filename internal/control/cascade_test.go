@@ -175,7 +175,7 @@ func TestClosedLoopStabilization(t *testing.T) {
 	target := mathx.V3(5, 3, -12)
 	for i := 0; i < 20*400; i++ { // 20 s
 		st := quad.State()
-		roll, pitch, yaw := st.Euler()
+		roll, pitch, yaw := st.Att.Euler()
 		desRoll, desPitch, thr := pos.Update(target, st.Pos, st.Vel, yaw)
 		tr, tp, ty := att.Update(desRoll, desPitch, 0, roll, pitch, yaw, st.Omega)
 		quad.Step(mix.Mix(thr, tr, tp, ty), testDT)

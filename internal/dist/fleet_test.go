@@ -97,7 +97,7 @@ func runFleet(t *testing.T, spec campaign.Spec, n int, killOne bool) ([]byte, *c
 	if killOne {
 		killCtx, kill := context.WithCancel(ctx)
 		w0, err := dist.NewWorker(dist.WorkerConfig{
-			Coordinator: ts.URL, ID: "w0", Jobs: 1, FlushEvery: 100,
+			Coordinator: ts.URL, ID: "w0", Jobs: 1,
 			Execute: func(jctx context.Context, _ campaign.Job) (campaign.Metrics, error) {
 				kill() // die mid-lease, record unstreamed
 				<-jctx.Done()
@@ -114,7 +114,7 @@ func runFleet(t *testing.T, spec campaign.Spec, n int, killOne bool) ([]byte, *c
 	}
 	for i := start; i < n; i++ {
 		w, err := dist.NewWorker(dist.WorkerConfig{
-			Coordinator: ts.URL, ID: fmt.Sprintf("w%d", i), Jobs: 2, FlushEvery: 2,
+			Coordinator: ts.URL, ID: fmt.Sprintf("w%d", i), Jobs: 2,
 			Execute: dist.FleetExec,
 		})
 		if err != nil {
@@ -324,6 +324,130 @@ func TestFleetWorkerDrain(t *testing.T) {
 	time.Sleep(time.Second)
 	if n := requests.Load() - before; n > 6 {
 		t.Errorf("worker sent %d requests in the second after the drain, want a back-off", n)
+	}
+}
+
+// streamingFleet starts a coordinator that grants 2-cell leases behind an
+// HTTP server and submits a 2-cell campaign to it. It returns the
+// coordinator's server, its metrics registry and the campaign ID.
+func streamingFleet(t *testing.T, name string, ttl time.Duration) (*httptest.Server, *metrics.Registry, string) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	c, err := dist.NewCoordinator(dist.CoordConfig{
+		StoreDir: t.TempDir(), LeaseTTL: ttl, MaxLease: 2, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(func() { ts.Close(); _ = c.Shutdown() })
+	st, code := submitHTTP(t, ts.URL, dist.FleetSpec(name, 1))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", code)
+	}
+	return ts, reg, st.ID
+}
+
+// runWorker runs a one-job fleet worker until ctx ends and returns a
+// channel closed once Run has returned.
+func runWorker(t *testing.T, ctx context.Context, url, id string, exec campaign.Executor) <-chan struct{} {
+	t.Helper()
+	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: url, ID: id, Jobs: 1, Execute: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	go func() { defer close(exited); _ = w.Run(ctx) }()
+	return exited
+}
+
+// TestFleetWorkerStreamsEachRecord: a fleet worker posts each record as
+// its cell finishes, not when its lease ends. The second cell of a 2-cell
+// lease waits for the coordinator to merge the first cell's record.
+func TestFleetWorkerStreamsEachRecord(t *testing.T) {
+	ts, reg, id := streamingFleet(t, "stream", 30*time.Second)
+	merged := reg.Counter("ares_dist_records_merged_total", "")
+	var calls atomic.Int64
+	var waited atomic.Int64 // ms the second cell waited for the first record
+	exec := func(ctx context.Context, job campaign.Job) (campaign.Metrics, error) {
+		if calls.Add(1) == 2 {
+			start := time.Now()
+			for merged.Value() == 0 && time.Since(start) < 5*time.Second {
+				time.Sleep(5 * time.Millisecond)
+			}
+			waited.Store(time.Since(start).Milliseconds())
+		}
+		return dist.FleetExec(ctx, job)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := runWorker(t, ctx, ts.URL, "w0", exec)
+	defer func() { cancel(); <-exited }()
+
+	if st := waitTerminal(t, ts.URL, id); st.State != dist.StateDone {
+		t.Fatalf("campaign %s, want done", st.State)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("executed %d cells, want 2 (one lease)", n)
+	}
+	if ms := waited.Load(); ms >= 5000 {
+		t.Errorf("first record still unmerged after the second cell waited %d ms: records wait for the lease to end", ms)
+	}
+	if got := merged.Value(); got != 2 {
+		t.Errorf("records merged = %d, want 2", got)
+	}
+}
+
+// TestKilledWorkerKeepsFinishedCells: a fleet worker killed inside its
+// lease's second cell has already streamed the first, so the first is
+// merged before the lease expires and only the cell it died in is
+// re-leased and flown again.
+func TestKilledWorkerKeepsFinishedCells(t *testing.T) {
+	ts, reg, id := streamingFleet(t, "killed", time.Second)
+	var mu sync.Mutex
+	runs := map[string]int{} // executions per key, both workers
+	var order []string       // keys in execution order
+	count := func(key string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		runs[key]++
+		order = append(order, key)
+		return len(order)
+	}
+
+	killCtx, kill := context.WithCancel(context.Background())
+	defer kill()
+	<-runWorker(t, killCtx, ts.URL, "w0", func(jctx context.Context, job campaign.Job) (campaign.Metrics, error) {
+		if count(job.Key) == 1 {
+			return dist.FleetExec(jctx, job)
+		}
+		kill() // die inside the second cell
+		<-jctx.Done()
+		return campaign.Metrics{}, jctx.Err()
+	})
+	if got := reg.Counter("ares_dist_leases_expired_total", "").Value(); got != 0 {
+		t.Fatalf("%d leases expired before the check", got)
+	}
+	if got := reg.Counter("ares_dist_records_merged_total", "").Value(); got != 1 {
+		t.Errorf("records merged when the worker died = %d, want 1 (the finished cell)", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := runWorker(t, ctx, ts.URL, "w1", func(jctx context.Context, job campaign.Job) (campaign.Metrics, error) {
+		count(job.Key)
+		return dist.FleetExec(jctx, job)
+	})
+	defer func() { cancel(); <-exited }()
+	if st := waitTerminal(t, ts.URL, id); st.State != dist.StateDone {
+		t.Fatalf("campaign %s, want done", st.State)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != 3 || order[2] != order[1] || runs[order[0]] != 1 {
+		t.Errorf("executions %v: want the finished cell once and only the cell the worker died in re-flown", order)
+	}
+	if got := reg.Counter("ares_dist_records_merged_total", "").Value(); got != 2 {
+		t.Errorf("records merged = %d, want 2", got)
 	}
 }
 

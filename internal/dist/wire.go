@@ -12,13 +12,13 @@ import (
 // Wire envelopes of the worker↔coordinator protocol. Every message is a
 // small JSON document decoded strictly on both ends: unknown fields,
 // trailing bytes and oversized bodies are errors, mirroring the spec
-// submission surface (campaign.DecodeSpec). Record batches reuse
+// submission surface (campaign.DecodeSpec). Records requests reuse
 // campaign.Record verbatim, so the bytes a worker streams are the bytes
 // the coordinator's store would have written locally.
 
 // Wire size caps. Control messages are tiny; a lease response carries at
-// most a few hundred job keys; a record batch carries FlushEvery records
-// plus slack for error strings.
+// most a few hundred job keys. A Worker's records request carries one
+// record; the records cap bounds what any client may post.
 const (
 	maxControlBytes  = 64 << 10
 	maxLeaseBytes    = 1 << 20
@@ -90,8 +90,9 @@ type HeartbeatResponse struct {
 	Abandon bool `json:"abandon,omitempty"`
 }
 
-// RecordsRequest streams a batch of finished records. Offset is the
-// position of the batch's first record in the lease's record stream: the
+// RecordsRequest streams finished records; a Worker posts each one alone,
+// as its cell finishes. Offset is the position of the first record in the
+// lease's record stream: the
 // coordinator acknowledges with the next expected offset, so a worker
 // that retries a failed POST resends the same offset and duplicates are
 // dropped instead of double-merged.

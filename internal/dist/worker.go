@@ -27,9 +27,6 @@ type WorkerConfig struct {
 	ID string
 	// Jobs is the local runner pool size; <=0 uses the process budget.
 	Jobs int
-	// FlushEvery is how many finished records buffer before a stream
-	// flush. Default 8.
-	FlushEvery int
 	// Execute runs one job; nil uses one built-in ARES executor shared by
 	// every lease, so each mission's monitor is calibrated once per
 	// campaign seed rather than once per lease.
@@ -61,9 +58,6 @@ func (c *WorkerConfig) applyDefaults() error {
 	if err := validWorkerID(c.ID); err != nil {
 		return err
 	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = 8
-	}
 	if c.Execute == nil {
 		c.Execute = campaign.NewExecutor()
 	}
@@ -77,11 +71,11 @@ func (c *WorkerConfig) applyDefaults() error {
 }
 
 // Worker executes leases: it asks its coordinator for job batches, runs
-// them through the ordinary campaign runner, and streams the records
-// back. A fleet Worker talks to a remote coordinator over HTTP and holds
-// no campaign state beyond the job list of the campaign it last leased
-// from — kill one mid-lease and the coordinator re-leases its jobs after
-// the lease TTL. An in-process Worker (Coordinator.InProcessWorker) calls
+// them through the ordinary campaign runner, and posts each record back
+// as its job finishes. A fleet Worker talks to a remote coordinator over
+// HTTP and holds no campaign state beyond the job list of the campaign it
+// last leased from — kill one mid-lease and the coordinator re-leases its
+// unfinished jobs after the lease TTL. An in-process Worker (Coordinator.InProcessWorker) calls
 // its coordinator's methods directly.
 type Worker struct {
 	cfg  WorkerConfig
@@ -107,17 +101,16 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 
 // InProcessWorker returns a Worker that calls c's methods directly, with
 // no HTTP or JSON. Each lease takes every pending job of the oldest
-// waiting campaign and runs it on a fair share of budget; every record is
-// merged as it finishes, so the campaign's event log gains one line per
-// cell. Like a fleet worker, an idle one parks on the coordinator's wake
-// and leases as soon as a submission makes jobs pending. Run returns once
+// waiting campaign and runs it on a fair share of budget. Like a fleet
+// worker, an idle one parks on the coordinator's wake and leases as soon
+// as a submission makes jobs pending. Run returns once
 // c drains. A nil exec uses the built-in ARES executor.
 func (c *Coordinator) InProcessWorker(id string, exec campaign.Executor, budget *par.Budget) *Worker {
 	if exec == nil {
 		exec = campaign.NewExecutor()
 	}
 	return &Worker{
-		cfg:    WorkerConfig{ID: id, FlushEvery: 1, Execute: exec, Log: c.cfg.Log},
+		cfg:    WorkerConfig{ID: id, Execute: exec, Log: c.cfg.Log},
 		link:   &localLink{c: c},
 		budget: budget,
 	}
@@ -188,10 +181,10 @@ func (w *Worker) register(ctx context.Context) error {
 
 // runLease executes one granted batch: resolve keys against the locally
 // expanded spec, run them on the campaign runner while a heartbeat
-// goroutine keeps the lease alive, stream the records, then complete the
-// lease. An Abandon heartbeat reply cancels the lease context, so
-// in-flight jobs wind down instead of streaming to a lease the
-// coordinator already re-granted.
+// goroutine keeps the lease alive and each record streams as its job
+// finishes, then complete the lease. An Abandon heartbeat reply cancels
+// the lease context, so in-flight jobs wind down instead of streaming to
+// a lease the coordinator already re-granted.
 func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 	jobsByKey, err := w.campaignJobs(ctx, grant.Campaign)
 	if err != nil {
@@ -242,12 +235,8 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 		runner.Workers, runner.Log = share, nil
 	}
 	_, runErr := runner.RunJobs(leaseCtx, jobs, sink)
-	flushErr := sink.flush()
 	cancel()
 	hbWG.Wait()
-	if runErr == nil {
-		runErr = flushErr
-	}
 	if runErr != nil {
 		return runErr
 	}
@@ -278,17 +267,18 @@ func (w *Worker) campaignJobs(ctx context.Context, id string) (map[string]campai
 	return jobs, nil
 }
 
-// streamSink is the worker-side campaign.RecordSink: it buffers finished
-// records and streams them to the coordinator in offset-stamped batches.
-// A transport failure retries the same offset — the coordinator drops the
-// overlap — so a record is merged exactly once however flaky the link.
+// streamSink is the worker-side campaign.RecordSink: it posts each
+// finished record to the coordinator at once, stamped with its offset in
+// the lease's stream, so a killed worker loses only the jobs it was
+// running. A transport failure retries the same offset — the coordinator
+// drops the overlap — so a record is merged exactly once however flaky
+// the link.
 type streamSink struct {
 	w     *Worker
 	ctx   context.Context
 	lease string
 
-	mu   sync.Mutex
-	buf  []campaign.Record
+	mu   sync.Mutex // orders the posts, and so the offsets
 	sent int
 }
 
@@ -296,34 +286,17 @@ type streamSink struct {
 // completed jobs out of the lease.
 func (s *streamSink) Completed(string) bool { return false }
 
-// Append buffers one record, flushing a full batch.
+// Append posts one record.
 func (s *streamSink) Append(rec campaign.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buf = append(s.buf, rec)
-	if len(s.buf) < s.w.cfg.FlushEvery {
-		return nil
-	}
-	return s.flushLocked()
-}
-
-func (s *streamSink) flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *streamSink) flushLocked() error {
-	if len(s.buf) == 0 {
-		return nil
-	}
 	if err := s.ctx.Err(); err != nil {
 		// A cancelled lease streams nothing more: records finished after a
 		// drain deadline or an abandon re-run under the next lease instead
 		// of merging as failures.
 		return err
 	}
-	req := RecordsRequest{Worker: s.w.cfg.ID, Lease: s.lease, Offset: s.sent, Records: s.buf}
+	req := RecordsRequest{Worker: s.w.cfg.ID, Lease: s.lease, Offset: s.sent, Records: []campaign.Record{rec}}
 	var resp RecordsResponse
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -333,7 +306,7 @@ func (s *streamSink) flushLocked() error {
 		}
 		var ae *apiError
 		if errors.As(err, &ae) {
-			return err // coordinator refused the batch: lease lost or protocol error
+			return err // coordinator refused the record: lease lost or protocol error
 		}
 		if !sleepCtx(s.ctx, 100*time.Millisecond) {
 			return err
@@ -342,12 +315,11 @@ func (s *streamSink) flushLocked() error {
 	if err != nil {
 		return err
 	}
-	if resp.Next < s.sent || resp.Next > s.sent+len(s.buf) {
+	if resp.Next < s.sent || resp.Next > s.sent+1 {
 		return fmt.Errorf("dist: coordinator acked offset %d outside [%d, %d]",
-			resp.Next, s.sent, s.sent+len(s.buf))
+			resp.Next, s.sent, s.sent+1)
 	}
 	s.sent = resp.Next
-	s.buf = s.buf[:0]
 	return nil
 }
 

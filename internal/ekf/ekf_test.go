@@ -243,7 +243,7 @@ func TestEKFTracksSimulatedFlight(t *testing.T) {
 		// Closed-loop hover with a mild periodic roll excitation to keep
 		// the flight dynamic.
 		st := quad.State()
-		trueR, trueP, trueY := st.Euler()
+		trueR, trueP, trueY := st.Att.Euler()
 		_, _, thr := pos.Update(mathx.V3(0, 0, -10), st.Pos, st.Vel, trueY)
 		wobble := mathx.Rad(3) * math.Sin(float64(i)*dt*2*math.Pi*0.5)
 		tr, tp, ty := att.Update(wobble, 0, 0, trueR, trueP, trueY, st.Omega)
@@ -260,7 +260,7 @@ func TestEKFTracksSimulatedFlight(t *testing.T) {
 		if r.GPSFresh {
 			e.FuseGPS(r.GPS.Pos, r.GPS.Vel)
 		}
-		trueRoll, _, _ := quad.State().Euler()
+		trueRoll, _, _ := quad.State().Att.Euler()
 		estRoll, _, _ := e.Attitude()
 		if d := math.Abs(mathx.WrapPi(trueRoll - estRoll)); d > maxRollErr {
 			maxRollErr = d

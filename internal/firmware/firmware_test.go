@@ -381,7 +381,7 @@ func TestFirmwareVariableManipulationTiltsVehicle(t *testing.T) {
 	for i := 0; i < 8*400; i++ {
 		ref.Set(0.3)
 		f.Step()
-		roll, _, _ := f.Quad().State().Euler()
+		roll, _, _ := f.Quad().State().Att.Euler()
 		if r := math.Abs(roll); r > maxRoll {
 			maxRoll = r
 		}

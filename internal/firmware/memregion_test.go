@@ -11,9 +11,18 @@ func newTestMap(t *testing.T) (*MemoryMap, *vars.Set, []float64) {
 	t.Helper()
 	set := vars.NewSet()
 	vals := make([]float64, 3)
-	set.MustRegister("PIDR.INTEG", vars.KindIntermediate, &vals[0])
-	set.MustRegister("IMU.GyrX", vars.KindSensor, &vals[1])
-	set.MustRegister("EKF1.Roll", vars.KindDynamic, &vals[2])
+	for i, v := range []struct {
+		name string
+		kind vars.Kind
+	}{
+		{"PIDR.INTEG", vars.KindIntermediate},
+		{"IMU.GyrX", vars.KindSensor},
+		{"EKF1.Roll", vars.KindDynamic},
+	} {
+		if err := set.Register(v.name, v.kind, &vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	m := newMemoryMap(set)
 	if err := m.Assign("PIDR.INTEG", RegionStabilizer); err != nil {
 		t.Fatal(err)
@@ -89,7 +98,9 @@ func TestMemoryMapAccessEnforcement(t *testing.T) {
 func TestMemoryMapUnassignedVars(t *testing.T) {
 	set := vars.NewSet()
 	v := 0.0
-	set.MustRegister("LONELY.VAR", vars.KindParam, &v)
+	if err := set.Register("LONELY.VAR", vars.KindParam, &v); err != nil {
+		t.Fatal(err)
+	}
 	m := newMemoryMap(set)
 	missing := m.UnassignedVars()
 	if len(missing) != 1 || missing[0] != "LONELY.VAR" {

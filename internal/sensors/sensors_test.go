@@ -21,7 +21,7 @@ func restingState() sim.State {
 // sample is one Sample into a fresh Reading, with st's true yaw.
 func sample(s *Suite, now float64, st sim.State, accelWorld mathx.Vec3, batt sim.Battery) Reading {
 	var r Reading
-	_, _, yaw := st.Euler()
+	_, _, yaw := st.Att.Euler()
 	s.Sample(&r, now, &st, yaw, accelWorld, &batt)
 	return r
 }
@@ -44,7 +44,7 @@ func TestSampleInPlaceMatchesFresh(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		now := float64(i) / 400
 		st.Omega = mathx.V3(0.01*float64(i%7), -0.02, 0.03)
-		_, _, yaw := st.Euler()
+		_, _, yaw := st.Att.Euler()
 		a.Sample(&reused, now, &st, yaw, mathx.V3(0, 0.1, 0), &batt)
 		want := sample(b, now, st, mathx.V3(0, 0.1, 0), batt)
 		if reused != want {

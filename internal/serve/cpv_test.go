@@ -60,7 +60,7 @@ func TestCPVAssess(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, reg := newTestServer(t, Config{StoreDir: dir, Executor: gatedExecutor(&count, nil)})
 	s.Start()
-	defer s.Shutdown(t.Context())
+	defer s.Shutdown(context.Background())
 
 	post := func(id, body string) (*http.Response, JobStatus) {
 		t.Helper()

@@ -128,9 +128,6 @@ type State struct {
 	Motor [4]float64
 }
 
-// Euler returns the attitude as (roll, pitch, yaw) in radians.
-func (s State) Euler() (roll, pitch, yaw float64) { return s.Att.Euler() }
-
 // Quad is the simulated quadrotor plant.
 type Quad struct {
 	Params VehicleParams
@@ -204,10 +201,10 @@ func (q *Quad) State() State { return q.state }
 func (q *Quad) StateRef() *State { return &q.state }
 
 // Euler returns the attitude as (roll, pitch, yaw) in radians, the value
-// of State().Euler(). The conversion is memoized on the exact bits of the
-// attitude quaternion, not on ==: a +0 and a −0 component compare equal
-// but can give Atan2 results of opposite sign. Every reader between two
-// physics steps then shares one conversion.
+// of State().Att.Euler(). The conversion is memoized on the exact bits of
+// the attitude quaternion, not on ==: a +0 and a −0 component compare
+// equal but can give Atan2 results of opposite sign. Every reader between
+// two physics steps then shares one conversion.
 func (q *Quad) Euler() (roll, pitch, yaw float64) {
 	a := &q.state.Att
 	key := [4]uint64{

@@ -78,7 +78,7 @@ func TestQuadClimbsAboveHoverThrottle(t *testing.T) {
 		t.Errorf("altitude after 2 s at 120%% hover = %v, want > 1 m", alt)
 	}
 	// Symmetric thrust must not induce rotation.
-	roll, pitch, _ := q.State().Euler()
+	roll, pitch, _ := q.State().Att.Euler()
 	if math.Abs(roll) > 1e-6 || math.Abs(pitch) > 1e-6 {
 		t.Errorf("symmetric thrust rotated vehicle: roll=%v pitch=%v", roll, pitch)
 	}
@@ -115,19 +115,19 @@ func TestQuadTorqueDirections(t *testing.T) {
 		{
 			name: "left motors up rolls right (positive roll)",
 			cmd:  [4]float64{0.4, 0.6, 0.6, 0.4}, // BL+FL higher
-			axis: func(s State) float64 { r, _, _ := s.Euler(); return r },
+			axis: func(s State) float64 { r, _, _ := s.Att.Euler(); return r },
 			sign: 1,
 		},
 		{
 			name: "front motors up pitches up (positive pitch)",
 			cmd:  [4]float64{0.6, 0.4, 0.6, 0.4}, // FR+FL higher
-			axis: func(s State) float64 { _, p, _ := s.Euler(); return p },
+			axis: func(s State) float64 { _, p, _ := s.Att.Euler(); return p },
 			sign: 1,
 		},
 		{
 			name: "CCW motors up yaws positive",
 			cmd:  [4]float64{0.6, 0.6, 0.4, 0.4}, // m0+m1 (CCW) higher
-			axis: func(s State) float64 { _, _, y := s.Euler(); return y },
+			axis: func(s State) float64 { _, _, y := s.Att.Euler(); return y },
 			sign: 1,
 		},
 	}
@@ -307,7 +307,7 @@ func TestQuadStepNonFinite(t *testing.T) {
 }
 
 // TestQuadEulerMemo checks that the memoized Quad.Euler always returns the
-// bits State().Euler() computes, across SetState and Step and on repeat
+// bits State().Att.Euler() computes, across SetState and Step and on repeat
 // reads, including two attitudes that differ only in the sign of a zero
 // component (equal under ==, yet a roll of +π against −π).
 func TestQuadEulerMemo(t *testing.T) {
@@ -318,21 +318,21 @@ func TestQuadEulerMemo(t *testing.T) {
 	if plusPi != minusPi {
 		t.Fatal("signed-zero pair compares unequal; the case below tests nothing")
 	}
-	r1, _, _ := (State{Att: plusPi}).Euler()
-	r2, _, _ := (State{Att: minusPi}).Euler()
+	r1, _, _ := plusPi.Euler()
+	r2, _, _ := minusPi.Euler()
 	if math.Float64bits(r1) == math.Float64bits(r2) {
 		t.Fatalf("signed-zero pair converts to the same roll %v", r1)
 	}
 	check := func(what string) {
 		t.Helper()
 		want := [3]float64{}
-		want[0], want[1], want[2] = q.State().Euler()
+		want[0], want[1], want[2] = q.State().Att.Euler()
 		for read := 0; read < 2; read++ {
 			got := [3]float64{}
 			got[0], got[1], got[2] = q.Euler()
 			for i := range got {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s, read %d: Euler() = %v, State().Euler() = %v", what, read, got, want)
+					t.Fatalf("%s, read %d: Euler() = %v, State().Att.Euler() = %v", what, read, got, want)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/ares-cps/ares/internal/par"
@@ -67,17 +68,68 @@ func runsTest(xs []float64) (z, pValue float64) {
 	return z, pValue
 }
 
-// median returns the median of xs without reordering it. Only runsTest
-// reads it, through == and >, so which of ±0 lands in the middle of a
-// sorted run of zeros never changes a result.
+// median returns the median of xs without reordering it, by selection on
+// a copy: O(n) expected where a sort is O(n log n). Only runsTest reads
+// it, through == and >, so which of ±0 lands in the middle never changes
+// a result; with a NaN sample the value is unspecified, and runsTest
+// returns NaN.
 func median(xs []float64) float64 {
-	sorted := slices.Clone(xs)
-	slices.Sort(sorted)
-	n := len(sorted)
+	buf := slices.Clone(xs)
+	n := len(buf)
+	upper := selectKth(buf, n/2)
 	if n%2 == 1 {
-		return sorted[n/2]
+		return upper
 	}
-	return 0.5 * (sorted[n/2-1] + sorted[n/2])
+	// selectKth leaves every value below index n/2 ≤ upper, so the lower
+	// middle value is the largest of them.
+	return 0.5 * (slices.Max(buf[:n/2]) + upper)
+}
+
+// selectKth reorders xs so that xs[k] holds the value a sort would put
+// there, with no greater value before it and no smaller one after it, and
+// returns xs[k]. Each round splits the window around a median-of-three
+// pivot into <, neither and > bands and keeps the band holding k; the
+// neither band holds the pivot itself, so every round shrinks the window,
+// NaN included. The window left after 2·log2(n) rounds is sorted instead,
+// which bounds the worst case at O(n log n).
+func selectKth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)
+	for rounds := 2 * bits.Len(uint(len(xs))); hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			slices.Sort(xs[lo:hi])
+			break
+		}
+		a, pivot, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		if a > pivot {
+			a, pivot = pivot, a
+		}
+		if pivot > c {
+			pivot = max(a, c)
+		}
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > pivot:
+				gt--
+				xs[i], xs[gt] = xs[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // PruneResult explains why a variable survived or was removed by the

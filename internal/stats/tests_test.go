@@ -167,8 +167,9 @@ func TestMedian(t *testing.T) {
 	approx(t, "even", median([]float64{4, 1, 3, 2}), 2.5, 1e-12)
 }
 
-// insertionSort is the sort median used before slices.Sort, kept as the
-// oracle of TestRunsTestMatchesOracle.
+// insertionSort is the sort median used before slices.Sort and selection,
+// kept as the oracle of TestRunsTestMatchesOracle and
+// TestMedianMatchesOracle.
 func insertionSort(xs []float64) {
 	for i := 1; i < len(xs); i++ {
 		v := xs[i]
@@ -253,10 +254,10 @@ func oracleSample(rng *rand.Rand, n int) []float64 {
 	return xs
 }
 
-// TestRunsTestMatchesOracle pins slices.Sort in median against the old
+// TestRunsTestMatchesOracle pins median's selection against the old
 // insertion sort: on finite input runsTest's z and p are bitwise equal,
 // and so is the median, except that a zero median may carry either sign
-// (the sorts may order -0 and +0 differently, and == cannot tell them
+// (the two may order -0 and +0 differently, and == cannot tell them
 // apart).
 func TestRunsTestMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -287,5 +288,50 @@ func TestRunsTestMatchesOracle(t *testing.T) {
 	// Most draws must reach the z statistic, or the comparison is vacuous.
 	if tested < 1500 {
 		t.Errorf("only %d of 3000 draws gave a finite z", tested)
+	}
+}
+
+// TestMedianMatchesOracle: on random odd- and even-length series drawn
+// from a few values (long runs of ties, both zeros) and on ordered
+// patterns, median equals the sorted oracle's, up to the sign of a zero,
+// and leaves its input in place. A NaN sample still makes runsTest NaN.
+func TestMedianMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	values := []float64{0, math.Copysign(0, -1), 1, -1, 2, -3.5}
+	patterns := []func(i, n int) float64{
+		func(i, n int) float64 { return values[rng.Intn(len(values))] },
+		func(i, n int) float64 { return float64(i) },
+		func(i, n int) float64 { return float64(n - i) },
+		func(i, n int) float64 { return float64(min(i, n-i)) }, // organ pipe
+		func(i, n int) float64 { return float64(i % 7) },
+		func(i, n int) float64 { return math.Copysign(0, float64(i%2)-0.5) },
+	}
+	for iter := 0; iter < 1200; iter++ {
+		n := 1 + rng.Intn(600)
+		if iter%20 == 0 {
+			n = 2000 + rng.Intn(1000) // the length of a profiled series
+		}
+		gen := patterns[iter%len(patterns)]
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = gen(i, n)
+		}
+		in := slices.Clone(xs)
+		got, want := median(xs), medianOracle(xs)
+		if got != want { // == holds for either sign of a zero median
+			t.Fatalf("iter %d, n=%d: median %v, oracle %v", iter, n, got, want)
+		}
+		if !slices.EqualFunc(in, xs, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("iter %d, n=%d: median reordered its input", iter, n)
+		}
+	}
+	for n := 8; n < 40; n++ {
+		xs := oracleSample(rng, n)
+		xs[rng.Intn(n)] = math.NaN()
+		if z, p := runsTest(xs); !math.IsNaN(z) || !math.IsNaN(p) {
+			t.Fatalf("n=%d: runsTest with a NaN sample = (%v, %v), want NaN", n, z, p)
+		}
 	}
 }

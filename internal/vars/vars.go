@@ -97,14 +97,6 @@ func (s *Set) Register(name string, kind Kind, ptr *float64) error {
 	return nil
 }
 
-// MustRegister is Register for static wiring known to be unique; it panics
-// on error (program-construction bugs only, per the don't-panic guideline).
-func (s *Set) MustRegister(name string, kind Kind, ptr *float64) {
-	if err := s.Register(name, kind, ptr); err != nil {
-		panic(err)
-	}
-}
-
 // Lookup finds a variable by name.
 func (s *Set) Lookup(name string) (Ref, bool) {
 	r, ok := s.byName[name]

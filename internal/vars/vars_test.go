@@ -55,9 +55,11 @@ func TestSetRegisterAndLookup(t *testing.T) {
 func TestSetNamesSorted(t *testing.T) {
 	s := NewSet()
 	vals := make([]float64, 3)
-	s.MustRegister("zeta", KindParam, &vals[0])
-	s.MustRegister("alpha", KindParam, &vals[1])
-	s.MustRegister("mid", KindParam, &vals[2])
+	for i, name := range []string{"zeta", "alpha", "mid"} {
+		if err := s.Register(name, KindParam, &vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	names := s.Names()
 	want := []string{"alpha", "mid", "zeta"}
 	for i, n := range want {
@@ -71,15 +73,6 @@ func TestSetNamesSorted(t *testing.T) {
 			t.Fatalf("Refs order = %v", refs)
 		}
 	}
-}
-
-func TestMustRegisterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRegister with nil pointer did not panic")
-		}
-	}()
-	NewSet().MustRegister("bad", KindParam, nil)
 }
 
 func TestKindString(t *testing.T) {
