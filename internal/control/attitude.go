@@ -87,8 +87,8 @@ func (a *AttitudeController) Update(desRoll, desPitch, desYaw float64, roll, pit
 	//   p = dφ − sinθ·dψ
 	//   q = cosφ·dθ + sinφ·cosθ·dψ
 	//   r = −sinφ·dθ + cosφ·cosθ·dψ
-	sinR, cosR := math.Sin(roll), math.Cos(roll)
-	sinP, cosP := math.Sin(pitch), math.Cos(pitch)
+	sinR, cosR := math.Sincos(roll)
+	sinP, cosP := math.Sincos(pitch)
 	a.rateTargetR = eulerRateR - sinP*eulerRateY
 	a.rateTargetP = cosR*eulerRateP + sinR*cosP*eulerRateY
 	a.rateTargetY = -sinR*eulerRateP + cosR*cosP*eulerRateY

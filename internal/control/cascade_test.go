@@ -2,6 +2,7 @@ package control
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/ares-cps/ares/internal/mathx"
@@ -251,5 +252,45 @@ func TestSINSVars(t *testing.T) {
 	s.Predict(mathx.V3(100, 0, 0), mathx.QuatIdentity(), 0)
 	if s.Position() != before {
 		t.Error("zero-dt Predict changed state")
+	}
+}
+
+// TestSincosMatchesSinCos: the attitude and position controllers take one
+// math.Sincos where they took a math.Sin and a math.Cos of the same angle.
+// Sincos runs the same reduction and polynomials, so both results must
+// match bit for bit on every non-NaN float64 and on the canonical NaN. A
+// NaN with another payload gives NaN from both, but math.Sin returns its
+// input's payload where Sincos returns the canonical NaN.
+func TestSincosMatchesSinCos(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		s, c := math.Sincos(x)
+		ws, wc := math.Sin(x), math.Cos(x)
+		if math.IsNaN(x) && math.Float64bits(x) != math.Float64bits(math.NaN()) {
+			if !math.IsNaN(s) || !math.IsNaN(c) {
+				t.Fatalf("Sincos(%#016x) = (%v, %v), want NaN", math.Float64bits(x), s, c)
+			}
+			return
+		}
+		if math.Float64bits(s) != math.Float64bits(ws) || math.Float64bits(c) != math.Float64bits(wc) {
+			t.Fatalf("Sincos(%v [%#016x]) = (%v, %v), Sin, Cos = (%v, %v)",
+				x, math.Float64bits(x), s, c, ws, wc)
+		}
+	}
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022, 0x1p-1023, math.Pi / 4, math.Pi / 2, math.Pi, 2 * math.Pi, -math.Pi,
+		0x1p29, 0x1p29 - 1, -0x1p29, 1e10, 1e300, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		check(x)
+		check(math.Nextafter(x, math.Inf(1)))
+		check(math.Nextafter(x, math.Inf(-1)))
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		check(math.Float64frombits(r.Uint64()))  // every exponent
+		check((r.Float64()*2 - 1) * 4 * math.Pi) // flight attitudes
+		check(float64(r.Intn(1<<20)) * math.Pi / 4)
 	}
 }

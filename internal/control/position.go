@@ -92,7 +92,7 @@ func (c *PositionController) Update(targetPos, pos, vel mathx.Vec3, yaw float64)
 
 	// Acceleration demand to lean angles: rotate the world-frame demand
 	// into the heading frame, then a = g·tan(lean) ≈ g·lean.
-	cy, sy := math.Cos(yaw), math.Sin(yaw)
+	sy, cy := math.Sincos(yaw)
 	accFwd := c.desAccX*cy + c.desAccY*sy
 	accRight := -c.desAccX*sy + c.desAccY*cy
 	desPitch = mathx.Clamp(-math.Atan2(accFwd, gravityMS2), -c.MaxLeanAngle, c.MaxLeanAngle)

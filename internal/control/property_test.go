@@ -109,7 +109,10 @@ func TestPropertyMixer(t *testing.T) {
 func TestPropertyParamStoreRange(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := NewParamStore()
+		s, err := NewParamStore(catalogueFields())
+		if err != nil {
+			return false
+		}
 		names := s.Names()
 		for i := 0; i < 100; i++ {
 			name := names[r.Intn(len(names))]
@@ -120,7 +123,7 @@ func TestPropertyParamStoreRange(t *testing.T) {
 			if !ok {
 				return false
 			}
-			if v := p.Value(); v < p.Min-1e-9 || v > p.Max+1e-9 {
+			if v, _ := s.Get(name); v < p.Min-1e-9 || v > p.Max+1e-9 {
 				return false
 			}
 		}

@@ -32,8 +32,8 @@ const (
 	ixPD
 )
 
-// noise holds the filter noise parameters (matching the EK2_* parameter
-// namespace of the firmware's parameter table).
+// noise holds the filter noise parameters (ArduCopter's EK2_* noise
+// parameters; the firmware's parameter table does not expose them).
 type noise struct {
 	gyro   float64 // rad/s process noise on attitude
 	accel  float64 // m/s² process noise on velocity

@@ -154,7 +154,6 @@ func New(cfg Config) (*Firmware, error) {
 		sins:     control.NewSINS(),
 		att:      control.NewAttitudeController(dt),
 		pos:      control.NewPositionController(dt, hover),
-		params:   control.NewParamStore(),
 		mission:  NewMission(nil),
 		varSet:   vars.NewSet(),
 		mode:     modeStabilize,
@@ -168,7 +167,7 @@ func New(cfg Config) (*Firmware, error) {
 	if err := f.assignRegions(); err != nil {
 		return nil, fmt.Errorf("firmware: assign regions: %w", err)
 	}
-	if err := f.bindParams(); err != nil {
+	if f.params, err = control.NewParamStore(f.paramBindings()); err != nil {
 		return nil, fmt.Errorf("firmware: bind params: %w", err)
 	}
 	if cfg.LogWriter != nil {
@@ -285,8 +284,8 @@ func (f *Firmware) assignRegions() error {
 	return nil
 }
 
-// paramBindings maps each GCS-visible parameter that drives a live
-// controller, SINS or failsafe field to that field.
+// paramBindings maps each GCS-visible parameter to the live controller,
+// SINS or failsafe field it drives.
 func (f *Firmware) paramBindings() map[string]*float64 {
 	return map[string]*float64{
 		"ATC_RAT_RLL_P":    &f.att.RateRoll.KP,
@@ -294,12 +293,17 @@ func (f *Firmware) paramBindings() map[string]*float64 {
 		"ATC_RAT_RLL_D":    &f.att.RateRoll.KD,
 		"ATC_RAT_RLL_FF":   &f.att.RateRoll.KFF,
 		"ATC_RAT_RLL_IMAX": &f.att.RateRoll.IMax,
-		"ATC_RAT_PIT_IMAX": &f.att.RatePitch.IMax,
+		"ATC_RAT_RLL_FLTT": &f.att.RateRoll.FilterHz,
 		"ATC_RAT_PIT_P":    &f.att.RatePitch.KP,
 		"ATC_RAT_PIT_I":    &f.att.RatePitch.KI,
 		"ATC_RAT_PIT_D":    &f.att.RatePitch.KD,
+		"ATC_RAT_PIT_FF":   &f.att.RatePitch.KFF,
+		"ATC_RAT_PIT_IMAX": &f.att.RatePitch.IMax,
+		"ATC_RAT_PIT_FLTT": &f.att.RatePitch.FilterHz,
 		"ATC_RAT_YAW_P":    &f.att.RateYaw.KP,
 		"ATC_RAT_YAW_I":    &f.att.RateYaw.KI,
+		"ATC_RAT_YAW_D":    &f.att.RateYaw.KD,
+		"ATC_RAT_YAW_FLTT": &f.att.RateYaw.FilterHz,
 		"ATC_ANG_RLL_P":    &f.att.AngleRoll.P,
 		"ATC_ANG_PIT_P":    &f.att.AnglePitch.P,
 		"ATC_ANG_YAW_P":    &f.att.AngleYaw.P,
@@ -314,17 +318,6 @@ func (f *Firmware) paramBindings() map[string]*float64 {
 		"FS_BATT_ENABLE":   &f.fsBattEnable,
 		"BATT_LOW_VOLT":    &f.battLowVolt,
 	}
-}
-
-// bindParams wires the parameter table to the live fields so PARAM_SET
-// writes take effect immediately.
-func (f *Firmware) bindParams() error {
-	for name, ptr := range f.paramBindings() {
-		if err := f.params.Bind(name, ptr); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- accessors ---
@@ -346,9 +339,6 @@ func (f *Firmware) EKF() *ekf.EKF { return f.est }
 
 // Mission returns the loaded mission.
 func (f *Firmware) Mission() *Mission { return f.mission }
-
-// Mode returns the active flight mode.
-func (f *Firmware) Mode() Mode { return f.mode }
 
 // Time returns the simulation time in seconds.
 func (f *Firmware) Time() float64 { return f.quad.Time() }
@@ -383,8 +373,12 @@ func (f *Firmware) SetMode(m Mode) {
 	}
 }
 
-// Takeoff arms and climbs to the given altitude in GUIDED mode.
+// Takeoff arms and climbs to the given altitude in GUIDED mode. A
+// non-finite altitude is refused before arming.
 func (f *Firmware) Takeoff(altitude float64) error {
+	if !finite(altitude) {
+		return fmt.Errorf("firmware: takeoff altitude %v is not finite", altitude)
+	}
 	if err := f.Arm(); err != nil {
 		return err
 	}

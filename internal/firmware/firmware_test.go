@@ -48,8 +48,8 @@ func TestFirmwareTakeoffAndHover(t *testing.T) {
 	if alt := -f.Quad().StateRef().Pos.Z; math.Abs(alt-10) > 1.0 {
 		t.Errorf("altitude after takeoff = %v, want ~10", alt)
 	}
-	if f.Mode() != modeGuided || !f.armed {
-		t.Errorf("mode = %v, armed = %v", f.Mode(), f.armed)
+	if f.mode != modeGuided || !f.armed {
+		t.Errorf("mode = %v, armed = %v", f.mode, f.armed)
 	}
 }
 
@@ -170,12 +170,17 @@ func TestFirmwareParamBindings(t *testing.T) {
 		{"ATC_RAT_RLL_D", func(f *Firmware) float64 { return f.att.RateRoll.KD }},
 		{"ATC_RAT_RLL_FF", func(f *Firmware) float64 { return f.att.RateRoll.KFF }},
 		{"ATC_RAT_RLL_IMAX", func(f *Firmware) float64 { return f.att.RateRoll.IMax }},
-		{"ATC_RAT_PIT_IMAX", func(f *Firmware) float64 { return f.att.RatePitch.IMax }},
+		{"ATC_RAT_RLL_FLTT", func(f *Firmware) float64 { return f.att.RateRoll.FilterHz }},
 		{"ATC_RAT_PIT_P", func(f *Firmware) float64 { return f.att.RatePitch.KP }},
 		{"ATC_RAT_PIT_I", func(f *Firmware) float64 { return f.att.RatePitch.KI }},
 		{"ATC_RAT_PIT_D", func(f *Firmware) float64 { return f.att.RatePitch.KD }},
+		{"ATC_RAT_PIT_FF", func(f *Firmware) float64 { return f.att.RatePitch.KFF }},
+		{"ATC_RAT_PIT_IMAX", func(f *Firmware) float64 { return f.att.RatePitch.IMax }},
+		{"ATC_RAT_PIT_FLTT", func(f *Firmware) float64 { return f.att.RatePitch.FilterHz }},
 		{"ATC_RAT_YAW_P", func(f *Firmware) float64 { return f.att.RateYaw.KP }},
 		{"ATC_RAT_YAW_I", func(f *Firmware) float64 { return f.att.RateYaw.KI }},
+		{"ATC_RAT_YAW_D", func(f *Firmware) float64 { return f.att.RateYaw.KD }},
+		{"ATC_RAT_YAW_FLTT", func(f *Firmware) float64 { return f.att.RateYaw.FilterHz }},
 		{"ATC_ANG_RLL_P", func(f *Firmware) float64 { return f.att.AngleRoll.P }},
 		{"ATC_ANG_PIT_P", func(f *Firmware) float64 { return f.att.AnglePitch.P }},
 		{"ATC_ANG_YAW_P", func(f *Firmware) float64 { return f.att.AngleYaw.P }},
@@ -192,8 +197,9 @@ func TestFirmwareParamBindings(t *testing.T) {
 	}
 	f := newTestFirmware(t, Config{})
 	bound := f.paramBindings()
-	if len(bound) != len(fields) {
-		t.Errorf("%d bound parameters, table covers %d", len(bound), len(fields))
+	names := f.Params().Names()
+	if len(bound) != len(fields) || len(names) != len(fields) {
+		t.Errorf("%d bound parameters, %d in the table, test covers %d", len(bound), len(names), len(fields))
 	}
 	for _, fl := range fields {
 		if bound[fl.name] == nil {
@@ -214,8 +220,11 @@ func TestFirmwareParamBindings(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s not in the parameter table", name)
 			}
+			if cur, _ := f.Params().Get(name); cur != def.Default {
+				t.Errorf("%s flies %v unset, want its default %v", name, cur, def.Default)
+			}
 			v := (def.Min + def.Max) / 2
-			if v == def.Value() {
+			if v == def.Default {
 				v = def.Min + (def.Max-def.Min)/4
 			}
 			before := snapshot()
@@ -257,8 +266,8 @@ func TestFirmwareCommandsViaGCS(t *testing.T) {
 	if ack.Result != 0 {
 		t.Errorf("takeoff rejected: %+v", ack)
 	}
-	if !f.armed || f.Mode() != modeGuided {
-		t.Errorf("takeoff did not arm+guide: armed=%v mode=%v", f.armed, f.Mode())
+	if !f.armed || f.mode != modeGuided {
+		t.Errorf("takeoff did not arm+guide: armed=%v mode=%v", f.armed, f.mode)
 	}
 	// Unknown command returns unsupported.
 	f.Enqueue(&mavlink.CommandLong{Command: 999})
@@ -290,7 +299,7 @@ func TestFirmwareMissionUploadViaGCS(t *testing.T) {
 func TestFirmwareHeartbeatAndParamRead(t *testing.T) {
 	f := newTestFirmware(t, Config{})
 	f.Enqueue(&mavlink.Heartbeat{})
-	f.Enqueue(&mavlink.ParamRequestRead{Name: "WPNAV_SPEED"})
+	f.Enqueue(&mavlink.ParamRequestRead{Name: "ATC_RAT_YAW_FLTT"})
 	f.Step()
 	replies := f.DrainOutbox()
 	if len(replies) != 2 {
@@ -300,7 +309,7 @@ func TestFirmwareHeartbeatAndParamRead(t *testing.T) {
 		t.Errorf("first reply %T, want heartbeat", replies[0])
 	}
 	pv := replies[1].(*mavlink.ParamValue)
-	if !pv.OK || pv.Value != 500 {
+	if !pv.OK || pv.Value != 5 {
 		t.Errorf("param read = %+v", pv)
 	}
 }
@@ -408,8 +417,8 @@ func TestFirmwareBatteryFailsafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Step()
-	if f.Mode() != modeLand {
-		t.Errorf("mode = %v, want LAND after battery failsafe", f.Mode())
+	if f.mode != modeLand {
+		t.Errorf("mode = %v, want LAND after battery failsafe", f.mode)
 	}
 }
 
@@ -437,8 +446,8 @@ func TestBatteryFailsafeViaGCS(t *testing.T) {
 				f.Enqueue(&mavlink.ParamSet{Name: "FS_BATT_ENABLE", Value: 0})
 				f.Step()
 			}
-			if f.Mode() != ModeAuto {
-				t.Fatalf("mode = %v before the write, want AUTO", f.Mode())
+			if f.mode != ModeAuto {
+				t.Fatalf("mode = %v before the write, want AUTO", f.mode)
 			}
 			f.Enqueue(&mavlink.ParamSet{Name: "BATT_LOW_VOLT", Value: 49})
 			f.Step()
@@ -447,8 +456,8 @@ func TestBatteryFailsafeViaGCS(t *testing.T) {
 					t.Fatalf("PARAM_SET BATT_LOW_VOLT 49 rejected: %+v", pv)
 				}
 			}
-			if f.Mode() != tt.want {
-				t.Errorf("mode = %v after PARAM_SET BATT_LOW_VOLT 49, want %v", f.Mode(), tt.want)
+			if f.mode != tt.want {
+				t.Errorf("mode = %v after PARAM_SET BATT_LOW_VOLT 49, want %v", f.mode, tt.want)
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package firmware
 
 import (
+	"math"
+
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/mavlink"
 )
@@ -82,11 +84,14 @@ func (f *Firmware) handleCommand(c *mavlink.CommandLong) mavlink.Message {
 	result := uint8(0) // accepted
 	switch c.Command {
 	case mavlink.CmdArmDisarm:
-		if c.Params[0] >= 0.5 {
+		switch arm := c.Params[0]; {
+		case !finite(arm):
+			result = 4 // failed: NaN would otherwise read as disarm
+		case arm >= 0.5:
 			if err := f.Arm(); err != nil {
-				result = 4 // failed
+				result = 4
 			}
-		} else {
+		default:
 			f.Disarm()
 		}
 	case mavlink.CmdTakeoff:
@@ -98,7 +103,13 @@ func (f *Firmware) handleCommand(c *mavlink.CommandLong) mavlink.Message {
 	case mavlink.CmdRTL:
 		f.SetMode(modeRTL)
 	case mavlink.CmdSetMode:
-		f.SetMode(Mode(int(c.Params[0])))
+		// Only a number that truncates to one of the six modes switches;
+		// NaN fails both comparisons.
+		if m := c.Params[0]; m >= float64(modeStabilize) && m < float64(modeLand+1) {
+			f.SetMode(Mode(int(m)))
+		} else {
+			result = 4
+		}
 	case mavlink.CmdMissionGo:
 		if err := f.StartMission(); err != nil {
 			result = 4
@@ -109,9 +120,15 @@ func (f *Firmware) handleCommand(c *mavlink.CommandLong) mavlink.Message {
 	return &mavlink.CommandAck{Command: c.Command, Result: result}
 }
 
+// handleMissionUpload replaces the mission with the uploaded items. An
+// upload carrying a non-finite coordinate or hold time is refused whole and
+// the loaded mission kept.
 func (f *Firmware) handleMissionUpload(items []*mavlink.MissionItem) mavlink.Message {
 	wps := make([]Waypoint, len(items))
 	for i, it := range items {
+		if !finite(it.X, it.Y, it.Z, it.Hold) {
+			return &mavlink.MissionAck{Count: uint16(len(items)), OK: false}
+		}
 		wps[i] = Waypoint{
 			Pos:   mathx.V3(it.X, it.Y, it.Z),
 			HoldS: it.Hold,
@@ -119,6 +136,16 @@ func (f *Firmware) handleMissionUpload(items []*mavlink.MissionItem) mavlink.Mes
 	}
 	f.LoadMission(NewMission(wps))
 	return &mavlink.MissionAck{Count: uint16(len(items)), OK: true}
+}
+
+// finite reports whether every value is neither NaN nor ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // TelemetrySnapshot builds the downlink messages a GCS would display.

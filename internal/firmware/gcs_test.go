@@ -1,6 +1,7 @@
 package firmware
 
 import (
+	"math"
 	"testing"
 
 	"github.com/ares-cps/ares/internal/mathx"
@@ -23,8 +24,8 @@ func TestGCSLandAndRTLCommands(t *testing.T) {
 	if ack := f.DrainOutbox()[0].(*mavlink.CommandAck); ack.Result != 0 {
 		t.Errorf("RTL rejected: %+v", ack)
 	}
-	if f.Mode() != modeRTL {
-		t.Errorf("mode = %v, want RTL", f.Mode())
+	if f.mode != modeRTL {
+		t.Errorf("mode = %v, want RTL", f.mode)
 	}
 
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdLand})
@@ -32,8 +33,8 @@ func TestGCSLandAndRTLCommands(t *testing.T) {
 	if ack := f.DrainOutbox()[0].(*mavlink.CommandAck); ack.Result != 0 {
 		t.Errorf("LAND rejected: %+v", ack)
 	}
-	if f.Mode() != modeLand {
-		t.Errorf("mode = %v, want LAND", f.Mode())
+	if f.mode != modeLand {
+		t.Errorf("mode = %v, want LAND", f.mode)
 	}
 }
 
@@ -48,8 +49,8 @@ func TestGCSSetModeAndArmDisarm(t *testing.T) {
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdSetMode,
 		Params: [7]float64{float64(modeLoiter)}})
 	f.Step()
-	if f.Mode() != modeLoiter {
-		t.Errorf("mode = %v, want LOITER", f.Mode())
+	if f.mode != modeLoiter {
+		t.Errorf("mode = %v, want LOITER", f.mode)
 	}
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdArmDisarm,
 		Params: [7]float64{0}})
@@ -135,6 +136,133 @@ func (f *Firmware) crashForTest() {
 		f.quad.Step([4]float64{}, 1.0/400)
 		if crashed, _ := f.quad.Crashed(); crashed {
 			return
+		}
+	}
+}
+
+// flyingFirmware returns a firmware hovering at 10 m in GUIDED mode.
+func flyingFirmware(t *testing.T) *Firmware {
+	t.Helper()
+	f := newTestFirmware(t, Config{})
+	if err := f.Takeoff(10); err != nil {
+		t.Fatal(err)
+	}
+	f.RunFor(5)
+	return f
+}
+
+// TestGCSParamSetNonFiniteRejected: NaN fails both range comparisons, so
+// a NaN PARAM_SET must be refused by name rather than written into the
+// gain, where it would crash the vehicle within a second.
+func TestGCSParamSetNonFiniteRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := flyingFirmware(t)
+		kp := f.att.RateRoll.KP
+		f.Enqueue(&mavlink.ParamSet{Name: "ATC_RAT_RLL_P", Value: v})
+		f.Step()
+		pv := f.DrainOutbox()[0].(*mavlink.ParamValue)
+		if pv.OK || pv.Value != kp {
+			t.Errorf("PARAM_SET ATC_RAT_RLL_P %v: reply %+v, want OK:false with value %v", v, pv, kp)
+		}
+		if got := f.att.RateRoll.KP; got != kp {
+			t.Errorf("PARAM_SET ATC_RAT_RLL_P %v: KP = %v, want %v", v, got, kp)
+		}
+		f.RunFor(1)
+		if crashed, reason := f.Quad().Crashed(); crashed {
+			t.Errorf("PARAM_SET ATC_RAT_RLL_P %v: crashed: %s", v, reason)
+		}
+	}
+	// A name outside the table fails as unknown, even one ArduCopter has.
+	f := newTestFirmware(t, Config{})
+	f.Enqueue(&mavlink.ParamSet{Name: "WPNAV_SPEED", Value: 500})
+	f.Step()
+	if pv := f.DrainOutbox()[0].(*mavlink.ParamValue); pv.OK {
+		t.Errorf("PARAM_SET of a name outside the table acknowledged OK: %+v", pv)
+	}
+}
+
+// TestGCSArmDisarmNonFinite: NaN fails the arm comparison, so a NaN
+// ARM_DISARM must be refused rather than taken as a disarm that drops a
+// flying vehicle.
+func TestGCSArmDisarmNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := flyingFirmware(t)
+		f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdArmDisarm, Params: [7]float64{v}})
+		f.Step()
+		if ack := f.DrainOutbox()[0].(*mavlink.CommandAck); ack.Result != 4 {
+			t.Errorf("ARM_DISARM %v: result %d, want 4", v, ack.Result)
+		}
+		if !f.armed {
+			t.Errorf("ARM_DISARM %v disarmed a flying vehicle", v)
+		}
+		f.RunFor(1)
+		if crashed, reason := f.Quad().Crashed(); crashed {
+			t.Errorf("ARM_DISARM %v: crashed: %s", v, reason)
+		}
+	}
+}
+
+// TestGCSSetModeOutOfRange: a SET_MODE number that truncates to none of
+// the six modes is refused and the mode kept.
+func TestGCSSetModeOutOfRange(t *testing.T) {
+	f := flyingFirmware(t)
+	for _, m := range []float64{99, 7, 0, 0.5, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdSetMode, Params: [7]float64{m}})
+		f.Step()
+		if ack := f.DrainOutbox()[0].(*mavlink.CommandAck); ack.Result != 4 {
+			t.Errorf("SET_MODE %v: result %d, want 4", m, ack.Result)
+		}
+		if f.mode != modeGuided {
+			t.Errorf("SET_MODE %v: mode = %v, want GUIDED", m, f.mode)
+		}
+	}
+	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdSetMode, Params: [7]float64{float64(modeLand)}})
+	f.Step()
+	if ack := f.DrainOutbox()[0].(*mavlink.CommandAck); ack.Result != 0 || f.mode != modeLand {
+		t.Errorf("SET_MODE LAND: result %d, mode %v", ack.Result, f.mode)
+	}
+}
+
+// TestGCSTakeoffNonFinite: a TAKEOFF to a non-finite altitude is refused
+// before the motors arm.
+func TestGCSTakeoffNonFinite(t *testing.T) {
+	for _, alt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := newTestFirmware(t, Config{})
+		f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdTakeoff, Params: [7]float64{6: alt}})
+		f.Step()
+		if ack := f.DrainOutbox()[0].(*mavlink.CommandAck); ack.Result != 4 {
+			t.Errorf("TAKEOFF %v: result %d, want 4", alt, ack.Result)
+		}
+		if f.armed || f.mode != modeStabilize {
+			t.Errorf("TAKEOFF %v: armed = %v, mode = %v", alt, f.armed, f.mode)
+		}
+		f.RunFor(1)
+		if crashed, reason := f.Quad().Crashed(); crashed {
+			t.Errorf("TAKEOFF %v: crashed: %s", alt, reason)
+		}
+	}
+}
+
+// TestGCSMissionUploadNonFinite: an upload with any non-finite coordinate
+// or hold time is refused whole and the loaded mission kept.
+func TestGCSMissionUploadNonFinite(t *testing.T) {
+	f := newTestFirmware(t, Config{})
+	loaded := LineMission(30, 10)
+	f.LoadMission(loaded)
+	for field := 0; field < 4; field++ {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			vals := [4]float64{30, 0, -10, 1}
+			vals[field] = bad
+			f.Enqueue(&mavlink.MissionItem{Seq: 0, X: 0, Y: 0, Z: -10})
+			f.Enqueue(&mavlink.MissionItem{Seq: 1, X: vals[0], Y: vals[1], Z: vals[2], Hold: vals[3]})
+			f.Step()
+			ack := f.DrainOutbox()[0].(*mavlink.MissionAck)
+			if ack.OK {
+				t.Errorf("upload with %v in field %d acknowledged OK", bad, field)
+			}
+			if f.mission != loaded {
+				t.Fatalf("upload with %v in field %d replaced the mission", bad, field)
+			}
 		}
 	}
 }
