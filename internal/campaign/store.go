@@ -69,6 +69,7 @@ const (
 type Store struct {
 	mu   sync.Mutex
 	f    *os.File
+	size int64 // file length: where the next line starts
 	done map[string]bool
 	recs []Record
 }
@@ -108,8 +109,9 @@ func OpenStore(path string) (*Store, error) {
 		if _, err := f.Write([]byte{'\n'}); err != nil {
 			return fail(err)
 		}
+		valid++
 	}
-	s := &Store{f: f, done: make(map[string]bool), recs: recs}
+	s := &Store{f: f, size: valid, done: make(map[string]bool), recs: recs}
 	for _, r := range recs {
 		if r.Status == StatusOK {
 			s.done[r.Key] = true
@@ -137,20 +139,32 @@ func (s *Store) Records() []Record {
 // Append writes one record as a JSON line. The line is handed to the OS
 // but not fsynced, so it survives a killed process but not a host crash.
 func (s *Store) Append(r Record) error {
-	line, err := json.Marshal(r)
+	_, _, err := s.AppendAt(r)
+	return err
+}
+
+// AppendAt is Append that also reports where the record's line starts in
+// the file and the line itself, newline included, so a reader can find
+// and check it again without loading the whole store.
+func (s *Store) AppendAt(r Record) (off int64, line []byte, err error) {
+	line, err = json.Marshal(r)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
+	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
-		return err
+	off = s.size
+	n, err := s.f.Write(line)
+	s.size += int64(n)
+	if err != nil {
+		return 0, nil, err
 	}
 	s.recs = append(s.recs, r)
 	if r.Status == StatusOK {
 		s.done[r.Key] = true
 	}
-	return nil
+	return off, line, nil
 }
 
 // Close closes the underlying file.

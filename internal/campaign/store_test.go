@@ -131,6 +131,62 @@ func TestStoreResumeMissingFinalNewline(t *testing.T) {
 	}
 }
 
+// TestStoreAppendAtLocatesLines: every offset AppendAt reports points at
+// the line it returned, on a new store and on reopened ones, including
+// one whose last line lost its newline (which OpenStore restores) and one
+// with a damaged tail (which OpenStore truncates).
+func TestStoreAppendAtLocatesLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	type span struct {
+		off  int64
+		line []byte
+	}
+	var spans []span
+	appendAt := func(keys ...string) {
+		t.Helper()
+		s, err := OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			off, line, err := s.AppendAt(okRecord(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans = append(spans, span{off, line})
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit := func(f func([]byte) []byte) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, f(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendAt("a", "b")
+	edit(func(d []byte) []byte { return d[:len(d)-1] }) // drop the final newline
+	appendAt("c")
+	edit(func(d []byte) []byte { return append(d, `{"key":"torn`...) })
+	appendAt("d")
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range spans {
+		end := sp.off + int64(len(sp.line))
+		if end > int64(len(data)) || string(data[sp.off:end]) != string(sp.line) {
+			t.Errorf("line %d: offset %d does not locate %q in\n%s", i, sp.off, sp.line, data)
+		}
+	}
+}
+
 // TestReadRecordsCorruptMiddleStillErrors pins that recovery applies only to
 // the tail: a corrupt line with intact records after it is ambiguous and
 // must fail loudly rather than silently dropping data.

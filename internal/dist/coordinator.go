@@ -19,6 +19,11 @@
 // mirrored to an atomically-written queue manifest, so a restarted
 // coordinator resumes each one mid-merge.
 //
+// Cells are content-addressed too: every ok record a lease merges is
+// indexed by the hash of its campaign.Job, and a campaign loaded later in
+// the same coordinator life fills each indexed cell from that record
+// instead of leasing it, so no cell flies twice in one life.
+//
 // The fleet protocol is lease + heartbeat + work stealing: a lease that
 // misses its heartbeats expires, its unfinished jobs return to the
 // pending set, and the next worker to ask re-leases them (a steal). A
@@ -36,6 +41,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -189,6 +195,9 @@ type Coordinator struct {
 	leases   map[string]*lease
 	leaseSeq int
 	draining bool
+	// cells is the content-addressed cell index: where the ok record of
+	// every cell a lease merged in this life lives (cells.go).
+	cells map[cellKey]cellLoc
 	// wake is closed, and replaced, whenever jobs become pending or the
 	// coordinator drains, so parked workers react at once; kicks counts
 	// the replacements. An empty lease carries kicks, and a wait that
@@ -224,6 +233,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		cache:     newLRU(cfg.CacheSize),
 		workers:   make(map[string]bool),
 		leases:    make(map[string]*lease),
+		cells:     make(map[cellKey]cellLoc),
 		wake:      make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
@@ -523,8 +533,12 @@ func (c *Coordinator) mergeLocked(cs *campaignState, l *lease, rec campaign.Reco
 	if cs.slots[i] != nil {
 		return nil
 	}
-	if err := cs.store.Append(rec); err != nil {
+	off, line, err := cs.store.AppendAt(rec)
+	if err != nil {
 		return err
+	}
+	if rec.Status == campaign.StatusOK {
+		c.cells[cellKeyOf(cs.jobs[i])] = cellLoc{campaign: cs.id, off: off, n: len(line), crc: crc32.ChecksumIEEE(line)}
 	}
 	r := rec
 	cs.slots[i] = &r
@@ -634,7 +648,7 @@ func (c *Coordinator) Submit(spec campaign.Spec) (JobStatus, int) {
 		c.mx.cacheMisses.Inc()
 	}
 	if c.queuedLocked() >= c.cfg.QueueDepth {
-		_ = cs.unload() // best-effort: nothing was appended; the refusal is the answer
+		_ = cs.unload() // best-effort: the refusal is the answer
 		c.mx.rejected.Inc()
 		return JobStatus{}, http.StatusTooManyRequests
 	}
@@ -684,7 +698,8 @@ func (c *Coordinator) queuedLocked() int {
 // loadLocked builds cs's merge state over its (possibly pre-existing)
 // store unless it is already built: slots prefill from completed records
 // — only ok records count, so failed cells re-run, exactly like a local
-// resume — and a store that already holds every record finalizes at once.
+// resume — then from the cell index, and a campaign whose every slot is
+// filled finalizes at once.
 func (c *Coordinator) loadLocked(cs *campaignState) error {
 	if cs.store != nil {
 		return nil
@@ -715,7 +730,15 @@ func (c *Coordinator) loadLocked(cs *campaignState) error {
 		cs.slots[i] = &r
 	}
 	for i, j := range jobs {
-		if cs.slots[i] == nil {
+		if cs.slots[i] != nil {
+			continue
+		}
+		reused, err := c.reuseLocked(cs, i)
+		if err != nil {
+			_ = cs.unload() // best-effort: the append error is the one to surface
+			return err
+		}
+		if !reused {
 			cs.pending[j.Key] = true
 		}
 	}
@@ -723,6 +746,36 @@ func (c *Coordinator) loadLocked(cs *campaignState) error {
 		c.finalizeLocked(cs)
 	}
 	return nil
+}
+
+// reuseLocked fills cs's empty slot i from the cell index: the record
+// another lease merged for the same Job in this life is read back from
+// its source store, appended to cs's own and logged like a merged one. A
+// failed read-back drops the index entry, and the cell is leased as usual.
+func (c *Coordinator) reuseLocked(cs *campaignState, i int) (bool, error) {
+	if len(c.cells) == 0 {
+		return false, nil
+	}
+	job := cs.jobs[i]
+	key := cellKeyOf(job)
+	loc, ok := c.cells[key]
+	if !ok {
+		return false, nil
+	}
+	rec, err := readCell(c.storePath(loc.campaign), loc, job)
+	if err != nil {
+		delete(c.cells, key)
+		fmt.Fprintf(c.cfg.Log, "dist: campaign %s: cell %s flies again: %v\n", cs.id, job.Key, err)
+		return false, nil
+	}
+	if err := cs.store.Append(rec); err != nil {
+		return false, err
+	}
+	cs.slots[i] = &rec
+	cs.merged++
+	c.mx.cellsReused.Inc()
+	cs.events.Append(campaign.ProgressLine(cs.merged, len(cs.jobs), rec))
+	return true, nil
 }
 
 // finalizeLocked closes out a fully-merged campaign: the canonical

@@ -17,6 +17,7 @@ type coordMetrics struct {
 	leasesGranted     *metrics.Counter
 	leasesExpired     *metrics.Counter
 	recordsMerged     *metrics.Counter
+	cellsReused       *metrics.Counter
 	steals            *metrics.Counter
 }
 
@@ -38,6 +39,7 @@ func newCoordMetrics(r *metrics.Registry) coordMetrics {
 		leasesGranted:     r.Counter("ares_dist_leases_granted_total", "job leases granted to workers"),
 		leasesExpired:     r.Counter("ares_dist_leases_expired_total", "leases reclaimed after missing heartbeats"),
 		recordsMerged:     r.Counter("ares_dist_records_merged_total", "worker records merged into campaign stores"),
+		cellsReused:       r.Counter("ares_dist_cells_reused_total", "campaign cells filled from the cell index instead of flown"),
 		steals:            r.Counter("ares_dist_steal_events_total", "jobs from expired leases re-leased to another worker"),
 	}
 }

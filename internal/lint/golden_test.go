@@ -7,23 +7,37 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current analyzer output")
 
-// repoLoader builds a loader rooted at the enclosing module.
+// shared is the test binary's one loader over the enclosing module.
+var shared struct {
+	once   sync.Once
+	loader *Loader
+	err    error
+}
+
+// repoLoader returns the loader every read-only load of this repository
+// shares. A Loader memoizes by import path, so the standard library, the
+// module and the fixtures are parsed and type-checked from source once
+// per test binary rather than once per test. Tests run sequentially
+// (none calls t.Parallel), which the Loader requires.
 func repoLoader(t *testing.T) *Loader {
 	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
+	shared.once.Do(func() {
+		root, err := FindModuleRoot(".")
+		if err == nil {
+			shared.loader, err = NewLoader(root)
+		}
+		shared.err = err
+	})
+	if shared.err != nil {
+		t.Fatal(shared.err)
 	}
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
+	return shared.loader
 }
 
 // TestFixtureGoldens pins every analyzer's diagnostics over its fixture
