@@ -2,11 +2,14 @@ package attack
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/ares-cps/ares/internal/defense"
 	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/sensors"
+	"github.com/ares-cps/ares/internal/sim"
+	"github.com/ares-cps/ares/internal/vars"
 )
 
 func TestNaiveAttackRequiresRegionAccess(t *testing.T) {
@@ -83,6 +86,56 @@ func TestCalibrateMonitors(t *testing.T) {
 	}
 	if !ci.Fitted() || !ml.Fitted() {
 		t.Error("monitors not fitted")
+	}
+}
+
+// TestCalibrateMonitorsAllocBound: a line:60 calibration holds a trace of
+// about 1.7 MB and its three flights allocate about 0.3 MB. Collected into
+// one slice regrown by append, the trace alone allocated 10.2 MB.
+func TestCalibrateMonitorsAllocBound(t *testing.T) {
+	mission := firmware.LineMission(60, 10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := CalibrateMonitors(mission, 40); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 3<<20 {
+		t.Errorf("one line:60 calibration allocated %.1f MB, want ≤ 3 MB", float64(got)/(1<<20))
+	}
+}
+
+// TestCalibrationTraceChunks: the chunked calibration trace identifies the
+// same monitor, bit for bit, as the flat slice of the same samples.
+func TestCalibrationTraceChunks(t *testing.T) {
+	var chunked ciTrace
+	var flat []defense.CISample
+	if _, err := calibrationFlights(firmware.LineMission(60, 10), sim.VehicleParams{}, 40, ciCells,
+		func(fw *firmware.Firmware, des []vars.Ref) {
+			s := ciSampleOf(fw, des)
+			chunked.add(s)
+			flat = append(flat, s)
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if len(chunked) < 2 {
+		t.Fatalf("trace of %d samples fills %d chunk(s); want a chunk boundary", len(flat), len(chunked))
+	}
+	a, b := defense.NewControlInvariants(), defense.NewControlInvariants()
+	if err := a.Identify(chunked...); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Identify(flat); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Alpha {
+		if math.Float64bits(a.Alpha[i]) != math.Float64bits(b.Alpha[i]) {
+			t.Errorf("alpha[%d] = %v over chunks, %v over the flat trace", i, a.Alpha[i], b.Alpha[i])
+		}
+	}
+	if math.Float64bits(a.Scale) != math.Float64bits(b.Scale) {
+		t.Errorf("scale = %v over chunks, %v over the flat trace", a.Scale, b.Scale)
 	}
 }
 

@@ -93,17 +93,35 @@ func CalibrateMonitors(mission *firmware.Mission, seed int64) (*defense.ControlI
 // CalibrateMonitorsFor is CalibrateMonitors with an explicit airframe (the
 // zero value flies the IRIS+ default).
 func CalibrateMonitorsFor(mission *firmware.Mission, vehicle sim.VehicleParams, seed int64) (*defense.ControlInvariants, error) {
-	var trace []defense.CISample
+	var trace ciTrace
 	if _, err := calibrationFlights(mission, vehicle, seed, ciCells, func(fw *firmware.Firmware, des []vars.Ref) {
-		trace = append(trace, ciSampleOf(fw, des))
+		trace.add(ciSampleOf(fw, des))
 	}); err != nil {
 		return nil, err
 	}
 	ci := defense.NewControlInvariants()
-	if err := ci.Identify(trace); err != nil {
+	if err := ci.Identify(trace...); err != nil {
 		return nil, fmt.Errorf("attack: CI identification: %w", err)
 	}
 	return ci, nil
+}
+
+// ciChunkSamples is the number of samples per chunk of a calibration
+// trace, which bounds the trace's unused capacity to one chunk.
+const ciChunkSamples = 1024
+
+// ciTrace is a calibration trace in fixed-size chunks, in order. It grows
+// without copying: one slice regrown by append allocated six times the
+// bytes of the line:60 trace it ended up holding.
+type ciTrace [][]defense.CISample
+
+// add appends one sample.
+func (t *ciTrace) add(s defense.CISample) {
+	if n := len(*t); n == 0 || len((*t)[n-1]) == ciChunkSamples {
+		*t = append(*t, make([]defense.CISample, 0, ciChunkSamples))
+	}
+	last := &(*t)[len(*t)-1]
+	*last = append(*last, s)
 }
 
 // CalibrateML trains the ML monitor on the three benign flights

@@ -102,6 +102,24 @@ func TestSpecExpandSeedStability(t *testing.T) {
 	}
 }
 
+// TestJobTrialEpisodes pins the cost unit the fleet grants leases by: a
+// stealthy cell flies one session, an RL cell trains Episodes episodes
+// (core.DefaultEpisodes when unset) and replays once.
+func TestJobTrialEpisodes(t *testing.T) {
+	for _, tc := range []struct {
+		job  Job
+		want int
+	}{
+		{Job{Attack: AttackStealthy, Episodes: 12}, 1},
+		{Job{Attack: AttackRL, Episodes: 12}, 13},
+		{Job{Attack: AttackRL}, core.DefaultEpisodes + 1},
+	} {
+		if got := tc.job.TrialEpisodes(); got != tc.want {
+			t.Errorf("%s with %d episodes: %d trial-episodes, want %d", tc.job.Attack, tc.job.Episodes, got, tc.want)
+		}
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
 	bad := testSpec()
 	bad.Goals = []string{"teleport"}

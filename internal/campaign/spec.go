@@ -382,6 +382,19 @@ type Job struct {
 	SuccessDeviation float64
 }
 
+// TrialEpisodes is the number of flights the job flies, the unit of its
+// cost: a stealthy cell flies one session, an RL cell trains Episodes
+// episodes (0 means core.DefaultEpisodes) and replays its policy once.
+func (j Job) TrialEpisodes() int {
+	if j.Attack == AttackStealthy {
+		return 1
+	}
+	if j.Episodes <= 0 {
+		return core.DefaultEpisodes + 1
+	}
+	return j.Episodes + 1
+}
+
 // Expand produces the deterministic job list: axes iterate in declaration
 // order (mission, variable, goal, attack, defense, trial), and every job
 // seed is derived from the campaign seed and the FNV-1a hash of the job

@@ -93,31 +93,41 @@ func NewControlInvariants() *ControlInvariants {
 // statistic measures *tracking consistency* — exactly what the control
 // invariant expresses — and is insensitive to sustained command offsets.
 // The lag α is the least-squares solution of Δx = α·(u − x).
-func (m *ControlInvariants) Identify(trace []CISample) error {
+//
+// The trace may come in consecutive chunks (a long calibration trace is
+// collected that way, so it grows without copying); Identify reads them
+// in order as one sequence.
+func (m *ControlInvariants) Identify(trace ...[]CISample) error {
 	if len(m.errs) != m.Window {
 		m.errs = make([]float64, m.Window)
 	}
-	if len(trace) < 32 {
-		return fmt.Errorf("defense: CI identification needs ≥32 samples, got %d", len(trace))
-	}
-	axes := []struct {
-		cur, des func(CISample) float64
-	}{
-		{func(s CISample) float64 { return s.Roll }, func(s CISample) float64 { return s.DesRoll }},
-		{func(s CISample) float64 { return s.Pitch }, func(s CISample) float64 { return s.DesPitch }},
-		{func(s CISample) float64 { return s.Yaw }, func(s CISample) float64 { return s.DesYaw }},
-	}
-	for axis, ax := range axes {
-		var num, den float64
-		for i := 0; i+1 < len(trace); i++ {
-			e := ax.des(trace[i]) - ax.cur(trace[i])
-			dx := ax.cur(trace[i+1]) - ax.cur(trace[i])
-			num += dx * e
-			den += e * e
+	var num, den [3]float64
+	var prev CISample
+	n := 0
+	for _, chunk := range trace {
+		for _, s := range chunk {
+			if n > 0 {
+				cur := [3]float64{prev.Roll, prev.Pitch, prev.Yaw}
+				des := [3]float64{prev.DesRoll, prev.DesPitch, prev.DesYaw}
+				next := [3]float64{s.Roll, s.Pitch, s.Yaw}
+				for axis := range cur {
+					e := des[axis] - cur[axis]
+					dx := next[axis] - cur[axis]
+					num[axis] += dx * e
+					den[axis] += e * e
+				}
+			}
+			prev = s
+			n++
 		}
+	}
+	if n < 32 {
+		return fmt.Errorf("defense: CI identification needs ≥32 samples, got %d", n)
+	}
+	for axis := range m.Alpha {
 		alpha := 0.0
-		if den > 0 {
-			alpha = num / den
+		if den[axis] > 0 {
+			alpha = num[axis] / den[axis]
 		}
 		if alpha < 0 {
 			alpha = 0
@@ -133,10 +143,11 @@ func (m *ControlInvariants) Identify(trace []CISample) error {
 	m.Scale = 1
 	m.Reset()
 	maxCum := 0.0
-	for _, s := range trace {
-		v := m.Observe(s)
-		if v.Stat > maxCum {
-			maxCum = v.Stat
+	for _, chunk := range trace {
+		for _, s := range chunk {
+			if v := m.Observe(s); v.Stat > maxCum {
+				maxCum = v.Stat
+			}
 		}
 	}
 	if maxCum > 0 {

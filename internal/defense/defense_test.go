@@ -29,6 +29,31 @@ func benignCITrace(n int, seed int64) []CISample {
 	return out
 }
 
+// TestControlInvariantsIdentifyChunks: a trace split into consecutive
+// chunks, empty ones included, identifies the same model bit for bit.
+func TestControlInvariantsIdentifyChunks(t *testing.T) {
+	trace := benignCITrace(4000, 3)
+	flat := NewControlInvariants()
+	if err := flat.Identify(trace); err != nil {
+		t.Fatal(err)
+	}
+	chunked := NewControlInvariants()
+	if err := chunked.Identify(trace[:1], nil, trace[1:999], trace[999:1024], trace[1024:]); err != nil {
+		t.Fatal(err)
+	}
+	for i := range flat.Alpha {
+		if math.Float64bits(flat.Alpha[i]) != math.Float64bits(chunked.Alpha[i]) {
+			t.Errorf("alpha[%d] = %v over chunks, %v flat", i, chunked.Alpha[i], flat.Alpha[i])
+		}
+	}
+	if math.Float64bits(flat.Scale) != math.Float64bits(chunked.Scale) {
+		t.Errorf("scale = %v over chunks, %v flat", chunked.Scale, flat.Scale)
+	}
+	if err := NewControlInvariants().Identify(trace[:10], trace[10:31]); err == nil {
+		t.Error("31 samples over two chunks identified; want the ≥32 error")
+	}
+}
+
 func TestControlInvariantsIdentify(t *testing.T) {
 	ci := NewControlInvariants()
 	if ci.Fitted() {

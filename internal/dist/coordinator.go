@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -92,7 +91,8 @@ type CoordConfig struct {
 	// jobs are re-leased. Default 30s.
 	LeaseTTL time.Duration
 	// MaxLease bounds the jobs granted per fleet lease. Default 8.
-	// In-process workers always lease a whole campaign.
+	// Below it a fleet lease shrinks as its campaign drains (see
+	// fleetLeaseSize); in-process workers always lease a whole campaign.
 	MaxLease int
 	// QueueDepth bounds the campaigns waiting for their first lease; a
 	// new or retried campaign beyond it is refused (429). Default 64.
@@ -143,9 +143,12 @@ type campaignState struct {
 
 	// jobs is the deterministic expansion; index maps key → slot; slots
 	// fill with merged records in whatever order workers deliver them.
+	// order is the grant order: slot indices by ascending
+	// Job.TrialEpisodes, expansion order breaking ties.
 	jobs  []campaign.Job
 	index map[string]int
 	slots []*campaign.Record
+	order []int
 	// pending holds keys not yet leased or merged; leasedBy tracks which
 	// lease currently owns a key; reclaimed marks keys returned by an
 	// expired lease, so re-granting them counts as a steal.
@@ -162,7 +165,7 @@ func (cs *campaignState) unload() error {
 		return nil
 	}
 	err := cs.store.Close()
-	cs.jobs, cs.index, cs.slots, cs.merged, cs.store = nil, nil, nil, 0, nil
+	cs.jobs, cs.index, cs.slots, cs.order, cs.merged, cs.store = nil, nil, nil, nil, 0, nil
 	cs.pending, cs.leasedBy, cs.reclaimed = nil, nil, nil
 	return err
 }
@@ -189,9 +192,11 @@ type Coordinator struct {
 	campaigns map[string]*campaignState
 	// open holds the unfinished campaigns in admission order: leases
 	// serve them first come, first served, and the manifest mirrors them.
-	open     []*campaignState
-	cache    *lru
-	workers  map[string]bool
+	open  []*campaignState
+	cache *lru
+	// workers maps each live fleet worker to when it last registered,
+	// leased or heartbeat; reapLocked forgets one silent for LeaseTTL.
+	workers  map[string]time.Time
 	leases   map[string]*lease
 	leaseSeq int
 	draining bool
@@ -231,7 +236,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		mx:        newCoordMetrics(cfg.Metrics),
 		campaigns: make(map[string]*campaignState),
 		cache:     newLRU(cfg.CacheSize),
-		workers:   make(map[string]bool),
+		workers:   make(map[string]time.Time),
 		leases:    make(map[string]*lease),
 		cells:     make(map[cellKey]cellLoc),
 		wake:      make(chan struct{}),
@@ -330,7 +335,7 @@ func (c *Coordinator) Register(workerID string) (RegisterResponse, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.registerLocked(workerID)
+	c.registerLocked(workerID, time.Now())
 	return c.timing(workerID), nil
 }
 
@@ -343,17 +348,19 @@ func (c *Coordinator) timing(workerID string) RegisterResponse {
 	}
 }
 
-func (c *Coordinator) registerLocked(workerID string) {
-	if !c.workers[workerID] {
-		c.workers[workerID] = true
+// registerLocked marks a fleet worker seen at now.
+func (c *Coordinator) registerLocked(workerID string, now time.Time) {
+	_, known := c.workers[workerID]
+	c.workers[workerID] = now
+	if !known {
 		c.mx.workersRegistered.Set(int64(len(c.workers)))
 		fmt.Fprintf(c.cfg.Log, "dist: worker %s registered (%d total)\n", workerID, len(c.workers))
 	}
 }
 
-// Lease grants a fleet worker a batch of pending jobs. An empty-Lease
-// response means nothing is pending now; its Wake is what the worker's
-// next wait names.
+// Lease grants a fleet worker a batch of pending jobs, sized by
+// fleetLeaseSize. An empty-Lease response means nothing is pending now;
+// its Wake is what the worker's next wait names.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if err := validWorkerID(req.Worker); err != nil {
 		return LeaseResponse{}, err
@@ -363,8 +370,22 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if c.draining {
 		return LeaseResponse{}, nil
 	}
-	c.registerLocked(req.Worker)
-	return c.leaseLocked(req.Worker, c.cfg.MaxLease), nil
+	c.registerLocked(req.Worker, time.Now())
+	return c.leaseLocked(req.Worker, func(pending int) int {
+		return c.fleetLeaseSize(pending, req.Slots)
+	}), nil
+}
+
+// fleetLeaseSize is how many of a campaign's pending jobs one fleet lease
+// takes: ⌈pending / 2W⌉ over the W live fleet workers, so early leases
+// are large and later ones shrink and no worker holds a long tail while
+// another idles; at least the worker's slots, so each of its runner slots
+// has a job, and at most MaxLease. Lease reaps first, so W counts only
+// workers heard from within LeaseTTL.
+func (c *Coordinator) fleetLeaseSize(pending, slots int) int {
+	w := max(len(c.workers), 1)
+	n := max((pending+2*w-1)/(2*w), slots, 1)
+	return min(n, c.cfg.MaxLease)
 }
 
 // leaseCampaign is Lease for an in-process worker: it grants every
@@ -375,7 +396,7 @@ func (c *Coordinator) leaseCampaign(workerID string) LeaseResponse {
 	if c.draining {
 		return LeaseResponse{}
 	}
-	return c.leaseLocked(workerID, math.MaxInt)
+	return c.leaseLocked(workerID, func(pending int) int { return pending })
 }
 
 // maxWait caps how long a wait parks a worker, below the fleet worker's
@@ -405,10 +426,10 @@ func (c *Coordinator) wait(ctx context.Context, seen uint64) (draining bool) {
 	return c.draining
 }
 
-// leaseLocked grants up to max pending jobs of one campaign.
-func (c *Coordinator) leaseLocked(workerID string, max int) LeaseResponse {
+// leaseLocked grants size(pending) of the pending jobs of one campaign.
+func (c *Coordinator) leaseLocked(workerID string, size func(pending int) int) LeaseResponse {
 	c.reapLocked(time.Now())
-	cs, keys := c.pickJobsLocked(max)
+	cs, keys := c.pickJobsLocked(size)
 	if cs == nil {
 		return LeaseResponse{Wake: c.kicks}
 	}
@@ -443,28 +464,31 @@ func (c *Coordinator) leaseLocked(workerID string, max int) LeaseResponse {
 	return LeaseResponse{Lease: l.id, Campaign: cs.id, Keys: keys}
 }
 
-// pickJobsLocked chooses the first max pending jobs of the oldest
-// campaign with pending work, in expansion order. Records do not depend
-// on which worker runs a job, so any worker may take any job.
-func (c *Coordinator) pickJobsLocked(max int) (*campaignState, []string) {
+// pickJobsLocked chooses size(pending) pending jobs of the oldest
+// campaign with pending work, cheapest first (cs.order). Records do not
+// depend on which worker runs a job, or when, so any worker may take any
+// job in any order.
+func (c *Coordinator) pickJobsLocked(size func(pending int) int) (*campaignState, []string) {
 	// Loading can finalize or fail a campaign, which removes it from open.
 	for _, cs := range slices.Clone(c.open) {
 		if err := c.loadLocked(cs); err != nil {
 			c.closeOutLocked(cs, StateFailed, err.Error())
 			continue
 		}
-		var keys []string
-		for _, j := range cs.jobs {
-			if len(keys) == max {
+		if len(cs.pending) == 0 {
+			continue
+		}
+		n := min(size(len(cs.pending)), len(cs.pending))
+		keys := make([]string, 0, n)
+		for _, i := range cs.order {
+			if len(keys) == n {
 				break
 			}
-			if cs.pending[j.Key] {
-				keys = append(keys, j.Key)
+			if k := cs.jobs[i].Key; cs.pending[k] {
+				keys = append(keys, k)
 			}
 		}
-		if len(keys) > 0 {
-			return cs, keys
-		}
+		return cs, keys
 	}
 	return nil, nil
 }
@@ -479,7 +503,11 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	if !ok || l.worker != req.Worker {
 		return HeartbeatResponse{Abandon: true}
 	}
-	l.expires = time.Now().Add(c.cfg.LeaseTTL)
+	now := time.Now()
+	l.expires = now.Add(c.cfg.LeaseTTL)
+	if _, fleet := c.workers[req.Worker]; fleet {
+		c.workers[req.Worker] = now
+	}
 	return HeartbeatResponse{OK: true}
 }
 
@@ -570,6 +598,8 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 
 // reapLocked expires overdue leases: their unfinished jobs return to the
 // pending set marked reclaimed, so the next grant counts them as stolen.
+// It also forgets fleet workers silent for LeaseTTL, so a restarted
+// worker's old ID stops counting in fleetLeaseSize.
 func (c *Coordinator) reapLocked(now time.Time) {
 	for id, l := range c.leases {
 		if now.Before(l.expires) {
@@ -582,6 +612,13 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		delete(c.leases, id)
 	}
 	c.mx.leasesActive.Set(int64(len(c.leases)))
+	for id, seen := range c.workers {
+		if now.Sub(seen) >= c.cfg.LeaseTTL {
+			delete(c.workers, id)
+			fmt.Fprintf(c.cfg.Log, "dist: worker %s silent for %v, forgotten\n", id, c.cfg.LeaseTTL)
+		}
+	}
+	c.mx.workersRegistered.Set(int64(len(c.workers)))
 }
 
 // releaseLeaseLocked returns a lease's unfinished jobs to pending;
@@ -715,9 +752,14 @@ func (c *Coordinator) loadLocked(cs *campaignState) error {
 	cs.pending = make(map[string]bool, len(jobs))
 	cs.leasedBy = make(map[string]string)
 	cs.reclaimed = make(map[string]bool)
+	cs.order = make([]int, len(jobs))
 	for i, j := range jobs {
 		cs.index[j.Key] = i
+		cs.order[i] = i
 	}
+	slices.SortStableFunc(cs.order, func(a, b int) int {
+		return jobs[a].TrialEpisodes() - jobs[b].TrialEpisodes()
+	})
 	for _, rec := range store.Records() {
 		i, ok := cs.index[rec.Key]
 		if !ok || rec.Status != campaign.StatusOK {

@@ -15,12 +15,16 @@ import (
 // wire endpoint, mirroring serve.FuzzJobSpec on the submission surface.
 // Invariants: the handlers answer a sane status and never panic; the
 // strict decoder and the handlers agree (a body that fails decodeWire is
-// a 400, a well-formed register with a valid worker ID is a 200); and
-// decoding is stable (decode twice, equal results).
+// a 400, a well-formed register with a valid worker ID is a 200);
+// decoding is stable (decode twice, equal results); and whatever slots a
+// lease request names, the grant it sizes stays within [1, MaxLease].
 func FuzzDistEnvelope(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"worker":"w0"}`))
 	f.Add([]byte(`{"worker":"w0","max":4}`))
+	f.Add([]byte(`{"worker":"w0","slots":4}`))
+	f.Add([]byte(`{"worker":"w0","slots":-3}`))
+	f.Add([]byte(`{"worker":"w0","slots":1000000000}`))
 	f.Add([]byte(`{"worker":"w0","lease":"L000001"}`))
 	f.Add([]byte(`{"worker":"w0","wake":3}`))
 	f.Add([]byte(`{"worker":"w0","lease":"L000001","offset":0,"records":[{"key":"k","mission":"line-40","variable":"PIDR.INTEG","goal":"deviation","defense":"none","trial":0,"seed":9,"status":"ok"}]}`))
@@ -56,7 +60,7 @@ func FuzzDistEnvelope(f *testing.F) {
 		// registry bounded across iterations.
 		c.mu.Lock()
 		if len(c.workers) > 1024 {
-			c.workers = make(map[string]bool)
+			c.workers = make(map[string]time.Time)
 		}
 		c.mu.Unlock()
 
@@ -75,6 +79,18 @@ func FuzzDistEnvelope(f *testing.F) {
 				http.StatusRequestEntityTooLarge:
 			default:
 				t.Fatalf("%s: unexpected status %d for body %q", ep, rec.Code, body)
+			}
+		}
+
+		// A grant is at least the announced width, up to MaxLease.
+		if lr, err := decodeWire[LeaseRequest](bytes.NewReader(body), maxControlBytes); err == nil {
+			for _, pending := range []int{1, 7, 1000} {
+				c.mu.Lock()
+				n := c.fleetLeaseSize(pending, lr.Slots)
+				c.mu.Unlock()
+				if n < 1 || n > c.cfg.MaxLease || n < min(lr.Slots, c.cfg.MaxLease) {
+					t.Fatalf("slots %d, %d pending: lease of %d, MaxLease %d", lr.Slots, pending, n, c.cfg.MaxLease)
+				}
 			}
 		}
 

@@ -34,7 +34,7 @@ func newCoordMetrics(r *metrics.Registry) coordMetrics {
 		inflight:    r.Gauge("ares_serve_inflight_workers", "campaigns leased and not yet finalized"),
 		jobSeconds:  r.Histogram("ares_serve_job_seconds", "campaign wall time from first lease to finalize, in seconds", nil),
 
-		workersRegistered: r.Gauge("ares_dist_workers_registered", "workers currently registered with the coordinator"),
+		workersRegistered: r.Gauge("ares_dist_workers_registered", "fleet workers heard from within the lease TTL"),
 		leasesActive:      r.Gauge("ares_dist_leases_active", "job leases currently held by workers"),
 		leasesGranted:     r.Counter("ares_dist_leases_granted_total", "job leases granted to workers"),
 		leasesExpired:     r.Counter("ares_dist_leases_expired_total", "leases reclaimed after missing heartbeats"),

@@ -47,6 +47,10 @@ type RegisterResponse struct {
 // LeaseRequest asks for a batch of at most CoordConfig.MaxLease jobs.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
+	// Slots is how many jobs the worker runs at once (its runner width);
+	// a lease grants at least that many while enough are pending. Zero,
+	// as from a worker that omits it, counts as 1.
+	Slots int `json:"slots,omitempty"`
 }
 
 // LeaseResponse grants a batch, or — with an empty Lease — says nothing

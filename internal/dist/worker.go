@@ -127,8 +127,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
+	req := LeaseRequest{Worker: w.cfg.ID, Slots: par.Workers(w.cfg.Jobs)}
 	for ctx.Err() == nil {
-		grant, err := w.link.lease(ctx, w.cfg.ID)
+		grant, err := w.link.lease(ctx, req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -338,7 +339,7 @@ func (e *apiError) Error() string {
 // link is a worker's connection to its coordinator.
 type link interface {
 	register(ctx context.Context, worker string) (RegisterResponse, error)
-	lease(ctx context.Context, worker string) (LeaseResponse, error)
+	lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error)
 	heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error)
 	records(ctx context.Context, req RecordsRequest) (RecordsResponse, error)
 	complete(ctx context.Context, req CompleteRequest) error
@@ -359,8 +360,8 @@ func (h *httpLink) register(ctx context.Context, worker string) (resp RegisterRe
 	return resp, err
 }
 
-func (h *httpLink) lease(ctx context.Context, worker string) (resp LeaseResponse, err error) {
-	err = h.post(ctx, "/v1/dist/lease", LeaseRequest{Worker: worker}, &resp, maxLeaseBytes)
+func (h *httpLink) lease(ctx context.Context, req LeaseRequest) (resp LeaseResponse, err error) {
+	err = h.post(ctx, "/v1/dist/lease", req, &resp, maxLeaseBytes)
 	return resp, err
 }
 
@@ -440,8 +441,8 @@ func (l *localLink) register(_ context.Context, worker string) (RegisterResponse
 	return l.c.timing(worker), nil
 }
 
-func (l *localLink) lease(_ context.Context, worker string) (LeaseResponse, error) {
-	return l.c.leaseCampaign(worker), nil
+func (l *localLink) lease(_ context.Context, req LeaseRequest) (LeaseResponse, error) {
+	return l.c.leaseCampaign(req.Worker), nil
 }
 
 func (l *localLink) heartbeat(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {

@@ -108,11 +108,7 @@ func handle(w http.ResponseWriter, r *http.Request) {
 // planModule lints a temp module and plans its suggested fixes.
 func planModule(t *testing.T, root string, patterns ...string) (*FixPlan, []Diagnostic) {
 	t.Helper()
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := moduleLoader(t, root).Load(patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,20 @@ func repoLoader(t *testing.T) *Loader {
 	return shared.loader
 }
 
+// moduleLoader returns a loader for the temp module at root. It shares
+// repoLoader's FileSet and standard-library importer, so every temp
+// module's imports of the standard library resolve to packages
+// type-checked once per test binary.
+func moduleLoader(t *testing.T, root string) *Loader {
+	t.Helper()
+	repo := repoLoader(t)
+	l, err := newLoader(root, repo.fset, repo.std)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // TestFixtureGoldens pins every analyzer's diagnostics over its fixture
 // package under testdata/src. One golden file per fixture directory;
 // regenerate deliberately with:

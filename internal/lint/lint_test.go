@@ -31,11 +31,7 @@ func writeModule(t *testing.T, files map[string]string) string {
 // analyzers.
 func lintModule(t *testing.T, files map[string]string, patterns ...string) []Diagnostic {
 	t.Helper()
-	loader, err := NewLoader(writeModule(t, files))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := moduleLoader(t, writeModule(t, files)).Load(patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,6 +65,19 @@ type Loader struct {
 // NewLoader creates a loader for the module rooted at root (a directory
 // containing go.mod).
 func NewLoader(root string) (*Loader, error) {
+	fset := token.NewFileSet()
+	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	if !ok {
+		return nil, fmt.Errorf("lint: source importer does not support ImporterFrom")
+	}
+	return newLoader(root, fset, std)
+}
+
+// newLoader is NewLoader over a given FileSet and standard-library
+// importer. Loaders of different modules may share the pair, used one at
+// a time: the importer memoizes every package it type-checks, so the
+// standard library is checked from source once for all of them.
+func newLoader(root string, fset *token.FileSet, std types.ImporterFrom) (*Loader, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -72,11 +85,6 @@ func NewLoader(root string) (*Loader, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
-	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer does not support ImporterFrom")
 	}
 	return &Loader{
 		Root:    root,
