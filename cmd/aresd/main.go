@@ -1,15 +1,16 @@
 // Command aresd is the networked assessment daemon: it serves the
 // internal/serve HTTP API (job queueing with backpressure, singleflight
-// dedup of identical specs, LRU result caching, SSE progress, Prometheus
-// metrics, the CPV catalog and the /v1/dist/* fleet protocol) backed by
-// the ARES campaign executor. Every daemon is built the same way, by
-// serve.New: one internal/dist coordinator serving one API, with -workers
-// in-process workers and any number of remote workers joining it.
+// dedup of identical specs, finished results kept with their campaigns,
+// SSE progress, Prometheus metrics, the CPV catalog and the /v1/dist/*
+// fleet protocol) backed by the ARES campaign executor. Every daemon is
+// built the same way, by serve.New: one internal/dist coordinator serving
+// one API, with -workers in-process workers and any number of remote
+// workers joining it.
 //
 // Daemon mode:
 //
 //	aresd [-addr :8080] [-store DIR] [-workers N] [-queue N] [-parallel N]
-//	      [-cache N] [-lease-ttl D] [-lease-batch N] [-drain D]
+//	      [-lease-ttl D] [-lease-batch N] [-drain D]
 //
 // -workers 0 is a pure fleet coordinator: only remote workers execute.
 // SIGINT/SIGTERM drains gracefully: the daemon stops accepting, finishes
@@ -23,8 +24,10 @@
 //
 //	aresd -worker -join http://coordinator:8080 [-id NAME] [-workers N]
 //
-// A killed worker costs nothing but its lease TTL; the fleet's merged
-// artifacts are byte-identical to a local run of the same spec.
+// A worker's first lease is its hello, and each granted lease carries
+// the campaign spec and heartbeat interval it needs. A killed worker
+// costs nothing but its lease TTL; the fleet's merged artifacts are
+// byte-identical to a local run of the same spec.
 //
 // Client mode (so CI can exercise the full loop without curl):
 //
@@ -69,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	queueDepth := fs.Int("queue", 0, "submission queue depth, backpressure beyond this (0 = 64)")
 	workers := fs.Int("workers", 2, "concurrent jobs: in-process workers (0 = pure fleet coordinator), or with -worker, leased jobs")
 	parallel := fs.Int("parallel", 0, "machine-wide parallelism budget shared by running jobs (0 = all CPUs)")
-	cacheSize := fs.Int("cache", 0, "result cache entries, LRU (0 = 128)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	submit := fs.String("submit", "", "client mode: POST this spec file (\"-\" = stdin) to -addr")
 	wait := fs.Bool("wait", false, "with -submit: poll until the job finishes and print the summary")
@@ -94,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		QueueDepth:  *queueDepth,
 		Workers:     *workers,
 		Parallelism: *parallel,
-		CacheSize:   *cacheSize,
 		LeaseTTL:    *leaseTTL,
 		MaxLease:    *leaseBatch,
 		Log:         stderr,

@@ -7,7 +7,8 @@
 //
 // The coordinator accepts campaign specs keyed by their canonical hash
 // (campaign.SpecHash): identical in-flight submissions collapse onto one
-// campaign, finished ones answer from a result cache, failed ones retry.
+// campaign, finished ones answer from their kept summary, failed ones
+// retry.
 // Each campaign expands into its job list and is handed out to workers in
 // leased batches. Workers execute their leases through the ordinary
 // campaign.Runner and stream finished records back with resumable
@@ -43,6 +44,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -97,8 +99,6 @@ type CoordConfig struct {
 	// QueueDepth bounds the campaigns waiting for their first lease; a
 	// new or retried campaign beyond it is refused (429). Default 64.
 	QueueDepth int
-	// CacheSize bounds the LRU cache of finished summaries. Default 128.
-	CacheSize int
 	// Metrics receives the ares_serve_* and ares_dist_* instruments; nil
 	// uses metrics.Default().
 	Metrics *metrics.Registry
@@ -116,9 +116,6 @@ func (c *CoordConfig) applyDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 128
-	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.Default()
 	}
@@ -131,8 +128,7 @@ func (c *CoordConfig) applyDefaults() {
 // through store) exists only while the campaign is unfinished and has
 // been leased: loadLocked builds it from the campaign's store and
 // closeOutLocked drops it and closes the store, so a finished campaign
-// costs its ID, spec and event log, and its summary lives in the result
-// cache.
+// costs its ID, spec, event log and summary.
 type campaignState struct {
 	id      string
 	spec    campaign.Spec
@@ -140,6 +136,9 @@ type campaignState struct {
 	errMsg  string
 	events  *eventLog
 	started time.Time // first lease grant
+	// result is the aggregated report finalizeLocked leaves on a terminal
+	// campaign; a retry clears it.
+	result *Result
 
 	// jobs is the deterministic expansion; index maps key → slot; slots
 	// fill with merged records in whatever order workers deliver them.
@@ -192,8 +191,7 @@ type Coordinator struct {
 	campaigns map[string]*campaignState
 	// open holds the unfinished campaigns in admission order: leases
 	// serve them first come, first served, and the manifest mirrors them.
-	open  []*campaignState
-	cache *lru
+	open []*campaignState
 	// workers maps each live fleet worker to when it last registered,
 	// leased or heartbeat; reapLocked forgets one silent for LeaseTTL.
 	workers  map[string]time.Time
@@ -235,7 +233,6 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		cfg:       cfg,
 		mx:        newCoordMetrics(cfg.Metrics),
 		campaigns: make(map[string]*campaignState),
-		cache:     newLRU(cfg.CacheSize),
 		workers:   make(map[string]time.Time),
 		leases:    make(map[string]*lease),
 		cells:     make(map[cellKey]cellLoc),
@@ -326,29 +323,8 @@ func (c *Coordinator) Shutdown() error {
 	return err
 }
 
-// Register adds (or refreshes) a fleet worker and returns the timing
-// contract. Idempotent, and also invoked implicitly by Lease so a worker
-// that outlives a coordinator restart re-registers on its next ask.
-func (c *Coordinator) Register(workerID string) (RegisterResponse, error) {
-	if err := validWorkerID(workerID); err != nil {
-		return RegisterResponse{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.registerLocked(workerID, time.Now())
-	return c.timing(workerID), nil
-}
-
-// timing is the lease contract every worker, fleet or in-process, gets.
-func (c *Coordinator) timing(workerID string) RegisterResponse {
-	return RegisterResponse{
-		Worker:          workerID,
-		LeaseTTLMillis:  c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMillis: (c.cfg.LeaseTTL / 3).Milliseconds(),
-	}
-}
-
-// registerLocked marks a fleet worker seen at now.
+// registerLocked marks a fleet worker seen at now. A worker's first lease
+// registers it.
 func (c *Coordinator) registerLocked(workerID string, now time.Time) {
 	_, known := c.workers[workerID]
 	c.workers[workerID] = now
@@ -373,7 +349,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.registerLocked(req.Worker, time.Now())
 	return c.leaseLocked(req.Worker, func(pending int) int {
 		return c.fleetLeaseSize(pending, req.Slots)
-	}), nil
+	}, maxLeaseKeyBytes), nil
 }
 
 // fleetLeaseSize is how many of a campaign's pending jobs one fleet lease
@@ -396,7 +372,7 @@ func (c *Coordinator) leaseCampaign(workerID string) LeaseResponse {
 	if c.draining {
 		return LeaseResponse{}
 	}
-	return c.leaseLocked(workerID, func(pending int) int { return pending })
+	return c.leaseLocked(workerID, func(pending int) int { return pending }, math.MaxInt)
 }
 
 // maxWait caps how long a wait parks a worker, below the fleet worker's
@@ -426,10 +402,13 @@ func (c *Coordinator) wait(ctx context.Context, seen uint64) (draining bool) {
 	return c.draining
 }
 
-// leaseLocked grants size(pending) of the pending jobs of one campaign.
-func (c *Coordinator) leaseLocked(workerID string, size func(pending int) int) LeaseResponse {
+// leaseLocked grants size(pending) of the pending jobs of one campaign,
+// fewer if their keys would pass keyBytes (see pickJobsLocked). The grant
+// carries everything the worker needs: the campaign's spec and the
+// heartbeat interval.
+func (c *Coordinator) leaseLocked(workerID string, size func(pending int) int, keyBytes int) LeaseResponse {
 	c.reapLocked(time.Now())
-	cs, keys := c.pickJobsLocked(size)
+	cs, keys := c.pickJobsLocked(size, keyBytes)
 	if cs == nil {
 		return LeaseResponse{Wake: c.kicks}
 	}
@@ -461,14 +440,18 @@ func (c *Coordinator) leaseLocked(workerID string, size func(pending int) int) L
 	c.mx.leasesGranted.Inc()
 	c.mx.leasesActive.Set(int64(len(c.leases)))
 	fmt.Fprintf(c.cfg.Log, "dist: lease %s → %s: %d job(s) of %s\n", l.id, workerID, len(keys), cs.id)
-	return LeaseResponse{Lease: l.id, Campaign: cs.id, Keys: keys}
+	spec := cs.spec
+	return LeaseResponse{Lease: l.id, Campaign: cs.id, Spec: &spec, Keys: keys,
+		HeartbeatMillis: (c.cfg.LeaseTTL / 3).Milliseconds()}
 }
 
 // pickJobsLocked chooses size(pending) pending jobs of the oldest
 // campaign with pending work, cheapest first (cs.order). Records do not
 // depend on which worker runs a job, or when, so any worker may take any
-// job in any order.
-func (c *Coordinator) pickJobsLocked(size func(pending int) int) (*campaignState, []string) {
+// job in any order. It stops early once the keys' JSON encoding, bounded
+// by 6 bytes per key byte plus quotes and comma, could pass keyBytes; the
+// first key always goes.
+func (c *Coordinator) pickJobsLocked(size func(pending int) int, keyBytes int) (*campaignState, []string) {
 	// Loading can finalize or fail a campaign, which removes it from open.
 	for _, cs := range slices.Clone(c.open) {
 		if err := c.loadLocked(cs); err != nil {
@@ -484,9 +467,14 @@ func (c *Coordinator) pickJobsLocked(size func(pending int) int) (*campaignState
 			if len(keys) == n {
 				break
 			}
-			if k := cs.jobs[i].Key; cs.pending[k] {
-				keys = append(keys, k)
+			k := cs.jobs[i].Key
+			if !cs.pending[k] {
+				continue
 			}
+			if keyBytes -= 6*len(k) + 3; keyBytes < 0 && len(keys) > 0 {
+				break
+			}
+			keys = append(keys, k)
 		}
 		return cs, keys
 	}
@@ -652,9 +640,15 @@ func (c *Coordinator) releaseLeaseLocked(l *lease, reclaimed bool) {
 // with: 200 for a done campaign (a cache hit, including a store completed
 // in an earlier life), 202 for a dedup onto a queued or running campaign,
 // 202 for a new campaign or a retry of a failed one — unless QueueDepth
-// campaigns already wait for their first lease (429) — and 503 while
-// draining. Dedups and cache hits are never refused.
+// campaigns already wait for their first lease (429) — 400 for a spec
+// whose lease encoding (leaseJSON) exceeds campaign.MaxSpecBytes, and 503
+// while draining. Dedups and cache hits are never refused.
 func (c *Coordinator) Submit(spec campaign.Spec) (JobStatus, int) {
+	if len(leaseJSON(spec)) > campaign.MaxSpecBytes {
+		// Every lease of the campaign would carry the spec past what a
+		// fleet worker reads.
+		return JobStatus{}, http.StatusBadRequest
+	}
 	id := campaign.SpecHash(spec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -694,6 +688,7 @@ func (c *Coordinator) Submit(spec campaign.Spec) (JobStatus, int) {
 		// closed at finalize, reopens when the campaign is next leased.
 		cs.events.Reopen()
 		cs.events.Append("state: queued (retry)")
+		cs.result = nil
 	} else {
 		c.campaigns[id] = cs
 		cs.events.Append("state: queued")
@@ -821,8 +816,8 @@ func (c *Coordinator) reuseLocked(cs *campaignState, i int) (bool, error) {
 }
 
 // finalizeLocked closes out a fully-merged campaign: the canonical
-// key-sorted artifact is written next to the arrival-order store, and a
-// clean campaign's aggregate summary enters the result cache.
+// key-sorted artifact is written next to the arrival-order store, and the
+// aggregate summary stays on cs for Result, whatever the terminal state.
 func (c *Coordinator) finalizeLocked(cs *campaignState) {
 	recs := make([]campaign.Record, 0, len(cs.slots))
 	failures := 0
@@ -832,6 +827,7 @@ func (c *Coordinator) finalizeLocked(cs *campaignState) {
 			failures++
 		}
 	}
+	cs.result = &Result{ID: cs.id, Summary: campaign.Aggregate(summaryName(cs.spec), recs)}
 	sorted, err := campaign.SortedBytes(recs)
 	if err == nil {
 		err = campaign.WriteFileAtomic(SortedArtifactPath(c.cfg.StoreDir, cs.id), sorted, 0o644)
@@ -843,9 +839,6 @@ func (c *Coordinator) finalizeLocked(cs *campaignState) {
 		c.closeOutLocked(cs, StateFailed, fmt.Sprintf("%d of %d campaign cells failed", failures, len(recs)))
 	default:
 		c.closeOutLocked(cs, StateDone, "")
-		if cs.state == StateDone {
-			c.cache.Add(cs.id, &Result{ID: cs.id, Summary: campaign.Aggregate(summaryName(cs.spec), recs)})
-		}
 	}
 }
 
@@ -898,10 +891,11 @@ func (c *Coordinator) statusLocked(cs *campaignState) JobStatus {
 	return st
 }
 
-// Result returns the aggregated report of a finished campaign: from the
-// result cache, otherwise recomputed from the on-disk store (the restart
-// and eviction paths). The int is an HTTP status: 200, 404 (unknown), or
-// 409 (the campaign exists but has not finished).
+// Result returns the aggregated report of a finished campaign: the
+// summary a terminal campaign of this life keeps, otherwise recomputed
+// from the on-disk store (a campaign this life never loaded). The int is
+// an HTTP status: 200, 404 (unknown), or 409 (the campaign exists but has
+// not finished).
 func (c *Coordinator) Result(id string) (*Result, int) {
 	c.mu.Lock()
 	cs, known := c.campaigns[id]
@@ -909,44 +903,25 @@ func (c *Coordinator) Result(id string) (*Result, int) {
 		c.mu.Unlock()
 		return nil, http.StatusConflict
 	}
-	res, hit := c.cache.Get(id)
 	var spec campaign.Spec
+	var res *Result
 	if known {
-		spec = cs.spec
+		spec, res = cs.spec, cs.result
 	}
-	if hit {
+	if res != nil {
 		c.mx.cacheHits.Inc()
 	} else {
 		c.mx.cacheMisses.Inc()
 	}
 	c.mu.Unlock()
-	if hit {
+	if res != nil {
 		return res, http.StatusOK
 	}
 	recs, err := campaign.ReadRecords(c.storePath(id))
 	if err != nil || len(recs) == 0 {
 		return nil, http.StatusNotFound
 	}
-	res = &Result{ID: id, Summary: campaign.Aggregate(summaryName(spec), recs)}
-	// Only clean summaries are cached: a failed campaign may be retried.
-	if res.Summary.Failures == 0 {
-		c.mu.Lock()
-		c.cache.Add(id, res)
-		c.mu.Unlock()
-	}
-	return res, http.StatusOK
-}
-
-// SpecOf returns a campaign's spec so a worker can expand the same job
-// list locally.
-func (c *Coordinator) SpecOf(id string) (campaign.Spec, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cs, ok := c.campaigns[id]
-	if !ok {
-		return campaign.Spec{}, false
-	}
-	return cs.spec, true
+	return &Result{ID: id, Summary: campaign.Aggregate(summaryName(spec), recs)}, http.StatusOK
 }
 
 // eventsOf returns a campaign's event log for SSE streaming.

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -280,16 +281,16 @@ func TestMergeOrderInvariance(t *testing.T) {
 // TestWireStrictness pins the decode gate: unknown fields, trailing data,
 // oversize bodies and malformed worker IDs are refused.
 func TestWireStrictness(t *testing.T) {
-	if _, err := decodeWire[registerRequest](strings.NewReader(`{"worker":"a","extra":1}`), maxControlBytes); err == nil {
+	if _, err := decodeWire[HeartbeatRequest](strings.NewReader(`{"worker":"a","lease":"L1","extra":1}`), maxControlBytes); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if _, err := decodeWire[registerRequest](strings.NewReader(`{"worker":"a"} {"worker":"b"}`), maxControlBytes); err == nil {
+	if _, err := decodeWire[HeartbeatRequest](strings.NewReader(`{"worker":"a"} {"worker":"b"}`), maxControlBytes); err == nil {
 		t.Error("trailing data accepted")
 	}
-	if _, err := decodeWire[registerRequest](strings.NewReader(`{"worker":"a"}`), 4); err == nil {
+	if _, err := decodeWire[HeartbeatRequest](strings.NewReader(`{"worker":"a"}`), 4); err == nil {
 		t.Error("oversize body accepted")
 	}
-	if _, err := decodeWire[registerRequest](strings.NewReader(`{"worker":"ok-1"}`), maxControlBytes); err != nil {
+	if _, err := decodeWire[HeartbeatRequest](strings.NewReader(`{"worker":"ok-1","lease":"L1"}`), maxControlBytes); err != nil {
 		t.Errorf("valid envelope refused: %v", err)
 	}
 	for _, id := range []string{"", "has space", "has/slash", "tab\tid", strings.Repeat("x", 129), "ctl\x01"} {
@@ -302,8 +303,9 @@ func TestWireStrictness(t *testing.T) {
 	}
 }
 
-// TestFleetRoutes: the six POST envelopes share one route, which must
-// still answer an unknown operation 404 and a wrong method 405.
+// TestFleetRoutes: the five POST envelopes share one route, which must
+// still answer an unknown operation 404 and a wrong method 405. The
+// retired handshake routes are gone: a lease carries what they served.
 func TestFleetRoutes(t *testing.T) {
 	c, err := NewCoordinator(CoordConfig{StoreDir: t.TempDir(), Metrics: metrics.NewRegistry()})
 	if err != nil {
@@ -315,14 +317,16 @@ func TestFleetRoutes(t *testing.T) {
 		method, path, body string
 		want               int
 	}{
-		{"POST", "/v1/dist/register", `{"worker":"w0"}`, http.StatusOK},
 		{"POST", "/v1/dist/lease", `{"worker":"w0"}`, http.StatusOK},
+		{"POST", "/v1/dist/heartbeat", `{"worker":"w0","lease":"L1"}`, http.StatusOK},
 		{"POST", "/v1/dist/wait", `{"worker":"w0","wake":99}`, http.StatusOK},
 		{"POST", "/v1/dist/wait", `{"worker":"w0","bogus":1}`, http.StatusBadRequest},
 		{"POST", "/v1/dist/wait", `{"worker":"has space","wake":99}`, http.StatusBadRequest},
 		{"GET", "/v1/dist/wait", ``, http.StatusMethodNotAllowed},
 		{"POST", "/v1/dist/bogus", `{"worker":"w0"}`, http.StatusNotFound},
-		{"GET", "/v1/dist/register", ``, http.StatusMethodNotAllowed},
+		{"GET", "/v1/dist/lease", ``, http.StatusMethodNotAllowed},
+		{"POST", "/v1/dist/register", `{"worker":"w0"}`, http.StatusNotFound},
+		{"GET", "/v1/dist/campaigns/x/spec", ``, http.StatusNotFound},
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
@@ -430,5 +434,61 @@ func TestFinalizeClosesStores(t *testing.T) {
 		if cs := c.campaigns[id]; cs.store != nil || cs.slots != nil || cs.index != nil || cs.jobs != nil {
 			t.Fatalf("finalized campaign %s kept its merge state", id)
 		}
+	}
+}
+
+// TestSubmitRefusesUnleasableSpec: POST /v1/jobs refuses, with 400, a spec
+// whose body fits the submission cap but whose lease encoding would not:
+// 200,000 U+2028 are 600 kB raw and 1.2 MB as the \u2028 escapes every
+// JSON encoder writes. Nothing of it ever reaches a lease.
+func TestSubmitRefusesUnleasableSpec(t *testing.T) {
+	c, err := NewCoordinator(CoordConfig{StoreDir: t.TempDir(), Metrics: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	body, err := json.Marshal(fleetSpec("@", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = bytes.Replace(body, []byte(`"@"`), []byte(`"`+strings.Repeat("\u2028", 200_000)+`"`), 1)
+	if len(body) > campaign.MaxSpecBytes {
+		t.Fatalf("body is %d bytes, past the submission cap", len(body))
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("submit = %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if g, err := c.Lease(LeaseRequest{Worker: "w0"}); err != nil || g.Lease != "" {
+		t.Fatalf("lease after the refusal = (%+v, %v), want empty", g, err)
+	}
+}
+
+// TestResultOutlivesStore: a finished campaign answers GET
+// /v1/results/{id} from the summary it keeps, even after its arrival-order
+// store is gone.
+func TestResultOutlivesStore(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := cellCoord(t, dir, fleetExec, false)
+	spec := fleetSpec("kept", 2)
+	st := runCampaign(t, c, spec)
+	if err := os.Remove(c.storePath(st.ID)); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/results/"+st.ID, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("result = %d, want 200: %s", rec.Code, rec.Body)
+	}
+	var got Result
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	_, want, _ := localRun(t, spec)
+	gotJSON, _ := json.Marshal(got.Summary)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("summary after the store's removal:\n%s\nwant\n%s", gotJSON, wantJSON)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,13 +21,17 @@ import (
 	"github.com/ares-cps/ares/internal/serve"
 )
 
+// submitHTTP posts spec to /v1/jobs as-is: without HTML escaping, so a
+// '<' in it travels as one byte.
 func submitHTTP(t *testing.T, url string, spec campaign.Spec) (dist.JobStatus, int) {
 	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(spec); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/jobs", "application/json", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,6 +453,37 @@ func TestKilledWorkerKeepsFinishedCells(t *testing.T) {
 	}
 	if got := reg.Counter("ares_dist_records_merged_total", "").Value(); got != 2 {
 		t.Errorf("records merged = %d, want 2", got)
+	}
+}
+
+// TestFleetFinishesEscapeHeavySpec: a spec POST /v1/jobs accepts
+// finishes on an HTTP fleet worker. Its name of 200,000 '<' would be
+// 1.2 MB HTML-escaped, past what the worker reads; the lease carries each
+// '<' as one byte. The artifact matches an in-process daemon's.
+func TestFleetFinishesEscapeHeavySpec(t *testing.T) {
+	spec := dist.FleetSpec(strings.Repeat("<", 200_000), 2)
+	want, _, _ := runDaemon(t, spec, 1, false)
+	got, _, _ := runFleet(t, spec, 1, false)
+	if !bytes.Equal(got, want) {
+		t.Errorf("fleet artifact (%d bytes) diverges from the in-process daemon's (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestFleetWorkerStopsOnRefusedLease: a lease request the coordinator
+// refuses as bad (400) ends Run with that error; it is not retried.
+func TestFleetWorkerStopsOnRefusedLease(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "bad worker", http.StatusBadRequest)
+	}))
+	defer ts.Close()
+	w, err := dist.NewWorker(dist.WorkerConfig{Coordinator: ts.URL, ID: "w0", Jobs: 1, Execute: dist.FleetExec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err == nil || ctx.Err() != nil {
+		t.Fatalf("Run = %v after %v, want the refusal at once", err, ctx.Err())
 	}
 }
 

@@ -8,16 +8,19 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ares-cps/ares/internal/campaign"
 	"github.com/ares-cps/ares/internal/metrics"
 )
 
 // FuzzDistEnvelope drives arbitrary bytes through every worker↔coordinator
 // wire endpoint, mirroring serve.FuzzJobSpec on the submission surface.
 // Invariants: the handlers answer a sane status and never panic; the
-// strict decoder and the handlers agree (a body that fails decodeWire is
-// a 400, a well-formed register with a valid worker ID is a 200);
-// decoding is stable (decode twice, equal results); and whatever slots a
-// lease request names, the grant it sizes stays within [1, MaxLease].
+// strict decoder and the lease handler agree (a body that fails
+// decodeWire or names an invalid worker is a 400, any other is a 200);
+// decoding is stable (decode twice, equal results); every granted lease
+// decodes under the worker's cap and carries a spec hashing to its
+// campaign; and whatever slots a lease request names, the grant it sizes
+// stays within [1, MaxLease].
 func FuzzDistEnvelope(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"worker":"w0"}`))
@@ -43,12 +46,16 @@ func FuzzDistEnvelope(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A pending campaign gives valid lease bodies something to grant; each
+	// grant is completed unstreamed, which returns its jobs to pending.
+	if _, code := c.Submit(fleetSpec("fuzz", 4)); code != http.StatusAccepted {
+		f.Fatalf("submit = %d, want 202", code)
+	}
 	handler := c.Handler()
 	ended, end := context.WithCancel(context.Background())
 	end()
+	// The lease endpoint is driven, and checked more strictly, below.
 	endpoints := []string{
-		"/v1/dist/register",
-		"/v1/dist/lease",
 		"/v1/dist/wait",
 		"/v1/dist/heartbeat",
 		"/v1/dist/records",
@@ -94,27 +101,34 @@ func FuzzDistEnvelope(f *testing.F) {
 			}
 		}
 
-		req, err := decodeWire[registerRequest](bytes.NewReader(body), maxControlBytes)
-		req2, err2 := decodeWire[registerRequest](bytes.NewReader(body), maxControlBytes)
+		req, err := decodeWire[LeaseRequest](bytes.NewReader(body), maxControlBytes)
+		req2, err2 := decodeWire[LeaseRequest](bytes.NewReader(body), maxControlBytes)
 		if (err == nil) != (err2 == nil) || req != req2 {
 			t.Fatalf("decode not stable for %q: (%+v, %v) vs (%+v, %v)", body, req, err, req2, err2)
 		}
 		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/dist/register", bytes.NewReader(body)))
+		handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/dist/lease", bytes.NewReader(body)))
 		if err != nil || validWorkerID(req.Worker) != nil {
 			if rec.Code != http.StatusBadRequest {
-				t.Fatalf("undecodable register answered %d, want 400: %q", rec.Code, body)
+				t.Fatalf("undecodable lease request answered %d, want 400: %q", rec.Code, body)
 			}
 			return
 		}
 		if rec.Code != http.StatusOK {
-			t.Fatalf("valid register %q answered %d, want 200", body, rec.Code)
+			t.Fatalf("valid lease request %q answered %d, want 200", body, rec.Code)
 		}
-		// Registration is idempotent: the same envelope again is still 200.
-		rec2 := httptest.NewRecorder()
-		handler.ServeHTTP(rec2, httptest.NewRequest("POST", "/v1/dist/register", bytes.NewReader(body)))
-		if rec2.Code != http.StatusOK {
-			t.Fatalf("re-register answered %d, want 200", rec2.Code)
+		grant, err := decodeWire[LeaseResponse](rec.Body, maxLeaseBytes)
+		if err != nil {
+			t.Fatalf("lease response for %q does not decode: %v", body, err)
+		}
+		if grant.Lease == "" {
+			return
+		}
+		if grant.Spec == nil || campaign.SpecHash(*grant.Spec) != grant.Campaign {
+			t.Fatalf("lease %s of campaign %s carries spec %+v", grant.Lease, grant.Campaign, grant.Spec)
+		}
+		if !c.Complete(CompleteRequest{Worker: req.Worker, Lease: grant.Lease}).OK {
+			t.Fatalf("complete refused for %s", grant.Lease)
 		}
 	})
 }

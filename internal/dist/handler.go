@@ -15,7 +15,8 @@ import (
 //	                          deduped onto an in-flight twin or retried, 200
 //	                          when already done, 429 + Retry-After when
 //	                          QueueDepth campaigns already wait, 503 while
-//	                          draining
+//	                          draining, 400 for an invalid spec or one too
+//	                          large for a lease to carry
 //	GET  /v1/jobs/{id}        campaign status
 //	GET  /v1/jobs/{id}/events campaign progress as Server-Sent Events
 //	GET  /v1/results/{id}     aggregated report of a finished campaign
@@ -24,15 +25,15 @@ import (
 //
 // plus the /v1/dist/* worker fleet protocol:
 //
-//	GET  /v1/dist/campaigns/{id}/spec campaign spec for worker-side expansion
-//	POST /v1/dist/register            worker hello → lease TTL + heartbeat interval
-//	POST /v1/dist/lease               lease a job batch (empty lease = nothing
-//	                                  pending now, with the wake counter)
-//	POST /v1/dist/wait                park until the wake counter moves past the
-//	                                  one named, a drain, or min(LeaseTTL/4, 20s)
-//	POST /v1/dist/heartbeat           keep a lease alive (or learn to abandon it)
-//	POST /v1/dist/records             stream finished records (resumable offsets)
-//	POST /v1/dist/complete            retire a fully-streamed lease
+//	POST /v1/dist/lease     lease a job batch with its campaign's spec and
+//	                        heartbeat interval (empty lease = nothing pending
+//	                        now, with the wake counter); a worker's first
+//	                        lease is its hello
+//	POST /v1/dist/wait      park until the wake counter moves past the one
+//	                        named, a drain, or min(LeaseTTL/4, 20s)
+//	POST /v1/dist/heartbeat keep a lease alive (or learn to abandon it)
+//	POST /v1/dist/records   stream finished records (resumable offsets)
+//	POST /v1/dist/complete  retire a fully-streamed lease
 //
 // Nothing here authenticates: the daemon belongs on a trusted network.
 func (c *Coordinator) Handler() *http.ServeMux {
@@ -50,8 +51,7 @@ func (c *Coordinator) Handler() *http.ServeMux {
 	mux.HandleFunc("GET /v1/results/{id}", c.handleResult)
 	mux.Handle("GET /metrics", c.cfg.Metrics.Handler())
 	mux.HandleFunc("GET /healthz", c.handleHealth)
-	mux.HandleFunc("GET /v1/dist/campaigns/{id}/spec", c.handleSpec)
-	// One pattern for the six POST envelopes: every daemon and test
+	// One pattern for the five POST envelopes: every daemon and test
 	// builds this mux, and ServeMux registration costs a few µs per
 	// pattern.
 	mux.HandleFunc("POST /v1/dist/{op}", c.handleFleet)
@@ -61,8 +61,6 @@ func (c *Coordinator) Handler() *http.ServeMux {
 // handleFleet dispatches one POST /v1/dist/{op} envelope.
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 	switch r.PathValue("op") {
-	case "register":
-		c.handleRegister(w, r)
 	case "lease":
 		c.handleLease(w, r)
 	case "wait":
@@ -82,6 +80,8 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) ServeSubmit(w http.ResponseWriter, spec campaign.Spec) {
 	st, code := c.Submit(spec)
 	switch code {
+	case http.StatusBadRequest:
+		WriteErr(w, code, "invalid spec: its lease encoding exceeds %d bytes", campaign.MaxSpecBytes)
 	case http.StatusTooManyRequests:
 		// Retry after roughly one queued campaign's head start; clients in
 		// CI poll, humans re-run.
@@ -181,29 +181,6 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, health)
 }
 
-func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
-	spec, ok := c.SpecOf(r.PathValue("id"))
-	if !ok {
-		WriteErr(w, http.StatusNotFound, "unknown campaign")
-		return
-	}
-	WriteJSON(w, http.StatusOK, spec)
-}
-
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeWire[registerRequest](http.MaxBytesReader(w, r.Body, maxControlBytes), maxControlBytes)
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, "invalid register: %v", err)
-		return
-	}
-	resp, err := c.Register(req.Worker)
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
-}
-
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeWire[LeaseRequest](http.MaxBytesReader(w, r.Body, maxControlBytes), maxControlBytes)
 	if err != nil {
@@ -215,7 +192,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	// Not WriteJSON: the spec must travel in the encoding Submit measured.
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(leaseJSON(resp))
 }
 
 func (c *Coordinator) handleWait(w http.ResponseWriter, r *http.Request) {

@@ -13,8 +13,8 @@ import (
 )
 
 // newLeaseCoordinator submits spec to a fresh coordinator with the given
-// lease cap and registers workers, and returns the coordinator, the
-// campaign ID and each job's record by key.
+// lease cap after each of workers has leased once, and returns the
+// coordinator, the campaign ID and each job's record by key.
 func newLeaseCoordinator(t *testing.T, spec campaign.Spec, maxLease int, workers ...string) (*Coordinator, string, map[string]campaign.Record) {
 	t.Helper()
 	_, _, recs := localRun(t, spec)
@@ -29,9 +29,11 @@ func newLeaseCoordinator(t *testing.T, spec campaign.Spec, maxLease int, workers
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Shutdown() })
+	// Each worker's first lease, empty before the submission, registers
+	// it, as a parked fleet worker's does.
 	for _, w := range workers {
-		if _, err := c.Register(w); err != nil {
-			t.Fatal(err)
+		if g, err := c.Lease(LeaseRequest{Worker: w}); err != nil || g.Lease != "" {
+			t.Fatalf("lease before the submission = (%+v, %v), want empty", g, err)
 		}
 	}
 	st, code := c.Submit(spec)
@@ -210,5 +212,25 @@ func TestLeaseGrantForgetsSilentWorkers(t *testing.T) {
 	defer c.mu.Unlock()
 	if _, ok := c.workers["gone"]; ok || len(c.workers) != 1 {
 		t.Errorf("workers = %v, want only w0", c.workers)
+	}
+}
+
+// TestLeaseKeysStayWithinBudget: a lease stops adding keys once their
+// worst-case encoding could pass the key budget, so a lease response
+// always fits what a fleet worker reads whatever MaxLease is; the first
+// key always goes.
+func TestLeaseKeysStayWithinBudget(t *testing.T) {
+	c, _, _ := newLeaseCoordinator(t, fleetSpec("budget", 8), 64)
+	all := func(pending int) int { return pending }
+	for _, tc := range []struct{ budget, want int }{{0, 1}, {1000, 3}, {1 << 20, 16}} {
+		c.mu.Lock()
+		_, keys := c.pickJobsLocked(all, tc.budget)
+		c.mu.Unlock()
+		if len(keys) != tc.want {
+			t.Errorf("budget %d: %d key(s), want %d", tc.budget, len(keys), tc.want)
+		}
+		if b := leaseJSON(keys); len(keys) > 1 && len(b) > tc.budget {
+			t.Errorf("budget %d: keys encode to %d bytes", tc.budget, len(b))
+		}
 	}
 }

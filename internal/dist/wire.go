@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -16,32 +17,30 @@ import (
 // campaign.Record verbatim, so the bytes a worker streams are the bytes
 // the coordinator's store would have written locally.
 
-// Wire size caps. Control messages are tiny; a lease response carries at
-// most a few hundred job keys. A Worker's records request carries one
-// record; the records cap bounds what any client may post.
+// Wire size caps. Control messages are tiny. A lease response carries
+// its campaign's spec, which Coordinator.Submit admits only if its lease
+// encoding fits campaign.MaxSpecBytes, and job keys whose encoding
+// Coordinator.Lease keeps within maxLeaseKeyBytes (a lone first key, built
+// from one spec's axis values, fits it too); the rest of the envelope fits
+// maxControlBytes. A Worker's records request carries one record; the
+// records cap bounds what any client may post.
 const (
 	maxControlBytes  = 64 << 10
-	maxLeaseBytes    = 1 << 20
+	maxLeaseKeyBytes = campaign.MaxSpecBytes
+	maxLeaseBytes    = campaign.MaxSpecBytes + maxLeaseKeyBytes + maxControlBytes
 	maxRecordsBytes  = 4 << 20
 	maxWorkerIDBytes = 128
 )
 
-// registerRequest announces a worker to the coordinator. Registration is
-// idempotent: re-registering after a worker restart refreshes its entry.
-type registerRequest struct {
-	// Worker is the worker's stable identity; it names the worker's
-	// leases in the coordinator's log and registry.
-	Worker string `json:"worker"`
-}
-
-// RegisterResponse assigns the fleet's timing contract.
-type RegisterResponse struct {
-	Worker string `json:"worker"`
-	// LeaseTTLMillis is how long a granted lease lives without a
-	// heartbeat before its jobs are re-leased to other workers.
-	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
-	// HeartbeatMillis is the interval the worker must heartbeat at.
-	HeartbeatMillis int64 `json:"heartbeat_ms"`
+// leaseJSON is the encoding a lease travels in, spec included: compact
+// JSON without HTML escaping, so a '<' costs one byte, not six.
+func leaseJSON(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	// Every value passed here is a plain struct of strings and numbers.
+	_ = enc.Encode(v)
+	return bytes.TrimSuffix(b.Bytes(), []byte("\n"))
 }
 
 // LeaseRequest asks for a batch of at most CoordConfig.MaxLease jobs.
@@ -55,16 +54,23 @@ type LeaseRequest struct {
 
 // LeaseResponse grants a batch, or — with an empty Lease — says nothing
 // is pending now. Wake is then the coordinator's wake counter, which the
-// worker's WaitRequest names.
+// worker's WaitRequest names. A granted lease is self-contained: the
+// worker's first lease is its hello, and nothing else need be fetched.
 type LeaseResponse struct {
 	Lease    string `json:"lease,omitempty"`
 	Campaign string `json:"campaign,omitempty"`
-	// Keys names the leased jobs. The worker expands the campaign's spec
-	// locally (fetched once per campaign) and maps keys back to jobs, so
-	// the wire carries identities, not job bodies — determinism makes the
-	// worker-side expansion bit-identical to the coordinator's.
+	// Spec is the campaign's spec. The worker expands it once per campaign
+	// and maps Keys back to jobs, so the wire carries identities, not job
+	// bodies — determinism makes the worker-side expansion bit-identical
+	// to the coordinator's. A spec that does not hash to Campaign is
+	// refused.
+	Spec *campaign.Spec `json:"spec,omitempty"`
+	// Keys names the leased jobs.
 	Keys []string `json:"keys,omitempty"`
-	Wake uint64   `json:"wake,omitempty"`
+	// HeartbeatMillis is the interval the worker heartbeats the lease at,
+	// a third of the coordinator's lease TTL.
+	HeartbeatMillis int64  `json:"heartbeat_ms,omitempty"`
+	Wake            uint64 `json:"wake,omitempty"`
 }
 
 // WaitRequest parks an idle worker until work may be pending. Wake is the

@@ -83,8 +83,6 @@ type Worker struct {
 	// budget, when set, sizes each lease's runner pool with a fair share
 	// drawn per lease; otherwise cfg.Jobs does.
 	budget *par.Budget
-	// hb is the heartbeat interval assigned at registration.
-	hb time.Duration
 	// specID names the campaign whose locally-expanded jobs, keyed by job
 	// key, are cached in jobs. Only the Run goroutine touches them.
 	specID string
@@ -119,18 +117,20 @@ func (c *Coordinator) InProcessWorker(id string, exec campaign.Executor, budget 
 // ID returns the worker's effective identity.
 func (w *Worker) ID() string { return w.cfg.ID }
 
-// Run registers and then loops lease → execute → stream → complete until
-// ctx is cancelled (or, in process, the coordinator drains). Transient
-// coordinator failures (not up yet, restart mid-fleet) are retried; a
-// cancelled ctx returns nil.
+// Run loops lease → execute → stream → complete until ctx is cancelled
+// (or, in process, the coordinator drains); the first lease registers the
+// worker. Transient coordinator failures (not up yet, restart mid-fleet)
+// are retried; a lease request the coordinator refuses as bad (400) ends
+// Run with that error, and a cancelled ctx returns nil.
 func (w *Worker) Run(ctx context.Context) error {
-	if err := w.register(ctx); err != nil {
-		return err
-	}
 	req := LeaseRequest{Worker: w.cfg.ID, Slots: par.Workers(w.cfg.Jobs)}
 	for ctx.Err() == nil {
 		grant, err := w.link.lease(ctx, req)
 		if err != nil {
+			var ae *apiError
+			if errors.As(err, &ae) && ae.Status == http.StatusBadRequest {
+				return err // the coordinator refused us: not transient
+			}
 			if ctx.Err() != nil {
 				return nil
 			}
@@ -153,33 +153,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
-// register announces the worker, retrying until the coordinator answers
-// or ctx ends, and adopts the assigned heartbeat interval.
-func (w *Worker) register(ctx context.Context) error {
-	for {
-		resp, err := w.link.register(ctx, w.cfg.ID)
-		if err == nil {
-			w.hb = time.Duration(resp.HeartbeatMillis) * time.Millisecond
-			if w.hb < 10*time.Millisecond {
-				w.hb = 10 * time.Millisecond
-			}
-			fmt.Fprintf(w.cfg.Log, "dist: worker %s registered (heartbeat %v)\n", w.cfg.ID, w.hb)
-			return nil
-		}
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return err // the coordinator rejected us: not transient
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		fmt.Fprintf(w.cfg.Log, "dist: worker %s register: %v (retrying)\n", w.cfg.ID, err)
-		if !sleepCtx(ctx, time.Second) {
-			return ctx.Err()
-		}
-	}
-}
-
 // runLease executes one granted batch: resolve keys against the locally
 // expanded spec, run them on the campaign runner while a heartbeat
 // goroutine keeps the lease alive and each record streams as its job
@@ -187,7 +160,7 @@ func (w *Worker) register(ctx context.Context) error {
 // the lease context, so in-flight jobs wind down instead of streaming to
 // a lease the coordinator already re-granted.
 func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
-	jobsByKey, err := w.campaignJobs(ctx, grant.Campaign)
+	jobsByKey, err := w.campaignJobs(grant)
 	if err != nil {
 		return err
 	}
@@ -200,13 +173,14 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 		jobs = append(jobs, j)
 	}
 
+	hb := max(time.Duration(grant.HeartbeatMillis)*time.Millisecond, 10*time.Millisecond)
 	leaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		t := time.NewTicker(w.hb)
+		t := time.NewTicker(hb)
 		defer t.Stop()
 		for {
 			select {
@@ -244,24 +218,23 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 	return w.link.complete(ctx, CompleteRequest{Worker: w.cfg.ID, Lease: grant.Lease})
 }
 
-// campaignJobs returns campaign id's jobs keyed by job key, fetching and
-// expanding the spec when the campaign differs from the last one leased.
-// The fetched spec must hash back to the campaign ID it was fetched
-// under — a worker never executes jobs whose provenance it cannot
-// recompute.
-func (w *Worker) campaignJobs(ctx context.Context, id string) (map[string]campaign.Job, error) {
+// campaignJobs returns the grant's campaign's jobs keyed by job key,
+// expanding the spec the lease carries when the campaign differs from the
+// last one leased. The spec must hash back to the campaign ID — a worker
+// never executes jobs whose provenance it cannot recompute.
+func (w *Worker) campaignJobs(grant LeaseResponse) (map[string]campaign.Job, error) {
+	id := grant.Campaign
 	if w.specID == id {
 		return w.jobs, nil
 	}
-	spec, err := w.link.spec(ctx, id)
-	if err != nil {
-		return nil, fmt.Errorf("dist: spec fetch for %s: %w", id, err)
+	if grant.Spec == nil {
+		return nil, fmt.Errorf("dist: lease %s carries no spec for campaign %s", grant.Lease, id)
 	}
-	if got := campaign.SpecHash(spec); got != id {
-		return nil, fmt.Errorf("dist: spec fetched for campaign %s hashes to %s", id, got)
+	if got := campaign.SpecHash(*grant.Spec); got != id {
+		return nil, fmt.Errorf("dist: spec leased for campaign %s hashes to %s", id, got)
 	}
 	jobs := make(map[string]campaign.Job)
-	for _, j := range spec.Expand() {
+	for _, j := range grant.Spec.Expand() {
 		jobs[j.Key] = j
 	}
 	w.specID, w.jobs = id, jobs
@@ -338,12 +311,10 @@ func (e *apiError) Error() string {
 
 // link is a worker's connection to its coordinator.
 type link interface {
-	register(ctx context.Context, worker string) (RegisterResponse, error)
 	lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error)
 	heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error)
 	records(ctx context.Context, req RecordsRequest) (RecordsResponse, error)
 	complete(ctx context.Context, req CompleteRequest) error
-	spec(ctx context.Context, campaignID string) (campaign.Spec, error)
 	// wait parks after an empty lease until work may be pending (see
 	// Coordinator.wait); false ends the worker.
 	wait(ctx context.Context, req WaitRequest) bool
@@ -353,11 +324,6 @@ type link interface {
 type httpLink struct {
 	base   string
 	client *http.Client
-}
-
-func (h *httpLink) register(ctx context.Context, worker string) (resp RegisterResponse, err error) {
-	err = h.post(ctx, "/v1/dist/register", registerRequest{Worker: worker}, &resp, maxControlBytes)
-	return resp, err
 }
 
 func (h *httpLink) lease(ctx context.Context, req LeaseRequest) (resp LeaseResponse, err error) {
@@ -378,24 +344,6 @@ func (h *httpLink) records(ctx context.Context, req RecordsRequest) (resp Record
 func (h *httpLink) complete(ctx context.Context, req CompleteRequest) error {
 	var resp CompleteResponse
 	return h.post(ctx, "/v1/dist/complete", req, &resp, maxControlBytes)
-}
-
-// spec fetches a campaign's spec through the strict submission decoder.
-func (h *httpLink) spec(ctx context.Context, campaignID string) (campaign.Spec, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		h.base+"/v1/dist/campaigns/"+campaignID+"/spec", nil)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return campaign.Spec{}, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return campaign.Spec{}, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return campaign.DecodeSpec(io.LimitReader(resp.Body, campaign.MaxSpecBytes))
 }
 
 // wait parks in the coordinator. A draining or unreachable coordinator
@@ -437,10 +385,6 @@ type localLink struct {
 	c *Coordinator
 }
 
-func (l *localLink) register(_ context.Context, worker string) (RegisterResponse, error) {
-	return l.c.timing(worker), nil
-}
-
 func (l *localLink) lease(_ context.Context, req LeaseRequest) (LeaseResponse, error) {
 	return l.c.leaseCampaign(req.Worker), nil
 }
@@ -460,14 +404,6 @@ func (l *localLink) records(_ context.Context, req RecordsRequest) (RecordsRespo
 func (l *localLink) complete(_ context.Context, req CompleteRequest) error {
 	l.c.Complete(req)
 	return nil
-}
-
-func (l *localLink) spec(_ context.Context, campaignID string) (campaign.Spec, error) {
-	spec, ok := l.c.SpecOf(campaignID)
-	if !ok {
-		return spec, &apiError{Status: http.StatusNotFound, Msg: "unknown campaign"}
-	}
-	return spec, nil
 }
 
 // wait ends the worker once the coordinator drains.

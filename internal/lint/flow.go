@@ -25,9 +25,6 @@ const (
 	// factReceivesSeed: the function takes an integer parameter named
 	// seed-like; its output is expected to be a pure function of it.
 	factReceivesSeed
-	// factSpawnsGoroutine: the function (or a transitive callee) launches
-	// a goroutine.
-	factSpawnsGoroutine
 	// factLifecycled: the function's execution observes a lifecycle —
 	// a context, channel operation, WaitGroup or internal/par primitive —
 	// directly or through a transitive callee. A goroutine running a
@@ -81,23 +78,13 @@ func localFacts(pr *Program, fi *FuncInfo) (Facts, wireFacts) {
 	}
 	for _, callee := range fi.Callees {
 		cf := pr.facts[callee]
-		facts |= cf & (factReachesNondet | factSpawnsGoroutine | factLifecycled)
+		facts |= cf & (factReachesNondet | factLifecycled)
 		if isNondetSource(callee) {
 			facts |= factReachesNondet
 		}
 	}
 	if bodyTouchesLifecycle(fi.Pkg, fi.Decl.Body) {
 		facts |= factLifecycled
-	}
-	hasGo := false
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.GoStmt); ok {
-			hasGo = true
-		}
-		return !hasGo
-	})
-	if hasGo {
-		facts |= factSpawnsGoroutine
 	}
 	if ptrAccumulates(fi) {
 		facts |= factPtrAccum

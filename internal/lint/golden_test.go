@@ -40,14 +40,12 @@ func repoLoader(t *testing.T) *Loader {
 	return shared.loader
 }
 
-// moduleLoader returns a loader for the temp module at root. It shares
-// repoLoader's FileSet and standard-library importer, so every temp
-// module's imports of the standard library resolve to packages
+// moduleLoader returns a loader for the temp module at root. Its imports
+// of the standard library resolve, like every loader's, to packages
 // type-checked once per test binary.
 func moduleLoader(t *testing.T, root string) *Loader {
 	t.Helper()
-	repo := repoLoader(t)
-	l, err := newLoader(root, repo.fset, repo.std)
+	l, err := NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}

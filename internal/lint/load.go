@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // A Package is one parsed, type-checked package ready for analysis. File
@@ -24,7 +25,7 @@ type Package struct {
 	Dir string
 	// ModPath is the module path of the enclosing module (go.mod).
 	ModPath string
-	// Fset is the file set shared by every package in the loader.
+	// Fset is the file set shared by every package of the process.
 	Fset *token.FileSet
 	// Files are the parsed non-test source files, in filename order.
 	// Test files are deliberately excluded: the invariants areslint
@@ -46,38 +47,35 @@ type Package struct {
 
 // A Loader parses and type-checks packages from source. Module-internal
 // imports resolve against the module tree on disk; everything else (the
-// standard library) resolves through go/importer's "source" mode, so no
-// compiler export data or external tooling is required. A Loader memoizes
-// by import path and is not safe for concurrent use — load first, then
-// analyze in parallel.
+// standard library) resolves through the process's one stdlib importer,
+// so no compiler export data or external tooling is required. A Loader
+// memoizes by import path and is not safe for concurrent use — load
+// first, then analyze in parallel. Separate loaders may load concurrently.
 type Loader struct {
 	// Root is the absolute module root directory.
 	Root string
 	// ModPath is the module path from go.mod.
 	ModPath string
 
-	fset    *token.FileSet
-	std     types.ImporterFrom
 	pkgs    map[string]*Package
 	loading map[string]bool
 }
 
+// The standard-library importer every Loader of the process shares, and
+// the FileSet it and every Loader record positions in. go/importer's
+// "source" mode memoizes each package it type-checks, so the standard
+// library is checked from source once per process, however many loaders
+// ask. The importer is not safe for concurrent use: stdMu serializes
+// imports through it.
+var (
+	fset  = token.NewFileSet()
+	std   = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	stdMu sync.Mutex
+)
+
 // NewLoader creates a loader for the module rooted at root (a directory
 // containing go.mod).
 func NewLoader(root string) (*Loader, error) {
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer does not support ImporterFrom")
-	}
-	return newLoader(root, fset, std)
-}
-
-// newLoader is NewLoader over a given FileSet and standard-library
-// importer. Loaders of different modules may share the pair, used one at
-// a time: the importer memoizes every package it type-checks, so the
-// standard library is checked from source once for all of them.
-func newLoader(root string, fset *token.FileSet, std types.ImporterFrom) (*Loader, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -89,8 +87,6 @@ func newLoader(root string, fset *token.FileSet, std types.ImporterFrom) (*Loade
 	return &Loader{
 		Root:    root,
 		ModPath: modPath,
-		fset:    fset,
-		std:     std,
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
 	}, nil
@@ -287,7 +283,7 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := parser.ParseFile(l.fset, display, src, parser.ParseComments)
+		f, err := parser.ParseFile(fset, display, src, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -303,13 +299,13 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	tpkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-check %s: %w", path, err)
 	}
 
 	pkg := &Package{
-		Path: path, Dir: dir, ModPath: l.ModPath, Fset: l.fset,
+		Path: path, Dir: dir, ModPath: l.ModPath, Fset: fset,
 		Files: files, Src: srcs, Types: tpkg, Info: info,
 		Imports: make(map[string]*Package),
 	}
@@ -353,5 +349,7 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		}
 		return pkg.Types, nil
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return std.ImportFrom(path, dir, mode)
 }

@@ -193,13 +193,14 @@ func TestModesServeOneAPI(t *testing.T) {
 				t.Fatal(err)
 			}
 			got["assess id"] = answer{assess.code, st.ID}
-			if reg := do(t, "POST", ts.URL+"/v1/dist/register", `{"worker":"modes-w0"}`); reg.code != http.StatusOK {
-				t.Errorf("register = %d, want 200: %s", reg.code, reg.body)
-			}
 			if tc.queueCap == 1 {
 				if _, resp := submitSpec(t, ts.URL, tinySpec("second", 1)); resp.StatusCode != http.StatusTooManyRequests {
 					t.Errorf("second distinct spec = %d, want 429", resp.StatusCode)
 				}
+			}
+			// After the queue check: a fleet lease may start the assessment.
+			if lease := do(t, "POST", ts.URL+"/v1/dist/lease", `{"worker":"modes-w0"}`); lease.code != http.StatusOK {
+				t.Errorf("lease = %d, want 200: %s", lease.code, lease.body)
 			}
 			if m := metricsBody(t, ts.URL); !strings.Contains(m, "ares_cpv_catalog_records") {
 				t.Error("metrics missing ares_cpv_catalog_records")

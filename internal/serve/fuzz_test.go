@@ -33,7 +33,6 @@ func FuzzJobSpec(f *testing.F) {
 	s, err := New(Config{
 		StoreDir:   f.TempDir(),
 		QueueDepth: 2,
-		CacheSize:  4,
 		Metrics:    metrics.NewRegistry(),
 		Executor: func(context.Context, campaign.Job) (campaign.Metrics, error) {
 			return campaign.Metrics{}, nil

@@ -2,9 +2,9 @@
 // dist.Coordinator with Config.Workers in-process workers, 0 for a pure
 // fleet coordinator that only remote aresd -worker daemons feed. It
 // accepts campaign specs over HTTP, bounds the queue with backpressure,
-// deduplicates identical in-flight submissions (singleflight), caches
-// finished results in an LRU, streams per-campaign progress over SSE,
-// exposes Prometheus-style metrics and serves the CPV catalog.
+// deduplicates identical in-flight submissions (singleflight), answers
+// finished ones from their kept summaries, streams per-campaign progress
+// over SSE, exposes Prometheus-style metrics and serves the CPV catalog.
 //
 // The job lifecycle — submit, dedup, retry, status, result, queue
 // manifest and resume — and the HTTP mux are internal/dist's; this
@@ -50,8 +50,8 @@ type Result = dist.Result
 func SpecHash(spec campaign.Spec) string { return campaign.SpecHash(spec) }
 
 // Config parameterizes a Server. Zero values of the coordinator
-// settings (QueueDepth, CacheSize, LeaseTTL, MaxLease) take
-// dist.CoordConfig's defaults.
+// settings (QueueDepth, LeaseTTL, MaxLease) take dist.CoordConfig's
+// defaults.
 type Config struct {
 	// StoreDir holds one campaign artifact file per job plus the queue
 	// manifest. Required.
@@ -65,7 +65,10 @@ type Config struct {
 	// Parallelism is the machine-wide simulation/analysis budget shared by
 	// all running jobs (par.Budget); 0 = GOMAXPROCS.
 	Parallelism int
-	// CacheSize bounds the LRU result cache (entries).
+	// CacheSize is ignored.
+	//
+	// Deprecated: the coordinator keeps every finished campaign's summary
+	// with the campaign, so there is no result cache to size.
 	CacheSize int
 	// LeaseTTL is how long a remote worker's lease lives without a
 	// heartbeat.
@@ -110,8 +113,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	coord, err := dist.NewCoordinator(dist.CoordConfig{
 		StoreDir: cfg.StoreDir, LeaseTTL: cfg.LeaseTTL, MaxLease: cfg.MaxLease,
-		QueueDepth: cfg.QueueDepth, CacheSize: cfg.CacheSize,
-		Metrics: cfg.Metrics, Log: cfg.Log,
+		QueueDepth: cfg.QueueDepth, Metrics: cfg.Metrics, Log: cfg.Log,
 	})
 	if err != nil {
 		return nil, err
