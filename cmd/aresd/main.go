@@ -24,8 +24,10 @@
 //
 //	aresd -worker -join http://coordinator:8080 [-id NAME] [-workers N]
 //
-// A worker's first lease is its hello, and each granted lease carries
-// the campaign spec and heartbeat interval it needs. A killed worker
+// The fleet protocol is four POSTs: lease, wait, heartbeat and records.
+// A worker's first lease is its hello, each granted lease carries the
+// campaign spec and heartbeat interval it needs, and a lease ends with
+// its last record. A killed worker
 // costs nothing but its lease TTL; the fleet's merged artifacts are
 // byte-identical to a local run of the same spec.
 //

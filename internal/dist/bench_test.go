@@ -53,12 +53,11 @@ func BenchmarkDistMerge(b *testing.B) {
 					for _, k := range g.Keys {
 						batch = append(batch, recFor[k])
 					}
-					if _, _, err := c.MergeRecords(RecordsRequest{
-						Worker: worker, Lease: g.Lease, Offset: 0, Records: batch,
+					if _, err := c.MergeRecords(RecordsRequest{
+						Worker: worker, Lease: g.Lease, Records: batch,
 					}); err != nil {
 						b.Fatal(err)
 					}
-					c.Complete(CompleteRequest{Worker: worker, Lease: g.Lease})
 				}
 				if st, ok := c.Status(id); !ok ||
 					(st.State != StateDone && st.State != StateFailed) {

@@ -9,14 +9,15 @@
 // (campaign.SpecHash): identical in-flight submissions collapse onto one
 // campaign, finished ones answer from their kept summary, failed ones
 // retry.
-// Each campaign expands into its job list and is handed out to workers in
-// leased batches. Workers execute their leases through the ordinary
-// campaign.Runner and stream finished records back with resumable
-// offsets; the coordinator merges them into per-campaign slots — one
-// slot per expanded job — appends each to the campaign's JSONL store,
-// logs it to the campaign's SSE event log and, when every slot is filled,
-// finalizes the same key-sorted JSONL artifact and aggregate summary a
-// local run would have written. The set of unfinished campaigns is
+// Each campaign expands into its job list, one slot per job, and is
+// handed out to workers in leased batches of slots. Workers execute their
+// leases through the ordinary campaign.Runner and post each finished
+// record back; the coordinator fills the record's slot (a record whose
+// slot is already filled is a retry and is dropped), appends it to the
+// campaign's JSONL store, logs it to the campaign's SSE event log and,
+// when every slot is filled, finalizes the same key-sorted JSONL artifact
+// and aggregate summary a local run would have written. A lease ends with
+// its last record. The set of unfinished campaigns is
 // mirrored to an atomically-written queue manifest, so a restarted
 // coordinator resumes each one mid-merge.
 //
@@ -26,8 +27,8 @@
 // instead of leasing it, so no cell flies twice in one life.
 //
 // The fleet protocol is lease + heartbeat + work stealing: a lease that
-// misses its heartbeats expires, its unfinished jobs return to the
-// pending set, and the next worker to ask re-leases them (a steal). A
+// misses its heartbeats expires, its unfinished slots return to pending,
+// and the next worker to ask re-leases them (a steal). A
 // coordinator shutdown releases every outstanding lease first, so jobs
 // held by workers at SIGTERM are persisted to the queue manifest as
 // pending rather than dropped. Cross-node bit-identity is a testable
@@ -140,22 +141,22 @@ type campaignState struct {
 	// campaign; a retry clears it.
 	result *Result
 
-	// jobs is the deterministic expansion; index maps key → slot; slots
-	// fill with merged records in whatever order workers deliver them.
-	// order is the grant order: slot indices by ascending
-	// Job.TrialEpisodes, expansion order breaking ties.
-	jobs  []campaign.Job
-	index map[string]int
-	slots []*campaign.Record
-	order []int
-	// pending holds keys not yet leased or merged; leasedBy tracks which
-	// lease currently owns a key; reclaimed marks keys returned by an
-	// expired lease, so re-granting them counts as a steal.
-	pending   map[string]bool
-	leasedBy  map[string]string
-	reclaimed map[string]bool
-	merged    int
-	store     *campaign.Store
+	// jobs is the deterministic expansion and index maps key → slot. A
+	// slot is merged (slots[i] holds its record, filled in whatever order
+	// workers deliver), leased (owner[i] names the lease) or pending
+	// (neither); merged and pending count the first and the last. stolen
+	// marks pending slots an expired lease returned, so granting one
+	// again counts as a steal. order is the grant order: slot indices by
+	// ascending Job.TrialEpisodes, expansion order breaking ties.
+	jobs    []campaign.Job
+	index   map[string]int
+	slots   []*campaign.Record
+	owner   []string
+	stolen  []bool
+	order   []int
+	pending int
+	merged  int
+	store   *campaign.Store
 }
 
 // unload drops cs's merge state and closes its store.
@@ -164,20 +165,18 @@ func (cs *campaignState) unload() error {
 		return nil
 	}
 	err := cs.store.Close()
-	cs.jobs, cs.index, cs.slots, cs.order, cs.merged, cs.store = nil, nil, nil, nil, 0, nil
-	cs.pending, cs.leasedBy, cs.reclaimed = nil, nil, nil
+	cs.jobs, cs.index, cs.slots, cs.owner, cs.stolen, cs.order = nil, nil, nil, nil, nil, nil
+	cs.pending, cs.merged, cs.store = 0, 0, nil
 	return err
 }
 
-// lease is one granted job batch.
+// lease is one granted batch of a campaign's slots; open counts those
+// still waiting for their record, and the lease ends when it reaches 0.
 type lease struct {
 	id, worker, campaign string
-	keys                 []string
-	// remaining holds leased keys whose record has not arrived yet.
-	remaining map[string]bool
-	// next is the next expected record-stream offset (resumable upload).
-	next    int
-	expires time.Time
+	slots                []int
+	open                 int
+	expires              time.Time
 }
 
 // Coordinator owns every campaign's lifecycle. Construct with
@@ -309,11 +308,9 @@ func (c *Coordinator) Shutdown() error {
 	// manifest snapshot, so the next life re-leases them instead of
 	// waiting for records that will never come. Heartbeats for a
 	// released lease answer abandon.
-	for id, l := range c.leases {
+	for _, l := range c.leases {
 		c.releaseLeaseLocked(l, false)
-		delete(c.leases, id)
 	}
-	c.mx.leasesActive.Set(0)
 	err := c.persistManifestLocked()
 	for _, cs := range c.open {
 		if cerr := cs.unload(); cerr != nil && err == nil {
@@ -408,28 +405,29 @@ func (c *Coordinator) wait(ctx context.Context, seen uint64) (draining bool) {
 // heartbeat interval.
 func (c *Coordinator) leaseLocked(workerID string, size func(pending int) int, keyBytes int) LeaseResponse {
 	c.reapLocked(time.Now())
-	cs, keys := c.pickJobsLocked(size, keyBytes)
+	cs, slots := c.pickJobsLocked(size, keyBytes)
 	if cs == nil {
 		return LeaseResponse{Wake: c.kicks}
 	}
 	c.leaseSeq++
 	l := &lease{
-		id:        fmt.Sprintf("L%06d", c.leaseSeq),
-		worker:    workerID,
-		campaign:  cs.id,
-		keys:      keys,
-		remaining: make(map[string]bool, len(keys)),
-		expires:   time.Now().Add(c.cfg.LeaseTTL),
+		id:       fmt.Sprintf("L%06d", c.leaseSeq),
+		worker:   workerID,
+		campaign: cs.id,
+		slots:    slots,
+		open:     len(slots),
+		expires:  time.Now().Add(c.cfg.LeaseTTL),
 	}
-	for _, k := range keys {
-		delete(cs.pending, k)
-		cs.leasedBy[k] = l.id
-		l.remaining[k] = true
-		if cs.reclaimed[k] {
-			delete(cs.reclaimed, k)
+	keys := make([]string, len(slots))
+	for n, i := range slots {
+		keys[n] = cs.jobs[i].Key
+		cs.owner[i] = l.id
+		if cs.stolen[i] {
+			cs.stolen[i] = false
 			c.mx.steals.Inc()
 		}
 	}
+	cs.pending -= len(slots)
 	if cs.state == stateQueued {
 		cs.state, cs.started = stateRunning, time.Now()
 		cs.events.Append("state: running")
@@ -445,38 +443,37 @@ func (c *Coordinator) leaseLocked(workerID string, size func(pending int) int, k
 		HeartbeatMillis: (c.cfg.LeaseTTL / 3).Milliseconds()}
 }
 
-// pickJobsLocked chooses size(pending) pending jobs of the oldest
+// pickJobsLocked chooses size(pending) pending slots of the oldest
 // campaign with pending work, cheapest first (cs.order). Records do not
 // depend on which worker runs a job, or when, so any worker may take any
 // job in any order. It stops early once the keys' JSON encoding, bounded
 // by 6 bytes per key byte plus quotes and comma, could pass keyBytes; the
 // first key always goes.
-func (c *Coordinator) pickJobsLocked(size func(pending int) int, keyBytes int) (*campaignState, []string) {
+func (c *Coordinator) pickJobsLocked(size func(pending int) int, keyBytes int) (*campaignState, []int) {
 	// Loading can finalize or fail a campaign, which removes it from open.
 	for _, cs := range slices.Clone(c.open) {
 		if err := c.loadLocked(cs); err != nil {
 			c.closeOutLocked(cs, StateFailed, err.Error())
 			continue
 		}
-		if len(cs.pending) == 0 {
+		if cs.pending == 0 {
 			continue
 		}
-		n := min(size(len(cs.pending)), len(cs.pending))
-		keys := make([]string, 0, n)
+		n := min(size(cs.pending), cs.pending)
+		slots := make([]int, 0, n)
 		for _, i := range cs.order {
-			if len(keys) == n {
+			if len(slots) == n {
 				break
 			}
-			k := cs.jobs[i].Key
-			if !cs.pending[k] {
+			if cs.slots[i] != nil || cs.owner[i] != "" {
 				continue
 			}
-			if keyBytes -= 6*len(k) + 3; keyBytes < 0 && len(keys) > 0 {
+			if keyBytes -= 6*len(cs.jobs[i].Key) + 3; keyBytes < 0 && len(slots) > 0 {
 				break
 			}
-			keys = append(keys, k)
+			slots = append(slots, i)
 		}
-		return cs, keys
+		return cs, slots
 	}
 	return nil, nil
 }
@@ -499,55 +496,51 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	return HeartbeatResponse{OK: true}
 }
 
-// MergeRecords ingests one record batch from a lease's resumable stream.
-// A batch whose offset lags the acknowledged position is a retry — the
-// overlap is dropped; an offset beyond it is a protocol error.
-func (c *Coordinator) MergeRecords(req RecordsRequest) (RecordsResponse, int, error) {
+// MergeRecords merges one record batch from a lease (see mergeLocked),
+// finalizing the campaign once every slot is filled, and returns the HTTP
+// status to answer with: 200, 404 for a lease that is unknown, expired or
+// already ended, or 400 for a record outside it.
+func (c *Coordinator) MergeRecords(req RecordsRequest) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(time.Now())
 	l, ok := c.leases[req.Lease]
 	if !ok || l.worker != req.Worker {
-		return RecordsResponse{}, http.StatusNotFound, fmt.Errorf("dist: unknown lease %q", req.Lease)
-	}
-	if req.Offset < 0 || req.Offset > l.next {
-		return RecordsResponse{}, http.StatusConflict,
-			fmt.Errorf("dist: lease %s offset %d, expected ≤ %d", req.Lease, req.Offset, l.next)
+		return http.StatusNotFound, fmt.Errorf("dist: unknown lease %q", req.Lease)
 	}
 	cs := c.campaigns[l.campaign]
-	skip := l.next - req.Offset
-	for i, rec := range req.Records {
-		if i < skip {
-			continue
+	var err error
+	for _, rec := range req.Records {
+		if err = c.mergeLocked(cs, l, rec); err != nil {
+			break
 		}
-		if err := c.mergeLocked(cs, l, rec); err != nil {
-			return RecordsResponse{}, http.StatusBadRequest, err
-		}
-		l.next++
 	}
-	return RecordsResponse{Next: l.next}, http.StatusOK, nil
+	// After the batch, so a record behind the campaign's last one still
+	// finds its slot.
+	if cs.merged == len(cs.jobs) {
+		c.finalizeLocked(cs)
+	}
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	return http.StatusOK, nil
 }
 
-// mergeLocked slots one record. Duplicate deliveries (a slot already
-// filled by an earlier lease of the same job) are dropped: job records
-// are deterministic in the spec, so first-wins and last-wins are the
-// same bytes.
+// mergeLocked fills one record's slot. A record whose slot is already
+// filled is dropped, whoever delivered it: a retry, or a cell an expired
+// lease delivered late. Job records are deterministic in the spec, so
+// first-wins and last-wins are the same bytes. An empty slot only the
+// lease that owns it fills, and the lease ends with its last open slot.
 func (c *Coordinator) mergeLocked(cs *campaignState, l *lease, rec campaign.Record) error {
 	i, ok := cs.index[rec.Key]
 	if !ok {
 		return fmt.Errorf("dist: record for unknown job key %q", rec.Key)
 	}
-	if !l.remaining[rec.Key] {
-		// Not part of this lease (or already delivered by it): a protocol
-		// violation unless it is a benign duplicate of a filled slot.
-		if cs.slots[i] != nil {
-			return nil
-		}
-		return fmt.Errorf("dist: record for key %q outside lease %s", rec.Key, l.id)
-	}
-	delete(l.remaining, rec.Key)
 	if cs.slots[i] != nil {
 		return nil
+	}
+	if cs.owner[i] != l.id {
+		return fmt.Errorf("dist: record for key %q outside lease %s", rec.Key, l.id)
 	}
 	off, line, err := cs.store.AppendAt(rec)
 	if err != nil {
@@ -557,49 +550,29 @@ func (c *Coordinator) mergeLocked(cs *campaignState, l *lease, rec campaign.Reco
 		c.cells[cellKeyOf(cs.jobs[i])] = cellLoc{campaign: cs.id, off: off, n: len(line), crc: crc32.ChecksumIEEE(line)}
 	}
 	r := rec
-	cs.slots[i] = &r
+	cs.slots[i], cs.owner[i] = &r, ""
 	cs.merged++
-	delete(cs.pending, rec.Key)
-	delete(cs.leasedBy, rec.Key)
 	c.mx.recordsMerged.Inc()
 	cs.events.Append(campaign.ProgressLine(cs.merged, len(cs.jobs), rec))
-	if cs.merged == len(cs.jobs) {
-		c.finalizeLocked(cs)
+	if l.open--; l.open == 0 {
+		c.releaseLeaseLocked(l, false)
 	}
 	return nil
 }
 
-// Complete retires a fully-streamed lease. Leased-but-undelivered keys
-// (a worker bug, or records rejected mid-batch) return to pending.
-func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l, ok := c.leases[req.Lease]
-	if !ok || l.worker != req.Worker {
-		return CompleteResponse{OK: false}
-	}
-	c.releaseLeaseLocked(l, false)
-	delete(c.leases, req.Lease)
-	c.mx.leasesActive.Set(int64(len(c.leases)))
-	return CompleteResponse{OK: true}
-}
-
-// reapLocked expires overdue leases: their unfinished jobs return to the
-// pending set marked reclaimed, so the next grant counts them as stolen.
-// It also forgets fleet workers silent for LeaseTTL, so a restarted
-// worker's old ID stops counting in fleetLeaseSize.
+// reapLocked expires overdue leases: their open slots return to pending
+// marked stolen, so the next grant counts them as steals. It also forgets
+// fleet workers silent for LeaseTTL, so a restarted worker's old ID stops
+// counting in fleetLeaseSize.
 func (c *Coordinator) reapLocked(now time.Time) {
-	for id, l := range c.leases {
+	for _, l := range c.leases {
 		if now.Before(l.expires) {
 			continue
 		}
 		c.mx.leasesExpired.Inc()
 		fmt.Fprintf(c.cfg.Log, "dist: lease %s (%s) expired with %d job(s) unfinished\n",
-			id, l.worker, len(l.remaining))
-		c.releaseLeaseLocked(l, true)
-		delete(c.leases, id)
+			l.id, l.worker, c.releaseLeaseLocked(l, true))
 	}
-	c.mx.leasesActive.Set(int64(len(c.leases)))
 	for id, seen := range c.workers {
 		if now.Sub(seen) >= c.cfg.LeaseTTL {
 			delete(c.workers, id)
@@ -609,31 +582,26 @@ func (c *Coordinator) reapLocked(now time.Time) {
 	c.mx.workersRegistered.Set(int64(len(c.workers)))
 }
 
-// releaseLeaseLocked returns a lease's unfinished jobs to pending;
-// reclaimed marks them as steal candidates (lease expiry) or not
-// (coordinator drain, worker-reported completion).
-func (c *Coordinator) releaseLeaseLocked(l *lease, reclaimed bool) {
-	cs, ok := c.campaigns[l.campaign]
-	if !ok {
-		return
+// releaseLeaseLocked ends a lease and returns the slots it still owns to
+// pending, marked stolen when the lease expired and not when it finished
+// or the coordinator shut down. It reports how many slots it returned.
+func (c *Coordinator) releaseLeaseLocked(l *lease, expired bool) int {
+	delete(c.leases, l.id)
+	c.mx.leasesActive.Set(int64(len(c.leases)))
+	cs := c.campaigns[l.campaign]
+	if l.open == 0 || cs.owner == nil {
+		return 0
 	}
-	returned := false
-	for k := range l.remaining {
-		if cs.leasedBy[k] != l.id {
-			continue
-		}
-		delete(cs.leasedBy, k)
-		if i := cs.index[k]; cs.slots[i] == nil {
-			cs.pending[k] = true
-			returned = true
-			if reclaimed {
-				cs.reclaimed[k] = true
-			}
+	n := 0
+	for _, i := range l.slots {
+		if cs.owner[i] == l.id {
+			cs.owner[i], cs.stolen[i] = "", expired
+			n++
 		}
 	}
-	if returned {
-		c.kickLocked()
-	}
+	cs.pending += n
+	c.kickLocked()
+	return n
 }
 
 // Submit routes one decoded spec and returns the HTTP status to answer
@@ -744,9 +712,8 @@ func (c *Coordinator) loadLocked(cs *campaignState) error {
 	cs.jobs, cs.store, cs.merged = jobs, store, 0
 	cs.index = make(map[string]int, len(jobs))
 	cs.slots = make([]*campaign.Record, len(jobs))
-	cs.pending = make(map[string]bool, len(jobs))
-	cs.leasedBy = make(map[string]string)
-	cs.reclaimed = make(map[string]bool)
+	cs.owner = make([]string, len(jobs))
+	cs.stolen = make([]bool, len(jobs))
 	cs.order = make([]int, len(jobs))
 	for i, j := range jobs {
 		cs.index[j.Key] = i
@@ -766,7 +733,7 @@ func (c *Coordinator) loadLocked(cs *campaignState) error {
 		r := rec
 		cs.slots[i] = &r
 	}
-	for i, j := range jobs {
+	for i := range jobs {
 		if cs.slots[i] != nil {
 			continue
 		}
@@ -776,7 +743,7 @@ func (c *Coordinator) loadLocked(cs *campaignState) error {
 			return err
 		}
 		if !reused {
-			cs.pending[j.Key] = true
+			cs.pending++
 		}
 	}
 	if cs.merged == len(cs.jobs) && len(cs.jobs) > 0 {

@@ -112,8 +112,8 @@ func TestDrainWithActiveLease(t *testing.T) {
 	// One record streams before the SIGTERM; the rest of the lease is
 	// still active when the coordinator drains.
 	first := grant.Keys[0]
-	if _, _, err := c.MergeRecords(RecordsRequest{
-		Worker: "w0", Lease: grant.Lease, Offset: 0,
+	if _, err := c.MergeRecords(RecordsRequest{
+		Worker: "w0", Lease: grant.Lease,
 		Records: []campaign.Record{recFor[first]},
 	}); err != nil {
 		t.Fatal(err)
@@ -161,12 +161,11 @@ func TestDrainWithActiveLease(t *testing.T) {
 			leased[k] = true
 			batch = append(batch, recFor[k])
 		}
-		if _, _, err := c2.MergeRecords(RecordsRequest{
-			Worker: "w1", Lease: g2.Lease, Offset: 0, Records: batch,
+		if _, err := c2.MergeRecords(RecordsRequest{
+			Worker: "w1", Lease: g2.Lease, Records: batch,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		c2.Complete(CompleteRequest{Worker: "w1", Lease: g2.Lease})
 	}
 	if len(leased) != total-1 {
 		t.Fatalf("life 2 leased %d keys, want %d (drained lease released, merged record kept)",
@@ -187,8 +186,10 @@ func TestDrainWithActiveLease(t *testing.T) {
 
 // TestMergeOrderInvariance is the property test: record arrival order
 // shuffled across N simulated workers — interleaved leases, random batch
-// splits, occasional duplicate retries — merges to a store byte-identical
-// to the sequential local artifact.
+// splits, retries that resend a lease's previous record, records of cells
+// another lease already merged, and retries of a lease's last batch after
+// it ended — merges each cell exactly once, to a store byte-identical to
+// the sequential local artifact.
 func TestMergeOrderInvariance(t *testing.T) {
 	spec := fleetSpec("merge-order", 3)
 	wantSorted, _, recs := localRun(t, spec)
@@ -208,6 +209,7 @@ func TestMergeOrderInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Shutdown()
+			reg := c.cfg.Metrics
 			st, _ := c.Submit(spec)
 
 			// Lease everything out across 3 simulated workers.
@@ -230,8 +232,10 @@ func TestMergeOrderInvariance(t *testing.T) {
 			}
 
 			// Deliver in shuffled interleavings, batch sizes 1..3, with a
-			// 1-in-3 chance of resending the previous record (a retry the
-			// offset protocol must dedup).
+			// 1-in-3 chance of resending the previous record (a retry) and a
+			// 1-in-4 chance of adding a record another lease merged: the
+			// coordinator must drop both, since their slots are filled.
+			var merged []string
 			for live := len(grants); live > 0; {
 				g := grants[rng.Intn(len(grants))]
 				if g.sent == len(g.keys) {
@@ -241,27 +245,25 @@ func TestMergeOrderInvariance(t *testing.T) {
 				if off > 0 && rng.Intn(3) == 0 {
 					off-- // retry overlap
 				}
-				end := g.sent + 1 + rng.Intn(3)
-				if end > len(g.keys) {
-					end = len(g.keys)
-				}
-				batch := make([]campaign.Record, 0, end-off)
+				end := min(g.sent+1+rng.Intn(3), len(g.keys))
+				batch := make([]campaign.Record, 0, end-off+1)
 				for _, k := range g.keys[off:end] {
 					batch = append(batch, recFor[k])
 				}
-				resp, _, err := c.MergeRecords(RecordsRequest{
-					Worker: g.worker, Lease: g.lease, Offset: off, Records: batch,
-				})
-				if err != nil {
+				if len(merged) > 0 && rng.Intn(4) == 0 {
+					batch = append(batch, recFor[merged[rng.Intn(len(merged))]])
+				}
+				req := RecordsRequest{Worker: g.worker, Lease: g.lease, Records: batch}
+				if _, err := c.MergeRecords(req); err != nil {
 					t.Fatal(err)
 				}
-				if resp.Next != end {
-					t.Fatalf("acked %d, want %d", resp.Next, end)
-				}
+				merged = append(merged, g.keys[g.sent:end]...)
 				g.sent = end
 				if g.sent == len(g.keys) {
-					if ok := c.Complete(CompleteRequest{Worker: g.worker, Lease: g.lease}); !ok.OK {
-						t.Fatalf("complete refused for %s", g.lease)
+					// The lease ended with its last record: a retry of the
+					// batch, as after a lost ack, finds it gone.
+					if code, err := c.MergeRecords(req); code != http.StatusNotFound {
+						t.Fatalf("retry after lease %s ended = (%d, %v), want 404", g.lease, code, err)
 					}
 					live--
 				}
@@ -274,7 +276,102 @@ func TestMergeOrderInvariance(t *testing.T) {
 			if !bytes.Equal(sorted, wantSorted) {
 				t.Errorf("shuffled merge diverges from sequential artifact:\n%s\nvs\n%s", sorted, wantSorted)
 			}
+			lines, err := campaign.ReadRecords(c.storePath(st.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[string]int, len(lines))
+			for _, r := range lines {
+				seen[r.Key]++
+			}
+			for _, j := range spec.Expand() {
+				if seen[j.Key] != 1 {
+					t.Errorf("%s.jsonl holds %d line(s) for %s, want 1", st.ID, seen[j.Key], j.Key)
+				}
+			}
+			if len(lines) != len(recs) {
+				t.Errorf("%s.jsonl holds %d lines, want %d", st.ID, len(lines), len(recs))
+			}
+			if got := reg.Counter("ares_dist_records_merged_total", "").Value(); got != uint64(len(recs)) {
+				t.Errorf("records merged = %d, want %d", got, len(recs))
+			}
 		})
+	}
+}
+
+// TestLeaseEndsWithLastRecord: a lease ends when its last record merges,
+// with nothing more from the worker: a heartbeat for it then answers
+// abandon and ares_dist_leases_active drops by one, while the campaign's
+// other leases stay live until their own last records.
+func TestLeaseEndsWithLastRecord(t *testing.T) {
+	spec := fleetSpec("lease-end", 2)
+	_, _, recs := localRun(t, spec)
+	recFor := make(map[string]campaign.Record, len(recs))
+	for _, r := range recs {
+		recFor[r.Key] = r
+	}
+	reg := metrics.NewRegistry()
+	c, err := NewCoordinator(CoordConfig{StoreDir: t.TempDir(), LeaseTTL: time.Hour, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	st, code := c.Submit(spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202", code)
+	}
+	h := c.Handler()
+	post := func(op string, v any, out any) {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/dist/"+op, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", op, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var grants []LeaseResponse
+	for {
+		var g LeaseResponse
+		post("lease", LeaseRequest{Worker: "w0"}, &g)
+		if g.Lease == "" {
+			break
+		}
+		grants = append(grants, g)
+	}
+	if len(grants) < 2 {
+		t.Fatalf("%d lease(s), want the campaign spread over several", len(grants))
+	}
+	active := reg.Gauge("ares_dist_leases_active", "")
+	for n, g := range grants {
+		batch := make([]campaign.Record, 0, len(g.Keys))
+		for _, k := range g.Keys {
+			batch = append(batch, recFor[k])
+		}
+		var ack map[string]any
+		post("records", RecordsRequest{Worker: "w0", Lease: g.Lease, Records: batch}, &ack)
+		for m, other := range grants {
+			var hb HeartbeatResponse
+			post("heartbeat", HeartbeatRequest{Worker: "w0", Lease: other.Lease}, &hb)
+			if ended := m <= n; hb.Abandon != ended {
+				t.Errorf("after lease %s's last record: heartbeat for %s = %+v, want abandon %v", g.Lease, other.Lease, hb, ended)
+			}
+		}
+		if got, want := active.Value(), int64(len(grants)-n-1); got != want {
+			t.Errorf("after lease %s's last record: ares_dist_leases_active = %d, want %d", g.Lease, got, want)
+		}
+	}
+	if got, _ := c.Status(st.ID); got.State != StateDone && got.State != StateFailed {
+		t.Errorf("campaign %+v, want terminal", got)
+	}
+	if got := reg.Counter("ares_dist_leases_expired_total", "").Value(); got != 0 {
+		t.Errorf("%d lease(s) expired", got)
 	}
 }
 
@@ -303,9 +400,10 @@ func TestWireStrictness(t *testing.T) {
 	}
 }
 
-// TestFleetRoutes: the five POST envelopes share one route, which must
+// TestFleetRoutes: the four POST envelopes share one route, which must
 // still answer an unknown operation 404 and a wrong method 405. The
-// retired handshake routes are gone: a lease carries what they served.
+// retired handshake routes are gone, since a lease carries what they
+// served, and so is complete, since a lease ends with its last record.
 func TestFleetRoutes(t *testing.T) {
 	c, err := NewCoordinator(CoordConfig{StoreDir: t.TempDir(), Metrics: metrics.NewRegistry()})
 	if err != nil {
@@ -327,6 +425,7 @@ func TestFleetRoutes(t *testing.T) {
 		{"GET", "/v1/dist/lease", ``, http.StatusMethodNotAllowed},
 		{"POST", "/v1/dist/register", `{"worker":"w0"}`, http.StatusNotFound},
 		{"GET", "/v1/dist/campaigns/x/spec", ``, http.StatusNotFound},
+		{"POST", "/v1/dist/complete", `{"worker":"w0","lease":"L1"}`, http.StatusNotFound},
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -453,6 +455,144 @@ func TestKilledWorkerKeepsFinishedCells(t *testing.T) {
 	}
 	if got := reg.Counter("ares_dist_records_merged_total", "").Value(); got != 2 {
 		t.Errorf("records merged = %d, want 2", got)
+	}
+}
+
+// ackLossTransport forwards every request, but loses the answer to the
+// first post of each distinct records body: the coordinator merged the
+// record, and the worker sees a transport error and retries. retries
+// counts the retries' answers by status.
+type ackLossTransport struct {
+	mu      sync.Mutex
+	seen    map[string]bool
+	lost    int
+	retries map[int]int
+}
+
+func (a *ackLossTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/v1/dist/records" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	fwd := req.Clone(req.Context())
+	fwd.Body = io.NopCloser(bytes.NewReader(body))
+	resp, err := http.DefaultTransport.RoundTrip(fwd)
+	if err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	first := !a.seen[string(body)]
+	a.seen[string(body)] = true
+	if first {
+		a.lost++
+	} else {
+		a.retries[resp.StatusCode]++
+	}
+	a.mu.Unlock()
+	if !first {
+		return resp, nil
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return nil, errors.New("connection reset after the request was sent")
+}
+
+// syncBuffer is a bytes.Buffer safe for a worker's concurrent log writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestFleetWorkerRetriesLostAck: every record post of an HTTP fleet
+// worker reaches the coordinator, but its first answer is lost, so the
+// worker posts each record twice. A retry whose lease still has open
+// slots is dropped, since the record's slot is filled; a retry of a
+// lease's last record finds the lease ended (404) and counts as
+// delivered. Each cell merges once, the artifact equals an in-process
+// daemon's, and the worker logs no lease error.
+func TestFleetWorkerRetriesLostAck(t *testing.T) {
+	spec := dist.FleetSpec("lost-ack", 2)
+	spec.Seed = 1 // no cell of it fails, so the campaign ends done
+	want, _, _ := runDaemon(t, spec, 1, false)
+
+	dir := t.TempDir()
+	reg := metrics.NewRegistry()
+	c, err := dist.NewCoordinator(dist.CoordConfig{StoreDir: dir, MaxLease: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	defer c.Shutdown()
+	st, code := submitHTTP(t, ts.URL, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", code)
+	}
+	lossy := &ackLossTransport{seen: make(map[string]bool), retries: make(map[int]int)}
+	var log syncBuffer
+	w, err := dist.NewWorker(dist.WorkerConfig{
+		Coordinator: ts.URL, ID: "w0", Jobs: 1, Execute: dist.FleetExec,
+		Client: &http.Client{Transport: lossy, Timeout: 30 * time.Second}, Log: &log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() { defer close(exited); _ = w.Run(ctx) }()
+	final := waitTerminal(t, ts.URL, st.ID)
+	cells := len(spec.Expand())
+	// The last cell's retry follows the merge that finished the campaign.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		lossy.mu.Lock()
+		n := lossy.retries[http.StatusOK] + lossy.retries[http.StatusNotFound]
+		lossy.mu.Unlock()
+		if n == cells {
+			break
+		}
+	}
+	cancel()
+	<-exited
+
+	if final.State != dist.StateDone {
+		t.Fatalf("campaign %s (%s), want done", final.State, final.Error)
+	}
+	if got := reg.Counter("ares_dist_records_merged_total", "").Value(); got != uint64(cells) {
+		t.Errorf("records merged = %d, want %d", got, cells)
+	}
+	if lossy.lost != cells {
+		t.Errorf("%d answer(s) lost, want one per cell (%d)", lossy.lost, cells)
+	}
+	// Leases of ⌈4/2⌉, 1 and 1 cells: one retry lands in a live lease.
+	if lossy.retries[http.StatusOK] != 1 || lossy.retries[http.StatusNotFound] != cells-1 {
+		t.Errorf("retries answered %v, want one 200 and %d 404", lossy.retries, cells-1)
+	}
+	got, err := os.ReadFile(dist.SortedArtifactPath(dir, st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("artifact diverges from the in-process daemon's:\n%s\nvs\n%s", got, want)
+	}
+	if out := log.String(); strings.Contains(out, "worker w0 lease ") || strings.Contains(out, "abandoning") {
+		t.Errorf("worker logged a lease error:\n%s", out)
 	}
 }
 

@@ -47,7 +47,7 @@ func FuzzDistEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	// A pending campaign gives valid lease bodies something to grant; each
-	// grant is completed unstreamed, which returns its jobs to pending.
+	// grant is released unstreamed, which returns its jobs to pending.
 	if _, code := c.Submit(fleetSpec("fuzz", 4)); code != http.StatusAccepted {
 		f.Fatalf("submit = %d, want 202", code)
 	}
@@ -59,7 +59,6 @@ func FuzzDistEnvelope(f *testing.F) {
 		"/v1/dist/wait",
 		"/v1/dist/heartbeat",
 		"/v1/dist/records",
-		"/v1/dist/complete",
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -81,8 +80,7 @@ func FuzzDistEnvelope(f *testing.F) {
 			rec := httptest.NewRecorder()
 			handler.ServeHTTP(rec, httptest.NewRequest("POST", ep, bytes.NewReader(body)).WithContext(ctx))
 			switch rec.Code {
-			case http.StatusOK, http.StatusBadRequest,
-				http.StatusNotFound, http.StatusConflict,
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound,
 				http.StatusRequestEntityTooLarge:
 			default:
 				t.Fatalf("%s: unexpected status %d for body %q", ep, rec.Code, body)
@@ -127,8 +125,14 @@ func FuzzDistEnvelope(f *testing.F) {
 		if grant.Spec == nil || campaign.SpecHash(*grant.Spec) != grant.Campaign {
 			t.Fatalf("lease %s of campaign %s carries spec %+v", grant.Lease, grant.Campaign, grant.Spec)
 		}
-		if !c.Complete(CompleteRequest{Worker: req.Worker, Lease: grant.Lease}).OK {
-			t.Fatalf("complete refused for %s", grant.Lease)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		l, ok := c.leases[grant.Lease]
+		if !ok || l.worker != req.Worker {
+			t.Fatalf("granted lease %s is not held by %s", grant.Lease, req.Worker)
+		}
+		if n := c.releaseLeaseLocked(l, false); n != len(grant.Keys) {
+			t.Fatalf("releasing %s returned %d job(s), want %d", grant.Lease, n, len(grant.Keys))
 		}
 	})
 }

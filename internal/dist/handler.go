@@ -32,8 +32,9 @@ import (
 //	POST /v1/dist/wait      park until the wake counter moves past the one
 //	                        named, a drain, or min(LeaseTTL/4, 20s)
 //	POST /v1/dist/heartbeat keep a lease alive (or learn to abandon it)
-//	POST /v1/dist/records   stream finished records (resumable offsets)
-//	POST /v1/dist/complete  retire a fully-streamed lease
+//	POST /v1/dist/records   post finished records; a record whose slot is
+//	                        filled is dropped, and the lease ends with its
+//	                        last record
 //
 // Nothing here authenticates: the daemon belongs on a trusted network.
 func (c *Coordinator) Handler() *http.ServeMux {
@@ -51,7 +52,7 @@ func (c *Coordinator) Handler() *http.ServeMux {
 	mux.HandleFunc("GET /v1/results/{id}", c.handleResult)
 	mux.Handle("GET /metrics", c.cfg.Metrics.Handler())
 	mux.HandleFunc("GET /healthz", c.handleHealth)
-	// One pattern for the five POST envelopes: every daemon and test
+	// One pattern for the four POST envelopes: every daemon and test
 	// builds this mux, and ServeMux registration costs a few µs per
 	// pattern.
 	mux.HandleFunc("POST /v1/dist/{op}", c.handleFleet)
@@ -69,8 +70,6 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 		c.handleHeartbeat(w, r)
 	case "records":
 		c.handleRecords(w, r)
-	case "complete":
-		c.handleComplete(w, r)
 	default:
 		WriteErr(w, http.StatusNotFound, "unknown fleet operation")
 	}
@@ -224,19 +223,9 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, "invalid records batch: %v", err)
 		return
 	}
-	resp, code, err := c.MergeRecords(req)
-	if err != nil {
+	if code, err := c.MergeRecords(req); err != nil {
 		WriteErr(w, code, "%v", err)
 		return
 	}
-	WriteJSON(w, code, resp)
-}
-
-func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeWire[CompleteRequest](http.MaxBytesReader(w, r.Body, maxControlBytes), maxControlBytes)
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, "invalid complete: %v", err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, c.Complete(req))
+	WriteJSON(w, http.StatusOK, struct{}{})
 }

@@ -100,33 +100,14 @@ type HeartbeatResponse struct {
 	Abandon bool `json:"abandon,omitempty"`
 }
 
-// RecordsRequest streams finished records; a Worker posts each one alone,
-// as its cell finishes. Offset is the position of the first record in the
-// lease's record stream: the
-// coordinator acknowledges with the next expected offset, so a worker
-// that retries a failed POST resends the same offset and duplicates are
-// dropped instead of double-merged.
+// RecordsRequest posts finished records of a lease; a Worker posts each
+// one alone, as its cell finishes. The coordinator answers {} and drops a
+// record whose slot is already filled, so a worker that retries a failed
+// POST resends it as is. The lease ends with its last record.
 type RecordsRequest struct {
 	Worker  string            `json:"worker"`
 	Lease   string            `json:"lease"`
-	Offset  int               `json:"offset"`
 	Records []campaign.Record `json:"records"`
-}
-
-// RecordsResponse acknowledges the stream position.
-type RecordsResponse struct {
-	Next int `json:"next"`
-}
-
-// CompleteRequest reports a lease fully executed and streamed.
-type CompleteRequest struct {
-	Worker string `json:"worker"`
-	Lease  string `json:"lease"`
-}
-
-// CompleteResponse acknowledges lease completion.
-type CompleteResponse struct {
-	OK bool `json:"ok"`
 }
 
 // decodeWire strictly parses one JSON envelope: campaign.DecodeStrict

@@ -117,7 +117,7 @@ func (c *Coordinator) InProcessWorker(id string, exec campaign.Executor, budget 
 // ID returns the worker's effective identity.
 func (w *Worker) ID() string { return w.cfg.ID }
 
-// Run loops lease → execute → stream → complete until ctx is cancelled
+// Run loops lease → execute → stream until ctx is cancelled
 // (or, in process, the coordinator drains); the first lease registers the
 // worker. Transient coordinator failures (not up yet, restart mid-fleet)
 // are retried; a lease request the coordinator refuses as bad (400) ends
@@ -156,9 +156,10 @@ func (w *Worker) Run(ctx context.Context) error {
 // runLease executes one granted batch: resolve keys against the locally
 // expanded spec, run them on the campaign runner while a heartbeat
 // goroutine keeps the lease alive and each record streams as its job
-// finishes, then complete the lease. An Abandon heartbeat reply cancels
-// the lease context, so in-flight jobs wind down instead of streaming to
-// a lease the coordinator already re-granted.
+// finishes; the coordinator ends the lease with its last record. An
+// Abandon heartbeat reply cancels the lease context, so in-flight jobs
+// wind down instead of streaming to a lease the coordinator already
+// re-granted.
 func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 	jobsByKey, err := w.campaignJobs(grant)
 	if err != nil {
@@ -209,13 +210,10 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 		defer release()
 		runner.Workers, runner.Log = share, nil
 	}
-	_, runErr := runner.RunJobs(leaseCtx, jobs, sink)
+	_, err = runner.RunJobs(leaseCtx, jobs, sink)
 	cancel()
 	hbWG.Wait()
-	if runErr != nil {
-		return runErr
-	}
-	return w.link.complete(ctx, CompleteRequest{Worker: w.cfg.ID, Lease: grant.Lease})
+	return err
 }
 
 // campaignJobs returns the grant's campaign's jobs keyed by job key,
@@ -242,18 +240,14 @@ func (w *Worker) campaignJobs(grant LeaseResponse) (map[string]campaign.Job, err
 }
 
 // streamSink is the worker-side campaign.RecordSink: it posts each
-// finished record to the coordinator at once, stamped with its offset in
-// the lease's stream, so a killed worker loses only the jobs it was
-// running. A transport failure retries the same offset — the coordinator
-// drops the overlap — so a record is merged exactly once however flaky
-// the link.
+// finished record to the coordinator at once, so a killed worker loses
+// only the jobs it was running. A transport failure retries the post —
+// the coordinator drops a record whose slot is already filled — so a
+// record is merged exactly once however flaky the link.
 type streamSink struct {
 	w     *Worker
 	ctx   context.Context
 	lease string
-
-	mu   sync.Mutex // orders the posts, and so the offsets
-	sent int
 }
 
 // Completed always reports false: the coordinator already filtered
@@ -262,39 +256,33 @@ func (s *streamSink) Completed(string) bool { return false }
 
 // Append posts one record.
 func (s *streamSink) Append(rec campaign.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.ctx.Err(); err != nil {
 		// A cancelled lease streams nothing more: records finished after a
 		// drain deadline or an abandon re-run under the next lease instead
 		// of merging as failures.
 		return err
 	}
-	req := RecordsRequest{Worker: s.w.cfg.ID, Lease: s.lease, Offset: s.sent, Records: []campaign.Record{rec}}
-	var resp RecordsResponse
+	req := RecordsRequest{Worker: s.w.cfg.ID, Lease: s.lease, Records: []campaign.Record{rec}}
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		resp, err = s.w.link.records(s.ctx, req)
-		if err == nil {
-			break
-		}
-		var ae *apiError
-		if errors.As(err, &ae) {
-			return err // coordinator refused the record: lease lost or protocol error
-		}
-		if !sleepCtx(s.ctx, 100*time.Millisecond) {
+		if attempt > 0 && !sleepCtx(s.ctx, 100*time.Millisecond) {
 			return err
 		}
+		err = s.w.link.records(s.ctx, req)
+		var ae *apiError
+		switch {
+		case err == nil:
+			return nil
+		case errors.As(err, &ae) && ae.Status == http.StatusNotFound && attempt > 0:
+			// The failed attempt may have merged the lease's last record,
+			// which ended the lease; if it did not, the lease is gone and
+			// another worker flies the cell.
+			return nil
+		case errors.As(err, &ae):
+			return err // coordinator refused the record: lease lost or protocol error
+		}
 	}
-	if err != nil {
-		return err
-	}
-	if resp.Next < s.sent || resp.Next > s.sent+1 {
-		return fmt.Errorf("dist: coordinator acked offset %d outside [%d, %d]",
-			resp.Next, s.sent, s.sent+1)
-	}
-	s.sent = resp.Next
-	return nil
+	return err
 }
 
 // apiError is a coordinator refusal (a non-2xx reply, or an error from a
@@ -313,8 +301,7 @@ func (e *apiError) Error() string {
 type link interface {
 	lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error)
 	heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error)
-	records(ctx context.Context, req RecordsRequest) (RecordsResponse, error)
-	complete(ctx context.Context, req CompleteRequest) error
+	records(ctx context.Context, req RecordsRequest) error
 	// wait parks after an empty lease until work may be pending (see
 	// Coordinator.wait); false ends the worker.
 	wait(ctx context.Context, req WaitRequest) bool
@@ -336,14 +323,8 @@ func (h *httpLink) heartbeat(ctx context.Context, req HeartbeatRequest) (resp He
 	return resp, err
 }
 
-func (h *httpLink) records(ctx context.Context, req RecordsRequest) (resp RecordsResponse, err error) {
-	err = h.post(ctx, "/v1/dist/records", req, &resp, maxControlBytes)
-	return resp, err
-}
-
-func (h *httpLink) complete(ctx context.Context, req CompleteRequest) error {
-	var resp CompleteResponse
-	return h.post(ctx, "/v1/dist/complete", req, &resp, maxControlBytes)
+func (h *httpLink) records(ctx context.Context, req RecordsRequest) error {
+	return h.post(ctx, "/v1/dist/records", req, &struct{}{}, maxControlBytes)
 }
 
 // wait parks in the coordinator. A draining or unreachable coordinator
@@ -393,16 +374,10 @@ func (l *localLink) heartbeat(_ context.Context, req HeartbeatRequest) (Heartbea
 	return l.c.Heartbeat(req), nil
 }
 
-func (l *localLink) records(_ context.Context, req RecordsRequest) (RecordsResponse, error) {
-	resp, code, err := l.c.MergeRecords(req)
-	if err != nil {
-		return resp, &apiError{Status: code, Msg: err.Error()}
+func (l *localLink) records(_ context.Context, req RecordsRequest) error {
+	if code, err := l.c.MergeRecords(req); err != nil {
+		return &apiError{Status: code, Msg: err.Error()}
 	}
-	return resp, nil
-}
-
-func (l *localLink) complete(_ context.Context, req CompleteRequest) error {
-	l.c.Complete(req)
 	return nil
 }
 

@@ -218,9 +218,11 @@ func TestEKFRegisterVars(t *testing.T) {
 // sensors from a simulated flight must track true attitude and position.
 // This is the property the SAVIOR monitor depends on.
 func TestEKFTracksSimulatedFlight(t *testing.T) {
+	hover := sim.IRISPlusParams().HoverThrottle()
 	quad, err := sim.NewQuad(sim.IRISPlusParams(), sim.WithInitialState(sim.State{
-		Pos: mathx.V3(0, 0, -10),
-		Att: mathx.QuatIdentity(),
+		Pos:   mathx.V3(0, 0, -10),
+		Att:   mathx.QuatIdentity(),
+		Motor: [4]float64{hover, hover, hover, hover},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -228,11 +230,6 @@ func TestEKFTracksSimulatedFlight(t *testing.T) {
 	suite := sensors.NewSuite(sensors.DefaultConfig())
 	e := New()
 	reset(e, mathx.V3(0, 0, -10), 0)
-
-	hover := quad.Params.HoverThrottle()
-	s := quad.State()
-	s.Motor = [4]float64{hover, hover, hover, hover}
-	quad.SetState(s)
 
 	att := control.NewAttitudeController(dt)
 	pos := control.NewPositionController(dt, hover)

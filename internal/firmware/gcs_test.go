@@ -6,7 +6,6 @@ import (
 
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/mavlink"
-	"github.com/ares-cps/ares/internal/sim"
 )
 
 func TestGCSLandAndRTLCommands(t *testing.T) {
@@ -70,7 +69,6 @@ func TestGCSSetModeAndArmDisarm(t *testing.T) {
 
 func TestGCSArmWhileCrashedFails(t *testing.T) {
 	f := newTestFirmware(t, Config{})
-	f.Quad().SetState(f.Quad().State()) // clean
 	f.crashForTest()
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdArmDisarm,
 		Params: [7]float64{1}})
@@ -129,10 +127,12 @@ func TestFirmwareAccessors(t *testing.T) {
 
 // crashForTest forces the crashed state through the public physics path.
 func (f *Firmware) crashForTest() {
-	// Drop from altitude, at rest with motors off, to force a hard impact.
-	pos := f.quad.State().Pos
-	f.quad.SetState(sim.State{Pos: mathx.V3(pos.X, pos.Y, -30), Att: mathx.QuatIdentity()})
-	for i := 0; i < 5*400; i++ {
+	// Climb at full throttle, then fall with the motors off to force a
+	// hard impact.
+	for i := 0; i < 3*400; i++ {
+		f.quad.Step([4]float64{1, 1, 1, 1}, 1.0/400)
+	}
+	for i := 0; i < 10*400; i++ {
 		f.quad.Step([4]float64{}, 1.0/400)
 		if crashed, _ := f.quad.Crashed(); crashed {
 			return

@@ -65,12 +65,5 @@ func (v Vec3) Hadamard(o Vec3) Vec3 { return Vec3{v.X * o.X, v.Y * o.Y, v.Z * o.
 // XY returns the horizontal (X, Y) length of v.
 func (v Vec3) XY() float64 { return math.Hypot(v.X, v.Y) }
 
-// IsFinite reports whether all components are finite numbers.
-func (v Vec3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
-}
-
 // Dist returns the Euclidean distance between v and o.
 func (v Vec3) Dist(o Vec3) float64 { return v.Sub(o).Norm() }

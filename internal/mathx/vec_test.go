@@ -49,10 +49,9 @@ func TestVec3CrossOrthogonality(t *testing.T) {
 	// Property: v × w is orthogonal to both operands.
 	f := func(ax, ay, az, bx, by, bz float64) bool {
 		a, b := V3(ax, ay, az), V3(bx, by, bz)
-		if !a.IsFinite() || !b.IsFinite() {
-			return true
-		}
 		c := a.Cross(b)
+		// A NaN or Inf component makes its operand's Norm, and so scale,
+		// non-finite.
 		scale := a.Norm() * b.Norm()
 		if scale == 0 || math.IsInf(scale, 0) || math.IsNaN(scale) {
 			return true
@@ -100,14 +99,16 @@ func TestVec3LerpAndDist(t *testing.T) {
 	}
 }
 
-func TestVec3IsFinite(t *testing.T) {
-	if !V3(1, 2, 3).IsFinite() {
-		t.Error("finite vector reported non-finite")
+// TestVec3NonFiniteNorm: a NaN or Inf component shows in Norm, which is
+// how callers tell a non-finite vector.
+func TestVec3NonFiniteNorm(t *testing.T) {
+	if n := V3(1, 2, 3).Norm(); math.IsNaN(n) || math.IsInf(n, 0) {
+		t.Errorf("finite vector has Norm %v", n)
 	}
-	if V3(math.NaN(), 0, 0).IsFinite() {
-		t.Error("NaN vector reported finite")
+	if n := V3(math.NaN(), 0, 0).Norm(); !math.IsNaN(n) {
+		t.Errorf("NaN vector has Norm %v, want NaN", n)
 	}
-	if V3(0, math.Inf(1), 0).IsFinite() {
-		t.Error("Inf vector reported finite")
+	if n := V3(0, math.Inf(1), 0).Norm(); !math.IsInf(n, 1) {
+		t.Errorf("Inf vector has Norm %v, want +Inf", n)
 	}
 }

@@ -197,7 +197,8 @@ func (q *Quad) State() State { return q.state }
 
 // StateRef returns the live vehicle state, which every Step overwrites.
 // It is for readers on the per-tick path that would otherwise copy the
-// whole State; callers must not write through it (use SetState).
+// whole State; callers must not write through it (start a Quad elsewhere
+// with WithInitialState).
 func (q *Quad) StateRef() *State { return &q.state }
 
 // Euler returns the attitude as (roll, pitch, yaw) in radians, the value
@@ -216,13 +217,6 @@ func (q *Quad) Euler() (roll, pitch, yaw float64) {
 		q.eulerKey, q.eulerOK = key, true
 	}
 	return q.euler[0], q.euler[1], q.euler[2]
-}
-
-// SetState overwrites the vehicle state and clears any crash condition.
-func (q *Quad) SetState(s State) {
-	q.state = s
-	q.crashed = false
-	q.crashInfo = ""
 }
 
 // Time returns the simulated time in seconds since construction.

@@ -85,15 +85,13 @@ func TestQuadClimbsAboveHoverThrottle(t *testing.T) {
 }
 
 func TestQuadHoverIsSteady(t *testing.T) {
-	q := newTestQuad(t, WithInitialState(State{
-		Pos: mathx.V3(0, 0, -10),
-		Att: mathx.QuatIdentity(),
-	}))
-	h := q.Params.HoverThrottle()
+	h := IRISPlusParams().HoverThrottle()
 	// Pre-spin motors to hover so the lag does not cause an initial drop.
-	s := q.State()
-	s.Motor = [4]float64{h, h, h, h}
-	q.SetState(s)
+	q := newTestQuad(t, WithInitialState(State{
+		Pos:   mathx.V3(0, 0, -10),
+		Att:   mathx.QuatIdentity(),
+		Motor: [4]float64{h, h, h, h},
+	}))
 	cmd := [4]float64{h, h, h, h}
 	for i := 0; i < 400; i++ {
 		q.Step(cmd, 1.0/400)
@@ -307,9 +305,9 @@ func TestQuadStepNonFinite(t *testing.T) {
 }
 
 // TestQuadEulerMemo checks that the memoized Quad.Euler always returns the
-// bits State().Att.Euler() computes, across SetState and Step and on repeat
-// reads, including two attitudes that differ only in the sign of a zero
-// component (equal under ==, yet a roll of +π against −π).
+// bits State().Att.Euler() computes, across attitude changes and Step and
+// on repeat reads, including two attitudes that differ only in the sign of
+// a zero component (equal under ==, yet a roll of +π against −π).
 func TestQuadEulerMemo(t *testing.T) {
 	q := newTestQuad(t)
 	negZero := math.Copysign(0, -1)
@@ -341,11 +339,10 @@ func TestQuadEulerMemo(t *testing.T) {
 	for i, att := range []mathx.Quat{
 		mathx.QuatFromEuler(0.3, -0.2, 2.9), plusPi, minusPi, plusPi, mathx.QuatIdentity(),
 	} {
-		st := q.State()
-		st.Att = att
-		st.Pos = mathx.V3(0, 0, -20)
-		q.SetState(st)
-		check(fmt.Sprintf("SetState %d", i))
+		// One Quad across every attitude, so a stale memo would show.
+		q.state.Att = att
+		q.state.Pos = mathx.V3(0, 0, -20)
+		check(fmt.Sprintf("attitude %d", i))
 	}
 	hover := q.Params.HoverThrottle()
 	for i := 0; i < 50; i++ {
